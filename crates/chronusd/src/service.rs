@@ -314,8 +314,8 @@ impl PredictService {
     /// one, so the caller can wrap the response in a
     /// [`chronus::remote::ResponseFrame`]. Un-corr'd (and malformed)
     /// frames return `None` and must be answered bare — that asymmetry
-    /// is the whole negotiation: a daemon that echoes corr ids proves
-    /// it is safe to pipeline against.
+    /// is the whole negotiation: the client checks the echo when there
+    /// is one and takes a bare reply in order.
     pub fn handle_frame_enveloped(&self, payload: &[u8], gauges: QueueGauges) -> (Option<u64>, Response) {
         let started = self.clock.now_micros();
         self.stats.request();

@@ -181,6 +181,23 @@ fn pipelined_requests_answer_in_order() {
 }
 
 #[test]
+fn a_batch_over_the_frame_cap_is_answered_in_order_in_three_frames() {
+    let models: Vec<PreparedModel> = (0..7).map(|i| model(i, 100 + i as u64, 200, 8 + i as u32)).collect();
+    let server = ephemeral(ServerConfig::default(), StaticBackend::new(models));
+    let mut c = client(&server);
+
+    // 7 does not divide the 1024-key frame cap: swapped frames misalign
+    let keys: Vec<(u64, u64)> = (0..2500).map(|i| (100 + i % 7, 200)).collect();
+    let results = c.predict_many(&keys, OPTS);
+    assert_eq!(results.len(), keys.len());
+    for (i, res) in results.iter().enumerate() {
+        assert_eq!(res.as_ref().unwrap().cores, 8 + (i % 7) as u32, "key {i}");
+    }
+    let stats = c.stats().unwrap();
+    assert_eq!((stats.batches, stats.predictions), (3, 2500), "{stats:?}");
+}
+
+#[test]
 fn registry_pressure_evicts_but_keeps_answering() {
     let cfg = ServerConfig { cache_cap: 2, cache_shards: 1, ..ServerConfig::default() };
     let models: Vec<PreparedModel> = (0..4).map(|i| model(i, 100 + i as u64, 200, 32)).collect();

@@ -58,17 +58,20 @@ fn shm_singles_and_stats_round_trip() {
 
 #[test]
 fn shm_batches_ride_the_binary_fast_path() {
-    let server = shm_server("batch", StaticBackend::new(vec![model(1, 10, 20, 32), model(2, 30, 40, 16)]));
+    let models = [model(1, 10, 20, 32), model(2, 30, 40, 16), model(3, 50, 60, 8)];
+    let server = shm_server("batch", StaticBackend::new(models.to_vec()));
     let endpoint = format!("shm://{}", server.shm_path().unwrap());
     let mut c = PredictClient::builder().endpoint(&endpoint).build().unwrap();
 
-    let keys: Vec<(u64, u64)> = (0..600).map(|i| if i % 2 == 0 { (10, 20) } else { (30, 40) }).collect();
+    // three frames' worth; 3 does not divide the 1024-key frame cap, so swapped frames would misalign
+    let keys: Vec<(u64, u64)> = (0..2500).map(|i| (models[i % 3].system_hash, models[i % 3].binary_hash)).collect();
     let results = c.predict_many(&keys, OPTS);
     assert_eq!(results.len(), keys.len());
     for (i, res) in results.iter().enumerate() {
-        let cores = if i % 2 == 0 { 32 } else { 16 };
-        assert_eq!(res.as_ref().unwrap().cores, cores, "key {i}");
+        assert_eq!(res.as_ref().unwrap(), &models[i % 3].config, "key {i}");
     }
+    let stats = c.stats().unwrap();
+    assert_eq!((stats.batches, stats.predictions), (3, 2500), "{stats:?}");
 
     // a miss inside a batch stays a per-key miss, not a batch failure
     let mixed = c.predict_many(&[(10, 20), (5, 5)], OPTS);
@@ -76,7 +79,7 @@ fn shm_batches_ride_the_binary_fast_path() {
     assert!(matches!(mixed[1], Err(RemoteError::Miss { .. })), "{:?}", mixed[1]);
 
     let stats = c.stats().unwrap();
-    assert_eq!(stats.predictions, 602, "both batches counted per key: {stats:?}");
+    assert_eq!(stats.predictions, 2502, "both batches counted per key: {stats:?}");
 }
 
 #[test]

@@ -20,7 +20,6 @@
 //! loop is byte-for-byte the original single-daemon state machine, so
 //! the warm path costs nothing extra.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,8 +71,6 @@ pub enum ClientBuildError {
     VnodesOutOfRange(u32),
     /// `down_after` must be at least 1.
     ZeroDownAfter,
-    /// `pipeline_depth` outside `1..=64`.
-    PipelineDepthOutOfRange(u32),
     /// An endpoint string that does not parse (named in the payload);
     /// see [`Endpoint`] for the accepted shapes.
     BadEndpoint(EndpointParseError),
@@ -87,7 +84,6 @@ impl std::fmt::Display for ClientBuildError {
             ClientBuildError::RetriesOutOfRange(n) => write!(f, "max_retries {n} exceeds the sanity bound of 16"),
             ClientBuildError::VnodesOutOfRange(n) => write!(f, "vnodes {n} outside 1..=1024"),
             ClientBuildError::ZeroDownAfter => write!(f, "down_after must be at least 1"),
-            ClientBuildError::PipelineDepthOutOfRange(n) => write!(f, "pipeline_depth {n} outside 1..=64"),
             ClientBuildError::BadEndpoint(e) => write!(f, "bad endpoint: {e}"),
         }
     }
@@ -123,7 +119,6 @@ pub struct ClientBuilder {
     vnodes: u32,
     down_after: u32,
     probe_cooldown: u32,
-    pipeline_depth: u32,
 }
 
 impl Default for ClientBuilder {
@@ -138,7 +133,6 @@ impl Default for ClientBuilder {
             vnodes: 64,
             down_after: 2,
             probe_cooldown: 16,
-            pipeline_depth: 4,
         }
     }
 }
@@ -226,15 +220,6 @@ impl ClientBuilder {
         self
     }
 
-    /// Sub-batches [`PredictClient::predict_many`] may keep in flight
-    /// on one connection (default 4; 1 disables pipelining). Only takes
-    /// effect against daemons that echo correlation ids; the client
-    /// drops to one-at-a-time exchanges against older daemons.
-    pub fn pipeline_depth(mut self, n: u32) -> Self {
-        self.pipeline_depth = n;
-        self
-    }
-
     /// Validates the configuration and constructs the client. Nothing
     /// connects yet — the first RPC does.
     pub fn build(self) -> Result<PredictClient, ClientBuildError> {
@@ -256,9 +241,6 @@ impl ClientBuilder {
         if self.down_after == 0 {
             return Err(ClientBuildError::ZeroDownAfter);
         }
-        if self.pipeline_depth == 0 || self.pipeline_depth > 64 {
-            return Err(ClientBuildError::PipelineDepthOutOfRange(self.pipeline_depth));
-        }
         let mut replicas: Vec<Replica> = Vec::with_capacity(self.endpoints.len());
         for e in self.endpoints {
             let transport: Box<dyn Transport> = match e {
@@ -276,7 +258,6 @@ impl ClientBuilder {
                 consecutive_failures: 0,
                 probe_in: 0,
                 generation: 0,
-                corr_echo: None,
                 batch_unsupported: false,
             });
         }
@@ -291,11 +272,11 @@ impl ClientBuilder {
                 deadline_ms: self.deadline_ms,
                 down_after: self.down_after,
                 probe_cooldown: self.probe_cooldown,
-                pipeline_depth: self.pipeline_depth,
             },
             tel: None,
             rolled_models: Vec::new(),
             rejoining: false,
+            last_tag: 0,
         })
     }
 }
@@ -307,7 +288,6 @@ struct Knobs {
     deadline_ms: Option<u64>,
     down_after: u32,
     probe_cooldown: u32,
-    pipeline_depth: u32,
 }
 
 struct Replica {
@@ -323,10 +303,6 @@ struct Replica {
     probe_in: u32,
     /// Last rollout generation this replica acknowledged to us.
     generation: u64,
-    /// Whether the *current* connection's peer echoes correlation ids:
-    /// `None` until the first corr'd exchange answers, then the
-    /// verdict. Reset on every fresh dial.
-    corr_echo: Option<bool>,
     /// Set once this daemon answers `PredictMany` with a
     /// malformed-request error: an old daemon, batch forever off.
     batch_unsupported: bool,
@@ -371,6 +347,9 @@ pub struct PredictClient {
     /// Re-entrancy guard: rejoin replays preloads whose own successes
     /// must not recursively trigger another rejoin.
     rejoining: bool,
+    /// The last tag stamped on a batch frame; never reused, so the echo
+    /// check tells this exchange's reply from any earlier one's.
+    last_tag: u64,
 }
 
 /// The client's cached telemetry handles: counter lookups happen once,
@@ -384,7 +363,6 @@ struct ClientTelemetry {
     errors: Counter,
     coalesced: Counter,
     batch_keys: Histogram,
-    inflight_depth: Histogram,
     ring_lookups: Counter,
     ring_failovers: Counter,
     ring_rebuilds: Counter,
@@ -417,22 +395,27 @@ fn routing_key(body: &Request) -> u64 {
     }
 }
 
-/// Dials the replica's connection if necessary; a fresh connection's
-/// corr-echo verdict is unknown until its first corr'd exchange.
-fn ensure_conn(replica: &mut Replica) -> Result<(), RemoteError> {
+/// One framed exchange on a replica's persistent connection, dialing
+/// first if necessary; leaves connection cleanup to the caller. A
+/// tagged frame ([`RequestFrame::corr`]; every batch frame is) is
+/// answered in an envelope echoing the tag, and an echo of any other
+/// tag is a stale, duplicated or foreign reply. A bare reply to a
+/// tagged frame is taken in order: a daemon predating the echo, or the
+/// accept loop's `Busy` bounce, which never reads the request. Either
+/// way the reply must be a shape that can answer the verb (see
+/// [`response_matches`]).
+fn exchange_on(replica: &mut Replica, frame: &RequestFrame) -> Result<Response, RemoteError> {
     if replica.conn.is_none() {
         replica.conn = Some(replica.transport.connect().map_err(RemoteError::Connect)?);
-        replica.corr_echo = None;
     }
-    Ok(())
-}
-
-/// One framed exchange on a replica's persistent connection, dialing
-/// first if necessary. Leaves connection cleanup to the caller.
-fn exchange_on(replica: &mut Replica, frame: &RequestFrame) -> Result<Response, RemoteError> {
-    ensure_conn(replica)?;
     let conn: &mut dyn Connection = &mut **replica.conn.as_mut().expect("connection was just established");
-    send_msg(conn, frame).map_err(RemoteError::Io)?;
+    match (&frame.body, frame.corr) {
+        (Request::PredictMany { keys }, Some(tag)) if conn.fast_batch() => {
+            conn.send_frame(&fastpath::encode_request(tag, frame.deadline_ms, keys))
+        }
+        _ => send_msg(conn, frame),
+    }
+    .map_err(RemoteError::Io)?;
     let payload = conn.recv_frame().map_err(|e| {
         if e.kind() == std::io::ErrorKind::InvalidData {
             RemoteError::Protocol(e.to_string())
@@ -440,7 +423,26 @@ fn exchange_on(replica: &mut Replica, frame: &RequestFrame) -> Result<Response, 
             RemoteError::Io(e)
         }
     })?;
-    serde_json::from_slice(&payload).map_err(|e| RemoteError::Protocol(e.to_string()))
+    // The reply shapes cannot be confused: a fast-path reply opens with
+    // the magic byte JSON never produces, and an envelope and a bare
+    // `Response` each fail to parse as the other (see `ResponseFrame`).
+    // Untagged frames are never enveloped, so singles decode once.
+    let (echo, resp) = if fastpath::is_binary(&payload) {
+        let (tag, body) = fastpath::decode_reply(&payload).map_err(|e| RemoteError::Protocol(e.to_string()))?;
+        (Some(tag), body)
+    } else if let Some(envelope) = frame.corr.and_then(|_| serde_json::from_slice::<ResponseFrame>(&payload).ok()) {
+        (Some(envelope.corr), envelope.body)
+    } else {
+        (None, serde_json::from_slice(&payload).map_err(|e| RemoteError::Protocol(e.to_string()))?)
+    };
+    let verb = verb_name(&frame.body);
+    if let Some(tag) = echo.filter(|&tag| Some(tag) != frame.corr) {
+        return Err(RemoteError::Protocol(format!("reply to {verb} echoes tag {tag}, not this exchange's")));
+    }
+    if !response_matches(&frame.body, &resp) {
+        return Err(RemoteError::Protocol(format!("desynced reply to {verb}: got {resp:?}")));
+    }
+    Ok(resp)
 }
 
 /// Whether `resp` is a shape the daemon could legitimately send for
@@ -467,34 +469,6 @@ fn response_matches(req: &Request, resp: &Response) -> bool {
             | (Request::Burn { .. }, Response::Burned)
             | (Request::ReportOutcome { .. }, Response::OutcomeAck { .. })
     )
-}
-
-/// What came back on a pipelined connection: an envelope (corr-aware
-/// daemon) or a bare response (old daemon, or a bare `Busy` bounce
-/// from the accept loop, which never reads the request at all).
-enum WireReply {
-    Bare(Response),
-    Enveloped(u64, Response),
-}
-
-/// Reads one reply frame and classifies it. The shapes cannot be
-/// confused: a fast-path reply opens with the binary magic byte (which
-/// JSON never produces), the envelope is an object with `corr` and
-/// `body` fields, and a bare [`Response`] is neither (see
-/// [`ResponseFrame`]).
-fn read_reply(conn: &mut dyn Connection) -> Result<WireReply, RemoteError> {
-    let payload = conn.recv_frame().map_err(RemoteError::Io)?;
-    if fastpath::is_binary(&payload) {
-        let (corr, body) = fastpath::decode_reply(&payload).map_err(|e| RemoteError::Protocol(e.to_string()))?;
-        return Ok(WireReply::Enveloped(corr, body));
-    }
-    if let Ok(envelope) = serde_json::from_slice::<ResponseFrame>(&payload) {
-        return Ok(WireReply::Enveloped(envelope.corr, envelope.body));
-    }
-    match serde_json::from_slice::<Response>(&payload) {
-        Ok(r) => Ok(WireReply::Bare(r)),
-        Err(e) => Err(RemoteError::Protocol(e.to_string())),
-    }
 }
 
 impl std::fmt::Debug for PredictClient {
@@ -556,7 +530,6 @@ impl PredictClient {
             errors: telemetry.counter("client.errors"),
             coalesced: telemetry.counter("client.coalesced"),
             batch_keys: telemetry.histogram("client.batch_keys"),
-            inflight_depth: telemetry.histogram("client.inflight_depth"),
             ring_lookups: telemetry.counter("ring.lookups"),
             ring_failovers: telemetry.counter("ring.failovers"),
             ring_rebuilds: telemetry.counter("ring.rebuilds"),
@@ -574,6 +547,13 @@ impl PredictClient {
         if let Some(t) = &self.tel {
             t.requests.bump();
         }
+        self.route(body, opts)
+    }
+
+    /// [`PredictClient::request`] without the `client.requests` bump,
+    /// which counts public calls: a batch that falls back per key is
+    /// still one request.
+    fn route(&mut self, body: Request, opts: &CallOptions) -> Result<Response, RemoteError> {
         self.probe_if_due(opts.trace);
         let candidates = self.candidates(routing_key(&body));
         self.drive(body, opts, &candidates)
@@ -596,7 +576,15 @@ impl PredictClient {
         binary_hash: u64,
         opts: &CallOptions,
     ) -> Result<CpuConfig, RemoteError> {
-        match self.request(Request::Predict { system_hash, binary_hash }, opts)? {
+        if let Some(t) = &self.tel {
+            t.requests.bump();
+        }
+        self.predict_one(system_hash, binary_hash, opts)
+    }
+
+    /// [`PredictClient::predict`] as one step of a call already counted.
+    fn predict_one(&mut self, s: u64, b: u64, opts: &CallOptions) -> Result<CpuConfig, RemoteError> {
+        match self.route(Request::Predict { system_hash: s, binary_hash: b }, opts)? {
             Response::Config(c) => Ok(c),
             Response::Miss { system_hash, binary_hash } => Err(RemoteError::Miss { system_hash, binary_hash }),
             Response::DeadlineExceeded => Err(RemoteError::DeadlineExceeded),
@@ -608,14 +596,13 @@ impl PredictClient {
     /// The batched query: one result per key, in key order, always
     /// `keys.len()` of them. Keys are grouped by their ring owner
     /// (fleet mode fans one batch out across replicas and re-merges),
-    /// each group is split into sub-batches of at most
-    /// [`MAX_BATCH_KEYS`], and up to [`ClientBuilder::pipeline_depth`]
-    /// sub-batches ride one connection concurrently via correlation
-    /// ids. Any key a batched exchange fails to answer falls back to
-    /// the single-key path with its full retry/failover machinery — a
-    /// key is never silently dropped, only answered or given a typed
-    /// error. Old daemons (no `PredictMany`) degrade to sequential
-    /// singles automatically.
+    /// and each group goes out as frames of at most [`MAX_BATCH_KEYS`]
+    /// keys, one request/response exchange after another on the
+    /// owner's connection. Any key a batched exchange fails to answer
+    /// falls back to the single-key path with its full retry/failover
+    /// machinery — a key is never silently dropped, only answered or
+    /// given a typed error. Old daemons (no `PredictMany`) degrade to
+    /// sequential singles automatically.
     pub fn predict_many(&mut self, keys: &[(u64, u64)], opts: &CallOptions) -> Vec<Result<CpuConfig, RemoteError>> {
         if let Some(t) = &self.tel {
             t.requests.bump();
@@ -626,7 +613,7 @@ impl PredictClient {
         }
         if keys.len() == 1 {
             let (s, b) = keys[0];
-            return vec![self.predict(s, b, opts)];
+            return vec![self.predict_one(s, b, opts)];
         }
         self.probe_if_due(opts.trace);
         // ring-aware splitter: each key goes to its first-choice
@@ -658,7 +645,7 @@ impl PredictClient {
         for i in 0..keys.len() {
             if results[i].is_none() {
                 let (s, b) = keys[i];
-                results[i] = Some(self.predict(s, b, opts));
+                results[i] = Some(self.predict_one(s, b, opts));
             }
         }
         results.into_iter().map(|r| r.expect("every key answered or fallen back")).collect()
@@ -674,9 +661,11 @@ impl PredictClient {
         }
     }
 
-    /// Sends one group of key indices to one replica as pipelined
-    /// `PredictMany` sub-batches and fills their result slots. Slots
-    /// left `None` (connection died mid-batch, daemon too old, bare
+    /// Sends one group of key indices to one replica as `PredictMany`
+    /// frames, each answered before the next is sent, and fills their
+    /// result slots. Every frame carries a fresh tag, so a reply left
+    /// over from an earlier exchange can never fill this one's slots.
+    /// Slots left `None` (connection died mid-batch, daemon too old,
     /// `Busy` bounce) are picked up by the caller's per-key fallback.
     fn batch_on(
         &mut self,
@@ -690,106 +679,19 @@ impl PredictClient {
             return;
         }
         let deadline_ms = opts.deadline_ms.or(self.knobs.deadline_ms);
-        let depth_cap = self.knobs.pipeline_depth as usize;
-        let mut chunks: VecDeque<Vec<usize>> = group.chunks(MAX_BATCH_KEYS).map(|c| c.to_vec()).collect();
-        let mut in_flight: VecDeque<(u64, Vec<usize>)> = VecDeque::new();
-        let mut next_corr: u64 = 1;
-        let mut answered = 0usize;
-
-        if ensure_conn(&mut self.replicas[idx]).is_err() {
-            self.note_failure(idx);
-            return;
-        }
-        while !chunks.is_empty() || !in_flight.is_empty() {
-            // a connection whose corr support is unconfirmed (or absent)
-            // carries one frame at a time
-            let allowed = match self.replicas[idx].corr_echo {
-                Some(true) => depth_cap,
-                _ => 1,
+        for chunk in group.chunks(MAX_BATCH_KEYS) {
+            self.last_tag += 1;
+            let frame = RequestFrame {
+                deadline_ms,
+                trace: opts.trace,
+                corr: Some(self.last_tag),
+                body: Request::PredictMany { keys: chunk.iter().map(|&i| keys[i]).collect() },
             };
-            while in_flight.len() < allowed && !chunks.is_empty() {
-                let chunk = chunks.pop_front().expect("checked non-empty");
-                let chunk_keys: Vec<(u64, u64)> = chunk.iter().map(|&i| keys[i]).collect();
-                let corr = next_corr;
-                let corr_wanted = self.replicas[idx].corr_echo != Some(false);
-                if corr_wanted {
-                    next_corr += 1;
-                }
-                let conn: &mut dyn Connection = &mut **self.replicas[idx].conn.as_mut().expect("dialed above");
-                // The binary fast path needs a correlation id, so it
-                // waits for the connection's corr verdict like
-                // pipelining does; until then the frame goes as JSON.
-                let sent = if corr_wanted && conn.fast_batch() {
-                    let wire = fastpath::encode_request(corr, deadline_ms, &chunk_keys);
-                    conn.send_frame(&wire)
-                } else {
-                    let frame = RequestFrame {
-                        deadline_ms,
-                        trace: opts.trace,
-                        corr: corr_wanted.then_some(corr),
-                        body: Request::PredictMany { keys: chunk_keys },
-                    };
-                    send_msg(conn, &frame)
-                };
-                if sent.is_err() {
-                    self.replicas[idx].conn = None;
-                    self.note_failure(idx);
-                    return;
-                }
-                in_flight.push_back((corr, chunk));
-                if let Some(t) = &self.tel {
-                    t.attempts.bump();
-                    t.inflight_depth.record_us(in_flight.len() as u64);
-                }
+            if let Some(t) = &self.tel {
+                t.attempts.bump();
             }
-            let reply = {
-                let conn: &mut dyn Connection = &mut **self.replicas[idx].conn.as_mut().expect("dialed above");
-                read_reply(conn)
-            };
-            let (slot, response) = match reply {
-                Ok(WireReply::Enveloped(corr, response)) => {
-                    self.replicas[idx].corr_echo = Some(true);
-                    match in_flight.iter().position(|(c, _)| *c == corr) {
-                        Some(pos) => (in_flight.remove(pos).expect("position just found"), response),
-                        None => {
-                            // echo of a corr we never sent: unrecoverable
-                            self.replicas[idx].conn = None;
-                            self.note_failure(idx);
-                            return;
-                        }
-                    }
-                }
-                Ok(WireReply::Bare(Response::Busy { .. })) => {
-                    // accept-loop bounce: the daemon hung up without
-                    // reading anything; every in-flight key falls back
-                    self.replicas[idx].conn = None;
-                    if let Some(t) = &self.tel {
-                        t.busy.bump();
-                    }
-                    return;
-                }
-                Ok(WireReply::Bare(response)) => {
-                    // an old daemon answers in order, and we never
-                    // pipeline until corr echo is confirmed
-                    self.replicas[idx].corr_echo = Some(false);
-                    match in_flight.pop_front() {
-                        Some(sent) => (sent, response),
-                        None => {
-                            self.replicas[idx].conn = None;
-                            self.note_failure(idx);
-                            return;
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.replicas[idx].conn = None;
-                    self.note_failure(idx);
-                    return;
-                }
-            };
-            let (_, chunk) = slot;
-            match response {
-                Response::ManyConfigs { results: outcomes } if outcomes.len() == chunk.len() => {
+            match exchange_on(&mut self.replicas[idx], &frame) {
+                Ok(Response::ManyConfigs { results: outcomes }) if outcomes.len() == chunk.len() => {
                     for (&key_index, outcome) in chunk.iter().zip(outcomes) {
                         let (system_hash, binary_hash) = keys[key_index];
                         results[key_index] = Some(match outcome {
@@ -797,42 +699,35 @@ impl PredictClient {
                             KeyOutcome::Miss => Err(RemoteError::Miss { system_hash, binary_hash }),
                             KeyOutcome::Error { message } => Err(RemoteError::Server(message)),
                         });
-                        answered += 1;
                     }
                 }
-                Response::ManyConfigs { .. } => {
-                    // wrong cardinality is a protocol violation; the
-                    // unanswered keys fall back rather than misalign
-                    self.replicas[idx].conn = None;
-                    self.note_failure(idx);
+                Ok(Response::DeadlineExceeded) => {
+                    for &key_index in chunk {
+                        results[key_index] = Some(Err(RemoteError::DeadlineExceeded));
+                    }
+                }
+                Ok(Response::Error { message }) if message.contains("malformed request") => {
+                    // an old daemon that has never heard of
+                    // PredictMany: degrade to singles, forever
+                    self.replicas[idx].batch_unsupported = true;
                     return;
                 }
-                Response::Busy { .. } => {
-                    // service-level busy for this sub-batch: fall back
+                Ok(Response::Error { message }) => {
+                    for &key_index in chunk {
+                        results[key_index] = Some(Err(RemoteError::Server(message.clone())));
+                    }
+                }
+                Ok(Response::Busy { .. }) => {
+                    // the accept loop's bounce or the service's: the
+                    // daemon hangs up either way, and the keys fall back
+                    self.replicas[idx].conn = None;
                     if let Some(t) = &self.tel {
                         t.busy.bump();
                     }
-                    self.replicas[idx].conn = None;
                     return;
                 }
-                Response::DeadlineExceeded => {
-                    for &key_index in &chunk {
-                        results[key_index] = Some(Err(RemoteError::DeadlineExceeded));
-                        answered += 1;
-                    }
-                }
-                Response::Error { message } => {
-                    if message.contains("malformed request") {
-                        // an old daemon that has never heard of
-                        // PredictMany: degrade to singles, forever
-                        self.replicas[idx].batch_unsupported = true;
-                        return;
-                    }
-                    for &key_index in &chunk {
-                        results[key_index] = Some(Err(RemoteError::Server(message.clone())));
-                        answered += 1;
-                    }
-                }
+                // transport failure, foreign tag, wrong shape or
+                // cardinality: the keys fall back rather than misalign
                 _ => {
                     self.replicas[idx].conn = None;
                     self.note_failure(idx);
@@ -840,9 +735,7 @@ impl PredictClient {
                 }
             }
         }
-        if answered > 0 {
-            self.note_success(idx, opts.trace);
-        }
+        self.note_success(idx, opts.trace);
     }
 
     /// Stages a model on every replica (fan-out in fleet mode) and
@@ -1008,18 +901,7 @@ impl PredictClient {
                 s
             });
             let frame = base.clone().traced(span.as_ref().map(|s| s.context()).or(parent));
-            // A reply whose shape cannot answer this verb means the
-            // stream is desynced (the real reply is still queued behind
-            // whatever we just read); funnel it into the error arm so
-            // the connection is dropped and the retry redials clean.
-            let exchanged = exchange_on(&mut self.replicas[idx], &frame).and_then(|resp| {
-                if response_matches(&base.body, &resp) {
-                    Ok(resp)
-                } else {
-                    Err(RemoteError::Protocol(format!("desynced reply to {verb}: got {resp:?}")))
-                }
-            });
-            match exchanged {
+            match exchange_on(&mut self.replicas[idx], &frame) {
                 Ok(Response::Busy { retry_after_ms }) => {
                     // The daemon closes the connection after a Busy bounce.
                     self.replicas[idx].conn = None;
@@ -1213,6 +1095,142 @@ impl PredictClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The config the in-memory daemon holds for a key: distinct per
+    /// key, so a cross-wired answer shows.
+    fn answer((system_hash, binary_hash): (u64, u64)) -> CpuConfig {
+        CpuConfig::new(1 + binary_hash as u32, 1_000_000 + system_hash, 1)
+    }
+
+    /// What a current daemon writes back: enveloped iff tagged.
+    fn honest(frame: &RequestFrame) -> Vec<u8> {
+        let body = match &frame.body {
+            Request::Predict { system_hash, binary_hash } => Response::Config(answer((*system_hash, *binary_hash))),
+            Request::PredictMany { keys } => {
+                Response::ManyConfigs { results: keys.iter().map(|&k| KeyOutcome::Config(answer(k))).collect() }
+            }
+            other => panic!("unscripted verb {other:?}"),
+        };
+        match frame.corr {
+            Some(corr) => serde_json::to_vec(&ResponseFrame { corr, body }),
+            None => serde_json::to_vec(&body),
+        }
+        .unwrap()
+    }
+
+    /// An in-memory daemon, both ends of its connections: honest about
+    /// singles, and answering its `n`th batch frame `f` with the reply
+    /// frames `on_batch(f, n)`.
+    #[derive(Clone)]
+    struct Scripted {
+        on_batch: fn(&RequestFrame, usize) -> Vec<Vec<u8>>,
+        batches: Arc<AtomicUsize>,
+        dials: Arc<AtomicUsize>,
+        inbox: VecDeque<Vec<u8>>,
+    }
+
+    impl Transport for Scripted {
+        fn connect(&mut self) -> std::io::Result<Box<dyn Connection>> {
+            self.dials.fetch_add(1, Ordering::SeqCst);
+            Ok(Box::new(self.clone()))
+        }
+
+        fn describe(&self) -> String {
+            "scripted".to_string()
+        }
+    }
+
+    impl Connection for Scripted {
+        fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
+            let frame: RequestFrame = serde_json::from_slice(payload).expect("the client writes well-formed frames");
+            match frame.body {
+                Request::PredictMany { .. } => {
+                    self.inbox.extend((self.on_batch)(&frame, self.batches.fetch_add(1, Ordering::SeqCst)))
+                }
+                _ => self.inbox.push_back(honest(&frame)),
+            }
+            Ok(())
+        }
+
+        fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
+            self.inbox.pop_front().ok_or_else(|| std::io::ErrorKind::TimedOut.into())
+        }
+    }
+
+    const KEYS: [(u64, u64); 3] = [(7, 1), (7, 2), (9, 3)];
+    const OPTS: &CallOptions = &CallOptions { trace: None, deadline_ms: None };
+
+    /// A single-replica client of a [`Scripted`] daemon; returns its
+    /// dial count and its `client.requests` / `client.attempts` too.
+    fn scripted(
+        on_batch: fn(&RequestFrame, usize) -> Vec<Vec<u8>>,
+    ) -> (PredictClient, Arc<AtomicUsize>, Counter, Counter) {
+        let daemon = Scripted { on_batch, batches: Arc::default(), dials: Arc::default(), inbox: VecDeque::new() };
+        let dials = Arc::clone(&daemon.dials);
+        let mut client = PredictClient::builder().transport(Box::new(daemon)).build().unwrap();
+        let tel = Arc::new(Telemetry::wall());
+        client.set_telemetry(Arc::clone(&tel));
+        (client, dials, tel.counter("client.requests"), tel.counter("client.attempts"))
+    }
+
+    /// Asks for [`KEYS`]; every key must come back with its own config.
+    fn assert_all_answered(client: &mut PredictClient) {
+        let got: Vec<CpuConfig> = client.predict_many(&KEYS, OPTS).into_iter().map(Result::unwrap).collect();
+        assert_eq!(got, KEYS.map(answer), "a key was dropped or cross-wired");
+    }
+
+    #[test]
+    fn requests_counts_one_per_public_call() {
+        // the second batch frame is bounced
+        let (mut client, _, requests, attempts) = scripted(|f, n| match n {
+            1 => vec![serde_json::to_vec(&Response::Busy { retry_after_ms: 1 }).unwrap()],
+            _ => vec![honest(f)],
+        });
+        client.predict(7, 1, OPTS).unwrap();
+        assert_eq!(requests.get(), 1, "predict");
+        assert_eq!(client.predict_many(&KEYS[..1], OPTS).len(), 1);
+        assert_eq!(requests.get(), 2, "a one-key batch rides the single path, still one request");
+        assert_all_answered(&mut client);
+        assert_eq!((requests.get(), attempts.get()), (3, 3), "a multi-key batch is one request in one frame");
+        assert_all_answered(&mut client);
+        assert_eq!(requests.get(), 4, "a bounced batch is still one request");
+        assert_eq!(attempts.get(), 3 + 1 + KEYS.len() as u64, "though its keys fell back one by one");
+    }
+
+    #[test]
+    fn a_reply_that_is_not_this_exchanges_costs_the_connection_and_the_keys_fall_back() {
+        let foreign_tag = |f: &RequestFrame, _| {
+            // some other exchange's reply: right shape and length, wrong keys
+            let Request::PredictMany { keys } = &f.body else { unreachable!() };
+            let other = Request::PredictMany { keys: keys.iter().rev().copied().collect() };
+            vec![honest(&RequestFrame::new(other).with_corr(f.corr.expect("batch frames are tagged") + 1))]
+        };
+        let stale_pong_ahead = |f: &RequestFrame, _| vec![serde_json::to_vec(&Response::Pong).unwrap(), honest(f)];
+        for (mut client, dials, _, attempts) in [scripted(foreign_tag), scripted(stale_pong_ahead)] {
+            assert_all_answered(&mut client);
+            assert_eq!(dials.load(Ordering::SeqCst), 2, "the desynced connection is dropped");
+            assert_eq!(attempts.get(), 1 + KEYS.len() as u64, "one batch frame, then one single per key");
+        }
+    }
+
+    #[test]
+    fn daemons_predating_the_echo_or_the_batch_verb_are_still_served() {
+        // answers a tagged batch bare, in order
+        let (mut client, dials, _, attempts) = scripted(|f, _| vec![honest(&RequestFrame::new(f.body.clone()))]);
+        assert_all_answered(&mut client);
+        assert_eq!((dials.load(Ordering::SeqCst), attempts.get()), (1, 1));
+
+        // has never heard of PredictMany: one probe, then singles forever
+        let (mut client, _, _, attempts) = scripted(|_, _| {
+            let message = "malformed request: unknown variant `PredictMany`".to_string();
+            vec![serde_json::to_vec(&Response::Error { message }).unwrap()]
+        });
+        assert_all_answered(&mut client);
+        assert_all_answered(&mut client);
+        assert_eq!(attempts.get(), 1 + 2 * KEYS.len() as u64, "batching stays off after the probe");
+    }
 
     #[test]
     fn builder_validates_knobs() {

@@ -46,7 +46,7 @@ pub fn is_binary(payload: &[u8]) -> bool {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchRequest {
     /// Correlation id echoed in the reply (fast-path exchanges are
-    /// always correlated — the ring pipelines).
+    /// always tagged).
     pub corr: u64,
     /// Optional deadline budget, as on [`super::RequestFrame`].
     pub deadline_ms: Option<u64>,
@@ -188,7 +188,7 @@ pub fn encode_reply(corr: u64, response: &Response) -> Vec<u8> {
 
 /// Decodes a reply frame into `(corr, response)` — the same shape the
 /// JSON [`super::ResponseFrame`] envelope decodes to, so the client's
-/// pipelining logic is codec-agnostic.
+/// echo check is codec-agnostic.
 pub fn decode_reply(payload: &[u8]) -> std::io::Result<(u64, Response)> {
     let mut c = Cursor(payload);
     if c.u8()? != MAGIC {

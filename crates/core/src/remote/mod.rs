@@ -12,19 +12,21 @@
 //! [`RequestFrame`] so each one can carry an optional deadline budget;
 //! responses are a bare [`Response`] — unless the request carried a
 //! correlation id, in which case the daemon echoes it back in a
-//! [`ResponseFrame`] envelope so several requests can be in flight on
-//! one connection at once (pipelining, out-of-order completion).
+//! [`ResponseFrame`] envelope. The client has at most one request in
+//! flight per connection; it tags every batch frame and checks the
+//! echo, so a stale or duplicated reply is dropped with its connection
+//! instead of being read as the answer to a later exchange.
 //!
-//! ## Batching and pipelining
+//! ## Batching
 //!
 //! [`Request::PredictMany`] answers up to [`MAX_BATCH_KEYS`] prediction
 //! keys in one round trip with [`Response::ManyConfigs`]: one
 //! [`KeyOutcome`] per key, in request order, always the same length as
 //! the key list. Both extensions are additive: `corr` is an optional
-//! frame field old daemons skip (they answer bare, and the client falls
-//! back to one-at-a-time exchanges), and an old daemon answers
-//! `PredictMany` with a malformed-request `Error`, which the client
-//! treats as "batch unsupported" and degrades to sequential singles.
+//! frame field old daemons skip (they answer bare, which the client
+//! accepts in order), and an old daemon answers `PredictMany` with a
+//! malformed-request `Error`, which the client treats as "batch
+//! unsupported" and degrades to sequential singles.
 //!
 //! ## Transports
 //!
@@ -201,13 +203,12 @@ pub struct RequestFrame {
     /// bytes on the wire as before the header existed.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<TraceContext>,
-    /// Correlation id for pipelined connections. When present, the
-    /// daemon wraps its answer in a [`ResponseFrame`] echoing this id,
-    /// so the client may have several frames in flight and match
-    /// replies out of order. Negotiated additively like `trace`: old
-    /// daemons skip the field and answer bare, which a corr-aware
-    /// client detects on the first exchange and disables pipelining
-    /// for that connection.
+    /// Correlation id: a per-exchange tag. When present, the daemon
+    /// wraps its answer in a [`ResponseFrame`] echoing this id, and
+    /// the client checks the echo against the tag it sent, so a reply
+    /// left over from an earlier exchange is never taken for this
+    /// one's. Additive like `trace`: old daemons skip the field and
+    /// answer bare, which the client accepts in order.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub corr: Option<u64>,
     /// The RPC verb.
@@ -298,7 +299,7 @@ pub enum KeyOutcome {
     Error { message: String },
 }
 
-/// The pipelining envelope: a [`Response`] plus the correlation id of
+/// The reply envelope: a [`Response`] plus the correlation id of
 /// the [`RequestFrame`] it answers. Sent **only** when the request
 /// carried [`RequestFrame::corr`]; plain requests keep the bare
 /// [`Response`] wire shape, so old clients never see an envelope. The

@@ -21,8 +21,8 @@
 //! `p` requires exactly `seq == p + 1` (`Acquire`), validates the
 //! header with [`validate_slot`], copies the payload out and
 //! `Release`-stores `seq = p + SLOTS` to free the slot for the next
-//! lap. `SLOTS` (64) equals the client's maximum pipeline depth, so a
-//! full ring means a stuck peer, never a live protocol state.
+//! lap. The client has at most one request in flight, so a full ring
+//! (`SLOTS` = 64) means a stopped consumer, never a live protocol state.
 //!
 //! The reader's wait is spin-then-park: a bounded `spin_loop` burst
 //! for the warm path (a co-located daemon answers in microseconds),
@@ -56,14 +56,9 @@ use std::time::{Duration, Instant};
 
 use super::{Connection, Transport, MAX_FRAME_LEN};
 
-/// Slots per ring. Equal to the client builder's maximum
-/// `pipeline_depth` (64): with at most `SLOTS` requests in flight, a
-/// producer can only find the ring full when the consumer has stopped
-/// consuming — which the liveness ticks then detect — never as a
-/// transient state of a healthy session. (Smaller rings genuinely
-/// deadlock: at depth 16 over 8 slots, the client blocks publishing
-/// request #9 while the daemon blocks publishing replies the client
-/// is not yet reading.)
+/// Slots per ring. The client has at most one request in flight, so
+/// a full ring means a stopped consumer — which the liveness ticks
+/// then detect — never a transient state of a healthy session.
 pub const SLOTS: u64 = 64;
 
 /// Payload capacity of one slot (256 KiB): a worst-case 1024-key

@@ -1,14 +1,12 @@
-//! The batch world: batched + pipelined prediction traffic under a
-//! fault plan.
+//! The batch world: batched prediction traffic under a fault plan.
 //!
 //! Where [`crate::fleet::run_fleet_seed`] exercises single-key failover
-//! routing, [`run_batch_seed`] concentrates on what `PredictMany` and
-//! correlation-id pipelining add: mixed-size batches through the
-//! ring-aware splitter of a three-replica fleet, sub-batches in flight
-//! concurrently on one connection, mid-batch connection cuts, held-back
-//! (reordered) pipelined replies, partial-batch `Busy` bounces and
-//! crashes between pipelined frames — every one of the thirteen fault
-//! plans, driven by the seed it is paired with.
+//! routing, [`run_batch_seed`] concentrates on what `PredictMany` adds:
+//! mixed-size batches through the ring-aware splitter of a
+//! three-replica fleet, mid-batch connection cuts, stale frames ahead
+//! of and duplicates behind a tagged reply, partial-batch `Busy`
+//! bounces and crashes between frames — every one of the thirteen
+//! fault plans, driven by the seed it is paired with.
 //!
 //! Checked invariants, per seeded run:
 //!
@@ -17,7 +15,7 @@
 //!   answered with a config or a typed error, never silently dropped
 //!   and never answered twice;
 //! * **no cross-wiring** — on strict plans every answered key carries
-//!   *its own* config (correlation ids must never let reply N land on
+//!   *its own* config (the tag check must never let reply N land on
 //!   key M);
 //! * **bounded batch cost** — one batched call consumes a bounded
 //!   amount of virtual time even when it degrades to per-key failover;
@@ -79,11 +77,10 @@ pub struct BatchReport {
     pub daemon_batches: u64,
 }
 
-fn batch_client(plan: &FaultPlan, net: &SimNet, depth: u32) -> PredictClient {
+fn batch_client(plan: &FaultPlan, net: &SimNet) -> PredictClient {
     let mut b = PredictClient::builder()
         .connect_timeout(Duration::from_millis(5))
         .read_timeout(Duration::from_millis(plan.read_timeout_ms))
-        .pipeline_depth(depth)
         // Generous, as in the fleet world: liveness ("every key gets an
         // answer while a replica lives") needs enough attempts to walk
         // the whole fleet through injected faults.
@@ -118,10 +115,7 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
         .collect();
     let net = SimNet::fleet(seed, plan.clone(), &["b0", "b1", "b2"], models);
     let telemetry = net.telemetry();
-    // Vary the pipeline depth with the seed so the sweep covers both
-    // the serial (depth 1) and deeply pipelined shapes.
-    let depth = [1u32, 4, 16][(seed % 3) as usize];
-    let mut client = batch_client(plan, &net, depth);
+    let mut client = batch_client(plan, &net);
     client.set_telemetry(std::sync::Arc::clone(&telemetry));
 
     // The same strictness gate as the fleet world, for the same
@@ -168,7 +162,7 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
                     // Only the un-correlated single-key fallback can
                     // cross-wire (stale/duplicated bare frames), which
                     // is exactly what the non-strict plans inject; the
-                    // corr'd batched path is covered on every strict
+                    // tagged batched path is covered on every strict
                     // plan and by the codec proptests.
                     if strict && *cfg != answers[key_idx] {
                         violations.push(format!(
@@ -195,7 +189,7 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
     };
 
     // Phase 1 — roll every model out, then steady-state batches.
-    net.note(format!("phase: rollout + steady batches (pipeline depth {depth})"));
+    net.note("phase: rollout + steady batches".to_string());
     for id in 1..=BATCH_KEYS as i64 {
         let rollout = client.preload(id, &CallOptions::default());
         if strict {

@@ -28,11 +28,10 @@
 //!   between blob write and metadata append, and blob corruption, with
 //!   a replica restart-catch-up verified after every mutation;
 //! * [`batch`] — [`run_batch_seed`] drives mixed-size `PredictMany`
-//!   batches with correlation-id pipelining through the ring-aware
-//!   splitter of a three-replica fleet, auditing that every key in
-//!   every batch is answered exactly once (config or typed error) and
-//!   never cross-wired, with rollout churn republishing registry
-//!   snapshots under the batched readers;
+//!   batches through the ring-aware splitter of a three-replica fleet,
+//!   auditing that every key in every batch is answered exactly once
+//!   (config or typed error) and never cross-wired, with rollout churn
+//!   republishing registry snapshots under the batched readers;
 //! * [`shm`] — [`run_shm_seed`] gives one client both the simulated
 //!   shared-memory ring (frame-level, local, binary batch fast path)
 //!   and a TCP endpoint to the same daemon, then attacks the fallback

@@ -523,7 +523,6 @@ impl Transport for SimTransport {
             incarnation,
             pending: BytesMut::new(),
             inbox: VecDeque::new(),
-            held: Vec::new(),
             dead: None,
         }))
     }
@@ -552,10 +551,6 @@ struct SimConnection {
     incarnation: u64,
     pending: BytesMut,
     inbox: VecDeque<u8>,
-    /// Responses held back to complete out of order: a pipelined
-    /// (correlation-id) reply stashed here lets later in-flight replies
-    /// overtake it; `flush` drains the stash after the burst.
-    held: Vec<Vec<u8>>,
     dead: Option<io::ErrorKind>,
 }
 
@@ -666,13 +661,6 @@ impl SimConnection {
             return Ok(());
         }
         if core.roll(plan.reorder) {
-            if corr.is_some() {
-                // Pipelined reply held back: later in-flight responses
-                // overtake it, exercising out-of-order completion.
-                core.rnote(r, format!("conn {}: response held back (reordered behind the burst)", self.id));
-                self.held.push(wire);
-                return Ok(());
-            }
             self.inbox.extend(encode(&Response::Pong));
             core.rnote(r, format!("conn {}: stale frame delivered ahead (reorder)", self.id));
         }
@@ -723,11 +711,6 @@ impl Write for SimConnection {
         }
         while let Some(payload) = take_frame(&mut self.pending)? {
             self.deliver(&payload)?;
-        }
-        // Held-back pipelined replies land after everything the burst
-        // produced — the out-of-order completion the corr ids exist for.
-        for wire in self.held.drain(..) {
-            self.inbox.extend(wire);
         }
         Ok(())
     }
@@ -859,7 +842,7 @@ impl SimShmConnection {
 
         let before = core.replicas[r].service.snapshot(sim_gauges());
         let t0 = core.clock.now();
-        let (audit_frame, corr, response, wire) = if fastpath::is_binary(payload) {
+        let (audit_frame, response, wire) = if fastpath::is_binary(payload) {
             let batch = fastpath::decode_request(payload).expect("the harness client writes well-formed frames");
             let frame = RequestFrame {
                 deadline_ms: batch.deadline_ms,
@@ -871,9 +854,8 @@ impl SimShmConnection {
                 .service
                 .handle_fast_frame(payload, sim_gauges())
                 .expect("binary frames take the fast path");
-            let (corr, response) =
-                fastpath::decode_reply(&wire).expect("the daemon writes well-formed binary replies");
-            (frame, Some(corr), response, wire)
+            let (_, response) = fastpath::decode_reply(&wire).expect("the daemon writes well-formed binary replies");
+            (frame, response, wire)
         } else {
             let frame: RequestFrame =
                 serde_json::from_slice(payload).expect("the harness client only writes well-formed frames");
@@ -883,7 +865,7 @@ impl SimShmConnection {
                 None => serde_json::to_vec(&response),
             }
             .expect("responses always serialize");
-            (frame, corr, response, wire)
+            (frame, response, wire)
         };
         let t1 = core.clock.now();
         let after = core.replicas[r].service.snapshot(sim_gauges());
@@ -904,7 +886,6 @@ impl SimShmConnection {
                 kind_of(&response),
             ),
         );
-        let _ = corr;
 
         if core.roll(plan.resp_drop) {
             core.rnote(r, format!("shm conn {}: doorbell lost (reply unseen)", self.id));

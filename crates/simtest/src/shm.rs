@@ -118,8 +118,6 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         .collect();
     let net = SimNet::new(seed, plan.clone(), models);
     let telemetry = net.telemetry();
-    // Vary the pipeline depth with the seed: serial and deep shapes.
-    let depth = [1u32, 4, 16][(seed % 3) as usize];
     // The fallback ladder in one client: the ring first (preferred by
     // locality, not position), TCP to the same daemon as the net.
     let mut client = PredictClient::builder()
@@ -127,7 +125,6 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         .transport(Box::new(net.transport_for(0)))
         .connect_timeout(Duration::from_millis(5))
         .read_timeout(Duration::from_millis(plan.read_timeout_ms))
-        .pipeline_depth(depth)
         .max_retries(16)
         // probe the torn-down ring every few requests so the restore
         // phase sees the rejoin within its rounds
@@ -200,7 +197,7 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
 
     // Phase 1 — roll every model out, then steady batches: while the
     // ring is healthy, locality must route everything over it.
-    net.note(format!("phase: rollout + steady over the ring (pipeline depth {depth})"));
+    net.note("phase: rollout + steady over the ring".to_string());
     for id in 1..=SHM_KEYS as i64 {
         let rollout = client.preload(id, &CallOptions::default());
         if strict {

@@ -1,6 +1,6 @@
 //! The batched seed sweep: 120 seeds cycling through every fault plan,
-//! each driving mixed-size `PredictMany` batches with correlation-id
-//! pipelining through the three-replica batch world. Failing seeds are
+//! each driving mixed-size `PredictMany` batches through the
+//! three-replica batch world. Failing seeds are
 //! reported by number so they can be replayed locally via
 //! `SIMTEST_BATCH_SEED=<seed> cargo test -p simtest batch_replay -- --nocapture`.
 
