@@ -361,7 +361,6 @@ struct ClientTelemetry {
     retries: Counter,
     busy: Counter,
     errors: Counter,
-    coalesced: Counter,
     batch_keys: Histogram,
     ring_lookups: Counter,
     ring_failovers: Counter,
@@ -528,7 +527,6 @@ impl PredictClient {
             retries: telemetry.counter("client.retries"),
             busy: telemetry.counter("client.busy"),
             errors: telemetry.counter("client.errors"),
-            coalesced: telemetry.counter("client.coalesced"),
             batch_keys: telemetry.histogram("client.batch_keys"),
             ring_lookups: telemetry.counter("ring.lookups"),
             ring_failovers: telemetry.counter("ring.failovers"),
@@ -649,16 +647,6 @@ impl PredictClient {
             }
         }
         results.into_iter().map(|r| r.expect("every key answered or fallen back")).collect()
-    }
-
-    /// Records that `n` concurrent callers rode one coalesced batch
-    /// (`n - 1` of them saved a round trip of their own).
-    pub fn note_coalesced(&self, n: usize) {
-        if n > 1 {
-            if let Some(t) = &self.tel {
-                t.coalesced.add(n as u64 - 1);
-            }
-        }
     }
 
     /// Sends one group of key indices to one replica as `PredictMany`

@@ -761,37 +761,18 @@ impl PredictionSource for LocalPrediction {
     }
 }
 
-/// One caller's seat in the [`RemotePrediction`] coalescer: a ticket
-/// waiting in `pending` until some leader drains it into a batch and
-/// posts its result into `done`.
-struct BatchQueue {
-    next_ticket: u64,
-    pending: Vec<(u64, (u64, u64), Option<TraceContext>)>,
-    done: std::collections::HashMap<u64, std::result::Result<CpuConfig, RemoteError>>,
-}
-
 /// The daemon-backed source. Wraps the client in a mutex because the
 /// plugin is shared behind an `Arc` while the client's persistent
-/// connection needs `&mut`.
-///
-/// Concurrent callers coalesce: whichever caller wins the client lock
-/// becomes the batch leader, drains every waiting key into one
-/// `PredictMany` exchange and posts the per-key results back; the
-/// others just wait on their ticket. Under submit storms this turns N
-/// lock-serialized round trips into one batched round trip.
+/// connection needs `&mut`. Submissions arrive one at a time (the
+/// scheduler calls job-submit plugins under its own lock), so the lock
+/// is uncontended on the submit path; callers that do share a source
+/// across threads are serialised, each with its own round trip, trace
+/// context and error.
 pub struct RemotePrediction {
     client: parking_lot::Mutex<PredictClient>,
-    queue: std::sync::Mutex<BatchQueue>,
-    ready: std::sync::Condvar,
 }
 
 impl RemotePrediction {
-    /// A remote source with default client knobs, talking to one daemon.
-    pub fn new(addr: impl Into<String>) -> RemotePrediction {
-        let client = PredictClient::builder().endpoint(addr).build().expect("default client configuration is valid");
-        RemotePrediction::from_client(client)
-    }
-
     /// A remote source from a comma-separated endpoint list — the shape
     /// plugin configuration carries (`shm:///run/chronusd.shm,head:4517`).
     /// Each entry is an [`Endpoint`]; when a `shm://` ring of a same-host
@@ -808,43 +789,13 @@ impl RemotePrediction {
     /// custom knobs and for fleet-mode (multi-replica) clients; see
     /// [`PredictClient::builder`].
     pub fn from_client(client: PredictClient) -> RemotePrediction {
-        RemotePrediction {
-            client: parking_lot::Mutex::new(client),
-            queue: std::sync::Mutex::new(BatchQueue {
-                next_ticket: 0,
-                pending: Vec::new(),
-                done: std::collections::HashMap::new(),
-            }),
-            ready: std::sync::Condvar::new(),
-        }
+        RemotePrediction { client: parking_lot::Mutex::new(client) }
     }
 
     /// Attaches telemetry to the wrapped client (see
     /// [`PredictClient::set_telemetry`]).
     pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
         self.client.lock().set_telemetry(telemetry);
-    }
-
-    /// Leads one batch: drains up to [`MAX_BATCH_KEYS`] waiting tickets
-    /// into a single `PredictMany` exchange and posts the results.
-    fn lead_batch(&self, client: &mut PredictClient) {
-        let batch: Vec<(u64, (u64, u64), Option<TraceContext>)> = {
-            let mut q = self.queue.lock().expect("batch queue poisoned");
-            let take = q.pending.len().min(MAX_BATCH_KEYS);
-            q.pending.drain(..take).collect()
-        };
-        if batch.is_empty() {
-            return;
-        }
-        let keys: Vec<(u64, u64)> = batch.iter().map(|e| e.1).collect();
-        let ctx = batch.iter().find_map(|e| e.2);
-        client.note_coalesced(batch.len());
-        let results = client.predict_many(&keys, &CallOptions::traced(ctx));
-        let mut q = self.queue.lock().expect("batch queue poisoned");
-        for ((ticket, _, _), result) in batch.into_iter().zip(results) {
-            q.done.insert(ticket, result);
-        }
-        self.ready.notify_all();
     }
 }
 
@@ -854,28 +805,8 @@ impl PredictionSource for RemotePrediction {
     }
 
     fn predict_traced(&self, system_hash: u64, binary_hash: u64, ctx: Option<TraceContext>) -> Result<CpuConfig> {
-        let ticket = {
-            let mut q = self.queue.lock().expect("batch queue poisoned");
-            let ticket = q.next_ticket;
-            q.next_ticket += 1;
-            q.pending.push((ticket, (system_hash, binary_hash), ctx));
-            ticket
-        };
-        loop {
-            if let Some(result) = self.queue.lock().expect("batch queue poisoned").done.remove(&ticket) {
-                return result.map_err(ChronusError::from);
-            }
-            if let Some(mut client) = self.client.try_lock() {
-                self.lead_batch(&mut client);
-                continue;
-            }
-            // a leader is mid-exchange; wait for it to post results
-            // (the timeout bounds any lost-wakeup window)
-            let q = self.queue.lock().expect("batch queue poisoned");
-            if !q.done.contains_key(&ticket) {
-                let _ = self.ready.wait_timeout(q, Duration::from_millis(5)).expect("batch queue poisoned");
-            }
-        }
+        let mut client = self.client.lock();
+        client.predict(system_hash, binary_hash, &CallOptions::traced(ctx)).map_err(ChronusError::from)
     }
 
     fn predict_many(&self, keys: &[(u64, u64)]) -> Vec<Result<CpuConfig>> {
@@ -1040,6 +971,73 @@ mod tests {
         assert_ne!(old, stripped, "the strip must actually remove the new fields");
         let back: Response = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back, Response::Stats(Box::default()));
+    }
+
+    /// An in-memory daemon, both ends of its connections: keeps every
+    /// request frame it is sent and answers `Predict` with one config.
+    #[derive(Clone, Default)]
+    struct Recording {
+        sent: Arc<parking_lot::Mutex<Vec<RequestFrame>>>,
+        inbox: std::collections::VecDeque<Vec<u8>>,
+    }
+
+    impl Transport for Recording {
+        fn connect(&mut self) -> std::io::Result<Box<dyn Connection>> {
+            Ok(Box::new(self.clone()))
+        }
+
+        fn describe(&self) -> String {
+            "recording".to_string()
+        }
+    }
+
+    impl Connection for Recording {
+        fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
+            let frame: RequestFrame = serde_json::from_slice(payload).expect("the client writes well-formed frames");
+            self.sent.lock().push(frame);
+            self.inbox.push_back(serde_json::to_vec(&Response::Config(CpuConfig::new(32, 2_200_000, 1))).unwrap());
+            Ok(())
+        }
+
+        fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
+            self.inbox.pop_front().ok_or_else(|| std::io::ErrorKind::TimedOut.into())
+        }
+    }
+
+    #[test]
+    fn each_traced_predict_is_one_untagged_frame_under_its_own_trace() {
+        let daemon = Recording::default();
+        let sent = Arc::clone(&daemon.sent);
+        let client = PredictClient::builder().transport(Box::new(daemon)).build().unwrap();
+        let source = RemotePrediction::from_client(client);
+        let telemetry = Arc::new(Telemetry::wall());
+        source.set_telemetry(Arc::clone(&telemetry));
+        let requests = telemetry.counter("client.requests");
+
+        let callers =
+            [telemetry.root_span("test", "first").context(), telemetry.root_span("test", "second").context()];
+        assert_ne!(callers[0].trace, callers[1].trace);
+        for (i, ctx) in callers.into_iter().enumerate() {
+            let cfg = source.predict_traced(7, 1 + i as u64, Some(ctx)).unwrap();
+            assert_eq!(cfg, CpuConfig::new(32, 2_200_000, 1));
+            assert_eq!(requests.get(), 1 + i as u64, "one request per submission");
+        }
+
+        let sent = sent.lock();
+        assert_eq!(sent.len(), 2, "one frame per submission: {sent:?}");
+        for (i, (frame, ctx)) in sent.iter().zip(callers).enumerate() {
+            assert_eq!(frame.body, Request::Predict { system_hash: 7, binary_hash: 1 + i as u64 });
+            assert_eq!(frame.corr, None, "singles go out untagged");
+            // the header is the `client/attempt` span opened under the
+            // caller's context: same trace, a child span
+            let header = frame.trace.expect("a traced call stamps its frame");
+            assert_eq!(header.trace, ctx.trace, "frame {i} rides another caller's trace");
+            let attempt = telemetry.recorder().trace_events(ctx.trace).into_iter().find(|e| e.span == header.span.0);
+            let attempt = attempt.expect("the header names a recorded span");
+            assert_eq!((attempt.layer.as_str(), attempt.name.as_str()), ("client", "attempt"));
+            assert_eq!(attempt.parent, Some(ctx.span.0));
+        }
+        assert_eq!(telemetry.histogram("client.batch_keys").count(), 0, "a single is not a batch");
     }
 
     #[test]
