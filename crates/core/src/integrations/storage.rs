@@ -40,7 +40,12 @@ impl LocalStorage for EtcStorage {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        std::fs::write(path, serde_json::to_string_pretty(settings)?)?;
+        // The plugin re-reads this file on every submission: write beside
+        // it and rename over it, so a reader sees the old file or the new
+        // one, never an empty or half-written one.
+        let tmp = path.with_extension("json.tmp");
+        std::fs::write(&tmp, serde_json::to_string_pretty(settings)?)?;
+        std::fs::rename(tmp, path)?;
         Ok(())
     }
 
@@ -149,6 +154,36 @@ mod tests {
         etc.save_settings(&s).unwrap();
         assert_eq!(etc.load_settings().unwrap(), s);
         assert!(etc.settings_path().ends_with("etc/chronus/settings.json"));
+    }
+
+    /// `chronus set state …` under a live slurmctld: the plugin loads
+    /// settings on every submission, and a torn read is a silently
+    /// untuned job (`Err`) or a silently skipped one (a missing file
+    /// reads as the default, `PluginState::User`).
+    #[test]
+    fn a_concurrent_reader_sees_the_old_settings_or_the_new_never_a_torn_file() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let etc = EtcStorage::new(tmpdir("atomic-save"));
+        let active = Settings { state: PluginState::Active, ..Settings::default() };
+        let off = Settings { state: PluginState::Deactivated, database: "x".repeat(4096), ..Settings::default() };
+        etc.save_settings(&active).unwrap();
+        let writing = AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut reads = 0u64;
+                while writing.load(Ordering::SeqCst) {
+                    let seen = etc.load_settings().expect("a save in flight must never surface as a read error");
+                    assert!(seen == active || seen == off, "read neither saved value: {:?}", seen.state);
+                    reads += 1;
+                }
+                reads
+            });
+            for i in 0..4000 {
+                etc.save_settings(if i % 2 == 0 { &off } else { &active }).unwrap();
+            }
+            writing.store(false, Ordering::SeqCst);
+            assert!(reader.join().expect("reader saw only whole files") > 0);
+        });
     }
 
     #[test]

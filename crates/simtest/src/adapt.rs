@@ -42,11 +42,8 @@
 //! store and silently join the candidate arm. Production pins canary
 //! membership for exactly that reason, and the world reflects it.
 //!
-//! Any violation panics with the seed and a replay command:
-//!
-//! ```text
-//! SIMTEST_ADAPT_SEED=<seed> cargo test -p simtest adapt_replay -- --nocapture
-//! ```
+//! Any violation panics with the seed, the plan and a replay command
+//! ([`crate::sweep::fail`]).
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -72,7 +69,7 @@ use parking_lot::Mutex;
 use rand::{Rng, SeedableRng, StdRng};
 
 use crate::faults::FaultPlan;
-use crate::net::SimNet;
+use crate::net::{Injected, SimNet};
 use crate::world::{sim_client, storage_root};
 
 /// Jobs per arm in the healthy warm-up phase.
@@ -160,6 +157,8 @@ pub struct AdaptReport {
     pub wrong_generation_serves: u64,
     /// The virtual-time event log (byte-identical across replays).
     pub log: Vec<String>,
+    /// What the simulated network delivered and injected.
+    pub injected: Injected,
 }
 
 /// One measured job: whether it ran at its arm's expected
@@ -608,13 +607,7 @@ pub fn run_adapt_seed(seed: u64, plan: &FaultPlan) -> AdaptReport {
     }
 
     if !w.violations.is_empty() {
-        let dump = crate::world::dump_traces("adapt", seed, &telemetry.export_json());
-        panic!(
-            "adapt simtest violations (seed {seed}, plan '{}'):\n  {}\n\ntrace export: {dump}\nreplay: \
-             SIMTEST_ADAPT_SEED={seed} cargo test -p simtest adapt_replay -- --nocapture",
-            w.plan.name,
-            w.violations.join("\n  ")
-        );
+        crate::sweep::fail("adapt", seed, w.plan.name, &w.violations, &w.net.export());
     }
 
     AdaptReport {
@@ -629,6 +622,7 @@ pub fn run_adapt_seed(seed: u64, plan: &FaultPlan) -> AdaptReport {
         outcomes_reported,
         wrong_generation_serves: w.wrong_generation_serves,
         log: w.net.log(),
+        injected: w.net.injected(),
     }
 }
 

@@ -24,18 +24,18 @@
 //!   frames; `batches`/`batched_keys` move only on accepted batches),
 //!   rollout churn included.
 //!
-//! Any violation panics with the seed, the plan and a replay command.
-
-use std::time::Duration;
+//! Any violation panics with the seed, the plan and a replay command
+//! ([`crate::sweep::fail`]).
 
 use chronus::hash::{binary_hash, system_hash};
-use chronus::remote::{CallOptions, PredictClient};
+use chronus::remote::{CallOptions, PredictClient, Transport};
 use chronusd::backend::PreparedModel;
 use eco_sim_node::cpu::{CpuConfig, CpuSpec};
 use rand::{Rng, SeedableRng, StdRng};
 
 use crate::faults::FaultPlan;
-use crate::net::SimNet;
+use crate::net::{Injected, SimNet};
+use crate::world::failover_client;
 
 /// Replicas in the batch world (same shape as the fleet world, so the
 /// ring-aware splitter has something to split over).
@@ -75,21 +75,8 @@ pub struct BatchReport {
     /// Sum of the daemons' `batches` counters at the end of the run
     /// (only gathered on strict plans; 0 otherwise).
     pub daemon_batches: u64,
-}
-
-fn batch_client(plan: &FaultPlan, net: &SimNet) -> PredictClient {
-    let mut b = PredictClient::builder()
-        .connect_timeout(Duration::from_millis(5))
-        .read_timeout(Duration::from_millis(plan.read_timeout_ms))
-        // Generous, as in the fleet world: liveness ("every key gets an
-        // answer while a replica lives") needs enough attempts to walk
-        // the whole fleet through injected faults.
-        .max_retries(16)
-        .backoff(Duration::from_millis(2));
-    for i in 0..BATCH_REPLICAS {
-        b = b.transport(Box::new(net.transport_for(i)));
-    }
-    b.build().expect("batch client config is valid")
+    /// What the simulated network delivered and injected.
+    pub injected: Injected,
 }
 
 /// Runs the batched choreography once under `plan` with every random
@@ -115,17 +102,13 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
         .collect();
     let net = SimNet::fleet(seed, plan.clone(), &["b0", "b1", "b2"], models);
     let telemetry = net.telemetry();
-    let mut client = batch_client(plan, &net);
+    let transports = (0..BATCH_REPLICAS).map(|i| Box::new(net.transport_for(i)) as Box<dyn Transport>).collect();
+    let mut client = failover_client(plan, transports).build().expect("batch client config is valid");
     client.set_telemetry(std::sync::Arc::clone(&telemetry));
 
-    // The same strictness gate as the fleet world, for the same
-    // protocol reasons: `blackout` refuses every dial; `reorders`,
-    // `duplicates` and `chaos` can still confuse the *un-correlated*
-    // single-key fallback path (a stale or duplicated bare frame is
-    // indistinguishable from the real answer there); and
-    // `poisoned_backend` makes the daemon itself answer errors. The
-    // exactly-once and ledger audits apply to every plan regardless.
-    let strict = !matches!(plan.name, "blackout" | "reorders" | "duplicates" | "poisoned_backend" | "chaos");
+    // The tagged batch path itself survives stale and duplicated frames,
+    // but unanswered slots fall back to the untagged single-key path.
+    let strict = plan.retry_beats_it();
     let mut violations: Vec<String> = Vec::new();
     let mut batch_calls = 0usize;
     let mut keys_asked = 0usize;
@@ -252,16 +235,7 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
     violations.extend(net.finish());
 
     if !violations.is_empty() {
-        let mut export = telemetry.export_json();
-        export.push('\n');
-        export.push_str(&net.log().join("\n"));
-        let dump = crate::world::dump_traces(&format!("batch-{}", plan.name), seed, &export);
-        panic!(
-            "batch simtest violations (seed {seed}, plan '{}'):\n  {}\n\ntrace export: {dump}\nreplay: \
-             SIMTEST_BATCH_SEED={seed} cargo test -p simtest batch_replay -- --nocapture",
-            plan.name,
-            violations.join("\n  ")
-        );
+        crate::sweep::fail("batch", seed, plan.name, &violations, &net.export());
     }
 
     BatchReport {
@@ -273,5 +247,6 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
         keys_ok,
         keys_failed,
         daemon_batches,
+        injected: net.injected(),
     }
 }

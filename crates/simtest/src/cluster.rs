@@ -25,11 +25,8 @@
 //! * **efficiency** — the capped, class-aware run beats a cap-unaware,
 //!   plugin-less baseline of the *same* job mix on GFLOPS/W.
 //!
-//! Any violation panics with the seed, the world and a replay command:
-//!
-//! ```text
-//! SIMTEST_CLUSTER_SEED=<seed> cargo test -p simtest cluster_replay -- --nocapture
-//! ```
+//! Any violation panics with the seed, the world and a replay command
+//! ([`crate::sweep::fail`]).
 
 use std::sync::Arc;
 
@@ -50,7 +47,7 @@ use rand::{Rng, SeedableRng, StdRng};
 use std::collections::HashMap;
 
 use crate::faults::FaultPlan;
-use crate::net::SimNet;
+use crate::net::{Injected, SimNet};
 use crate::world::{sim_client, storage_root};
 
 /// Jobs per seeded cluster run.
@@ -138,6 +135,9 @@ pub struct ClusterReport {
     pub baseline_gflops_per_w: f64,
     /// The virtual-time event log (byte-identical across replays).
     pub log: Vec<String>,
+    /// What the simulated network delivered (this world injects no
+    /// network faults).
+    pub injected: Injected,
 }
 
 /// The model a class serves for the compute-bound binary: the whole
@@ -435,13 +435,7 @@ pub fn run_cluster_seed(seed: u64, world: &ClusterWorld) -> ClusterReport {
     let _ = std::fs::remove_dir_all(&root);
 
     if !violations.is_empty() {
-        let dump = crate::world::dump_traces(world.name, seed, &telemetry.export_json());
-        panic!(
-            "cluster simtest violations (seed {seed}, world '{}'):\n  {}\n\ntrace export: {dump}\nreplay: \
-             SIMTEST_CLUSTER_SEED={seed} cargo test -p simtest cluster_replay -- --nocapture",
-            world.name,
-            violations.join("\n  ")
-        );
+        crate::sweep::fail("cluster", seed, world.name, &violations, &net.export());
     }
 
     ClusterReport {
@@ -455,5 +449,6 @@ pub fn run_cluster_seed(seed: u64, world: &ClusterWorld) -> ClusterReport {
         eco_gflops_per_w: eco_gpw,
         baseline_gflops_per_w: baseline_gpw,
         log: net.log(),
+        injected: net.injected(),
     }
 }

@@ -196,4 +196,62 @@ impl FaultPlan {
         let plans = FaultPlan::all();
         plans[(seed % plans.len() as u64) as usize].clone()
     }
+
+    /// The preset called `name`, if there is one.
+    pub fn named(name: &str) -> Option<FaultPlan> {
+        FaultPlan::all().into_iter().find(|p| p.name == name)
+    }
+
+    /// Every fault family — one per probability field, named after it —
+    /// with the odds this plan rolls it at. The network counts the
+    /// injections that took effect under these names
+    /// ([`crate::net::Injected`]); a name misspelt at an injection site
+    /// shows up in the took-effect audit as its family never firing.
+    pub fn families(&self) -> [(&'static str, f64); 14] {
+        [
+            ("connect_refuse", self.connect_refuse),
+            ("req_delay", self.req_delay),
+            ("resp_delay", self.resp_delay),
+            ("req_drop", self.req_drop),
+            ("resp_drop", self.resp_drop),
+            ("duplicate", self.duplicate),
+            ("reorder", self.reorder),
+            ("req_cut", self.req_cut),
+            ("resp_cut", self.resp_cut),
+            ("busy", self.busy),
+            ("partition", self.partition),
+            ("crash", self.crash),
+            ("backend_slow", self.backend_slow),
+            ("backend_poison", self.backend_poison),
+        ]
+    }
+
+    /// Whether a client with retries to spare always ends up with the
+    /// *right* answer under this plan — the gate on the fleet, batch
+    /// and shm worlds' zero-loss and no-cross-wiring checks (exactly-once
+    /// and the ledger audit apply to every plan regardless). Drops,
+    /// delays, cuts, busy bounces, partitions and crashes all eventually
+    /// yield a clean exchange. A retry cannot beat: every dial refused
+    /// (`blackout`) — nobody to retry against; `reorder` / `duplicate`
+    /// (`reorders`, `duplicates`, `chaos`) — a stale or repeated *bare*
+    /// frame on the untagged single-key path is indistinguishable from
+    /// the real answer without a tag, so the client may accept it;
+    /// `backend_poison` (`poisoned_backend`, `chaos`) — the daemon itself
+    /// answers `Error`, which the client rightly surfaces, not retries.
+    pub fn retry_beats_it(&self) -> bool {
+        self.connect_refuse < 1.0 && self.reorder == 0.0 && self.duplicate == 0.0 && self.backend_poison == 0.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The gate is derived from the odds; this pins it to the five
+    /// presets the worlds used to list by name.
+    #[test]
+    fn a_retry_beats_every_plan_but_the_five_protocol_level_ones() {
+        let unbeaten: Vec<&str> = FaultPlan::all().iter().filter(|p| !p.retry_beats_it()).map(|p| p.name).collect();
+        assert_eq!(unbeaten, ["duplicates", "reorders", "blackout", "poisoned_backend", "chaos"]);
+    }
 }

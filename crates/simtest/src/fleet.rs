@@ -11,12 +11,10 @@
 //! Checked invariants, per seeded run:
 //!
 //! * **zero lost predictions** — on every plan whose faults a retry can
-//!   beat (all but `blackout`, `reorders`, `duplicates`,
-//!   `poisoned_backend` and `chaos`; see the `strict` gate below for
-//!   why those are protocol-level exclusions, not flakiness), no
-//!   predict ever fails
-//!   or answers wrongly, including during an explicit kill of one
-//!   replica and a partition of another;
+//!   beat ([`FaultPlan::retry_beats_it`] says which and why the rest
+//!   are protocol-level exclusions, not flakiness), no predict ever
+//!   fails or answers wrongly, including during an explicit kill of
+//!   one replica and a partition of another;
 //! * **bounded failover cost** — a predict consumes a bounded amount of
 //!   virtual time even when it has to walk dead replicas;
 //! * **rejoin convergence** — after all injected faults heal, the
@@ -29,18 +27,18 @@
 //!   audit clean ([`crate::invariants::Ledger`]), kills and crashes
 //!   included.
 //!
-//! Any violation panics with the seed, the plan and a replay command.
-
-use std::time::Duration;
+//! Any violation panics with the seed, the plan and a replay command
+//! ([`crate::sweep::fail`]).
 
 use chronus::hash::{binary_hash, system_hash};
-use chronus::remote::{CallOptions, PredictClient};
+use chronus::remote::{CallOptions, PredictClient, Transport};
 use chronusd::backend::PreparedModel;
 use eco_sim_node::cpu::{CpuConfig, CpuSpec};
 use rand::{Rng, SeedableRng, StdRng};
 
 use crate::faults::FaultPlan;
-use crate::net::SimNet;
+use crate::net::{Injected, SimNet};
+use crate::world::failover_client;
 
 /// Replicas per fleet run.
 pub const FLEET_REPLICAS: usize = 3;
@@ -72,21 +70,8 @@ pub struct FleetReport {
     pub failed_predictions: usize,
     /// Whether the full ring was observed healthy after healing.
     pub converged: bool,
-}
-
-fn fleet_client(plan: &FaultPlan, net: &SimNet) -> PredictClient {
-    let mut b = PredictClient::builder()
-        .connect_timeout(Duration::from_millis(5))
-        .read_timeout(Duration::from_millis(plan.read_timeout_ms))
-        // Deliberately generous: the liveness invariant is "an answer
-        // exists while one replica lives", so the client gets enough
-        // attempts to walk the whole fleet through injected faults.
-        .max_retries(16)
-        .backoff(Duration::from_millis(2));
-    for i in 0..FLEET_REPLICAS {
-        b = b.transport(Box::new(net.transport_for(i)));
-    }
-    b.build().expect("fleet client config is valid")
+    /// What the simulated network delivered and injected.
+    pub injected: Injected,
 }
 
 /// Runs the fleet choreography once under `plan` with every random
@@ -121,21 +106,12 @@ pub fn run_fleet_seed(seed: u64, plan: &FaultPlan) -> FleetReport {
     ];
     let net = SimNet::fleet(seed, plan.clone(), &["r0", "r1", "r2"], models);
     let telemetry = net.telemetry();
-    let mut client = fleet_client(plan, &net);
+    let transports = (0..FLEET_REPLICAS).map(|i| Box::new(net.transport_for(i)) as Box<dyn Transport>).collect();
+    let mut client = failover_client(plan, transports).build().expect("fleet client config is valid");
     client.set_telemetry(std::sync::Arc::clone(&telemetry));
 
-    // Strict plans are those whose faults a retry can always beat:
-    // drops, delays, crashes, partitions, busy storms all eventually
-    // yield a clean exchange. The others are excluded for protocol
-    // reasons, not flakiness — `blackout` refuses every dial on every
-    // replica; `reorders` and `duplicates` (and `chaos`, which includes
-    // both) can leave a stale-but-valid frame in the connection that
-    // the length-prefixed protocol cannot distinguish from the real
-    // answer (no correlation ids); `poisoned_backend` makes the daemon
-    // itself answer with an error, which the client rightly surfaces
-    // instead of retrying. The ledger audit in `finish()` applies to
-    // every plan regardless.
-    let strict = !matches!(plan.name, "blackout" | "reorders" | "duplicates" | "poisoned_backend" | "chaos");
+    // The ledger audit in `finish()` applies to every plan regardless.
+    let strict = plan.retry_beats_it();
     let mut violations: Vec<String> = Vec::new();
     let mut predictions = 0usize;
     let mut failed = 0usize;
@@ -268,16 +244,7 @@ pub fn run_fleet_seed(seed: u64, plan: &FaultPlan) -> FleetReport {
     violations.extend(net.finish());
 
     if !violations.is_empty() {
-        let mut export = telemetry.export_json();
-        export.push('\n');
-        export.push_str(&net.log().join("\n"));
-        let dump = crate::world::dump_traces(&format!("fleet-{}", plan.name), seed, &export);
-        panic!(
-            "fleet simtest violations (seed {seed}, plan '{}'):\n  {}\n\ntrace export: {dump}\nreplay: \
-             SIMTEST_FLEET_SEED={seed} cargo test -p simtest fleet_replay -- --nocapture",
-            plan.name,
-            violations.join("\n  ")
-        );
+        crate::sweep::fail("fleet", seed, plan.name, &violations, &net.export());
     }
 
     FleetReport {
@@ -287,5 +254,6 @@ pub fn run_fleet_seed(seed: u64, plan: &FaultPlan) -> FleetReport {
         predictions,
         failed_predictions: failed,
         converged,
+        injected: net.injected(),
     }
 }

@@ -51,10 +51,12 @@
 //!   ever half-rewritten, deadline-constrained jobs never exceed their
 //!   budget, and virtual submit latency stays bounded.
 //!
-//! Reproducing a failure is one environment variable:
+//! Every world is one row of [`sweep::WORLDS`], swept by the one driver
+//! [`sweep::sweep`], and every failing run — a sweep's or a scenario
+//! test's — prints the one line that replays exactly it ([`replay`]):
 //!
 //! ```text
-//! SIMTEST_SEED=1234 cargo test -p simtest replay -- --nocapture
+//! SIMTEST_SEED=<world>:<seed>[:<case>] cargo test -p simtest replay -- --nocapture
 //! ```
 
 pub mod adapt;
@@ -67,6 +69,7 @@ pub mod net;
 pub mod replay;
 pub mod shm;
 pub mod store;
+pub mod sweep;
 pub mod world;
 
 pub use adapt::{
@@ -78,7 +81,6 @@ pub use faults::FaultPlan;
 pub use fleet::{run_fleet_seed, FleetReport, FLEET_REPLICAS};
 pub use invariants::Ledger;
 pub use net::SimNet;
-pub use replay::{replay_seed, REPLAY_VARS};
 pub use shm::{run_shm_seed, ShmReport};
 pub use store::{run_store_seed, CrashingBackend, StoreReport, STORE_ROUNDS};
 pub use world::{run_seed, SeedReport, MAX_SUBMIT_VIRTUAL_MS, SUBMISSIONS_PER_SEED};

@@ -18,7 +18,7 @@
 //! and crash schedule — the substrate the failover-aware
 //! [`chronus::remote::PredictClient`] is simulated against.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,6 +62,66 @@ fn sim_gauges() -> QueueGauges {
 /// submissions × a dozen spans each plus admin traffic and retries).
 const RECORDER_CAP: usize = 1 << 16;
 
+/// What carried an exchange: one JSON frame or one `PredictMany` batch
+/// over the simulated TCP stream, or any frame over the simulated shm
+/// ring (which has its own fault physics, see [`SimShmTransport`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Exchange {
+    Single,
+    Batch,
+    Shm,
+}
+
+impl Exchange {
+    pub const ALL: [Exchange; 3] = [Exchange::Single, Exchange::Batch, Exchange::Shm];
+
+    /// Whether the fault `family` ([`FaultPlan::families`]) can show up
+    /// under this kind at all. A dial carries no frame yet, so the TCP
+    /// side books its dial-level families under `Single`; the ring never
+    /// crosses the network and cannot reorder, duplicate or bounce.
+    pub fn admits(self, family: &str) -> bool {
+        match self {
+            Exchange::Single => true,
+            Exchange::Batch => !matches!(family, "connect_refuse" | "partition"),
+            Exchange::Shm => !matches!(family, "partition" | "reorder" | "duplicate" | "busy"),
+        }
+    }
+}
+
+/// What one run's network actually did: events counted by `(name,
+/// exchange kind)`, the name being [`Injected::DELIVERED`],
+/// [`Injected::PREDICTS`] or the [`FaultPlan::families`] name of a fault
+/// that took effect — the evidence the took-effect audit
+/// ([`crate::sweep::took_effect`]) weighs a plan against.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Injected(BTreeMap<(&'static str, Exchange), u64>);
+
+impl Injected {
+    /// Exchanges a daemon served.
+    pub const DELIVERED: &'static str = "delivered";
+    /// Of those, prediction traffic (`Predict` / `PredictMany`) — what
+    /// locality preference governs; rollouts and probes go wherever
+    /// they must.
+    pub const PREDICTS: &'static str = "predicts";
+
+    pub fn count(&self, what: &str, kind: Exchange) -> u64 {
+        self.0.get(&(what, kind)).copied().unwrap_or(0)
+    }
+
+    pub fn add(&mut self, what: &'static str, kind: Exchange, n: u64) {
+        if n > 0 {
+            *self.0.entry((what, kind)).or_default() += n;
+        }
+    }
+
+    /// Adds another run's counts to this one.
+    pub fn absorb(&mut self, other: &Injected) {
+        for (&(what, kind), &n) in &other.0 {
+            self.add(what, kind, n);
+        }
+    }
+}
+
 /// Adapts the shared millisecond clock to the service's microsecond
 /// deadline accounting.
 struct SimServiceClock(Arc<SharedSimClock>);
@@ -78,6 +138,11 @@ pub struct SimBackend {
     clock: Arc<SharedSimClock>,
     latency_ms: AtomicU64,
     poisoned: AtomicBool,
+    /// Consults that really stalled / failed since [`NetCore::served`]
+    /// last looked: arming the backend does nothing to a request the
+    /// registry answers.
+    stalled: AtomicU64,
+    failed: AtomicU64,
     models: Vec<PreparedModel>,
 }
 
@@ -86,8 +151,10 @@ impl SimBackend {
         let latency = self.latency_ms.load(Ordering::SeqCst);
         if latency > 0 {
             self.clock.advance(SimDuration::from_millis(latency));
+            self.stalled.fetch_add(1, Ordering::SeqCst);
         }
         if self.poisoned.load(Ordering::SeqCst) {
+            self.failed.fetch_add(1, Ordering::SeqCst);
             return Err(ChronusError::Io(io::Error::other("injected backend fault")));
         }
         Ok(())
@@ -149,6 +216,7 @@ struct NetCore {
     /// survives crashes exactly like an external collector would.
     recorder: Arc<Recorder>,
     log: Vec<String>,
+    injected: Injected,
     violations: Vec<String>,
     next_conn: u64,
 }
@@ -172,6 +240,25 @@ impl NetCore {
         } else {
             self.note(msg);
         }
+    }
+
+    /// Logs a fault that took effect on `replica` and counts it under
+    /// `(family, kind)` — one call, so the log line and the counter the
+    /// took-effect audit reads cannot drift apart.
+    fn inject(&mut self, replica: usize, family: &'static str, kind: Exchange, msg: String) {
+        self.injected.add(family, kind, 1);
+        self.rnote(replica, msg);
+    }
+
+    /// Counts one exchange the daemon served, and whatever the armed
+    /// backend did to it.
+    fn served(&mut self, kind: Exchange, request: &Request) {
+        self.injected.add(Injected::DELIVERED, kind, 1);
+        if matches!(request, Request::Predict { .. } | Request::PredictMany { .. }) {
+            self.injected.add(Injected::PREDICTS, kind, 1);
+        }
+        self.injected.add("backend_slow", kind, self.backend.stalled.swap(0, Ordering::SeqCst));
+        self.injected.add("backend_poison", kind, self.backend.failed.swap(0, Ordering::SeqCst));
     }
 
     /// Expire a due partition or finish a due restart on `replica`.
@@ -212,11 +299,11 @@ impl NetCore {
         self.replicas[replica].incarnation += 1;
     }
 
-    fn crash_now(&mut self, replica: usize) {
+    fn crash_now(&mut self, replica: usize, kind: Exchange) {
         let down = self.plan.crash_down_ms.max(1);
         self.end_incarnation(replica, "crash");
         self.replicas[replica].crashed_until = Some(self.clock.now() + SimDuration::from_millis(down));
-        self.rnote(replica, format!("daemon crashed (down {down}ms, cache lost)"));
+        self.inject(replica, "crash", kind, format!("daemon crashed (down {down}ms, cache lost)"));
     }
 }
 
@@ -308,6 +395,8 @@ impl SimNet {
             clock: Arc::clone(&clock),
             latency_ms: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
+            stalled: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
             models,
         });
         let recorder = Arc::new(Recorder::new(RECORDER_CAP));
@@ -336,6 +425,7 @@ impl SimNet {
             store,
             recorder,
             log: Vec::new(),
+            injected: Injected::default(),
             violations: Vec::new(),
             next_conn: 0,
         };
@@ -467,6 +557,17 @@ impl SimNet {
         self.state.mu.lock().log.clone()
     }
 
+    /// What the network delivered and injected so far.
+    pub fn injected(&self) -> Injected {
+        self.state.mu.lock().injected.clone()
+    }
+
+    /// What a failing run leaves for offline reading: the telemetry
+    /// export (every trace event, counter and histogram), then the log.
+    pub fn export(&self) -> String {
+        format!("{}\n{}", self.state.telemetry.export_json(), self.log().join("\n"))
+    }
+
     /// Audits the final incarnation of every replica and returns every
     /// invariant violation the run produced (empty means clean).
     pub fn finish(&self) -> Vec<String> {
@@ -500,7 +601,7 @@ impl Transport for SimTransport {
         if core.replicas[r].partitioned_until.is_none() && core.roll(p_partition) {
             let span = core.plan.partition_ms.max(1);
             core.replicas[r].partitioned_until = Some(core.clock.now() + SimDuration::from_millis(span));
-            core.rnote(r, format!("network partition begins ({span}ms)"));
+            core.inject(r, "partition", Exchange::Single, format!("network partition begins ({span}ms)"));
         }
         if core.replicas[r].partitioned_until.is_some() {
             core.clock.advance(SimDuration::from_millis(DIAL_TIMEOUT_MS));
@@ -509,7 +610,7 @@ impl Transport for SimTransport {
         }
         let p_refuse = core.plan.connect_refuse;
         if core.roll(p_refuse) {
-            core.rnote(r, "dial refused".to_string());
+            core.inject(r, "connect_refuse", Exchange::Single, "dial refused".to_string());
             return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "connection refused"));
         }
         let id = core.next_conn;
@@ -564,6 +665,10 @@ impl SimConnection {
         let mut core = state.mu.lock();
         core.tick(r);
         let plan = core.plan.clone();
+        let frame: RequestFrame =
+            serde_json::from_slice(payload).expect("the harness client only writes well-formed frames");
+        let kind = if matches!(frame.body, Request::PredictMany { .. }) { Exchange::Batch } else { Exchange::Single };
+        let id = self.id;
 
         if core.replicas[r].crashed_until.is_some() {
             core.rnote(r, format!("conn {}: reset (daemon down)", self.id));
@@ -576,7 +681,7 @@ impl SimConnection {
             return Err(io::ErrorKind::ConnectionReset.into());
         }
         if core.roll(plan.crash) {
-            core.crash_now(r);
+            core.crash_now(r, kind);
             self.dead = Some(io::ErrorKind::ConnectionReset);
             return Err(io::ErrorKind::ConnectionReset.into());
         }
@@ -586,18 +691,18 @@ impl SimConnection {
         }
         if core.roll(plan.req_cut) {
             // the wire died mid-frame: the daemon must never see it
-            core.rnote(r, format!("conn {}: request frame cut mid-flight", self.id));
+            core.inject(r, "req_cut", kind, format!("conn {id}: request frame cut mid-flight"));
             self.dead = Some(io::ErrorKind::ConnectionReset);
             return Err(io::ErrorKind::ConnectionReset.into());
         }
         if core.roll(plan.req_drop) {
-            core.rnote(r, format!("conn {}: request dropped", self.id));
+            core.inject(r, "req_drop", kind, format!("conn {id}: request dropped"));
             return Ok(());
         }
         if core.roll(plan.req_delay) {
             let d = core.rng.gen_range(1..=plan.max_delay_ms.max(1));
             core.clock.advance(SimDuration::from_millis(d));
-            core.rnote(r, format!("conn {}: request delayed {d}ms", self.id));
+            core.inject(r, "req_delay", kind, format!("conn {id}: request delayed {d}ms"));
         }
         if core.roll(plan.busy) {
             // what the accept loop does when its queue is full: count it,
@@ -606,7 +711,7 @@ impl SimConnection {
             core.replicas[r].ledger.busy_injected += 1;
             self.inbox.extend(encode(&Response::Busy { retry_after_ms: plan.retry_after_ms }));
             self.dead = Some(io::ErrorKind::ConnectionAborted);
-            core.rnote(r, format!("conn {}: busy bounce (retry after {}ms)", self.id, plan.retry_after_ms));
+            core.inject(r, "busy", kind, format!("conn {id}: busy bounce (retry after {}ms)", plan.retry_after_ms));
             return Ok(());
         }
 
@@ -615,8 +720,6 @@ impl SimConnection {
         core.backend.latency_ms.store(if backend_slow { plan.backend_latency_ms } else { 0 }, Ordering::SeqCst);
         core.backend.poisoned.store(backend_poisoned, Ordering::SeqCst);
 
-        let frame: RequestFrame =
-            serde_json::from_slice(payload).expect("the harness client only writes well-formed frames");
         let before = core.replicas[r].service.snapshot(sim_gauges());
         let t0 = core.clock.now();
         let (corr, response) = core.replicas[r].service.handle_frame_enveloped(payload, sim_gauges());
@@ -637,15 +740,16 @@ impl SimConnection {
                 kind_of(&response)
             ),
         );
+        core.served(kind, &frame.body);
 
         if core.roll(plan.resp_drop) {
-            core.rnote(r, format!("conn {}: response dropped", self.id));
+            core.inject(r, "resp_drop", kind, format!("conn {id}: response dropped"));
             return Ok(());
         }
         if core.roll(plan.resp_delay) {
             let d = core.rng.gen_range(1..=plan.max_delay_ms.max(1));
             core.clock.advance(SimDuration::from_millis(d));
-            core.rnote(r, format!("conn {}: response delayed {d}ms", self.id));
+            core.inject(r, "resp_delay", kind, format!("conn {id}: response delayed {d}ms"));
         }
         // An echoed correlation id wraps the body in a ResponseFrame —
         // exactly what the real server writes for a corr'd request.
@@ -657,17 +761,17 @@ impl SimConnection {
             let cut = (wire.len() / 2).max(1);
             self.inbox.extend(wire[..cut].iter().copied());
             self.dead = Some(io::ErrorKind::ConnectionReset);
-            core.rnote(r, format!("conn {}: response cut after {cut}/{} bytes", self.id, wire.len()));
+            core.inject(r, "resp_cut", kind, format!("conn {id}: response cut after {cut}/{} bytes", wire.len()));
             return Ok(());
         }
         if core.roll(plan.reorder) {
             self.inbox.extend(encode(&Response::Pong));
-            core.rnote(r, format!("conn {}: stale frame delivered ahead (reorder)", self.id));
+            core.inject(r, "reorder", kind, format!("conn {id}: stale frame delivered ahead (reorder)"));
         }
         self.inbox.extend(wire.iter().copied());
         if core.roll(plan.duplicate) {
             self.inbox.extend(wire.iter().copied());
-            core.rnote(r, format!("conn {}: response duplicated", self.id));
+            core.inject(r, "duplicate", kind, format!("conn {id}: response duplicated"));
         }
         Ok(())
     }
@@ -753,7 +857,7 @@ impl Transport for SimShmTransport {
         }
         let p_refuse = core.plan.connect_refuse;
         if core.roll(p_refuse) {
-            core.rnote(r, "shm dial bounced: seat busy".to_string());
+            core.inject(r, "connect_refuse", Exchange::Shm, "shm dial bounced: seat busy".to_string());
             return Err(io::Error::new(io::ErrorKind::WouldBlock, "shm session seat is busy"));
         }
         let id = core.next_conn;
@@ -807,6 +911,7 @@ impl SimShmConnection {
         let mut core = state.mu.lock();
         core.tick(r);
         let plan = core.plan.clone();
+        let (id, kind) = (self.id, Exchange::Shm);
 
         if core.replicas[r].crashed_until.is_some()
             || core.replicas[r].shm_down_until.is_some()
@@ -816,23 +921,23 @@ impl SimShmConnection {
             return Err(io::Error::new(io::ErrorKind::ConnectionReset, "shm daemon died"));
         }
         if core.roll(plan.crash) {
-            core.crash_now(r);
+            core.crash_now(r, kind);
             return Err(io::Error::new(io::ErrorKind::ConnectionReset, "shm daemon died"));
         }
         if core.roll(plan.req_cut) {
             // a torn request slot: validation rejects it and the
             // session dies — the daemon never sees a frame
-            core.rnote(r, format!("shm conn {}: torn request slot", self.id));
+            core.inject(r, "req_cut", kind, format!("shm conn {id}: torn request slot"));
             return Err(io::Error::new(io::ErrorKind::ConnectionReset, "torn shm slot"));
         }
         if core.roll(plan.req_drop) {
-            core.rnote(r, format!("shm conn {}: doorbell lost (request unseen)", self.id));
+            core.inject(r, "req_drop", kind, format!("shm conn {id}: doorbell lost (request unseen)"));
             return Ok(());
         }
         if core.roll(plan.req_delay) {
             let d = core.rng.gen_range(1..=plan.max_delay_ms.max(1));
             core.clock.advance(SimDuration::from_millis(d));
-            core.rnote(r, format!("shm conn {}: writer stalled {d}ms", self.id));
+            core.inject(r, "req_delay", kind, format!("shm conn {id}: writer stalled {d}ms"));
         }
 
         let backend_slow = core.roll(plan.backend_slow);
@@ -886,20 +991,21 @@ impl SimShmConnection {
                 kind_of(&response),
             ),
         );
+        core.served(kind, &audit_frame.body);
 
         if core.roll(plan.resp_drop) {
-            core.rnote(r, format!("shm conn {}: doorbell lost (reply unseen)", self.id));
+            core.inject(r, "resp_drop", kind, format!("shm conn {id}: doorbell lost (reply unseen)"));
             return Ok(());
         }
         if core.roll(plan.resp_delay) {
             let d = core.rng.gen_range(1..=plan.max_delay_ms.max(1));
             core.clock.advance(SimDuration::from_millis(d));
-            core.rnote(r, format!("shm conn {}: reader stalled {d}ms", self.id));
+            core.inject(r, "resp_delay", kind, format!("shm conn {id}: reader stalled {d}ms"));
         }
         if core.roll(plan.resp_cut) {
             // a torn reply slot: the client validates, rejects, and the
             // session dies — never a partial or garbage frame
-            core.rnote(r, format!("shm conn {}: torn reply slot", self.id));
+            core.inject(r, "resp_cut", kind, format!("shm conn {id}: torn reply slot"));
             self.inbox.clear();
             self.inbox.push_back(Vec::new()); // sentinel: next recv reports the tear
             return Ok(());
@@ -965,15 +1071,7 @@ mod tests {
     }
 
     fn client(net: &SimNet) -> PredictClient {
-        PredictClient::builder()
-            .transport(Box::new(net.transport()))
-            .connect_timeout(Duration::from_millis(5))
-            .read_timeout(Duration::from_millis(10))
-            .max_retries(1)
-            .backoff(Duration::from_millis(2))
-            .deadline_ms(15)
-            .build()
-            .expect("sim client config is valid")
+        crate::world::sim_client(&FaultPlan::none(), net.transport())
     }
 
     const OPTS: &CallOptions = &CallOptions { trace: None, deadline_ms: None };

@@ -32,19 +32,19 @@
 //!   mixed binary-fastpath and JSON accounting across every
 //!   incarnation.
 //!
-//! Any violation panics with the seed, the plan and a replay command.
-
-use std::time::Duration;
+//! Any violation panics with the seed, the plan and a replay command
+//! ([`crate::sweep::fail`]).
 
 use chronus::hash::{binary_hash, system_hash};
-use chronus::remote::{CallOptions, PredictClient};
+use chronus::remote::{CallOptions, PredictClient, Transport};
 use chronusd::backend::PreparedModel;
 use eco_sim_node::cpu::{CpuConfig, CpuSpec};
 use rand::{Rng, SeedableRng, StdRng};
 
 use crate::batch::MAX_BATCH_VIRTUAL_MS;
 use crate::faults::FaultPlan;
-use crate::net::SimNet;
+use crate::net::{Exchange, Injected, SimNet};
+use crate::world::failover_client;
 
 /// Distinct prediction keys in play (one model each).
 const SHM_KEYS: usize = 8;
@@ -74,26 +74,22 @@ pub struct ShmReport {
     pub shm_exchanges: usize,
     /// Exchanges the daemon served over TCP.
     pub tcp_exchanges: usize,
+    /// What the simulated network delivered and injected.
+    pub injected: Injected,
 }
 
-/// Counts served exchanges in the event log by listener. Every served
-/// exchange logs exactly one `... -> ... in service` line; ring lines
-/// are prefixed `shm conn`, TCP lines plain `conn`.
-fn count_exchanges(log: &[String]) -> (usize, usize) {
-    let shm = log.iter().filter(|l| l.contains("shm conn") && l.contains("in service")).count();
-    let tcp = log.iter().filter(|l| !l.contains("shm conn") && l.contains("in service")).count();
-    (shm, tcp)
+/// `(over the ring, over TCP)` of what the network counted under `what`.
+fn by_listener(injected: &Injected, what: &str) -> (usize, usize) {
+    let tcp = injected.count(what, Exchange::Single) + injected.count(what, Exchange::Batch);
+    (injected.count(what, Exchange::Shm) as usize, tcp as usize)
 }
 
-/// Like [`count_exchanges`] but predictions only — the submit-path
-/// traffic locality preference governs. Rollouts (`Preload`) go to
-/// *every* endpoint by design and probes ping whichever replica is out
-/// of the ring, so neither belongs in a locality assertion.
-fn count_predicts(log: &[String]) -> (usize, usize) {
-    let served = |l: &&String| l.contains("Predict") && l.contains("in service");
-    let shm = log.iter().filter(served).filter(|l| l.contains("shm conn")).count();
-    let tcp = log.iter().filter(served).filter(|l| !l.contains("shm conn")).count();
-    (shm, tcp)
+/// Predictions served so far, by listener — the submit-path traffic
+/// locality preference governs. Rollouts (`Preload`) go to *every*
+/// endpoint by design and probes ping whichever replica is out of the
+/// ring, so neither belongs in a locality assertion.
+fn count_predicts(net: &SimNet) -> (usize, usize) {
+    by_listener(&net.injected(), Injected::PREDICTS)
 }
 
 /// Runs the shm choreography once under `plan` with every random choice
@@ -120,25 +116,19 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     let telemetry = net.telemetry();
     // The fallback ladder in one client: the ring first (preferred by
     // locality, not position), TCP to the same daemon as the net.
-    let mut client = PredictClient::builder()
-        .transport(Box::new(net.shm_transport_for(0)))
-        .transport(Box::new(net.transport_for(0)))
-        .connect_timeout(Duration::from_millis(5))
-        .read_timeout(Duration::from_millis(plan.read_timeout_ms))
-        .max_retries(16)
+    let transports: Vec<Box<dyn Transport>> =
+        vec![Box::new(net.shm_transport_for(0)), Box::new(net.transport_for(0))];
+    let mut client = failover_client(plan, transports)
         // probe the torn-down ring every few requests so the restore
         // phase sees the rejoin within its rounds
         .probe_cooldown(4)
-        .backoff(Duration::from_millis(2))
         .build()
         .expect("shm client config is valid");
     client.set_telemetry(std::sync::Arc::clone(&telemetry));
 
-    // Same strictness gate as the batch world (`blackout` refuses every
-    // dial — seat-busy bounces on the ring included; the rest can
-    // confuse the un-correlated single-key TCP fallback or poison the
-    // daemon itself). Exactly-once and the ledger apply to every plan.
-    let strict = !matches!(plan.name, "blackout" | "reorders" | "duplicates" | "poisoned_backend" | "chaos");
+    // On the ring `blackout` is a seat that is always busy; stale and
+    // duplicated frames only exist on the TCP fallback.
+    let strict = plan.retry_beats_it();
     let mut violations: Vec<String> = Vec::new();
     let mut batch_calls = 0usize;
     let mut keys_asked = 0usize;
@@ -210,7 +200,7 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         batch_once(&mut client, &mut rng, "steady", true, &mut violations);
     }
     if plan.name == "none" {
-        let (shm, tcp) = count_predicts(&net.log());
+        let (shm, tcp) = count_predicts(&net);
         if tcp > 0 || shm == 0 {
             violations.push(format!(
                 "locality preference broken: {tcp} predictions rode TCP (and {shm} the ring) with a clean, \
@@ -227,7 +217,7 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         batch_once(&mut client, &mut rng, "ring-down", true, &mut violations);
     }
     if plan.name == "none" {
-        let (_, tcp) = count_predicts(&net.log());
+        let (_, tcp) = count_predicts(&net);
         if tcp == 0 {
             violations.push("ring torn down but no prediction fell back to TCP".to_string());
         }
@@ -241,9 +231,9 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         batch_once(&mut client, &mut rng, "restored", true, &mut violations);
     }
     if plan.name == "none" {
-        let before = count_predicts(&net.log()).0;
+        let before = count_predicts(&net).0;
         batch_once(&mut client, &mut rng, "restored", true, &mut violations);
-        let after = count_predicts(&net.log()).0;
+        let after = count_predicts(&net).0;
         if after == before {
             violations.push("ring restored but traffic never returned to it".to_string());
         }
@@ -266,19 +256,11 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     violations.extend(net.finish());
 
     if !violations.is_empty() {
-        let mut export = telemetry.export_json();
-        export.push('\n');
-        export.push_str(&net.log().join("\n"));
-        let dump = crate::world::dump_traces(&format!("shm-{}", plan.name), seed, &export);
-        panic!(
-            "shm simtest violations (seed {seed}, plan '{}'):\n  {}\n\ntrace export: {dump}\nreplay: \
-             SIMTEST_SHM_SEED={seed} cargo test -p simtest shm_replay -- --nocapture",
-            plan.name,
-            violations.join("\n  ")
-        );
+        crate::sweep::fail("shm", seed, plan.name, &violations, &net.export());
     }
 
-    let (shm_exchanges, tcp_exchanges) = count_exchanges(&net.log());
+    let injected = net.injected();
+    let (shm_exchanges, tcp_exchanges) = by_listener(&injected, Injected::DELIVERED);
     ShmReport {
         seed,
         plan: plan.name.to_string(),
@@ -289,5 +271,6 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         keys_failed,
         shm_exchanges,
         tcp_exchanges,
+        injected,
     }
 }

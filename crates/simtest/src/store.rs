@@ -33,11 +33,8 @@
 //!   calls `refresh()` converges to the writer's acked state each round
 //!   and never observes a torn record.
 //!
-//! Any violation panics with the seed and a replay command:
-//!
-//! ```text
-//! SIMTEST_STORE_SEED=<seed> cargo test -p simtest store_replay -- --nocapture
-//! ```
+//! Any violation panics with the seed and a replay command
+//! ([`crate::sweep::fail`]).
 
 use std::io;
 use std::sync::Arc;
@@ -353,12 +350,7 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
     }
 
     if !violations.is_empty() {
-        let dump = crate::world::dump_traces("store", seed, &log.join("\n"));
-        panic!(
-            "store simtest violations (seed {seed}):\n  {}\n\nevent log: {dump}\nreplay: SIMTEST_STORE_SEED={seed} \
-             cargo test -p simtest store_replay -- --nocapture",
-            violations.join("\n  ")
-        );
+        crate::sweep::fail("store", seed, "", &violations, &log.join("\n"));
     }
 
     report.log = log;

@@ -25,9 +25,11 @@
 //!   [`crate::invariants::Ledger`] audit is clean;
 //! * **drain** — the cluster runs every accepted job to completion.
 //!
-//! Any violation panics with the seed, the plan and a replay command.
+//! Any violation panics with the seed, the plan and a replay command
+//! ([`crate::sweep::fail`]).
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,7 +37,7 @@ use chronus::domain::{Benchmark, LoadedModel, PluginState, Settings};
 use chronus::hash::{binary_hash, system_hash};
 use chronus::integrations::storage::EtcStorage;
 use chronus::interfaces::LocalStorage;
-use chronus::remote::{CallOptions, PredictClient, RemotePrediction};
+use chronus::remote::{CallOptions, ClientBuilder, PredictClient, RemotePrediction, Transport};
 use chronus::telemetry::{TraceContext, TraceEvent};
 use chronusd::backend::PreparedModel;
 use eco_hpcg::workload::{ScalingKind, SyntheticWorkload};
@@ -50,7 +52,7 @@ use parking_lot::Mutex;
 use rand::{Rng, SeedableRng, StdRng};
 
 use crate::faults::FaultPlan;
-use crate::net::SimNet;
+use crate::net::{Injected, SimNet};
 
 /// Ceiling on the virtual time one submission may consume. Budget math:
 /// the client makes at most 2 attempts, each at most dial (1ms) +
@@ -142,6 +144,8 @@ pub struct SeedReport {
     pub applied_deadline: usize,
     /// Descriptors left untouched (not opted in, or prediction failed).
     pub untouched: usize,
+    /// What the simulated network delivered and injected.
+    pub injected: Injected,
 }
 
 /// Wraps the real plugin so its counters stay reachable after the
@@ -174,9 +178,16 @@ impl JobSubmitPlugin for StatsTap {
     }
 }
 
-pub(crate) fn storage_root(plan: &str, seed: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("simtest-{plan}-{seed}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+/// A fresh directory for one run's staged settings, which the run
+/// removes when it ends. No two live runs may share one — the plugin
+/// re-reads `settings.json` on every submission, and the same `(name,
+/// seed)` routinely runs twice at once (a sweep and a scenario test on
+/// parallel test threads of one process) — so the name carries a
+/// process-wide call counter beside the pid.
+pub(crate) fn storage_root(name: &str, seed: u64) -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("simtest-{name}-{seed}-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tempdir for staged settings");
     dir
 }
@@ -194,6 +205,20 @@ pub(crate) fn sim_client(plan: &FaultPlan, transport: crate::net::SimTransport) 
         .deadline_ms(15)
         .build()
         .expect("sim client config is valid")
+}
+
+/// The failover client the fleet, batch and shm worlds drive, one ring
+/// entry per transport. Retries are deliberately generous: those worlds'
+/// liveness invariant is "an answer exists while one replica lives", so
+/// the client gets enough attempts to walk the whole fleet through
+/// injected faults.
+pub(crate) fn failover_client(plan: &FaultPlan, transports: Vec<Box<dyn Transport>>) -> ClientBuilder {
+    let builder = PredictClient::builder()
+        .connect_timeout(Duration::from_millis(5))
+        .read_timeout(Duration::from_millis(plan.read_timeout_ms))
+        .max_retries(16)
+        .backoff(Duration::from_millis(2));
+    transports.into_iter().fold(builder, ClientBuilder::transport)
 }
 
 /// Runs the whole pipeline once under `plan` with every random choice
@@ -413,13 +438,7 @@ pub fn run_seed(seed: u64, plan: &FaultPlan) -> SeedReport {
     let _ = std::fs::remove_dir_all(&root);
 
     if !violations.is_empty() {
-        let dump = dump_traces(plan.name, seed, &telemetry.export_json());
-        panic!(
-            "simtest violations (seed {seed}, plan '{}'):\n  {}\n\ntrace export: {dump}\nreplay: \
-             SIMTEST_SEED={seed} cargo test -p simtest replay -- --nocapture",
-            plan.name,
-            violations.join("\n  ")
-        );
+        crate::sweep::fail("pipeline", seed, plan.name, &violations, &net.export());
     }
 
     SeedReport {
@@ -430,23 +449,7 @@ pub fn run_seed(seed: u64, plan: &FaultPlan) -> SeedReport {
         applied_remote,
         applied_deadline,
         untouched,
-    }
-}
-
-/// Writes the failing run's full telemetry export (every trace event,
-/// counter and histogram) where CI can pick it up as an artifact.
-/// `SIMTEST_TRACE_DIR` overrides the default `target/simtest-traces`.
-pub(crate) fn dump_traces(plan: &str, seed: u64, json: &str) -> String {
-    let dir = std::env::var("SIMTEST_TRACE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/simtest-traces"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        return format!("(dump failed: {e})");
-    }
-    let path = dir.join(format!("{plan}-{seed}.json"));
-    match std::fs::write(&path, json) {
-        Ok(()) => path.display().to_string(),
-        Err(e) => format!("(dump failed: {e})"),
+        injected: net.injected(),
     }
 }
 
@@ -633,6 +636,18 @@ fn check_descriptor(
         }
         (lo, hi) => {
             violations.push(format!("submission #{i}: half-applied frequency bounds ({lo:?}, {hi:?})"));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn two_live_runs_of_one_seed_never_share_a_storage_root() {
+        let (a, b) = (super::storage_root("x", 1), super::storage_root("x", 1));
+        assert_ne!(a, b);
+        for dir in [a, b] {
+            std::fs::remove_dir_all(dir).expect("each exists");
         }
     }
 }
