@@ -6,13 +6,14 @@
 //! priority, and are dispatched (FIFO with EASY backfill) onto simulated
 //! nodes whose power/thermal state integrates as time advances. Finished
 //! jobs are recorded in the accounting database ([`crate::dbd`]).
+//! The scheduler pass itself continues `impl Cluster` in `sched.rs`.
 
 use crate::dbd::AccountingDb;
 use crate::error::SlurmError;
 use crate::job::{Job, JobDescriptor, JobId, JobRecord, JobState};
 use crate::partition::{Partition, PartitionTable};
 use crate::plugin::{JobSubmitPlugin, PluginHost};
-use crate::priority::{multifactor_priority, FairShare, PriorityWeights};
+use crate::priority::{FairShare, PriorityWeights};
 use crate::script::parse_script;
 use eco_hpcg::workload::Workload;
 use eco_sim_node::class::NodeClass;
@@ -27,21 +28,21 @@ use std::sync::Arc;
 
 /// A job executing on one node.
 #[derive(Clone)]
-struct RunningJob {
-    id: JobId,
-    config: CpuConfig,
-    workload: Arc<dyn Workload>,
-    start: SimTime,
+pub(crate) struct RunningJob {
+    pub(crate) id: JobId,
+    pub(crate) config: CpuConfig,
+    pub(crate) workload: Arc<dyn Workload>,
+    pub(crate) start: SimTime,
     /// Natural completion instant.
-    end: SimTime,
+    pub(crate) end: SimTime,
     /// Kill instant if the job has a time limit.
-    kill_at: Option<SimTime>,
+    pub(crate) kill_at: Option<SimTime>,
     /// System energy attributed to this job on this node so far (J).
     /// Accumulated incrementally each integration step in proportion to
     /// the job's core share, so co-scheduled jobs split the node's draw.
-    system_j: f64,
+    pub(crate) system_j: f64,
     /// CPU-package energy attributed to this job on this node so far (J).
-    cpu_j: f64,
+    pub(crate) cpu_j: f64,
 }
 
 impl RunningJob {
@@ -57,23 +58,23 @@ impl RunningJob {
 /// One `slurmd`: a simulated node plus the jobs occupying it. Whole-node
 /// scheduling keeps at most one entry; the co-scheduling placement hook
 /// ([`CoSchedulePolicy::Pack`]) may stack a second, complementary job.
-struct NodeDaemon {
-    node: SimNode,
-    running: Vec<RunningJob>,
+pub(crate) struct NodeDaemon {
+    pub(crate) node: SimNode,
+    pub(crate) running: Vec<RunningJob>,
     /// Drained nodes accept no new jobs (admin maintenance state).
-    drained: bool,
+    pub(crate) drained: bool,
     /// Accumulated busy seconds — the load history thermal aging
     /// derates against.
-    busy_s: f64,
+    pub(crate) busy_s: f64,
 }
 
 impl NodeDaemon {
-    fn vacate_at(&self) -> Option<SimTime> {
+    pub(crate) fn vacate_at(&self) -> Option<SimTime> {
         self.running.iter().map(|r| r.vacate_at()).max()
     }
 
     /// Cores already committed to running jobs.
-    fn busy_cores(&self) -> u32 {
+    pub(crate) fn busy_cores(&self) -> u32 {
         self.running.iter().map(|r| r.config.cores).sum()
     }
 }
@@ -96,38 +97,34 @@ pub enum CoSchedulePolicy {
 
 /// The cluster simulation.
 pub struct Cluster {
-    daemons: Vec<NodeDaemon>,
+    pub(crate) daemons: Vec<NodeDaemon>,
     plugins: PluginHost,
-    registry: HashMap<String, Arc<dyn Workload>>,
-    jobs: BTreeMap<JobId, Job>,
-    pending: Vec<JobId>,
+    pub(crate) registry: HashMap<String, Arc<dyn Workload>>,
+    pub(crate) jobs: BTreeMap<JobId, Job>,
+    pub(crate) pending: Vec<JobId>,
     next_id: u64,
-    weights: PriorityWeights,
-    fairshare: FairShare,
+    pub(crate) weights: PriorityWeights,
+    pub(crate) fairshare: FairShare,
     dbd: AccountingDb,
-    backfill_enabled: bool,
-    power_cap_w: Option<f64>,
+    pub(crate) backfill_enabled: bool,
+    pub(crate) power_cap_w: Option<f64>,
     /// Watts held back from the cap at admission so the post-dispatch fan
     /// ramp (power estimates are taken at current temperatures) cannot
     /// push the instantaneous draw over the budget.
-    power_headroom_w: f64,
-    co_schedule: CoSchedulePolicy,
+    pub(crate) power_headroom_w: f64,
+    pub(crate) co_schedule: CoSchedulePolicy,
     /// Oldest-job protection: once a blocked job has waited this long,
     /// the work-conserving power cap stops admitting younger jobs ahead
     /// of it, so draining nodes eventually fit it.
-    starvation_guard: Option<SimDuration>,
+    pub(crate) starvation_guard: Option<SimDuration>,
     partitions: PartitionTable,
-    telemetry: Option<Arc<Telemetry>>,
+    pub(crate) telemetry: Option<Arc<Telemetry>>,
     /// When set, nodes slow down as they accumulate busy hours (same
     /// power draw, fewer GFLOPS) — the drift the adaptation loop's
     /// outcome feed is built to notice. `None` preserves the historical
     /// ageless behaviour exactly.
     aging: Option<ThermalAging>,
 }
-
-/// Jobs whose arithmetic intensities fall on opposite sides of this
-/// FLOP/byte ridge are considered roofline-complementary for packing.
-const PACK_AI_RIDGE: f64 = 1.0;
 
 /// Resolution at which running jobs' utilization profiles are re-applied
 /// to the node power model.
@@ -314,6 +311,11 @@ impl Cluster {
         &self.partitions
     }
 
+    /// The partition `submit_inner` resolved and validated for `job`.
+    pub(crate) fn partition_of(&self, job: &Job) -> &Partition {
+        &self.partitions.all()[job.partition]
+    }
+
     /// The single electrical configuration standing in for every job on a
     /// node: cores sum (clamped to the package), the fastest requested
     /// frequency, the widest SMT setting. Exact for the common exclusive
@@ -327,28 +329,30 @@ impl Cluster {
     }
 
     /// The load a node is committed to at full activity: the combined
-    /// configuration of its running jobs at utilization 1.0, or idle.
-    /// This is the planning view power-cap admission sums over.
-    fn planned_load(&self, idx: usize) -> CpuLoad {
+    /// configuration of its running jobs — and of `joining`, when pricing
+    /// a job that is not there yet — at utilization 1.0, or idle. This is
+    /// the planning view power-cap admission sums over.
+    pub(crate) fn planned_load(&self, idx: usize, joining: Option<CpuConfig>) -> CpuLoad {
         let d = &self.daemons[idx];
-        if d.running.is_empty() {
+        let configs: Vec<CpuConfig> = d.running.iter().map(|r| r.config).chain(joining).collect();
+        if configs.is_empty() {
             return CpuLoad::idle(d.node.spec());
         }
-        let configs: Vec<CpuConfig> = d.running.iter().map(|r| r.config).collect();
         CpuLoad::busy(Self::combined_config(d.node.spec(), &configs))
+    }
+
+    /// Estimated steady-state system power of one node under its planned
+    /// load. Steady-state fan feedback: use the node's current temp, a
+    /// good proxy at scheduling granularity.
+    pub(crate) fn planned_power_w(&self, idx: usize, joining: Option<CpuConfig>) -> f64 {
+        let node = &self.daemons[idx].node;
+        node.power_model().system_power(&self.planned_load(idx, joining), node.telemetry().cpu_temp_c)
     }
 
     /// Estimated aggregate steady-state system power right now: busy nodes
     /// at their jobs' combined configuration, idle nodes at idle draw.
     pub fn estimated_power_w(&self) -> f64 {
-        (0..self.daemons.len())
-            .map(|i| {
-                let d = &self.daemons[i];
-                // steady-state fan feedback: use the node's current temp,
-                // a good proxy at scheduling granularity
-                d.node.power_model().system_power(&self.planned_load(i), d.node.telemetry().cpu_temp_c)
-            })
-            .sum()
+        (0..self.daemons.len()).map(|i| self.planned_power_w(i, None)).sum()
     }
 
     /// Ground-truth instantaneous cluster draw (W): the sum of every
@@ -356,20 +360,6 @@ impl Cluster {
     /// and what the simulation harness audits against the cap.
     pub fn instantaneous_power_w(&self) -> f64 {
         self.daemons.iter().map(|d| d.node.telemetry().system_power_w).sum()
-    }
-
-    /// Estimated steady-state system power one node would *additionally*
-    /// draw if `config` started there: the combined load with the new job
-    /// minus the load it is already committed to. On an empty node this
-    /// is the classic busy-minus-idle marginal cost.
-    fn marginal_power_w(&self, node_idx: usize, config: &CpuConfig) -> f64 {
-        let d = &self.daemons[node_idx];
-        let temp = d.node.telemetry().cpu_temp_c;
-        let mut configs: Vec<CpuConfig> = d.running.iter().map(|r| r.config).collect();
-        let before = self.planned_load(node_idx);
-        configs.push(*config);
-        let after = CpuLoad::busy(Self::combined_config(d.node.spec(), &configs));
-        d.node.power_model().system_power(&after, temp) - d.node.power_model().system_power(&before, temp)
     }
 
     /// Overrides the multifactor priority weights.
@@ -546,6 +536,9 @@ impl Cluster {
         }
         // the partition's MaxTime caps the job's own request
         desc.time_limit = partition.effective_time_limit(desc.time_limit);
+        // resolved and validated here, once; the table only ever upserts
+        // in place, so the index names this partition while the job lives
+        let partition = self.partitions.all().iter().position(|p| p.name == partition.name).expect("just resolved");
         self.plugins.run_traced(&mut desc, 1000, ctx)?;
 
         let id = JobId(self.next_id);
@@ -558,6 +551,8 @@ impl Cluster {
             start_time: None,
             end_time: None,
             node: None,
+            reason: None,
+            partition,
         };
         self.jobs.insert(id, job);
         self.pending.push(id);
@@ -633,22 +628,27 @@ impl Cluster {
 
     /// `squeue`-style listing of non-terminal jobs.
     pub fn squeue(&self) -> String {
-        let mut out = String::from("JOBID  PARTITION  NAME            USER      ST  TIME      NODES\n");
+        let mut out =
+            String::from("JOBID  PARTITION  NAME            USER      ST  TIME      NODES NODELIST(REASON)\n");
         for job in self.jobs.values() {
             if job.state.is_terminal() {
                 continue;
             }
-            let partition =
-                self.partitions.resolve(job.descriptor.partition.as_deref()).map(|p| p.name.as_str()).unwrap_or("?");
+            // why a pending job is not running, or where a running one is
+            let place = match job.reason {
+                Some(reason) => format!("({reason:?})"),
+                None => job.node.map_or("(None)".to_string(), |node| format!("n{node}")),
+            };
             out.push_str(&format!(
-                "{:<6} {:<10} {:<15} {:<9} {:<3} {:<9} {}\n",
+                "{:<6} {:<10} {:<15} {:<9} {:<3} {:<9} {:<5} {}\n",
                 job.id,
-                truncate(partition, 10),
+                truncate(&self.partition_of(job).name, 10),
                 truncate(&job.descriptor.name, 15),
                 truncate(&job.descriptor.user, 9),
                 job.state.code(),
                 job.elapsed(self.now()).to_string(),
                 job.descriptor.num_nodes,
+                place,
             ));
         }
         out
@@ -788,7 +788,7 @@ impl Cluster {
             }
         }
         for idx in touched {
-            let load = self.planned_load(idx);
+            let load = self.planned_load(idx, None);
             self.daemons[idx].node.set_load(load);
         }
         assert!(config.is_some(), "job {id} was not running anywhere");
@@ -830,294 +830,6 @@ impl Cluster {
             cpu_energy_j: 0.0,
         });
     }
-
-    /// Priority-ordered dispatch with EASY backfill.
-    fn schedule(&mut self) {
-        let now = self.now();
-        // order pending by multifactor priority (desc), submit order as tie-break
-        let mut order: Vec<JobId> = self.pending.clone();
-        order.sort_by(|&a, &b| {
-            let pa = self.job_priority(a, now);
-            let pb = self.job_priority(b, now);
-            pb.partial_cmp(&pa).expect("priorities are finite").then(a.cmp(&b))
-        });
-
-        let mut free: Vec<usize> = (0..self.daemons.len())
-            .filter(|&i| self.daemons[i].running.is_empty() && !self.daemons[i].drained)
-            .collect();
-        let mut shadow: Option<SimTime> = None; // head job's reserved start
-
-        for id in order {
-            let job = &self.jobs[&id];
-            if job.descriptor.begin_time.is_some_and(|b| b > now) {
-                continue; // --begin not reached
-            }
-            let need = job.descriptor.num_nodes as usize;
-            // only nodes of the job's partition are eligible
-            let eligible: Vec<usize> = match self.partitions.resolve(job.descriptor.partition.as_deref()) {
-                Some(p) => free.iter().copied().filter(|&n| p.contains(n)).collect(),
-                None => Vec::new(),
-            };
-            // co-scheduling hook: a single-node job may share an
-            // already-busy node with a roofline-complementary resident —
-            // it consumes no free node, so it can never delay the head
-            // job's reservation
-            if need == 1 && self.co_schedule == CoSchedulePolicy::Pack {
-                if let Some(host) = self.try_pack(id) {
-                    if let Some(t) = &self.telemetry {
-                        t.counter("slurm.sched_dispatched").bump();
-                        t.counter("slurm.sched_packed").bump();
-                    }
-                    self.pack_job(id, host);
-                    continue;
-                }
-            }
-            let nodes_ok = need <= eligible.len() && self.can_backfill(id, need, free.len(), shadow);
-            if nodes_ok && self.within_power_cap(id, &eligible[..need]) {
-                let assigned: Vec<usize> = eligible[..need].to_vec();
-                free.retain(|n| !assigned.contains(n));
-                if let Some(t) = &self.telemetry {
-                    t.counter("slurm.sched_dispatched").bump();
-                    if shadow.is_some() {
-                        t.counter("slurm.sched_backfilled").bump();
-                    }
-                }
-                self.start_job(id, &assigned);
-            } else if nodes_ok {
-                // power-blocked: skipped without a node reservation — a
-                // cheaper job may still start (work-conserving power cap;
-                // the starvation trade-off is the operator's, as in
-                // value-oriented power-constrained scheduling) unless the
-                // job has aged past the starvation guard, in which case
-                // nothing younger may jump it and the queue drains to fit
-                // it
-                if let Some(t) = &self.telemetry {
-                    t.counter("slurm.sched_power_blocked").bump();
-                }
-                if self.starvation_guard.is_some_and(|g| now - job.submit_time >= g) {
-                    if let Some(t) = &self.telemetry {
-                        t.counter("slurm.sched_starvation_stall").bump();
-                    }
-                    break;
-                }
-            } else if shadow.is_none() {
-                // node-blocked head job: reserve its start time
-                shadow = Some(self.earliest_start(id, need, eligible.len()));
-                if let Some(t) = &self.telemetry {
-                    t.counter("slurm.sched_head_blocked").bump();
-                }
-                if !self.backfill_enabled {
-                    break; // strict FIFO: nothing may jump the head job
-                }
-            } else if self.starvation_guard.is_some_and(|g| now - job.submit_time >= g) {
-                // node-blocked non-head job past the guard: stop admitting
-                // younger jobs over it
-                if let Some(t) = &self.telemetry {
-                    t.counter("slurm.sched_starvation_stall").bump();
-                }
-                break;
-            }
-        }
-        self.pending.retain(|id| self.jobs[id].state == JobState::Pending);
-    }
-
-    /// The power budget admission compares against: the cap minus the
-    /// configured drift headroom.
-    fn power_budget_w(&self) -> Option<f64> {
-        self.power_cap_w.map(|cap| cap - self.power_headroom_w)
-    }
-
-    /// Power-cap admission: starting the job on these nodes must not push
-    /// the cluster's estimated aggregate draw over the budget. Each
-    /// node's marginal cost is priced with the configuration resolved
-    /// against *that node's* spec, so mixed-class partitions are charged
-    /// correctly.
-    fn within_power_cap(&self, id: JobId, nodes: &[usize]) -> bool {
-        let Some(budget) = self.power_budget_w() else { return true };
-        let job = &self.jobs[&id];
-        let marginal: f64 = nodes
-            .iter()
-            .map(|&i| {
-                let config = job.descriptor.resolve_config(self.daemons[i].node.spec());
-                self.marginal_power_w(i, &config)
-            })
-            .sum();
-        self.estimated_power_w() + marginal <= budget
-    }
-
-    /// Finds a host node for packing `id` next to running jobs: the node
-    /// must be in the job's partition, not drained, already busy, have
-    /// enough uncommitted cores, hold only roofline-complementary
-    /// residents (opposite side of the arithmetic-intensity ridge), and
-    /// the packed marginal power must fit the budget. Returns the first
-    /// such node.
-    fn try_pack(&self, id: JobId) -> Option<usize> {
-        let job = &self.jobs[&id];
-        let workload = self.registry.get(&job.descriptor.binary_path)?;
-        let ai = workload.arithmetic_intensity();
-        let partition = self.partitions.resolve(job.descriptor.partition.as_deref())?;
-        (0..self.daemons.len()).find(|&idx| {
-            let d = &self.daemons[idx];
-            if d.drained || d.running.is_empty() || !partition.contains(idx) {
-                return false;
-            }
-            let config = job.descriptor.resolve_config(d.node.spec());
-            if d.busy_cores() + config.cores > d.node.spec().cores {
-                return false;
-            }
-            let complementary =
-                d.running.iter().all(|r| (r.workload.arithmetic_intensity() < PACK_AI_RIDGE) != (ai < PACK_AI_RIDGE));
-            if !complementary {
-                return false;
-            }
-            match self.power_budget_w() {
-                Some(budget) => self.estimated_power_w() + self.marginal_power_w(idx, &config) <= budget,
-                None => true,
-            }
-        })
-    }
-
-    /// EASY backfill admission: a job may start now if no head job is
-    /// blocked, or if it finishes before the blocked head job's reserved
-    /// start, or if enough nodes remain free for the head job anyway.
-    fn can_backfill(&self, id: JobId, need: usize, free: usize, shadow: Option<SimTime>) -> bool {
-        let Some(shadow) = shadow else { return true };
-        if !self.backfill_enabled {
-            return false;
-        }
-        let job = &self.jobs[&id];
-        if free >= need + self.head_need() {
-            return true;
-        }
-        match self.expected_duration(job) {
-            Some(d) => self.now() + d <= shadow,
-            None => false,
-        }
-    }
-
-    fn head_need(&self) -> usize {
-        self.pending.first().map_or(0, |id| self.jobs[id].descriptor.num_nodes as usize)
-    }
-
-    /// Earliest instant at which `need` nodes of the job's partition will
-    /// be free, assuming running jobs vacate at their known end times.
-    /// `eligible_now` is how many partition nodes are free already.
-    fn earliest_start(&self, id: JobId, need: usize, eligible_now: usize) -> SimTime {
-        if eligible_now >= need {
-            return self.now();
-        }
-        let job = &self.jobs[&id];
-        let partition = self.partitions.resolve(job.descriptor.partition.as_deref());
-        let mut ends: Vec<SimTime> = self
-            .daemons
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| partition.is_none_or(|p| p.contains(*i)))
-            .filter_map(|(_, d)| d.vacate_at())
-            .collect();
-        ends.sort_unstable();
-        let still_needed = need - eligible_now;
-        ends.get(still_needed - 1).copied().unwrap_or_else(|| self.now() + SimDuration::from_mins(60))
-    }
-
-    fn expected_duration(&self, job: &Job) -> Option<SimDuration> {
-        let workload = self.registry.get(&job.descriptor.binary_path)?;
-        // resolve against the job's own partition's hardware, not node 0 —
-        // on a heterogeneous cluster those differ
-        let partition = self.partitions.resolve(job.descriptor.partition.as_deref())?;
-        let spec = self.daemons[*partition.nodes.first()?].node.spec();
-        let config = job.descriptor.resolve_config(spec);
-        let derate = self.thermal_derate(*partition.nodes.first()?, config.frequency_khz);
-        let natural = SimDuration::from_secs_f64(workload.duration(&config).as_secs_f64() / derate);
-        Some(match job.descriptor.time_limit {
-            Some(limit) if limit < natural => limit,
-            _ => natural,
-        })
-    }
-
-    fn start_job(&mut self, id: JobId, nodes: &[usize]) {
-        let now = self.now();
-        let (config, workload, duration, kill_at) = {
-            let job = &self.jobs[&id];
-            let workload = self.registry[&job.descriptor.binary_path].clone();
-            let spec = self.daemons[nodes[0]].node.spec();
-            let config = job.descriptor.resolve_config(spec);
-            // multi-node jobs split the work evenly across their nodes;
-            // the most aged allocated node gates the whole job
-            let per_node_gflop = workload.total_gflop() / nodes.len() as f64;
-            let derate = nodes.iter().map(|&i| self.thermal_derate(i, config.frequency_khz)).fold(1.0f64, f64::min);
-            let duration = SimDuration::from_secs_f64(per_node_gflop / (workload.gflops(&config) * derate));
-            let kill_at = job.descriptor.time_limit.map(|l| now + l);
-            (config, workload, duration, kill_at)
-        };
-
-        for &idx in nodes {
-            self.daemons[idx].busy_s += duration.as_secs_f64();
-            self.daemons[idx].running.push(RunningJob {
-                id,
-                config,
-                workload: workload.clone(),
-                start: now,
-                end: now + duration,
-                kill_at,
-                system_j: 0.0,
-                cpu_j: 0.0,
-            });
-            let load = self.planned_load(idx);
-            self.daemons[idx].node.set_load(load);
-        }
-
-        let job = self.jobs.get_mut(&id).expect("job is tracked");
-        job.state = JobState::Running;
-        job.start_time = Some(now);
-        job.node = Some(nodes[0]);
-    }
-
-    /// Stacks a single-node job onto an already-busy host node (the
-    /// [`CoSchedulePolicy::Pack`] placement). The host's electrical load
-    /// becomes the combined configuration of all residents.
-    fn pack_job(&mut self, id: JobId, host: usize) {
-        let now = self.now();
-        let (config, workload, duration, kill_at) = {
-            let job = &self.jobs[&id];
-            let workload = self.registry[&job.descriptor.binary_path].clone();
-            let config = job.descriptor.resolve_config(self.daemons[host].node.spec());
-            let derate = self.thermal_derate(host, config.frequency_khz);
-            let duration = SimDuration::from_secs_f64(workload.duration(&config).as_secs_f64() / derate);
-            let kill_at = job.descriptor.time_limit.map(|l| now + l);
-            (config, workload, duration, kill_at)
-        };
-        self.daemons[host].busy_s += duration.as_secs_f64();
-        self.daemons[host].running.push(RunningJob {
-            id,
-            config,
-            workload,
-            start: now,
-            end: now + duration,
-            kill_at,
-            system_j: 0.0,
-            cpu_j: 0.0,
-        });
-        let load = self.planned_load(host);
-        self.daemons[host].node.set_load(load);
-
-        let job = self.jobs.get_mut(&id).expect("job is tracked");
-        job.state = JobState::Running;
-        job.start_time = Some(now);
-        job.node = Some(host);
-    }
-
-    fn job_priority(&self, id: JobId, now: SimTime) -> f64 {
-        let job = &self.jobs[&id];
-        let base = multifactor_priority(job, now, self.total_cores(), &self.weights, &self.fairshare);
-        let bonus =
-            self.partitions.resolve(job.descriptor.partition.as_deref()).map(|p| p.priority_bonus).unwrap_or(0.0);
-        base + bonus
-    }
-
-    fn total_cores(&self) -> u32 {
-        self.daemons.iter().map(|d| d.node.spec().cores).sum()
-    }
 }
 
 fn truncate(s: &str, n: usize) -> &str {
@@ -1132,23 +844,23 @@ fn truncate(s: &str, n: usize) -> &str {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::script::generate_hpcg_script;
     use eco_hpcg::workload::{ScalingKind, SyntheticWorkload};
 
-    fn quick_workload(gflop: f64) -> Arc<dyn Workload> {
+    pub(crate) fn quick_workload(gflop: f64) -> Arc<dyn Workload> {
         // compute-bound: 1 GFLOP/s per core per GHz
         Arc::new(SyntheticWorkload::new("quick", ScalingKind::ComputeBound, gflop, 1.0))
     }
 
-    fn cluster() -> Cluster {
+    pub(crate) fn cluster() -> Cluster {
         let mut c = Cluster::single_node(SimNode::sr650());
         c.register_binary("/bin/app", quick_workload(800.0));
         c
     }
 
-    fn desc(tasks: u32) -> JobDescriptor {
+    pub(crate) fn desc(tasks: u32) -> JobDescriptor {
         let mut d = JobDescriptor::new("t", "alice", "/bin/app");
         d.num_tasks = tasks;
         d
@@ -1350,69 +1062,13 @@ mod tests {
     }
 
     #[test]
-    fn backfill_lets_short_job_jump_blocked_multinode_head() {
-        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
-        c.register_binary("/bin/app", quick_workload(800.0));
-        // long job on node 0 (10 s)
-        let long = c.submit(desc(32)).unwrap();
-        assert_eq!(c.job(long).unwrap().state, JobState::Running);
-        // head job needs 2 nodes -> blocked until long finishes (t=10)
-        let mut head = desc(32);
-        head.num_nodes = 2;
-        let head = c.submit(head).unwrap();
-        assert_eq!(c.job(head).unwrap().state, JobState::Pending);
-        // short job (80 GFLOP -> 1 s) fits before the head's reservation
-        let mut c2 = c; // rename for clarity
-        c2.register_binary("/bin/short", quick_workload(80.0));
-        let mut s = JobDescriptor::new("s", "bob", "/bin/short");
-        s.num_tasks = 32;
-        let short = c2.submit(s).unwrap();
-        assert_eq!(c2.job(short).unwrap().state, JobState::Running, "backfilled onto the free node");
-        c2.advance(SimDuration::from_secs(2));
-        assert_eq!(c2.job(short).unwrap().state, JobState::Completed);
-        assert_eq!(c2.job(head).unwrap().state, JobState::Pending);
-        c2.advance(SimDuration::from_secs(10));
-        assert_eq!(c2.job(head).unwrap().state, JobState::Running);
-    }
-
-    #[test]
-    fn no_backfill_means_strict_fifo() {
-        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
-        c.set_backfill(false);
-        c.register_binary("/bin/app", quick_workload(800.0));
-        c.register_binary("/bin/short", quick_workload(80.0));
-        let _long = c.submit(desc(32)).unwrap();
-        let mut head = desc(32);
-        head.num_nodes = 2;
-        let head = c.submit(head).unwrap();
-        let mut s = JobDescriptor::new("s", "bob", "/bin/short");
-        s.num_tasks = 32;
-        let short = c.submit(s).unwrap();
-        assert_eq!(c.job(head).unwrap().state, JobState::Pending);
-        assert_eq!(c.job(short).unwrap().state, JobState::Pending, "strict FIFO blocks the short job too");
-    }
-
-    #[test]
-    fn begin_time_defers_start() {
-        let mut c = cluster();
-        let mut d = desc(32);
-        d.begin_time = Some(SimTime::from_secs(100));
-        let id = c.submit(d).unwrap();
-        assert_eq!(c.job(id).unwrap().state, JobState::Pending);
-        c.advance(SimDuration::from_secs(50));
-        assert_eq!(c.job(id).unwrap().state, JobState::Pending);
-        c.advance(SimDuration::from_secs(55)); // t=105: started at t=100, runs 10 s
-        assert_eq!(c.job(id).unwrap().state, JobState::Running);
-        assert_eq!(c.job(id).unwrap().start_time, Some(SimTime::from_secs(100)));
-    }
-
-    #[test]
     fn squeue_and_scontrol_render() {
         let mut c = cluster();
         let id = c.submit(desc(8)).unwrap();
         let q = c.squeue();
         assert!(q.contains("alice"), "{q}");
         assert!(q.contains('R'), "{q}");
+        assert!(q.contains("NODELIST(REASON)") && q.trim_end().ends_with(" n0"), "a running job lists its node: {q}");
         let detail = c.scontrol_show_job(id).unwrap();
         assert!(detail.contains("NumTasks=8"), "{detail}");
         assert!(detail.contains("JobState=Running"), "{detail}");
@@ -1562,57 +1218,6 @@ mod tests {
     }
 
     #[test]
-    fn power_cap_serialises_jobs() {
-        // two nodes, cap that fits one busy node (~217 W) plus one idle
-        // (~135 W) but not two busy nodes
-        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
-        c.register_binary("/bin/app", quick_workload(800.0));
-        c.set_power_cap(Some(400.0));
-        let a = c.submit(desc(32)).unwrap();
-        let b = c.submit(desc(32)).unwrap();
-        assert_eq!(c.job(a).unwrap().state, JobState::Running);
-        assert_eq!(c.job(b).unwrap().state, JobState::Pending, "cap blocks the second job");
-        assert!(c.estimated_power_w() < 400.0);
-        // when the first finishes, the second proceeds
-        c.advance(SimDuration::from_secs(11));
-        assert_eq!(c.job(b).unwrap().state, JobState::Running);
-        assert!(c.run_until_idle(SimDuration::from_mins(5)));
-    }
-
-    #[test]
-    fn generous_power_cap_allows_parallelism() {
-        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
-        c.register_binary("/bin/app", quick_workload(800.0));
-        c.set_power_cap(Some(1000.0));
-        let a = c.submit(desc(32)).unwrap();
-        let b = c.submit(desc(32)).unwrap();
-        assert_eq!(c.job(a).unwrap().state, JobState::Running);
-        assert_eq!(c.job(b).unwrap().state, JobState::Running);
-    }
-
-    #[test]
-    fn power_cap_respects_config_differences() {
-        // a cap that admits a 2.2 GHz job but not a 2.5 GHz one on the
-        // second node
-        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
-        c.register_binary("/bin/app", quick_workload(800.0));
-        let first = c.submit(desc(32)).unwrap(); // 2.5 GHz default, ~217 W
-        assert_eq!(c.job(first).unwrap().state, JobState::Running);
-        // idle second node ~135 W; cap at current + 60 W: 2.5 GHz marginal
-        // (~80 W over idle CPU) blocked, 2.2 GHz marginal (~57 W) admitted
-        let cap = c.estimated_power_w() + 60.0;
-        c.set_power_cap(Some(cap));
-        let mut hot = desc(32);
-        hot.max_frequency_khz = Some(2_500_000);
-        let hot = c.submit(hot).unwrap();
-        assert_eq!(c.job(hot).unwrap().state, JobState::Pending, "2.5 GHz over cap");
-        let mut cool = desc(32);
-        cool.max_frequency_khz = Some(2_200_000);
-        let cool = c.submit(cool).unwrap();
-        assert_eq!(c.job(cool).unwrap().state, JobState::Running, "2.2 GHz under cap");
-    }
-
-    #[test]
     fn estimated_power_tracks_load() {
         let mut c = cluster();
         let idle = c.estimated_power_w();
@@ -1730,136 +1335,6 @@ mod tests {
         // a classless submission defaults to the first class (sr650)
         let a = c.submit(desc(32)).unwrap();
         assert!(c.job(a).unwrap().node.unwrap() < 2);
-    }
-
-    #[test]
-    fn pack_stacks_complementary_jobs_on_one_node() {
-        let mut c = cluster(); // single node, 32 cores
-        c.set_co_schedule(CoSchedulePolicy::Pack);
-        c.register_binary(
-            "/bin/stream",
-            Arc::new(SyntheticWorkload::new("stream", ScalingKind::MemoryBound, 50.0, 1.0)),
-        );
-        // compute-bound job on 16 cores leaves half the package free
-        let a = c.submit(desc(16)).unwrap();
-        assert_eq!(c.job(a).unwrap().state, JobState::Running);
-        // memory-bound 8-core job packs next to it instead of queueing
-        let mut s = JobDescriptor::new("s", "bob", "/bin/stream");
-        s.num_tasks = 8;
-        let b = c.submit(s).unwrap();
-        assert_eq!(c.job(b).unwrap().state, JobState::Running, "complementary job packs");
-        assert_eq!(c.job(b).unwrap().node, Some(0));
-        assert!(c.sinfo().contains('+'), "shared node lists both ids: {}", c.sinfo());
-        assert!(c.run_until_idle(SimDuration::from_mins(30)));
-        // both jobs get energy attributed
-        for id in [a, b] {
-            assert!(c.accounting().get(id).unwrap().system_energy_j > 0.0);
-        }
-    }
-
-    #[test]
-    fn pack_refuses_same_side_of_the_ridge() {
-        let mut c = cluster();
-        c.set_co_schedule(CoSchedulePolicy::Pack);
-        // both compute-bound: second must queue even though cores are free
-        let a = c.submit(desc(16)).unwrap();
-        let b = c.submit(desc(8)).unwrap();
-        assert_eq!(c.job(a).unwrap().state, JobState::Running);
-        assert_eq!(c.job(b).unwrap().state, JobState::Pending, "same-side jobs never pack");
-    }
-
-    #[test]
-    fn pack_refuses_when_cores_do_not_fit() {
-        let mut c = cluster();
-        c.set_co_schedule(CoSchedulePolicy::Pack);
-        c.register_binary(
-            "/bin/stream",
-            Arc::new(SyntheticWorkload::new("stream", ScalingKind::MemoryBound, 50.0, 1.0)),
-        );
-        let _a = c.submit(desc(32)).unwrap(); // whole package
-        let mut s = JobDescriptor::new("s", "bob", "/bin/stream");
-        s.num_tasks = 8;
-        let b = c.submit(s).unwrap();
-        assert_eq!(c.job(b).unwrap().state, JobState::Pending, "no free cores to pack into");
-    }
-
-    #[test]
-    fn spread_policy_never_packs() {
-        let mut c = cluster();
-        c.register_binary(
-            "/bin/stream",
-            Arc::new(SyntheticWorkload::new("stream", ScalingKind::MemoryBound, 50.0, 1.0)),
-        );
-        let _a = c.submit(desc(16)).unwrap();
-        let mut s = JobDescriptor::new("s", "bob", "/bin/stream");
-        s.num_tasks = 8;
-        let b = c.submit(s).unwrap();
-        assert_eq!(c.job(b).unwrap().state, JobState::Pending, "default policy is exclusive allocation");
-    }
-
-    #[test]
-    fn power_headroom_tightens_admission() {
-        // same setup as power_cap_respects_config_differences, but the
-        // headroom eats the slack that admitted the 2.2 GHz job
-        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
-        c.register_binary("/bin/app", quick_workload(800.0));
-        let _first = c.submit(desc(32)).unwrap();
-        let cap = c.estimated_power_w() + 60.0;
-        c.set_power_cap(Some(cap));
-        c.set_power_headroom(30.0);
-        let mut cool = desc(32);
-        cool.max_frequency_khz = Some(2_200_000);
-        let cool = c.submit(cool).unwrap();
-        assert_eq!(c.job(cool).unwrap().state, JobState::Pending, "headroom blocks what the bare cap admits");
-        c.set_power_headroom(0.0);
-        c.advance(SimDuration(1));
-        assert_eq!(c.job(cool).unwrap().state, JobState::Running, "zero headroom restores the old admission");
-    }
-
-    #[test]
-    fn starvation_guard_stops_younger_jobs_jumping_a_starved_one() {
-        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
-        let telemetry = Arc::new(Telemetry::wall());
-        c.set_telemetry(Arc::clone(&telemetry));
-        c.register_binary("/bin/app", quick_workload(800.0));
-        c.register_binary("/bin/short", quick_workload(80.0));
-        // one busy node; cap admits nothing more
-        let _long = c.submit(desc(32)).unwrap();
-        c.set_power_cap(Some(c.estimated_power_w() + 10.0));
-        c.set_starvation_guard(Some(SimDuration::from_secs(2)));
-        let blocked = c.submit(desc(32)).unwrap();
-        assert_eq!(c.job(blocked).unwrap().state, JobState::Pending);
-        // age the blocked job past the guard, then submit a cheap job that
-        // a work-conserving cap would admit (1 core fits the +10 W? no —
-        // make the cap generous enough for 1 core but not 32)
-        c.set_power_cap(Some(c.estimated_power_w() + 25.0));
-        c.advance(SimDuration::from_secs(3));
-        let mut s = JobDescriptor::new("s", "bob", "/bin/short");
-        s.num_tasks = 1;
-        let young = c.submit(s).unwrap();
-        assert_eq!(c.job(young).unwrap().state, JobState::Pending, "guard keeps the younger job behind");
-        assert!(telemetry.counter("slurm.sched_starvation_stall").get() > 0);
-        // without the guard the young job would have been admitted
-        c.set_starvation_guard(None);
-        c.advance(SimDuration(1));
-        assert_eq!(c.job(young).unwrap().state, JobState::Running, "work-conserving again without the guard");
-    }
-
-    #[test]
-    fn packed_jobs_respect_the_power_budget() {
-        let mut c = cluster();
-        c.set_co_schedule(CoSchedulePolicy::Pack);
-        c.register_binary(
-            "/bin/stream",
-            Arc::new(SyntheticWorkload::new("stream", ScalingKind::MemoryBound, 50.0, 1.0)),
-        );
-        let _a = c.submit(desc(16)).unwrap();
-        // cap leaves no room for any marginal draw
-        c.set_power_cap(Some(c.estimated_power_w() + 0.5));
-        let mut s = JobDescriptor::new("s", "bob", "/bin/stream");
-        s.num_tasks = 8;
-        let b = c.submit(s).unwrap();
-        assert_eq!(c.job(b).unwrap().state, JobState::Pending, "packing still pays its power bill");
     }
 
     #[test]

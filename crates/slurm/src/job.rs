@@ -5,6 +5,7 @@
 //! (§4.2.2): `num_tasks`, `threads_per_cpu`, `min_frequency`,
 //! `max_frequency` — plus the submission metadata the scheduler needs.
 
+use crate::sched::HoldReason;
 use eco_sim_node::clock::{SimDuration, SimTime};
 use eco_sim_node::cpu::{CpuConfig, CpuSpec, FreqKhz};
 use serde::{Deserialize, Serialize};
@@ -15,7 +16,8 @@ pub struct JobId(pub u64);
 
 impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        // through the integer's own `fmt`, so `squeue`'s `{:<6}` pads it
+        self.0.fmt(f)
     }
 }
 
@@ -170,6 +172,16 @@ pub struct Job {
     pub end_time: Option<SimTime>,
     /// Node index the job ran on.
     pub node: Option<usize>,
+    /// Why the job is still pending: set by the scheduler pass that held
+    /// it, cleared when it starts (`squeue`'s `NODELIST(REASON)` column).
+    #[serde(default)]
+    pub reason: Option<HoldReason>,
+    /// Index in the cluster's `PartitionTable` of the partition the job
+    /// was submitted to, resolved once at submission: a job without
+    /// `--partition` stays routed to the partition that was the default
+    /// *then*, as in slurmctld.
+    #[serde(default)]
+    pub(crate) partition: usize,
 }
 
 impl Job {
@@ -277,6 +289,8 @@ mod tests {
             start_time: Some(SimTime::from_secs(10)),
             end_time: None,
             node: Some(0),
+            reason: None,
+            partition: 0,
         };
         assert_eq!(job.elapsed(SimTime::from_secs(25)), SimDuration::from_secs(15));
         job.end_time = Some(SimTime::from_secs(30));

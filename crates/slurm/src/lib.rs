@@ -12,8 +12,12 @@
 //! * [`priority`] — the multifactor priority plugin (age / size / QoS /
 //!   fair-share), as Niagara's deployment uses;
 //! * [`cluster`] — `slurmctld` + per-node `slurmd` as a discrete-event
-//!   simulation over [`eco_sim_node::SimNode`] hardware, with FIFO + EASY
-//!   backfill scheduling and `sbatch`/`squeue`/`scontrol`/`sinfo` facades;
+//!   simulation over [`eco_sim_node::SimNode`] hardware: state,
+//!   time-stepping and the `sbatch`/`squeue`/`scontrol`/`sinfo` facades;
+//! * `sched` (private; `impl Cluster` continues there) — the scheduler
+//!   pass: FIFO + EASY backfill, facility power cap, co-scheduling and
+//!   starvation guard as one admission decision per job, with a typed
+//!   [`HoldReason`] for every job it leaves pending;
 //! * [`dbd`] — `slurmdbd` accounting with per-job energy attribution.
 
 pub mod cluster;
@@ -24,6 +28,7 @@ pub mod job;
 pub mod partition;
 pub mod plugin;
 pub mod priority;
+mod sched;
 pub mod script;
 
 pub use cluster::{Cluster, CoSchedulePolicy};
@@ -34,4 +39,5 @@ pub use job::{Job, JobDescriptor, JobId, JobRecord, JobState, Qos};
 pub use partition::{Partition, PartitionTable};
 pub use plugin::{JobSubmitPlugin, PluginHost, PluginRejection};
 pub use priority::{FairShare, PriorityWeights};
+pub use sched::HoldReason;
 pub use script::{generate_hpcg_script, parse_script};

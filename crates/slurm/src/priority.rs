@@ -91,6 +91,8 @@ mod tests {
             start_time: None,
             end_time: None,
             node: None,
+            reason: None,
+            partition: 0,
         }
     }
 

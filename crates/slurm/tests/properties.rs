@@ -2,10 +2,10 @@
 //! liveness invariants under random job mixes, and script round-trips.
 
 use eco_hpcg::workload::{ScalingKind, SyntheticWorkload};
-use eco_sim_node::clock::SimDuration;
+use eco_sim_node::clock::{SimDuration, SimTime};
 use eco_sim_node::SimNode;
 use eco_slurm_sim::script::{generate_hpcg_script, parse_script};
-use eco_slurm_sim::{Cluster, JobDescriptor, JobState, Qos};
+use eco_slurm_sim::{Cluster, HoldReason, JobDescriptor, JobId, JobState, Qos};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -48,8 +48,98 @@ fn build_cluster(nodes: usize) -> Cluster {
     c
 }
 
+/// What the EASY property knows about a job it submitted.
+struct Submitted {
+    id: JobId,
+    nodes: usize,
+    runtime: SimDuration,
+    begin: Option<SimTime>,
+}
+
+/// Records what the job that has just taken the EASY reservation was
+/// promised: the instant enough nodes are free for it, going by the end
+/// times of the jobs running at its turn in the pass.
+fn note_reservation(cluster: &Cluster, jobs: &[Submitted], promised: &mut Vec<(JobId, SimTime)>) {
+    let holds = |j: &&Submitted| cluster.job(j.id).unwrap().reason == Some(HoldReason::Resources);
+    let Some(holder) = jobs.iter().find(holds).filter(|h| promised.iter().all(|(id, _)| *id != h.id)) else { return };
+    let mut busy_until: Vec<SimTime> = Vec::new();
+    for j in jobs {
+        let job = cluster.job(j.id).unwrap();
+        // what the same pass backfilled behind the holder had not started at its turn
+        let behind = j.id > holder.id && job.start_time == Some(cluster.now());
+        if job.state == JobState::Running && !behind {
+            busy_until.extend(std::iter::repeat_n(job.start_time.unwrap() + j.runtime, j.nodes));
+        }
+    }
+    busy_until.sort_unstable();
+    let free = cluster.node_count() - busy_until.len();
+    let start = busy_until[holder.nodes - free - 1];
+    // an older job still waiting for its `--begin` outranks the holder the
+    // moment it wakes: the promise binds only if that is after `start`
+    let outranked = |j: &Submitted| {
+        j.id < holder.id
+            && cluster.job(j.id).unwrap().state == JobState::Pending
+            && j.begin.is_none_or(|b| b <= start)
+    };
+    if !jobs.iter().any(outranked) {
+        promised.push((holder.id, start));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// EASY's promise: backfill never delays the job that holds the
+    /// reservation. One user, one QOS, one job size, no cap, so priority
+    /// order is submission order and nobody who arrives later outranks a
+    /// holder; whenever a job takes the reservation, it starts no later
+    /// than the instant it was promised.
+    #[test]
+    fn backfill_never_delays_the_reservation_holder(
+        nodes in 2usize..=4,
+        // (nodes wanted, runtime s, idle seconds before the next arrival,
+        //  `--begin`: 0 = far beyond the run, 1 = in 15 s, otherwise none)
+        mix in prop::collection::vec((1usize..=4, 1u64..=40, 0u64..4, 0u32..10), 3..10),
+    ) {
+        let mut cluster = build_cluster(nodes);
+        let second = SimDuration::from_secs(1);
+        let (mut jobs, mut promised): (Vec<Submitted>, Vec<(JobId, SimTime)>) = (Vec::new(), Vec::new());
+        for (i, &(want, runtime_s, gap_s, begin)) in mix.iter().enumerate() {
+            let width = want.min(nodes);
+            // its own binary, sized to run `runtime_s` whatever the width:
+            // 32 cores at 2.5 GHz sustain 80 GFLOP/s per node
+            let binary = format!("/bin/j{i}");
+            let gflop = 80.0 * runtime_s as f64 * width as f64;
+            cluster.register_binary(&binary, Arc::new(SyntheticWorkload::new("j", ScalingKind::ComputeBound, gflop, 1.0)));
+            let mut d = JobDescriptor::new(&format!("j{i}"), "u", &binary);
+            d.num_tasks = 32;
+            d.num_nodes = width as u32;
+            d.begin_time = match begin {
+                0 => Some(cluster.now() + SimDuration::from_secs(10_000)),
+                1 => Some(cluster.now() + SimDuration::from_secs(15)),
+                _ => None,
+            };
+            let begin = d.begin_time;
+            let id = cluster.submit(d).unwrap();
+            jobs.push(Submitted { id, nodes: width, runtime: SimDuration::from_secs(runtime_s), begin });
+            note_reservation(&cluster, &jobs, &mut promised);
+            for _ in 0..gap_s {
+                cluster.advance(second);
+                note_reservation(&cluster, &jobs, &mut promised);
+            }
+        }
+        // everything not deferred beyond the run drains within the sum of
+        // the runtimes (≤ 9 × 40 s) plus the near deferral
+        for _ in 0..400 {
+            cluster.advance(second);
+            note_reservation(&cluster, &jobs, &mut promised);
+        }
+        for (id, start) in promised {
+            let job = cluster.job(id).unwrap();
+            prop_assert!(job.start_time.is_some_and(|s| s <= start),
+                "job {id} took the reservation for t={start} and started at {:?}", job.start_time);
+        }
+    }
 
     /// Liveness + safety: every submitted job reaches a terminal state,
     /// every completion has an accounting record with consistent times,
