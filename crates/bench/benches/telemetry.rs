@@ -74,11 +74,11 @@ fn bench_recorder_append(c: &mut Criterion) {
                 trace: trace.0,
                 span: span.0,
                 parent: None,
-                layer: "bench".to_string(),
-                name: "append".to_string(),
+                layer: "bench".into(),
+                name: "append".into(),
                 start_us: 1,
                 end_us: 2,
-                outcome: "ok".to_string(),
+                outcome: "ok".into(),
                 attrs: Vec::new(),
             }));
         })

@@ -1,11 +1,14 @@
 //! # chronusd — the Chronus prediction daemon
 //!
 //! The paper's eco plugin shells out to `chronus slurm-config` on
-//! every opted-in submission. That works on a single head node, but it
-//! re-reads the staged model from disk on every query and serializes
-//! submissions behind one process. `chronusd` moves prediction behind
-//! a small TCP service so the answer is computed once (at preload, or
-//! on first miss) and then served from memory by a worker pool:
+//! every opted-in submission, and that one-shot process re-reads,
+//! re-parses and re-scores the staged model every time. In-process the
+//! plugin no longer pays that — `LocalPrediction` holds the staged
+//! answer behind the model file's stamp — but it still serves one
+//! staged `(system, binary)` to one controller on one host. `chronusd`
+//! moves prediction behind a small TCP service so many keys are
+//! resident at once, computed once each (at preload, or on first miss),
+//! and served from memory by a worker pool to every host that asks:
 //!
 //! ```text
 //!  sbatch ──► job_submit_eco ──► PredictClient ──► chronusd

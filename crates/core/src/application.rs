@@ -12,6 +12,7 @@ use crate::domain::{
     Benchmark, EnergySample, LoadedModel, ModelMetadata, PluginState, SampleIntervalMs, Settings, SystemEntry,
 };
 use crate::error::{ChronusError, Result};
+use crate::integrations::storage::publish;
 use crate::interfaces::{
     ApplicationRunner, FileRepository, LocalStorage, Repository, SystemInfoProvider, SystemService,
 };
@@ -349,7 +350,10 @@ impl Chronus {
         if let Some(parent) = local_path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        std::fs::write(&local_path, &bytes)?;
+        // re-staging under the same id lands on the same path: published
+        // whole and under a fresh stamp, like settings.json, so a plugin
+        // holding the previous model's answer sees the file move
+        publish(&local_path, &bytes)?;
 
         // also stage the benchmark rows: the deadline-aware extension
         // (§6.2.1) needs measured runtimes on the submit path
@@ -713,7 +717,7 @@ mod tests {
         app.slurm_config(sys_hash, runner.binary_hash()).unwrap();
 
         let spans = telemetry.recorder().events();
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = spans.iter().map(|s| &*s.name).collect();
         for expect in ["benchmark", "trial", "init_model", "load_model", "slurm_config"] {
             assert!(names.contains(&expect), "missing app span {expect}: {names:?}");
         }

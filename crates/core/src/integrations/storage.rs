@@ -4,49 +4,133 @@
 use crate::domain::Settings;
 use crate::error::{ChronusError, Result};
 use crate::interfaces::{FileRepository, LocalStorage};
+use parking_lot::Mutex;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, SystemTime};
+
+/// What one `stat` says about which version of a file is published. A
+/// value derived from the file is held beside the stamp taken *before*
+/// the file was read, and is good for as long as the stamp reads the
+/// same: [`publish`] gives every version a fresh inode, a new ctime and
+/// a strictly later mtime, so no two versions a reader can meet in a row
+/// carry one stamp — not inside one timestamp tick, not at equal length,
+/// not when the filesystem hands a freed inode number out again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct FileStamp {
+    len: u64,
+    modified: Option<SystemTime>,
+    #[cfg(unix)]
+    inode: u64,
+    #[cfg(unix)]
+    changed: (i64, i64),
+}
+
+impl FileStamp {
+    /// Stamps the file at `path` as it is published right now.
+    pub(crate) fn of(path: &Path) -> io::Result<FileStamp> {
+        #[cfg(unix)]
+        use std::os::unix::fs::MetadataExt;
+        let meta = std::fs::metadata(path)?;
+        Ok(FileStamp {
+            len: meta.len(),
+            modified: meta.modified().ok(),
+            #[cfg(unix)]
+            inode: meta.ino(),
+            #[cfg(unix)]
+            changed: (meta.ctime(), meta.ctime_nsec()),
+        })
+    }
+}
+
+/// Publishes `bytes` at `path` as a whole new file: written beside the
+/// target under a name no other save shares (pid and a process-wide
+/// counter — two writers on one temp name publish each other's
+/// half-written file), given an mtime strictly later than the version it
+/// replaces, and renamed over it. A reader sees the old version or the
+/// new, never an empty or torn one, and never two versions under one
+/// [`FileStamp`].
+pub(crate) fn publish(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{}.{}.tmp", std::process::id(), SAVES.fetch_add(1, Ordering::Relaxed)));
+    let tmp = path.with_file_name(name);
+    let written = (|| {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        let replaced = std::fs::metadata(path).and_then(|m| m.modified()).unwrap_or(SystemTime::UNIX_EPOCH);
+        file.set_modified(SystemTime::now().max(replaced + Duration::from_nanos(1)))?;
+        drop(file);
+        std::fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
 
 /// The etc-storage implementation of Local Storage: a `settings.json`
 /// under a root directory (the paper's `/etc/chronus/settings.json`).
-#[derive(Debug, Clone)]
+///
+/// The plugin asks for the settings on every submission, so the parsed
+/// value is held beside the file stamp it was read under (length, mtime,
+/// and on unix inode and ctime): a load is one `stat`, and the file is
+/// read and parsed again only when the stamp has moved — whoever moved
+/// it, this process or another.
+#[derive(Debug)]
 pub struct EtcStorage {
     root: PathBuf,
+    settings: PathBuf,
+    held: Mutex<Option<(FileStamp, Settings)>>,
+}
+
+/// A clone starts cold: it reads the file on its first load.
+impl Clone for EtcStorage {
+    fn clone(&self) -> Self {
+        EtcStorage::new(&self.root)
+    }
 }
 
 impl EtcStorage {
     /// Uses `root` as the filesystem root (`root/etc/chronus/settings.json`).
     pub fn new(root: impl AsRef<Path>) -> Self {
-        EtcStorage { root: root.as_ref().to_path_buf() }
+        let root = root.as_ref().to_path_buf();
+        EtcStorage { settings: root.join("etc/chronus/settings.json"), root, held: Mutex::new(None) }
     }
 
     /// Full path of the settings file.
     pub fn settings_path(&self) -> PathBuf {
-        self.root.join("etc/chronus/settings.json")
+        self.settings.clone()
     }
 }
 
 impl LocalStorage for EtcStorage {
     fn load_settings(&self) -> Result<Settings> {
-        let path = self.settings_path();
-        if !path.exists() {
-            return Ok(Settings::default());
+        // stat first, read second: a held value is never older than its stamp
+        let stamp = match FileStamp::of(&self.settings) {
+            Ok(stamp) => stamp,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Settings::default()),
+            Err(e) => return Err(e.into()),
+        };
+        let mut held = self.held.lock();
+        if let Some((_, settings)) = held.as_ref().filter(|(at, _)| *at == stamp) {
+            return Ok(settings.clone());
         }
-        let content = std::fs::read_to_string(path)?;
-        Ok(serde_json::from_str(&content)?)
+        let settings: Settings = serde_json::from_str(&std::fs::read_to_string(&self.settings)?)?;
+        *held = Some((stamp, settings.clone()));
+        Ok(settings)
     }
 
     fn save_settings(&self, settings: &Settings) -> Result<()> {
-        let path = self.settings_path();
-        if let Some(parent) = path.parent() {
+        if let Some(parent) = self.settings.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        // The plugin re-reads this file on every submission: write beside
-        // it and rename over it, so a reader sees the old file or the new
-        // one, never an empty or half-written one.
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, serde_json::to_string_pretty(settings)?)?;
-        std::fs::rename(tmp, path)?;
-        Ok(())
+        // The plugin stats this file on every submission and reads it again
+        // only when the stamp has moved, so every save must move it — and a
+        // reader that does read must find the old file or the new one,
+        // never an empty or half-written one.
+        Ok(publish(&self.settings, serde_json::to_string_pretty(settings)?.as_bytes())?)
     }
 
     fn resolve(&self, path: &str) -> PathBuf {
@@ -156,34 +240,82 @@ mod tests {
         assert!(etc.settings_path().ends_with("etc/chronus/settings.json"));
     }
 
-    /// `chronus set state …` under a live slurmctld: the plugin loads
-    /// settings on every submission, and a torn read is a silently
-    /// untuned job (`Err`) or a silently skipped one (a missing file
-    /// reads as the default, `PluginState::User`).
+    /// `chronus set …` and `chronus load-model` racing each other under a
+    /// live slurmctld: the plugin loads settings on every submission, and
+    /// a torn read is a silently untuned job (`Err`) or a silently
+    /// skipped one (a missing file reads as the default,
+    /// `PluginState::User`). Two writers, because on one shared temp name
+    /// the second truncates the file the first is about to rename, or
+    /// keeps writing into the one it has already renamed live.
     #[test]
     fn a_concurrent_reader_sees_the_old_settings_or_the_new_never_a_torn_file() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let etc = EtcStorage::new(tmpdir("atomic-save"));
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let root = tmpdir("atomic-save");
+        let etc = EtcStorage::new(&root);
         let active = Settings { state: PluginState::Active, ..Settings::default() };
         let off = Settings { state: PluginState::Deactivated, database: "x".repeat(4096), ..Settings::default() };
         etc.save_settings(&active).unwrap();
-        let writing = AtomicBool::new(true);
+        let writing = AtomicUsize::new(2);
+        let start = std::sync::Barrier::new(3);
         std::thread::scope(|scope| {
             let reader = scope.spawn(|| {
                 let mut reads = 0u64;
-                while writing.load(Ordering::SeqCst) {
+                start.wait();
+                while writing.load(Ordering::SeqCst) > 0 {
                     let seen = etc.load_settings().expect("a save in flight must never surface as a read error");
                     assert!(seen == active || seen == off, "read neither saved value: {:?}", seen.state);
                     reads += 1;
                 }
                 reads
             });
-            for i in 0..4000 {
-                etc.save_settings(if i % 2 == 0 { &off } else { &active }).unwrap();
+            // each writer is its own process's view of the file, as two CLI runs are
+            let writers = [&off, &active].map(|value| {
+                let (mine, start, writing) = (EtcStorage::new(&root), &start, &writing);
+                scope.spawn(move || {
+                    start.wait();
+                    // counted, not unwrapped: a writer that panicked would
+                    // leave the reader waiting for it forever
+                    let failed = (0..4000).filter(|_| mine.save_settings(value).is_err()).count();
+                    writing.fetch_sub(1, Ordering::SeqCst);
+                    failed
+                })
+            });
+            for writer in writers {
+                assert_eq!(writer.join().unwrap(), 0, "a save never fails because another is in flight");
             }
-            writing.store(false, Ordering::SeqCst);
             assert!(reader.join().expect("reader saw only whole files") > 0);
         });
+        let left: Vec<_> = std::fs::read_dir(etc.settings_path().parent().unwrap()).unwrap().flatten().collect();
+        assert_eq!(left.len(), 1, "no temp file outlives its save: {left:?}");
+    }
+
+    /// What the stamp stands on where the kernel's own timestamps tick
+    /// coarsely and the filesystem reuses inode numbers: every published
+    /// version is strictly later than the one it replaced.
+    #[test]
+    fn every_published_version_carries_its_own_stamp_and_a_later_mtime() {
+        let path = tmpdir("publish").join("settings.json");
+        let mut seen: Vec<FileStamp> = Vec::new();
+        for _ in 0..200 {
+            publish(&path, b"same bytes, same length").unwrap();
+            let stamp = FileStamp::of(&path).unwrap();
+            assert!(seen.last().is_none_or(|before| before.modified < stamp.modified));
+            assert!(!seen.contains(&stamp), "two versions under one stamp");
+            seen.push(stamp);
+        }
+    }
+
+    #[test]
+    fn a_file_that_does_not_parse_is_an_error_every_time_and_is_never_held() {
+        let etc = EtcStorage::new(tmpdir("corrupt"));
+        let active = Settings { state: PluginState::Active, ..Settings::default() };
+        etc.save_settings(&active).unwrap();
+        assert_eq!(etc.load_settings().unwrap(), active);
+        publish(&etc.settings_path(), b"{ not json").unwrap();
+        assert!(etc.load_settings().is_err());
+        assert!(etc.load_settings().is_err(), "neither the error nor the value before it is served");
+        etc.save_settings(&active).unwrap();
+        assert_eq!(etc.load_settings().unwrap(), active);
     }
 
     #[test]

@@ -78,6 +78,26 @@ impl PluginTelemetry {
     }
 }
 
+/// A node class beside its `plugin.class.<name>.{hit,miss}` counters,
+/// resolved when the class is registered so a submission only bumps an
+/// atomic; the unnamed legacy class reports as `default`.
+struct NodeClass {
+    name: String,
+    hit: Counter,
+    miss: Counter,
+}
+
+impl NodeClass {
+    fn resolve(name: &str, telemetry: &Telemetry) -> NodeClass {
+        let label = if name.is_empty() { "default" } else { name };
+        NodeClass {
+            name: name.to_string(),
+            hit: telemetry.counter(&format!("plugin.class.{label}.hit")),
+            miss: telemetry.counter(&format!("plugin.class.{label}.miss")),
+        }
+    }
+}
+
 /// How one submission was handled — drives both the counters and the
 /// span outcome.
 enum Verdict {
@@ -95,11 +115,11 @@ pub struct JobSubmitEco {
     /// Partition name → node class: how the plugin learns which hardware
     /// a submission targets on a heterogeneous cluster. The class widens
     /// the prediction key so one fleet serves per-class models.
-    classes: HashMap<String, String>,
+    classes: HashMap<String, NodeClass>,
     /// Class assumed for jobs whose partition has no mapping (and for
     /// `--partition`-less jobs). Empty means the pre-class key space —
     /// the migration default that keeps old models resolving.
-    default_class: String,
+    default_class: NodeClass,
     tel: PluginTelemetry,
     strict: bool,
 }
@@ -112,14 +132,15 @@ impl JobSubmitEco {
     /// [`LocalPrediction`] source by default; see [`Self::set_source`].
     pub fn new(storage: Arc<dyn LocalStorage + Send + Sync>, spec: &CpuSpec, ram_gb: u32) -> Self {
         let source = Arc::new(LocalPrediction::new(Arc::clone(&storage)));
+        let tel = PluginTelemetry::over(Arc::new(Telemetry::wall()));
         JobSubmitEco {
             storage,
             source,
             system_hash: system_hash(spec, ram_gb),
             binaries: HashMap::new(),
             classes: HashMap::new(),
-            default_class: String::new(),
-            tel: PluginTelemetry::over(Arc::new(Telemetry::wall())),
+            default_class: NodeClass::resolve("", &tel.telemetry),
+            tel,
             strict: false,
         }
     }
@@ -141,6 +162,9 @@ impl JobSubmitEco {
     /// at zero on the new instance.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.tel = PluginTelemetry::over(telemetry);
+        for class in self.classes.values_mut().chain([&mut self.default_class]) {
+            *class = NodeClass::resolve(&class.name, &self.tel.telemetry);
+        }
     }
 
     /// Describes where predictions come from (for logs and tests).
@@ -161,27 +185,19 @@ impl JobSubmitEco {
     /// cluster built from [`eco_slurm_sim::Cluster::heterogeneous`], feed
     /// every partition's `node_class` through here at plugin load.
     pub fn map_partition_class(&mut self, partition: &str, class: &str) {
-        self.classes.insert(partition.to_string(), class.to_string());
+        self.classes.insert(partition.to_string(), NodeClass::resolve(class, &self.tel.telemetry));
     }
 
     /// Sets the class assumed for unmapped or partition-less submissions.
     /// Defaults to the empty class — the pre-class key space, so staged
     /// legacy models keep resolving unchanged.
     pub fn set_default_class(&mut self, class: &str) {
-        self.default_class = class.to_string();
+        self.default_class = NodeClass::resolve(class, &self.tel.telemetry);
     }
 
-    /// The node class a job's partition resolves to.
-    fn class_for(&self, job: &JobDescriptor) -> &str {
-        job.partition.as_deref().and_then(|p| self.classes.get(p)).map(String::as_str).unwrap_or(&self.default_class)
-    }
-
-    /// Bumps the per-class prediction counter (`plugin.class.<name>.hit`
-    /// or `.miss`); the unnamed legacy class reports as `default`.
-    fn bump_class(&self, class: &str, hit: bool) {
-        let name = if class.is_empty() { "default" } else { class };
-        let outcome = if hit { "hit" } else { "miss" };
-        self.tel.telemetry.counter(&format!("plugin.class.{name}.{outcome}")).bump();
+    /// The node class a partition resolves to.
+    fn class_for(&self, partition: Option<&str>) -> &NodeClass {
+        partition.and_then(|p| self.classes.get(p)).unwrap_or(&self.default_class)
     }
 
     /// Warms the prediction path for every registered binary in one
@@ -193,9 +209,9 @@ impl JobSubmitEco {
     /// Returns how many keys answered with a config; failures are
     /// warm-up misses, never submission errors.
     pub fn prefetch_predictions(&self) -> usize {
-        let mut class_hashes: Vec<u64> = std::iter::once(self.default_class.as_str())
-            .chain(self.classes.values().map(String::as_str))
-            .map(|c| classed_system_hash(self.system_hash, c))
+        let mut class_hashes: Vec<u64> = std::iter::once(&self.default_class)
+            .chain(self.classes.values())
+            .map(|c| classed_system_hash(self.system_hash, &c.name))
             .collect();
         class_hashes.sort_unstable();
         class_hashes.dedup();
@@ -218,8 +234,7 @@ impl JobSubmitEco {
     /// `failed`, neither of which may disturb the scheduler.
     pub fn report_outcome(&self, binary_path: &str, partition: Option<&str>, outcome: &ObservedOutcome) -> bool {
         let bin_hash = self.binary_hash_for(binary_path);
-        let class = partition.and_then(|p| self.classes.get(p)).map(String::as_str).unwrap_or(&self.default_class);
-        let classed_system = classed_system_hash(self.system_hash, class);
+        let classed_system = classed_system_hash(self.system_hash, &self.class_for(partition).name);
         self.tel.telemetry.counter("plugin.outcomes.reported").bump();
         match self.source.report_outcome(classed_system, bin_hash, outcome) {
             Ok(true) => {
@@ -332,8 +347,8 @@ impl JobSubmitEco {
         let bin_hash = self.binary_hash_for(&job.binary_path);
         // the job's partition decides which hardware class it runs on,
         // and the class widens the system half of the prediction key
-        let class = self.class_for(job).to_string();
-        let classed_system = classed_system_hash(self.system_hash, &class);
+        let class = self.class_for(job.partition.as_deref());
+        let classed_system = classed_system_hash(self.system_hash, &class.name);
 
         // §6.2.1 extension: `--comment "chronus deadline=<seconds>"` bounds
         // the choice to configurations whose measured runtime fits.
@@ -354,18 +369,18 @@ impl JobSubmitEco {
         }
 
         let mut span = self.tel.telemetry.span_under(ctx, "plugin", "predict");
-        if !class.is_empty() {
-            span.attr("node_class", &class);
+        if !class.name.is_empty() {
+            span.attr("node_class", &class.name);
         }
         let predict_ctx = span.context();
         match self.source.predict_traced(classed_system, bin_hash, Some(predict_ctx)) {
             Ok(config) => {
-                self.bump_class(&class, true);
+                class.hit.bump();
                 job.apply_config(&config);
                 Verdict::Applied
             }
             Err(e) => {
-                self.bump_class(&class, false);
+                class.miss.bump();
                 let reason = format!("chronus slurm-config failed: {e}");
                 span.fail(reason.clone());
                 Verdict::Error(reason)

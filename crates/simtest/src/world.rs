@@ -180,7 +180,8 @@ impl JobSubmitPlugin for StatsTap {
 
 /// A fresh directory for one run's staged settings, which the run
 /// removes when it ends. No two live runs may share one — the plugin
-/// re-reads `settings.json` on every submission, and the same `(name,
+/// checks `settings.json` on every submission (one `stat`, a re-read
+/// whenever another run's save has moved the stamp), and the same `(name,
 /// seed)` routinely runs twice at once (a sweep and a scenario test on
 /// parallel test threads of one process) — so the name carries a
 /// process-wide call counter beside the pid.

@@ -22,7 +22,7 @@ use eco_sim_node::cpu::CpuSpec;
 use eco_sim_node::power::CpuLoad;
 use eco_sim_node::thermal::ThermalAging;
 use eco_sim_node::{CpuConfig, SimNode};
-use eco_telemetry::{Telemetry, TraceContext};
+use eco_telemetry::{Counter, Telemetry, TraceContext};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -118,12 +118,28 @@ pub struct Cluster {
     /// of it, so draining nodes eventually fit it.
     pub(crate) starvation_guard: Option<SimDuration>,
     partitions: PartitionTable,
-    pub(crate) telemetry: Option<Arc<Telemetry>>,
+    pub(crate) tel: Option<ClusterTelemetry>,
     /// When set, nodes slow down as they accumulate busy hours (same
     /// power draw, fewer GFLOPS) — the drift the adaptation loop's
     /// outcome feed is built to notice. `None` preserves the historical
     /// ageless behaviour exactly.
     aging: Option<ThermalAging>,
+}
+
+/// Counter handles resolved once at [`Cluster::set_telemetry`] time, as
+/// the plugin host beside it does: the submit path and the scheduler
+/// pass — which counts per *candidate* — bump bare atomics.
+pub(crate) struct ClusterTelemetry {
+    telemetry: Arc<Telemetry>,
+    sbatch: Counter,
+    submissions: Counter,
+    submit_errors: Counter,
+    pub(crate) sched_dispatched: Counter,
+    pub(crate) sched_power_blocked: Counter,
+    pub(crate) sched_head_blocked: Counter,
+    pub(crate) sched_packed: Counter,
+    pub(crate) sched_backfilled: Counter,
+    pub(crate) sched_starvation_stall: Counter,
 }
 
 /// Resolution at which running jobs' utilization profiles are re-applied
@@ -161,7 +177,7 @@ impl Cluster {
             co_schedule: CoSchedulePolicy::default(),
             starvation_guard: None,
             partitions,
-            telemetry: None,
+            tel: None,
             aging: None,
         }
     }
@@ -205,8 +221,8 @@ impl Cluster {
     /// Replaces the plugin host (to adjust the submit-path time budget).
     pub fn set_plugin_host(&mut self, host: PluginHost) {
         self.plugins = host;
-        if let Some(t) = &self.telemetry {
-            self.plugins.set_telemetry(Arc::clone(t));
+        if let Some(t) = &self.tel {
+            self.plugins.set_telemetry(Arc::clone(&t.telemetry));
         }
     }
 
@@ -215,7 +231,18 @@ impl Cluster {
     /// scheduler's dispatch decisions bump `slurm.sched_*` counters.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.plugins.set_telemetry(Arc::clone(&telemetry));
-        self.telemetry = Some(telemetry);
+        self.tel = Some(ClusterTelemetry {
+            sbatch: telemetry.counter("slurm.sbatch"),
+            submissions: telemetry.counter("slurm.submissions"),
+            submit_errors: telemetry.counter("slurm.submit_errors"),
+            sched_dispatched: telemetry.counter("slurm.sched_dispatched"),
+            sched_power_blocked: telemetry.counter("slurm.sched_power_blocked"),
+            sched_head_blocked: telemetry.counter("slurm.sched_head_blocked"),
+            sched_packed: telemetry.counter("slurm.sched_packed"),
+            sched_backfilled: telemetry.counter("slurm.sched_backfilled"),
+            sched_starvation_stall: telemetry.counter("slurm.sched_starvation_stall"),
+            telemetry,
+        });
     }
 
     /// Installs an executable at a path; jobs reference it by path.
@@ -416,9 +443,9 @@ impl Cluster {
     /// Submits a batch script, expanding `#SBATCH --array=...` into one
     /// job per task index (`name_[i]`). Non-array scripts yield one job.
     pub fn sbatch_array(&mut self, script: &str, user: &str) -> Result<Vec<JobId>, SlurmError> {
-        let mut root = self.telemetry.as_ref().map(|t| {
-            t.counter("slurm.sbatch").bump();
-            let mut s = t.root_span("slurm", "sbatch");
+        let mut root = self.tel.as_ref().map(|t| {
+            t.sbatch.bump();
+            let mut s = t.telemetry.root_span("slurm", "sbatch");
             s.attr("user", user);
             s
         });
@@ -493,9 +520,9 @@ impl Cluster {
     /// under `parent` (or roots a fresh trace) and its context flows
     /// through the plugin chain and onward to any remote prediction.
     pub fn submit_traced(&mut self, desc: JobDescriptor, parent: Option<TraceContext>) -> Result<JobId, SlurmError> {
-        let mut span = self.telemetry.as_ref().map(|t| {
-            t.counter("slurm.submissions").bump();
-            let mut s = t.span_maybe_under(parent, "slurm", "submit");
+        let mut span = self.tel.as_ref().map(|t| {
+            t.submissions.bump();
+            let mut s = t.telemetry.span_maybe_under(parent, "slurm", "submit");
             s.attr("name", &desc.name);
             s
         });
@@ -508,8 +535,8 @@ impl Cluster {
                 }
             }
             Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.counter("slurm.submit_errors").bump();
+                if let Some(t) = &self.tel {
+                    t.submit_errors.bump();
                 }
                 if let Some(s) = span.take() {
                     s.fail(e.to_string());

@@ -151,20 +151,19 @@ impl Cluster {
     /// Bumps the `slurm.sched_*` counters of one admission decision.
     fn count(&self, admission: &Admission, pass: &Pass) {
         use {Admission::*, HoldReason::*};
-        let Some(telemetry) = &self.telemetry else { return };
-        let bump = |name| telemetry.counter(name).bump();
+        let Some(tel) = &self.tel else { return };
         match admission {
-            Start(_) | Pack(_) => bump("slurm.sched_dispatched"),
-            Hold(PowerCap, _) => bump("slurm.sched_power_blocked"),
-            Hold(Resources, _) => bump("slurm.sched_head_blocked"),
+            Start(_) | Pack(_) => tel.sched_dispatched.bump(),
+            Hold(PowerCap, _) => tel.sched_power_blocked.bump(),
+            Hold(Resources, _) => tel.sched_head_blocked.bump(),
             Hold(..) => {}
         }
         match admission {
-            Pack(_) => bump("slurm.sched_packed"),
-            Start(_) if pass.reservation.is_some() => bump("slurm.sched_backfilled"),
+            Pack(_) => tel.sched_packed.bump(),
+            Start(_) if pass.reservation.is_some() => tel.sched_backfilled.bump(),
             // only the starvation guard ends a pass on a job that does
             // not hold the reservation
-            Hold(PowerCap | Priority, true) => bump("slurm.sched_starvation_stall"),
+            Hold(PowerCap | Priority, true) => tel.sched_starvation_stall.bump(),
             _ => {}
         }
     }

@@ -32,6 +32,7 @@
 //! daemon incarnations whose counters must restart at zero) can append
 //! to one timeline, exactly like processes reporting to one collector.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -282,7 +283,11 @@ impl Histogram {
 // ---------------------------------------------------------------------------
 
 /// One closed span, as recorded. `attrs` entries are `key=value`
-/// strings; `outcome` is `"ok"` or an error description.
+/// strings; `outcome` is `"ok"` or an error description. `layer`, `name`
+/// and the `"ok"` outcome are literals at every call site, so they are
+/// carried borrowed — a closed span allocates for what it measured, not
+/// for what the source already spells; on the wire they are plain
+/// strings either way.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Trace this span belongs to.
@@ -293,15 +298,15 @@ pub struct TraceEvent {
     #[serde(default)]
     pub parent: Option<u64>,
     /// Which layer emitted it (`slurm`, `plugin`, `client`, `daemon`).
-    pub layer: String,
+    pub layer: Cow<'static, str>,
     /// What the span covers (`sbatch`, `attempt`, `handle`, ...).
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Clock reading at open (µs).
     pub start_us: u64,
     /// Clock reading at close (µs).
     pub end_us: u64,
     /// `"ok"` or an error description.
-    pub outcome: String,
+    pub outcome: Cow<'static, str>,
     /// `key=value` annotations.
     #[serde(default)]
     pub attrs: Vec<String>,
@@ -406,7 +411,7 @@ pub struct Span {
     id: SpanId,
     parent: Option<SpanId>,
     layer: &'static str,
-    name: String,
+    name: Cow<'static, str>,
     start_us: u64,
     attrs: Vec<String>,
     outcome: Option<String>,
@@ -425,7 +430,7 @@ impl Span {
     }
 
     /// Opens a child span under this one, on the same recorder/clock.
-    pub fn child(&self, layer: &'static str, name: impl Into<String>) -> Span {
+    pub fn child(&self, layer: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
         Span {
             recorder: Arc::clone(&self.recorder),
             clock: Arc::clone(&self.clock),
@@ -465,11 +470,11 @@ impl Drop for Span {
             trace: self.trace.0,
             span: self.id.0,
             parent: self.parent.map(|p| p.0),
-            layer: self.layer.to_string(),
+            layer: Cow::Borrowed(self.layer),
             name: std::mem::take(&mut self.name),
             start_us: self.start_us,
             end_us: self.clock.now_micros(),
-            outcome: self.outcome.take().unwrap_or_else(|| "ok".to_string()),
+            outcome: self.outcome.take().map_or(Cow::Borrowed("ok"), Cow::Owned),
             attrs: std::mem::take(&mut self.attrs),
         };
         self.recorder.append(event);
@@ -561,7 +566,7 @@ impl Telemetry {
     }
 
     /// Opens a root span, allocating a fresh trace.
-    pub fn root_span(&self, layer: &'static str, name: impl Into<String>) -> Span {
+    pub fn root_span(&self, layer: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
         let trace = self.recorder.new_trace();
         Span {
             recorder: Arc::clone(&self.recorder),
@@ -579,7 +584,7 @@ impl Telemetry {
 
     /// Opens a span under a propagated [`TraceContext`] — how a remote
     /// peer (or a layer handed a context) joins an existing trace.
-    pub fn span_under(&self, ctx: TraceContext, layer: &'static str, name: impl Into<String>) -> Span {
+    pub fn span_under(&self, ctx: TraceContext, layer: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
         Span {
             recorder: Arc::clone(&self.recorder),
             clock: Arc::clone(&self.clock),
@@ -596,7 +601,12 @@ impl Telemetry {
 
     /// Opens a span that joins `ctx` when present, or roots a fresh
     /// trace when absent (an untraced peer).
-    pub fn span_maybe_under(&self, ctx: Option<TraceContext>, layer: &'static str, name: impl Into<String>) -> Span {
+    pub fn span_maybe_under(
+        &self,
+        ctx: Option<TraceContext>,
+        layer: &'static str,
+        name: impl Into<Cow<'static, str>>,
+    ) -> Span {
         match ctx {
             Some(ctx) => self.span_under(ctx, layer, name),
             None => self.root_span(layer, name),
@@ -837,7 +847,7 @@ mod tests {
         }
         assert_eq!(recorder.dropped(), 1);
         let events = recorder.events();
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = events.iter().map(|e| &*e.name).collect();
         assert_eq!(names, vec!["b", "c"], "oldest event evicted first");
     }
 
@@ -882,6 +892,104 @@ mod tests {
         let events: Vec<TraceEvent> = serde_json::from_str(&serde_json::to_string(&v["events"]).unwrap()).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "sbatch");
+    }
+
+    /// The three span strings are carried borrowed since PR 20; what
+    /// leaves the process must not have noticed. The literals below were
+    /// printed by this same scenario at the commit before (`651375d`):
+    /// a root, an `ok` span with attrs, and a failed span with an owned
+    /// name — through `export_json`, `render_trace` and one serialized
+    /// `TraceEvent` each, which also parse back into the new types.
+    #[test]
+    fn exported_bytes_are_what_they_were_when_every_string_was_owned() {
+        let (clock, tel) = test_telemetry();
+        tel.counter("slurm.sbatch").bump();
+        let mut root = tel.root_span("slurm", "sbatch");
+        root.attr("user", "alice");
+        clock.advance(2);
+        let mut ok = root.child("plugin", "job_submit");
+        ok.attr("binary", "/opt/hpcg/bin/xhpcg");
+        ok.attr("outcome", "applied");
+        clock.advance(5);
+        let failed = tel.span_under(ok.context(), "client", format!("attempt-{}", 1));
+        clock.advance(7);
+        failed.fail("connect failed: \"refused\"");
+        drop(ok);
+        clock.advance(1);
+        let trace = root.trace_id();
+        drop(root);
+
+        const EVENTS: [&str; 3] = [
+            r#"{"trace":1,"span":3,"parent":2,"layer":"client","name":"attempt-1","start_us":7,"end_us":14,"outcome":"connect failed: \"refused\"","attrs":[]}"#,
+            r#"{"trace":1,"span":2,"parent":1,"layer":"plugin","name":"job_submit","start_us":2,"end_us":14,"outcome":"ok","attrs":["binary=/opt/hpcg/bin/xhpcg","outcome=applied"]}"#,
+            r#"{"trace":1,"span":1,"parent":null,"layer":"slurm","name":"sbatch","start_us":0,"end_us":15,"outcome":"ok","attrs":["user=alice"]}"#,
+        ];
+        const RENDERED: &str = "trace 00000001\n\
+            └─ slurm/sbatch 15µs ok user=alice\n   \
+            └─ plugin/job_submit 12µs ok binary=/opt/hpcg/bin/xhpcg outcome=applied\n      \
+            └─ client/attempt-1 7µs connect failed: \"refused\"\n";
+        const EXPORT: &str = r#"{
+  "counters": [
+    {
+      "name": "slurm.sbatch",
+      "value": 1
+    }
+  ],
+  "gauges": [],
+  "histograms": [],
+  "events_dropped": 0,
+  "events": [
+    {
+      "trace": 1,
+      "span": 3,
+      "parent": 2,
+      "layer": "client",
+      "name": "attempt-1",
+      "start_us": 7,
+      "end_us": 14,
+      "outcome": "connect failed: \"refused\"",
+      "attrs": []
+    },
+    {
+      "trace": 1,
+      "span": 2,
+      "parent": 1,
+      "layer": "plugin",
+      "name": "job_submit",
+      "start_us": 2,
+      "end_us": 14,
+      "outcome": "ok",
+      "attrs": [
+        "binary=/opt/hpcg/bin/xhpcg",
+        "outcome=applied"
+      ]
+    },
+    {
+      "trace": 1,
+      "span": 1,
+      "parent": null,
+      "layer": "slurm",
+      "name": "sbatch",
+      "start_us": 0,
+      "end_us": 15,
+      "outcome": "ok",
+      "attrs": [
+        "user=alice"
+      ]
+    }
+  ]
+}"#;
+        let events = tel.recorder().events();
+        assert_eq!(tel.export_json(), EXPORT);
+        assert_eq!(render_trace(&events, trace), RENDERED);
+        for (event, pinned) in events.iter().zip(EVENTS) {
+            assert_eq!(serde_json::to_string(event).unwrap(), pinned);
+            assert_eq!(&serde_json::from_str::<TraceEvent>(pinned).unwrap(), event);
+        }
+        // a literal is carried, not copied
+        assert!(matches!(events[2].layer, Cow::Borrowed("slurm")));
+        assert!(matches!(events[2].name, Cow::Borrowed("sbatch")));
+        assert!(matches!(events[2].outcome, Cow::Borrowed("ok")));
     }
 
     #[test]
