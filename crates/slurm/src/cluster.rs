@@ -140,6 +140,8 @@ pub(crate) struct ClusterTelemetry {
     pub(crate) sched_packed: Counter,
     pub(crate) sched_backfilled: Counter,
     pub(crate) sched_starvation_stall: Counter,
+    /// `slurm.sched_hold.<reason>`, by `HoldReason as usize`.
+    pub(crate) sched_hold: [Counter; 4],
 }
 
 /// Resolution at which running jobs' utilization profiles are re-applied
@@ -227,8 +229,9 @@ impl Cluster {
     }
 
     /// Attaches telemetry: every `sbatch` roots a trace whose spans
-    /// cover parsing, submission and each plugin call, and the
-    /// scheduler's dispatch decisions bump `slurm.sched_*` counters.
+    /// cover parsing, submission and each plugin call, the scheduler's
+    /// dispatch decisions bump `slurm.sched_*` counters, and every pass
+    /// adds the jobs it leaves pending to `slurm.sched_hold.<reason>`.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.plugins.set_telemetry(Arc::clone(&telemetry));
         self.tel = Some(ClusterTelemetry {
@@ -241,6 +244,8 @@ impl Cluster {
             sched_packed: telemetry.counter("slurm.sched_packed"),
             sched_backfilled: telemetry.counter("slurm.sched_backfilled"),
             sched_starvation_stall: telemetry.counter("slurm.sched_starvation_stall"),
+            sched_hold: ["begin_time", "resources", "priority", "power_cap"]
+                .map(|reason| telemetry.counter(&format!("slurm.sched_hold.{reason}"))),
             telemetry,
         });
     }
@@ -345,14 +350,18 @@ impl Cluster {
 
     /// The single electrical configuration standing in for every job on a
     /// node: cores sum (clamped to the package), the fastest requested
-    /// frequency, the widest SMT setting. Exact for the common exclusive
-    /// allocation; a slight over-estimate for packed jobs at different
-    /// frequencies, which errs on the safe side of a power cap.
-    fn combined_config(spec: &CpuSpec, configs: &[CpuConfig]) -> CpuConfig {
-        let cores = configs.iter().map(|c| c.cores).sum::<u32>().min(spec.cores).max(1);
-        let frequency_khz = configs.iter().map(|c| c.frequency_khz).max().unwrap_or_else(|| spec.max_frequency());
-        let threads_per_core = configs.iter().map(|c| c.threads_per_core).max().unwrap_or(1);
-        CpuConfig { cores, frequency_khz, threads_per_core }
+    /// frequency, the widest SMT setting; `None` for no job at all. Exact
+    /// for the common exclusive allocation; a slight over-estimate for
+    /// packed jobs at different frequencies, which errs on the safe side
+    /// of a power cap.
+    fn combined_config(spec: &CpuSpec, configs: impl Iterator<Item = CpuConfig>) -> Option<CpuConfig> {
+        configs
+            .reduce(|a, b| CpuConfig {
+                cores: a.cores + b.cores,
+                frequency_khz: a.frequency_khz.max(b.frequency_khz),
+                threads_per_core: a.threads_per_core.max(b.threads_per_core),
+            })
+            .map(|sum| CpuConfig { cores: sum.cores.min(spec.cores).max(1), ..sum })
     }
 
     /// The load a node is committed to at full activity: the combined
@@ -361,11 +370,8 @@ impl Cluster {
     /// the planning view power-cap admission sums over.
     pub(crate) fn planned_load(&self, idx: usize, joining: Option<CpuConfig>) -> CpuLoad {
         let d = &self.daemons[idx];
-        let configs: Vec<CpuConfig> = d.running.iter().map(|r| r.config).chain(joining).collect();
-        if configs.is_empty() {
-            return CpuLoad::idle(d.node.spec());
-        }
-        CpuLoad::busy(Self::combined_config(d.node.spec(), &configs))
+        let configs = d.running.iter().map(|r| r.config).chain(joining);
+        Self::combined_config(d.node.spec(), configs).map_or_else(|| CpuLoad::idle(d.node.spec()), CpuLoad::busy)
     }
 
     /// Estimated steady-state system power of one node under its planned
@@ -631,6 +637,8 @@ impl Cluster {
             self.fire_due_events();
             self.schedule();
         }
+        // not redundant: a job held before a placement of the last pass
+        // may pack onto the host that placement made busy (sched.rs)
         self.schedule();
     }
 
@@ -742,9 +750,9 @@ impl Cluster {
             // one electrical load stands in for every resident job:
             // combined configuration, core-weighted mean utilization
             let now = daemon.node.now();
-            let configs: Vec<CpuConfig> = daemon.running.iter().map(|r| r.config).collect();
-            let combined = Self::combined_config(daemon.node.spec(), &configs);
-            let weight_total: f64 = configs.iter().map(|c| c.cores as f64).sum();
+            let combined = Self::combined_config(daemon.node.spec(), daemon.running.iter().map(|r| r.config))
+                .expect("a busy node has residents");
+            let weight_total: f64 = daemon.running.iter().map(|r| r.config.cores as f64).sum();
             let utilization = daemon
                 .running
                 .iter()

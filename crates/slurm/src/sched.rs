@@ -5,10 +5,19 @@
 //! [`Cluster::admit`] — the only function that knows the policy stages
 //! and their order — answers: `Start`, `Pack`, or `Hold` with a typed
 //! [`HoldReason`]; [`Cluster::place`] is the only way a job starts
-//! running. Priorities are read once per job, before the sort; every
-//! budget comparison still re-sums `estimated_power_w()`, although it
-//! can only change at a placement (DESIGN.md §13 says what that waits
-//! for).
+//! running. Priorities are read once per job, before the sort. Under a
+//! power cap the pass holds `estimated_power_w()` — summed when it
+//! begins, re-summed in node order after each placement, the only thing
+//! that moves it — and every budget comparison reads the held value; an
+//! uncapped pass computes none.
+//!
+//! Two traps, both measured. The estimate is good for one pass and no
+//! longer: it prices every node at its *current* package temperature,
+//! which `step_nodes` moves, so nothing derived from the power model is
+//! kept on the `Cluster`. And the pass `Cluster::advance` runs after its
+//! last step is not redundant: a job held before a placement may pack
+//! onto the host that placement just made busy, and without that pass
+//! `tests/scheduler_trace.rs` moves.
 
 use crate::cluster::{Cluster, CoSchedulePolicy, RunningJob};
 use crate::job::{Job, JobId, JobState};
@@ -57,6 +66,12 @@ struct Pass {
     /// Idle, undrained nodes no earlier job of this pass has taken.
     free: Vec<usize>,
     reservation: Option<Reservation>,
+    /// `estimated_power_w()` as of this pass's last placement, the only
+    /// thing that moves it within a pass; `None` on an uncapped cluster,
+    /// which compares nothing against it.
+    estimate_w: Option<f64>,
+    /// Jobs this pass leaves pending, by `HoldReason as usize`.
+    held: [u32; 4],
 }
 
 /// Jobs whose arithmetic intensities fall on opposite sides of this
@@ -80,6 +95,8 @@ impl Cluster {
                 .filter(|&i| self.daemons[i].running.is_empty() && !self.daemons[i].drained)
                 .collect(),
             reservation: None,
+            estimate_w: self.power_cap_w.map(|_| self.estimated_power_w()),
+            held: [0; 4],
         };
         let mut queue = order.into_iter().map(|(_, id)| id);
         for id in queue.by_ref() {
@@ -89,6 +106,7 @@ impl Cluster {
                 Admission::Start(nodes) => nodes,
                 Admission::Pack(host) => vec![host],
                 Admission::Hold(reason, ends_pass) => {
+                    pass.held[reason as usize] += 1;
                     self.jobs.get_mut(&id).expect("pending job is tracked").reason = Some(reason);
                     if ends_pass {
                         break;
@@ -98,12 +116,22 @@ impl Cluster {
             };
             pass.free.retain(|n| !nodes.contains(n));
             self.place(id, &nodes);
+            // the same in-order re-sum, so the float every later
+            // comparison reads is the one a fresh call would return
+            pass.estimate_w = pass.estimate_w.map(|_| self.estimated_power_w());
         }
         // jobs the pass ended before reaching wait behind the one that ended it
         for id in queue {
+            pass.held[HoldReason::Priority as usize] += 1;
             self.jobs.get_mut(&id).expect("pending job is tracked").reason = Some(HoldReason::Priority);
         }
+        if let Some(tel) = &self.tel {
+            for (counter, n) in tel.sched_hold.iter().zip(pass.held).filter(|&(_, n)| n > 0) {
+                counter.add(n.into());
+            }
+        }
         self.pending.retain(|id| self.jobs[id].state == JobState::Pending);
+        debug_assert_eq!(pass.held.iter().sum::<u32>() as usize, self.pending.len(), "one reason per pending job");
     }
 
     /// The admission decision for one job, stage by stage: begin time →
@@ -128,7 +156,7 @@ impl Cluster {
         // a packed job consumes no free node, so it can never delay the
         // reservation and is tried before the window
         if need == 1 && self.co_schedule == CoSchedulePolicy::Pack {
-            if let Some(host) = self.pack_host(job, partition) {
+            if let Some(host) = self.pack_host(job, partition, pass) {
                 return Admission::Pack(host);
             }
         }
@@ -140,7 +168,7 @@ impl Cluster {
                 return Admission::Hold(HoldReason::Resources, !self.backfill_enabled);
             }
             HoldReason::Priority
-        } else if self.within_budget(job, &eligible[..need]) {
+        } else if self.within_budget(job, &eligible[..need], pass) {
             return Admission::Start(eligible[..need].to_vec());
         } else {
             HoldReason::PowerCap
@@ -173,10 +201,13 @@ impl Cluster {
     /// is charged what it would *additionally* draw — its planned power
     /// with the new job minus without (busy-minus-idle on an empty node)
     /// — with the configuration resolved against *that node's* spec, so
-    /// mixed-class partitions are charged correctly.
-    fn within_budget(&self, job: &Job, nodes: &[usize]) -> bool {
+    /// mixed-class partitions are charged correctly. The aggregate is the
+    /// pass's held estimate, not a re-sum per comparison.
+    fn within_budget(&self, job: &Job, nodes: &[usize], pass: &Pass) -> bool {
+        let (Some(cap), Some(estimate_w)) = (self.power_cap_w, pass.estimate_w) else { return true };
+        debug_assert_eq!(estimate_w.to_bits(), self.estimated_power_w().to_bits(), "the held estimate went stale");
         // the budget is the cap minus the configured drift headroom
-        let Some(budget) = self.power_cap_w.map(|cap| cap - self.power_headroom_w) else { return true };
+        let budget = cap - self.power_headroom_w;
         let marginal: f64 = nodes
             .iter()
             .map(|&i| {
@@ -184,7 +215,7 @@ impl Cluster {
                 self.planned_power_w(i, Some(joining)) - self.planned_power_w(i, None)
             })
             .sum();
-        self.estimated_power_w() + marginal <= budget
+        estimate_w + marginal <= budget
     }
 
     /// Finds a host node for packing `job` next to running jobs: the node
@@ -193,7 +224,7 @@ impl Cluster {
     /// residents (opposite side of the arithmetic-intensity ridge), and
     /// the packed marginal power must fit the budget. Returns the first
     /// such node.
-    fn pack_host(&self, job: &Job, partition: &Partition) -> Option<usize> {
+    fn pack_host(&self, job: &Job, partition: &Partition, pass: &Pass) -> Option<usize> {
         let memory_bound = |ai: f64| ai < PACK_AI_RIDGE;
         let mine = memory_bound(self.registry[&job.descriptor.binary_path].arithmetic_intensity());
         (0..self.daemons.len()).find(|&idx| {
@@ -204,7 +235,7 @@ impl Cluster {
             let config = job.descriptor.resolve_config(d.node.spec());
             d.busy_cores() + config.cores <= d.node.spec().cores
                 && d.running.iter().all(|r| memory_bound(r.workload.arithmetic_intensity()) != mine)
-                && self.within_budget(job, &[idx])
+                && self.within_budget(job, &[idx], pass)
         })
     }
 
@@ -281,7 +312,8 @@ mod tests {
     use super::*;
     use crate::cluster::tests::{cluster, desc, quick_workload};
     use crate::job::JobDescriptor;
-    use eco_hpcg::workload::{ScalingKind, SyntheticWorkload};
+    use eco_hpcg::workload::{ScalingKind, SyntheticWorkload, Workload};
+    use eco_sim_node::thermal::ThermalAging;
     use eco_sim_node::SimNode;
     use eco_telemetry::Telemetry;
     use std::sync::Arc;
@@ -393,6 +425,29 @@ mod tests {
         assert!(c.run_until_idle(SimDuration::from_mins(5)));
     }
 
+    /// The estimate a pass holds must follow its own placements: the
+    /// second job fits beside two *idle* nodes and not beside the busy
+    /// one the first job just made.
+    #[test]
+    fn a_placement_mid_pass_tightens_the_budget_for_the_next_candidate() {
+        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
+        c.register_binary("/bin/app", quick_workload(800.0));
+        // a cap nothing fits under leaves both jobs pending ...
+        c.set_power_cap(Some(1.0));
+        let a = c.submit(desc(32)).unwrap();
+        let b = c.submit(desc(32)).unwrap();
+        let idle_w = c.estimated_power_w();
+        // ... so that one pass, under a cap for one busy node beside one
+        // idle, meets both
+        c.set_power_cap(Some(400.0));
+        c.advance(SimDuration(1));
+        assert_eq!(c.job(a).unwrap().state, JobState::Running);
+        let marginal_w = c.estimated_power_w() - idle_w;
+        assert!(idle_w + marginal_w <= 400.0, "b fits under the estimate the pass began with");
+        assert!(c.estimated_power_w() + marginal_w > 400.0, "and not under the one a's placement left");
+        assert_eq!(c.job(b).unwrap().reason, Some(HoldReason::PowerCap), "{}", c.squeue());
+    }
+
     #[test]
     fn generous_power_cap_allows_parallelism() {
         let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
@@ -449,6 +504,31 @@ mod tests {
         for id in [a, b] {
             assert!(c.accounting().get(id).unwrap().system_energy_j > 0.0);
         }
+    }
+
+    /// Aging and packing meet in `place`: a packed job's runtime is its
+    /// whole work over the host's *derated* rate, rounded once.
+    #[test]
+    fn a_job_packed_onto_an_aged_host_runs_at_the_derated_rate() {
+        let mut c = cluster();
+        c.set_co_schedule(CoSchedulePolicy::Pack);
+        c.set_thermal_aging(Some(ThermalAging { rate_per_hour: 0.1, floor: 0.5 }));
+        c.age_nodes(3.0);
+        let stream: Arc<dyn Workload> =
+            Arc::new(SyntheticWorkload::new("stream", ScalingKind::MemoryBound, 50.0, 1.0));
+        c.register_binary("/bin/stream", Arc::clone(&stream));
+        let _a = c.submit(desc(16)).unwrap();
+        // read before the packed job adds its own busy seconds to the host
+        let derate = c.thermal_derate(0, 2_500_000);
+        assert!(derate < 1.0, "three busy hours derate the top DVFS step: {derate}");
+        let mut s = JobDescriptor::new("s", "bob", "/bin/stream");
+        s.num_tasks = 8;
+        let b = c.submit(s).unwrap();
+        let packed = c.daemons[0].running.iter().find(|r| r.id == b).expect("packs onto the busy aged host");
+        assert_eq!(packed.config.frequency_khz, 2_500_000);
+        let law = SimDuration::from_secs_f64(stream.total_gflop() / (stream.gflops(&packed.config) * derate));
+        assert_eq!(packed.end - packed.start, law);
+        assert!(law > stream.duration(&packed.config), "slower than on a new host");
     }
 
     #[test]
@@ -539,6 +619,11 @@ mod tests {
             c.squeue()
         );
         assert!(telemetry.counter("slurm.sched_starvation_stall").get() > 0);
+        // each reason under its own name: the starved job in every pass
+        // so far, the young one behind it in the last
+        let held = ["begin_time", "resources", "priority", "power_cap"]
+            .map(|reason| telemetry.counter(&format!("slurm.sched_hold.{reason}")).get());
+        assert!(held[0] == 0 && held[1] == 0 && held[2] == 1 && held[3] > 1, "{held:?}");
         // without the guard the young job would have been admitted
         c.set_starvation_guard(None);
         c.advance(SimDuration(1));

@@ -110,9 +110,20 @@ fn the_dispatch_sequence_of_a_capped_two_class_run_is_pinned() {
     let mut ids: Vec<JobId> = Vec::with_capacity(JOBS);
     // arrivals come in bursts, so the queue gets deep and every submit
     // runs a pass over it
+    let held = || -> u64 {
+        ["begin_time", "resources", "priority", "power_cap"]
+            .iter()
+            .map(|reason| telemetry.counter(&format!("slurm.sched_hold.{reason}")).get())
+            .sum()
+    };
     for i in 0..JOBS {
         let d = job(i, &mut rng, &classes, &cluster);
+        let held_before = held();
         ids.push(cluster.submit(d).expect("every generated job is satisfiable"));
+        // a submission runs one pass, and a pass holds every job it
+        // leaves pending for exactly one reason
+        let pending = ids.iter().filter(|&&id| cluster.job(id).expect("tracked").state == JobState::Pending).count();
+        assert_eq!(held() - held_before, pending as u64, "slurm.sched_hold.* after job {i}'s pass");
         if rng.gen_bool(0.25) {
             for _ in 0..rng.gen_range(1..6u32) {
                 cluster.advance(SimDuration::from_secs(1));
