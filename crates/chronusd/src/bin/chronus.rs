@@ -1,5 +1,9 @@
 //! The `chronus` command-line interface, runnable against the simulated
-//! SR650 testbed (the paper's §3.3 CLI, end to end).
+//! SR650 testbed (the paper's §3.3 CLI, end to end). `chronus --help`
+//! lists the commands and `chronus <command> --help` every argument with
+//! its type and default; both are rendered from the one table
+//! ([`chronus::cli`]) that also parses and dispatches, and to which this
+//! file adds the daemon-era rows.
 //!
 //! State (database, blob storage, settings, staged models) persists in
 //! `$CHRONUS_HOME` (default `./chronus-home`), so the paper's workflow
@@ -9,56 +13,47 @@
 //! chronus benchmark /opt/hpcg/bin/xhpcg --configurations configs.json
 //! chronus init-model --model random-tree --system 1
 //! chronus load-model --model 1
-//! chronus slurm-config <SYSTEM_HASH> <BINARY_HASH>
+//! chronus slurm-config 0x1a2b 0x3c4d
 //! chronus set state active
 //! ```
 //!
-//! Daemon-era commands extend the workflow:
+//! `serve` runs chronusd over this `$CHRONUS_HOME`'s staged model;
+//! `--remote` answers the prediction from a running daemon instead of
+//! reading the staged model in-process. Everywhere an address is accepted,
+//! a comma-separated list names a replicated fleet: the client routes each
+//! prediction key over a consistent-hash ring and fails over when a
+//! replica goes dark. Endpoints take URI schemes — `tcp://host:port` (also
+//! bare `host:port`) and `shm://path` for a same-host daemon's
+//! shared-memory ring, which the client prefers when one is healthy:
 //!
 //! ```text
-//! chronus serve --addr 127.0.0.1:4517 --workers 4 --cache-cap 64 [--fleet 3] [--store DIR] [--sync-from ADDR] [--shm PATH]
-//! chronus slurm-config --remote 127.0.0.1:4517[,127.0.0.1:4518,...] <SYSTEM_HASH> <BINARY_HASH>
-//! chronus stats --remote 127.0.0.1:4517[,...] [--all-replicas]
-//! chronus trace job.sh [--user alice] [--remote 127.0.0.1:4517]
-//! chronus models list|show GEN|verify|rollback GEN --store DIR [--rollout ADDR[,...] --quorum N]
+//! chronus serve --addr 127.0.0.1:4517 --fleet 3 --store /var/lib/chronus/store
+//! chronus slurm-config --remote shm:///run/chronusd.shm,127.0.0.1:4517 0x1a2b 0x3c4d
+//! chronus stats --remote 127.0.0.1:4517,127.0.0.1:4518 --all-replicas
+//! chronus trace job.sh --user alice --remote 127.0.0.1:4517
+//! chronus models rollback 1 --store /var/lib/chronus/store --rollout 127.0.0.1:4517
 //! ```
-//!
-//! Everywhere an address is accepted, a comma-separated list names a
-//! replicated fleet: the client routes each prediction key over a
-//! consistent-hash ring and fails over when a replica goes dark.
-//! Endpoints take URI schemes — `tcp://host:port` (also bare
-//! `host:port`) and `shm://path` for a same-host daemon's
-//! shared-memory ring, which the client prefers when one is healthy:
-//! `--remote shm:///run/chronusd.shm,127.0.0.1:4517`.
 //!
 //! The campaign engine automates the whole loop — adaptive sweep,
 //! journaled trials, model rebuild, hot rollout into a running daemon:
 //!
 //! ```text
-//! chronus campaign run [--plan halving|brute-force] [--nodes 4] [--rollout 127.0.0.1:4517[,...]] [--quorum N]
+//! chronus campaign run --plan halving --nodes 4 --rollout 127.0.0.1:4517,127.0.0.1:4518 --quorum 2
 //! chronus campaign status
 //! chronus campaign resume
 //! ```
-//!
-//! `serve` runs chronusd over this `$CHRONUS_HOME`'s staged model;
-//! `--remote` answers the prediction from a running daemon instead of
-//! reading the staged model in-process. `stats` renders a daemon's
-//! telemetry counters and latency percentiles. `trace` submits an
-//! sbatch script to the simulated testbed with tracing attached and
-//! prints the resulting span tree — parse, plugin decision, prediction
-//! and (with `--remote`) every client attempt against the daemon.
 //!
 //! The benchmark command drives a freshly booted simulated cluster; the
 //! simulated HPCG run length can be scaled with `$CHRONUS_SCALE`
 //! (default 0.02 of the paper's 18.5-minute run, for a snappy CLI).
 
 use chronus::application::Chronus;
-use chronus::cli::{run_command, CliContext};
+use chronus::cli::{self, Arg, Args, CliContext, Command, Handler, Invocation};
 use chronus::integrations::hpcg_runner::HpcgRunner;
 use chronus::integrations::monitoring::{IpmiService, LscpuInfo};
 use chronus::integrations::record_store::RecordStore;
 use chronus::integrations::storage::{EtcStorage, LocalBlobStore};
-use chronus::interfaces::{ApplicationRunner, LocalStorage, SystemInfoProvider};
+use chronus::interfaces::{ApplicationRunner, LocalStorage};
 use chronus::presenter;
 use chronus::remote::{CallOptions, PredictClient, RemotePrediction};
 use chronus::telemetry::{render_trace, Telemetry, TraceId};
@@ -69,66 +64,229 @@ use chronusd::campaign::{
 use chronusd::store::{LedgerRecord, ModelStore, ProvenanceSource};
 use chronusd::{PredictServer, ServerConfig, StorageBackend};
 use eco_hpcg::perf_model::PerfModel;
-use eco_hpcg::workload::{HpcgWorkload, Workload, PAPER_STANDARD_RUNTIME_S};
+use eco_hpcg::workload::{HpcgWorkload, PAPER_STANDARD_RUNTIME_S};
 use eco_plugin::JobSubmitEco;
 use eco_sim_node::cpu::CpuSpec;
 use eco_sim_node::SimNode;
 use eco_slurm_sim::Cluster;
 use std::sync::Arc;
+use {cli::Kind::*, cli::Need::*, Handler::Standalone};
 
-fn flag_value<'a>(argv: &[&'a str], flag: &str) -> Option<&'a str> {
-    argv.iter().position(|a| *a == flag).and_then(|i| argv.get(i + 1).copied())
+type Outcome = Result<String, String>;
+
+const ENDPOINTS: &str = "One daemon, or a comma-separated fleet: host:port, tcp://host:port, shm://path";
+const REMOTE: Arg =
+    Arg::new("--remote", Endpoints, Optional, "Ask this daemon (or fleet) instead of the staged model");
+const STATS_REMOTE: Arg = Arg { need: Required, help: ENDPOINTS, ..REMOTE };
+const ALL_REPLICAS: Arg =
+    Arg::new("--all-replicas", Switch, Optional, "Query every replica, also of a single endpoint");
+const ADDR: Arg =
+    Arg::new("--addr", Str, Default("127.0.0.1:4517"), "host:port to listen on; port 0 asks for any free one");
+const WORKERS: Arg = Arg::new("--workers", Usize, Default("4"), "Worker threads per replica");
+const CACHE_CAP: Arg = Arg::new("--cache-cap", Usize, Default("64"), "Resident models per replica");
+const FLEET: Arg = Arg::new("--fleet", Usize, Default("1"), "Replicas r0, r1, ... on consecutive ports; at least 1");
+const STORE: Arg =
+    Arg::new("--store", Str, Optional, "Model store directory: replicas catch up from it, campaigns commit to it");
+const MODELS_STORE: Arg = Arg { need: Required, help: "Model store directory", ..STORE };
+const SYNC_FROM: Arg =
+    Arg::new("--sync-from", Str, Optional, "Ring peer to pull missing committed models from at boot");
+const SHM: Arg = Arg::new(
+    "--shm",
+    Str,
+    Optional,
+    "Also serve a shared-memory ring at this path; replica i of a fleet at PATH.r<i>",
+);
+const SCRIPT: Arg = Arg::new("SCRIPT", Str, Required, "The sbatch script to submit");
+const USER: Arg = Arg::new("--user", Str, Default("operator"), "Submitting user");
+const PLAN: Arg = Arg::new("--plan", OneOf(&["halving", "brute-force"]), Default("halving"), "Sweep strategy");
+const SEED: Arg = Arg::new("--seed", U64, Default("42"), "Campaign seed");
+const NODE_CLASS: Arg =
+    Arg::new("--node-class", Str, Optional, "Hardware class to characterise; the model commits under its key");
+const NODES: Arg = Arg::new("--nodes", Usize, Default("4"), "Simulated nodes to run on; at least 1");
+const MAX_TRIALS: Arg =
+    Arg::new("--max-trials", Usize, Optional, "Interrupt after this many trials; resume continues");
+const CAMPAIGN_MODEL: Arg = Arg::new("--model", Str, Default("brute-force"), "Optimizer type to rebuild and stage");
+const ROLLOUT: Arg = Arg::new("--rollout", Endpoints, Optional, ENDPOINTS);
+const QUORUM: Arg =
+    Arg::new("--quorum", Usize, Optional, "Replicas that must commit a fleet rollout (default: a majority)");
+const GEN: Arg = Arg::new("GEN", U64, Required, "A committed generation");
+const REASON: Arg = Arg::new("--reason", Str, Default("operator rollback"), "Recorded in the ledger");
+
+/// The whole `chronus` table: the five paper commands, then the daemon era
+/// (`pub` for `tests/cli_table.rs`, which includes this file to walk it).
+pub const CHRONUS: Command = cli::root(&[
+    cli::BENCHMARK,
+    cli::INIT_MODEL,
+    cli::LOAD_MODEL,
+    Command {
+        args: &[cli::SYSTEM_HASH, cli::BINARY_HASH, REMOTE],
+        run: Standalone(cmd_slurm_config),
+        ..cli::SLURM_CONFIG
+    },
+    cli::SET,
+    Command {
+        name: "serve",
+        about: "Runs chronusd over this home's staged model until killed.",
+        args: &[ADDR, WORKERS, CACHE_CAP, FLEET, STORE, SYNC_FROM, SHM],
+        run: Standalone(cmd_serve),
+    },
+    Command {
+        name: "stats",
+        about: "Renders a daemon's counters and latency percentiles.",
+        args: &[STATS_REMOTE, ALL_REPLICAS],
+        run: Standalone(cmd_stats),
+    },
+    Command {
+        name: "trace",
+        about: "Submits an sbatch script to the testbed and prints its span tree.",
+        args: &[SCRIPT, USER, REMOTE],
+        run: Standalone(cmd_trace),
+    },
+    Command {
+        name: "campaign",
+        about: "The adaptive, journaled benchmark campaign.",
+        args: &[],
+        run: Handler::Group {
+            usage: "<SUBCOMMAND> [ARGS]",
+            heading: "Subcommands",
+            subs: &[
+                Command {
+                    name: "run",
+                    about: "Starts a campaign, or continues the journaled one.",
+                    args: &[PLAN, SEED, NODE_CLASS, NODES, MAX_TRIALS, CAMPAIGN_MODEL, STORE, ROLLOUT, QUORUM],
+                    run: Standalone(|args| campaign_drive(args, false)),
+                },
+                Command {
+                    name: "resume",
+                    about: "Continues the journaled campaign; an error without one.",
+                    args: &[NODES, MAX_TRIALS, CAMPAIGN_MODEL, STORE, ROLLOUT, QUORUM],
+                    run: Standalone(|args| campaign_drive(args, true)),
+                },
+                Command {
+                    name: "status",
+                    about: "Summarizes the journal without running anything.",
+                    args: &[],
+                    run: Standalone(campaign_status),
+                },
+            ],
+        },
+    },
+    Command {
+        name: "models",
+        about: "Audits and operates the durable model store; touches no daemon memory.",
+        args: &[],
+        run: Handler::Group {
+            usage: "<SUBCOMMAND> [ARGS]",
+            heading: "Subcommands",
+            subs: &[
+                Command {
+                    name: "list",
+                    about: "The ledger with lineage and provenance; * marks the serving record.",
+                    args: &[MODELS_STORE],
+                    run: Standalone(models_list),
+                },
+                Command {
+                    name: "show",
+                    about: "One record and its blob's verification state.",
+                    args: &[GEN, MODELS_STORE],
+                    run: Standalone(models_show),
+                },
+                Command {
+                    name: "verify",
+                    about: "Exits 1 iff a committed generation fails hash verification.",
+                    args: &[MODELS_STORE],
+                    run: Standalone(models_verify),
+                },
+                Command {
+                    name: "rollback",
+                    about: "Appends a rollback to the ledger and restores that model on a fleet.",
+                    args: &[GEN, MODELS_STORE, REASON, ROLLOUT, QUORUM],
+                    run: Standalone(models_rollback),
+                },
+            ],
+        },
+    },
+    Command {
+        name: "hashes",
+        about: "Prints the system and binary hashes the plugin passes to slurm-config.",
+        args: &[],
+        run: Handler::Testbed(|ctx, _| {
+            let (system, binary) = (ctx.info.system_hash(ctx.cluster), ctx.runner.binary_hash());
+            Ok(format!("system hash: {system}\nbinary hash: {binary}\n"))
+        }),
+    },
+]);
+
+fn home() -> String {
+    std::env::var("CHRONUS_HOME").unwrap_or_else(|_| "./chronus-home".to_string())
 }
 
-fn parse_hash(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
+/// The simulated HPCG run's work: the paper's 18.5 minutes × `$CHRONUS_SCALE`.
+fn full_work_gflop() -> f64 {
+    let scale: f64 = std::env::var("CHRONUS_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(0.02);
+    let perf = PerfModel::sr650();
+    perf.gflops(&perf.standard_config()) * PAPER_STANDARD_RUNTIME_S * scale
 }
 
-/// Builds a client from a `--remote`/`--rollout` value: one `host:port`,
-/// or a comma-separated list for a replicated fleet.
-fn client_for(addrs: &str) -> PredictClient {
+/// Boots the single-node testbed with the HPCG runner installed.
+fn boot() -> (Cluster, HpcgRunner) {
+    let mut cluster = Cluster::single_node(SimNode::sr650());
+    let workload = Arc::new(HpcgWorkload::with_work(Arc::new(PerfModel::sr650()), full_work_gflop(), 104));
+    let runner = HpcgRunner::install(&mut cluster, "/opt/hpcg/bin/xhpcg", workload);
+    (cluster, runner)
+}
+
+fn open_app(home: &str) -> Result<Chronus, String> {
+    Ok(Chronus::new(
+        Box::new(RecordStore::open(format!("{home}/database/data.db")).map_err(|e| e.to_string())?),
+        Box::new(LocalBlobStore::new(format!("{home}/optimizers")).map_err(|e| e.to_string())?),
+        Box::new(EtcStorage::new(home)),
+    ))
+}
+
+/// Runs a testbed command: boots the cluster and opens the application.
+fn on_testbed(run: impl FnOnce(&mut CliContext<'_>) -> chronus::Result<String>) -> Outcome {
+    let (mut cluster, runner) = boot();
+    let (mut app, mut sampler, info) = (open_app(&home())?, IpmiService::new(0, 0xc11), LscpuInfo::new(0));
+    let mut ctx = CliContext {
+        app: &mut app,
+        cluster: &mut cluster,
+        runner: &runner,
+        sampler: &mut sampler,
+        info: &info,
+        now_ms: 0,
+    };
+    run(&mut ctx).map_err(|e| e.to_string())
+}
+
+/// Builds a client from a `--remote`/`--rollout` value.
+fn client_for(endpoints: &str) -> Result<PredictClient, String> {
     PredictClient::builder()
-        .endpoints(addrs.split(',').map(str::trim).filter(|a| !a.is_empty()))
+        .endpoints(endpoints.split(',').map(str::trim).filter(|a| !a.is_empty()))
         .build()
-        .unwrap_or_else(|e| {
-            eprintln!("chronus: bad endpoint list '{addrs}': {e}");
-            std::process::exit(1);
-        })
+        .map_err(|e| format!("bad endpoint list '{endpoints}': {e}"))
 }
 
-/// `chronus serve`: run chronusd over this home's staged model until
-/// killed. `--fleet N` starts N replicas on consecutive ports, each
-/// with its own identity (`r0`, `r1`, ...) stamped on `Stats` answers;
-/// point clients at the comma-separated list it prints. `--store DIR`
-/// attaches the durable model store: every replica catches up from it
-/// at boot (blob-verified, zero Preload traffic) before accepting
-/// connections. `--sync-from ADDR` additionally pulls committed models
-/// a fresh replica is missing from a running ring peer. `--shm PATH`
-/// additionally serves a shared-memory ring at PATH for same-host
-/// clients (dial `shm://PATH`); with `--fleet N`, replica `i` serves
-/// `PATH.r<i>`.
-fn cmd_serve(home: &str, argv: &[&str]) -> ! {
+/// `chronus serve`: every replica catches up from `--store` (blob-verified,
+/// zero Preload traffic) and `--sync-from` before it accepts connections.
+fn cmd_serve(args: &Args) -> Outcome {
+    let size = |arg| args.size(arg).expect("declared with a default");
+    let text = |arg| args.get(arg).map(str::to_string);
     let base = ServerConfig {
-        addr: flag_value(argv, "--addr").unwrap_or("127.0.0.1:4517").to_string(),
-        workers: flag_value(argv, "--workers").and_then(|v| v.parse().ok()).unwrap_or(4),
-        cache_cap: flag_value(argv, "--cache-cap").and_then(|v| v.parse().ok()).unwrap_or(64),
-        store_dir: flag_value(argv, "--store").map(str::to_string),
-        sync_from: flag_value(argv, "--sync-from").map(str::to_string),
-        shm_path: flag_value(argv, "--shm").map(str::to_string),
+        addr: args[&ADDR].to_string(),
+        workers: size(&WORKERS),
+        cache_cap: size(&CACHE_CAP),
+        store_dir: text(&STORE),
+        sync_from: text(&SYNC_FROM),
+        shm_path: text(&SHM),
         ..ServerConfig::default()
     };
-    let fleet: usize = flag_value(argv, "--fleet").and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-    let (host, port) = match base.addr.rsplit_once(':').and_then(|(h, p)| p.parse::<u16>().ok().map(|p| (h, p))) {
-        Some(split) => split,
-        None => {
-            eprintln!("chronus serve: bad --addr '{}' (expected host:port)", base.addr);
-            std::process::exit(1);
-        }
-    };
+    let fleet = size(&FLEET).max(1);
+    let (host, port) = base
+        .addr
+        .rsplit_once(':')
+        .and_then(|(h, p)| p.parse::<u16>().ok().map(|p| (h, p)))
+        .ok_or_else(|| format!("serve: bad {} '{}' (expected host:port)", ADDR.name, base.addr))?;
     let mut servers = Vec::with_capacity(fleet);
     let mut endpoints = Vec::with_capacity(fleet);
     for i in 0..fleet {
@@ -142,43 +300,37 @@ fn cmd_serve(home: &str, argv: &[&str]) -> ! {
             shm_path: base.shm_path.as_ref().map(|p| if fleet > 1 { format!("{p}.r{i}") } else { p.clone() }),
             ..base.clone()
         };
-        let backend = Arc::new(StorageBackend::new(Box::new(EtcStorage::new(home))));
-        match PredictServer::start(cfg.clone(), backend) {
-            Ok(s) => {
-                println!(
-                    "chronusd{} listening on {} ({} workers, cache {})",
-                    if fleet > 1 { format!(" replica r{i}") } else { String::new() },
-                    s.addr(),
-                    cfg.workers,
-                    cfg.cache_cap
-                );
-                let boot = s.boot_recovery();
-                if cfg.store_dir.is_some() {
-                    println!("  store catch-up: {} model(s) installed from the ledger", boot.store.installed);
-                    for rejected in &boot.store.rejected {
-                        println!("  store rejected {rejected}");
-                    }
-                }
-                if cfg.sync_from.is_some() {
-                    match &boot.sync_error {
-                        Some(e) => println!("  peer sync failed (continuing cold): {e}"),
-                        None => println!("  peer sync: {} model(s) pulled", boot.synced),
-                    }
-                }
-                if let Some(ring) = s.shm_path() {
-                    println!("  local transport: shm://{ring}");
-                    // same-host clients list the ring first: the client
-                    // prefers local replicas and keeps TCP as fallback
-                    endpoints.push(format!("shm://{ring}"));
-                }
-                endpoints.push(s.addr().to_string());
-                servers.push(s);
-            }
-            Err(e) => {
-                eprintln!("chronus serve: cannot bind {}: {e}", cfg.addr);
-                std::process::exit(1);
+        let backend = Arc::new(StorageBackend::new(Box::new(EtcStorage::new(home()))));
+        let s = PredictServer::start(cfg.clone(), backend)
+            .map_err(|e| format!("serve: cannot bind {}: {e}", cfg.addr))?;
+        println!(
+            "chronusd{} listening on {} ({} workers, cache {})",
+            if fleet > 1 { format!(" replica r{i}") } else { String::new() },
+            s.addr(),
+            cfg.workers,
+            cfg.cache_cap
+        );
+        let boot = s.boot_recovery();
+        if cfg.store_dir.is_some() {
+            println!("  store catch-up: {} model(s) installed from the ledger", boot.store.installed);
+            for rejected in &boot.store.rejected {
+                println!("  store rejected {rejected}");
             }
         }
+        if cfg.sync_from.is_some() {
+            match &boot.sync_error {
+                Some(e) => println!("  peer sync failed (continuing cold): {e}"),
+                None => println!("  peer sync: {} model(s) pulled", boot.synced),
+            }
+        }
+        if let Some(ring) = s.shm_path() {
+            println!("  local transport: shm://{ring}");
+            // same-host clients list the ring first: the client
+            // prefers local replicas and keeps TCP as fallback
+            endpoints.push(format!("shm://{ring}"));
+        }
+        endpoints.push(s.addr().to_string());
+        servers.push(s);
     }
     if fleet > 1 || endpoints.len() > 1 {
         println!("fleet endpoints: {}", endpoints.join(","));
@@ -188,96 +340,57 @@ fn cmd_serve(home: &str, argv: &[&str]) -> ! {
     }
 }
 
-/// `chronus slurm-config --remote ADDR SYS BIN`: predict via a daemon.
-fn cmd_remote_config(addr: &str, argv: &[&str]) -> ! {
-    let hashes: Vec<u64> = argv.iter().filter_map(|a| parse_hash(a)).collect();
-    let [system_hash, binary_hash] = hashes[..] else {
-        eprintln!("chronus: usage: chronus slurm-config --remote ADDR SYSTEM_HASH BINARY_HASH");
-        std::process::exit(1);
-    };
-    let mut client = client_for(addr);
-    match client.predict(system_hash, binary_hash, &CallOptions::default()) {
-        Ok(config) => {
-            print!("{}", presenter::config_json(&config));
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("chronus: {e}");
-            std::process::exit(1);
-        }
-    }
+/// `chronus slurm-config`: from a daemon with `--remote`, else (only then
+/// booting the testbed) from the staged model.
+fn cmd_slurm_config(args: &Args) -> Outcome {
+    let Some(remote) = args.get(&REMOTE) else { return on_testbed(|ctx| cli::cmd_slurm_config(ctx, args)) };
+    let hash = |arg| args.num(arg).expect("required");
+    let config = client_for(remote)?
+        .predict(hash(&cli::SYSTEM_HASH), hash(&cli::BINARY_HASH), &CallOptions::default())
+        .map_err(|e| e.to_string())?;
+    Ok(presenter::config_json(&config))
 }
 
-/// `chronus stats --remote ADDR[,ADDR...] [--all-replicas]`: fetch and
-/// render daemon counters. With several endpoints (or `--all-replicas`)
-/// every replica is queried and rendered in turn; a replica that cannot
-/// answer reports its error without hiding the others.
-fn cmd_stats(argv: &[&str]) -> ! {
-    let Some(addr) = flag_value(argv, "--remote") else {
-        eprintln!("chronus: usage: chronus stats --remote ADDR[,ADDR...] [--all-replicas]");
-        std::process::exit(1);
-    };
-    let mut client = client_for(addr);
-    let all = argv.contains(&"--all-replicas") || client.replicas_total() > 1;
-    if all {
-        let mut failed = false;
-        for (endpoint, outcome) in client.stats_all() {
-            println!("== {endpoint} ==");
-            match outcome {
-                Ok(snap) => print!("{}", presenter::stats_table(&snap)),
-                Err(e) => {
-                    failed = true;
-                    println!("unreachable: {e}");
-                }
+/// `chronus stats`: with several endpoints (or `--all-replicas`) every
+/// replica is queried and rendered in turn; a replica that cannot answer
+/// reports its error without hiding the others.
+fn cmd_stats(args: &Args) -> Outcome {
+    let mut client = client_for(&args[&STATS_REMOTE])?;
+    if args.get(&ALL_REPLICAS).is_none() && client.replicas_total() == 1 {
+        return client.stats().map(|snap| presenter::stats_table(&snap)).map_err(|e| e.to_string());
+    }
+    let mut unreachable = 0;
+    for (endpoint, outcome) in client.stats_all() {
+        println!("== {endpoint} ==");
+        match outcome {
+            Ok(snap) => print!("{}", presenter::stats_table(&snap)),
+            Err(e) => {
+                unreachable += 1;
+                println!("unreachable: {e}");
             }
         }
-        std::process::exit(if failed { 1 } else { 0 });
     }
-    match client.stats() {
-        Ok(snap) => {
-            print!("{}", presenter::stats_table(&snap));
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("chronus: {e}");
-            std::process::exit(1);
-        }
+    if unreachable > 0 {
+        return Err(format!("{unreachable} of {} replicas unreachable", client.replicas_total()));
     }
+    Ok(String::new())
 }
 
-/// `chronus trace SCRIPT [--user NAME] [--remote ADDR]`: submit the
-/// script to the simulated testbed with telemetry attached and render
-/// the submission's span tree.
-fn cmd_trace(
-    home: &str,
-    cluster: &mut Cluster,
-    binary_path: &str,
-    binary_contents: &str,
-    argv: &[&str],
-) -> Result<String, String> {
-    let mut script_path = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i] {
-            "--user" | "--remote" => i += 1, // skip the flag's value
-            a if !a.starts_with("--") && script_path.is_none() => script_path = Some(a),
-            _ => {}
-        }
-        i += 1;
-    }
-    let Some(path) = script_path else {
-        return Err("usage: chronus trace SCRIPT [--user NAME] [--remote ADDR]".to_string());
-    };
+/// `chronus trace`: submit the script to the simulated testbed with
+/// telemetry attached and render the submission's span tree — parse,
+/// plugin decision, prediction and (with `--remote`) every client attempt.
+fn cmd_trace(args: &Args) -> Outcome {
+    let (path, user) = (&args[&SCRIPT], &args[&USER]);
     let script = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let user = flag_value(argv, "--user").unwrap_or("operator");
+    let (mut cluster, runner) = boot();
 
     let telemetry = Arc::new(Telemetry::wall());
     cluster.set_telemetry(Arc::clone(&telemetry));
-    let storage = Arc::new(EtcStorage::new(home));
+    let storage = Arc::new(EtcStorage::new(home()));
     let mut eco = JobSubmitEco::new(storage as Arc<dyn LocalStorage + Send + Sync>, &CpuSpec::epyc_7502p(), 256);
-    eco.register_binary(binary_path, binary_contents);
+    eco.register_binary(runner.binary_path(), runner.workload().binary_id());
     eco.set_telemetry(Arc::clone(&telemetry));
-    if let Some(addr) = flag_value(argv, "--remote") {
+    if let Some(addr) = args.get(&REMOTE) {
         let source =
             Arc::new(RemotePrediction::from_endpoints(addr).map_err(|e| format!("bad endpoint list '{addr}': {e}"))?);
         source.set_telemetry(Arc::clone(&telemetry));
@@ -285,8 +398,7 @@ fn cmd_trace(
     }
     cluster.register_plugin(Box::new(eco));
 
-    let submitted = cluster.sbatch(&script, user);
-    let mut out = match &submitted {
+    let mut out = match cluster.sbatch(&script, user) {
         Ok(id) => format!("job {id} submitted by {user}\n"),
         Err(e) => format!("submission rejected: {e}\n"),
     };
@@ -298,36 +410,15 @@ fn cmd_trace(
     Ok(out)
 }
 
-/// Builds a fresh campaign spec from `chronus campaign run` flags. The
-/// sampling cadence comes from settings (`chronus set sample-interval`).
-fn campaign_spec_from_flags(home: &str, scale: f64, argv: &[&str]) -> Result<CampaignSpec, String> {
-    let plan = match flag_value(argv, "--plan").unwrap_or("halving") {
-        "halving" => PlanSpec::default_halving(),
-        "brute-force" => PlanSpec::BruteForce,
-        other => return Err(format!("unknown plan '{other}' (use halving or brute-force)")),
-    };
-    let seed = flag_value(argv, "--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    // `--node-class NAME` characterises one hardware class of a
-    // heterogeneous cluster; the resulting model commits under the
-    // classed key and the store provenance records the class
-    let node_class = flag_value(argv, "--node-class").unwrap_or("").to_string();
-    let settings = EtcStorage::new(home).load_settings().map_err(|e| e.to_string())?;
-    let perf = PerfModel::sr650();
-    Ok(CampaignSpec {
-        name: "hpcg-campaign".to_string(),
-        configs: CpuSpec::epyc_7502p().all_configurations(),
-        plan,
-        seed,
-        sample_interval_ms: settings.sample_interval.as_millis(),
-        full_work_gflop: perf.gflops(&perf.standard_config()) * PAPER_STANDARD_RUNTIME_S * scale,
-        nx: 104,
-        node_class,
-    })
+fn open_journal() -> Result<RecordJournal, String> {
+    let dir = format!("{}/campaign", home());
+    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    RecordJournal::open(format!("{dir}/journal.db")).map_err(|e| e.to_string())
 }
 
-/// `chronus campaign status`: summarize the journal without running
-/// anything.
-fn campaign_status(journal: &RecordJournal) -> Result<String, String> {
+/// `chronus campaign status`.
+fn campaign_status(_: &Args) -> Outcome {
+    let journal = open_journal()?;
     let Some(spec) = journal.load_spec().map_err(|e| e.to_string())? else {
         return Ok("no campaign journal\n".to_string());
     };
@@ -355,38 +446,39 @@ fn campaign_status(journal: &RecordJournal) -> Result<String, String> {
     Ok(out)
 }
 
-/// `chronus campaign run|resume|status`: the adaptive benchmark campaign.
-fn cmd_campaign(home: &str, scale: f64, argv: &[&str]) -> Result<String, String> {
-    const USAGE: &str = "usage: chronus campaign run [--plan halving|brute-force] [--seed N] \
-                         [--nodes N] [--max-trials N] [--model TYPE] [--store DIR] [--rollout ADDR[,ADDR...]] [--quorum N]\n       \
-                         chronus campaign resume [--nodes N] [--max-trials N] [--model TYPE] [--store DIR] [--rollout ADDR[,ADDR...]]\n       \
-                         chronus campaign status\n";
-    let sub = *argv.first().ok_or_else(|| USAGE.to_string())?;
-    std::fs::create_dir_all(format!("{home}/campaign")).map_err(|e| e.to_string())?;
-    let mut journal = RecordJournal::open(format!("{home}/campaign/journal.db")).map_err(|e| e.to_string())?;
-    if sub == "status" {
-        return campaign_status(&journal);
-    }
-    if sub != "run" && sub != "resume" {
-        return Err(USAGE.to_string());
-    }
+/// A fresh campaign spec from `chronus campaign run`'s arguments. The
+/// sampling cadence comes from settings (`chronus set sample-interval`).
+fn campaign_spec(args: &Args) -> Result<CampaignSpec, String> {
+    let settings = EtcStorage::new(home()).load_settings().map_err(|e| e.to_string())?;
+    Ok(CampaignSpec {
+        name: "hpcg-campaign".to_string(),
+        configs: CpuSpec::epyc_7502p().all_configurations(),
+        plan: if &args[&PLAN] == "halving" { PlanSpec::default_halving() } else { PlanSpec::BruteForce },
+        seed: args.num(&SEED).expect("declared with a default"),
+        sample_interval_ms: settings.sample_interval.as_millis(),
+        full_work_gflop: full_work_gflop(),
+        nx: 104,
+        node_class: args.get(&NODE_CLASS).unwrap_or_default().to_string(),
+    })
+}
 
-    let spec = match (sub, journal.load_spec().map_err(|e| e.to_string())?) {
-        ("resume", None) => return Err("no campaign journal to resume; start one with `chronus campaign run`".into()),
-        (_, Some(existing)) => existing, // continue the journaled campaign
-        ("run", None) => campaign_spec_from_flags(home, scale, argv)?,
-        _ => unreachable!(),
+/// `chronus campaign run|resume`: drive the journaled campaign to the end
+/// (or `--max-trials`), rebuild and stage the model, commit it, roll it out.
+fn campaign_drive(args: &Args, resume: bool) -> Outcome {
+    let home = home();
+    let mut journal = open_journal()?;
+    let spec = match journal.load_spec().map_err(|e| e.to_string())? {
+        Some(existing) => existing, // continue the journaled campaign
+        None if resume => return Err("no campaign journal to resume; start one with `chronus campaign run`".into()),
+        None => campaign_spec(args)?,
     };
-
-    let nodes = flag_value(argv, "--nodes").and_then(|v| v.parse().ok()).unwrap_or(4usize).max(1);
-    let max_trials = flag_value(argv, "--max-trials").and_then(|v| v.parse().ok());
+    let nodes = args.size(&NODES).expect("declared with a default").max(1);
     let mut cluster = Cluster::new((0..nodes).map(|_| SimNode::sr650()).collect());
-    let perf = Arc::new(PerfModel::sr650());
 
     let outcome = {
         let mut repo = RecordStore::open(format!("{home}/database/data.db")).map_err(|e| e.to_string())?;
-        CampaignEngine::new(&mut cluster, &mut journal, &mut repo, perf, spec.clone())
-            .run(RunOptions { max_trials, on_tick: None })
+        CampaignEngine::new(&mut cluster, &mut journal, &mut repo, Arc::new(PerfModel::sr650()), spec.clone())
+            .run(RunOptions { max_trials: args.size(&MAX_TRIALS), on_tick: None })
     };
     let outcome = match outcome {
         Ok(o) => o,
@@ -412,19 +504,14 @@ fn cmd_campaign(home: &str, scale: f64, argv: &[&str]) -> Result<String, String>
 
     // rebuild and stage the model from the fresh benchmarks (the engine's
     // repository handle is closed; the app opens its own)
-    let model_type = flag_value(argv, "--model").unwrap_or("brute-force");
-    let mut app = Chronus::new(
-        Box::new(RecordStore::open(format!("{home}/database/data.db")).map_err(|e| e.to_string())?),
-        Box::new(LocalBlobStore::new(format!("{home}/optimizers")).map_err(|e| e.to_string())?),
-        Box::new(EtcStorage::new(home)),
-    );
-    let staged =
-        rebuild_model(&mut app, model_type, outcome.system_id, outcome.binary_hash, 0).map_err(|e| e.to_string())?;
+    let mut app = open_app(&home)?;
+    let staged = rebuild_model(&mut app, &args[&CAMPAIGN_MODEL], outcome.system_id, outcome.binary_hash, 0)
+        .map_err(|e| e.to_string())?;
     out.push_str(&format!("model {} ({}) staged for serving\n", staged.model_id, staged.model_type));
 
     // the durable commit comes BEFORE any replica is asked to serve the
     // model: a store failure aborts the rollout, never the reverse
-    if let Some(dir) = flag_value(argv, "--store") {
+    if let Some(dir) = args.get(&STORE) {
         let mut store = ModelStore::open_dir(dir).map_err(|e| e.to_string())?;
         let record = commit_to_store(&mut store, &staged, &spec, &outcome).map_err(|e| e.to_string())?;
         out.push_str(&format!(
@@ -433,13 +520,12 @@ fn cmd_campaign(home: &str, scale: f64, argv: &[&str]) -> Result<String, String>
         ));
     }
 
-    if let Some(addr) = flag_value(argv, "--rollout") {
-        let mut client = client_for(addr);
+    if let Some(addr) = args.get(&ROLLOUT) {
+        let mut client = client_for(addr)?;
         if client.replicas_total() > 1 {
             // fleet rollout: fan out to every replica, demand a quorum
             // (default: majority) before declaring the model live
-            let quorum =
-                flag_value(argv, "--quorum").and_then(|v| v.parse().ok()).unwrap_or(client.replicas_total() / 2 + 1);
+            let quorum = args.size(&QUORUM).unwrap_or(client.replicas_total() / 2 + 1);
             match roll_into_fleet(&mut client, staged.model_id, None, quorum) {
                 Ok(report) => {
                     out.push_str(&format!(
@@ -474,263 +560,168 @@ fn cmd_campaign(home: &str, scale: f64, argv: &[&str]) -> Result<String, String>
     Ok(out)
 }
 
-/// `chronus models list|show|verify|rollback`: audit and operate the
-/// durable model store without touching any daemon memory.
-fn cmd_models(argv: &[&str]) -> Result<String, String> {
-    const USAGE: &str = "usage: chronus models list --store DIR\n       \
-                         chronus models show GEN --store DIR\n       \
-                         chronus models verify --store DIR\n       \
-                         chronus models rollback GEN --store DIR [--reason TEXT] \
-                         [--rollout ADDR[,ADDR...]] [--quorum N]\n";
-    let sub = *argv.first().ok_or_else(|| USAGE.to_string())?;
-    let dir = flag_value(argv, "--store").ok_or_else(|| USAGE.to_string())?;
-    let mut store = ModelStore::open_dir(dir).map_err(|e| e.to_string())?;
+/// Opens the `--store` every `chronus models` sub-command names.
+fn open_store(args: &Args) -> Result<(&str, ModelStore), String> {
+    let dir = &args[&MODELS_STORE];
+    let store = ModelStore::open_dir(dir).map_err(|e| e.to_string())?;
     if store.recovered_truncation() {
         eprintln!("chronus models: store {dir} had a torn journal tail; recovered to the last valid record");
     }
-    match sub {
-        "list" => {
-            let serving = store.current_generation();
-            let mut out = format!(
-                "store {dir}: {} commit(s), high-water generation {}, serving generation {}\n",
-                store.commits().count(),
-                store.high_water(),
-                serving
-            );
-            for record in store.ledger() {
-                match record {
-                    LedgerRecord::Commit(m) => out.push_str(&format!(
-                        "{} gen {:>3}  parent {:>3}  model {:>4} ({})  key {:#x}/{:#x}  blob {}  campaign \"{}\" seed {}{}\n",
-                        if m.generation == serving { "*" } else { " " },
-                        m.generation,
-                        m.parent,
-                        m.model_id,
-                        m.model_type,
-                        m.system_hash,
-                        m.binary_hash,
-                        m.blob_hash,
-                        m.provenance.campaign,
-                        m.provenance.seed,
-                        if m.provenance.source == ProvenanceSource::Adaptation {
-                            format!("  [refit of gen {}]", m.provenance.refit_of)
-                        } else {
-                            String::new()
-                        },
-                    )),
-                    LedgerRecord::Rollback { to_generation, reason } => {
-                        out.push_str(&format!("  rollback -> gen {to_generation}  (\"{reason}\")\n"))
-                    }
-                }
-            }
-            Ok(out)
-        }
-        "show" => {
-            let generation =
-                argv.get(1).and_then(|v| v.parse().ok()).ok_or("models show: expected a generation number")?;
-            let m = store.record(generation).ok_or_else(|| format!("generation {generation} was never committed"))?;
-            let blob_state = match store.load_blob(m) {
-                Ok(blob) => format!("verified ({} benchmark row(s))", blob.benchmarks.len()),
-                Err(e) => format!("FAILED: {e}"),
-            };
-            // adaptation refits carry their lineage: the live generation
-            // the re-fit superseded, walked back to the original campaign
-            let lineage = if m.provenance.source == ProvenanceSource::Adaptation {
-                let mut chain = format!("adaptation refit of gen {}", m.provenance.refit_of);
-                let mut at = m.provenance.refit_of;
-                while let Some(parent) = store.record(at) {
-                    if parent.provenance.source != ProvenanceSource::Adaptation {
-                        chain.push_str(&format!(
-                            " (originally campaign \"{}\", gen {})",
-                            parent.provenance.campaign, parent.generation
-                        ));
-                        break;
-                    }
-                    at = parent.provenance.refit_of;
-                }
-                format!("lineage:    {chain}\n")
-            } else {
-                String::new()
-            };
-            Ok(format!(
-                "generation {} (parent {}){}\n\
-                 model:      {} ({})\n\
-                 key:        system {:#x} / binary {:#x}\n\
-                 config:     {}\n\
-                 blob:       {}  {}\n\
-                 source:     {}\n\
-                 {lineage}campaign:   \"{}\" (plan {}, seed {})\n\
-                 trials:     {} run, {} resumed from journal, {:.0} trial-seconds\n\
-                 calibration: best {:.4} GFLOP/s per watt\n",
+    Ok((dir, store))
+}
+
+fn models_list(args: &Args) -> Outcome {
+    let (dir, store) = open_store(args)?;
+    let serving = store.current_generation();
+    let mut out = format!(
+        "store {dir}: {} commit(s), high-water generation {}, serving generation {}\n",
+        store.commits().count(),
+        store.high_water(),
+        serving
+    );
+    for record in store.ledger() {
+        match record {
+            LedgerRecord::Commit(m) => out.push_str(&format!(
+                "{} gen {:>3}  parent {:>3}  model {:>4} ({})  key {:#x}/{:#x}  blob {}  campaign \"{}\" seed {}{}\n",
+                if m.generation == serving { "*" } else { " " },
                 m.generation,
                 m.parent,
-                if m.generation == store.current_generation() { "  [serving]" } else { "" },
                 m.model_id,
                 m.model_type,
                 m.system_hash,
                 m.binary_hash,
-                m.config,
                 m.blob_hash,
-                blob_state,
-                m.provenance.source,
                 m.provenance.campaign,
-                m.provenance.plan,
                 m.provenance.seed,
-                m.provenance.trials_run,
-                m.provenance.trials_skipped,
-                m.provenance.trial_seconds,
-                m.provenance.best_gflops_per_watt,
-            ))
-        }
-        "verify" => {
-            let issues = store.verify();
-            let mut out =
-                format!("store {dir}: {} commit(s) audited, {} issue(s)\n", store.commits().count(), issues.len());
-            let mut fatal = 0;
-            for issue in &issues {
-                out.push_str(&format!("  {}\n", issue.detail));
-                if issue.generation > 0 {
-                    fatal += 1;
-                }
+                if m.provenance.source == ProvenanceSource::Adaptation {
+                    format!("  [refit of gen {}]", m.provenance.refit_of)
+                } else {
+                    String::new()
+                },
+            )),
+            LedgerRecord::Rollback { to_generation, reason } => {
+                out.push_str(&format!("  rollback -> gen {to_generation}  (\"{reason}\")\n"))
             }
-            // orphan blobs (generation 0) are crash residue, not damage;
-            // anything anchored to a committed generation is
-            if fatal > 0 {
-                return Err(format!("{out}{fatal} committed generation(s) failed verification"));
-            }
-            Ok(out)
         }
-        "rollback" => {
-            let generation =
-                argv.get(1).and_then(|v| v.parse().ok()).ok_or("models rollback: expected a generation number")?;
-            let reason = flag_value(argv, "--reason").unwrap_or("operator rollback");
-            let record = store.rollback_to(generation, reason).map_err(|e| e.to_string())?;
-            let mut out = format!(
-                "store {dir} rolled back to generation {}: model {} ({}) is the serving record\n",
-                record.generation, record.model_id, record.model_type
-            );
-            if let Some(addr) = flag_value(argv, "--rollout") {
-                let mut client = client_for(addr);
-                let quorum = flag_value(argv, "--quorum")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(client.replicas_total() / 2 + 1);
-                match roll_into_fleet(&mut client, record.model_id, None, quorum) {
-                    Ok(report) => out.push_str(&format!(
-                        "fleet rollback into {addr}: model {} restored on {}/{} replicas (quorum {})\n",
-                        record.model_id,
-                        report.acks.len(),
-                        report.acks.len() + report.failures.len(),
-                        report.quorum
-                    )),
-                    Err(e) => {
-                        return Err(format!(
-                            "{out}fleet rollback into {addr} failed: {e}\n\
-                             (the store ledger already records the rollback; re-run with --rollout to retry)"
-                        ))
-                    }
-                }
+    }
+    Ok(out)
+}
+
+fn models_show(args: &Args) -> Outcome {
+    let (_, store) = open_store(args)?;
+    let generation = args.num(&GEN).expect("required");
+    let m = store.record(generation).ok_or_else(|| format!("generation {generation} was never committed"))?;
+    let blob_state = match store.load_blob(m) {
+        Ok(blob) => format!("verified ({} benchmark row(s))", blob.benchmarks.len()),
+        Err(e) => format!("FAILED: {e}"),
+    };
+    // adaptation refits carry their lineage: the live generation
+    // the re-fit superseded, walked back to the original campaign
+    let lineage = if m.provenance.source == ProvenanceSource::Adaptation {
+        let mut chain = format!("adaptation refit of gen {}", m.provenance.refit_of);
+        let mut at = m.provenance.refit_of;
+        while let Some(parent) = store.record(at) {
+            if parent.provenance.source != ProvenanceSource::Adaptation {
+                chain.push_str(&format!(
+                    " (originally campaign \"{}\", gen {})",
+                    parent.provenance.campaign, parent.generation
+                ));
+                break;
             }
-            Ok(out)
+            at = parent.provenance.refit_of;
         }
-        _ => Err(USAGE.to_string()),
+        format!("lineage:    {chain}\n")
+    } else {
+        String::new()
+    };
+    Ok(format!(
+        "generation {} (parent {}){}\n\
+         model:      {} ({})\n\
+         key:        system {:#x} / binary {:#x}\n\
+         config:     {}\n\
+         blob:       {}  {}\n\
+         source:     {}\n\
+         {lineage}campaign:   \"{}\" (plan {}, seed {})\n\
+         trials:     {} run, {} resumed from journal, {:.0} trial-seconds\n\
+         calibration: best {:.4} GFLOP/s per watt\n",
+        m.generation,
+        m.parent,
+        if m.generation == store.current_generation() { "  [serving]" } else { "" },
+        m.model_id,
+        m.model_type,
+        m.system_hash,
+        m.binary_hash,
+        m.config,
+        m.blob_hash,
+        blob_state,
+        m.provenance.source,
+        m.provenance.campaign,
+        m.provenance.plan,
+        m.provenance.seed,
+        m.provenance.trials_run,
+        m.provenance.trials_skipped,
+        m.provenance.trial_seconds,
+        m.provenance.best_gflops_per_watt,
+    ))
+}
+
+fn models_verify(args: &Args) -> Outcome {
+    let (dir, store) = open_store(args)?;
+    let issues = store.verify();
+    let mut out = format!("store {dir}: {} commit(s) audited, {} issue(s)\n", store.commits().count(), issues.len());
+    issues.iter().for_each(|issue| out.push_str(&format!("  {}\n", issue.detail)));
+    // orphan blobs (generation 0) are crash residue, not damage;
+    // anything anchored to a committed generation is
+    match issues.iter().filter(|issue| issue.generation > 0).count() {
+        0 => Ok(out),
+        fatal => Err(format!("{out}{fatal} committed generation(s) failed verification")),
     }
 }
 
-fn main() {
-    let home = std::env::var("CHRONUS_HOME").unwrap_or_else(|_| "./chronus-home".to_string());
-    let scale: f64 = std::env::var("CHRONUS_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(0.02);
-    std::fs::create_dir_all(&home).expect("create CHRONUS_HOME");
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let argv: Vec<&str> = args.iter().map(String::as_str).collect();
-
-    // daemon-era commands short-circuit before the simulated testbed
-    // boots: `serve` needs only the staged model, and `--remote`
-    // delegates prediction to a daemon that already has it.
-    if argv.first() == Some(&"serve") {
-        cmd_serve(&home, &argv[1..]);
-    }
-    if argv.first() == Some(&"slurm-config") {
-        if let Some(addr) = flag_value(&argv, "--remote") {
-            let rest: Vec<&str> = argv[1..].iter().copied().filter(|a| *a != "--remote" && *a != addr).collect();
-            cmd_remote_config(addr, &rest);
-        }
-    }
-    if argv.first() == Some(&"stats") {
-        cmd_stats(&argv[1..]);
-    }
-    // the store CLI needs neither the testbed nor the database
-    if argv.first() == Some(&"models") {
-        match cmd_models(&argv[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("chronus: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    // the campaign drives its own multi-node cluster and opens the
-    // database itself, so it must run before the app below takes the
-    // record store
-    if argv.first() == Some(&"campaign") {
-        match cmd_campaign(&home, scale, &argv[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("chronus: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let mut cluster = Cluster::single_node(SimNode::sr650());
-    let perf = Arc::new(PerfModel::sr650());
-    let work = perf.gflops(&perf.standard_config()) * PAPER_STANDARD_RUNTIME_S * scale;
-    let workload = Arc::new(HpcgWorkload::with_work(perf, work, 104));
-    let runner = HpcgRunner::install(&mut cluster, "/opt/hpcg/bin/xhpcg", Arc::clone(&workload) as Arc<dyn Workload>);
-
-    let mut app = Chronus::new(
-        Box::new(RecordStore::open(format!("{home}/database/data.db")).expect("open database")),
-        Box::new(LocalBlobStore::new(format!("{home}/optimizers")).expect("open blob storage")),
-        Box::new(EtcStorage::new(&home)),
+fn models_rollback(args: &Args) -> Outcome {
+    let (dir, mut store) = open_store(args)?;
+    let record = store.rollback_to(args.num(&GEN).expect("required"), &args[&REASON]).map_err(|e| e.to_string())?;
+    let mut out = format!(
+        "store {dir} rolled back to generation {}: model {} ({}) is the serving record\n",
+        record.generation, record.model_id, record.model_type
     );
-    let mut sampler = IpmiService::new(0, 0xc11);
-    let info = LscpuInfo::new(0);
-
-    if argv.first() == Some(&"trace") {
-        match cmd_trace(&home, &mut cluster, runner.binary_path(), workload.binary_id(), &argv[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                return;
-            }
+    if let Some(addr) = args.get(&ROLLOUT) {
+        let mut client = client_for(addr)?;
+        let quorum = args.size(&QUORUM).unwrap_or(client.replicas_total() / 2 + 1);
+        match roll_into_fleet(&mut client, record.model_id, None, quorum) {
+            Ok(report) => out.push_str(&format!(
+                "fleet rollback into {addr}: model {} restored on {}/{} replicas (quorum {})\n",
+                record.model_id,
+                report.acks.len(),
+                report.acks.len() + report.failures.len(),
+                report.quorum
+            )),
             Err(e) => {
-                eprintln!("chronus: {e}");
-                std::process::exit(1);
+                return Err(format!(
+                    "{out}fleet rollback into {addr} failed: {e}\n\
+                     (the store ledger already records the rollback; re-run with --rollout to retry)"
+                ))
             }
         }
     }
+    Ok(out)
+}
 
-    // convenience: `chronus hashes` prints the identifiers the plugin uses
-    if argv.first() == Some(&"hashes") {
-        println!("system hash: {}", info.system_hash(&cluster));
-        println!("binary hash: {}", runner.binary_hash());
-        return;
-    }
-
-    let mut ctx = CliContext {
-        app: &mut app,
-        cluster: &mut cluster,
-        runner: &runner,
-        sampler: &mut sampler,
-        info: &info,
-        now_ms: 0,
-    };
-    match run_command(&mut ctx, &argv) {
-        Ok(output) => print!("{output}"),
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    // the table refuses a bad invocation before anything is created, bound
+    // or opened; `Standalone` rows then run before the testbed boots
+    let outcome = cli::parse(&CHRONUS, &argv).and_then(|invocation| match invocation {
+        Invocation::Help(text) => Ok(text),
+        Invocation::Run(args) => match args.run {
+            Standalone(run) => run(&args),
+            Handler::Testbed(run) => on_testbed(|ctx| run(ctx, &args)),
+            Handler::Group { .. } => unreachable!("parse descends through every group"),
+        },
+    });
+    match outcome {
+        Ok(out) => print!("{out}"),
         Err(e) => {
             eprintln!("chronus: {e}");
             std::process::exit(1);

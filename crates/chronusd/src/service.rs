@@ -10,7 +10,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use chronus::error::ChronusError;
 use chronus::remote::{
@@ -24,13 +23,6 @@ use parking_lot::Mutex;
 use crate::backend::ModelBackend;
 use crate::registry::{Lookup, ModelRegistry};
 use crate::stats::ServerStats;
-
-/// How long a burn request may hold a worker (keeps the diagnostics
-/// verb from being a denial-of-service tool).
-const MAX_BURN_MS: u64 = 10_000;
-
-/// How often a burning worker wakes to check for shutdown.
-const BURN_TICK: Duration = Duration::from_millis(25);
 
 /// The clock the service measures request handling time with — since
 /// the telemetry refactor, the telemetry spine's own clock trait under
@@ -492,14 +484,6 @@ impl PredictService {
                     .collect();
                 Response::Models { models }
             }
-            Request::Burn { ms } => {
-                let budget = Duration::from_millis(ms.min(MAX_BURN_MS));
-                let started = Instant::now();
-                while started.elapsed() < budget && !self.is_shutting_down() {
-                    std::thread::sleep(BURN_TICK.min(budget - started.elapsed().min(budget)));
-                }
-                Response::Burned
-            }
             Request::ReportOutcome { system_hash, binary_hash, outcome } => {
                 self.report_outcome(system_hash, binary_hash, &outcome)
             }
@@ -616,7 +600,6 @@ fn verb_of(request: &Request) -> &'static str {
         Request::Preload { .. } => "preload",
         Request::Stats => "stats",
         Request::SyncModels { .. } => "sync_models",
-        Request::Burn { .. } => "burn",
         Request::ReportOutcome { .. } => "report_outcome",
     }
 }

@@ -89,13 +89,15 @@ fn unknown_key_is_an_explicit_miss() {
 #[test]
 fn saturated_daemon_answers_busy_with_a_retry_hint() {
     let cfg = ServerConfig { workers: 1, queue_cap: 1, retry_after_ms: 7, ..ServerConfig::default() };
-    let server = ephemeral(cfg, StaticBackend::new(vec![model(1, 10, 20, 32)]));
+    let slow = StaticBackend::with_delay(vec![model(1, 10, 20, 32)], Duration::from_millis(600));
+    let server = ephemeral(cfg, slow);
     let addr = server.addr();
 
-    // occupy the single worker with a long burn …
-    let mut burning = TcpStream::connect(addr).unwrap();
-    burning.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write_frame(&mut burning, &RequestFrame::new(Request::Burn { ms: 600 })).unwrap();
+    // occupy the single worker with a cold prediction: the backend
+    // takes 600 ms to resolve the model …
+    let mut resolving = TcpStream::connect(addr).unwrap();
+    resolving.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write_frame(&mut resolving, &RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 })).unwrap();
     std::thread::sleep(Duration::from_millis(100));
 
     // … fill the one queue slot …
@@ -112,13 +114,13 @@ fn saturated_daemon_answers_busy_with_a_retry_hint() {
         other => panic!("expected Busy, got {other}"),
     }
 
-    let burned: Response = read_frame(&mut burning).unwrap();
-    assert_eq!(burned, Response::Burned);
-    drop(burning);
+    let resolved: Response = read_frame(&mut resolving).unwrap();
+    assert_eq!(resolved, Response::Config(CpuConfig::new(32, 2_200_000, 1)));
+    drop(resolving);
     drop(queued);
 
-    // a client WITH retries rides out the burst: once the burn is done
-    // and the held connections are gone, a retry gets through.
+    // a client WITH retries rides out the burst: once the model is
+    // resident and the held connections are gone, a retry gets through.
     let mut patient = PredictClient::builder().endpoint(addr.to_string()).max_retries(16).build().unwrap();
     assert_eq!(patient.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
 
@@ -127,18 +129,22 @@ fn saturated_daemon_answers_busy_with_a_retry_hint() {
 
 #[test]
 fn deadline_overrun_is_reported_not_hidden() {
-    let server = ephemeral(ServerConfig::default(), StaticBackend::new(vec![]));
+    // every cold prediction costs the backend 120 ms
+    let slow =
+        StaticBackend::with_delay(vec![model(1, 10, 20, 32), model(2, 11, 21, 16)], Duration::from_millis(120));
+    let server = ephemeral(ServerConfig::default(), slow);
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
-    write_frame(&mut stream, &RequestFrame::with_deadline(Request::Burn { ms: 120 }, 10)).unwrap();
+    let cold = |system_hash, binary_hash| Request::Predict { system_hash, binary_hash };
+    write_frame(&mut stream, &RequestFrame::with_deadline(cold(10, 20), 10)).unwrap();
     let resp: Response = read_frame(&mut stream).unwrap();
     assert_eq!(resp, Response::DeadlineExceeded);
 
     // a comfortable deadline leaves the result intact
-    write_frame(&mut stream, &RequestFrame::with_deadline(Request::Burn { ms: 5 }, 5_000)).unwrap();
+    write_frame(&mut stream, &RequestFrame::with_deadline(cold(11, 21), 5_000)).unwrap();
     let resp: Response = read_frame(&mut stream).unwrap();
-    assert_eq!(resp, Response::Burned);
+    assert_eq!(resp, Response::Config(CpuConfig::new(16, 2_200_000, 1)));
 
     assert_eq!(server.snapshot().deadline_exceeded, 1);
 }

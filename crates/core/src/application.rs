@@ -353,7 +353,7 @@ impl Chronus {
         // re-staging under the same id lands on the same path: published
         // whole and under a fresh stamp, like settings.json, so a plugin
         // holding the previous model's answer sees the file move
-        publish(&local_path, &bytes)?;
+        publish(&local_path, &bytes, false)?;
 
         // also stage the benchmark rows: the deadline-aware extension
         // (§6.2.1) needs measured runtimes on the submit path

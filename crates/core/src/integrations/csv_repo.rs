@@ -5,6 +5,7 @@
 
 use crate::domain::{Benchmark, ModelMetadata, SystemEntry};
 use crate::error::{ChronusError, Result};
+use crate::integrations::storage::publish;
 use crate::interfaces::Repository;
 use eco_sim_node::cpu::CpuConfig;
 use eco_sim_node::sysinfo::SystemFacts;
@@ -168,10 +169,7 @@ fn write_csv(path: &Path, header: &str, rows: &[Vec<String>]) -> Result<()> {
         content.push_str(&line.join(","));
         content.push('\n');
     }
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, content)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(publish(path, content.as_bytes(), false)?)
 }
 
 fn read_csv(path: &Path) -> Result<Vec<Vec<String>>> {

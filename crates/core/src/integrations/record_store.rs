@@ -9,12 +9,13 @@
 
 use crate::domain::{Benchmark, ModelMetadata, SystemEntry};
 use crate::error::{ChronusError, Result};
+use crate::integrations::storage::publish;
 use crate::interfaces::Repository;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -121,19 +122,14 @@ impl RecordStore {
     /// Rewrites the log keeping only live records (reclaims space after
     /// overwrites/deletes).
     pub fn compact(&self) -> Result<()> {
-        let tmp = self.path.with_extension("compact");
-        {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            for (table, records) in &self.tables {
-                for (&id, d) in records {
-                    let line = serde_json::to_string(&LogLine { t: table.clone(), id, d: d.clone() })?;
-                    writeln!(w, "{line}")?;
-                }
+        let mut log = String::new();
+        for (table, records) in &self.tables {
+            for (&id, d) in records {
+                log.push_str(&serde_json::to_string(&LogLine { t: table.clone(), id, d: d.clone() })?);
+                log.push('\n');
             }
-            w.flush()?;
         }
-        std::fs::rename(&tmp, &self.path)?;
-        Ok(())
+        Ok(publish(&self.path, log.as_bytes(), false)?)
     }
 
     fn next_id(&self, table: &str) -> i64 {

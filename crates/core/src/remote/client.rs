@@ -8,7 +8,7 @@
 //! every client in the cluster sends the same key to the same replica
 //! and each daemon's registry stays hot for its share of the keyspace.
 //! Transport failures fail over to the next replica in ring order
-//! without sleeping; a replica that fails `down_after` consecutive
+//! without sleeping; a replica that fails `DOWN_AFTER` consecutive
 //! exchanges leaves the ring (negative-result caching: a dead replica
 //! then costs one probe per cooldown window, not one timeout per
 //! submission). Probes are plain `Ping`s; a probe that answers `Pong`
@@ -67,10 +67,6 @@ pub enum ClientBuildError {
     ZeroTimeout(&'static str),
     /// `max_retries` above the sanity bound (16).
     RetriesOutOfRange(u32),
-    /// `vnodes` outside `1..=1024`.
-    VnodesOutOfRange(u32),
-    /// `down_after` must be at least 1.
-    ZeroDownAfter,
     /// An endpoint string that does not parse (named in the payload);
     /// see [`Endpoint`] for the accepted shapes.
     BadEndpoint(EndpointParseError),
@@ -82,8 +78,6 @@ impl std::fmt::Display for ClientBuildError {
             ClientBuildError::NoEndpoints => write!(f, "client needs at least one endpoint or transport"),
             ClientBuildError::ZeroTimeout(which) => write!(f, "{which} timeout must be non-zero"),
             ClientBuildError::RetriesOutOfRange(n) => write!(f, "max_retries {n} exceeds the sanity bound of 16"),
-            ClientBuildError::VnodesOutOfRange(n) => write!(f, "vnodes {n} outside 1..=1024"),
-            ClientBuildError::ZeroDownAfter => write!(f, "down_after must be at least 1"),
             ClientBuildError::BadEndpoint(e) => write!(f, "bad endpoint: {e}"),
         }
     }
@@ -116,10 +110,14 @@ pub struct ClientBuilder {
     max_retries: u32,
     backoff: Duration,
     deadline_ms: Option<u64>,
-    vnodes: u32,
-    down_after: u32,
     probe_cooldown: u32,
 }
+
+/// Ring points per replica.
+const VNODES: u32 = 64;
+/// Consecutive transport failures before a replica leaves the ring. The
+/// last in-ring replica never leaves.
+const DOWN_AFTER: u32 = 2;
 
 impl Default for ClientBuilder {
     fn default() -> Self {
@@ -130,8 +128,6 @@ impl Default for ClientBuilder {
             max_retries: 2,
             backoff: Duration::from_millis(10),
             deadline_ms: None,
-            vnodes: 64,
-            down_after: 2,
             probe_cooldown: 16,
         }
     }
@@ -199,19 +195,6 @@ impl ClientBuilder {
         self
     }
 
-    /// Ring points per replica (default 64).
-    pub fn vnodes(mut self, n: u32) -> Self {
-        self.vnodes = n;
-        self
-    }
-
-    /// Consecutive transport failures before a replica leaves the ring
-    /// (default 2). The last in-ring replica never leaves.
-    pub fn down_after(mut self, n: u32) -> Self {
-        self.down_after = n;
-        self
-    }
-
     /// Requests to wait between probes of an out-of-ring replica
     /// (default 16). Each probe is one `Ping`, so a dead replica costs
     /// one timeout per window instead of one per submission.
@@ -235,12 +218,6 @@ impl ClientBuilder {
         if self.max_retries > 16 {
             return Err(ClientBuildError::RetriesOutOfRange(self.max_retries));
         }
-        if self.vnodes == 0 || self.vnodes > 1024 {
-            return Err(ClientBuildError::VnodesOutOfRange(self.vnodes));
-        }
-        if self.down_after == 0 {
-            return Err(ClientBuildError::ZeroDownAfter);
-        }
         let mut replicas: Vec<Replica> = Vec::with_capacity(self.endpoints.len());
         for e in self.endpoints {
             let transport: Box<dyn Transport> = match e {
@@ -261,7 +238,7 @@ impl ClientBuilder {
                 batch_unsupported: false,
             });
         }
-        let mut ring = HashRing::new(self.vnodes);
+        let mut ring = HashRing::new(VNODES);
         ring.rebuild(0..replicas.len() as u32);
         Ok(PredictClient {
             replicas,
@@ -270,7 +247,6 @@ impl ClientBuilder {
                 max_retries: self.max_retries,
                 backoff: self.backoff,
                 deadline_ms: self.deadline_ms,
-                down_after: self.down_after,
                 probe_cooldown: self.probe_cooldown,
             },
             tel: None,
@@ -286,7 +262,6 @@ struct Knobs {
     max_retries: u32,
     backoff: Duration,
     deadline_ms: Option<u64>,
-    down_after: u32,
     probe_cooldown: u32,
 }
 
@@ -377,7 +352,6 @@ fn verb_name(r: &Request) -> &'static str {
         Request::Preload { .. } => "preload",
         Request::Stats => "stats",
         Request::SyncModels { .. } => "sync_models",
-        Request::Burn { .. } => "burn",
         Request::ReportOutcome { .. } => "report_outcome",
     }
 }
@@ -465,7 +439,6 @@ fn response_matches(req: &Request, resp: &Response) -> bool {
             | (Request::Preload { .. }, Response::Preloaded { .. })
             | (Request::Stats, Response::Stats(_))
             | (Request::SyncModels { .. }, Response::Models { .. })
-            | (Request::Burn { .. }, Response::Burned)
             | (Request::ReportOutcome { .. }, Response::OutcomeAck { .. })
     )
 }
@@ -964,12 +937,12 @@ impl PredictClient {
         }
     }
 
-    /// A transport-level failure: after `down_after` in a row the
+    /// A transport-level failure: after `DOWN_AFTER` in a row the
     /// replica leaves the ring — unless it is the last one standing.
     fn note_failure(&mut self, idx: usize) {
         self.replicas[idx].consecutive_failures += 1;
         if self.replicas[idx].in_ring
-            && self.replicas[idx].consecutive_failures >= self.knobs.down_after
+            && self.replicas[idx].consecutive_failures >= DOWN_AFTER
             && self.in_ring_count() > 1
         {
             self.replicas[idx].in_ring = false;
@@ -1234,14 +1207,6 @@ mod tests {
         assert_eq!(
             PredictClient::builder().endpoint("a:1").max_retries(99).build().unwrap_err(),
             ClientBuildError::RetriesOutOfRange(99)
-        );
-        assert_eq!(
-            PredictClient::builder().endpoint("a:1").vnodes(0).build().unwrap_err(),
-            ClientBuildError::VnodesOutOfRange(0)
-        );
-        assert_eq!(
-            PredictClient::builder().endpoint("a:1").down_after(0).build().unwrap_err(),
-            ClientBuildError::ZeroDownAfter
         );
         assert!(matches!(
             PredictClient::builder().endpoint("gopher://a:1").build().unwrap_err(),

@@ -107,8 +107,6 @@ pub enum Request {
     /// generations from a ring peer at boot instead of waiting for a
     /// client to re-preload it. Answered with [`Response::Models`].
     SyncModels { have_generation: u64 },
-    /// Test/diagnostics verb: hold a worker for `ms` milliseconds.
-    Burn { ms: u64 },
     /// The adaptation loop's outcome feed: the plugin reports what a
     /// served prediction actually did in production. Answered with
     /// [`Response::OutcomeAck`]. Additive like `PredictMany`: an old
@@ -280,8 +278,6 @@ pub enum Response {
     DeadlineExceeded,
     /// The daemon hit an internal error serving the request.
     Error { message: String },
-    /// Answer to [`Request::Burn`].
-    Burned,
     /// Answer to [`Request::ReportOutcome`]. `accepted` is false when
     /// the outcome was malformed (non-finite or non-positive
     /// measurements) or the daemon has no adaptation monitor; either

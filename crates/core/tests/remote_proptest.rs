@@ -95,7 +95,6 @@ enum LegacyRequest {
     Preload { model_id: i64 },
     Stats,
     SyncModels { have_generation: u64 },
-    Burn { ms: u64 },
 }
 
 /// The response shapes an old client understands: no `OutcomeAck`.
@@ -107,7 +106,6 @@ enum LegacyResponse {
     Miss { system_hash: u64, binary_hash: u64 },
     DeadlineExceeded,
     Error { message: String },
-    Burned,
 }
 
 fn arb_config() -> impl Strategy<Value = CpuConfig> {
@@ -136,25 +134,17 @@ fn arb_observed() -> impl Strategy<Value = ObservedOutcome> {
 }
 
 fn arb_request() -> impl Strategy<Value = Request> {
-    (
-        0u32..8,
-        (0u64..=u64::MAX),
-        (0u64..=u64::MAX),
-        (-1_000i64..=1_000_000),
-        0u64..=20_000,
-        arb_keys(),
-        arb_observed(),
-    )
-        .prop_map(|(kind, a, b, id, ms, keys, outcome)| match kind {
+    (0u32..7, (0u64..=u64::MAX), (0u64..=u64::MAX), (-1_000i64..=1_000_000), arb_keys(), arb_observed()).prop_map(
+        |(kind, a, b, id, keys, outcome)| match kind {
             0 => Request::Ping,
             1 => Request::Predict { system_hash: a, binary_hash: b },
             2 => Request::Preload { model_id: id },
             3 => Request::Stats,
             4 => Request::SyncModels { have_generation: a },
             5 => Request::PredictMany { keys },
-            6 => Request::ReportOutcome { system_hash: a, binary_hash: b, outcome },
-            _ => Request::Burn { ms },
-        })
+            _ => Request::ReportOutcome { system_hash: a, binary_hash: b, outcome },
+        },
+    )
 }
 
 fn arb_trace() -> impl Strategy<Value = TraceContext> {
@@ -225,7 +215,7 @@ fn arb_outcome() -> impl Strategy<Value = KeyOutcome> {
 
 fn arb_response() -> impl Strategy<Value = Response> {
     (
-        0u32..12,
+        0u32..11,
         arb_config(),
         arb_snapshot(),
         (0u64..=u64::MAX),
@@ -234,7 +224,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         (".{0,80}", prop::collection::vec(arb_outcome(), 0..9)),
     )
         .prop_map(|(kind, config, stats, a, b, id, (text, results))| match kind {
-            11 => Response::OutcomeAck { accepted: a % 2 == 0 },
+            10 => Response::OutcomeAck { accepted: a % 2 == 0 },
             0 => Response::Pong,
             1 => Response::Config(config),
             2 => Response::Preloaded {
@@ -260,8 +250,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                     blob_hash: format!("{a:016x}"),
                 }],
             },
-            9 => Response::ManyConfigs { results },
-            _ => Response::Burned,
+            _ => Response::ManyConfigs { results },
         })
 }
 

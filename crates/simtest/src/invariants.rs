@@ -31,7 +31,6 @@ pub fn verb_of(request: &Request) -> &'static str {
         Request::Preload { .. } => "Preload",
         Request::Stats => "Stats",
         Request::SyncModels { .. } => "SyncModels",
-        Request::Burn { .. } => "Burn",
         Request::ReportOutcome { .. } => "ReportOutcome",
     }
 }
@@ -49,7 +48,6 @@ pub fn kind_of(response: &Response) -> &'static str {
         Response::Miss { .. } => "Miss",
         Response::DeadlineExceeded => "DeadlineExceeded",
         Response::Error { .. } => "Error",
-        Response::Burned => "Burned",
         Response::OutcomeAck { .. } => "OutcomeAck",
     }
 }

@@ -84,13 +84,9 @@ impl StoreBackend for DiskBackend {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(bytes)?;
-            file.sync_data()?;
-        }
-        fs::rename(&tmp, &path)
+        // a temp name of its own per write, synced before the rename;
+        // `list` skips the `.tmp` a crash can leave behind
+        chronus::integrations::storage::publish(&path, bytes, true)
     }
 
     fn list(&self, prefix: &str) -> io::Result<Vec<String>> {
