@@ -1,14 +1,20 @@
 //! Where the daemon gets models from. A [`ModelBackend`] resolves a
 //! preload (by model id) or a cold lookup (by identity hashes) into a
 //! [`PreparedModel`] whose best configuration the registry then serves
-//! from memory.
+//! from memory. A daemon has exactly one: the durable store
+//! ([`StoreModelBackend`]) when it was started with one, the staged
+//! `settings.json` model ([`StorageBackend`]) in the paper's store-less
+//! configuration.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use chronus::application::predict_from_settings;
 use chronus::error::{ChronusError, Result};
 use chronus::interfaces::LocalStorage;
 use eco_sim_node::cpu::CpuConfig;
+use eco_store::{ModelRecord, ModelStore, StoreError};
+use parking_lot::Mutex;
 
 /// A model resolved by a backend, ready to be cached: identity plus
 /// the pre-computed answer.
@@ -30,10 +36,78 @@ pub trait ModelBackend: Send + Sync {
     fn lookup(&self, system_hash: u64, binary_hash: u64) -> Result<PreparedModel>;
 }
 
-/// The production backend: the same staged-model layout the CLI's
-/// `load-model` writes (`settings.json` pointing at a serialized
-/// optimizer on local disk). Prediction runs the optimizer's argmax
-/// over the staged system facts once; the registry caches the result.
+/// Verify, then prepare — the only place a ledger record becomes
+/// something the registry may serve. The record's blob is loaded and
+/// must hash back to its content address and parse
+/// ([`ModelStore::load_blob`]); only then is the record's pre-computed
+/// configuration handed out. No optimizer is parsed or scored here.
+/// Boot catch-up, `Preload` and a registry miss all come through this.
+pub fn verified(store: &ModelStore, record: &ModelRecord) -> std::result::Result<PreparedModel, StoreError> {
+    store.load_blob(record)?;
+    Ok(PreparedModel {
+        model_id: record.model_id,
+        model_type: record.model_type.clone(),
+        system_hash: record.system_hash,
+        binary_hash: record.binary_hash,
+        config: record.config,
+    })
+}
+
+/// The backend of a store-backed daemon: the durable model store is
+/// the model source. A `Preload` and a registry miss re-read the ledger
+/// (the campaign CLI may have appended since boot), pick the *serving*
+/// record — the ledger folded with rollback-rewind semantics, latest
+/// match first — and hand it out through [`verified`]. A model the
+/// serving set does not hold is `NotFound` naming the store, so what
+/// the registry serves is always what the ledger says.
+pub struct StoreModelBackend {
+    store: Arc<Mutex<ModelStore>>,
+    dir: String,
+}
+
+impl StoreModelBackend {
+    /// A backend over the daemon's one open store; `dir` labels it in
+    /// error messages.
+    pub fn new(store: Arc<Mutex<ModelStore>>, dir: impl Into<String>) -> StoreModelBackend {
+        StoreModelBackend { store, dir: dir.into() }
+    }
+
+    fn resolve(&self, what: &str, pick: impl Fn(&ModelRecord) -> bool) -> Result<PreparedModel> {
+        let dir = &self.dir;
+        // a blob that does not verify is "no answer for this key" (the
+        // service answers Miss, as after a boot that rejected it); a
+        // store that cannot be read is the daemon's own problem
+        let refused = |e: StoreError| match e {
+            StoreError::Io(e) => ChronusError::Io(e),
+            e => ChronusError::Model(format!("model store at {dir}: {e}")),
+        };
+        let mut store = self.store.lock();
+        store.refresh().map_err(refused)?;
+        let record =
+            store.serving().into_iter().rfind(|r| pick(r)).ok_or_else(|| {
+                ChronusError::NotFound(format!("{what} is not serving in the model store at {dir}"))
+            })?;
+        verified(&store, record).map_err(refused)
+    }
+}
+
+impl ModelBackend for StoreModelBackend {
+    fn load(&self, model_id: i64) -> Result<PreparedModel> {
+        self.resolve(&format!("model {model_id}"), |r| r.model_id == model_id)
+    }
+
+    fn lookup(&self, system_hash: u64, binary_hash: u64) -> Result<PreparedModel> {
+        self.resolve(&format!("a model for ({system_hash:#x}, {binary_hash:#x})"), |r| {
+            r.system_hash == system_hash && r.binary_hash == binary_hash
+        })
+    }
+}
+
+/// The backend of a store-less daemon, the paper's configuration: the
+/// same staged-model layout the CLI's `load-model` writes
+/// (`settings.json` pointing at a serialized optimizer on local disk).
+/// Prediction runs the optimizer's argmax over the staged system facts
+/// once; the registry caches the result.
 pub struct StorageBackend {
     storage: Box<dyn LocalStorage + Send + Sync>,
 }

@@ -17,7 +17,8 @@
 //! chronus set state active
 //! ```
 //!
-//! `serve` runs chronusd over this `$CHRONUS_HOME`'s staged model;
+//! `serve` runs chronusd over this `$CHRONUS_HOME`'s staged model, or with
+//! `--store` over a durable model store, then its only model source;
 //! `--remote` answers the prediction from a running daemon instead of
 //! reading the staged model in-process. Everywhere an address is accepted,
 //! a comma-separated list names a replicated fleet: the client routes each
@@ -86,10 +87,8 @@ const WORKERS: Arg = Arg::new("--workers", Usize, Default("4"), "Worker threads 
 const CACHE_CAP: Arg = Arg::new("--cache-cap", Usize, Default("64"), "Resident models per replica");
 const FLEET: Arg = Arg::new("--fleet", Usize, Default("1"), "Replicas r0, r1, ... on consecutive ports; at least 1");
 const STORE: Arg =
-    Arg::new("--store", Str, Optional, "Model store directory: replicas catch up from it, campaigns commit to it");
+    Arg::new("--store", Str, Optional, "Model store directory: the replicas' model source; campaigns commit to it");
 const MODELS_STORE: Arg = Arg { need: Required, help: "Model store directory", ..STORE };
-const SYNC_FROM: Arg =
-    Arg::new("--sync-from", Str, Optional, "Ring peer to pull missing committed models from at boot");
 const SHM: Arg = Arg::new(
     "--shm",
     Str,
@@ -126,8 +125,8 @@ pub const CHRONUS: Command = cli::root(&[
     cli::SET,
     Command {
         name: "serve",
-        about: "Runs chronusd over this home's staged model until killed.",
-        args: &[ADDR, WORKERS, CACHE_CAP, FLEET, STORE, SYNC_FROM, SHM],
+        about: "Runs chronusd over this home's staged model, or over --store, until killed.",
+        args: &[ADDR, WORKERS, CACHE_CAP, FLEET, STORE, SHM],
         run: Standalone(cmd_serve),
     },
     Command {
@@ -267,8 +266,10 @@ fn client_for(endpoints: &str) -> Result<PredictClient, String> {
         .map_err(|e| format!("bad endpoint list '{endpoints}': {e}"))
 }
 
-/// `chronus serve`: every replica catches up from `--store` (blob-verified,
-/// zero Preload traffic) and `--sync-from` before it accepts connections.
+/// `chronus serve`: with `--store` the store is every replica's model
+/// source — caught up from (blob-verified, zero Preload traffic) before it
+/// accepts connections, asked again on every `Preload` and miss. Without
+/// one, the source is this home's staged model.
 fn cmd_serve(args: &Args) -> Outcome {
     let size = |arg| args.size(arg).expect("declared with a default");
     let text = |arg| args.get(arg).map(str::to_string);
@@ -277,7 +278,6 @@ fn cmd_serve(args: &Args) -> Outcome {
         workers: size(&WORKERS),
         cache_cap: size(&CACHE_CAP),
         store_dir: text(&STORE),
-        sync_from: text(&SYNC_FROM),
         shm_path: text(&SHM),
         ..ServerConfig::default()
     };
@@ -312,15 +312,17 @@ fn cmd_serve(args: &Args) -> Outcome {
         );
         let boot = s.boot_recovery();
         if cfg.store_dir.is_some() {
-            println!("  store catch-up: {} model(s) installed from the ledger", boot.store.installed);
+            let installed = boot.store.installed;
+            println!("  store catch-up: {installed} installed from the ledger, {} resident", s.registry().len());
+            if installed > cfg.cache_cap {
+                println!(
+                    "  warning: the ledger serves {installed} models, {} holds {}: the rest resolve from the \
+                     store on their first request",
+                    CACHE_CAP.name, cfg.cache_cap
+                );
+            }
             for rejected in &boot.store.rejected {
                 println!("  store rejected {rejected}");
-            }
-        }
-        if cfg.sync_from.is_some() {
-            match &boot.sync_error {
-                Some(e) => println!("  peer sync failed (continuing cold): {e}"),
-                None => println!("  peer sync: {} model(s) pulled", boot.synced),
             }
         }
         if let Some(ring) = s.shm_path() {

@@ -33,9 +33,11 @@
 //! * [`service`] — the transport-free request engine (deadlines,
 //!   miss/error classification, counters) shared by the TCP server and
 //!   the deterministic simulation harness;
-//! * [`registry`] — sharded LRU map of pre-computed answers;
-//! * [`backend`] — where models come from (staged disk layout, or a
-//!   static set for tests);
+//! * [`registry`] — sharded LRU map of pre-computed answers, one
+//!   capacity for the whole of it;
+//! * [`backend`] — where models come from (the durable store when the
+//!   daemon has one, else the staged disk layout; a static set for
+//!   tests);
 //! * [`stats`] — counters and latency histogram behind the `stats` RPC.
 //!
 //! The wire protocol and the client live in [`chronus::remote`] so the
@@ -70,7 +72,7 @@ pub mod store {
     pub use eco_store::*;
 }
 
-pub use backend::{ModelBackend, PreparedModel, StaticBackend, StorageBackend};
+pub use backend::{ModelBackend, PreparedModel, StaticBackend, StorageBackend, StoreModelBackend};
 pub use registry::{ModelKey, ModelRegistry, ResidentModel};
 pub use server::{BootRecovery, PredictServer, ServerConfig};
 pub use service::{PredictService, QueueGauges, ServiceClock, StoreCatchUp, WallClock};

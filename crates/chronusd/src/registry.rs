@@ -15,6 +15,13 @@
 //! in, and reclaims the old snapshot only after every reader pinned to
 //! it has left.
 //!
+//! Capacity is one budget for the whole registry, not a share per
+//! shard: a new key arriving at capacity evicts the entry with the
+//! globally oldest LRU stamp, whichever shard holds it. Inserts are
+//! serialized by one registry-wide mutex so "count, pick the victim,
+//! insert" is a single decision; under it the victim's shard and the
+//! key's shard are written one after the other, never nested.
+//!
 //! ## Reclamation protocol
 //!
 //! Each shard keeps an `epoch` counter and two reader counts indexed by
@@ -59,7 +66,7 @@ pub struct ResidentModel {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Lookup {
     /// A committed entry answered.
-    Hit { model_id: i64, model_type: String, config: CpuConfig },
+    Hit { model_id: i64, config: CpuConfig },
     /// No entry for the key.
     Miss,
     /// An entry exists but belongs to an uncommitted rollout generation;
@@ -157,12 +164,13 @@ impl Drop for Shard {
     }
 }
 
-/// Sharded LRU registry with lock-free reads. Capacity is budgeted per
-/// shard (`max(1, capacity / shards)`), so eviction never needs a
-/// global lock.
+/// Sharded LRU registry with lock-free reads and one global capacity.
 pub struct ModelRegistry {
     shards: Vec<Shard>,
-    per_shard_cap: usize,
+    capacity: usize,
+    /// Serializes inserts, so the capacity check, the choice of victim
+    /// and the insert are one decision. Readers never touch it.
+    budget: Mutex<()>,
     clock: AtomicU64,
     evictions: AtomicU64,
     /// Latest committed rollout generation; entries above it are invisible.
@@ -172,14 +180,13 @@ pub struct ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// A registry with `shards` shards and room for roughly `capacity`
-    /// models in total. Both are clamped to at least 1.
+    /// A registry with `shards` shards and room for `capacity` models
+    /// in total, however they hash. Both are clamped to at least 1.
     pub fn new(shards: usize, capacity: usize) -> ModelRegistry {
-        let shards = shards.max(1);
-        let per_shard_cap = capacity.max(1).div_ceil(shards);
         ModelRegistry {
-            shards: (0..shards).map(|_| Shard::new()).collect(),
-            per_shard_cap,
+            shards: (0..shards.max(1)).map(|_| Shard::new()).collect(),
+            capacity: capacity.max(1),
+            budget: Mutex::new(()),
             clock: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             committed_gen: AtomicU64::new(0),
@@ -215,19 +222,6 @@ impl ModelRegistry {
         self.committed_gen.fetch_max(gen, Ordering::AcqRel);
     }
 
-    /// Removes the key's entry if it still belongs to the aborted
-    /// rollout `gen`, so a later commit can never resurrect it. Returns
-    /// true if an entry was removed.
-    pub fn abort_rollout(&self, key: &ModelKey, gen: u64) -> bool {
-        self.shard_for(key).update(|entries| {
-            if entries.get(key).is_some_and(|m| m.generation == gen) {
-                entries.remove(key);
-                return true;
-            }
-            false
-        })
-    }
-
     /// Generation-aware lookup, refreshing the LRU stamp. Entries from
     /// an uncommitted generation are reported as [`Lookup::Stale`] and
     /// never served. Lock-free: pins the shard's snapshot, never blocks
@@ -239,7 +233,7 @@ impl ModelRegistry {
             Some(m) if m.generation > committed => Lookup::Stale,
             Some(m) => {
                 m.last_used.store(self.tick(), Ordering::Relaxed);
-                Lookup::Hit { model_id: m.model_id, model_type: m.model_type.clone(), config: m.config }
+                Lookup::Hit { model_id: m.model_id, config: m.config }
             }
         })
     }
@@ -253,17 +247,9 @@ impl ModelRegistry {
         }
     }
 
-    /// Like [`Self::get`] but also reports which model answered.
-    pub fn get_full(&self, key: &ModelKey) -> Option<(i64, String, CpuConfig)> {
-        match self.lookup(key) {
-            Lookup::Hit { model_id, model_type, config } => Some((model_id, model_type, config)),
-            _ => None,
-        }
-    }
-
     /// Inserts (or replaces) a model at the current committed
-    /// generation, evicting the least recently used entry of the key's
-    /// shard if it is full.
+    /// generation, evicting the registry's least recently used entry
+    /// if the key is new and the registry is full.
     pub fn insert(&self, key: ModelKey, model_id: i64, model_type: String, config: CpuConfig) {
         self.insert_at(key, model_id, model_type, config, self.generation());
     }
@@ -273,15 +259,17 @@ impl ModelRegistry {
     /// [`Self::commit_rollout`].
     pub fn insert_at(&self, key: ModelKey, model_id: i64, model_type: String, config: CpuConfig, gen: u64) {
         let stamp = self.tick();
-        self.shard_for(&key).update(|entries| {
-            if !entries.contains_key(&key) && entries.len() >= self.per_shard_cap {
-                if let Some(victim) =
-                    entries.iter().min_by_key(|(_, m)| m.last_used.load(Ordering::Relaxed)).map(|(k, _)| *k)
-                {
-                    entries.remove(&victim);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+        let _budget = self.budget.lock();
+        let shard = self.shard_for(&key);
+        if !shard.read(|entries| entries.contains_key(&key)) && self.len() >= self.capacity {
+            // the victim goes before the key's shard is locked: the two
+            // may be different shards, and their locks must not nest
+            if let Some(victim) = self.coldest() {
+                self.shard_for(&victim).update(|entries| entries.remove(&victim));
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
+        }
+        shard.update(|entries| {
             entries.insert(
                 key,
                 Arc::new(ResidentModel {
@@ -293,6 +281,13 @@ impl ModelRegistry {
                 }),
             );
         });
+    }
+
+    /// The key with the oldest LRU stamp in the whole registry.
+    fn coldest(&self) -> Option<ModelKey> {
+        let coldest_in =
+            |entries: &Snapshot| entries.iter().map(|(key, m)| (m.last_used.load(Ordering::Relaxed), *key)).min();
+        self.shards.iter().filter_map(|s| s.read(coldest_in)).min().map(|(_, key)| key)
     }
 
     /// Models resident across all shards.
@@ -307,28 +302,6 @@ impl ModelRegistry {
     /// LRU evictions since start.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Every *committed* resident entry as
-    /// `(key, model_id, model_type, config, generation)`, sorted by
-    /// generation then key. This is the daemon's answer to an
-    /// anti-entropy `SyncModels` pull, so uncommitted (stale) entries
-    /// are excluded — a peer must never catch up onto a half-rolled-out
-    /// model.
-    pub fn committed_entries(&self) -> Vec<(ModelKey, i64, String, CpuConfig, u64)> {
-        let committed = self.generation();
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            shard.read(|entries| {
-                for (key, m) in entries {
-                    if m.generation <= committed {
-                        out.push((*key, m.model_id, m.model_type.clone(), m.config, m.generation));
-                    }
-                }
-            });
-        }
-        out.sort_by_key(|a| (a.4, a.0));
-        out
     }
 }
 
@@ -346,8 +319,7 @@ mod tests {
         assert!(reg.get(&(1, 2)).is_none());
         reg.insert((1, 2), 7, "brute-force".into(), cfg(32));
         assert_eq!(reg.get(&(1, 2)), Some(cfg(32)));
-        let (id, ty, c) = reg.get_full(&(1, 2)).unwrap();
-        assert_eq!((id, ty.as_str(), c), (7, "brute-force", cfg(32)));
+        assert_eq!(reg.lookup(&(1, 2)), Lookup::Hit { model_id: 7, config: cfg(32) });
         assert_eq!(reg.len(), 1);
     }
 
@@ -357,12 +329,11 @@ mod tests {
         reg.insert((1, 1), 1, "a".into(), cfg(8));
         reg.insert((1, 1), 2, "b".into(), cfg(16));
         assert_eq!(reg.evictions(), 0);
-        assert_eq!(reg.get_full(&(1, 1)).unwrap().0, 2);
+        assert_eq!(reg.lookup(&(1, 1)), Lookup::Hit { model_id: 2, config: cfg(16) });
     }
 
     #[test]
     fn lru_eviction_picks_the_coldest_entry() {
-        // single shard so all keys compete for the same slots
         let reg = ModelRegistry::new(1, 2);
         reg.insert((1, 0), 1, "a".into(), cfg(1));
         reg.insert((2, 0), 2, "a".into(), cfg(2));
@@ -376,6 +347,56 @@ mod tests {
     }
 
     #[test]
+    fn capacity_is_one_budget_however_the_keys_hash() {
+        // every key lands in one shard of eight: under a per-shard share
+        // (64 / 8) all but eight of them would have been evicted
+        let reg = ModelRegistry::new(8, 64);
+        for i in 0..64u64 {
+            reg.insert((i * 8, 0), i as i64, "a".into(), cfg(1));
+        }
+        assert_eq!((reg.len(), reg.evictions()), (64, 0));
+        assert!((0..64u64).all(|i| reg.get(&(i * 8, 0)).is_some()));
+    }
+
+    #[test]
+    fn a_new_key_at_capacity_evicts_the_globally_coldest_entry() {
+        let reg = ModelRegistry::new(4, 4);
+        for i in 0..4u64 {
+            reg.insert((i, 0), i as i64, "a".into(), cfg(1));
+        }
+        // touch everything but (2,0); the new key (5,0) hashes to (1,0)'s shard
+        for i in [0u64, 1, 3] {
+            assert!(reg.get(&(i, 0)).is_some());
+        }
+        reg.insert((5, 0), 5, "a".into(), cfg(1));
+        assert!(reg.get(&(2, 0)).is_none(), "the coldest entry went, whichever shard held it");
+        assert!(reg.get(&(1, 0)).is_some() && reg.get(&(5, 0)).is_some());
+        assert_eq!((reg.len(), reg.evictions()), (4, 1));
+        // replacing a resident key at capacity evicts nothing
+        reg.insert((5, 0), 6, "a".into(), cfg(2));
+        assert_eq!((reg.len(), reg.evictions()), (4, 1));
+    }
+
+    #[test]
+    fn concurrent_inserts_never_exceed_capacity() {
+        let reg = std::sync::Arc::new(ModelRegistry::new(8, 16));
+        crossbeam::scope(|s| {
+            for t in 0..4u64 {
+                let reg = std::sync::Arc::clone(&reg);
+                s.spawn(move |_| {
+                    for i in 0..200u64 {
+                        reg.insert((t, i), i as i64, "a".into(), cfg(1));
+                        assert!(reg.len() <= 16);
+                    }
+                });
+            }
+        })
+        .unwrap();
+        assert_eq!(reg.len(), 16);
+        assert_eq!(reg.evictions(), 4 * 200 - 16);
+    }
+
+    #[test]
     fn uncommitted_generation_is_stale_until_committed() {
         let reg = ModelRegistry::new(2, 8);
         assert_eq!(reg.generation(), 0);
@@ -385,27 +406,9 @@ mod tests {
         // half-rolled-out: visible as Stale, never served
         assert_eq!(reg.lookup(&(1, 2)), Lookup::Stale);
         assert!(reg.get(&(1, 2)).is_none());
-        assert!(reg.get_full(&(1, 2)).is_none());
         reg.commit_rollout(gen);
         assert_eq!(reg.generation(), 1);
         assert_eq!(reg.get(&(1, 2)), Some(cfg(32)));
-    }
-
-    #[test]
-    fn abort_rollout_removes_only_its_own_entry() {
-        let reg = ModelRegistry::new(1, 8);
-        reg.insert((1, 2), 1, "bf".into(), cfg(8));
-        let gen = reg.begin_rollout();
-        reg.insert_at((1, 2), 2, "bf".into(), cfg(16), gen);
-        assert!(reg.abort_rollout(&(1, 2), gen), "aborted entry removed");
-        // a later successful rollout cannot resurrect the aborted model
-        let gen2 = reg.begin_rollout();
-        reg.insert_at((3, 4), 3, "bf".into(), cfg(32), gen2);
-        reg.commit_rollout(gen2);
-        assert!(reg.get(&(1, 2)).is_none());
-        assert_eq!(reg.get_full(&(3, 4)).unwrap().0, 3);
-        // abort of an entry already replaced is a no-op
-        assert!(!reg.abort_rollout(&(3, 4), gen));
     }
 
     #[test]
@@ -415,24 +418,8 @@ mod tests {
         reg.commit_rollout(gen);
         // cold-miss repopulation during/after rollouts stays servable
         reg.insert((5, 6), 4, "lr".into(), cfg(16));
-        assert_eq!(reg.lookup(&(5, 6)), Lookup::Hit { model_id: 4, model_type: "lr".into(), config: cfg(16) });
+        assert_eq!(reg.lookup(&(5, 6)), Lookup::Hit { model_id: 4, config: cfg(16) });
         assert_eq!(reg.lookup(&(9, 9)), Lookup::Miss);
-    }
-
-    #[test]
-    fn committed_entries_exclude_uncommitted_generations() {
-        let reg = ModelRegistry::new(2, 8);
-        reg.insert((1, 1), 1, "bf".into(), cfg(8));
-        let gen = reg.begin_rollout();
-        reg.insert_at((2, 2), 2, "bf".into(), cfg(16), gen);
-        reg.commit_rollout(gen);
-        let half = reg.begin_rollout();
-        reg.insert_at((3, 3), 3, "bf".into(), cfg(32), half); // never committed
-        let entries = reg.committed_entries();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0, (1, 1), "sorted by generation then key");
-        assert_eq!(entries[1].0, (2, 2));
-        assert!(entries.iter().all(|(_, _, _, _, g)| *g <= reg.generation()));
     }
 
     #[test]
@@ -536,7 +523,10 @@ mod tests {
         .unwrap();
         assert_eq!(reg.generation(), ROLLOUTS as u64);
         for k in 0..KEYS {
-            assert_eq!(reg.get_full(&(k, k)).unwrap().0, ROLLOUTS, "every key ends on the final generation");
+            assert!(
+                matches!(reg.lookup(&(k, k)), Lookup::Hit { model_id: ROLLOUTS, .. }),
+                "every key ends on the final generation"
+            );
         }
     }
 }

@@ -21,11 +21,10 @@ use chronus::remote::{take_frame, write_frame, Response, ResponseFrame, SessionE
 use chronus::telemetry::Histogram;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
-use chronus::remote::{CallOptions, PredictClient};
 use eco_store::ModelStore;
 use parking_lot::Mutex;
 
-use crate::backend::ModelBackend;
+use crate::backend::{ModelBackend, StoreModelBackend};
 use crate::registry::ModelRegistry;
 use crate::service::{PredictService, QueueGauges, StoreCatchUp};
 
@@ -38,7 +37,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Connections that may wait between accept and a worker.
     pub queue_cap: usize,
-    /// Registry capacity (resident models across all shards).
+    /// Registry capacity: resident models in total, one budget however
+    /// the keys hash across shards.
     pub cache_cap: usize,
     /// Registry shards.
     pub cache_shards: usize,
@@ -47,18 +47,15 @@ pub struct ServerConfig {
     /// This daemon's fleet identity, stamped on `Stats` answers
     /// (empty = unnamed single daemon).
     pub replica_id: String,
-    /// Durable model store directory. When set, the daemon opens the
-    /// store at boot and re-installs every serving model — blob
-    /// hash-verified first — before the listener accepts a single
-    /// connection, so a restarted replica is warm with zero Preload
-    /// traffic. The daemon only *reads* the store; the campaign and
-    /// the `chronus models` CLI are its writers.
+    /// Durable model store directory. When set, the store is the
+    /// daemon's model source: it is opened at boot and every serving
+    /// model re-installed — blob hash-verified first — before the
+    /// listener accepts a single connection, so a restarted replica is
+    /// warm with zero Preload traffic; afterwards every `Preload` and
+    /// every registry miss resolves from the same store through the
+    /// same verification. The daemon only *reads* the store; the
+    /// campaign and the `chronus models` CLI are its writers.
     pub store_dir: Option<String>,
-    /// A ring peer (`host:port`) to pull committed models from at
-    /// boot — anti-entropy for a replica whose store is missing or
-    /// behind. A dead peer is non-fatal: the daemon still starts and
-    /// reports the error in [`PredictServer::boot_recovery`].
-    pub sync_from: Option<String>,
     /// When set, the daemon also listens on a shared-memory ring at
     /// this filesystem path (dialed as `shm://<path>`) for same-host
     /// clients. One client session at a time; batch requests on it
@@ -77,7 +74,6 @@ impl Default for ServerConfig {
             retry_after_ms: 20,
             replica_id: String::new(),
             store_dir: None,
-            sync_from: None,
             shm_path: None,
         }
     }
@@ -108,10 +104,6 @@ impl Ctx {
 pub struct BootRecovery {
     /// Store catch-up outcome (all-zero when `store_dir` is unset).
     pub store: StoreCatchUp,
-    /// Models pulled from the `sync_from` peer.
-    pub synced: usize,
-    /// Why the peer pull failed, when it did (non-fatal).
-    pub sync_error: Option<String>,
 }
 
 /// A running chronusd instance. Dropping it shuts the daemon down and
@@ -129,28 +121,33 @@ pub struct PredictServer {
 
 impl PredictServer {
     /// Binds, spawns the worker pool and the accept thread, and
-    /// returns immediately. With [`ServerConfig::store_dir`] set, the
-    /// store is opened and caught up from first, so the registry is
-    /// warm before the address is reachable; an unopenable store is a
-    /// hard error (better dead than silently cold).
+    /// returns immediately.
+    ///
+    /// `backend` is the model source of a **store-less** daemon only.
+    /// With [`ServerConfig::store_dir`] set the store is the source and
+    /// `backend` is never consulted: the store is opened once, caught
+    /// up from before the address is reachable (so the registry is warm
+    /// for the first connection), and the same open handle then answers
+    /// every `Preload` and every miss through
+    /// [`StoreModelBackend`]. An unopenable store is a hard error
+    /// (better dead than silently cold).
     pub fn start(cfg: ServerConfig, backend: Arc<dyn ModelBackend>) -> std::io::Result<PredictServer> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let workers_n = cfg.workers.max(1);
-        let mut service = PredictService::new(cfg.cache_shards, cfg.cache_cap, backend).with_replica(cfg.replica_id);
-        if let Some(dir) = &cfg.store_dir {
-            let store = ModelStore::open_dir(dir).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("model store at {dir}: {e}"))
-            })?;
-            service = service.with_store(Arc::new(Mutex::new(store)), dir.clone());
-        }
-        let mut boot = BootRecovery { store: service.catch_up_from_store(), ..BootRecovery::default() };
-        if let Some(peer) = &cfg.sync_from {
-            match sync_from_peer(&service, peer) {
-                Ok(n) => boot.synced = n,
-                Err(e) => boot.sync_error = Some(e),
+        let serve_from =
+            |source| PredictService::new(cfg.cache_shards, cfg.cache_cap, source).with_replica(&cfg.replica_id);
+        let service = match &cfg.store_dir {
+            Some(dir) => {
+                let store = ModelStore::open_dir(dir).map_err(|e| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, format!("model store at {dir}: {e}"))
+                })?;
+                let store = Arc::new(Mutex::new(store));
+                serve_from(Arc::new(StoreModelBackend::new(Arc::clone(&store), dir))).with_store(store, dir)
             }
-        }
+            None => serve_from(backend),
+        };
+        let boot = BootRecovery { store: service.catch_up_from_store() };
         let queue_wait = service.telemetry().histogram("daemon.queue_wait_us");
         let ctx = Arc::new(Ctx { service, queue_cap: cfg.queue_cap.max(1), workers: workers_n, queue_wait });
         let (tx, rx) = bounded::<(Instant, TcpStream)>(cfg.queue_cap.max(1));
@@ -212,7 +209,7 @@ impl PredictServer {
         self.shm_path.as_deref()
     }
 
-    /// What boot-time recovery installed (store catch-up, peer sync).
+    /// What boot-time recovery installed (the store catch-up).
     pub fn boot_recovery(&self) -> &BootRecovery {
         &self.boot
     }
@@ -257,21 +254,6 @@ impl Drop for PredictServer {
     fn drop(&mut self) {
         self.shutdown_impl();
     }
-}
-
-/// Pulls committed models a booting replica is missing from a ring
-/// peer (the `SyncModels` anti-entropy RPC) and installs them, one
-/// committed registry generation per model.
-fn sync_from_peer(service: &PredictService, peer: &str) -> Result<usize, String> {
-    let mut client = PredictClient::builder()
-        .endpoint(peer)
-        .connect_timeout(Duration::from_millis(500))
-        .build()
-        .map_err(|e| format!("sync peer {peer}: {e}"))?;
-    let have = service.registry().generation();
-    let models =
-        client.sync_models(have, &CallOptions::traced(None)).map_err(|e| format!("sync peer {peer}: {e}"))?;
-    Ok(service.apply_sync(&models))
 }
 
 fn accept_loop(listener: TcpListener, tx: Sender<(Instant, TcpStream)>, ctx: Arc<Ctx>, retry_after_ms: u64) {

@@ -13,14 +13,14 @@ use std::sync::Arc;
 
 use chronus::error::ChronusError;
 use chronus::remote::{
-    fastpath, KeyOutcome, ModelSync, ObservedOutcome, Request, RequestFrame, Response, StatsSnapshot, MAX_BATCH_KEYS,
+    fastpath, KeyOutcome, ObservedOutcome, Request, RequestFrame, Response, StatsSnapshot, MAX_BATCH_KEYS,
 };
 use chronus::telemetry::{Telemetry, TraceContext};
 use eco_adapt::Monitor;
 use eco_store::ModelStore;
 use parking_lot::Mutex;
 
-use crate::backend::ModelBackend;
+use crate::backend::{verified, ModelBackend, PreparedModel};
 use crate::registry::{Lookup, ModelRegistry};
 use crate::stats::ServerStats;
 
@@ -51,7 +51,9 @@ pub struct QueueGauges {
 /// A service's attached durable store: the handle itself plus the
 /// operator-facing directory label stamped on `Stats` answers. The
 /// daemon is a read-only consumer — the campaign CLI is the writer —
-/// so every use is either a boot catch-up or a gauge read.
+/// so every use here is either a boot catch-up or a gauge read; a
+/// `Preload` or a miss reaches the same store through the backend
+/// ([`crate::backend::StoreModelBackend`]).
 struct StoreHandle {
     store: Arc<Mutex<ModelStore>>,
     dir: String,
@@ -155,46 +157,36 @@ impl PredictService {
     /// Self-serve catch-up: installs every record the attached store
     /// says should be serving ([`ModelStore::serving`] — the ledger
     /// folded with rollback-rewind semantics), each under its own
-    /// committed registry generation, oldest first. Every blob is
-    /// loaded and hash-verified *before* its record installs: a model
-    /// whose blob fails verification is reported and never served.
-    /// No-op without a store.
+    /// committed registry generation, oldest first. Every record comes
+    /// through [`verified`] *before* it installs: a model whose blob
+    /// fails verification is reported and never served. A serving set
+    /// larger than the registry leaves its newest records resident; the
+    /// rest are the backend's to resolve on their first request. No-op
+    /// without a store.
     pub fn catch_up_from_store(&self) -> StoreCatchUp {
         let mut report = StoreCatchUp::default();
         let Some(handle) = &self.store else { return report };
         let mut store = handle.store.lock();
         let _ = store.refresh();
         for record in store.serving() {
-            if let Err(e) = store.load_blob(record) {
-                report.rejected.push(format!("generation {}: {e}", record.generation));
-                continue;
+            match verified(&store, record) {
+                Ok(model) => {
+                    self.install(model, self.registry.begin_rollout());
+                    self.stats.store_catchup();
+                    report.installed += 1;
+                }
+                Err(e) => report.rejected.push(e.to_string()),
             }
-            let gen = self.registry.begin_rollout();
-            self.registry.insert_at(
-                (record.system_hash, record.binary_hash),
-                record.model_id,
-                record.model_type.clone(),
-                record.config,
-                gen,
-            );
-            self.registry.commit_rollout(gen);
-            self.stats.store_catchup();
-            report.installed += 1;
         }
         report
     }
 
-    /// Installs models pulled from a ring peer's `SyncModels` answer
-    /// (the anti-entropy path for store-less replicas), one committed
-    /// registry generation per model. Returns how many were installed.
-    pub fn apply_sync(&self, models: &[ModelSync]) -> usize {
-        for m in models {
-            let gen = self.registry.begin_rollout();
-            self.registry.insert_at((m.system_hash, m.binary_hash), m.model_id, m.model_type.clone(), m.config, gen);
-            self.registry.commit_rollout(gen);
-            self.stats.store_catchup();
-        }
-        models.len()
+    /// Makes `model` servable as rollout `generation`: inserted under
+    /// it, then the generation committed.
+    fn install(&self, model: PreparedModel, generation: u64) {
+        let key = (model.system_hash, model.binary_hash);
+        self.registry.insert_at(key, model.model_id, model.model_type, model.config, generation);
+        self.registry.commit_rollout(generation);
     }
 
     /// The model registry (tests, preload-at-boot).
@@ -425,7 +417,6 @@ impl PredictService {
                 let generation = self.registry.begin_rollout();
                 match self.backend.load(model_id) {
                     Ok(model) => {
-                        let key = (model.system_hash, model.binary_hash);
                         let response = Response::Preloaded {
                             model_id: model.model_id,
                             model_type: model.model_type.clone(),
@@ -433,8 +424,7 @@ impl PredictService {
                             binary_hash: model.binary_hash,
                             generation,
                         };
-                        self.registry.insert_at(key, model.model_id, model.model_type, model.config, generation);
-                        self.registry.commit_rollout(generation);
+                        self.install(model, generation);
                         response
                     }
                     Err(e) => {
@@ -452,37 +442,6 @@ impl PredictService {
                     let _ = handle.store.lock().refresh();
                 }
                 Response::Stats(Box::new(self.snapshot(gauges)))
-            }
-            Request::SyncModels { have_generation } => {
-                let store = self.store.as_ref().map(|h| h.store.lock());
-                let models: Vec<ModelSync> = self
-                    .registry
-                    .committed_entries()
-                    .into_iter()
-                    .filter(|(_, _, _, _, generation)| *generation > have_generation)
-                    .map(|((system_hash, binary_hash), model_id, model_type, config, generation)| ModelSync {
-                        model_id,
-                        model_type,
-                        system_hash,
-                        binary_hash,
-                        config,
-                        generation,
-                        blob_hash: store
-                            .as_ref()
-                            .and_then(|s| {
-                                s.commits()
-                                    .filter(|r| {
-                                        r.model_id == model_id
-                                            && r.system_hash == system_hash
-                                            && r.binary_hash == binary_hash
-                                    })
-                                    .last()
-                                    .map(|r| r.blob_hash.clone())
-                            })
-                            .unwrap_or_default(),
-                    })
-                    .collect();
-                Response::Models { models }
             }
             Request::ReportOutcome { system_hash, binary_hash, outcome } => {
                 self.report_outcome(system_hash, binary_hash, &outcome)
@@ -599,7 +558,6 @@ fn verb_of(request: &Request) -> &'static str {
         Request::PredictMany { .. } => "predict_many",
         Request::Preload { .. } => "preload",
         Request::Stats => "stats",
-        Request::SyncModels { .. } => "sync_models",
         Request::ReportOutcome { .. } => "report_outcome",
     }
 }
@@ -928,37 +886,6 @@ mod tests {
         // a store-less daemon reports no class line at all
         let bare = PredictService::new(2, 8, Arc::new(StaticBackend::new(vec![])));
         assert!(bare.snapshot(QueueGauges::default()).models_by_class.is_empty());
-    }
-
-    #[test]
-    fn sync_models_answers_newer_committed_entries_and_peer_applies_them() {
-        let svc = service_with_one_model();
-        let preload = frame_bytes(&RequestFrame::new(Request::Preload { model_id: 1 }));
-        assert!(matches!(svc.handle_frame(&preload, QueueGauges::default()), Response::Preloaded { .. }));
-
-        // A peer that already has generation 1 gets nothing…
-        let caught_up = frame_bytes(&RequestFrame::new(Request::SyncModels { have_generation: 1 }));
-        match svc.handle_frame(&caught_up, QueueGauges::default()) {
-            Response::Models { models } => assert!(models.is_empty()),
-            other => panic!("expected Models, got {other:?}"),
-        }
-        // …a cold peer gets the committed model and installs it.
-        let cold = frame_bytes(&RequestFrame::new(Request::SyncModels { have_generation: 0 }));
-        let models = match svc.handle_frame(&cold, QueueGauges::default()) {
-            Response::Models { models } => models,
-            other => panic!("expected Models, got {other:?}"),
-        };
-        assert_eq!(models.len(), 1);
-        assert_eq!(models[0].generation, 1);
-
-        let peer = PredictService::new(2, 8, Arc::new(StaticBackend::new(vec![])));
-        assert_eq!(peer.apply_sync(&models), 1);
-        let predict = frame_bytes(&RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 }));
-        assert!(matches!(peer.handle_frame(&predict, QueueGauges::default()), Response::Config(_)));
-        let snap = peer.snapshot(QueueGauges::default());
-        assert_eq!(snap.store_catchups, 1);
-        assert_eq!(snap.model_generation, 1);
-        assert!(snap.store_dir.is_empty(), "the pulling peer is memory-only");
     }
 
     #[test]

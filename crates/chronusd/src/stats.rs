@@ -141,7 +141,7 @@ impl ServerStats {
     }
 
     /// A model was installed outside any `Preload` RPC: boot catch-up
-    /// from the configured store, or an anti-entropy `SyncModels` pull.
+    /// from the configured store.
     pub fn store_catchup(&self) {
         self.store_catchups.bump();
     }

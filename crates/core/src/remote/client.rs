@@ -28,8 +28,8 @@ use eco_sim_node::cpu::CpuConfig;
 use super::endpoint::{Endpoint, EndpointParseError};
 use super::ring::{predict_key, HashRing};
 use super::{
-    fastpath, send_msg, Connection, KeyOutcome, ModelSync, ObservedOutcome, PreloadAck, RemoteError, Request,
-    RequestFrame, Response, ResponseFrame, StatsSnapshot, Transport, MAX_BATCH_KEYS,
+    fastpath, send_msg, Connection, KeyOutcome, ObservedOutcome, PreloadAck, RemoteError, Request, RequestFrame,
+    Response, ResponseFrame, StatsSnapshot, Transport, MAX_BATCH_KEYS,
 };
 use crate::telemetry::{Counter, Histogram, Telemetry, TraceContext};
 
@@ -351,7 +351,6 @@ fn verb_name(r: &Request) -> &'static str {
         Request::PredictMany { .. } => "predict_many",
         Request::Preload { .. } => "preload",
         Request::Stats => "stats",
-        Request::SyncModels { .. } => "sync_models",
         Request::ReportOutcome { .. } => "report_outcome",
     }
 }
@@ -438,7 +437,6 @@ fn response_matches(req: &Request, resp: &Response) -> bool {
             | (Request::PredictMany { .. }, Response::ManyConfigs { .. })
             | (Request::Preload { .. }, Response::Preloaded { .. })
             | (Request::Stats, Response::Stats(_))
-            | (Request::SyncModels { .. }, Response::Models { .. })
             | (Request::ReportOutcome { .. }, Response::OutcomeAck { .. })
     )
 }
@@ -740,18 +738,6 @@ impl PredictClient {
             self.rolled_models.push(model_id);
         }
         FleetPreload { acks, failures }
-    }
-
-    /// Anti-entropy pull: asks a replica (the ring's choice in fleet
-    /// mode) for every committed model newer than `have_generation`.
-    /// A freshly booted store-less daemon uses this to catch up from a
-    /// ring peer instead of waiting for a client to re-preload it.
-    pub fn sync_models(&mut self, have_generation: u64, opts: &CallOptions) -> Result<Vec<ModelSync>, RemoteError> {
-        match self.request(Request::SyncModels { have_generation }, opts)? {
-            Response::Models { models } => Ok(models),
-            Response::Error { message } => Err(RemoteError::Server(message)),
-            other => Err(RemoteError::Protocol(format!("expected Models, got {other:?}"))),
-        }
     }
 
     /// Reports one production observation for a served prediction

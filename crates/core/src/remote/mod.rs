@@ -102,11 +102,6 @@ pub enum Request {
     Preload { model_id: i64 },
     /// Fetch the daemon's operational counters.
     Stats,
-    /// Anti-entropy: "send me every committed model newer than my
-    /// generation high-water mark". A store-less replica pulls missing
-    /// generations from a ring peer at boot instead of waiting for a
-    /// client to re-preload it. Answered with [`Response::Models`].
-    SyncModels { have_generation: u64 },
     /// The adaptation loop's outcome feed: the plugin reports what a
     /// served prediction actually did in production. Answered with
     /// [`Response::OutcomeAck`]. Additive like `PredictMany`: an old
@@ -161,30 +156,6 @@ impl ObservedOutcome {
             && self.duration_s.is_finite()
             && self.duration_s > 0.0
     }
-}
-
-/// One committed model as shipped by the anti-entropy
-/// [`Request::SyncModels`] exchange: enough for the receiving replica
-/// to install it as resident (the key, the answer, and the lineage),
-/// plus the store content address so provenance survives the hop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ModelSync {
-    /// The model's repository id.
-    pub model_id: i64,
-    /// The optimizer type string.
-    pub model_type: String,
-    /// The system the model answers for.
-    pub system_hash: u64,
-    /// The binary the model answers for.
-    pub binary_hash: u64,
-    /// The model parameters.
-    pub config: CpuConfig,
-    /// The sender's committed rollout generation for this model.
-    pub generation: u64,
-    /// Content address of the model's blob in the sender's store
-    /// (empty from memory-only senders).
-    #[serde(default)]
-    pub blob_hash: String,
 }
 
 /// A request plus its per-request deadline budget. The daemon answers
@@ -267,9 +238,6 @@ pub enum Response {
     /// requested key, in request order, always exactly as many as the
     /// request carried keys — a key is never silently dropped.
     ManyConfigs { results: Vec<KeyOutcome> },
-    /// Answer to [`Request::SyncModels`]: every committed model newer
-    /// than the asker's high-water mark, oldest generation first.
-    Models { models: Vec<ModelSync> },
     /// The daemon's connection queue is full; retry after the hint.
     Busy { retry_after_ms: u64 },
     /// No model is resident (or loadable) for this key.
@@ -371,7 +339,7 @@ pub struct StatsSnapshot {
     #[serde(default)]
     pub preloads: u64,
     /// Models installed outside any `Preload` RPC: boot catch-up from
-    /// the configured store plus anti-entropy `SyncModels` pulls.
+    /// the configured store.
     #[serde(default)]
     pub store_catchups: u64,
     /// The daemon's configured store directory (empty = memory-only).
@@ -914,21 +882,6 @@ mod tests {
         assert_ne!(old, stripped, "the strip must actually remove the new fields");
         let back: Response = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back, Response::Stats(Box::default()));
-
-        // And the anti-entropy exchange round-trips.
-        let sync = Response::Models {
-            models: vec![ModelSync {
-                model_id: 7,
-                model_type: "brute-force".into(),
-                system_hash: 1,
-                binary_hash: 2,
-                config: CpuConfig::new(16, 2_200_000, 1),
-                generation: 3,
-                blob_hash: "00ff".into(),
-            }],
-        };
-        let json = serde_json::to_string(&sync).unwrap();
-        assert_eq!(serde_json::from_str::<Response>(&json).unwrap(), sync);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::io::{Read, Write};
 
 use bytes::BytesMut;
 use chronus::remote::{
-    read_frame, send_msg, take_frame, write_frame, Connection, KeyOutcome, ModelSync, ObservedOutcome, Request,
-    RequestFrame, Response, ResponseFrame, StatsSnapshot, MAX_BATCH_KEYS, MAX_FRAME_LEN,
+    read_frame, send_msg, take_frame, write_frame, Connection, KeyOutcome, ObservedOutcome, Request, RequestFrame,
+    Response, ResponseFrame, StatsSnapshot, MAX_BATCH_KEYS, MAX_FRAME_LEN,
 };
 use chronus::telemetry::{SpanId, TraceContext, TraceId};
 use eco_sim_node::cpu::CpuConfig;
@@ -94,7 +94,6 @@ enum LegacyRequest {
     PredictMany { keys: Vec<(u64, u64)> },
     Preload { model_id: i64 },
     Stats,
-    SyncModels { have_generation: u64 },
 }
 
 /// The response shapes an old client understands: no `OutcomeAck`.
@@ -134,14 +133,13 @@ fn arb_observed() -> impl Strategy<Value = ObservedOutcome> {
 }
 
 fn arb_request() -> impl Strategy<Value = Request> {
-    (0u32..7, (0u64..=u64::MAX), (0u64..=u64::MAX), (-1_000i64..=1_000_000), arb_keys(), arb_observed()).prop_map(
+    (0u32..6, (0u64..=u64::MAX), (0u64..=u64::MAX), (-1_000i64..=1_000_000), arb_keys(), arb_observed()).prop_map(
         |(kind, a, b, id, keys, outcome)| match kind {
             0 => Request::Ping,
             1 => Request::Predict { system_hash: a, binary_hash: b },
             2 => Request::Preload { model_id: id },
             3 => Request::Stats,
-            4 => Request::SyncModels { have_generation: a },
-            5 => Request::PredictMany { keys },
+            4 => Request::PredictMany { keys },
             _ => Request::ReportOutcome { system_hash: a, binary_hash: b, outcome },
         },
     )
@@ -215,7 +213,7 @@ fn arb_outcome() -> impl Strategy<Value = KeyOutcome> {
 
 fn arb_response() -> impl Strategy<Value = Response> {
     (
-        0u32..11,
+        0u32..10,
         arb_config(),
         arb_snapshot(),
         (0u64..=u64::MAX),
@@ -224,7 +222,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
         (".{0,80}", prop::collection::vec(arb_outcome(), 0..9)),
     )
         .prop_map(|(kind, config, stats, a, b, id, (text, results))| match kind {
-            10 => Response::OutcomeAck { accepted: a % 2 == 0 },
             0 => Response::Pong,
             1 => Response::Config(config),
             2 => Response::Preloaded {
@@ -239,17 +236,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
             5 => Response::Miss { system_hash: a, binary_hash: b },
             6 => Response::DeadlineExceeded,
             7 => Response::Error { message: text.clone() },
-            8 => Response::Models {
-                models: vec![ModelSync {
-                    model_id: id,
-                    model_type: text,
-                    system_hash: a,
-                    binary_hash: b,
-                    config,
-                    generation: id.unsigned_abs(),
-                    blob_hash: format!("{a:016x}"),
-                }],
-            },
+            8 => Response::OutcomeAck { accepted: a % 2 == 0 },
             _ => Response::ManyConfigs { results },
         })
 }

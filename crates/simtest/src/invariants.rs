@@ -30,7 +30,6 @@ pub fn verb_of(request: &Request) -> &'static str {
         Request::PredictMany { .. } => "PredictMany",
         Request::Preload { .. } => "Preload",
         Request::Stats => "Stats",
-        Request::SyncModels { .. } => "SyncModels",
         Request::ReportOutcome { .. } => "ReportOutcome",
     }
 }
@@ -43,7 +42,6 @@ pub fn kind_of(response: &Response) -> &'static str {
         Response::Preloaded { .. } => "Preloaded",
         Response::Stats(_) => "Stats",
         Response::ManyConfigs { .. } => "ManyConfigs",
-        Response::Models { .. } => "Models",
         Response::Busy { .. } => "Busy",
         Response::Miss { .. } => "Miss",
         Response::DeadlineExceeded => "DeadlineExceeded",
@@ -363,7 +361,7 @@ impl Ledger {
         }
         // Generation conservation: each Preload delivery allocates at
         // most one rollout generation, and each store catch-up (boot
-        // self-serve or anti-entropy pull) commits exactly one — so the
+        // self-serve) commits exactly one — so the
         // committed generation can never exceed their sum, and the
         // rollback count can never exceed the Preloads we delivered.
         // A stale refusal is always also a miss.

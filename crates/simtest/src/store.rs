@@ -9,9 +9,14 @@
 //! (the writer "crashes" after any prefix of the frame — including zero
 //! bytes, which models a crash between the blob write and the metadata
 //! append). After every writer action the daemon side is restarted: a
-//! fresh [`chronusd::PredictService`] opens the same backend, runs
+//! fresh [`chronusd::PredictService`] opens the same backend — its model
+//! source is that store ([`chronusd::StoreModelBackend`]), as in a
+//! daemon started with `--store` — runs
 //! [`chronusd::PredictService::catch_up_from_store`] and answers real
-//! Predict frames.
+//! Predict frames. Its registry holds [`REGISTRY_CAP`] models, fewer than
+//! there are keys, so whenever every key serves a verifiable model the
+//! replica evicts while it serves and the same audits run over answers
+//! that came through the miss path.
 //!
 //! Checked invariants, per seeded run:
 //!
@@ -22,13 +27,16 @@
 //! * **never serve a bad blob** — a restarted replica answers `Config`
 //!   only for serving records whose blob still hash-verifies; a
 //!   corrupted blob's key answers `Miss`, and the catch-up report names
-//!   the rejected generation;
+//!   the rejected generation; a blob corrupted *after* boot verified it
+//!   is refused the next time its key has to come from the store, and
+//!   served again once its bytes are back;
 //! * **rollback is generation-monotonic in the ledger sense** — the
 //!   ledger only grows, `high_water` never decreases, and after a
 //!   rollback the serving generation is exactly the rollback target;
 //! * **zero Preload traffic** — catch-up is self-served: the restarted
 //!   replica's `preloads` counter stays 0 while `store_catchups` and
-//!   `model_generation` account for every installed model;
+//!   `model_generation` account for every installed model — a miss
+//!   resolved from the store moves neither;
 //! * **live-reader safety** — a long-lived reader handle that only ever
 //!   calls `refresh()` converges to the writer's acked state each round
 //!   and never observes a torn record.
@@ -41,13 +49,17 @@ use std::sync::Arc;
 
 use chronus::remote::{Request, RequestFrame, Response};
 use chronusd::store::{MemBackend, ModelBlob, ModelStore, Provenance, StoreBackend, BLOB_DIR};
-use chronusd::{PredictService, QueueGauges, StaticBackend};
+use chronusd::{PredictService, QueueGauges, StoreModelBackend};
 use eco_sim_node::cpu::CpuConfig;
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng, StdRng};
 
 /// Writer actions per seeded run.
 pub const STORE_ROUNDS: usize = 40;
+
+/// Models the restarted replica's registry holds: one fewer than there
+/// are keys, so a fully verifiable serving set does not fit.
+pub const REGISTRY_CAP: usize = 2;
 
 /// A [`StoreBackend`] that can be armed to crash the writer on its next
 /// journal append: the append persists only a prefix of the frame and
@@ -123,6 +135,10 @@ pub struct StoreReport {
     pub catchup_installs: usize,
     /// Serving records rejected (bad blob) across all catch-ups.
     pub catchup_rejections: usize,
+    /// Answers refused on the miss path, two per restart that evicted
+    /// while it served: a blob corrupted after boot verified it, its key
+    /// asked for once it was no longer resident.
+    pub miss_path_refusals: usize,
 }
 
 const KEYS: [(u64, u64); 3] = [(0xa1, 0x51), (0xa1, 0x52), (0xb2, 0x51)];
@@ -143,6 +159,37 @@ fn predict(service: &PredictService, system_hash: u64, binary_hash: u64) -> Resp
     let frame = RequestFrame::new(Request::Predict { system_hash, binary_hash });
     let payload = serde_json::to_vec(&frame).expect("request frames always serialize");
     service.handle_frame(&payload, QueueGauges { depth: 0, capacity: 1, workers: 1 })
+}
+
+/// One serving record as the harness resolved it from the ledger, and
+/// whether its blob verifies right now.
+struct Serving {
+    generation: u64,
+    key: (u64, u64),
+    config: CpuConfig,
+    blob: String,
+    blob_ok: bool,
+}
+
+/// One lap over the serving keys: `Config` — the ledger's — exactly for
+/// the records whose blob verifies, `Miss` for the others. Returns how
+/// many were refused.
+fn audit_answers(service: &PredictService, serving: &[Serving], at: &str, violations: &mut Vec<String>) -> usize {
+    let mut refused = 0;
+    for Serving { generation, key, config, blob_ok, .. } in serving {
+        match predict(service, key.0, key.1) {
+            Response::Config(answer) if *blob_ok => {
+                if answer != *config {
+                    violations.push(format!("{at}: gen {generation} serves {answer:?}, ledger says {config:?}"));
+                }
+            }
+            Response::Miss { .. } if !*blob_ok => refused += 1, // corrupt blob: correctly refused
+            Response::Config(answer) => violations
+                .push(format!("{at}: gen {generation} served {answer:?} from a blob that fails hash verification")),
+            other => violations.push(format!("{at}: gen {generation} (blob_ok={blob_ok}) answered {other:?}")),
+        }
+    }
+    refused
 }
 
 /// Runs the store choreography once with every random choice derived
@@ -172,6 +219,7 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
         rollbacks: 0,
         catchup_installs: 0,
         catchup_rejections: 0,
+        miss_path_refusals: 0,
     };
 
     // The long-lived reader: a daemon's store handle across the whole
@@ -289,16 +337,23 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
 
         // What should the restarted replica serve? Resolve before the
         // store moves into the service.
-        let serving: Vec<(u64, u64, u64, CpuConfig, bool)> = store
+        let mut serving: Vec<Serving> = store
             .serving()
             .iter()
-            .map(|m| (m.generation, m.system_hash, m.binary_hash, m.config, store.load_blob(m).is_ok()))
+            .map(|m| Serving {
+                generation: m.generation,
+                key: (m.system_hash, m.binary_hash),
+                config: m.config,
+                blob: format!("{BLOB_DIR}/{}", m.blob_hash),
+                blob_ok: store.load_blob(m).is_ok(),
+            })
             .collect();
 
-        let service = PredictService::new(2, 16, Arc::new(StaticBackend::new(vec![])))
-            .with_store(Arc::new(Mutex::new(store)), "/sim/store");
+        let store = Arc::new(Mutex::new(store));
+        let source = Arc::new(StoreModelBackend::new(Arc::clone(&store), "/sim/store"));
+        let service = PredictService::new(2, REGISTRY_CAP, source).with_store(store, "/sim/store");
         let outcome = service.catch_up_from_store();
-        let good = serving.iter().filter(|(.., ok)| *ok).count();
+        let good = serving.iter().filter(|m| m.blob_ok).count();
         let bad = serving.len() - good;
         report.catchup_installs += outcome.installed;
         report.catchup_rejections += outcome.rejected.len();
@@ -310,24 +365,34 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
                 outcome.rejected.len()
             ));
         }
-        for (generation, system_hash, binary_hash, config, blob_ok) in &serving {
-            match predict(&service, *system_hash, *binary_hash) {
-                Response::Config(answer) if *blob_ok => {
-                    if answer != *config {
-                        violations.push(format!(
-                            "round {round}: gen {generation} serves {answer:?}, ledger says {config:?}"
-                        ));
-                    }
-                }
-                Response::Miss { .. } if !*blob_ok => {} // corrupt blob: correctly refused
-                Response::Config(answer) => violations.push(format!(
-                    "round {round}: gen {generation} served {answer:?} from a blob that fails hash verification"
-                )),
-                other => {
-                    violations.push(format!("round {round}: gen {generation} (blob_ok={blob_ok}) answered {other:?}"))
-                }
+        audit_answers(&service, &serving, &format!("round {round}"), &mut violations);
+
+        // --- evict-while-serving: the same audits over the miss path ---
+        // More verifiable records than the registry holds, asked for in
+        // laps: every answer evicts and is resolved from the store again.
+        // Corrupt one blob boot has verified: its key must be refused
+        // from now on (twice over — a refusal is never cached either),
+        // and served again once the bytes are back.
+        if good > REGISTRY_CAP {
+            let victim = serving.iter().position(|m| m.blob_ok).expect("good > 0");
+            let pristine = mem.get_raw(&serving[victim].blob).expect("a verified blob exists");
+            let mut bytes = pristine.clone();
+            bytes[0] ^= 0x40;
+            mem.put_raw(&serving[victim].blob, bytes);
+            serving[victim].blob_ok = false;
+            for lap in 0..2 {
+                let at = format!("round {round}, corrupted after boot, lap {lap}");
+                report.miss_path_refusals += audit_answers(&service, &serving, &at, &mut violations);
+            }
+            mem.put_raw(&serving[victim].blob, pristine);
+            serving[victim].blob_ok = true;
+            audit_answers(&service, &serving, &format!("round {round}, blob restored"), &mut violations);
+            if service.registry().evictions() == 0 {
+                violations
+                    .push(format!("round {round}: {good} models through {REGISTRY_CAP} slots without an eviction"));
             }
         }
+
         let snap = service.snapshot(QueueGauges { depth: 0, capacity: 1, workers: 1 });
         if snap.preloads != 0 {
             violations.push(format!(

@@ -48,7 +48,7 @@ simtest_world() {
     case $1 in
     fleet) # kill mid-load with zero lost predictions, rejoin + re-preload
         run cargo test -q -p chronusd --release --test fleet_failover ;;
-    store) # catch-up with zero Preload RPCs, anti-entropy, fleet-wide rollback; the CLI as separate processes
+    store) # catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes
         run cargo test -q -p chronusd --release --test store_durability --test cli_binary --test cli_table ;;
     batch) # concurrent callers of one RemotePrediction over real TCP
         run cargo test -q -p chronusd --release --test e2e_remote concurrent_callers_are_serialised ;;
@@ -78,6 +78,8 @@ stage_benchmark-builds() {
     run benchmark/run.sh --workload submit-tcp --seed 1 --seconds 2 --trace 0
     run scripts/sched_share.sh 2
     run benchmark/run.sh --workload submit-tcp --seed 1 --seconds 2 --trace 1
+    # the only workload that drives Preload -> model source -> republish
+    run benchmark/run.sh --workload refresh-mix --seed 1 --seconds 2 --trace 0
 }
 
 # The campaign E2E suite (adaptive-vs-brute optimum, crash/resume, storage
