@@ -7,7 +7,7 @@
 //!
 //! 1. **Outcome feed** — the plugin reports observed (GFLOPS, watts,
 //!    duration) per served prediction back to the daemon over the
-//!    additive `ReportOutcome` wire frame; the daemon folds accepted
+//!    `ReportOutcome` wire frame; the daemon folds accepted
 //!    outcomes into bounded per-key [`reservoir`]s.
 //! 2. **Drift detection** — [`drift::DriftDetector`] scores windows of
 //!    observed efficiency against the serving generation's calibrated

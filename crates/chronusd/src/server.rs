@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use chronus::remote::{take_frame, write_frame, Response, ResponseFrame, SessionEnd, ShmListener, StatsSnapshot};
+use chronus::remote::{take_frame, wire, Connection, Response, SessionEnd, ShmListener, StatsSnapshot};
 use chronus::telemetry::Histogram;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
@@ -40,10 +40,6 @@ pub struct ServerConfig {
     /// Registry capacity: resident models in total, one budget however
     /// the keys hash across shards.
     pub cache_cap: usize,
-    /// Registry shards.
-    pub cache_shards: usize,
-    /// The hint sent with `Busy` rejections.
-    pub retry_after_ms: u64,
     /// This daemon's fleet identity, stamped on `Stats` answers
     /// (empty = unnamed single daemon).
     pub replica_id: String,
@@ -58,8 +54,8 @@ pub struct ServerConfig {
     pub store_dir: Option<String>,
     /// When set, the daemon also listens on a shared-memory ring at
     /// this filesystem path (dialed as `shm://<path>`) for same-host
-    /// clients. One client session at a time; batch requests on it
-    /// take the binary fast path.
+    /// clients. One client session at a time; the client sends batch
+    /// requests on it in the binary layout.
     pub shm_path: Option<String>,
 }
 
@@ -70,8 +66,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_cap: 64,
             cache_cap: 64,
-            cache_shards: 8,
-            retry_after_ms: 20,
             replica_id: String::new(),
             store_dir: None,
             shm_path: None,
@@ -82,6 +76,12 @@ impl Default for ServerConfig {
 /// Idle tick on worker connections: how often a blocked read wakes up
 /// to check for shutdown.
 const READ_TICK: Duration = Duration::from_millis(25);
+
+/// Registry shards.
+const CACHE_SHARDS: usize = 8;
+
+/// The hint sent with `Busy` rejections, in milliseconds.
+pub const RETRY_AFTER_MS: u64 = 20;
 
 struct Ctx {
     service: PredictService,
@@ -136,7 +136,7 @@ impl PredictServer {
         let addr = listener.local_addr()?;
         let workers_n = cfg.workers.max(1);
         let serve_from =
-            |source| PredictService::new(cfg.cache_shards, cfg.cache_cap, source).with_replica(&cfg.replica_id);
+            |source| PredictService::new(CACHE_SHARDS, cfg.cache_cap, source).with_replica(&cfg.replica_id);
         let service = match &cfg.store_dir {
             Some(dir) => {
                 let store = ModelStore::open_dir(dir).map_err(|e| {
@@ -167,10 +167,9 @@ impl PredictServer {
         let accept = {
             let tx = tx.clone();
             let ctx = Arc::clone(&ctx);
-            let retry_after_ms = cfg.retry_after_ms;
             std::thread::Builder::new()
                 .name("chronusd-accept".to_string())
-                .spawn(move || accept_loop(listener, tx, ctx, retry_after_ms))?
+                .spawn(move || accept_loop(listener, tx, ctx))?
         };
 
         let shm = match &cfg.shm_path {
@@ -256,7 +255,7 @@ impl Drop for PredictServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, tx: Sender<(Instant, TcpStream)>, ctx: Arc<Ctx>, retry_after_ms: u64) {
+fn accept_loop(listener: TcpListener, tx: Sender<(Instant, TcpStream)>, ctx: Arc<Ctx>) {
     for conn in listener.incoming() {
         if ctx.service.is_shutting_down() {
             break;
@@ -270,8 +269,10 @@ fn accept_loop(listener: TcpListener, tx: Sender<(Instant, TcpStream)>, ctx: Arc
             Err(TrySendError::Full((_, mut stream))) => {
                 ctx.service.stats().busy_rejection();
                 let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-                let _ = write_frame(&mut stream, &Response::Busy { retry_after_ms });
-                // dropping the stream closes the bounced connection
+                // bare: the bounce never reads the request, so it has no
+                // tag to echo; dropping the stream then closes the connection
+                let bounce = Response::Busy { retry_after_ms: RETRY_AFTER_MS };
+                let _ = stream.send_frame(&wire::encode_reply(false, None, bounce));
             }
             Err(TrySendError::Disconnected(_)) => break,
         }
@@ -301,17 +302,8 @@ fn serve_connection(mut stream: TcpStream, ctx: &Ctx, rx: &Receiver<(Instant, Tc
         loop {
             match take_frame(&mut buf) {
                 Ok(Some(payload)) => {
-                    // Echoing the correlation id — and only then — is
-                    // the additive negotiation: corr'd requests get a
-                    // ResponseFrame envelope, everything else (old
-                    // clients included) gets the bare Response it
-                    // always did.
-                    let (corr, body) = ctx.service.handle_frame_enveloped(&payload, ctx.gauges(rx.len()));
-                    let wrote = match corr {
-                        Some(corr) => write_frame(&mut stream, &ResponseFrame { corr, body }),
-                        None => write_frame(&mut stream, &body),
-                    };
-                    if wrote.is_err() {
+                    let reply = ctx.service.answer(&payload, ctx.gauges(rx.len()));
+                    if stream.send_frame(&reply).is_err() {
                         return;
                     }
                 }
@@ -336,22 +328,11 @@ fn serve_connection(mut stream: TcpStream, ctx: &Ctx, rx: &Receiver<(Instant, Tc
 
 /// The shared-memory listener thread: serves one same-host client
 /// session at a time until shutdown. Frames on the ring carry no
-/// length prefix (the slot header owns framing), so replies are bare
-/// payload bytes: the binary fast path for batch requests, JSON for
-/// everything else — with the same corr-echo negotiation as TCP.
+/// length prefix (the slot header owns framing), so a reply is the
+/// payload [`PredictService::answer`] returns and nothing else.
 fn shm_loop(ring: ShmListener, ctx: Arc<Ctx>) {
     let mut should_stop = || ctx.service.is_shutting_down();
-    let mut handle = |payload: &[u8]| -> Vec<u8> {
-        if let Some(reply) = ctx.service.handle_fast_frame(payload, ctx.gauges(0)) {
-            return reply;
-        }
-        let (corr, body) = ctx.service.handle_frame_enveloped(payload, ctx.gauges(0));
-        let encoded = match corr {
-            Some(corr) => serde_json::to_vec(&ResponseFrame { corr, body }),
-            None => serde_json::to_vec(&body),
-        };
-        encoded.expect("response serialization is infallible")
-    };
+    let mut handle = |payload: &[u8]| ctx.service.answer(payload, ctx.gauges(0));
     loop {
         match ring.serve_session(&mut should_stop, &mut handle) {
             Ok(SessionEnd::Stopped) | Err(_) => return,

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use chronus::error::ChronusError;
 use chronus::remote::{
-    fastpath, KeyOutcome, ObservedOutcome, Request, RequestFrame, Response, StatsSnapshot, MAX_BATCH_KEYS,
+    fastpath, wire, KeyOutcome, ObservedOutcome, Request, Response, StatsSnapshot, MAX_BATCH_KEYS,
 };
 use chronus::telemetry::{Telemetry, TraceContext};
 use eco_adapt::Monitor;
@@ -277,10 +277,34 @@ impl PredictService {
         snap
     }
 
+    /// The one door: one request payload in, one reply payload out, in
+    /// the encoding the request arrived in (see [`wire`]) — so the codec
+    /// is a property of the frame, not of the listener that carried it.
+    pub fn answer(&self, payload: &[u8], gauges: QueueGauges) -> Vec<u8> {
+        let (binary, corr, response) = self.serve(payload, gauges);
+        wire::encode_reply(binary, corr, response)
+    }
+
+    /// [`PredictService::answer`] stopped short of encoding: the decoded
+    /// response. Kept as its own entry point because
+    /// `benchmark/src/micro.rs` times it by name.
+    pub fn handle_frame(&self, payload: &[u8], gauges: QueueGauges) -> Response {
+        self.serve(payload, gauges).2
+    }
+
+    /// [`PredictService::answer`] for binary payloads only, `None` for
+    /// JSON. Kept as its own entry point because `benchmark/src/micro.rs`
+    /// times it by name.
+    pub fn handle_fast_frame(&self, payload: &[u8], gauges: QueueGauges) -> Option<Vec<u8>> {
+        fastpath::is_binary(payload).then(|| self.answer(payload, gauges))
+    }
+
     /// Handles one complete frame payload end to end: counts it,
-    /// parses it, serves it under a `daemon/handle` span when the frame
+    /// decodes it, serves it under a `daemon/handle` span when the frame
     /// carries a propagated trace context, enforces its deadline budget
-    /// and records its latency.
+    /// and records its latency. Returns what the reply's encoding needs
+    /// — whether the request was binary and the tag to echo — beside the
+    /// response.
     ///
     /// Tracing is head-sampled: the caller decides at the root whether
     /// a request is traced, and the daemon follows that decision.
@@ -288,27 +312,18 @@ impl PredictService {
     /// predict path stays flat when no one is watching. Malformed
     /// frames are the exception — they root their own error span
     /// because there is no parseable context to follow, and visibility
-    /// into garbage matters more than its cost.
-    pub fn handle_frame(&self, payload: &[u8], gauges: QueueGauges) -> Response {
-        self.handle_frame_enveloped(payload, gauges).1
-    }
-
-    /// [`PredictService::handle_frame`] for envelope-aware transports:
-    /// additionally returns the frame's correlation id, if it carried
-    /// one, so the caller can wrap the response in a
-    /// [`chronus::remote::ResponseFrame`]. Un-corr'd (and malformed)
-    /// frames return `None` and must be answered bare — that asymmetry
-    /// is the whole negotiation: the client checks the echo when there
-    /// is one and takes a bare reply in order.
-    pub fn handle_frame_enveloped(&self, payload: &[u8], gauges: QueueGauges) -> (Option<u64>, Response) {
+    /// into garbage matters more than its cost. A malformed frame has no
+    /// tag to echo either; it is answered `malformed request`, counted,
+    /// and the connection is kept.
+    fn serve(&self, payload: &[u8], gauges: QueueGauges) -> (bool, Option<u64>, Response) {
         let started = self.clock.now_micros();
         self.stats.request();
-        let (corr, response, span) = match serde_json::from_slice::<RequestFrame>(payload) {
+        let (binary, decoded) = wire::decode_request(payload);
+        let (corr, response) = match decoded {
             Ok(frame) => {
-                let corr = frame.corr;
                 let mut span = frame.trace.map(|ctx| {
                     let mut s = self.telemetry.span_under(ctx, "daemon", "handle");
-                    s.attr("verb", verb_of(&frame.body));
+                    s.attr("verb", frame.body.verb());
                     s
                 });
                 let ctx = span.as_ref().map(|s| s.context());
@@ -323,15 +338,13 @@ impl PredictService {
                         Response::DeadlineExceeded
                     }
                     _ => {
-                        if let Response::Error { message } = &response {
-                            if let Some(s) = &mut span {
-                                s.set_error(message.clone());
-                            }
+                        if let (Response::Error { message }, Some(s)) = (&response, &mut span) {
+                            s.set_error(message.clone());
                         }
                         response
                     }
                 };
-                (corr, response, span)
+                (frame.corr, response)
             }
             Err(e) => {
                 self.stats.error();
@@ -339,50 +352,11 @@ impl PredictService {
                 let mut span = self.telemetry.root_span("daemon", "handle");
                 let message = format!("malformed request: {e}");
                 span.set_error(message.clone());
-                (None, Response::Error { message }, Some(span))
-            }
-        };
-        drop(span);
-        self.stats.record_latency_us(self.clock.now_micros().saturating_sub(started));
-        (corr, response)
-    }
-
-    /// The binary `PredictMany` fast path (see
-    /// [`chronus::remote::fastpath`]): spoken only by frame-level
-    /// transports that negotiate it, today the shared-memory ring.
-    /// Returns `None` when `payload` is JSON — the caller then goes
-    /// through [`PredictService::handle_frame_enveloped`] — and the
-    /// fully encoded binary reply otherwise. Counters, deadline
-    /// accounting and latency buckets match the JSON path exactly;
-    /// only serialization differs, which is the point.
-    pub fn handle_fast_frame(&self, payload: &[u8], gauges: QueueGauges) -> Option<Vec<u8>> {
-        if !fastpath::is_binary(payload) {
-            return None;
-        }
-        let started = self.clock.now_micros();
-        self.stats.request();
-        let reply = match fastpath::decode_request(payload) {
-            Ok(batch) => {
-                let response = self.handle_request(Request::PredictMany { keys: batch.keys }, gauges, None);
-                let elapsed_us = self.clock.now_micros().saturating_sub(started);
-                let response = match batch.deadline_ms {
-                    Some(budget) if elapsed_us > budget * 1000 => {
-                        self.stats.deadline_exceeded();
-                        Response::DeadlineExceeded
-                    }
-                    _ => response,
-                };
-                fastpath::encode_reply(batch.corr, &response)
-            }
-            Err(e) => {
-                self.stats.error();
-                // corr 0: an undecodable frame has no id to echo, and
-                // the client treats the error as frame-fatal anyway
-                fastpath::encode_reply(0, &Response::Error { message: format!("malformed request: {e}") })
+                (None, Response::Error { message })
             }
         };
         self.stats.record_latency_us(self.clock.now_micros().saturating_sub(started));
-        Some(reply)
+        (binary, corr, response)
     }
 
     fn handle_request(&self, request: Request, gauges: QueueGauges, ctx: Option<TraceContext>) -> Response {
@@ -550,22 +524,11 @@ impl PredictService {
     }
 }
 
-/// The request's verb as a span attribute value.
-fn verb_of(request: &Request) -> &'static str {
-    match request {
-        Request::Ping => "ping",
-        Request::Predict { .. } => "predict",
-        Request::PredictMany { .. } => "predict_many",
-        Request::Preload { .. } => "preload",
-        Request::Stats => "stats",
-        Request::ReportOutcome { .. } => "report_outcome",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::StaticBackend;
+    use chronus::remote::RequestFrame;
     use eco_sim_node::cpu::CpuConfig;
     use std::sync::atomic::AtomicU64;
 
@@ -671,21 +634,60 @@ mod tests {
     }
 
     #[test]
-    fn corr_id_is_surfaced_for_enveloped_transports_and_absent_otherwise() {
+    fn corr_id_is_echoed_on_the_wire_and_absent_otherwise() {
         let svc = service_with_one_model();
-        let corrd =
-            frame_bytes(&RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 }).with_corr(42));
-        let (corr, resp) = svc.handle_frame_enveloped(&corrd, QueueGauges::default());
-        assert_eq!(corr, Some(42), "the daemon echoes the frame's correlation id");
+        let predict = RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 });
+        let reply = svc.answer(&frame_bytes(&predict.clone().with_corr(42)), QueueGauges::default());
+        let (echo, resp) = wire::decode_reply(&reply, true).unwrap();
+        assert_eq!(echo, Some(42), "the daemon echoes the frame's correlation id");
         assert!(matches!(resp, Response::Config(_)));
 
-        let bare = frame_bytes(&RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 }));
-        let (corr, _) = svc.handle_frame_enveloped(&bare, QueueGauges::default());
-        assert_eq!(corr, None, "un-corr'd frames are answered bare");
+        let reply = svc.answer(&frame_bytes(&predict), QueueGauges::default());
+        assert!(serde_json::from_slice::<Response>(&reply).is_ok(), "un-corr'd frames are answered bare");
 
-        let (corr, resp) = svc.handle_frame_enveloped(b"not json", QueueGauges::default());
-        assert_eq!(corr, None, "malformed frames have no parseable corr");
+        let reply = svc.answer(b"not json", QueueGauges::default());
+        let resp: Response = serde_json::from_slice(&reply).expect("malformed frames have no corr to echo");
         assert!(matches!(resp, Response::Error { .. }));
+    }
+
+    #[test]
+    fn a_batch_is_answered_in_the_encoding_it_arrived_in() {
+        let svc = service_with_one_model();
+        let batch = RequestFrame::new(Request::PredictMany { keys: vec![(10, 20), (9, 9)] }).with_corr(7);
+        let mut answers = Vec::new();
+        for fast in [false, true] {
+            let reply = svc.answer(&wire::encode_request(&batch, fast).unwrap(), QueueGauges::default());
+            assert_eq!(fastpath::is_binary(&reply), fast);
+            answers.push(wire::decode_reply(&reply, true).unwrap());
+        }
+        assert_eq!(answers[0].0, Some(7));
+        assert_eq!(answers[0], answers[1], "the codec changes the bytes, not the answer");
+        // the two views of the same body agree with it
+        let json = wire::encode_request(&batch, false).unwrap();
+        assert_eq!(svc.handle_frame(&json, QueueGauges::default()), answers[0].1);
+        assert_eq!(svc.handle_fast_frame(&json, QueueGauges::default()), None);
+    }
+
+    #[test]
+    fn a_malformed_payload_in_either_encoding_is_one_error_one_sample_and_a_reply_in_kind() {
+        let svc = service_with_one_model();
+        let latency = svc.telemetry().histogram("daemon.service_us");
+        let errors = svc.telemetry().counter("daemon.errors");
+        let truncated =
+            &wire::encode_request(&RequestFrame::new(Request::PredictMany { keys: vec![(1, 2)] }).with_corr(3), true)
+                .unwrap()[..12];
+        for (n, (payload, binary)) in [(&b"not json"[..], false), (truncated, true)].into_iter().enumerate() {
+            let reply = svc.answer(payload, QueueGauges::default());
+            assert_eq!(fastpath::is_binary(&reply), binary, "the error goes back in the request's encoding");
+            let (echo, resp) = wire::decode_reply(&reply, false).unwrap();
+            assert_eq!(echo, binary.then_some(0), "nothing decodable to echo");
+            assert!(
+                matches!(&resp, Response::Error { message } if message.starts_with("malformed request")),
+                "{resp:?}"
+            );
+            assert_eq!((errors.get(), latency.count()), (n as u64 + 1, n as u64 + 1));
+        }
+        assert_eq!(svc.snapshot(QueueGauges::default()).requests_total, 2);
     }
 
     #[test]
@@ -705,15 +707,6 @@ mod tests {
         let lookups: Vec<_> = events.iter().filter(|e| e.name == "registry_lookup").collect();
         assert_eq!(lookups.len(), 2, "one registry_lookup span per key");
         assert!(lookups.iter().all(|e| e.parent == Some(handle.span)));
-    }
-
-    #[test]
-    fn malformed_payload_is_counted_and_answered() {
-        let svc = service_with_one_model();
-        let resp = svc.handle_frame(b"not json", QueueGauges::default());
-        assert!(matches!(resp, Response::Error { .. }));
-        let snap = svc.snapshot(QueueGauges::default());
-        assert_eq!((snap.requests_total, snap.errors), (1, 1));
     }
 
     #[test]

@@ -7,8 +7,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chronus::remote::{
-    read_frame, write_frame, CallOptions, PredictClient, RemoteError, Request, RequestFrame, Response,
+    fastpath, read_frame, write_frame, CallOptions, Connection, KeyOutcome, PredictClient, RemoteError, Request,
+    RequestFrame, Response,
 };
+use chronusd::server::RETRY_AFTER_MS;
 use chronusd::{PredictServer, PreparedModel, ServerConfig, StaticBackend};
 use eco_sim_node::cpu::CpuConfig;
 
@@ -31,8 +33,8 @@ fn client(server: &PredictServer) -> PredictClient {
     PredictClient::builder().endpoint(server.addr().to_string()).build().unwrap()
 }
 
-/// Shorthand for the common no-trace, no-deadline call.
-const OPTS: &CallOptions = &CallOptions { trace: None, deadline_ms: None };
+/// Shorthand for the common untraced call.
+const OPTS: &CallOptions = &CallOptions { trace: None };
 
 #[test]
 fn ping_predict_and_stats_round_trip() {
@@ -88,7 +90,7 @@ fn unknown_key_is_an_explicit_miss() {
 
 #[test]
 fn saturated_daemon_answers_busy_with_a_retry_hint() {
-    let cfg = ServerConfig { workers: 1, queue_cap: 1, retry_after_ms: 7, ..ServerConfig::default() };
+    let cfg = ServerConfig { workers: 1, queue_cap: 1, ..ServerConfig::default() };
     let slow = StaticBackend::with_delay(vec![model(1, 10, 20, 32)], Duration::from_millis(600));
     let server = ephemeral(cfg, slow);
     let addr = server.addr();
@@ -108,7 +110,7 @@ fn saturated_daemon_answers_busy_with_a_retry_hint() {
     let mut bounced = PredictClient::builder().endpoint(addr.to_string()).max_retries(0).build().unwrap();
     match bounced.ping().unwrap_err() {
         RemoteError::Busy { retry_after_ms, attempts } => {
-            assert_eq!(retry_after_ms, 7, "the server's configured hint travels back");
+            assert_eq!(retry_after_ms, RETRY_AFTER_MS, "the server's hint travels back");
             assert_eq!(attempts, 1);
         }
         other => panic!("expected Busy, got {other}"),
@@ -187,6 +189,27 @@ fn pipelined_requests_answer_in_order() {
 }
 
 #[test]
+fn a_binary_batch_on_a_tcp_socket_is_answered_in_kind() {
+    // the codec is a property of the frame, not of the listener
+    let server = ephemeral(ServerConfig::default(), StaticBackend::new(vec![model(1, 10, 20, 32)]));
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+    stream.send_frame(&fastpath::encode_request(77, None, &[(10, 20), (9, 9)])).unwrap();
+    let reply = stream.recv_frame().unwrap();
+    assert!(fastpath::is_binary(&reply), "{:?}", String::from_utf8_lossy(&reply));
+    let (tag, response) = fastpath::decode_reply(&reply).unwrap();
+    assert_eq!(tag, 77, "the tag is echoed");
+    let results = vec![KeyOutcome::Config(CpuConfig::new(32, 2_200_000, 1)), KeyOutcome::Miss];
+    assert_eq!(response, Response::ManyConfigs { results });
+
+    // same connection, a JSON single: answered in JSON
+    write_frame(&mut stream, &RequestFrame::new(Request::Ping)).unwrap();
+    assert_eq!(read_frame::<Response>(&mut stream).unwrap(), Response::Pong);
+    assert_eq!((server.snapshot().batches, server.snapshot().errors), (1, 0));
+}
+
+#[test]
 fn a_batch_over_the_frame_cap_is_answered_in_order_in_three_frames() {
     let models: Vec<PreparedModel> = (0..7).map(|i| model(i, 100 + i as u64, 200, 8 + i as u32)).collect();
     let server = ephemeral(ServerConfig::default(), StaticBackend::new(models));
@@ -205,7 +228,7 @@ fn a_batch_over_the_frame_cap_is_answered_in_order_in_three_frames() {
 
 #[test]
 fn registry_pressure_evicts_but_keeps_answering() {
-    let cfg = ServerConfig { cache_cap: 2, cache_shards: 1, ..ServerConfig::default() };
+    let cfg = ServerConfig { cache_cap: 2, ..ServerConfig::default() };
     let models: Vec<PreparedModel> = (0..4).map(|i| model(i, 100 + i as u64, 200, 32)).collect();
     let server = ephemeral(cfg, StaticBackend::new(models));
     let mut c = client(&server);

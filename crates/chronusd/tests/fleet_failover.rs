@@ -10,7 +10,7 @@ use chronus::remote::{CallOptions, Connection, PredictClient, TcpTransport, Tran
 use chronusd::{PredictServer, PreparedModel, ServerConfig, StaticBackend};
 use eco_sim_node::cpu::CpuConfig;
 
-const OPTS: &CallOptions = &CallOptions { trace: None, deadline_ms: None };
+const OPTS: &CallOptions = &CallOptions { trace: None };
 
 fn models() -> Vec<PreparedModel> {
     vec![

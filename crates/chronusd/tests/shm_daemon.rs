@@ -1,6 +1,7 @@
 //! Integration tests of the daemon's shared-memory listener: a real
 //! `PredictServer` with `shm_path` set, dialed by a real client over
-//! `shm://` — singles, batches (the binary fast path), fallback to TCP
+//! `shm://` — singles, batches (the binary fast path), the same answers
+//! whichever listener and framing carried the question, fallback to TCP
 //! when the ring is gone, and ring-file cleanup at shutdown.
 
 // The ring is Linux-only (raw mmap/futex); elsewhere the transport
@@ -36,7 +37,7 @@ fn shm_server(tag: &str, backend: StaticBackend) -> PredictServer {
     PredictServer::start(cfg, Arc::new(backend)).expect("bind ephemeral port + shm ring")
 }
 
-const OPTS: &CallOptions = &CallOptions { trace: None, deadline_ms: None };
+const OPTS: &CallOptions = &CallOptions { trace: None };
 
 #[test]
 fn shm_singles_and_stats_round_trip() {
@@ -80,6 +81,41 @@ fn shm_batches_ride_the_binary_fast_path() {
 
     let stats = c.stats().unwrap();
     assert_eq!(stats.predictions, 2502, "both batches counted per key: {stats:?}");
+}
+
+#[test]
+fn tcp_and_shm_singles_and_batches_give_one_answer_stream() {
+    let models: Vec<PreparedModel> = (0..5).map(|i| model(i, 100 + i as u64, 200, 8 + i as u32)).collect();
+    let server = shm_server("differential", StaticBackend::new(models));
+    // a seeded key list: resident keys (each with its own answer) and misses, repeated and out of order
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let keys: Vec<(u64, u64)> = (0..1500)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (100 + (state >> 33) % 7, 200)
+        })
+        .collect();
+
+    let mut streams = Vec::new();
+    for endpoint in [format!("tcp://{}", server.addr()), format!("shm://{}", server.shm_path().unwrap())] {
+        // one client per cell: the ring seats one session at a time
+        let singles = {
+            let mut c = PredictClient::builder().endpoint(&endpoint).build().unwrap();
+            keys.iter().map(|&(s, b)| c.predict(s, b, OPTS).map_err(|e| e.to_string())).collect::<Vec<_>>()
+        };
+        let mut c = PredictClient::builder().endpoint(&endpoint).build().unwrap();
+        let batch: Vec<_> = c.predict_many(&keys, OPTS).into_iter().map(|r| r.map_err(|e| e.to_string())).collect();
+        streams.push((format!("{endpoint} single"), singles));
+        streams.push((format!("{endpoint} batch"), batch));
+    }
+    let (_, reference) = &streams[0];
+    assert!(reference.iter().any(Result::is_ok) && reference.iter().any(Result::is_err), "hits and misses both");
+    for (cell, stream) in &streams[1..] {
+        assert_eq!(stream, reference, "{cell} answers differently from {}", streams[0].0);
+    }
+    let stats = server.snapshot();
+    assert_eq!(stats.predictions, 4 * keys.len() as u64);
+    assert_eq!(stats.batches, 2 * 2, "1500 keys are two frames, on each listener");
 }
 
 #[test]

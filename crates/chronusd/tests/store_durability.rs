@@ -13,7 +13,7 @@ use chronusd::{ModelBackend, PredictServer, PreparedModel, ServerConfig};
 use eco_campaign::roll_into_fleet;
 use eco_sim_node::cpu::CpuConfig;
 
-const OPTS: &CallOptions = &CallOptions { trace: None, deadline_ms: None };
+const OPTS: &CallOptions = &CallOptions { trace: None };
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("eco-store-e2e-{tag}-{}", std::process::id()));

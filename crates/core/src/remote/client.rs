@@ -16,9 +16,10 @@
 //! every fleet-committed model so it never re-enters the ring behind
 //! the committed rollout state.
 //!
-//! With a single endpoint the ring is bypassed entirely and the retry
-//! loop is byte-for-byte the original single-daemon state machine, so
-//! the warm path costs nothing extra.
+//! With a single endpoint there is no ring lookup, no probe and no
+//! failover: the retry loop runs over the one candidate. Everything
+//! that touches a connection is [`Link`]'s; this module is the fleet
+//! layer over it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,35 +27,28 @@ use std::time::{Duration, Instant};
 use eco_sim_node::cpu::CpuConfig;
 
 use super::endpoint::{Endpoint, EndpointParseError};
+use super::link::Link;
 use super::ring::{predict_key, HashRing};
 use super::{
-    fastpath, send_msg, Connection, KeyOutcome, ObservedOutcome, PreloadAck, RemoteError, Request, RequestFrame,
-    Response, ResponseFrame, StatsSnapshot, Transport, MAX_BATCH_KEYS,
+    KeyOutcome, ObservedOutcome, PreloadAck, RemoteError, Request, RequestFrame, Response, StatsSnapshot, Transport,
+    MAX_BATCH_KEYS,
 };
 use crate::telemetry::{Counter, Histogram, Telemetry, TraceContext};
 
 /// Per-call options for [`PredictClient`] RPCs: the caller's trace
-/// context and an optional per-call deadline override.
+/// context. (The deadline budget is the client's, see
+/// [`ClientBuilder::deadline_ms`].)
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CallOptions {
     /// Propagated trace context; each attempt opens a `client/attempt`
     /// span under it and stamps that span's context on the wire frame.
     pub trace: Option<TraceContext>,
-    /// Deadline budget for this call, overriding the client-level
-    /// default from [`ClientBuilder::deadline_ms`] when set.
-    pub deadline_ms: Option<u64>,
 }
 
 impl CallOptions {
-    /// Options carrying only a trace context (the common case).
+    /// Options carrying a trace context.
     pub fn traced(trace: Option<TraceContext>) -> CallOptions {
-        CallOptions { trace, deadline_ms: None }
-    }
-
-    /// The same options with a per-call deadline budget.
-    pub fn deadline(mut self, ms: u64) -> CallOptions {
-        self.deadline_ms = Some(ms);
-        self
+        CallOptions { trace }
     }
 }
 
@@ -227,15 +221,11 @@ impl ClientBuilder {
                 Target::Transport(t) => t,
             };
             replicas.push(Replica {
-                desc: transport.describe(),
-                local: transport.is_local(),
-                transport,
-                conn: None,
+                link: Link::new(transport),
                 in_ring: true,
                 consecutive_failures: 0,
                 probe_in: 0,
                 generation: 0,
-                batch_unsupported: false,
             });
         }
         let mut ring = HashRing::new(VNODES);
@@ -265,22 +255,17 @@ struct Knobs {
     probe_cooldown: u32,
 }
 
+/// A [`Link`] plus what the fleet layer knows about its health. Local
+/// links ([`Link::local`]) are preferred over ring routing while they
+/// are on the ring.
 struct Replica {
-    desc: String,
-    /// Cached [`Transport::is_local`]: local replicas are preferred
-    /// over ring routing while they are on the ring.
-    local: bool,
-    transport: Box<dyn Transport>,
-    conn: Option<Box<dyn Connection>>,
+    link: Link,
     in_ring: bool,
     consecutive_failures: u32,
     /// Requests until the next probe while out of the ring.
     probe_in: u32,
     /// Last rollout generation this replica acknowledged to us.
     generation: u64,
-    /// Set once this daemon answers `PredictMany` with a
-    /// malformed-request error: an old daemon, batch forever off.
-    batch_unsupported: bool,
 }
 
 /// One replica's health and rollout state, as the client sees it.
@@ -344,17 +329,6 @@ struct ClientTelemetry {
     ring_repreloads: Counter,
 }
 
-fn verb_name(r: &Request) -> &'static str {
-    match r {
-        Request::Ping => "ping",
-        Request::Predict { .. } => "predict",
-        Request::PredictMany { .. } => "predict_many",
-        Request::Preload { .. } => "preload",
-        Request::Stats => "stats",
-        Request::ReportOutcome { .. } => "report_outcome",
-    }
-}
-
 /// The routing key for a request body: predictions hash their
 /// `(system, binary)` pair; every other verb shares one fixed position.
 fn routing_key(body: &Request) -> u64 {
@@ -367,84 +341,10 @@ fn routing_key(body: &Request) -> u64 {
     }
 }
 
-/// One framed exchange on a replica's persistent connection, dialing
-/// first if necessary; leaves connection cleanup to the caller. A
-/// tagged frame ([`RequestFrame::corr`]; every batch frame is) is
-/// answered in an envelope echoing the tag, and an echo of any other
-/// tag is a stale, duplicated or foreign reply. A bare reply to a
-/// tagged frame is taken in order: a daemon predating the echo, or the
-/// accept loop's `Busy` bounce, which never reads the request. Either
-/// way the reply must be a shape that can answer the verb (see
-/// [`response_matches`]).
-fn exchange_on(replica: &mut Replica, frame: &RequestFrame) -> Result<Response, RemoteError> {
-    if replica.conn.is_none() {
-        replica.conn = Some(replica.transport.connect().map_err(RemoteError::Connect)?);
-    }
-    let conn: &mut dyn Connection = &mut **replica.conn.as_mut().expect("connection was just established");
-    match (&frame.body, frame.corr) {
-        (Request::PredictMany { keys }, Some(tag)) if conn.fast_batch() => {
-            conn.send_frame(&fastpath::encode_request(tag, frame.deadline_ms, keys))
-        }
-        _ => send_msg(conn, frame),
-    }
-    .map_err(RemoteError::Io)?;
-    let payload = conn.recv_frame().map_err(|e| {
-        if e.kind() == std::io::ErrorKind::InvalidData {
-            RemoteError::Protocol(e.to_string())
-        } else {
-            RemoteError::Io(e)
-        }
-    })?;
-    // The reply shapes cannot be confused: a fast-path reply opens with
-    // the magic byte JSON never produces, and an envelope and a bare
-    // `Response` each fail to parse as the other (see `ResponseFrame`).
-    // Untagged frames are never enveloped, so singles decode once.
-    let (echo, resp) = if fastpath::is_binary(&payload) {
-        let (tag, body) = fastpath::decode_reply(&payload).map_err(|e| RemoteError::Protocol(e.to_string()))?;
-        (Some(tag), body)
-    } else if let Some(envelope) = frame.corr.and_then(|_| serde_json::from_slice::<ResponseFrame>(&payload).ok()) {
-        (Some(envelope.corr), envelope.body)
-    } else {
-        (None, serde_json::from_slice(&payload).map_err(|e| RemoteError::Protocol(e.to_string()))?)
-    };
-    let verb = verb_name(&frame.body);
-    if let Some(tag) = echo.filter(|&tag| Some(tag) != frame.corr) {
-        return Err(RemoteError::Protocol(format!("reply to {verb} echoes tag {tag}, not this exchange's")));
-    }
-    if !response_matches(&frame.body, &resp) {
-        return Err(RemoteError::Protocol(format!("desynced reply to {verb}: got {resp:?}")));
-    }
-    Ok(resp)
-}
-
-/// Whether `resp` is a shape the daemon could legitimately send for
-/// `req`. `Busy`, `Error` and `DeadlineExceeded` answer any verb (that
-/// is how old daemons refuse verbs they predate); every other response
-/// pairs one-to-one with its request. A mismatched pair means the
-/// connection stream is desynced — a duplicated or reordered frame was
-/// consumed as this exchange's reply, leaving the real reply queued —
-/// and every later exchange on it would read one reply behind, so the
-/// caller must drop the connection rather than trust it again.
-fn response_matches(req: &Request, resp: &Response) -> bool {
-    matches!(
-        (req, resp),
-        (_, Response::Busy { .. })
-            | (_, Response::Error { .. })
-            | (_, Response::DeadlineExceeded)
-            | (Request::Ping, Response::Pong)
-            | (Request::Predict { .. }, Response::Config(_))
-            | (Request::Predict { .. }, Response::Miss { .. })
-            | (Request::PredictMany { .. }, Response::ManyConfigs { .. })
-            | (Request::Preload { .. }, Response::Preloaded { .. })
-            | (Request::Stats, Response::Stats(_))
-            | (Request::ReportOutcome { .. }, Response::OutcomeAck { .. })
-    )
-}
-
 impl std::fmt::Debug for PredictClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PredictClient")
-            .field("endpoints", &self.replicas.iter().map(|r| r.desc.as_str()).collect::<Vec<_>>())
+            .field("endpoints", &self.replicas.iter().map(|r| r.link.desc.as_str()).collect::<Vec<_>>())
             .field("in_ring", &self.replicas_in_ring())
             .field("knobs", &self.knobs)
             .finish()
@@ -460,12 +360,12 @@ impl PredictClient {
     /// The first replica's endpoint (the only one in single-daemon
     /// mode); see [`PredictClient::endpoints`] for the whole fleet.
     pub fn addr(&self) -> &str {
-        &self.replicas[0].desc
+        &self.replicas[0].link.desc
     }
 
     /// Every replica endpoint this client balances over.
     pub fn endpoints(&self) -> Vec<&str> {
-        self.replicas.iter().map(|r| r.desc.as_str()).collect()
+        self.replicas.iter().map(|r| r.link.desc.as_str()).collect()
     }
 
     /// Total replicas configured.
@@ -482,7 +382,7 @@ impl PredictClient {
     pub fn replica_health(&self) -> Vec<ReplicaStatus> {
         self.replicas
             .iter()
-            .map(|r| ReplicaStatus { endpoint: r.desc.clone(), in_ring: r.in_ring, generation: r.generation })
+            .map(|r| ReplicaStatus { endpoint: r.link.desc.clone(), in_ring: r.in_ring, generation: r.generation })
             .collect()
     }
 
@@ -570,8 +470,7 @@ impl PredictClient {
     /// owner's connection. Any key a batched exchange fails to answer
     /// falls back to the single-key path with its full retry/failover
     /// machinery — a key is never silently dropped, only answered or
-    /// given a typed error. Old daemons (no `PredictMany`) degrade to
-    /// sequential singles automatically.
+    /// given a typed error.
     pub fn predict_many(&mut self, keys: &[(u64, u64)], opts: &CallOptions) -> Vec<Result<CpuConfig, RemoteError>> {
         if let Some(t) = &self.tel {
             t.requests.bump();
@@ -591,7 +490,7 @@ impl PredictClient {
         // batch between a daemon's shm and tcp endpoints would route
         // half the keys the slow way to the same process
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.replicas.len()];
-        let local = self.replicas.iter().position(|r| r.local && r.in_ring);
+        let local = self.replicas.iter().position(|r| r.link.local && r.in_ring);
         if let Some(owner) = local.or((self.replicas.len() == 1).then_some(0)) {
             groups[owner] = (0..keys.len()).collect();
         } else {
@@ -624,8 +523,8 @@ impl PredictClient {
     /// frames, each answered before the next is sent, and fills their
     /// result slots. Every frame carries a fresh tag, so a reply left
     /// over from an earlier exchange can never fill this one's slots.
-    /// Slots left `None` (connection died mid-batch, daemon too old,
-    /// `Busy` bounce) are picked up by the caller's per-key fallback.
+    /// Slots left `None` (connection died mid-batch, `Busy` bounce) are
+    /// picked up by the caller's per-key fallback.
     fn batch_on(
         &mut self,
         idx: usize,
@@ -634,14 +533,10 @@ impl PredictClient {
         opts: &CallOptions,
         results: &mut [Option<Result<CpuConfig, RemoteError>>],
     ) {
-        if self.replicas[idx].batch_unsupported {
-            return;
-        }
-        let deadline_ms = opts.deadline_ms.or(self.knobs.deadline_ms);
         for chunk in group.chunks(MAX_BATCH_KEYS) {
             self.last_tag += 1;
             let frame = RequestFrame {
-                deadline_ms,
+                deadline_ms: self.knobs.deadline_ms,
                 trace: opts.trace,
                 corr: Some(self.last_tag),
                 body: Request::PredictMany { keys: chunk.iter().map(|&i| keys[i]).collect() },
@@ -649,8 +544,8 @@ impl PredictClient {
             if let Some(t) = &self.tel {
                 t.attempts.bump();
             }
-            match exchange_on(&mut self.replicas[idx], &frame) {
-                Ok(Response::ManyConfigs { results: outcomes }) if outcomes.len() == chunk.len() => {
+            match self.replicas[idx].link.exchange(&frame) {
+                Ok(Response::ManyConfigs { results: outcomes }) => {
                     for (&key_index, outcome) in chunk.iter().zip(outcomes) {
                         let (system_hash, binary_hash) = keys[key_index];
                         results[key_index] = Some(match outcome {
@@ -665,21 +560,14 @@ impl PredictClient {
                         results[key_index] = Some(Err(RemoteError::DeadlineExceeded));
                     }
                 }
-                Ok(Response::Error { message }) if message.contains("malformed request") => {
-                    // an old daemon that has never heard of
-                    // PredictMany: degrade to singles, forever
-                    self.replicas[idx].batch_unsupported = true;
-                    return;
-                }
+                // a whole-batch error is that error for each of its keys
                 Ok(Response::Error { message }) => {
                     for &key_index in chunk {
                         results[key_index] = Some(Err(RemoteError::Server(message.clone())));
                     }
                 }
+                // the accept loop's bounce or the service's: the keys fall back
                 Ok(Response::Busy { .. }) => {
-                    // the accept loop's bounce or the service's: the
-                    // daemon hangs up either way, and the keys fall back
-                    self.replicas[idx].conn = None;
                     if let Some(t) = &self.tel {
                         t.busy.bump();
                     }
@@ -688,7 +576,6 @@ impl PredictClient {
                 // transport failure, foreign tag, wrong shape or
                 // cardinality: the keys fall back rather than misalign
                 _ => {
-                    self.replicas[idx].conn = None;
                     self.note_failure(idx);
                     return;
                 }
@@ -725,7 +612,7 @@ impl PredictClient {
         let mut acks = Vec::new();
         let mut failures = Vec::new();
         for idx in 0..self.replicas.len() {
-            let desc = self.replicas[idx].desc.clone();
+            let desc = self.replicas[idx].link.desc.clone();
             match self.preload_on(idx, model_id, opts) {
                 Ok(ack) => {
                     self.replicas[idx].generation = ack.generation;
@@ -742,10 +629,7 @@ impl PredictClient {
 
     /// Reports one production observation for a served prediction
     /// (routed to the replica that owns the key, like `Predict`).
-    /// Returns whether the daemon accepted the outcome; an old daemon
-    /// that cannot parse the frame answers a malformed-request
-    /// `Error`, which maps to `Ok(false)` — outcome reporting
-    /// degrades, it never fails the caller.
+    /// Returns whether the daemon accepted the outcome.
     pub fn report_outcome(
         &mut self,
         system_hash: u64,
@@ -755,9 +639,7 @@ impl PredictClient {
         let body = Request::ReportOutcome { system_hash, binary_hash, outcome: outcome.clone() };
         match self.request(body, &CallOptions::default())? {
             Response::OutcomeAck { accepted } => Ok(accepted),
-            // old daemon: unknown variant fails its decode, it answers
-            // a malformed-request Error — treat as "unsupported"
-            Response::Error { .. } => Ok(false),
+            Response::Error { message } => Err(RemoteError::Server(message)),
             Response::DeadlineExceeded => Err(RemoteError::DeadlineExceeded),
             other => Err(RemoteError::Protocol(format!("expected OutcomeAck, got {other:?}"))),
         }
@@ -780,7 +662,7 @@ impl PredictClient {
         }
         (0..self.replicas.len())
             .map(|idx| {
-                let desc = self.replicas[idx].desc.clone();
+                let desc = self.replicas[idx].link.desc.clone();
                 let res = self.drive(Request::Stats, &CallOptions::default(), &[idx]).and_then(|resp| match resp {
                     Response::Stats(s) => Ok(*s),
                     other => Err(RemoteError::Protocol(format!("expected Stats, got {other:?}"))),
@@ -807,7 +689,7 @@ impl PredictClient {
         let mut out: Vec<usize> = self.ring.ordered(key).into_iter().map(|m| m as usize).collect();
         // stable: local in-ring members jump the queue, everyone else
         // keeps ring order
-        out.sort_by_key(|&i| !self.replicas[i].local);
+        out.sort_by_key(|&i| !self.replicas[i].link.local);
         for (i, r) in self.replicas.iter().enumerate() {
             if !r.in_ring {
                 out.push(i);
@@ -816,17 +698,16 @@ impl PredictClient {
         out
     }
 
-    /// The retry/failover state machine. With a single candidate this
-    /// is exactly the original single-daemon loop: `max_retries + 1`
-    /// attempts, busy hints honoured, linear backoff between attempts.
+    /// The retry/failover state machine. With a single candidate:
+    /// `max_retries + 1` attempts, busy hints honoured, linear backoff
+    /// between attempts.
     /// With several candidates, a failed exchange moves to the next
     /// candidate immediately (the failed dial/read already cost its
     /// timeout); backoff only applies when the whole list wraps around.
     fn drive(&mut self, body: Request, opts: &CallOptions, candidates: &[usize]) -> Result<Response, RemoteError> {
-        let verb = verb_name(&body);
+        let verb = body.verb();
         let parent = opts.trace;
-        let deadline_ms = opts.deadline_ms.or(self.knobs.deadline_ms);
-        let base = RequestFrame { deadline_ms, trace: parent, corr: None, body };
+        let base = RequestFrame { deadline_ms: self.knobs.deadline_ms, trace: parent, corr: None, body };
         let fleet = self.replicas.len() > 1;
         let max_attempts = self.knobs.max_retries + candidates.len() as u32;
         let mut attempt: u32 = 0;
@@ -843,15 +724,13 @@ impl PredictClient {
                 s.attr("verb", verb);
                 s.attr("attempt", attempt);
                 if fleet {
-                    s.attr("replica", &self.replicas[idx].desc);
+                    s.attr("replica", &self.replicas[idx].link.desc);
                 }
                 s
             });
             let frame = base.clone().traced(span.as_ref().map(|s| s.context()).or(parent));
-            match exchange_on(&mut self.replicas[idx], &frame) {
+            match self.replicas[idx].link.exchange(&frame) {
                 Ok(Response::Busy { retry_after_ms }) => {
-                    // The daemon closes the connection after a Busy bounce.
-                    self.replicas[idx].conn = None;
                     if let Some(t) = &self.tel {
                         t.busy.bump();
                     }
@@ -866,7 +745,7 @@ impl PredictClient {
                         pos += 1;
                     } else {
                         pos = 0;
-                        self.replicas[idx].transport.sleep(Duration::from_millis(retry_after_ms.min(50)));
+                        self.replicas[idx].link.transport.sleep(Duration::from_millis(retry_after_ms.min(50)));
                     }
                 }
                 Ok(resp) => {
@@ -875,7 +754,6 @@ impl PredictClient {
                     return Ok(resp);
                 }
                 Err(e) => {
-                    self.replicas[idx].conn = None;
                     if let Some(t) = &self.tel {
                         t.errors.bump();
                     }
@@ -892,7 +770,7 @@ impl PredictClient {
                     } else {
                         pos = 0;
                         let backoff = self.knobs.backoff * attempt;
-                        self.replicas[idx].transport.sleep(backoff);
+                        self.replicas[idx].link.transport.sleep(backoff);
                     }
                 }
             }
@@ -1016,13 +894,10 @@ impl PredictClient {
         if let Some(t) = &self.tel {
             t.ring_probes.bump();
         }
-        let frame = RequestFrame::new(Request::Ping).traced(parent);
-        match exchange_on(&mut self.replicas[idx], &frame) {
-            Ok(Response::Pong) => self.note_success(idx, parent),
-            _ => {
-                self.replicas[idx].conn = None;
-                self.replicas[idx].probe_in = self.knobs.probe_cooldown;
-            }
+        if self.replicas[idx].link.probe(parent) {
+            self.note_success(idx, parent);
+        } else {
+            self.replicas[idx].probe_in = self.knobs.probe_cooldown;
         }
     }
 
@@ -1031,8 +906,8 @@ impl PredictClient {
             t.ring_failovers.bump();
             if let Some(ctx) = parent {
                 let mut s = t.telemetry.span_under(ctx, "client", "failover");
-                s.attr("from", &self.replicas[from].desc);
-                s.attr("to", &self.replicas[to].desc);
+                s.attr("from", &self.replicas[from].link.desc);
+                s.attr("to", &self.replicas[to].link.desc);
                 s.attr("why", why);
             }
         }
@@ -1042,6 +917,7 @@ impl PredictClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remote::{Connection, ResponseFrame};
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1107,7 +983,7 @@ mod tests {
     }
 
     const KEYS: [(u64, u64); 3] = [(7, 1), (7, 2), (9, 3)];
-    const OPTS: &CallOptions = &CallOptions { trace: None, deadline_ms: None };
+    const OPTS: &CallOptions = &CallOptions { trace: None };
 
     /// A single-replica client of a [`Scripted`] daemon; returns its
     /// dial count and its `client.requests` / `client.attempts` too.
@@ -1163,20 +1039,42 @@ mod tests {
     }
 
     #[test]
-    fn daemons_predating_the_echo_or_the_batch_verb_are_still_served() {
-        // answers a tagged batch bare, in order
+    fn a_bare_reply_to_a_tagged_batch_is_taken_in_order() {
+        // what the accept loop's bounce looks like, with an answer in it
         let (mut client, dials, _, attempts) = scripted(|f, _| vec![honest(&RequestFrame::new(f.body.clone()))]);
         assert_all_answered(&mut client);
         assert_eq!((dials.load(Ordering::SeqCst), attempts.get()), (1, 1));
+    }
 
-        // has never heard of PredictMany: one probe, then singles forever
-        let (mut client, _, _, attempts) = scripted(|_, _| {
+    #[test]
+    fn a_malformed_request_error_is_that_error_for_each_key_on_every_call() {
+        let (mut client, dials, _, attempts) = scripted(|_, _| {
             let message = "malformed request: unknown variant `PredictMany`".to_string();
             vec![serde_json::to_vec(&Response::Error { message }).unwrap()]
         });
-        assert_all_answered(&mut client);
-        assert_all_answered(&mut client);
-        assert_eq!(attempts.get(), 1 + 2 * KEYS.len() as u64, "batching stays off after the probe");
+        for call in 1..=2 {
+            let results = client.predict_many(&KEYS, OPTS);
+            assert_eq!(results.len(), KEYS.len());
+            for result in results {
+                assert!(
+                    matches!(&result, Err(RemoteError::Server(m)) if m.starts_with("malformed request")),
+                    "{result:?}"
+                );
+            }
+            assert_eq!(attempts.get(), call, "one batch frame per call: an error is no capability probe");
+        }
+        assert_eq!(dials.load(Ordering::SeqCst), 1, "an Error leaves the connection in step");
+    }
+
+    #[test]
+    fn a_bounce_or_a_cut_mid_batch_costs_one_redial_and_the_keys_fall_back() {
+        let bounce = |_: &RequestFrame, _| vec![serde_json::to_vec(&Response::Busy { retry_after_ms: 1 }).unwrap()];
+        let cut = |_: &RequestFrame, _| Vec::new();
+        for (mut client, dials, _, attempts) in [scripted(bounce), scripted(cut)] {
+            assert_all_answered(&mut client);
+            assert_eq!(dials.load(Ordering::SeqCst), 2, "the link drops its own connection, once");
+            assert_eq!(attempts.get(), 1 + KEYS.len() as u64, "one batch frame, then one single per key");
+        }
     }
 
     #[test]

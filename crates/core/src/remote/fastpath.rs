@@ -2,17 +2,20 @@
 //!
 //! JSON costs real CPU at 1M+ keys/s: serializing a 512-key batch and
 //! parsing its reply caps a single core near the throughput target all
-//! by itself. Frame-level transports that negotiate it (see
+//! by itself. A connection that asks for it (see
 //! [`super::Connection::fast_batch`] — today only the shared-memory
-//! ring) carry `PredictMany` exchanges in a fixed little-endian binary
-//! layout instead. The encoding is deliberately boring: no varints, no
-//! compression, every field a fixed-width copy, so encode/decode is a
-//! handful of `memcpy`s.
+//! ring) has its `PredictMany` exchanges sent in a fixed little-endian
+//! binary layout instead, and the daemon answers a binary request in
+//! kind on any listener. The encoding is deliberately boring: no
+//! varints, no compression, every field a fixed-width copy, so
+//! encode/decode is a handful of `memcpy`s.
 //!
 //! A binary frame is distinguished from JSON by its first byte,
 //! [`MAGIC`] (`0xB1`), which can never open a JSON document. Everything
 //! else on a fast-path connection (preloads, stats, pings) stays JSON;
-//! only the hot batch verb gets the treatment.
+//! only the hot batch verb gets the treatment. This module is the
+//! layout only; which frames take it is [`super::wire`]'s decision, and
+//! `wire` is the only non-test caller of the four codec functions.
 //!
 //! ## Layout (all integers little-endian)
 //!

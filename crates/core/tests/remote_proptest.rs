@@ -11,13 +11,12 @@ use std::io::{Read, Write};
 
 use bytes::BytesMut;
 use chronus::remote::{
-    read_frame, send_msg, take_frame, write_frame, Connection, KeyOutcome, ObservedOutcome, Request, RequestFrame,
-    Response, ResponseFrame, StatsSnapshot, MAX_BATCH_KEYS, MAX_FRAME_LEN,
+    read_frame, take_frame, write_frame, Connection, KeyOutcome, ObservedOutcome, Request, RequestFrame, Response,
+    ResponseFrame, StatsSnapshot, MAX_BATCH_KEYS, MAX_FRAME_LEN,
 };
 use chronus::telemetry::{SpanId, TraceContext, TraceId};
 use eco_sim_node::cpu::CpuConfig;
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A loopback byte stream: writes append to an internal buffer, reads
 /// drain it. Being `Read + Write + Send`, it gets [`Connection`] from
@@ -69,42 +68,6 @@ impl Connection for FrameLoop {
     fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
         self.frames.pop_front().ok_or_else(|| std::io::Error::new(std::io::ErrorKind::WouldBlock, "no frame queued"))
     }
-}
-
-/// The wire struct exactly as peers built before the trace header knew
-/// it: no `trace` field at all. Stands in for an old client/daemon in
-/// the compatibility properties below.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct LegacyRequestFrame {
-    #[serde(default)]
-    deadline_ms: Option<u64>,
-    body: Request,
-}
-
-/// The request verbs exactly as peers built before the outcome feed
-/// knew them: no `ReportOutcome` variant. Stands in for an old daemon
-/// in the additive-negotiation properties below — its decode of an
-/// outcome frame must fail *cleanly* (that failure is what makes it
-/// answer a malformed-request `Error`, which the new client maps to
-/// `Ok(false)` / "outcome reporting unsupported").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum LegacyRequest {
-    Ping,
-    Predict { system_hash: u64, binary_hash: u64 },
-    PredictMany { keys: Vec<(u64, u64)> },
-    Preload { model_id: i64 },
-    Stats,
-}
-
-/// The response shapes an old client understands: no `OutcomeAck`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum LegacyResponse {
-    Pong,
-    Config(CpuConfig),
-    Busy { retry_after_ms: u64 },
-    Miss { system_hash: u64, binary_hash: u64 },
-    DeadlineExceeded,
-    Error { message: String },
 }
 
 fn arb_config() -> impl Strategy<Value = CpuConfig> {
@@ -313,40 +276,11 @@ proptest! {
         prop_assert!(take_frame(&mut buf).unwrap().is_none());
     }
 
-    /// Version negotiation, downgrade direction: an old peer (no
-    /// `trace` field in its struct) decodes every new frame — traced or
-    /// not — and sees the same deadline and body.
+    /// Junk in the trace header slot never panics the decoder: whatever
+    /// JSON value sits under `"trace"`, the outcome is a clean `Err` or
+    /// a decoded frame.
     #[test]
-    fn old_peers_parse_traced_frames(frame in arb_frame()) {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &frame).unwrap();
-        let legacy: LegacyRequestFrame = read_frame(&mut wire.as_slice()).unwrap();
-        prop_assert_eq!(legacy.deadline_ms, frame.deadline_ms);
-        prop_assert_eq!(legacy.body, frame.body);
-    }
-
-    /// Version negotiation, upgrade direction: frames from an old peer
-    /// (which never writes `trace`) decode on a new peer as untraced.
-    #[test]
-    fn new_peers_parse_legacy_frames_as_untraced(
-        body in arb_request(),
-        deadline_ms in prop::option::of(0u64..=60_000),
-    ) {
-        let legacy = LegacyRequestFrame { deadline_ms, body };
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &legacy).unwrap();
-        let decoded: RequestFrame = read_frame(&mut wire.as_slice()).unwrap();
-        prop_assert_eq!(decoded.trace, None);
-        prop_assert_eq!(decoded.deadline_ms, legacy.deadline_ms);
-        prop_assert_eq!(decoded.body, legacy.body);
-    }
-
-    /// Junk in the trace header slot never panics either peer, and
-    /// never breaks an un-traced peer: whatever JSON value sits under
-    /// `"trace"`, the legacy decode (which ignores the field entirely)
-    /// still yields the frame.
-    #[test]
-    fn junk_trace_header_never_panics_and_never_breaks_untraced_peers(
+    fn junk_trace_header_never_panics(
         junk in prop::sample::select(vec![
             "null", "42", "-1", "\"zz\"", "[]", "[1,2,3]", "{}",
             "{\"trace\":\"x\"}", "{\"trace\":1}", "{\"span\":2}",
@@ -367,12 +301,10 @@ proptest! {
         wire.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         wire.extend_from_slice(payload.as_bytes());
 
-        // the traced peer may reject the junk, but must never panic
-        let _ = read_frame::<RequestFrame>(&mut wire.as_slice());
-        // the un-traced peer skips the field and always gets the frame
-        let legacy: LegacyRequestFrame = read_frame(&mut wire.as_slice()).unwrap();
-        prop_assert_eq!(legacy.deadline_ms, deadline);
-        prop_assert_eq!(legacy.body, Request::Ping);
+        if let Ok(frame) = read_frame::<RequestFrame>(&mut wire.as_slice()) {
+            prop_assert_eq!(frame.deadline_ms, deadline);
+            prop_assert_eq!(frame.body, Request::Ping);
+        }
     }
 
     /// A maximum-size batch — the largest frame the protocol promises
@@ -406,7 +338,8 @@ proptest! {
     /// The two reply shapes can never be confused: a bare response
     /// never decodes as an envelope (it has no `corr`), and an envelope
     /// never decodes as a bare response (no enum variant is `corr`).
-    /// This is what lets one connection carry both during negotiation.
+    /// This is what lets one connection carry tagged and untagged
+    /// exchanges.
     #[test]
     fn envelopes_and_bare_replies_never_confuse(corr in 0u64..=u64::MAX, body in arb_response()) {
         let mut bare = Vec::new();
@@ -449,86 +382,11 @@ proptest! {
         let _ = read_frame::<ResponseFrame>(&mut junk.as_slice());
     }
 
-    /// Version negotiation for the outcome feed, downgrade direction:
-    /// an old daemon (no `ReportOutcome` variant) fails to decode the
-    /// new verb with a clean `Err` — never a panic, never a phantom
-    /// verb. (That decode failure is what makes it answer a
-    /// malformed-request `Error`, which `report_outcome` maps to
-    /// `Ok(false)`; see the client.)
+    /// Junk in the `corr` slot never panics the decoder.
     #[test]
-    fn old_daemons_reject_outcome_frames_cleanly(
-        a in 0u64..=u64::MAX,
-        b in 0u64..=u64::MAX,
-        outcome in arb_observed(),
-    ) {
-        let frame = RequestFrame::new(Request::ReportOutcome { system_hash: a, binary_hash: b, outcome });
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &frame).unwrap();
-        prop_assert!(read_frame::<LegacyRequest>(&mut wire.as_slice()).is_err());
-        // every pre-outcome verb still decodes on the old daemon
-        let old = RequestFrame::new(Request::Predict { system_hash: a, binary_hash: b });
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &old).unwrap();
-        prop_assert!(read_frame::<LegacyRequestFrame>(&mut wire.as_slice()).is_ok());
-    }
-
-    /// Upgrade direction: an old client never sees `OutcomeAck` (it
-    /// never sends the verb), but if one ever crosses the wire it must
-    /// fail the old decode cleanly rather than masquerade as another
-    /// response.
-    #[test]
-    fn old_clients_reject_outcome_acks_cleanly(flag in 0u32..2) {
-        let accepted = flag == 1;
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &Response::OutcomeAck { accepted }).unwrap();
-        prop_assert!(read_frame::<LegacyResponse>(&mut wire.as_slice()).is_err());
-        // and the new peer round-trips it exactly
-        let decoded: Response = read_frame(&mut wire.as_slice()).unwrap();
-        prop_assert_eq!(decoded, Response::OutcomeAck { accepted });
-    }
-
-    /// Stats negotiation: a snapshot from an old daemon (none of the
-    /// adaptation counters on the wire) decodes on a new client with
-    /// every adaptation field at its zero default, all other counters
-    /// intact.
-    #[test]
-    fn legacy_snapshots_default_the_adaptation_counters(snapshot in arb_snapshot()) {
-        const ADAPT_FIELDS: &[&str] = &[
-            "outcomes_ingested", "outcomes_rejected", "outcome_reservoirs", "drift_score_milli",
-            "drift_trips", "drift_clears", "adapt_refits", "canary_promotions", "canary_rollbacks",
-            "canary_state",
-        ];
-        let serde_json::Value::Object(fields) = serde_json::to_value(&snapshot).unwrap() else {
-            panic!("a snapshot serializes to an object");
-        };
-        let stripped: serde_json::Map = fields
-            .iter()
-            .filter(|(k, _)| !ADAPT_FIELDS.contains(&k.as_str()))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        prop_assert_eq!(
-            fields.len() - stripped.len(),
-            ADAPT_FIELDS.len(),
-            "new snapshots always carry every adaptation counter"
-        );
-        let decoded: StatsSnapshot = serde_json::from_value(serde_json::Value::Object(stripped)).unwrap();
-        prop_assert_eq!(decoded.outcomes_ingested, 0);
-        prop_assert_eq!(decoded.drift_trips, 0);
-        prop_assert_eq!(decoded.adapt_refits, 0);
-        prop_assert_eq!(decoded.canary_promotions, 0);
-        prop_assert_eq!(decoded.canary_rollbacks, 0);
-        prop_assert_eq!(decoded.canary_state, String::new());
-        prop_assert_eq!(decoded.requests_total, snapshot.requests_total);
-        prop_assert_eq!(decoded.model_generation, snapshot.model_generation);
-        prop_assert_eq!(decoded.latency_max_us, snapshot.latency_max_us);
-    }
-
-    /// Junk in the `corr` slot never panics either peer, and a legacy
-    /// peer (which has no `corr` field at all) still gets the frame.
-    #[test]
-    fn junk_corr_never_panics_and_never_breaks_legacy_peers(
+    fn junk_corr_never_panics(
         // (a number past u64::MAX is rejected by the JSON layer itself,
-        // for every peer equally, so it is not a corr-level concern)
+        // so it is not a corr-level concern)
         junk in prop::sample::select(vec![
             "null", "-1", "\"zz\"", "[]", "{}", "3.5", "true",
             "18446744073709551615",
@@ -539,11 +397,9 @@ proptest! {
         wire.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         wire.extend_from_slice(payload.as_bytes());
 
-        // the corr-aware peer may reject the junk, but must never panic
-        let _ = read_frame::<RequestFrame>(&mut wire.as_slice());
-        // the legacy peer skips the field and always gets the frame
-        let legacy: LegacyRequestFrame = read_frame(&mut wire.as_slice()).unwrap();
-        prop_assert_eq!(legacy.body, Request::Ping);
+        if let Ok(frame) = read_frame::<RequestFrame>(&mut wire.as_slice()) {
+            prop_assert_eq!(frame.body, Request::Ping);
+        }
     }
 
     /// Transport transparency: any burst of payloads pushed through a
@@ -572,15 +428,14 @@ proptest! {
 
     /// The blanket impl speaks exactly the classic wire format: bytes
     /// produced by `send_frame` on a stream are bit-identical to
-    /// `write_frame`'s, and `read_frame`/`take_frame` decode them. An
-    /// old peer on plain sockets cannot tell the redesign happened.
+    /// `write_frame`'s, and `read_frame`/`take_frame` decode them.
     #[test]
     fn blanket_impl_preserves_the_classic_wire_format(frame in arb_frame()) {
         let mut classic = Vec::new();
         write_frame(&mut classic, &frame).unwrap();
 
         let mut stream = ByteLoop::default();
-        send_msg(&mut stream, &frame).unwrap();
+        stream.send_frame(&serde_json::to_vec(&frame).unwrap()).unwrap();
         let streamed: Vec<u8> = stream.buf.iter().copied().collect();
         prop_assert_eq!(&streamed, &classic, "send_frame and write_frame must emit identical bytes");
 
@@ -599,8 +454,8 @@ proptest! {
         let mut bytes = ByteLoop::default();
         let mut frames = FrameLoop::default();
         for conn in [&mut bytes as &mut dyn Connection, &mut frames as &mut dyn Connection] {
-            send_msg(conn, &frame).unwrap();
-            send_msg(conn, &reply).unwrap();
+            conn.send_frame(&serde_json::to_vec(&frame).unwrap()).unwrap();
+            conn.send_frame(&serde_json::to_vec(&reply).unwrap()).unwrap();
             let got_frame: RequestFrame = serde_json::from_slice(&conn.recv_frame().unwrap()).unwrap();
             let got_reply: Response = serde_json::from_slice(&conn.recv_frame().unwrap()).unwrap();
             prop_assert_eq!(&got_frame, &frame);
@@ -622,9 +477,9 @@ proptest! {
         prop_assert!(frames.frames.is_empty());
     }
 
-    /// Only byte streams negotiate down to JSON batches: the blanket
-    /// impl never claims the binary fast path (old daemons on sockets
-    /// would not understand it), while a direct impl may opt in.
+    /// Sending batches in the binary layout is a connection's explicit
+    /// choice: the blanket impl over byte streams never makes it, and a
+    /// direct impl does not inherit it.
     #[test]
     fn byte_streams_never_claim_the_fast_path(junk in prop::collection::vec(0u8..=255, 0..16)) {
         let mut bytes = ByteLoop::default();

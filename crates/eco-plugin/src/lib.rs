@@ -229,9 +229,9 @@ impl JobSubmitEco {
     /// the prediction was served under, so the daemon's drift detector
     /// judges the exact model that configured the job. Returns whether
     /// the source accepted the outcome; failures are soft and only
-    /// counted (`plugin.outcomes.*`) — an old daemon that does not
-    /// speak `ReportOutcome` counts as `unsupported`, and a dead one as
-    /// `failed`, neither of which may disturb the scheduler.
+    /// counted (`plugin.outcomes.*`) — a source with nowhere to report
+    /// to counts as `unsupported`, a dead daemon or one that answers
+    /// an error as `failed`, neither of which may disturb the scheduler.
     pub fn report_outcome(&self, binary_path: &str, partition: Option<&str>, outcome: &ObservedOutcome) -> bool {
         let bin_hash = self.binary_hash_for(binary_path);
         let classed_system = classed_system_hash(self.system_hash, &self.class_for(partition).name);
@@ -892,12 +892,12 @@ mod tests {
     }
 
     #[test]
-    fn old_sources_without_the_verb_count_as_unsupported_not_failed() {
+    fn sources_with_nowhere_to_report_count_as_unsupported_not_failed() {
         let root = tmpdir("outcomeold");
         let (storage, contents) = stage(&root, PluginState::Active);
         let mut p = plugin(storage, contents);
         // FixedSource does not override report_outcome: the trait
-        // default answers Ok(false), the additive-negotiation path
+        // default answers Ok(false), as every local source does
         p.set_source(Arc::new(FixedSource(CpuConfig::new(8, 1_500_000, 2))));
         let telemetry = Arc::new(Telemetry::wall());
         p.set_telemetry(Arc::clone(&telemetry));

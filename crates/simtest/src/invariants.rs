@@ -248,8 +248,7 @@ impl Ledger {
         }
 
         // Outcome reports: a ReportOutcome may only be answered
-        // OutcomeAck (the new daemon), a whole-frame Error (an old
-        // daemon that cannot parse the verb), or DeadlineExceeded; an
+        // OutcomeAck, a whole-frame Error, or DeadlineExceeded; an
         // ack moves exactly one of ingested/rejected, matching its
         // accepted flag; and nothing else may touch those counters.
         let is_outcome = matches!(frame.body, Request::ReportOutcome { .. });
@@ -668,10 +667,9 @@ mod tests {
     }
 
     #[test]
-    fn old_daemon_error_on_outcome_moves_nothing() {
-        // additive negotiation: an old daemon answers Error and its
-        // (nonexistent) outcome counters stay zero — the ledger accepts
-        // exactly that shape
+    fn an_error_on_an_outcome_moves_no_outcome_counter() {
+        // a whole-frame Error is a legal answer to a ReportOutcome, and
+        // leaves the outcome counters where they were
         let mut ledger = Ledger::default();
         let mut after = snap(1, 0, 0, 0);
         after.errors = 1;

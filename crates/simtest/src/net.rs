@@ -26,9 +26,7 @@ use std::time::Duration;
 
 use bytes::BytesMut;
 use chronus::error::ChronusError;
-use chronus::remote::{
-    fastpath, take_frame, write_frame, Connection, Request, RequestFrame, Response, ResponseFrame, Transport,
-};
+use chronus::remote::{take_frame, wire, Connection, Request, RequestFrame, Response, Transport};
 use chronus::telemetry::{Recorder, Telemetry};
 use chronusd::backend::{ModelBackend, PreparedModel};
 use chronusd::service::{PredictService, QueueGauges, ServiceClock};
@@ -259,6 +257,49 @@ impl NetCore {
         }
         self.injected.add("backend_slow", kind, self.backend.stalled.swap(0, Ordering::SeqCst));
         self.injected.add("backend_poison", kind, self.backend.failed.swap(0, Ordering::SeqCst));
+    }
+
+    /// What every delivery that survives its gauntlet does: rolls the
+    /// backend faults for this exchange, puts the request payload through
+    /// replica `r`'s one door and audits what came out *of the wire* —
+    /// the reply payload decoded the way the client will decode it, not a
+    /// value handed over beside it. `(binary, frame)` is `payload` as
+    /// [`decoded`], `who` names the connection in the log. Returns the
+    /// reply payload.
+    fn serve_and_audit(
+        &mut self,
+        r: usize,
+        kind: Exchange,
+        who: &str,
+        payload: &[u8],
+        binary: bool,
+        frame: &RequestFrame,
+    ) -> Vec<u8> {
+        let backend_slow = self.roll(self.plan.backend_slow);
+        let backend_poisoned = self.roll(self.plan.backend_poison);
+        let latency_ms = if backend_slow { self.plan.backend_latency_ms } else { 0 };
+        self.backend.latency_ms.store(latency_ms, Ordering::SeqCst);
+        self.backend.poisoned.store(backend_poisoned, Ordering::SeqCst);
+
+        let before = self.replicas[r].service.snapshot(sim_gauges());
+        let t0 = self.clock.now();
+        let reply = self.replicas[r].service.answer(payload, sim_gauges());
+        let elapsed_ms = (self.clock.now() - t0).as_millis();
+        let after = self.replicas[r].service.snapshot(sim_gauges());
+        let (_, response) =
+            wire::decode_reply(&reply, frame.corr.is_some()).expect("the daemon writes well-formed replies");
+        if let Err(e) = self.replicas[r].ledger.record_exchange(frame, &response, &before, &after, elapsed_ms) {
+            let incarnation = self.replicas[r].incarnation;
+            let label = self.replicas[r].label.clone();
+            self.violations.push(format!("{label} incarnation {incarnation}: {e}"));
+        }
+        let fast = if binary { ", fastpath" } else { "" };
+        self.rnote(
+            r,
+            format!("{who}: {} -> {} ({elapsed_ms}ms in service{fast})", verb_of(&frame.body), kind_of(&response)),
+        );
+        self.served(kind, &frame.body);
+        reply
     }
 
     /// Expire a due partition or finish a due restart on `replica`.
@@ -665,8 +706,7 @@ impl SimConnection {
         let mut core = state.mu.lock();
         core.tick(r);
         let plan = core.plan.clone();
-        let frame: RequestFrame =
-            serde_json::from_slice(payload).expect("the harness client only writes well-formed frames");
+        let (binary, frame) = decoded(payload);
         let kind = if matches!(frame.body, Request::PredictMany { .. }) { Exchange::Batch } else { Exchange::Single };
         let id = self.id;
 
@@ -709,38 +749,13 @@ impl SimConnection {
             // answer Busy, hang up
             core.replicas[r].service.stats().busy_rejection();
             core.replicas[r].ledger.busy_injected += 1;
-            self.inbox.extend(encode(&Response::Busy { retry_after_ms: plan.retry_after_ms }));
+            self.inbox.extend(encode(Response::Busy { retry_after_ms: plan.retry_after_ms }));
             self.dead = Some(io::ErrorKind::ConnectionAborted);
             core.inject(r, "busy", kind, format!("conn {id}: busy bounce (retry after {}ms)", plan.retry_after_ms));
             return Ok(());
         }
 
-        let backend_slow = core.roll(plan.backend_slow);
-        let backend_poisoned = core.roll(plan.backend_poison);
-        core.backend.latency_ms.store(if backend_slow { plan.backend_latency_ms } else { 0 }, Ordering::SeqCst);
-        core.backend.poisoned.store(backend_poisoned, Ordering::SeqCst);
-
-        let before = core.replicas[r].service.snapshot(sim_gauges());
-        let t0 = core.clock.now();
-        let (corr, response) = core.replicas[r].service.handle_frame_enveloped(payload, sim_gauges());
-        let t1 = core.clock.now();
-        let after = core.replicas[r].service.snapshot(sim_gauges());
-        let elapsed_ms = (t1 - t0).as_millis();
-        if let Err(e) = core.replicas[r].ledger.record_exchange(&frame, &response, &before, &after, elapsed_ms) {
-            let incarnation = core.replicas[r].incarnation;
-            let label = core.replicas[r].label.clone();
-            core.violations.push(format!("{label} incarnation {incarnation}: {e}"));
-        }
-        core.rnote(
-            r,
-            format!(
-                "conn {}: {} -> {} ({elapsed_ms}ms in service)",
-                self.id,
-                verb_of(&frame.body),
-                kind_of(&response)
-            ),
-        );
-        core.served(kind, &frame.body);
+        let wire = prefixed(&core.serve_and_audit(r, kind, &format!("conn {id}"), payload, binary, &frame));
 
         if core.roll(plan.resp_drop) {
             core.inject(r, "resp_drop", kind, format!("conn {id}: response dropped"));
@@ -751,12 +766,6 @@ impl SimConnection {
             core.clock.advance(SimDuration::from_millis(d));
             core.inject(r, "resp_delay", kind, format!("conn {id}: response delayed {d}ms"));
         }
-        // An echoed correlation id wraps the body in a ResponseFrame —
-        // exactly what the real server writes for a corr'd request.
-        let wire = match corr {
-            Some(corr) => encode_enveloped(corr, response),
-            None => encode(&response),
-        };
         if core.roll(plan.resp_cut) {
             let cut = (wire.len() / 2).max(1);
             self.inbox.extend(wire[..cut].iter().copied());
@@ -765,7 +774,7 @@ impl SimConnection {
             return Ok(());
         }
         if core.roll(plan.reorder) {
-            self.inbox.extend(encode(&Response::Pong));
+            self.inbox.extend(encode(Response::Pong));
             core.inject(r, "reorder", kind, format!("conn {id}: stale frame delivered ahead (reorder)"));
         }
         self.inbox.extend(wire.iter().copied());
@@ -903,8 +912,8 @@ struct SimShmConnection {
 impl SimShmConnection {
     /// Runs one request frame through the fault gauntlet and — if it
     /// survives — the daemon, queueing the reply frame. Binary batch
-    /// frames go through the daemon's fast-frame path and are audited
-    /// in the ledger as the `PredictMany` they decode to.
+    /// frames are audited in the ledger as the `PredictMany` they
+    /// decode to.
     fn deliver(&mut self, payload: &[u8]) -> io::Result<()> {
         let r = self.replica;
         let state = Arc::clone(&self.net);
@@ -940,58 +949,8 @@ impl SimShmConnection {
             core.inject(r, "req_delay", kind, format!("shm conn {id}: writer stalled {d}ms"));
         }
 
-        let backend_slow = core.roll(plan.backend_slow);
-        let backend_poisoned = core.roll(plan.backend_poison);
-        core.backend.latency_ms.store(if backend_slow { plan.backend_latency_ms } else { 0 }, Ordering::SeqCst);
-        core.backend.poisoned.store(backend_poisoned, Ordering::SeqCst);
-
-        let before = core.replicas[r].service.snapshot(sim_gauges());
-        let t0 = core.clock.now();
-        let (audit_frame, response, wire) = if fastpath::is_binary(payload) {
-            let batch = fastpath::decode_request(payload).expect("the harness client writes well-formed frames");
-            let frame = RequestFrame {
-                deadline_ms: batch.deadline_ms,
-                trace: None,
-                corr: Some(batch.corr),
-                body: Request::PredictMany { keys: batch.keys },
-            };
-            let wire = core.replicas[r]
-                .service
-                .handle_fast_frame(payload, sim_gauges())
-                .expect("binary frames take the fast path");
-            let (_, response) = fastpath::decode_reply(&wire).expect("the daemon writes well-formed binary replies");
-            (frame, response, wire)
-        } else {
-            let frame: RequestFrame =
-                serde_json::from_slice(payload).expect("the harness client only writes well-formed frames");
-            let (corr, response) = core.replicas[r].service.handle_frame_enveloped(payload, sim_gauges());
-            let wire = match corr {
-                Some(corr) => serde_json::to_vec(&ResponseFrame { corr, body: response.clone() }),
-                None => serde_json::to_vec(&response),
-            }
-            .expect("responses always serialize");
-            (frame, response, wire)
-        };
-        let t1 = core.clock.now();
-        let after = core.replicas[r].service.snapshot(sim_gauges());
-        let elapsed_ms = (t1 - t0).as_millis();
-        if let Err(e) = core.replicas[r].ledger.record_exchange(&audit_frame, &response, &before, &after, elapsed_ms)
-        {
-            let incarnation = core.replicas[r].incarnation;
-            let label = core.replicas[r].label.clone();
-            core.violations.push(format!("{label} incarnation {incarnation}: {e}"));
-        }
-        let fast = if fastpath::is_binary(payload) { ", fastpath" } else { "" };
-        core.rnote(
-            r,
-            format!(
-                "shm conn {}: {} -> {} ({elapsed_ms}ms in service{fast})",
-                self.id,
-                verb_of(&audit_frame.body),
-                kind_of(&response),
-            ),
-        );
-        core.served(kind, &audit_frame.body);
+        let (binary, frame) = decoded(payload);
+        let wire = core.serve_and_audit(r, kind, &format!("shm conn {id}"), payload, binary, &frame);
 
         if core.roll(plan.resp_drop) {
             core.inject(r, "resp_drop", kind, format!("shm conn {id}: doorbell lost (reply unseen)"));
@@ -1042,16 +1001,23 @@ impl Connection for SimShmConnection {
     }
 }
 
-fn encode(response: &Response) -> Vec<u8> {
-    let mut wire = Vec::new();
-    write_frame(&mut wire, response).expect("responses always fit a frame");
-    wire
+/// One request payload as the daemon will decode it.
+fn decoded(payload: &[u8]) -> (bool, RequestFrame) {
+    let (binary, frame) = wire::decode_request(payload);
+    (binary, frame.expect("the harness client only writes well-formed frames"))
 }
 
-fn encode_enveloped(corr: u64, body: Response) -> Vec<u8> {
-    let mut wire = Vec::new();
-    write_frame(&mut wire, &ResponseFrame { corr, body }).expect("responses always fit a frame");
-    wire
+/// `payload` behind its length prefix: what a byte stream carries.
+fn prefixed(payload: &[u8]) -> Vec<u8> {
+    let mut stream = io::Cursor::new(Vec::new());
+    stream.send_frame(payload).expect("replies fit a frame");
+    stream.into_inner()
+}
+
+/// A bare reply no request was read for (a bounce, a stale frame), as
+/// the byte stream carries it.
+fn encode(response: Response) -> Vec<u8> {
+    prefixed(&wire::encode_reply(false, None, response))
 }
 
 #[cfg(test)]
@@ -1074,7 +1040,7 @@ mod tests {
         crate::world::sim_client(&FaultPlan::none(), net.transport())
     }
 
-    const OPTS: &CallOptions = &CallOptions { trace: None, deadline_ms: None };
+    const OPTS: &CallOptions = &CallOptions { trace: None };
 
     #[test]
     fn clean_network_round_trips_and_advances_virtual_time() {

@@ -84,6 +84,39 @@ fn every_world_is_deterministic() {
     }
 }
 
+/// The "event logs unchanged" proof for a change that must not move a
+/// simulated run: one line per world with an FNV-1a hash of every event
+/// log over its full seed range, and one of logs plus summaries. Run it
+/// on the parent tree and on the change and compare the lines:
+///
+/// ```text
+/// cargo test -q -p simtest --release --test sweep world_hashes -- --ignored --nocapture
+/// ```
+///
+/// A log-only hash that moves means behaviour moved; a log+summary hash
+/// alone means a report struct gained or lost a field.
+#[test]
+#[ignore = "prints hashes to compare across two trees; asserts nothing"]
+fn world_hashes() {
+    fn fnv(hash: &mut u64, line: &str) {
+        for byte in line.bytes().chain([b'\n']) {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    for world in &WORLDS {
+        let (mut log, mut all) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        for seed in 0..world.seeds {
+            let run = (world.run)(seed, world.case_for(seed));
+            for line in &run.log {
+                fnv(&mut log, line);
+                fnv(&mut all, line);
+            }
+            fnv(&mut all, &run.summary);
+        }
+        println!("{:<8} seeds 0..{:<3} log {log:016x} log+summary {all:016x}", world.name, world.seeds);
+    }
+}
+
 /// Replay hook — the only reader of `SIMTEST_SEED` (grammar in
 /// `simtest::replay`): re-runs exactly one run and prints its event log
 /// and summary. A no-op when the variable is unset.

@@ -68,8 +68,7 @@ impl std::fmt::Display for SpanId {
 
 /// The propagated trace context: enough for a remote peer to parent its
 /// spans under ours. Ships on the wire as an optional request-frame
-/// header; absence simply means the caller is untraced, so old peers
-/// and new peers interoperate without a handshake.
+/// header; absence simply means the caller is untraced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceContext {
     /// The trace every span downstream of this point belongs to.

@@ -43,6 +43,10 @@ stage_docs() { RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps; }
 # prints the line that replays exactly it,
 #   SIMTEST_SEED=<world>:<seed>[:<case>] cargo test -p simtest replay -- --nocapture
 # and dumps its telemetry export and event log into $SIMTEST_TRACE_DIR.
+# Not a gate, but the proof a change that must not move a simulated run
+# owes: one log-only and one log+summary hash per world over its full
+# seed range — run on the parent tree and on the change, compare lines:
+#   cargo test -q -p simtest --release --test sweep world_hashes -- --ignored --nocapture
 simtest_world() {
     run cargo test -q -p simtest --release --test sweep "$1"
     case $1 in
