@@ -54,8 +54,7 @@ pub struct ServerConfig {
     pub store_dir: Option<String>,
     /// When set, the daemon also listens on a shared-memory ring at
     /// this filesystem path (dialed as `shm://<path>`) for same-host
-    /// clients. One client session at a time; the client sends batch
-    /// requests on it in the binary layout.
+    /// clients. One client session at a time.
     pub shm_path: Option<String>,
 }
 

@@ -638,7 +638,7 @@ mod tests {
         let svc = service_with_one_model();
         let predict = RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 });
         let reply = svc.answer(&frame_bytes(&predict.clone().with_corr(42)), QueueGauges::default());
-        let (echo, resp) = wire::decode_reply(&reply, true).unwrap();
+        let (echo, resp) = wire::decode_reply(&reply).unwrap();
         assert_eq!(echo, Some(42), "the daemon echoes the frame's correlation id");
         assert!(matches!(resp, Response::Config(_)));
 
@@ -651,21 +651,31 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_is_answered_in_the_encoding_it_arrived_in() {
+    fn a_hot_frame_is_answered_in_the_encoding_it_arrived_in() {
         let svc = service_with_one_model();
-        let batch = RequestFrame::new(Request::PredictMany { keys: vec![(10, 20), (9, 9)] }).with_corr(7);
-        let mut answers = Vec::new();
-        for fast in [false, true] {
-            let reply = svc.answer(&wire::encode_request(&batch, fast).unwrap(), QueueGauges::default());
-            assert_eq!(fastpath::is_binary(&reply), fast);
-            answers.push(wire::decode_reply(&reply, true).unwrap());
+        for body in [
+            Request::Predict { system_hash: 10, binary_hash: 20 },
+            Request::PredictMany { keys: vec![(10, 20), (9, 9)] },
+        ] {
+            let frame = RequestFrame::new(body).with_corr(7);
+            let (json, binary) = (frame_bytes(&frame), wire::encode_request(&frame).unwrap());
+            assert!(fastpath::is_binary(&binary), "the client's encoding of a hot verb is binary");
+            let mut answers = Vec::new();
+            for payload in [&json, &binary] {
+                let reply = svc.answer(payload, QueueGauges::default());
+                assert_eq!(fastpath::is_binary(&reply), fastpath::is_binary(payload));
+                answers.push(wire::decode_reply(&reply).unwrap());
+            }
+            assert_eq!(answers[0].0, Some(7));
+            assert_eq!(answers[0], answers[1], "the codec changes the bytes, not the answer");
+            // the two views of the same body agree with it
+            assert_eq!(svc.handle_frame(&json, QueueGauges::default()), answers[0].1);
+            assert_eq!(svc.handle_fast_frame(&json, QueueGauges::default()), None);
+            assert_eq!(
+                svc.handle_fast_frame(&binary, QueueGauges::default()),
+                Some(svc.answer(&binary, QueueGauges::default()))
+            );
         }
-        assert_eq!(answers[0].0, Some(7));
-        assert_eq!(answers[0], answers[1], "the codec changes the bytes, not the answer");
-        // the two views of the same body agree with it
-        let json = wire::encode_request(&batch, false).unwrap();
-        assert_eq!(svc.handle_frame(&json, QueueGauges::default()), answers[0].1);
-        assert_eq!(svc.handle_fast_frame(&json, QueueGauges::default()), None);
     }
 
     #[test]
@@ -674,12 +684,12 @@ mod tests {
         let latency = svc.telemetry().histogram("daemon.service_us");
         let errors = svc.telemetry().counter("daemon.errors");
         let truncated =
-            &wire::encode_request(&RequestFrame::new(Request::PredictMany { keys: vec![(1, 2)] }).with_corr(3), true)
+            &wire::encode_request(&RequestFrame::new(Request::PredictMany { keys: vec![(1, 2)] }).with_corr(3))
                 .unwrap()[..12];
         for (n, (payload, binary)) in [(&b"not json"[..], false), (truncated, true)].into_iter().enumerate() {
             let reply = svc.answer(payload, QueueGauges::default());
             assert_eq!(fastpath::is_binary(&reply), binary, "the error goes back in the request's encoding");
-            let (echo, resp) = wire::decode_reply(&reply, false).unwrap();
+            let (echo, resp) = wire::decode_reply(&reply).unwrap();
             assert_eq!(echo, binary.then_some(0), "nothing decodable to echo");
             assert!(
                 matches!(&resp, Response::Error { message } if message.starts_with("malformed request")),
@@ -690,23 +700,31 @@ mod tests {
         assert_eq!(svc.snapshot(QueueGauges::default()).requests_total, 2);
     }
 
+    /// `frame` in each encoding a daemon is sent: hand-written JSON and
+    /// the client's own (binary for a hot verb).
+    fn both_encodings(frame: &RequestFrame) -> [Vec<u8>; 2] {
+        [frame_bytes(frame), wire::encode_request(frame).unwrap()]
+    }
+
     #[test]
     fn traced_batch_parents_per_key_spans_under_one_handle_span() {
         let svc = service_with_one_model();
         let telemetry = svc.telemetry().clone();
         let caller = telemetry.root_span("client", "attempt");
         let ctx = caller.context();
-        let payload =
-            frame_bytes(&RequestFrame::new(Request::PredictMany { keys: vec![(10, 20), (9, 9)] }).traced(Some(ctx)));
-        assert!(matches!(svc.handle_frame(&payload, QueueGauges::default()), Response::ManyConfigs { .. }));
-        drop(caller);
-        let events = telemetry.recorder().trace_events(ctx.trace);
-        let handle =
-            events.iter().find(|e| e.layer == "daemon" && e.name == "handle").expect("daemon/handle span recorded");
-        assert!(handle.attrs.iter().any(|a| a == "verb=predict_many"));
-        let lookups: Vec<_> = events.iter().filter(|e| e.name == "registry_lookup").collect();
-        assert_eq!(lookups.len(), 2, "one registry_lookup span per key");
-        assert!(lookups.iter().all(|e| e.parent == Some(handle.span)));
+        let frame = RequestFrame::new(Request::PredictMany { keys: vec![(10, 20), (9, 9)] }).traced(Some(ctx));
+        for (n, payload) in both_encodings(&frame).iter().enumerate() {
+            assert!(matches!(svc.handle_frame(payload, QueueGauges::default()), Response::ManyConfigs { .. }));
+            let events = telemetry.recorder().trace_events(ctx.trace);
+            let handles: Vec<_> = events.iter().filter(|e| e.layer == "daemon" && e.name == "handle").collect();
+            assert_eq!(handles.len(), n + 1, "one daemon/handle span per frame");
+            let handle = handles[n];
+            assert_eq!(handle.parent, Some(ctx.span.0), "handle joins the wire context");
+            assert!(handle.attrs.iter().any(|a| a == "verb=predict_many"));
+            let lookups: Vec<_> =
+                events.iter().filter(|e| e.name == "registry_lookup" && e.parent == Some(handle.span)).collect();
+            assert_eq!(lookups.len(), 2, "one registry_lookup span per key, under this frame's handle");
+        }
     }
 
     #[test]
@@ -716,20 +734,24 @@ mod tests {
         // pretend a remote client stamped this attempt context on the frame
         let caller = telemetry.root_span("client", "attempt");
         let ctx = caller.context();
-        let payload =
-            frame_bytes(&RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 }).traced(Some(ctx)));
-        assert!(matches!(svc.handle_frame(&payload, QueueGauges::default()), Response::Config(_)));
-        drop(caller);
-
+        let frame = RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 }).traced(Some(ctx));
+        for (n, payload) in both_encodings(&frame).iter().enumerate() {
+            assert!(matches!(svc.handle_frame(payload, QueueGauges::default()), Response::Config(_)));
+            let events = telemetry.recorder().trace_events(ctx.trace);
+            let handles: Vec<_> = events.iter().filter(|e| e.layer == "daemon" && e.name == "handle").collect();
+            assert_eq!(handles.len(), n + 1, "one daemon/handle span per frame");
+            let handle = handles[n];
+            assert_eq!(handle.parent, Some(ctx.span.0), "handle joins the wire context");
+            assert!(handle.attrs.iter().any(|a| a == "verb=predict"));
+            let lookup = events.iter().find(|e| e.name == "registry_lookup" && e.parent == Some(handle.span));
+            assert!(lookup.is_some(), "lookup nests under handle");
+        }
+        // the first, cold, lookup also consulted the backend under its handle
         let events = telemetry.recorder().trace_events(ctx.trace);
-        let handle =
-            events.iter().find(|e| e.layer == "daemon" && e.name == "handle").expect("daemon/handle span recorded");
-        assert_eq!(handle.parent, Some(ctx.span.0), "handle joins the wire context");
-        assert!(handle.attrs.iter().any(|a| a == "verb=predict"));
-        let lookup = events.iter().find(|e| e.name == "registry_lookup").expect("registry_lookup span recorded");
-        assert_eq!(lookup.parent, Some(handle.span), "lookup nests under handle");
         let backend = events.iter().find(|e| e.name == "backend_lookup").expect("cold key also consults the backend");
-        assert_eq!(backend.parent, Some(handle.span));
+        let first = events.iter().find(|e| e.layer == "daemon" && e.name == "handle").expect("recorded above");
+        assert_eq!(backend.parent, Some(first.span));
+        drop(caller);
     }
 
     #[test]

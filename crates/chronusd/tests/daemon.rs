@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chronus::remote::{
-    fastpath, read_frame, write_frame, CallOptions, Connection, KeyOutcome, PredictClient, RemoteError, Request,
-    RequestFrame, Response,
+    fastpath, read_frame, wire, write_frame, CallOptions, Connection, KeyOutcome, PredictClient, RemoteError,
+    Request, RequestFrame, Response,
 };
 use chronusd::server::RETRY_AFTER_MS;
 use chronusd::{PredictServer, PreparedModel, ServerConfig, StaticBackend};
@@ -189,24 +189,35 @@ fn pipelined_requests_answer_in_order() {
 }
 
 #[test]
-fn a_binary_batch_on_a_tcp_socket_is_answered_in_kind() {
+fn every_frame_on_a_tcp_socket_is_answered_in_its_own_encoding() {
     // the codec is a property of the frame, not of the listener
     let server = ephemeral(ServerConfig::default(), StaticBackend::new(vec![model(1, 10, 20, 32)]));
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let config = CpuConfig::new(32, 2_200_000, 1);
 
     stream.send_frame(&fastpath::encode_request(77, None, &[(10, 20), (9, 9)])).unwrap();
     let reply = stream.recv_frame().unwrap();
     assert!(fastpath::is_binary(&reply), "{:?}", String::from_utf8_lossy(&reply));
     let (tag, response) = fastpath::decode_reply(&reply).unwrap();
     assert_eq!(tag, 77, "the tag is echoed");
-    let results = vec![KeyOutcome::Config(CpuConfig::new(32, 2_200_000, 1)), KeyOutcome::Miss];
-    assert_eq!(response, Response::ManyConfigs { results });
+    assert_eq!(response, Response::ManyConfigs { results: vec![KeyOutcome::Config(config), KeyOutcome::Miss] });
 
-    // same connection, a JSON single: answered in JSON
+    // the client's single: binary, answered in binary under its tag
+    let single = RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 });
+    stream.send_frame(&wire::encode_request(&single.clone().with_corr(78)).unwrap()).unwrap();
+    let reply = stream.recv_frame().unwrap();
+    assert_eq!(fastpath::decode_reply(&reply).unwrap(), (78, Response::Config(config)));
+
+    // a hand-written JSON single: still served, and answered in JSON
+    write_frame(&mut stream, &single).unwrap();
+    assert_eq!(read_frame::<Response>(&mut stream).unwrap(), Response::Config(config));
+
+    // same connection, a JSON control-plane verb: answered in JSON
     write_frame(&mut stream, &RequestFrame::new(Request::Ping)).unwrap();
     assert_eq!(read_frame::<Response>(&mut stream).unwrap(), Response::Pong);
-    assert_eq!((server.snapshot().batches, server.snapshot().errors), (1, 0));
+    let stats = server.snapshot();
+    assert_eq!((stats.batches, stats.predictions, stats.errors), (1, 4, 0), "{stats:?}");
 }
 
 #[test]

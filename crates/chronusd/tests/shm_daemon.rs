@@ -1,6 +1,6 @@
 //! Integration tests of the daemon's shared-memory listener: a real
 //! `PredictServer` with `shm_path` set, dialed by a real client over
-//! `shm://` — singles, batches (the binary fast path), the same answers
+//! `shm://` — singles and batches (both binary), the same answers
 //! whichever listener and framing carried the question, fallback to TCP
 //! when the ring is gone, and ring-file cleanup at shutdown.
 

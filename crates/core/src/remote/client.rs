@@ -242,7 +242,6 @@ impl ClientBuilder {
             tel: None,
             rolled_models: Vec::new(),
             rejoining: false,
-            last_tag: 0,
         })
     }
 }
@@ -307,9 +306,6 @@ pub struct PredictClient {
     /// Re-entrancy guard: rejoin replays preloads whose own successes
     /// must not recursively trigger another rejoin.
     rejoining: bool,
-    /// The last tag stamped on a batch frame; never reused, so the echo
-    /// check tells this exchange's reply from any earlier one's.
-    last_tag: u64,
 }
 
 /// The client's cached telemetry handles: counter lookups happen once,
@@ -521,8 +517,9 @@ impl PredictClient {
 
     /// Sends one group of key indices to one replica as `PredictMany`
     /// frames, each answered before the next is sent, and fills their
-    /// result slots. Every frame carries a fresh tag, so a reply left
-    /// over from an earlier exchange can never fill this one's slots.
+    /// result slots. Every frame carries a fresh tag ([`Link::exchange`]),
+    /// so a reply left over from an earlier exchange can never fill this
+    /// one's slots.
     /// Slots left `None` (connection died mid-batch, `Busy` bounce) are
     /// picked up by the caller's per-key fallback.
     fn batch_on(
@@ -534,17 +531,16 @@ impl PredictClient {
         results: &mut [Option<Result<CpuConfig, RemoteError>>],
     ) {
         for chunk in group.chunks(MAX_BATCH_KEYS) {
-            self.last_tag += 1;
             let frame = RequestFrame {
                 deadline_ms: self.knobs.deadline_ms,
                 trace: opts.trace,
-                corr: Some(self.last_tag),
+                corr: None,
                 body: Request::PredictMany { keys: chunk.iter().map(|&i| keys[i]).collect() },
             };
             if let Some(t) = &self.tel {
                 t.attempts.bump();
             }
-            match self.replicas[idx].link.exchange(&frame) {
+            match self.replicas[idx].link.exchange(frame) {
                 Ok(Response::ManyConfigs { results: outcomes }) => {
                     for (&key_index, outcome) in chunk.iter().zip(outcomes) {
                         let (system_hash, binary_hash) = keys[key_index];
@@ -729,7 +725,7 @@ impl PredictClient {
                 s
             });
             let frame = base.clone().traced(span.as_ref().map(|s| s.context()).or(parent));
-            match self.replicas[idx].link.exchange(&frame) {
+            match self.replicas[idx].link.exchange(frame) {
                 Ok(Response::Busy { retry_after_ms }) => {
                     if let Some(t) = &self.tel {
                         t.busy.bump();
@@ -917,7 +913,7 @@ impl PredictClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::remote::{Connection, ResponseFrame};
+    use crate::remote::{wire, Connection};
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -927,29 +923,41 @@ mod tests {
         CpuConfig::new(1 + binary_hash as u32, 1_000_000 + system_hash, 1)
     }
 
-    /// What a current daemon writes back: enveloped iff tagged.
+    /// What a current daemon writes back for a hot-verb frame: binary,
+    /// echoing its tag.
     fn honest(frame: &RequestFrame) -> Vec<u8> {
-        let body = match &frame.body {
+        wire::encode_reply(true, frame.corr, served(&frame.body))
+    }
+
+    /// The same answer as a bare JSON reply, one that echoes no tag.
+    fn bare(frame: &RequestFrame) -> Vec<u8> {
+        wire::encode_reply(false, None, served(&frame.body))
+    }
+
+    fn served(body: &Request) -> Response {
+        match body {
             Request::Predict { system_hash, binary_hash } => Response::Config(answer((*system_hash, *binary_hash))),
             Request::PredictMany { keys } => {
                 Response::ManyConfigs { results: keys.iter().map(|&k| KeyOutcome::Config(answer(k))).collect() }
             }
             other => panic!("unscripted verb {other:?}"),
-        };
-        match frame.corr {
-            Some(corr) => serde_json::to_vec(&ResponseFrame { corr, body }),
-            None => serde_json::to_vec(&body),
         }
-        .unwrap()
     }
 
-    /// An in-memory daemon, both ends of its connections: honest about
-    /// singles, and answering its `n`th batch frame `f` with the reply
-    /// frames `on_batch(f, n)`.
+    fn pong() -> Vec<u8> {
+        wire::encode_reply(false, None, Response::Pong)
+    }
+
+    /// Answers the `n`th frame the daemon was sent, `f`, with reply frames.
+    type Script = fn(&RequestFrame, usize) -> Vec<Vec<u8>>;
+
+    /// An in-memory daemon, both ends of its connections: answers a
+    /// single with `on_single` and a batch with `on_batch`.
     #[derive(Clone)]
     struct Scripted {
-        on_batch: fn(&RequestFrame, usize) -> Vec<Vec<u8>>,
-        batches: Arc<AtomicUsize>,
+        on_single: Script,
+        on_batch: Script,
+        frames: Arc<AtomicUsize>,
         dials: Arc<AtomicUsize>,
         inbox: VecDeque<Vec<u8>>,
     }
@@ -967,13 +975,10 @@ mod tests {
 
     impl Connection for Scripted {
         fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
-            let frame: RequestFrame = serde_json::from_slice(payload).expect("the client writes well-formed frames");
-            match frame.body {
-                Request::PredictMany { .. } => {
-                    self.inbox.extend((self.on_batch)(&frame, self.batches.fetch_add(1, Ordering::SeqCst)))
-                }
-                _ => self.inbox.push_back(honest(&frame)),
-            }
+            let frame = wire::decode_request(payload).1.expect("the client writes well-formed frames");
+            let script =
+                if matches!(frame.body, Request::PredictMany { .. }) { self.on_batch } else { self.on_single };
+            self.inbox.extend(script(&frame, self.frames.fetch_add(1, Ordering::SeqCst)));
             Ok(())
         }
 
@@ -987,15 +992,19 @@ mod tests {
 
     /// A single-replica client of a [`Scripted`] daemon; returns its
     /// dial count and its `client.requests` / `client.attempts` too.
-    fn scripted(
-        on_batch: fn(&RequestFrame, usize) -> Vec<Vec<u8>>,
-    ) -> (PredictClient, Arc<AtomicUsize>, Counter, Counter) {
-        let daemon = Scripted { on_batch, batches: Arc::default(), dials: Arc::default(), inbox: VecDeque::new() };
+    fn scripted_with(on_single: Script, on_batch: Script) -> (PredictClient, Arc<AtomicUsize>, Counter, Counter) {
+        let daemon =
+            Scripted { on_single, on_batch, frames: Arc::default(), dials: Arc::default(), inbox: VecDeque::new() };
         let dials = Arc::clone(&daemon.dials);
         let mut client = PredictClient::builder().transport(Box::new(daemon)).build().unwrap();
         let tel = Arc::new(Telemetry::wall());
         client.set_telemetry(Arc::clone(&tel));
         (client, dials, tel.counter("client.requests"), tel.counter("client.attempts"))
+    }
+
+    /// [`scripted_with`] a daemon honest about singles.
+    fn scripted(on_batch: Script) -> (PredictClient, Arc<AtomicUsize>, Counter, Counter) {
+        scripted_with(|f, _| vec![honest(f)], on_batch)
     }
 
     /// Asks for [`KEYS`]; every key must come back with its own config.
@@ -1006,9 +1015,9 @@ mod tests {
 
     #[test]
     fn requests_counts_one_per_public_call() {
-        // the second batch frame is bounced
+        // the second batch frame, the fourth frame sent, is bounced
         let (mut client, _, requests, attempts) = scripted(|f, n| match n {
-            1 => vec![serde_json::to_vec(&Response::Busy { retry_after_ms: 1 }).unwrap()],
+            3 => vec![serde_json::to_vec(&Response::Busy { retry_after_ms: 1 }).unwrap()],
             _ => vec![honest(f)],
         });
         client.predict(7, 1, OPTS).unwrap();
@@ -1030,7 +1039,7 @@ mod tests {
             let other = Request::PredictMany { keys: keys.iter().rev().copied().collect() };
             vec![honest(&RequestFrame::new(other).with_corr(f.corr.expect("batch frames are tagged") + 1))]
         };
-        let stale_pong_ahead = |f: &RequestFrame, _| vec![serde_json::to_vec(&Response::Pong).unwrap(), honest(f)];
+        let stale_pong_ahead = |f: &RequestFrame, _| vec![pong(), honest(f)];
         for (mut client, dials, _, attempts) in [scripted(foreign_tag), scripted(stale_pong_ahead)] {
             assert_all_answered(&mut client);
             assert_eq!(dials.load(Ordering::SeqCst), 2, "the desynced connection is dropped");
@@ -1041,9 +1050,29 @@ mod tests {
     #[test]
     fn a_bare_reply_to_a_tagged_batch_is_taken_in_order() {
         // what the accept loop's bounce looks like, with an answer in it
-        let (mut client, dials, _, attempts) = scripted(|f, _| vec![honest(&RequestFrame::new(f.body.clone()))]);
+        let (mut client, dials, _, attempts) = scripted(|f, _| vec![bare(f)]);
         assert_all_answered(&mut client);
         assert_eq!((dials.load(Ordering::SeqCst), attempts.get()), (1, 1));
+    }
+
+    #[test]
+    fn a_duplicated_or_stale_reply_to_a_single_costs_one_redial_and_answers_nothing() {
+        // the first single's reply arrives twice, and the second call
+        // reads the copy first; or a stale Pong is read ahead of it
+        let duplicated = |f: &RequestFrame, n| vec![honest(f); if n == 0 { 2 } else { 1 }];
+        let stale_pong_ahead = |f: &RequestFrame, n| if n == 0 { vec![pong(), honest(f)] } else { vec![honest(f)] };
+        for (mut client, dials, _, attempts) in
+            [scripted_with(duplicated, |_, _| unreachable!()), scripted_with(stale_pong_ahead, |_, _| unreachable!())]
+        {
+            for key in [(7, 1), (7, 2)] {
+                assert_eq!(
+                    client.predict(key.0, key.1, OPTS).unwrap(),
+                    answer(key),
+                    "an earlier reply answered {key:?}"
+                );
+            }
+            assert_eq!((dials.load(Ordering::SeqCst), attempts.get()), (2, 3), "one refused reply, one redial");
+        }
     }
 
     #[test]

@@ -12,18 +12,24 @@ pub(super) struct Link {
     pub(super) local: bool,
     pub(super) transport: Box<dyn Transport>,
     conn: Option<Box<dyn Connection>>,
+    /// The last tag stamped on a frame; never reused, so the echo check
+    /// tells this exchange's reply from any earlier one's.
+    last_tag: u64,
 }
 
 impl Link {
     pub(super) fn new(transport: Box<dyn Transport>) -> Link {
-        Link { desc: transport.describe(), local: transport.is_local(), transport, conn: None }
+        Link { desc: transport.describe(), local: transport.is_local(), transport, conn: None, last_tag: 0 }
     }
 
-    /// One framed exchange, dialing first if necessary. Any `Err` costs
-    /// the connection (dead, or desynced and reading one reply behind
-    /// forever), and so does `Busy` (the daemon hangs up after a bounce).
-    pub(super) fn exchange(&mut self, frame: &RequestFrame) -> Result<Response, RemoteError> {
-        let result = self.round_trip(frame);
+    /// One framed exchange under a fresh tag, dialing first if
+    /// necessary. Any `Err` costs the connection (dead, or desynced and
+    /// reading one reply behind forever), and so does `Busy` (the daemon
+    /// hangs up after a bounce).
+    pub(super) fn exchange(&mut self, mut frame: RequestFrame) -> Result<Response, RemoteError> {
+        self.last_tag += 1;
+        frame.corr = Some(self.last_tag);
+        let result = self.round_trip(&frame);
         let in_step = matches!(&result, Ok(response) if !matches!(response, Response::Busy { .. }));
         if !in_step {
             self.conn = None;
@@ -36,25 +42,25 @@ impl Link {
     /// which [`response_matches`] lets answer any verb but which no
     /// daemon sends for a `Ping`: it is a stale reply read one ahead.
     pub(super) fn probe(&mut self, trace: Option<TraceContext>) -> bool {
-        let alive = matches!(self.exchange(&RequestFrame::new(Request::Ping).traced(trace)), Ok(Response::Pong));
+        let alive = matches!(self.exchange(RequestFrame::new(Request::Ping).traced(trace)), Ok(Response::Pong));
         if !alive {
             self.conn = None;
         }
         alive
     }
 
-    /// A tagged frame ([`RequestFrame::corr`]; every batch frame is) is
-    /// answered under the same tag, and an echo of any other tag is a
-    /// stale, duplicated or foreign reply. A bare reply to a tagged
-    /// frame is taken in order: the accept loop's `Busy` bounce never
-    /// reads the request. Either way the reply must be a shape that can
-    /// answer the verb (see [`response_matches`]).
+    /// Every frame is tagged ([`RequestFrame::corr`]) and a tagged reply
+    /// must echo the same tag: an echo of any other tag is a stale,
+    /// duplicated or foreign reply. A bare reply is taken in order: the
+    /// accept loop's `Busy` bounce never reads the request. Either way
+    /// the reply must be a shape that can answer the verb (see
+    /// [`response_matches`]).
     fn round_trip(&mut self, frame: &RequestFrame) -> Result<Response, RemoteError> {
         let conn = match &mut self.conn {
             Some(conn) => conn,
             vacant => vacant.insert(self.transport.connect().map_err(RemoteError::Connect)?),
         };
-        let payload = wire::encode_request(frame, conn.fast_batch()).map_err(RemoteError::Io)?;
+        let payload = wire::encode_request(frame).map_err(RemoteError::Io)?;
         conn.send_frame(&payload).map_err(RemoteError::Io)?;
         let reply = conn.recv_frame().map_err(|e| {
             if e.kind() == std::io::ErrorKind::InvalidData {
@@ -63,8 +69,7 @@ impl Link {
                 RemoteError::Io(e)
             }
         })?;
-        let (echo, response) =
-            wire::decode_reply(&reply, frame.corr.is_some()).map_err(|e| RemoteError::Protocol(e.to_string()))?;
+        let (echo, response) = wire::decode_reply(&reply).map_err(|e| RemoteError::Protocol(e.to_string()))?;
         let verb = frame.body.verb();
         if let Some(tag) = echo.filter(|&tag| Some(tag) != frame.corr) {
             return Err(RemoteError::Protocol(format!("reply to {verb} echoes tag {tag}, not this exchange's")));

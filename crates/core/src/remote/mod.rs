@@ -10,16 +10,15 @@
 //! followed by that many payload bytes; frame-level transports (the
 //! shared-memory ring) carry the payload alone. Frames above
 //! [`MAX_FRAME_LEN`] are a protocol violation and close the connection.
-//! Which bytes a payload is — JSON or the binary batch layout of
-//! [`fastpath`]; a bare [`Response`] or a [`ResponseFrame`] envelope —
-//! is decided in [`wire`] and nowhere else. Requests travel wrapped in
-//! a [`RequestFrame`] so each one can carry an optional deadline
-//! budget; responses are a bare [`Response`] — unless the request
-//! carried a correlation id, in which case the daemon echoes it back.
-//! The client has at most one request in flight per connection; it tags
-//! every batch frame and checks the echo, so a stale or duplicated
-//! reply is dropped with its connection instead of being read as the
-//! answer to a later exchange.
+//! Which bytes a payload is — the binary layout of [`fastpath`] for the
+//! two hot verbs on every transport, JSON for the control plane; a bare
+//! [`Response`] or a [`ResponseFrame`] envelope — is decided in [`wire`]
+//! and nowhere else. A request is a [`RequestFrame`]: the verb plus an
+//! optional deadline budget, trace context and correlation tag, in
+//! either encoding. The client has at most one request in flight per
+//! connection; it tags every frame and checks the echo, so a stale or
+//! duplicated reply is dropped with its connection instead of being read
+//! as the answer to a later exchange.
 //!
 //! ## Batching
 //!
@@ -193,10 +192,11 @@ pub struct RequestFrame {
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<TraceContext>,
     /// Correlation id: a per-exchange tag. When present, the daemon
-    /// wraps its answer in a [`ResponseFrame`] echoing this id, and
-    /// the client checks the echo against the tag it sent, so a reply
-    /// left over from an earlier exchange is never taken for this
-    /// one's. Singles go out untagged and are answered bare.
+    /// echoes it — in a [`ResponseFrame`] for JSON, in the reply header
+    /// for binary — and the client checks the echo against the tag it
+    /// sent, so a reply left over from an earlier exchange is never
+    /// taken for this one's. The client tags every frame; an untagged
+    /// JSON frame is answered bare.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub corr: Option<u64>,
     /// The RPC verb.
@@ -477,10 +477,10 @@ pub trait Connection: Send {
     /// Receives the next complete frame.
     fn recv_frame(&mut self) -> std::io::Result<Vec<u8>>;
 
-    /// Whether the client sends `PredictMany` on this connection in the
-    /// binary layout (see [`fastpath`]; the daemon answers any frame in
-    /// the encoding it arrived in). Byte-stream transports answer
-    /// `false` and send JSON; the shared-memory ring answers `true`.
+    /// No longer consulted: the verb, not the connection, picks a
+    /// frame's encoding (see [`wire`]). Kept, with its default, because
+    /// `benchmark/src/layers.rs` forwards it from its connection
+    /// decorator.
     fn fast_batch(&self) -> bool {
         false
     }
@@ -873,8 +873,8 @@ mod tests {
 
     #[test]
     fn corr_field_is_additive_on_the_wire() {
-        // an untagged frame — every single is one — carries an explicit
-        // null, exactly like the `trace` header
+        // an untagged frame carries an explicit null, exactly like the
+        // `trace` header
         let frame = RequestFrame::new(Request::Ping);
         let json = serde_json::to_string(&frame).unwrap();
         assert!(json.contains("\"corr\":null"), "{json}");
@@ -889,10 +889,11 @@ mod tests {
     }
 
     /// An in-memory daemon, both ends of its connections: keeps every
-    /// request frame it is sent and answers `Predict` with one config.
+    /// request frame it is sent, and whether it came binary, and answers
+    /// `Predict` with one config in kind.
     #[derive(Clone, Default)]
     struct Recording {
-        sent: Arc<parking_lot::Mutex<Vec<RequestFrame>>>,
+        sent: Arc<parking_lot::Mutex<Vec<(bool, RequestFrame)>>>,
         inbox: std::collections::VecDeque<Vec<u8>>,
     }
 
@@ -908,9 +909,11 @@ mod tests {
 
     impl Connection for Recording {
         fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
-            let frame: RequestFrame = serde_json::from_slice(payload).expect("the client writes well-formed frames");
-            self.sent.lock().push(frame);
-            self.inbox.push_back(serde_json::to_vec(&Response::Config(CpuConfig::new(32, 2_200_000, 1))).unwrap());
+            let (binary, frame) = wire::decode_request(payload);
+            let frame = frame.expect("the client writes well-formed frames");
+            let reply = Response::Config(CpuConfig::new(32, 2_200_000, 1));
+            self.inbox.push_back(wire::encode_reply(binary, frame.corr, reply));
+            self.sent.lock().push((binary, frame));
             Ok(())
         }
 
@@ -920,7 +923,7 @@ mod tests {
     }
 
     #[test]
-    fn each_traced_predict_is_one_untagged_frame_under_its_own_trace() {
+    fn each_traced_predict_is_one_tagged_binary_frame_under_its_own_trace() {
         let daemon = Recording::default();
         let sent = Arc::clone(&daemon.sent);
         let client = PredictClient::builder().transport(Box::new(daemon)).build().unwrap();
@@ -940,9 +943,10 @@ mod tests {
 
         let sent = sent.lock();
         assert_eq!(sent.len(), 2, "one frame per submission: {sent:?}");
-        for (i, (frame, ctx)) in sent.iter().zip(callers).enumerate() {
+        for (i, ((binary, frame), ctx)) in sent.iter().zip(callers).enumerate() {
             assert_eq!(frame.body, Request::Predict { system_hash: 7, binary_hash: 1 + i as u64 });
-            assert_eq!(frame.corr, None, "singles go out untagged");
+            assert!(binary, "a single travels in the binary layout");
+            assert_eq!(frame.corr, Some(1 + i as u64), "every frame carries a fresh tag");
             // the header is the `client/attempt` span opened under the
             // caller's context: same trace, a child span
             let header = frame.trace.expect("a traced call stamps its frame");

@@ -506,10 +506,6 @@ impl Connection for ShmConnection {
         self.recv_pos += 1;
         Ok(out)
     }
-
-    fn fast_batch(&self) -> bool {
-        true
-    }
 }
 
 impl Drop for ShmConnection {
@@ -739,7 +735,6 @@ mod tests {
         assert!(transport.is_local());
         for session in 0..3 {
             let mut conn = transport.connect().unwrap_or_else(|e| panic!("session {session}: {e}"));
-            assert!(conn.fast_batch());
             for i in 0..200u32 {
                 let msg = vec![i as u8; (i as usize * 131) % 4096 + 1];
                 conn.send_frame(&msg).unwrap();

@@ -476,15 +476,4 @@ proptest! {
         prop_assert!(frames.send_frame(&payload).is_err());
         prop_assert!(frames.frames.is_empty());
     }
-
-    /// Sending batches in the binary layout is a connection's explicit
-    /// choice: the blanket impl over byte streams never makes it, and a
-    /// direct impl does not inherit it.
-    #[test]
-    fn byte_streams_never_claim_the_fast_path(junk in prop::collection::vec(0u8..=255, 0..16)) {
-        let mut bytes = ByteLoop::default();
-        bytes.buf.extend(junk);
-        prop_assert!(!Connection::fast_batch(&bytes));
-        prop_assert!(!FrameLoop::default().fast_batch(), "opting in is explicit, never inherited");
-    }
 }

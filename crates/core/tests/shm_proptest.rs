@@ -1,21 +1,23 @@
-//! Property-based tests for the two pure codecs under the
-//! shared-memory transport: the slot-header codec (seq | len | check)
-//! that guards ring slots against torn and stale reads, and the binary
-//! `PredictMany` fast path that rides inside those slots.
+//! Property-based tests for two pure codecs: the slot-header codec
+//! (seq | len | check) that guards shared-memory ring slots against torn
+//! and stale reads, and the binary fast-path layout every `Predict` and
+//! `PredictMany` frame travels in, on the ring and on TCP alike.
 //!
 //! The properties the ring's correctness argument leans on:
 //!
 //! * a header round-trips exactly, and **only** the exact encoding of
 //!   the expected sequence validates — junk never yields a phantom
 //!   frame, and a slot torn at any byte is rejected;
-//! * the fast-path codec round-trips every request and reply shape it
-//!   promises to carry, and every truncation or junk frame fails with
-//!   a clean `Err`;
+//! * the fast-path codec round-trips every request — both verbs, every
+//!   combination of the deadline and trace flags, any tag — and every
+//!   reply shape it promises to carry, and every truncation, trailing
+//!   byte or junk frame fails with a clean `Err`;
 //! * binary frames and JSON frames can never be confused (`is_binary`
 //!   keys off a byte serde_json cannot emit first).
 
 use chronus::remote::shm::{decode_slot_header, encode_slot_header, slot_check, validate_slot, SLOT_PAYLOAD};
 use chronus::remote::{fastpath, KeyOutcome, Request, RequestFrame, Response, MAX_BATCH_KEYS};
+use chronus::telemetry::{SpanId, TraceContext, TraceId};
 use eco_sim_node::cpu::CpuConfig;
 use proptest::prelude::*;
 
@@ -32,15 +34,46 @@ fn arb_outcome() -> impl Strategy<Value = KeyOutcome> {
         })
 }
 
-/// The replies a daemon actually produces for a fast-path batch.
+/// Either hot verb under any tag, with or without a deadline and a
+/// trace context.
+fn arb_hot_frame() -> impl Strategy<Value = RequestFrame> {
+    (
+        any::<bool>(),
+        0u64..=u64::MAX,
+        prop::option::of(0u64..=u64::MAX),
+        prop::option::of(((0u64..=u64::MAX), (0u64..=u64::MAX))),
+        arb_keys(),
+    )
+        .prop_map(|(single, tag, deadline_ms, trace, keys)| RequestFrame {
+            deadline_ms,
+            trace: trace.map(|(t, s)| TraceContext { trace: TraceId(t), span: SpanId(s) }),
+            corr: Some(tag),
+            body: match keys.first() {
+                Some(&(system_hash, binary_hash)) if single => Request::Predict { system_hash, binary_hash },
+                _ => Request::PredictMany { keys },
+            },
+        })
+}
+
+/// The replies a daemon actually produces for a hot verb.
 fn arb_reply() -> impl Strategy<Value = Response> {
-    (0u32..3, prop::collection::vec(arb_outcome(), 0..48), ".{0,40}").prop_map(
-        |(kind, results, message)| match kind {
+    (
+        0u32..5,
+        prop::collection::vec(arb_outcome(), 0..48),
+        ".{0,40}",
+        arb_outcome(),
+        (0u64..=u64::MAX, 0u64..=u64::MAX),
+    )
+        .prop_map(|(kind, results, message, outcome, (system_hash, binary_hash))| match kind {
             0 => Response::ManyConfigs { results },
             1 => Response::Error { message },
+            2 => match outcome {
+                KeyOutcome::Config(c) => Response::Config(c),
+                _ => Response::Miss { system_hash, binary_hash },
+            },
+            3 => Response::Miss { system_hash, binary_hash },
             _ => Response::DeadlineExceeded,
-        },
-    )
+        })
 }
 
 proptest! {
@@ -108,22 +141,28 @@ proptest! {
 
     // -- binary fast path ---------------------------------------------------
 
-    /// Every fast-path request round-trips exactly.
+    /// Every fast-path request round-trips exactly: both verbs, every
+    /// combination of flags, any tag.
     #[test]
-    fn fastpath_requests_round_trip(
-        corr in 0u64..=u64::MAX,
-        deadline_ms in prop::option::of(0u64..=60_000),
-        keys in arb_keys(),
-    ) {
-        let wire = fastpath::encode_request(corr, deadline_ms, &keys);
+    fn fastpath_requests_round_trip(frame in arb_hot_frame()) {
+        let wire = fastpath::encode_frame(&frame).expect("a hot verb has a binary form");
         prop_assert!(fastpath::is_binary(&wire));
-        let decoded = fastpath::decode_request(&wire).unwrap();
-        prop_assert_eq!(decoded.corr, corr);
-        prop_assert_eq!(decoded.deadline_ms, deadline_ms);
-        prop_assert_eq!(decoded.keys, keys);
+        prop_assert_eq!(fastpath::decode_request(&wire).unwrap(), frame);
     }
 
-    /// Every reply shape the daemon produces for a batch round-trips
+    /// The untraced batch encoder is the frame encoder's batch.
+    #[test]
+    fn the_batch_encoder_is_the_untraced_frame(
+        corr in 0u64..=u64::MAX,
+        deadline_ms in prop::option::of(0u64..=u64::MAX),
+        keys in arb_keys(),
+    ) {
+        let frame = RequestFrame { deadline_ms, trace: None, corr: Some(corr), body: Request::PredictMany { keys } };
+        let Request::PredictMany { keys } = &frame.body else { unreachable!() };
+        prop_assert_eq!(fastpath::encode_request(corr, deadline_ms, keys), fastpath::encode_frame(&frame).unwrap());
+    }
+
+    /// Every reply shape the daemon produces for a hot verb round-trips
     /// exactly, correlation id included.
     #[test]
     fn fastpath_replies_round_trip(corr in 0u64..=u64::MAX, reply in arb_reply()) {
@@ -132,30 +171,42 @@ proptest! {
         prop_assert_eq!(fastpath::decode_reply(&wire).unwrap(), (corr, reply));
     }
 
-    /// Any strict prefix of a valid frame — a write torn mid-slot —
+    /// A cut at every byte of a valid frame — a write torn anywhere —
     /// fails with a clean `Err`, never a panic and never a short
-    /// phantom decode.
+    /// phantom decode; so does a valid frame with bytes trailing it.
     #[test]
-    fn truncated_fastpath_frames_fail_cleanly(
+    fn cut_or_padded_fastpath_frames_fail_cleanly(
+        frame in arb_hot_frame(),
         corr in 0u64..=u64::MAX,
-        keys in arb_keys(),
         reply in arb_reply(),
-        cut_num in 0usize..=1_000,
+        trailing in prop::collection::vec(0u8..=255, 1..4),
     ) {
-        let request = fastpath::encode_request(corr, None, &keys);
-        let cut = cut_num * (request.len().saturating_sub(1)) / 1_000;
-        prop_assert!(fastpath::decode_request(&request[..cut]).is_err());
+        let request = fastpath::encode_frame(&frame).unwrap();
+        for cut in 0..request.len() {
+            prop_assert!(fastpath::decode_request(&request[..cut]).is_err(), "request cut at {}", cut);
+        }
+        prop_assert!(fastpath::decode_request(&[&request[..], &trailing[..]].concat()).is_err());
 
         let wire = fastpath::encode_reply(corr, &reply);
-        let cut = cut_num * (wire.len().saturating_sub(1)) / 1_000;
-        prop_assert!(fastpath::decode_reply(&wire[..cut]).is_err());
+        for cut in 0..wire.len() {
+            prop_assert!(fastpath::decode_reply(&wire[..cut]).is_err(), "reply cut at {}", cut);
+        }
+        prop_assert!(fastpath::decode_reply(&[&wire[..], &trailing[..]].concat()).is_err());
     }
 
-    /// Arbitrary junk never panics either decoder.
+    /// Arbitrary junk never panics either decoder — neither does junk
+    /// behind a valid magic, verb and flags byte.
     #[test]
-    fn junk_never_panics_fastpath_decoders(junk in prop::collection::vec(0u8..=255, 0..256)) {
+    fn junk_never_panics_fastpath_decoders(
+        junk in prop::collection::vec(0u8..=255, 0..256),
+        verb in 0u8..=8,
+        flags in 0u8..=3,
+    ) {
         let _ = fastpath::decode_request(&junk);
         let _ = fastpath::decode_reply(&junk);
+        let headed = [&[fastpath::MAGIC, verb, flags][..], &junk[..]].concat();
+        let _ = fastpath::decode_request(&headed);
+        let _ = fastpath::decode_reply(&headed);
     }
 
     /// A batch over the protocol cap is refused at decode, not
@@ -169,8 +220,8 @@ proptest! {
 
     /// JSON and binary frames can never be confused: no JSON payload
     /// opens with the fast-path magic byte, so a connection carrying
-    /// both (the ring does, for singles vs batches) always dispatches
-    /// each frame to the right decoder.
+    /// both (every one does: hot verbs binary, the control plane JSON)
+    /// always dispatches each frame to the right decoder.
     #[test]
     fn json_is_never_mistaken_for_binary(keys in arb_keys(), deadline in prop::option::of(0u64..=60_000)) {
         let mut frame = RequestFrame::new(Request::PredictMany { keys });

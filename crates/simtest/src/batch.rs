@@ -106,8 +106,8 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
     let mut client = failover_client(plan, transports).build().expect("batch client config is valid");
     client.set_telemetry(std::sync::Arc::clone(&telemetry));
 
-    // The tagged batch path itself survives stale and duplicated frames,
-    // but unanswered slots fall back to the untagged single-key path.
+    // Every frame is tagged, so no stale or duplicated reply answers a
+    // key; a reordered one can still outlast a single's retries.
     let strict = plan.retry_beats_it();
     let mut violations: Vec<String> = Vec::new();
     let mut batch_calls = 0usize;
@@ -142,11 +142,10 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
             match outcome {
                 Ok(cfg) => {
                     keys_ok += 1;
-                    // Only the un-correlated single-key fallback can
-                    // cross-wire (stale/duplicated bare frames), which
-                    // is exactly what the non-strict plans inject; the
-                    // tagged batched path is covered on every strict
-                    // plan and by the codec proptests.
+                    // Batches and their single-key fallback are both
+                    // tagged, so a stale or duplicated reply is refused,
+                    // never taken; checked on every strict plan, and by
+                    // the codec proptests.
                     if strict && *cfg != answers[key_idx] {
                         violations.push(format!(
                             "batch #{call} ({phase}) slot {slot}: key {key_idx} answered with the wrong config \

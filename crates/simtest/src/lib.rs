@@ -33,8 +33,8 @@
 //!   (config or typed error) and never cross-wired, with rollout churn
 //!   republishing registry snapshots under the batched readers;
 //! * [`shm`] — [`run_shm_seed`] gives one client both the simulated
-//!   shared-memory ring (frame-level, local, binary batch fast path)
-//!   and a TCP endpoint to the same daemon, then attacks the fallback
+//!   shared-memory ring (frame-level, local) and a TCP endpoint to the
+//!   same daemon, then attacks the fallback
 //!   ladder: torn slots, lost doorbells, the ring torn down while TCP
 //!   serves, and full daemon crashes — asserting locality preference,
 //!   exactly-once answers and zero keys lost to fallback;

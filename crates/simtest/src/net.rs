@@ -60,9 +60,10 @@ fn sim_gauges() -> QueueGauges {
 /// submissions × a dozen spans each plus admin traffic and retries).
 const RECORDER_CAP: usize = 1 << 16;
 
-/// What carried an exchange: one JSON frame or one `PredictMany` batch
-/// over the simulated TCP stream, or any frame over the simulated shm
-/// ring (which has its own fault physics, see [`SimShmTransport`]).
+/// What carried an exchange: one single-key or control-plane frame or
+/// one `PredictMany` batch over the simulated TCP stream, or any frame
+/// over the simulated shm ring (which has its own fault physics, see
+/// [`SimShmTransport`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Exchange {
     Single,
@@ -286,8 +287,7 @@ impl NetCore {
         let reply = self.replicas[r].service.answer(payload, sim_gauges());
         let elapsed_ms = (self.clock.now() - t0).as_millis();
         let after = self.replicas[r].service.snapshot(sim_gauges());
-        let (_, response) =
-            wire::decode_reply(&reply, frame.corr.is_some()).expect("the daemon writes well-formed replies");
+        let (_, response) = wire::decode_reply(&reply).expect("the daemon writes well-formed replies");
         if let Err(e) = self.replicas[r].ledger.record_exchange(frame, &response, &before, &after, elapsed_ms) {
             let incarnation = self.replicas[r].incarnation;
             let label = self.replicas[r].label.clone();
@@ -493,11 +493,10 @@ impl SimNet {
     }
 
     /// A fresh client-side endpoint to replica `i`'s *shared-memory
-    /// ring*: frame-level (no byte stream to tear mid-prefix), local
+    /// ring*: frame-level (no byte stream to tear mid-prefix) and local
     /// (`is_local`, so the client prefers it over TCP entries to the
-    /// same fleet) and on the binary batch fast path. Cuts become torn
-    /// slots, drops become lost doorbells, and partitions are ignored —
-    /// the ring never crosses the network.
+    /// same fleet). Cuts become torn slots, drops become lost doorbells,
+    /// and partitions are ignored — the ring never crosses the network.
     pub fn shm_transport_for(&self, i: usize) -> SimShmTransport {
         assert!(i < self.state.mu.lock().replicas.len(), "replica {i} does not exist");
         SimShmTransport { net: Arc::clone(&self.state), replica: i }
@@ -831,10 +830,10 @@ impl Write for SimConnection {
 
 /// The client side of a simulated shared-memory ring: frame-level (the
 /// slot header owns framing, so there is no byte stream to cut
-/// mid-length-prefix), local (`is_local`, so a client holding both this
-/// and a [`SimTransport`] routes everything here while it is healthy)
-/// and on the binary batch fast path, exactly like the real
-/// `ShmTransport`. The fault plan translates to ring physics:
+/// mid-length-prefix) and local (`is_local`, so a client holding both
+/// this and a [`SimTransport`] routes everything here while it is
+/// healthy), exactly like the real `ShmTransport`. The fault plan
+/// translates to ring physics:
 ///
 /// * `req_cut` / `resp_cut` → a **torn slot**: the exchange dies with
 ///   `ConnectionReset` and no frame is ever yielded from the tear
@@ -994,10 +993,6 @@ impl Connection for SimShmConnection {
         let id = self.id;
         core.rnote(self.replica, format!("shm conn {id}: wait timed out after {ms}ms"));
         Err(io::ErrorKind::TimedOut.into())
-    }
-
-    fn fast_batch(&self) -> bool {
-        true
     }
 }
 

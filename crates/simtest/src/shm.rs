@@ -2,8 +2,8 @@
 //! ladder under a fault plan.
 //!
 //! One daemon, one client, **two** endpoints to it: the simulated shm
-//! ring ([`crate::net::SimShmTransport`] — frame-level, `is_local`,
-//! binary batch fast path) and a plain simulated TCP endpoint. The
+//! ring ([`crate::net::SimShmTransport`] — frame-level, `is_local`)
+//! and a plain simulated TCP endpoint. The
 //! client's local-preference routing must send everything over the
 //! ring while it is healthy, and the choreography attacks exactly the
 //! seams the real transport has:
@@ -29,8 +29,8 @@
 //!   the ring while it is up, and TCP carries the traffic the moment
 //!   it is not;
 //! * **ledger conservation** — the daemon's counters audit clean under
-//!   mixed binary-fastpath and JSON accounting across every
-//!   incarnation.
+//!   mixed binary (predictions) and JSON (control-plane) traffic across
+//!   every incarnation.
 //!
 //! Any violation panics with the seed, the plan and a replay command
 //! ([`crate::sweep::fail`]).

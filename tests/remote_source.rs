@@ -6,7 +6,7 @@
 
 use eco_hpc::chronus::integrations::storage::EtcStorage;
 use eco_hpc::chronus::remote::{
-    Connection, PredictClient, RemotePrediction, Request, RequestFrame, Response, Transport,
+    wire, Connection, PredictClient, RemotePrediction, Request, RequestFrame, Response, Transport,
 };
 use eco_hpc::eco_plugin::JobSubmitEco;
 use eco_hpc::hpcg::perf_model::PerfModel;
@@ -31,8 +31,8 @@ const SCRIPT_OPTED_IN: &str = "#!/bin/bash\n\
 const ANSWER: CpuConfig = CpuConfig { cores: 16, frequency_khz: 1_500_000, threads_per_core: 2 };
 
 /// The daemon end, in memory, both ends of its connections: keeps every
-/// request frame it is sent and answers `Predict` with [`ANSWER`] — or
-/// refuses every dial.
+/// request frame it is sent and answers `Predict` with [`ANSWER`] in the
+/// frame's encoding — or refuses every dial.
 #[derive(Clone, Default)]
 struct Daemon {
     refuse: bool,
@@ -59,10 +59,12 @@ impl Transport for Daemon {
 
 impl Connection for Daemon {
     fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        let frame: RequestFrame = serde_json::from_slice(payload).expect("the client writes well-formed frames");
+        let (binary, frame) = wire::decode_request(payload);
+        let frame = frame.expect("the client writes well-formed frames");
         assert!(matches!(frame.body, Request::Predict { .. }), "the submit path only predicts: {frame:?}");
+        assert!(binary, "a prediction travels in the binary layout");
+        self.inbox.push_back(wire::encode_reply(binary, frame.corr, Response::Config(ANSWER)));
         self.sent.lock().unwrap().push(frame);
-        self.inbox.push_back(serde_json::to_vec(&Response::Config(ANSWER)).unwrap());
         Ok(())
     }
 
@@ -107,7 +109,7 @@ fn opted_in_job_is_rewritten_to_the_remote_answer() {
 
     let sent = sent.lock().unwrap();
     assert_eq!(sent.len(), 1, "one submission, one frame: {sent:?}");
-    assert_eq!(sent[0].corr, None, "a single prediction goes out untagged");
+    assert!(sent[0].corr.is_some(), "a single prediction goes out tagged");
 }
 
 #[test]
