@@ -6,6 +6,7 @@
 //! `settings.json` model ([`StorageBackend`]) in the paper's store-less
 //! configuration.
 
+use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,12 +55,12 @@ pub fn verified(store: &ModelStore, record: &ModelRecord) -> std::result::Result
 }
 
 /// The backend of a store-backed daemon: the durable model store is
-/// the model source. A `Preload` and a registry miss re-read the ledger
+/// the model source. A `Preload` and a registry miss refresh the ledger
 /// (the campaign CLI may have appended since boot), pick the *serving*
-/// record — the ledger folded with rollback-rewind semantics, latest
-/// match first — and hand it out through [`verified`]. A model the
-/// serving set does not hold is `NotFound` naming the store, so what
-/// the registry serves is always what the ledger says.
+/// record — by key ([`ModelStore::serving_for`]), or the latest serving
+/// match of a `Preload`'s id — and hand it out through [`verified`]. A
+/// model the serving set does not hold is `NotFound` naming the store,
+/// so what the registry serves is always what the ledger says.
 pub struct StoreModelBackend {
     store: Arc<Mutex<ModelStore>>,
     dir: String,
@@ -72,33 +73,34 @@ impl StoreModelBackend {
         StoreModelBackend { store, dir: dir.into() }
     }
 
-    fn resolve(&self, what: &str, pick: impl Fn(&ModelRecord) -> bool) -> Result<PreparedModel> {
+    fn resolve(&self, what: &str, find: impl FnOnce(&ModelStore) -> Option<&ModelRecord>) -> Result<PreparedModel> {
         let dir = &self.dir;
         // a blob that does not verify is "no answer for this key" (the
         // service answers Miss, as after a boot that rejected it); a
-        // store that cannot be read is the daemon's own problem
+        // store that cannot be read, or whose journal was cut below what
+        // this handle validated, is the daemon's own problem
         let refused = |e: StoreError| match e {
-            StoreError::Io(e) => ChronusError::Io(e),
+            StoreError::Io(e) => ChronusError::Io(io::Error::new(e.kind(), format!("model store at {dir}: {e}"))),
             e => ChronusError::Model(format!("model store at {dir}: {e}")),
         };
         let mut store = self.store.lock();
         store.refresh().map_err(refused)?;
-        let record =
-            store.serving().into_iter().rfind(|r| pick(r)).ok_or_else(|| {
-                ChronusError::NotFound(format!("{what} is not serving in the model store at {dir}"))
-            })?;
+        let record = find(&store)
+            .ok_or_else(|| ChronusError::NotFound(format!("{what} is not serving in the model store at {dir}")))?;
         verified(&store, record).map_err(refused)
     }
 }
 
 impl ModelBackend for StoreModelBackend {
     fn load(&self, model_id: i64) -> Result<PreparedModel> {
-        self.resolve(&format!("model {model_id}"), |r| r.model_id == model_id)
+        self.resolve(&format!("model {model_id}"), |store| {
+            store.serving().into_iter().rfind(|r| r.model_id == model_id)
+        })
     }
 
     fn lookup(&self, system_hash: u64, binary_hash: u64) -> Result<PreparedModel> {
-        self.resolve(&format!("a model for ({system_hash:#x}, {binary_hash:#x})"), |r| {
-            r.system_hash == system_hash && r.binary_hash == binary_hash
+        self.resolve(&format!("a model for ({system_hash:#x}, {binary_hash:#x})"), |store| {
+            store.serving_for(system_hash, binary_hash)
         })
     }
 }

@@ -260,11 +260,9 @@ impl PredictService {
             snap.store_generation = store.high_water();
             // serving-model counts per node class, from the ledger's
             // provenance (records predating classes land in `default`)
-            let mut by_class: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-            for record in store.serving() {
-                let class = &record.provenance.node_class;
-                let name = if class.is_empty() { "default" } else { class.as_str() };
-                *by_class.entry(name.to_string()).or_insert(0) += 1;
+            let mut by_class = std::collections::BTreeMap::<String, u64>::new();
+            for class in store.serving().into_iter().map(|r| r.provenance.node_class.as_str()) {
+                *by_class.entry(if class.is_empty() { "default" } else { class }.to_string()).or_default() += 1;
             }
             snap.models_by_class = by_class.into_iter().collect();
         }
@@ -433,17 +431,10 @@ impl PredictService {
         let key = (system_hash, binary_hash);
         if !self.adapt.has_expectation(key) {
             if let Some(handle) = &self.store {
-                let expected = handle
-                    .store
-                    .lock()
-                    .serving()
-                    .into_iter()
-                    .rfind(|r| r.system_hash == system_hash && r.binary_hash == binary_hash)
-                    .map(|r| r.provenance.best_gflops_per_watt);
-                if let Some(expected) = expected {
-                    if expected.is_finite() && expected > 0.0 {
-                        self.adapt.set_expectation(key, expected);
-                    }
+                let store = handle.store.lock();
+                let expected = store.serving_for(system_hash, binary_hash).map(|r| r.provenance.best_gflops_per_watt);
+                if let Some(expected) = expected.filter(|e| e.is_finite() && *e > 0.0) {
+                    self.adapt.set_expectation(key, expected);
                 }
             }
         }
@@ -835,18 +826,11 @@ mod tests {
 
     #[test]
     fn catch_up_from_store_installs_only_hash_verified_models() {
-        use eco_store::{blob_hash, MemBackend, ModelBlob, Provenance, BLOB_DIR};
+        use eco_store::{blob_hash, MemBackend, Provenance, BLOB_DIR};
 
         let mem = MemBackend::new();
         let mut store = ModelStore::open(Box::new(mem.clone())).unwrap();
-        let good = ModelBlob {
-            model_type: "brute-force".into(),
-            system_hash: 10,
-            binary_hash: 20,
-            config: CpuConfig::new(16, 2_200_000, 1),
-            benchmarks: Vec::new(),
-        };
-        let bad = ModelBlob { binary_hash: 21, ..good.clone() };
+        let (good, bad) = (store_blob(10, 20), store_blob(10, 21));
         store.commit(&good, 1, Provenance::default()).unwrap();
         let bad_record = store.commit(&bad, 2, Provenance::default()).unwrap();
         // Corrupt the second blob on disk after commit.
@@ -876,31 +860,85 @@ mod tests {
         assert_eq!(snap.model_generation, 1);
     }
 
-    #[test]
-    fn snapshot_counts_serving_models_per_node_class() {
-        use eco_store::{MemBackend, ModelBlob, Provenance};
-
-        let mut store = ModelStore::open(Box::new(MemBackend::new())).unwrap();
-        let blob = |system: u64, binary: u64| ModelBlob {
+    fn store_blob(system_hash: u64, binary_hash: u64) -> eco_store::ModelBlob {
+        eco_store::ModelBlob {
             model_type: "brute-force".into(),
-            system_hash: system,
-            binary_hash: binary,
+            system_hash,
+            binary_hash,
             config: CpuConfig::new(16, 2_200_000, 1),
             benchmarks: Vec::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn snapshot_counts_serving_models_per_node_class() {
+        use eco_store::{codec::RECORD_HEADER_LEN, MemBackend, Provenance, JOURNAL_FILE};
+
+        let mem = MemBackend::new();
+        let mut store = ModelStore::open(Box::new(mem.clone())).unwrap();
+        let dense64 = || Provenance { node_class: "dense64".into(), ..Provenance::default() };
         // one legacy (classless) model, two dense64 models
-        store.commit(&blob(10, 20), 1, Provenance::default()).unwrap();
-        store.commit(&blob(11, 20), 2, Provenance { node_class: "dense64".into(), ..Provenance::default() }).unwrap();
-        store.commit(&blob(11, 21), 3, Provenance { node_class: "dense64".into(), ..Provenance::default() }).unwrap();
+        store.commit(&store_blob(10, 20), 1, Provenance::default()).unwrap();
+        store.commit(&store_blob(11, 20), 2, dense64()).unwrap();
+        store.commit(&store_blob(11, 21), 3, dense64()).unwrap();
+        let mut writer = ModelStore::open(Box::new(mem.clone())).unwrap();
 
         let svc = PredictService::new(2, 8, Arc::new(StaticBackend::new(vec![])))
             .with_store(Arc::new(Mutex::new(store)), "/var/lib/chronus/store");
-        let snap = svc.snapshot(QueueGauges::default());
-        assert_eq!(snap.models_by_class, vec![("default".to_string(), 1), ("dense64".to_string(), 2)]);
+        svc.catch_up_from_store();
+        let stats =
+            || match svc.handle_frame(&frame_bytes(&RequestFrame::new(Request::Stats)), QueueGauges::default()) {
+                Response::Stats(snap) => (snap.models_by_class, snap.store_generation),
+                other => panic!("expected Stats, got {other:?}"),
+            };
+        let class = |name: &str, n| (name.to_string(), n);
+        assert_eq!(stats(), (vec![class("default", 1), class("dense64", 2)], 3));
+
+        // A second handle commits one more dense64 model. Record 1's bytes
+        // are damaged first, so only a refresh that decodes just the new
+        // tail can see it.
+        let mut bytes = mem.get_raw(JOURNAL_FILE).unwrap();
+        bytes[RECORD_HEADER_LEN + 4] ^= 0x01;
+        mem.put_raw(JOURNAL_FILE, bytes);
+        writer.commit(&store_blob(12, 20), 4, dense64()).unwrap();
+        assert_eq!(stats(), (vec![class("default", 1), class("dense64", 3)], 4));
+
+        // Rolled back to generation 1, no dense64 key serves, and the
+        // high-water gauge stays where the ledger reached.
+        writer.rollback_to(1, "regression").unwrap();
+        assert_eq!(stats(), (vec![class("default", 1)], 4));
 
         // a store-less daemon reports no class line at all
         let bare = PredictService::new(2, 8, Arc::new(StaticBackend::new(vec![])));
         assert!(bare.snapshot(QueueGauges::default()).models_by_class.is_empty());
+    }
+
+    #[test]
+    fn a_journal_cut_below_what_the_daemon_validated_is_an_error_on_the_miss_path() {
+        use crate::backend::StoreModelBackend;
+        use eco_store::{MemBackend, Provenance, JOURNAL_FILE};
+
+        let mem = MemBackend::new();
+        let mut store = ModelStore::open(Box::new(mem.clone())).unwrap();
+        store.commit(&store_blob(10, 20), 1, Provenance::default()).unwrap();
+        let (store, dir) = (Arc::new(Mutex::new(store)), "/var/lib/chronus/store");
+        let svc = PredictService::new(2, 8, Arc::new(StoreModelBackend::new(Arc::clone(&store), dir)))
+            .with_store(store, dir);
+
+        // only `open` truncates: a journal shorter than what the daemon
+        // validated is the daemon's problem, not "no model for this key"
+        let mut bytes = mem.get_raw(JOURNAL_FILE).unwrap();
+        bytes.pop();
+        mem.put_raw(JOURNAL_FILE, bytes);
+        let predict = frame_bytes(&RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 }));
+        match svc.handle_frame(&predict, QueueGauges::default()) {
+            Response::Error { message } => {
+                assert!(message.contains(dir) && message.contains(JOURNAL_FILE), "{message}")
+            }
+            other => panic!("a cut journal answered {other:?}"),
+        }
+        let snap = svc.snapshot(QueueGauges::default());
+        assert_eq!((snap.errors, snap.store_generation), (1, 1));
     }
 
     #[test]
@@ -952,17 +990,11 @@ mod tests {
 
     #[test]
     fn store_backed_daemon_calibrates_drift_from_serving_provenance() {
-        use eco_store::{MemBackend, ModelBlob, Provenance};
+        use eco_store::{MemBackend, Provenance};
 
         let mut store = ModelStore::open(Box::new(MemBackend::new())).unwrap();
-        let blob = ModelBlob {
-            model_type: "brute-force".into(),
-            system_hash: 10,
-            binary_hash: 20,
-            config: CpuConfig::new(16, 2_200_000, 1),
-            benchmarks: Vec::new(),
-        };
-        store.commit(&blob, 1, Provenance { best_gflops_per_watt: 0.20, ..Provenance::default() }).unwrap();
+        let fitted = Provenance { best_gflops_per_watt: 0.20, ..Provenance::default() };
+        store.commit(&store_blob(10, 20), 1, fitted).unwrap();
         let svc = PredictService::new(2, 8, Arc::new(StaticBackend::new(vec![])))
             .with_store(Arc::new(Mutex::new(store)), "/var/lib/chronus/store");
 

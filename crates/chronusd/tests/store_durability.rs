@@ -6,8 +6,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use chronus::remote::{CallOptions, PredictClient, RemoteError};
+use chronusd::backend::verified;
 use chronusd::store::{ModelBlob, ModelRecord, ModelStore, Provenance, BLOB_DIR};
 use chronusd::{ModelBackend, PredictServer, PreparedModel, ServerConfig};
 use eco_campaign::roll_into_fleet;
@@ -291,5 +293,36 @@ fn ledger_rollback_restores_prior_generation_fleet_wide() {
 
     r0.shutdown();
     reborn.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a registry miss costs a store-backed daemon once the ledger is
+/// long: a `refresh` with nothing new to decode, the key's serving record
+/// and its hash-verified blob, on a disk store of 1 000 generations over
+/// 64 keys. Timing, so ignored by default:
+///   cargo test -q -p chronusd --release --test store_durability a_miss_at -- --ignored --nocapture
+#[test]
+#[ignore]
+fn a_miss_at_1000_generations_costs_at_most_100us() {
+    let dir = temp_store("misscost");
+    let mut store = ModelStore::open_dir(dir.to_str().unwrap()).unwrap();
+    for generation in 0..1_000u32 {
+        let key = u64::from(generation % 64);
+        let blob = ModelBlob { binary_hash: key, ..blob(CpuConfig::new(1 + generation % 32, 2_200_000, 1)) };
+        store.commit(&blob, i64::from(generation), Provenance::default()).unwrap();
+    }
+    let mut samples: Vec<Duration> = (0..50u64)
+        .map(|miss| {
+            let started = Instant::now();
+            assert_eq!(store.refresh().unwrap(), 0);
+            let record = store.serving_for(10, miss % 64).expect("every key serves");
+            verified(&store, record).unwrap();
+            started.elapsed()
+        })
+        .collect();
+    samples.sort();
+    let median = samples[samples.len() / 2];
+    println!("a miss at 1 000 generations: median {median:?} of 50");
+    assert!(median <= Duration::from_micros(100), "a miss at 1 000 generations took {median:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -46,11 +46,6 @@ impl DiskBackend {
         Ok(DiskBackend { root: root.as_ref().to_path_buf() })
     }
 
-    /// The directory this backend stores under.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn resolve(&self, name: &str) -> PathBuf {
         let mut path = self.root.clone();
         for part in name.split('/') {

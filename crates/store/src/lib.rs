@@ -30,7 +30,7 @@
 //! Consumers: `chronusd --store <dir>` self-serves catch-up from the
 //! store on boot, the campaign engine commits each built model before
 //! rolling it out, and `chronus models` audits, verifies and rolls
-//! back the history. The store is never on the predict hot path.
+//! back the history.
 
 #![warn(missing_docs)]
 

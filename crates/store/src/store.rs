@@ -14,6 +14,7 @@
 //! not durably written first, and reopening after any crash yields a
 //! consistent prefix of history.
 
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::Path;
 
@@ -113,13 +114,90 @@ pub struct VerifyIssue {
     pub detail: String,
 }
 
+/// What a handle has validated of the journal, and its fold, kept
+/// record by record. The serving state is always the state right after
+/// some commit landed (or empty), so `current` names it and the chain
+/// of states each commit landed on rebuilds it.
+#[derive(Default)]
+struct Ledger {
+    records: Vec<LedgerRecord>,
+    /// Journal bytes the records were decoded from.
+    validated: usize,
+    /// Per commit, generation `g` at index `g - 1`: its index in
+    /// `records`, the generation current when it landed (the fold's own
+    /// record, never the record's `parent` field) and its key.
+    landed: Vec<Landed>,
+    /// Which generation serves each `(system_hash, binary_hash)` key.
+    serving: BTreeMap<(u64, u64), u64>,
+    current: u64,
+}
+
+struct Landed {
+    at: usize,
+    on: u64,
+    key: (u64, u64),
+}
+
+impl Ledger {
+    /// Decodes and folds in `journal` past the validated offset, up to
+    /// the first frame that is torn, fails its CRC, does not parse or
+    /// does not extend the ledger. Returns whether that left a tail.
+    fn ingest(&mut self, journal: &[u8]) -> bool {
+        let tail = codec::recover(&journal[self.validated..]);
+        for payload in &tail.records {
+            match serde_json::from_slice::<LedgerRecord>(payload) {
+                Ok(record) if self.extends(&record) => self.push(record, payload.len()),
+                _ => return true,
+            }
+        }
+        tail.truncated
+    }
+
+    /// Whether `record` is a legal next entry: a commit carries exactly
+    /// high-water + 1 and refits only an earlier generation, a rollback
+    /// targets a committed one. A CRC-valid record that is not is the
+    /// start of a corrupt tail.
+    fn extends(&self, record: &LedgerRecord) -> bool {
+        let high_water = self.landed.len() as u64;
+        match record {
+            LedgerRecord::Commit(m) => m.generation == high_water + 1 && m.provenance.refit_of < m.generation,
+            LedgerRecord::Rollback { to_generation, .. } => (1..=high_water).contains(to_generation),
+        }
+    }
+
+    /// Accepts `record`, framed with `len` payload bytes, and folds it
+    /// in. A rollback to `g` walks the chain `g`, what `g` landed on, …:
+    /// the latest generation on it wins each key.
+    fn push(&mut self, record: LedgerRecord, len: usize) {
+        self.validated += codec::RECORD_HEADER_LEN + len;
+        match &record {
+            LedgerRecord::Commit(m) => {
+                let key = (m.system_hash, m.binary_hash);
+                self.landed.push(Landed { at: self.records.len(), on: self.current, key });
+                self.serving.insert(key, m.generation);
+                self.current = m.generation;
+            }
+            LedgerRecord::Rollback { to_generation, .. } => {
+                self.serving.clear();
+                let mut generation = *to_generation;
+                while generation > 0 {
+                    let landed = &self.landed[generation as usize - 1];
+                    self.serving.entry(landed.key).or_insert(generation);
+                    generation = landed.on;
+                }
+                self.current = *to_generation;
+            }
+        }
+        self.records.push(record);
+    }
+}
+
 /// The durable model store. See the module docs for the write
 /// discipline; all mutation is `&mut self`, callers that share a store
-/// across threads wrap it in a mutex (it is never on the predict hot
-/// path).
+/// across threads wrap it in a mutex.
 pub struct ModelStore {
     backend: Box<dyn StoreBackend>,
-    records: Vec<LedgerRecord>,
+    ledger: Ledger,
     recovered_truncation: bool,
 }
 
@@ -129,31 +207,12 @@ impl ModelStore {
     /// subsequent appends land after the last valid record.
     pub fn open(backend: Box<dyn StoreBackend>) -> Result<Self, StoreError> {
         let bytes = backend.read(JOURNAL_FILE)?.unwrap_or_default();
-        let recovered = codec::recover(&bytes);
-        let mut records = Vec::with_capacity(recovered.records.len());
-        let mut valid_len = recovered.valid_len;
-        let mut truncated = recovered.truncated;
-        let mut at = 0usize;
-        for payload in &recovered.records {
-            // A frame whose CRC passes but whose payload fails to parse
-            // (or breaks ledger monotonicity) is still corruption; cut
-            // the valid prefix there, exactly as the codec does.
-            match serde_json::from_slice::<LedgerRecord>(payload) {
-                Ok(record) if record_extends(&records, &record) => {
-                    at += codec::RECORD_HEADER_LEN + payload.len();
-                    records.push(record);
-                }
-                _ => {
-                    valid_len = at;
-                    truncated = true;
-                    break;
-                }
-            }
+        let mut store = ModelStore { backend, ledger: Ledger::default(), recovered_truncation: false };
+        if store.ledger.ingest(&bytes) {
+            store.backend.write_atomic(JOURNAL_FILE, &bytes[..store.ledger.validated])?;
+            store.recovered_truncation = true;
         }
-        if truncated {
-            backend.write_atomic(JOURNAL_FILE, &bytes[..valid_len])?;
-        }
-        Ok(ModelStore { backend, records, recovered_truncation: truncated })
+        Ok(store)
     }
 
     /// Opens a disk-backed store rooted at `dir`.
@@ -169,18 +228,23 @@ impl ModelStore {
     /// Commits a model: blob first (atomic, content-addressed), then
     /// the metadata record. Returns the committed record, whose
     /// generation is the previous high-water mark + 1 and whose parent
-    /// is the generation that was serving at commit time.
+    /// is the generation that was serving at commit time. A refit of a
+    /// generation not yet committed is refused before any write.
     pub fn commit(
         &mut self,
         blob: &ModelBlob,
         model_id: i64,
         provenance: Provenance,
     ) -> Result<ModelRecord, StoreError> {
+        let generation = self.high_water() + 1;
+        if provenance.refit_of >= generation {
+            return Err(StoreError::UnknownGeneration(provenance.refit_of));
+        }
         let hash = blob_hash(blob);
         let bytes = serde_json::to_vec(blob).expect("a model blob always serializes");
         self.backend.write_atomic(&format!("{BLOB_DIR}/{hash}"), &bytes)?;
         let record = ModelRecord {
-            generation: self.high_water() + 1,
+            generation,
             parent: self.current_generation(),
             model_id,
             model_type: blob.model_type.clone(),
@@ -204,34 +268,33 @@ impl ModelStore {
         Ok(target)
     }
 
+    /// Appends one frame: with one writer, it lands at the validated offset.
     fn append(&mut self, record: LedgerRecord) -> Result<(), StoreError> {
         let payload = serde_json::to_vec(&record).expect("a ledger record always serializes");
         let mut frame = Vec::with_capacity(payload.len() + codec::RECORD_HEADER_LEN);
         codec::encode_record(&payload, &mut frame)?;
         self.backend.append(JOURNAL_FILE, &frame)?;
-        self.records.push(record);
+        self.ledger.push(record, payload.len());
         Ok(())
     }
 
-    /// Re-reads the journal from the backend, picking up records another
-    /// writer (the campaign CLI on the same store directory) appended
-    /// since this handle opened. Unlike [`ModelStore::open`], refresh
-    /// **never truncates**: a torn tail seen here may be a live writer
-    /// mid-append, so it is simply ignored until a later read. Returns
+    /// Picks up records another writer (the campaign CLI on the same
+    /// store directory) appended, decoding only the journal past what
+    /// this handle validated. Unlike [`ModelStore::open`], refresh
+    /// **never truncates**: a torn tail may be a live writer mid-append,
+    /// so it is ignored until a later read. A journal shorter than what
+    /// was validated is an error, since only `open` truncates. Returns
     /// how many new records became visible.
     pub fn refresh(&mut self) -> Result<usize, StoreError> {
         let bytes = self.backend.read(JOURNAL_FILE)?.unwrap_or_default();
-        let recovered = codec::recover(&bytes);
-        let mut records = Vec::with_capacity(recovered.records.len());
-        for payload in &recovered.records {
-            match serde_json::from_slice::<LedgerRecord>(payload) {
-                Ok(record) if record_extends(&records, &record) => records.push(record),
-                _ => break,
-            }
+        if bytes.len() < self.ledger.validated {
+            let cut =
+                format!("{JOURNAL_FILE} is {} bytes, below the {} validated", bytes.len(), self.ledger.validated);
+            return Err(StoreError::Io(io::Error::new(io::ErrorKind::InvalidData, cut)));
         }
-        let new = records.len().saturating_sub(self.records.len());
-        self.records = records;
-        Ok(new)
+        let known = self.ledger.records.len();
+        self.ledger.ingest(&bytes);
+        Ok(self.ledger.records.len() - known)
     }
 
     /// The records a freshly booted replica should install, folded with
@@ -241,77 +304,45 @@ impl ModelStore {
     /// latest record. Sorted by generation so installation replays
     /// lineage order.
     pub fn serving(&self) -> Vec<&ModelRecord> {
-        use std::collections::BTreeMap;
-        let mut state: Vec<&ModelRecord> = Vec::new();
-        let mut snapshots: BTreeMap<u64, Vec<&ModelRecord>> = BTreeMap::new();
-        for record in &self.records {
-            match record {
-                LedgerRecord::Commit(m) => {
-                    state.push(m);
-                    snapshots.insert(m.generation, state.clone());
-                }
-                LedgerRecord::Rollback { to_generation, .. } => {
-                    if let Some(s) = snapshots.get(to_generation) {
-                        state = s.clone();
-                    }
-                }
-            }
-        }
-        let mut latest: BTreeMap<(u64, u64), &ModelRecord> = BTreeMap::new();
-        for m in state {
-            latest.insert((m.system_hash, m.binary_hash), m);
-        }
-        let mut out: Vec<&ModelRecord> = latest.into_values().collect();
-        out.sort_by_key(|m| m.generation);
-        out
+        let mut generations: Vec<u64> = self.ledger.serving.values().copied().collect();
+        generations.sort_unstable();
+        generations.into_iter().filter_map(|g| self.record(g)).collect()
+    }
+
+    /// The record [`ModelStore::serving`] holds for one key, if any.
+    pub fn serving_for(&self, system_hash: u64, binary_hash: u64) -> Option<&ModelRecord> {
+        self.ledger.serving.get(&(system_hash, binary_hash)).and_then(|&g| self.record(g))
     }
 
     /// The full ledger, in append order.
     pub fn ledger(&self) -> &[LedgerRecord] {
-        &self.records
+        &self.ledger.records
     }
 
     /// Every committed record, in commit (= generation) order.
     pub fn commits(&self) -> impl Iterator<Item = &ModelRecord> {
-        self.records.iter().filter_map(|r| match r {
-            LedgerRecord::Commit(m) => Some(m),
-            LedgerRecord::Rollback { .. } => None,
-        })
+        (1..=self.high_water()).filter_map(|g| self.record(g))
     }
 
     /// The committed record for `generation`, if any.
     pub fn record(&self, generation: u64) -> Option<&ModelRecord> {
-        self.commits().find(|m| m.generation == generation)
-    }
-
-    /// The record currently serving: the ledger folded in order (a
-    /// commit moves the cursor forward, a rollback moves it to its
-    /// target). `None` on an empty store.
-    pub fn current(&self) -> Option<&ModelRecord> {
-        let generation = self.current_generation();
-        if generation == 0 {
-            None
-        } else {
-            self.record(generation)
+        let landed = self.ledger.landed.get(usize::try_from(generation).ok()?.checked_sub(1)?)?;
+        match &self.ledger.records[landed.at] {
+            LedgerRecord::Commit(m) => Some(m),
+            LedgerRecord::Rollback { .. } => None,
         }
     }
 
-    /// The generation [`ModelStore::current`] resolves to (0 = none).
+    /// The generation the ledger folds to — a commit moves it forward, a
+    /// rollback to its target (0 on an empty store).
     pub fn current_generation(&self) -> u64 {
-        let mut at = 0u64;
-        for record in &self.records {
-            match record {
-                LedgerRecord::Commit(m) => at = m.generation,
-                LedgerRecord::Rollback { to_generation, .. } => at = *to_generation,
-            }
-        }
-        at
+        self.ledger.current
     }
 
     /// The highest generation ever committed (0 on an empty store) —
     /// rollbacks never lower it.
     pub fn high_water(&self) -> u64 {
-        self.commits().map(|m| m.generation).max().unwrap_or(0)
+        self.ledger.landed.len() as u64
     }
 
     /// Loads and verifies a committed record's blob: the bytes must
@@ -348,38 +379,15 @@ impl ModelStore {
             }
         }
         if let Ok(names) = self.backend.list(BLOB_DIR) {
-            for name in names {
-                if !self.commits().any(|m| m.blob_hash == name) {
-                    issues.push(VerifyIssue {
-                        generation: 0,
-                        detail: format!("orphan blob {name} (no ledger record references it)"),
-                    });
-                }
+            let committed: HashSet<&str> = self.commits().map(|m| m.blob_hash.as_str()).collect();
+            for name in names.iter().filter(|name| !committed.contains(name.as_str())) {
+                issues.push(VerifyIssue {
+                    generation: 0,
+                    detail: format!("orphan blob {name} (no ledger record references it)"),
+                });
             }
         }
         issues
-    }
-}
-
-/// Whether `record` is a legal next entry after `prior` — commits must
-/// carry exactly high-water + 1 and rollbacks must target a committed
-/// generation. Recovery uses this to treat a semantically-impossible
-/// record (CRC-valid but nonsensical) as the start of a corrupt tail.
-fn record_extends(prior: &[LedgerRecord], record: &LedgerRecord) -> bool {
-    let high_water = prior
-        .iter()
-        .filter_map(|r| match r {
-            LedgerRecord::Commit(m) => Some(m.generation),
-            LedgerRecord::Rollback { .. } => None,
-        })
-        .max()
-        .unwrap_or(0);
-    match record {
-        LedgerRecord::Commit(m) => m.generation == high_water + 1,
-        LedgerRecord::Rollback { to_generation, .. } => {
-            *to_generation > 0
-                && prior.iter().any(|r| matches!(r, LedgerRecord::Commit(m) if m.generation == *to_generation))
-        }
     }
 }
 
@@ -387,6 +395,7 @@ fn record_extends(prior: &[LedgerRecord], record: &LedgerRecord) -> bool {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::ledger::ProvenanceSource;
     use eco_sim_node::cpu::CpuConfig;
 
     fn blob(binary_hash: u64, cores: u32) -> ModelBlob {
@@ -407,7 +416,7 @@ mod tests {
     fn commit_then_reopen_preserves_history() {
         let mem = MemBackend::new();
         let mut store = open_mem(&mem);
-        assert!(store.current().is_none());
+        assert!(store.record(store.current_generation()).is_none());
         let first = store.commit(&blob(1, 32), 10, Provenance::default()).unwrap();
         assert_eq!(first.generation, 1);
         assert_eq!(first.parent, 0);
@@ -417,7 +426,7 @@ mod tests {
 
         let reopened = open_mem(&mem);
         assert!(!reopened.recovered_truncation());
-        assert_eq!(reopened.current().unwrap(), &second);
+        assert_eq!(reopened.record(reopened.current_generation()), Some(&second));
         assert_eq!(reopened.high_water(), 2);
         assert_eq!(reopened.commits().count(), 2);
         assert_eq!(reopened.load_blob(&first).unwrap(), blob(1, 32));
@@ -589,21 +598,62 @@ mod tests {
 
     #[test]
     fn crc_valid_but_semantically_impossible_record_is_a_corrupt_tail() {
-        let mem = MemBackend::new();
-        let mut store = open_mem(&mem);
-        store.commit(&blob(1, 32), 10, Provenance::default()).unwrap();
-        // Forge a CRC-valid rollback to a generation that was never
-        // committed — recovery must refuse it and cut the tail there.
-        let forged =
-            serde_json::to_vec(&LedgerRecord::Rollback { to_generation: 99, reason: "forged".into() }).unwrap();
-        let mut frame = Vec::new();
-        codec::encode_record(&forged, &mut frame).unwrap();
-        let mut bytes = mem.get_raw(JOURNAL_FILE).unwrap();
-        bytes.extend_from_slice(&frame);
-        mem.put_raw(JOURNAL_FILE, bytes);
+        let refit = |refit_of| {
+            let mut m = open_mem(&MemBackend::new()).commit(&blob(1, 16), 11, Provenance::default()).unwrap();
+            m.generation = 2;
+            m.provenance = Provenance { source: ProvenanceSource::Adaptation, refit_of, ..Provenance::default() };
+            LedgerRecord::Commit(m)
+        };
+        // A rollback to a generation that was never committed, a refit of
+        // itself (which `models show` would walk forever) and a refit of
+        // a later generation: recovery must refuse each and cut there.
+        let forgeries = [LedgerRecord::Rollback { to_generation: 99, reason: "forged".into() }, refit(2), refit(5)];
+        for forged in forgeries {
+            let mem = MemBackend::new();
+            open_mem(&mem).commit(&blob(1, 32), 10, Provenance::default()).unwrap();
+            let mut bytes = mem.get_raw(JOURNAL_FILE).unwrap();
+            codec::encode_record(&serde_json::to_vec(&forged).unwrap(), &mut bytes).unwrap();
+            mem.put_raw(JOURNAL_FILE, bytes);
 
-        let recovered = open_mem(&mem);
-        assert!(recovered.recovered_truncation());
-        assert_eq!(recovered.current_generation(), 1);
+            let recovered = open_mem(&mem);
+            assert!(recovered.recovered_truncation(), "{forged:?}");
+            assert_eq!((recovered.current_generation(), recovered.high_water()), (1, 1));
+            assert!(recovered.record(2).is_none());
+        }
+        // and the writer refuses to append what recovery would cut
+        let mut store = open_mem(&MemBackend::new());
+        let refit_of_itself =
+            Provenance { source: ProvenanceSource::Adaptation, refit_of: 1, ..Provenance::default() };
+        assert!(matches!(store.commit(&blob(1, 32), 10, refit_of_itself), Err(StoreError::UnknownGeneration(1))));
+        assert!(store.ledger().is_empty());
+    }
+
+    #[test]
+    fn a_live_reader_keeps_what_it_validated() {
+        let mem = MemBackend::new();
+        let mut writer = open_mem(&mem);
+        for binary in 1..=5 {
+            writer.commit(&blob(binary, 32), binary as i64, Provenance::default()).unwrap();
+        }
+        let mut reader = open_mem(&mem);
+        // A flipped byte inside record 1, which both handles validated,
+        // then a sixth commit from the writer: the reader decodes only
+        // the new frame and keeps the five it held.
+        let mut bytes = mem.get_raw(JOURNAL_FILE).unwrap();
+        bytes[codec::RECORD_HEADER_LEN + 4] ^= 0x01;
+        mem.put_raw(JOURNAL_FILE, bytes);
+        writer.commit(&blob(6, 32), 6, Provenance::default()).unwrap();
+        assert_eq!(reader.refresh().unwrap(), 1);
+        let held = |s: &ModelStore| (s.ledger().len(), s.serving().len(), s.current_generation(), s.high_water());
+        assert_eq!(held(&reader), (6, 6, 6, 6));
+
+        // A journal cut below what the reader validated was truncated
+        // behind its back: an error naming the journal, and nothing lost.
+        let mut bytes = mem.get_raw(JOURNAL_FILE).unwrap();
+        bytes.pop();
+        mem.put_raw(JOURNAL_FILE, bytes);
+        let refused = reader.refresh().unwrap_err().to_string();
+        assert!(refused.contains(JOURNAL_FILE), "{refused}");
+        assert_eq!(held(&reader), (6, 6, 6, 6));
     }
 }

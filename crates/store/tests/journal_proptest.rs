@@ -1,11 +1,16 @@
 //! Property-based tests for the store's journal codec, mirroring the
 //! core wire-codec proptests: arbitrary records survive encode →
 //! recover identically, arbitrary junk never panics recovery, and a
-//! truncated tail always recovers to the longest valid prefix.
+//! truncated tail always recovers to the longest valid prefix. Then the
+//! store itself: the fold a handle keeps record by record answers every
+//! query as a whole-ledger re-fold would, on the writer, on a live
+//! reader and on a freshly opened store.
 
 use eco_sim_node::cpu::CpuConfig;
 use eco_store::codec::{crc32, encode_record, recover, MAX_RECORD_LEN, RECORD_HEADER_LEN};
-use eco_store::{LedgerRecord, ModelRecord, Provenance, ProvenanceSource};
+use eco_store::{
+    LedgerRecord, MemBackend, ModelBlob, ModelRecord, ModelStore, Provenance, ProvenanceSource, JOURNAL_FILE,
+};
 use proptest::prelude::*;
 
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
@@ -216,5 +221,175 @@ proptest! {
         prop_assert!(payload.len() <= MAX_RECORD_LEN);
         let sum = u32::from_be_bytes([wire[4], wire[5], wire[6], wire[7]]);
         prop_assert_eq!(sum, crc32(&payload));
+    }
+}
+
+/// The fold as the store computed it when every query re-walked the
+/// whole ledger, kept verbatim as the reference for the fold it keeps.
+mod reference {
+    use eco_store::{LedgerRecord, ModelRecord};
+
+    fn commits(records: &[LedgerRecord]) -> impl Iterator<Item = &ModelRecord> {
+        records.iter().filter_map(|r| match r {
+            LedgerRecord::Commit(m) => Some(m),
+            LedgerRecord::Rollback { .. } => None,
+        })
+    }
+
+    pub fn serving(records: &[LedgerRecord]) -> Vec<&ModelRecord> {
+        use std::collections::BTreeMap;
+        let mut state: Vec<&ModelRecord> = Vec::new();
+        let mut snapshots: BTreeMap<u64, Vec<&ModelRecord>> = BTreeMap::new();
+        for record in records {
+            match record {
+                LedgerRecord::Commit(m) => {
+                    state.push(m);
+                    snapshots.insert(m.generation, state.clone());
+                }
+                LedgerRecord::Rollback { to_generation, .. } => {
+                    if let Some(s) = snapshots.get(to_generation) {
+                        state = s.clone();
+                    }
+                }
+            }
+        }
+        let mut latest: BTreeMap<(u64, u64), &ModelRecord> = BTreeMap::new();
+        for m in state {
+            latest.insert((m.system_hash, m.binary_hash), m);
+        }
+        let mut out: Vec<&ModelRecord> = latest.into_values().collect();
+        out.sort_by_key(|m| m.generation);
+        out
+    }
+
+    pub fn record(records: &[LedgerRecord], generation: u64) -> Option<&ModelRecord> {
+        commits(records).find(|m| m.generation == generation)
+    }
+
+    pub fn current_generation(records: &[LedgerRecord]) -> u64 {
+        let mut at = 0u64;
+        for record in records {
+            match record {
+                LedgerRecord::Commit(m) => at = m.generation,
+                LedgerRecord::Rollback { to_generation, .. } => at = *to_generation,
+            }
+        }
+        at
+    }
+
+    pub fn high_water(records: &[LedgerRecord]) -> u64 {
+        commits(records).map(|m| m.generation).max().unwrap_or(0)
+    }
+}
+
+const KEYS: [(u64, u64); 3] = [(7, 1), (7, 2), (8, 1)];
+
+/// Everything a store answers from its fold: `serving()`, `serving_for`
+/// of every key, the current and high-water generations, and `record`
+/// of every generation up to one past the high-water mark.
+type View<'a> = (Vec<&'a ModelRecord>, Vec<Option<&'a ModelRecord>>, u64, u64, Vec<Option<&'a ModelRecord>>);
+
+fn view(store: &ModelStore) -> View<'_> {
+    let high_water = store.high_water();
+    (
+        store.serving(),
+        KEYS.iter().map(|&(s, b)| store.serving_for(s, b)).collect(),
+        store.current_generation(),
+        high_water,
+        (0..=high_water + 1).map(|g| store.record(g)).collect(),
+    )
+}
+
+fn reference_view(ledger: &[LedgerRecord]) -> View<'_> {
+    let serving = reference::serving(ledger);
+    let high_water = reference::high_water(ledger);
+    (
+        serving.clone(),
+        KEYS.iter().map(|&key| serving.iter().copied().rfind(|r| (r.system_hash, r.binary_hash) == key)).collect(),
+        reference::current_generation(ledger),
+        high_water,
+        (0..=high_water + 1).map(|g| reference::record(ledger, g)).collect(),
+    )
+}
+
+/// A store opened over a copy of `mem`'s journal, so its recovery
+/// cannot truncate what the handles under test read.
+fn fresh_copy(mem: &MemBackend) -> ModelStore {
+    let copy = MemBackend::new();
+    copy.put_raw(JOURNAL_FILE, mem.get_raw(JOURNAL_FILE).unwrap_or_default());
+    ModelStore::open(Box::new(copy)).unwrap()
+}
+
+/// One step of a writer's life: commit (ops 0–4), roll back to a
+/// committed generation picked by `pick` (5–6), tear an append as a
+/// crash would and reopen (7), reopen (8), or reopen the reader (9) —
+/// then, when `refresh` is set, the reader refreshes.
+fn arb_step() -> impl Strategy<Value = (u32, usize, f64, bool)> {
+    (0u32..10, 0usize..KEYS.len(), 0.0f64..1.0, any::<bool>())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The kept fold answers as the reference re-fold does over each
+    /// handle's own ledger, and as a freshly opened store does: across
+    /// commits, rollbacks, torn appends, reopens and a live reader.
+    #[test]
+    fn the_kept_fold_answers_as_the_whole_ledger_refold(steps in prop::collection::vec(arb_step(), 1..48)) {
+        let mem = MemBackend::new();
+        let open = || ModelStore::open(Box::new(mem.clone())).unwrap();
+        let (mut writer, mut reader) = (open(), open());
+        for (n, &(op, key, pick, refresh)) in steps.iter().enumerate() {
+            let high_water = writer.high_water();
+            let picked = (pick * high_water as f64) as u64;
+            let mut torn = None;
+            match op {
+                0..=4 => {
+                    let (system_hash, binary_hash) = KEYS[key];
+                    let blob = ModelBlob {
+                        model_type: "brute-force".into(),
+                        system_hash,
+                        binary_hash,
+                        config: CpuConfig::new(1 + n as u32, 2_200_000, 1),
+                        benchmarks: Vec::new(),
+                    };
+                    let source = if picked > 0 { ProvenanceSource::Adaptation } else { ProvenanceSource::Campaign };
+                    let provenance = Provenance { source, refit_of: picked, ..Provenance::default() };
+                    writer.commit(&blob, n as i64, provenance).unwrap();
+                }
+                5 | 6 if high_water > 0 => {
+                    writer.rollback_to(picked + 1, "proptest").unwrap();
+                }
+                7 => {
+                    let record = LedgerRecord::Rollback { to_generation: high_water.max(1), reason: "torn".into() };
+                    let mut frame = Vec::new();
+                    encode_record(&serde_json::to_vec(&record).unwrap(), &mut frame).unwrap();
+                    let mut bytes = mem.get_raw(JOURNAL_FILE).unwrap_or_default();
+                    let cut = (pick * frame.len() as f64) as usize;
+                    bytes.extend_from_slice(&frame[..cut]);
+                    mem.put_raw(JOURNAL_FILE, bytes);
+                    torn = Some(cut);
+                }
+                8 => writer = open(),
+                9 => reader = open(),
+                _ => {}
+            }
+            if refresh {
+                reader.refresh().unwrap();
+            }
+            let fresh = fresh_copy(&mem);
+            prop_assert_eq!(fresh.ledger(), writer.ledger(), "step {}", n);
+            for (name, store) in [("writer", &writer), ("reader", &reader), ("fresh", &fresh)] {
+                prop_assert_eq!(view(store), reference_view(store.ledger()), "step {}: {}", n, name);
+            }
+            prop_assert_eq!(view(&writer), view(&fresh), "step {}", n);
+            if refresh || op == 9 {
+                prop_assert_eq!(view(&reader), view(&fresh), "step {}: a reader just refreshed", n);
+            }
+            if let Some(cut) = torn {
+                writer = open();
+                prop_assert_eq!(writer.recovered_truncation(), cut > 0, "step {}", n);
+            }
+        }
     }
 }

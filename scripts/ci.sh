@@ -52,7 +52,8 @@ simtest_world() {
     case $1 in
     fleet) # kill mid-load with zero lost predictions, rejoin + re-preload
         run cargo test -q -p chronusd --release --test fleet_failover ;;
-    store) # catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes
+    store) # the journal and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes
+        run cargo test -q -p eco-store --release
         run cargo test -q -p chronusd --release --test store_durability --test cli_binary --test cli_table ;;
     batch) # concurrent callers of one RemotePrediction over real TCP
         run cargo test -q -p chronusd --release --test e2e_remote concurrent_callers_are_serialised ;;
