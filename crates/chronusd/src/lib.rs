@@ -12,9 +12,9 @@
 //!
 //! ```text
 //!  sbatch ──► job_submit_eco ──► PredictClient ──► chronusd
-//!                 (plugin)        length-prefixed     accept thread
-//!                    │            JSON over TCP          │ bounded queue
-//!                    │                                   ▼ (Busy when full)
+//!                 (plugin)       binary hot verbs     accept thread
+//!                    │           over TCP, JSON          │ bounded queue
+//!                    │           control plane           ▼ (Busy when full)
 //!                    │                               worker pool
 //!                    │                                   │
 //!                    ▼                                   ▼
@@ -22,6 +22,10 @@
 //!         (cores, freq, threads)        (system_hash, binary_hash) →
 //!                                        pre-computed best CpuConfig
 //! ```
+//!
+//! A same-host client can dial the daemon's shared-memory ring instead
+//! (`serve --shm`); the ring's thread answers the same binary frames
+//! inline, without the queue.
 //!
 //! Failure behaviour is the design's centre: the daemon answers
 //! `Busy`/`Miss`/`DeadlineExceeded` explicitly, the client times out
@@ -73,7 +77,7 @@ pub mod store {
 }
 
 pub use backend::{ModelBackend, PreparedModel, StaticBackend, StorageBackend, StoreModelBackend};
-pub use registry::{ModelKey, ModelRegistry, ResidentModel};
+pub use registry::{ModelKey, ModelRegistry};
 pub use server::{BootRecovery, PredictServer, ServerConfig};
 pub use service::{PredictService, QueueGauges, ServiceClock, StoreCatchUp, WallClock};
 pub use stats::ServerStats;

@@ -5,15 +5,11 @@
 //! Predictions are read-mostly and latency-critical (they sit on the
 //! scheduler's submit path), so the registry stores the *answer* — the
 //! optimizer's argmax over the system's configuration space, computed
-//! once at preload — rather than the optimizer itself. Since the
-//! batching PR, reads are **lock-free**: each shard publishes an
-//! immutable snapshot of its map behind an atomic pointer, and a
-//! lookup pins the snapshot with one counter increment, reads it, and
-//! unpins — no lock, no writer can ever block a reader. Writers
-//! (preloads, cold-miss inserts, evictions) are rare; each one builds
-//! the next snapshot off to the side under a per-shard mutex, swaps it
-//! in, and reclaims the old snapshot only after every reader pinned to
-//! it has left.
+//! once at preload — rather than the optimizer itself. Each shard is one
+//! `RwLock<HashMap>`: a lookup takes its shard's read lock, and writers
+//! (preloads, cold-miss inserts, evictions) change the map in place
+//! under the write lock. A hit refreshes its entry's LRU stamp, an
+//! atomic, under the read lock.
 //!
 //! Capacity is one budget for the whole registry, not a share per
 //! shard: a new key arriving at capacity evicts the entry with the
@@ -21,43 +17,24 @@
 //! serialized by one registry-wide mutex so "count, pick the victim,
 //! insert" is a single decision; under it the victim's shard and the
 //! key's shard are written one after the other, never nested.
-//!
-//! ## Reclamation protocol
-//!
-//! Each shard keeps an `epoch` counter and two reader counts indexed by
-//! epoch parity. A reader pins the current parity, re-checks the epoch
-//! (retrying if a writer slipped in between), reads the snapshot
-//! pointer, and unpins. A writer — alone, under the shard's write
-//! mutex — swaps the snapshot pointer, bumps the epoch (flipping the
-//! parity new readers pin), waits for the *old* parity's pin count to
-//! drain to zero, and only then frees the old snapshot. The next
-//! writer cannot run until this one releases the mutex, so the only
-//! thread that could free the *new* snapshot is gated behind the drain
-//! of everyone who might still be reading the old one.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use eco_sim_node::cpu::CpuConfig;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 /// Registry key: the plugin's identity pair (§4.2.1).
 pub type ModelKey = (u64, u64);
 
-/// One resident model. Entries are shared between successive snapshots
-/// via `Arc`, so the LRU stamp lives in one place no matter how many
-/// snapshots an entry survives.
-#[derive(Debug)]
-pub struct ResidentModel {
+/// One resident model.
+struct ResidentModel {
     /// The repository id of the model this answer came from.
-    pub model_id: i64,
-    /// The optimizer type string.
-    pub model_type: String,
+    model_id: i64,
     /// The pre-computed best configuration.
-    pub config: CpuConfig,
+    config: CpuConfig,
     /// The rollout generation this entry was installed under.
-    pub generation: u64,
+    generation: u64,
     /// Logical timestamp of the last lookup (LRU).
     last_used: AtomicU64,
 }
@@ -74,97 +51,9 @@ pub enum Lookup {
     Stale,
 }
 
-/// The immutable map a shard publishes to readers. Cloning one (to
-/// build the next) clones `Arc`s, not models.
-type Snapshot = HashMap<ModelKey, Arc<ResidentModel>>;
+type Shard = RwLock<HashMap<ModelKey, ResidentModel>>;
 
-struct Shard {
-    /// The live snapshot. Owned by the shard; freed by the writer that
-    /// replaces it (after draining readers) or by `Drop`.
-    current: AtomicPtr<Snapshot>,
-    /// Bumped once per published snapshot; its parity picks which
-    /// reader count new readers pin.
-    epoch: AtomicU64,
-    /// Pinned-reader counts, indexed by epoch parity.
-    readers: [AtomicU64; 2],
-    /// Serializes writers. Readers never touch it.
-    write: Mutex<()>,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            current: AtomicPtr::new(Box::into_raw(Box::new(Snapshot::new()))),
-            epoch: AtomicU64::new(0),
-            readers: [AtomicU64::new(0), AtomicU64::new(0)],
-            write: Mutex::new(()),
-        }
-    }
-
-    /// Runs `f` against the live snapshot, lock-free. Pin → re-check →
-    /// read → unpin; the re-check retries if a writer published between
-    /// the epoch load and the pin, so a pinned parity always covers the
-    /// pointer the reader is about to load (or a newer one, which is
-    /// also safe: the newer snapshot cannot be freed until the *next*
-    /// writer runs, and that writer is blocked behind this pin's drain).
-    fn read<R>(&self, f: impl FnOnce(&Snapshot) -> R) -> R {
-        let parity = loop {
-            let e = self.epoch.load(Ordering::Acquire);
-            let p = (e & 1) as usize;
-            self.readers[p].fetch_add(1, Ordering::AcqRel);
-            if self.epoch.load(Ordering::Acquire) == e {
-                break p;
-            }
-            // a writer flipped the epoch mid-pin: unpin and retry on
-            // the fresh parity so we never hold up the wrong drain
-            self.readers[p].fetch_sub(1, Ordering::Release);
-        };
-        // SAFETY: `current` is never null, and the snapshot it points
-        // to outlives this borrow: it is freed only by a writer that
-        // first drains the parity we are pinned on (or, for a snapshot
-        // published after our pin, by a later writer serialized behind
-        // that drain).
-        let result = f(unsafe { &*self.current.load(Ordering::Acquire) });
-        self.readers[parity].fetch_sub(1, Ordering::Release);
-        result
-    }
-
-    /// Clones the live snapshot, lets `f` mutate the clone, publishes
-    /// it, and frees the old snapshot once no reader can still hold it.
-    fn update<R>(&self, f: impl FnOnce(&mut Snapshot) -> R) -> R {
-        let _writer = self.write.lock();
-        // SAFETY: only writers free snapshots, writers are serialized
-        // by `write`, and we hold it — the pointer is live.
-        let mut next = unsafe { (*self.current.load(Ordering::Relaxed)).clone() };
-        let result = f(&mut next);
-        let old = self.current.swap(Box::into_raw(Box::new(next)), Ordering::AcqRel);
-        let flipped = self.epoch.fetch_add(1, Ordering::AcqRel);
-        let old_parity = (flipped & 1) as usize;
-        let mut spins = 0u32;
-        while self.readers[old_parity].load(Ordering::Acquire) != 0 {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        // SAFETY: every reader that could have loaded `old` pinned the
-        // old parity before the epoch flip, and that count just hit
-        // zero; readers pinned since the flip load the new pointer.
-        drop(unsafe { Box::from_raw(old) });
-        result
-    }
-}
-
-impl Drop for Shard {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self` means no reader or writer is live.
-        drop(unsafe { Box::from_raw(*self.current.get_mut()) });
-    }
-}
-
-/// Sharded LRU registry with lock-free reads and one global capacity.
+/// Sharded LRU registry with one global capacity.
 pub struct ModelRegistry {
     shards: Vec<Shard>,
     capacity: usize,
@@ -184,7 +73,7 @@ impl ModelRegistry {
     /// in total, however they hash. Both are clamped to at least 1.
     pub fn new(shards: usize, capacity: usize) -> ModelRegistry {
         ModelRegistry {
-            shards: (0..shards.max(1)).map(|_| Shard::new()).collect(),
+            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
             capacity: capacity.max(1),
             budget: Mutex::new(()),
             clock: AtomicU64::new(0),
@@ -224,26 +113,16 @@ impl ModelRegistry {
 
     /// Generation-aware lookup, refreshing the LRU stamp. Entries from
     /// an uncommitted generation are reported as [`Lookup::Stale`] and
-    /// never served. Lock-free: pins the shard's snapshot, never blocks
-    /// on a concurrent preload or eviction.
+    /// never served.
     pub fn lookup(&self, key: &ModelKey) -> Lookup {
         let committed = self.generation();
-        self.shard_for(key).read(|entries| match entries.get(key) {
+        match self.shard_for(key).read().get(key) {
             None => Lookup::Miss,
             Some(m) if m.generation > committed => Lookup::Stale,
             Some(m) => {
                 m.last_used.store(self.tick(), Ordering::Relaxed);
                 Lookup::Hit { model_id: m.model_id, config: m.config }
             }
-        })
-    }
-
-    /// Looks up the best configuration for a key, refreshing its LRU
-    /// stamp. Lock-free.
-    pub fn get(&self, key: &ModelKey) -> Option<CpuConfig> {
-        match self.lookup(key) {
-            Lookup::Hit { config, .. } => Some(config),
-            _ => None,
         }
     }
 
@@ -256,43 +135,37 @@ impl ModelRegistry {
 
     /// Inserts (or replaces) a model tagged with rollout generation
     /// `gen`. If `gen` is uncommitted the entry stays invisible until
-    /// [`Self::commit_rollout`].
-    pub fn insert_at(&self, key: ModelKey, model_id: i64, model_type: String, config: CpuConfig, gen: u64) {
+    /// [`Self::commit_rollout`]. The model type is not kept: a lookup
+    /// answers with the id and the configuration only.
+    pub fn insert_at(&self, key: ModelKey, model_id: i64, _model_type: String, config: CpuConfig, gen: u64) {
         let stamp = self.tick();
         let _budget = self.budget.lock();
         let shard = self.shard_for(&key);
-        if !shard.read(|entries| entries.contains_key(&key)) && self.len() >= self.capacity {
-            // the victim goes before the key's shard is locked: the two
-            // may be different shards, and their locks must not nest
+        // each guard is released before the next lock is taken: `len`
+        // and `coldest` read every shard, this one included
+        let resident = shard.read().contains_key(&key);
+        if !resident && self.len() >= self.capacity {
             if let Some(victim) = self.coldest() {
-                self.shard_for(&victim).update(|entries| entries.remove(&victim));
+                self.shard_for(&victim).write().remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shard.update(|entries| {
-            entries.insert(
-                key,
-                Arc::new(ResidentModel {
-                    model_id,
-                    model_type,
-                    config,
-                    generation: gen,
-                    last_used: AtomicU64::new(stamp),
-                }),
-            );
-        });
+        let entry = ResidentModel { model_id, config, generation: gen, last_used: AtomicU64::new(stamp) };
+        shard.write().insert(key, entry);
     }
 
     /// The key with the oldest LRU stamp in the whole registry.
     fn coldest(&self) -> Option<ModelKey> {
-        let coldest_in =
-            |entries: &Snapshot| entries.iter().map(|(key, m)| (m.last_used.load(Ordering::Relaxed), *key)).min();
-        self.shards.iter().filter_map(|s| s.read(coldest_in)).min().map(|(_, key)| key)
+        let coldest_in = |shard: &Shard| {
+            let entries = shard.read();
+            entries.iter().map(|(key, m)| (m.last_used.load(Ordering::Relaxed), *key)).min()
+        };
+        self.shards.iter().filter_map(coldest_in).min().map(|(_, key)| key)
     }
 
     /// Models resident across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read(|entries| entries.len())).sum()
+        self.shards.iter().map(|s| s.read().len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -314,11 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn get_returns_what_insert_stored() {
+    fn lookup_returns_what_insert_stored() {
         let reg = ModelRegistry::new(4, 8);
-        assert!(reg.get(&(1, 2)).is_none());
+        assert_eq!(reg.lookup(&(1, 2)), Lookup::Miss);
         reg.insert((1, 2), 7, "brute-force".into(), cfg(32));
-        assert_eq!(reg.get(&(1, 2)), Some(cfg(32)));
         assert_eq!(reg.lookup(&(1, 2)), Lookup::Hit { model_id: 7, config: cfg(32) });
         assert_eq!(reg.len(), 1);
     }
@@ -338,12 +210,12 @@ mod tests {
         reg.insert((1, 0), 1, "a".into(), cfg(1));
         reg.insert((2, 0), 2, "a".into(), cfg(2));
         // touch (1,0) so (2,0) becomes the LRU victim
-        assert!(reg.get(&(1, 0)).is_some());
+        assert!(matches!(reg.lookup(&(1, 0)), Lookup::Hit { .. }));
         reg.insert((3, 0), 3, "a".into(), cfg(3));
         assert_eq!(reg.evictions(), 1);
-        assert!(reg.get(&(1, 0)).is_some(), "recently used entry survives");
-        assert!(reg.get(&(2, 0)).is_none(), "cold entry was evicted");
-        assert!(reg.get(&(3, 0)).is_some());
+        assert!(matches!(reg.lookup(&(1, 0)), Lookup::Hit { .. }), "recently used entry survives");
+        assert_eq!(reg.lookup(&(2, 0)), Lookup::Miss, "cold entry was evicted");
+        assert!(matches!(reg.lookup(&(3, 0)), Lookup::Hit { .. }));
     }
 
     #[test]
@@ -355,7 +227,7 @@ mod tests {
             reg.insert((i * 8, 0), i as i64, "a".into(), cfg(1));
         }
         assert_eq!((reg.len(), reg.evictions()), (64, 0));
-        assert!((0..64u64).all(|i| reg.get(&(i * 8, 0)).is_some()));
+        assert!((0..64u64).all(|i| matches!(reg.lookup(&(i * 8, 0)), Lookup::Hit { .. })));
     }
 
     #[test]
@@ -366,11 +238,13 @@ mod tests {
         }
         // touch everything but (2,0); the new key (5,0) hashes to (1,0)'s shard
         for i in [0u64, 1, 3] {
-            assert!(reg.get(&(i, 0)).is_some());
+            assert!(matches!(reg.lookup(&(i, 0)), Lookup::Hit { .. }));
         }
         reg.insert((5, 0), 5, "a".into(), cfg(1));
-        assert!(reg.get(&(2, 0)).is_none(), "the coldest entry went, whichever shard held it");
-        assert!(reg.get(&(1, 0)).is_some() && reg.get(&(5, 0)).is_some());
+        assert_eq!(reg.lookup(&(2, 0)), Lookup::Miss, "the coldest entry went, whichever shard held it");
+        assert!(
+            matches!(reg.lookup(&(1, 0)), Lookup::Hit { .. }) && matches!(reg.lookup(&(5, 0)), Lookup::Hit { .. })
+        );
         assert_eq!((reg.len(), reg.evictions()), (4, 1));
         // replacing a resident key at capacity evicts nothing
         reg.insert((5, 0), 6, "a".into(), cfg(2));
@@ -405,10 +279,10 @@ mod tests {
         reg.insert_at((1, 2), 9, "auto".into(), cfg(32), gen);
         // half-rolled-out: visible as Stale, never served
         assert_eq!(reg.lookup(&(1, 2)), Lookup::Stale);
-        assert!(reg.get(&(1, 2)).is_none());
+        assert!(!matches!(reg.lookup(&(1, 2)), Lookup::Hit { .. }));
         reg.commit_rollout(gen);
         assert_eq!(reg.generation(), 1);
-        assert_eq!(reg.get(&(1, 2)), Some(cfg(32)));
+        assert_eq!(reg.lookup(&(1, 2)), Lookup::Hit { model_id: 9, config: cfg(32) });
     }
 
     #[test]
@@ -432,7 +306,7 @@ mod tests {
                     for i in 0..100u64 {
                         let key = (t, i);
                         reg.insert(key, (t * 100 + i) as i64, "bf".into(), cfg(32));
-                        assert!(reg.get(&key).is_some());
+                        assert!(matches!(reg.lookup(&key), Lookup::Hit { .. }));
                     }
                 });
             }
@@ -443,25 +317,69 @@ mod tests {
     }
 
     #[test]
-    fn lru_stamps_survive_snapshot_republishes() {
-        // the Arc'd entries share one LRU cell across snapshots, so a
-        // touch recorded in one snapshot still protects the entry after
-        // an unrelated write republishes the shard
+    fn readers_racing_evictions_see_only_their_own_keys_config() {
+        // every insert at capacity evicts while two readers look up keys
+        // being evicted and keys being inserted: a hit must never carry
+        // another key's entry, and the budget must come out exact
+        const CAP: usize = 32;
+        const MORE: u64 = 64;
+        let reg = ModelRegistry::new(8, CAP);
+        for k in 0..CAP as u64 {
+            reg.insert((k, k), k as i64, "bf".into(), cfg(k as u32 + 1));
+        }
+        let start = std::sync::Barrier::new(3);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    loop {
+                        let last_pass = done.load(Ordering::Acquire);
+                        for k in 0..64u64 {
+                            if let Lookup::Hit { model_id, config } = reg.lookup(&(k, k)) {
+                                assert_eq!(
+                                    (model_id, config),
+                                    (k as i64, cfg(k as u32 + 1)),
+                                    "key {k} served another entry"
+                                );
+                            }
+                        }
+                        if last_pass {
+                            break;
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for k in CAP as u64..CAP as u64 + MORE {
+                reg.insert((k, k), k as i64, "bf".into(), cfg(k as u32 + 1));
+            }
+            done.store(true, Ordering::Release);
+        });
+        let inserts = CAP as u64 + MORE;
+        assert_eq!(reg.len(), CAP);
+        assert_eq!(reg.evictions(), inserts - CAP as u64);
+    }
+
+    #[test]
+    fn a_touched_entry_survives_an_unrelated_write() {
+        // a touch protects the entry from eviction even after another
+        // write to the same shard
         let reg = ModelRegistry::new(1, 3);
         reg.insert((1, 0), 1, "a".into(), cfg(1));
         reg.insert((2, 0), 2, "a".into(), cfg(2));
         reg.insert((3, 0), 3, "a".into(), cfg(3));
-        assert!(reg.get(&(1, 0)).is_some()); // stamp lands in the live snapshot
-        reg.insert((3, 0), 3, "a".into(), cfg(3)); // republish: clones the map, carrying the stamp
+        assert!(matches!(reg.lookup(&(1, 0)), Lookup::Hit { .. })); // stamps (1,0) as the most recent
+        reg.insert((3, 0), 3, "a".into(), cfg(3)); // an unrelated write to the same shard
         reg.insert((4, 0), 4, "a".into(), cfg(4)); // now someone must go
-        assert!(reg.get(&(1, 0)).is_some(), "the touched entry survived the republish");
-        assert!(reg.get(&(2, 0)).is_none(), "the untouched entry was the LRU victim");
+        assert!(matches!(reg.lookup(&(1, 0)), Lookup::Hit { .. }), "the touched entry survived the republish");
+        assert_eq!(reg.lookup(&(2, 0)), Lookup::Miss, "the untouched entry was the LRU victim");
         assert_eq!(reg.evictions(), 1);
     }
 
     #[test]
     fn readers_racing_hot_rollouts_see_only_complete_committed_generations() {
-        // The arc-swap contract: a reader may see the generation before
+        // The rollout contract: a reader may see the generation before
         // or after a racing rollout, never a half-rolled-out one — and
         // what it observes moves monotonically. Each rollout installs
         // model_id == generation for every key, so a served model_id

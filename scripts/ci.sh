@@ -55,8 +55,9 @@ simtest_world() {
     store) # the journal and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes
         run cargo test -q -p eco-store --release
         run cargo test -q -p chronusd --release --test store_durability --test cli_binary --test cli_table ;;
-    batch) # concurrent callers of one RemotePrediction over real TCP
-        run cargo test -q -p chronusd --release --test e2e_remote concurrent_callers_are_serialised ;;
+    batch) # concurrent callers of one RemotePrediction over real TCP; the registry's readers racing rollouts and evictions, optimised
+        run cargo test -q -p chronusd --release --test e2e_remote concurrent_callers_are_serialised
+        run cargo test -q -p chronusd --release --lib registry ;;
     cluster) # cap conservation, partition isolation and drain as properties
         run cargo test -q -p eco-slurm-sim --release --test properties ;;
     adapt) # drift hysteresis, reservoir eviction, refit, canary verdicts
