@@ -82,11 +82,11 @@ pub struct CampaignOutcome {
     pub binary_hash: u64,
 }
 
-struct ActiveTrial {
+struct ActiveTrial<'t> {
     spec: TrialSpec,
     entry_id: i64,
     job: JobId,
-    span: Option<Span>,
+    span: Option<Span<'t>>,
     samples: Vec<EnergySample>,
     work_gflop: f64,
     node: Option<usize>,
@@ -162,7 +162,7 @@ impl<'a> CampaignEngine<'a> {
 
         let telemetry = Arc::clone(&self.telemetry);
         let mut run_span = telemetry.root_span("campaign", "run");
-        run_span.attr("campaign", &self.spec.name);
+        run_span.attr("campaign", self.spec.name.clone());
         run_span.attr("plan", plan.name());
 
         let interval = SimDuration::from_millis(self.spec.sample_interval_ms);
@@ -228,9 +228,9 @@ impl<'a> CampaignEngine<'a> {
                     let job = self.cluster.sbatch(&script, "campaign")?;
                     let mut span = run_span.child("campaign", "trial");
                     span.attr("round", t.round);
-                    span.attr("config", t.config);
+                    span.attr("config", t.config.to_string());
                     span.attr("fraction", t.fraction);
-                    span.attr("job", job);
+                    span.attr("job", job.0);
                     telemetry.counter("campaign.trials_started").add(1);
                     active.push(ActiveTrial {
                         spec: t,
@@ -389,7 +389,7 @@ impl<'a> CampaignEngine<'a> {
         run_span.attr("rounds", round);
         run_span.attr("trials_run", trials_run);
         run_span.attr("trials_skipped", trials_skipped);
-        run_span.attr("best", best.config);
+        run_span.attr("best", best.config.to_string());
 
         Ok(CampaignOutcome {
             plan: plan.name().to_string(),

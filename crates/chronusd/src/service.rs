@@ -75,7 +75,6 @@ pub struct PredictService {
     registry: ModelRegistry,
     stats: ServerStats,
     backend: Arc<dyn ModelBackend>,
-    clock: Arc<dyn ServiceClock>,
     telemetry: Arc<Telemetry>,
     shutdown: AtomicBool,
     replica: String,
@@ -121,7 +120,6 @@ impl PredictService {
             registry: ModelRegistry::new(cache_shards, cache_cap),
             stats: ServerStats::over(&telemetry),
             backend,
-            clock: telemetry.clock(),
             telemetry,
             shutdown: AtomicBool::new(false),
             replica: String::new(),
@@ -314,10 +312,10 @@ impl PredictService {
     /// tag to echo either; it is answered `malformed request`, counted,
     /// and the connection is kept.
     fn serve(&self, payload: &[u8], gauges: QueueGauges) -> (bool, Option<u64>, Response) {
-        let started = self.clock.now_micros();
+        let started = self.telemetry.now_nanos();
         self.stats.request();
         let (binary, decoded) = wire::decode_request(payload);
-        let (corr, response) = match decoded {
+        let (corr, response, finished) = match decoded {
             Ok(frame) => {
                 let mut span = frame.trace.map(|ctx| {
                     let mut s = self.telemetry.span_under(ctx, "daemon", "handle");
@@ -326,7 +324,9 @@ impl PredictService {
                 });
                 let ctx = span.as_ref().map(|s| s.context());
                 let response = self.handle_request(frame.body, gauges, ctx);
-                let elapsed_us = self.clock.now_micros().saturating_sub(started);
+                // one reading serves the deadline verdict and the latency sample
+                let finished = self.telemetry.now_nanos();
+                let elapsed_us = finished.saturating_sub(started) / 1000;
                 let response = match frame.deadline_ms {
                     Some(budget) if elapsed_us > budget * 1000 => {
                         self.stats.deadline_exceeded();
@@ -342,7 +342,7 @@ impl PredictService {
                         response
                     }
                 };
-                (frame.corr, response)
+                (frame.corr, response, finished)
             }
             Err(e) => {
                 self.stats.error();
@@ -350,10 +350,10 @@ impl PredictService {
                 let mut span = self.telemetry.root_span("daemon", "handle");
                 let message = format!("malformed request: {e}");
                 span.set_error(message.clone());
-                (None, Response::Error { message })
+                (None, Response::Error { message }, self.telemetry.now_nanos())
             }
         };
-        self.stats.record_latency_us(self.clock.now_micros().saturating_sub(started));
+        self.stats.record_latency_us(finished.saturating_sub(started) / 1000);
         (binary, corr, response)
     }
 
@@ -1040,9 +1040,9 @@ mod tests {
     fn deadline_is_enforced_on_the_injected_clock() {
         struct JumpClock(std::sync::atomic::AtomicU64);
         impl ServiceClock for JumpClock {
-            fn now_micros(&self) -> u64 {
+            fn now_nanos(&self) -> u64 {
                 // every observation moves time forward 30 ms
-                self.0.fetch_add(30_000, Ordering::Relaxed)
+                self.0.fetch_add(30_000_000, Ordering::Relaxed)
             }
         }
         let backend = StaticBackend::new(vec![]);

@@ -138,7 +138,7 @@ impl Chronus {
         for config in &sweep {
             spec.validate(config).map_err(|e| ChronusError::InvalidInput(e.to_string()))?;
             let mut trial = span.child("app", "trial");
-            trial.attr("config", config);
+            trial.attr("config", config.to_string());
             match self.run_one(cluster, runner, sampler, system_id, config, sample_interval) {
                 Ok(benchmark) => {
                     trial.attr("gflops", format!("{:.3}", benchmark.gflops));
@@ -263,12 +263,12 @@ impl Chronus {
     ) -> Result<ModelMetadata> {
         let telemetry = Arc::clone(&self.telemetry);
         let mut span = telemetry.root_span("app", "init_model");
-        span.attr("model_type", model_type);
+        span.attr("model_type", model_type.to_string());
         span.attr("system_id", system_id);
         match self.init_model_inner(model_type, system_id, binary_hash, now_ms) {
             Ok(meta) => {
                 span.attr("model_id", meta.id);
-                span.attr("resolved_type", &meta.model_type);
+                span.attr("resolved_type", meta.model_type.clone());
                 Ok(meta)
             }
             Err(e) => {
@@ -325,7 +325,7 @@ impl Chronus {
         span.attr("model_id", model_id);
         match self.load_model_inner(model_id) {
             Ok(loaded) => {
-                span.attr("model_type", &loaded.model_type);
+                span.attr("model_type", loaded.model_type.clone());
                 Ok(loaded)
             }
             Err(e) => {
@@ -388,7 +388,7 @@ impl Chronus {
         span.attr("binary_hash", format!("{binary_hash:#x}"));
         let result = self.local.load_settings().and_then(|s| predict_from_settings(&s, system_hash, binary_hash));
         match &result {
-            Ok(config) => span.attr("config", config),
+            Ok(config) => span.attr("config", config.to_string()),
             Err(e) => span.set_error(e.to_string()),
         }
         result

@@ -711,27 +711,39 @@ impl PredictClient {
         loop {
             attempt += 1;
             let idx = candidates[pos];
-            let mut span = self.tel.as_ref().map(|t| {
-                t.attempts.bump();
-                if attempt > 1 {
-                    t.retries.bump();
+            // the attempt's span closes in here, before the bookkeeping
+            // below needs the client mutably
+            let reply = {
+                let span = self.tel.as_ref().map(|t| {
+                    t.attempts.bump();
+                    if attempt > 1 {
+                        t.retries.bump();
+                    }
+                    let mut s = t.telemetry.span_maybe_under(parent, "client", "attempt");
+                    s.attr("verb", verb);
+                    s.attr("attempt", attempt);
+                    if fleet {
+                        s.attr("replica", self.replicas[idx].link.desc.clone());
+                    }
+                    s
+                });
+                let frame = base.clone().traced(span.as_ref().map(|s| s.context()).or(parent));
+                let reply = self.replicas[idx].link.exchange(frame);
+                if let Some(s) = span {
+                    match &reply {
+                        Ok(Response::Busy { retry_after_ms }) => {
+                            s.fail(format!("busy retry_after={retry_after_ms}ms"))
+                        }
+                        Ok(_) => s.finish(),
+                        Err(e) => s.fail(e.to_string()),
+                    }
                 }
-                let mut s = t.telemetry.span_maybe_under(parent, "client", "attempt");
-                s.attr("verb", verb);
-                s.attr("attempt", attempt);
-                if fleet {
-                    s.attr("replica", &self.replicas[idx].link.desc);
-                }
-                s
-            });
-            let frame = base.clone().traced(span.as_ref().map(|s| s.context()).or(parent));
-            match self.replicas[idx].link.exchange(frame) {
+                reply
+            };
+            match reply {
                 Ok(Response::Busy { retry_after_ms }) => {
                     if let Some(t) = &self.tel {
                         t.busy.bump();
-                    }
-                    if let Some(s) = span.take() {
-                        s.fail(format!("busy retry_after={retry_after_ms}ms"));
                     }
                     if attempt >= max_attempts {
                         return Err(RemoteError::Busy { retry_after_ms, attempts: attempt });
@@ -745,16 +757,12 @@ impl PredictClient {
                     }
                 }
                 Ok(resp) => {
-                    drop(span);
                     self.note_success(idx, parent);
                     return Ok(resp);
                 }
                 Err(e) => {
                     if let Some(t) = &self.tel {
                         t.errors.bump();
-                    }
-                    if let Some(s) = span.take() {
-                        s.fail(e.to_string());
                     }
                     self.note_failure(idx);
                     if attempt >= max_attempts {
@@ -897,13 +905,13 @@ impl PredictClient {
         }
     }
 
-    fn note_failover(&mut self, from: usize, to: usize, why: &str, parent: Option<TraceContext>) {
+    fn note_failover(&mut self, from: usize, to: usize, why: &'static str, parent: Option<TraceContext>) {
         if let Some(t) = &self.tel {
             t.ring_failovers.bump();
             if let Some(ctx) = parent {
                 let mut s = t.telemetry.span_under(ctx, "client", "failover");
-                s.attr("from", &self.replicas[from].link.desc);
-                s.attr("to", &self.replicas[to].link.desc);
+                s.attr("from", self.replicas[from].link.desc.clone());
+                s.attr("to", self.replicas[to].link.desc.clone());
                 s.attr("why", why);
             }
         }

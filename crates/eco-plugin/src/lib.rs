@@ -297,7 +297,7 @@ impl JobSubmitPlugin for JobSubmitEco {
         ctx: Option<TraceContext>,
     ) -> Result<(), PluginRejection> {
         let mut span = self.tel.telemetry.span_maybe_under(ctx, "plugin", "job_submit");
-        span.attr("binary", &job.binary_path);
+        span.attr("binary", job.binary_path.clone());
         let verdict = self.decide(job, span.context());
         match verdict {
             Verdict::Applied => {
@@ -370,7 +370,7 @@ impl JobSubmitEco {
 
         let mut span = self.tel.telemetry.span_under(ctx, "plugin", "predict");
         if !class.name.is_empty() {
-            span.attr("node_class", &class.name);
+            span.attr("node_class", class.name.clone());
         }
         let predict_ctx = span.context();
         match self.source.predict_traced(classed_system, bin_hash, Some(predict_ctx)) {

@@ -121,13 +121,14 @@ impl Injected {
     }
 }
 
-/// Adapts the shared millisecond clock to the service's microsecond
-/// deadline accounting.
+/// Adapts the shared millisecond clock to the telemetry's nanosecond
+/// readings, exactly: deadline verdicts and span durations stay
+/// virtual-time exact.
 struct SimServiceClock(Arc<SharedSimClock>);
 
 impl ServiceClock for SimServiceClock {
-    fn now_micros(&self) -> u64 {
-        self.0.now().as_millis() * 1000
+    fn now_nanos(&self) -> u64 {
+        self.0.now().as_millis() * 1_000_000
     }
 }
 

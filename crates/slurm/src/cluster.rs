@@ -449,10 +449,15 @@ impl Cluster {
     /// Submits a batch script, expanding `#SBATCH --array=...` into one
     /// job per task index (`name_[i]`). Non-array scripts yield one job.
     pub fn sbatch_array(&mut self, script: &str, user: &str) -> Result<Vec<JobId>, SlurmError> {
-        let mut root = self.tel.as_ref().map(|t| {
+        // one handle per submission: its spans borrow it while the
+        // submission itself borrows the cluster mutably
+        let telemetry = self.tel.as_ref().map(|t| {
             t.sbatch.bump();
-            let mut s = t.telemetry.root_span("slurm", "sbatch");
-            s.attr("user", user);
+            Arc::clone(&t.telemetry)
+        });
+        let mut root = telemetry.as_deref().map(|t| {
+            let mut s = t.root_span("slurm", "sbatch");
+            s.attr("user", user.to_string());
             s
         });
         let parsed = {
@@ -469,13 +474,13 @@ impl Cluster {
         };
         let ctx = root.as_ref().map(|s| s.context());
         let result: Result<Vec<JobId>, SlurmError> = (|| match parsed? {
-            (desc, None) => Ok(vec![self.submit_traced(desc, ctx)?]),
+            (desc, None) => Ok(vec![self.submit_under(telemetry.as_deref(), desc, ctx)?]),
             (desc, Some(spec)) => {
                 let mut ids = Vec::with_capacity(spec.indices.len());
                 for idx in spec.indices {
                     let mut element = desc.clone();
                     element.name = format!("{}_[{}]", desc.name, idx);
-                    ids.push(self.submit_traced(element, ctx)?);
+                    ids.push(self.submit_under(telemetry.as_deref(), element, ctx)?);
                 }
                 Ok(ids)
             }
@@ -526,10 +531,21 @@ impl Cluster {
     /// under `parent` (or roots a fresh trace) and its context flows
     /// through the plugin chain and onward to any remote prediction.
     pub fn submit_traced(&mut self, desc: JobDescriptor, parent: Option<TraceContext>) -> Result<JobId, SlurmError> {
-        let mut span = self.tel.as_ref().map(|t| {
+        let telemetry = self.tel.as_ref().map(|t| Arc::clone(&t.telemetry));
+        self.submit_under(telemetry.as_deref(), desc, parent)
+    }
+
+    /// [`Cluster::submit_traced`] on the caller's telemetry handle.
+    fn submit_under(
+        &mut self,
+        telemetry: Option<&Telemetry>,
+        desc: JobDescriptor,
+        parent: Option<TraceContext>,
+    ) -> Result<JobId, SlurmError> {
+        let mut span = self.tel.as_ref().zip(telemetry).map(|(t, telemetry)| {
             t.submissions.bump();
-            let mut s = t.telemetry.span_maybe_under(parent, "slurm", "submit");
-            s.attr("name", &desc.name);
+            let mut s = telemetry.span_maybe_under(parent, "slurm", "submit");
+            s.attr("name", desc.name.clone());
             s
         });
         let ctx = span.as_ref().map(|s| s.context()).or(parent);
@@ -537,7 +553,7 @@ impl Cluster {
         match &result {
             Ok(id) => {
                 if let Some(s) = &mut span {
-                    s.attr("job", id);
+                    s.attr("job", id.0);
                 }
             }
             Err(e) => {

@@ -8,8 +8,10 @@
 //! * **[`Counter`]** — a named atomic, bumped lock-free on hot paths;
 //! * **[`Histogram`]** — fixed power-of-two latency buckets (no
 //!   allocation, no lock) from which p50/p99 are derived;
-//! * **[`Span`]** — a timed slice of work inside a trace, recorded into
-//!   a shared ring-buffer [`Recorder`] when it closes.
+//! * **[`Span`]** — a timed slice of work inside a trace, borrowed from
+//!   its [`Telemetry`] and written into a slot of a shared ring-buffer
+//!   [`Recorder`] when it closes; its attributes stay typed until
+//!   someone reads the ring.
 //!
 //! Spans carry a [`TraceContext`] (`TraceId` + `SpanId`) that crosses
 //! process boundaries: the wire protocol ships it in an optional request
@@ -19,11 +21,12 @@
 //!
 //! ## Clocks
 //!
-//! All timing goes through a pluggable [`TelemetryClock`]. Production
-//! uses [`WallClock`] (monotonic `Instant`); the simulation harness
-//! plugs in virtual time, which makes span durations — and therefore
-//! deadline verdicts and latency histograms — a deterministic function
-//! of injected delays rather than of host scheduling jitter.
+//! All timing goes through a pluggable [`TelemetryClock`], read in
+//! nanoseconds. Production uses [`WallClock`] (monotonic `Instant`); the
+//! simulation harness plugs in virtual time, which makes span durations
+//! — and therefore deadline verdicts and latency histograms — a
+//! deterministic function of injected delays rather than of host
+//! scheduling jitter.
 //!
 //! ## Sharing
 //!
@@ -34,7 +37,6 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -84,8 +86,8 @@ pub struct TraceContext {
 /// The clock all span timing, deadline accounting and histogram
 /// recording goes through.
 pub trait TelemetryClock: Send + Sync {
-    /// Microseconds since an arbitrary fixed epoch.
-    fn now_micros(&self) -> u64;
+    /// Nanoseconds since an arbitrary fixed epoch.
+    fn now_nanos(&self) -> u64;
 }
 
 /// The production clock: monotonic wall time via [`Instant`].
@@ -107,8 +109,8 @@ impl Default for WallClock {
 }
 
 impl TelemetryClock for WallClock {
-    fn now_micros(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+    fn now_nanos(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
     }
 }
 
@@ -278,14 +280,91 @@ impl Histogram {
 }
 
 // ---------------------------------------------------------------------------
-// Events and the recorder
+// Attributes, records and the recorder
 // ---------------------------------------------------------------------------
 
-/// One closed span, as recorded. `attrs` entries are `key=value`
-/// strings; `outcome` is `"ok"` or an error description. `layer`, `name`
-/// and the `"ok"` outcome are literals at every call site, so they are
-/// carried borrowed — a closed span allocates for what it measured, not
-/// for what the source already spells; on the wire they are plain
+/// A span attribute's value. It stays typed in the ring; reading the
+/// ring renders it with the value's own `Display`, so `key=value` reads
+/// exactly as `format!("{key}={value}")` of the value would.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttrValue {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    /// A literal is carried borrowed; anything else is an owned copy.
+    Str(Cow<'static, str>),
+}
+
+impl std::fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AttrValue::U64(v) => v.fmt(f),
+            AttrValue::I64(v) => v.fmt(f),
+            AttrValue::F64(v) => v.fmt(f),
+            AttrValue::Str(v) => v.fmt(f),
+        }
+    }
+}
+
+macro_rules! attr_value_from {
+    ($($variant:ident <- $($source:ty),+ => $convert:expr;)+) => {$($(
+        impl From<$source> for AttrValue {
+            fn from(v: $source) -> AttrValue {
+                AttrValue::$variant(($convert)(v))
+            }
+        }
+    )+)+};
+}
+
+attr_value_from! {
+    U64 <- u8, u16, u32, u64 => u64::from;
+    U64 <- usize => |v| v as u64;
+    I64 <- i8, i16, i32, i64 => i64::from;
+    I64 <- isize => |v| v as i64;
+    F64 <- f64 => f64::from;
+    Str <- &'static str, String, Cow<'static, str> => Cow::from;
+}
+
+/// Attributes one span holds inline: enough for every span site in the
+/// workspace (the campaign's trial span carries eight).
+const SPAN_ATTRS: usize = 8;
+
+/// One span as the ring keeps it: fixed size and typed, every string the
+/// one the span was handed. [`TraceEvent`]s are built from it only when
+/// the ring is read.
+#[derive(Default)]
+struct Record {
+    trace: u64,
+    span: u64,
+    parent: Option<u64>,
+    layer: &'static str,
+    name: Cow<'static, str>,
+    start_ns: u64,
+    end_ns: u64,
+    error: Option<String>,
+    attrs: [Option<(&'static str, AttrValue)>; SPAN_ATTRS],
+}
+
+impl Record {
+    fn event(&self) -> TraceEvent {
+        TraceEvent {
+            trace: self.trace,
+            span: self.span,
+            parent: self.parent,
+            layer: Cow::Borrowed(self.layer),
+            name: self.name.clone(),
+            start_ns: self.start_ns,
+            end_ns: self.end_ns,
+            outcome: self.error.clone().map_or(Cow::Borrowed("ok"), Cow::Owned),
+            attrs: self.attrs.iter().flatten().map(|(key, value)| format!("{key}={value}")).collect(),
+        }
+    }
+}
+
+/// One closed span, as read out of the ring. `attrs` entries are
+/// `key=value` strings; `outcome` is `"ok"` or an error description.
+/// `layer`, `name` and the `"ok"` outcome are literals at every call
+/// site, so they are carried borrowed; on the wire they are plain
 /// strings either way.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
@@ -300,10 +379,10 @@ pub struct TraceEvent {
     pub layer: Cow<'static, str>,
     /// What the span covers (`sbatch`, `attempt`, `handle`, ...).
     pub name: Cow<'static, str>,
-    /// Clock reading at open (µs).
-    pub start_us: u64,
-    /// Clock reading at close (µs).
-    pub end_us: u64,
+    /// Clock reading at open (ns).
+    pub start_ns: u64,
+    /// Clock reading at close (ns).
+    pub end_ns: u64,
     /// `"ok"` or an error description.
     pub outcome: Cow<'static, str>,
     /// `key=value` annotations.
@@ -312,9 +391,9 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Span duration in microseconds.
-    pub fn duration_us(&self) -> u64 {
-        self.end_us.saturating_sub(self.start_us)
+    /// Span duration in nanoseconds.
+    pub fn duration_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.start_ns)
     }
 
     /// True when the span closed without an error outcome.
@@ -323,9 +402,24 @@ impl TraceEvent {
     }
 }
 
-struct RecorderBuf {
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
+struct Ring {
+    /// Filled up to the capacity once, then overwritten in place: the
+    /// record with sequence number `s` sits in slot `s % slots.len()`.
+    slots: Vec<Record>,
+    /// Records ever kept, which is the next record's sequence number.
+    appended: u64,
+}
+
+impl Ring {
+    fn oldest(&self) -> u64 {
+        self.appended - self.slots.len() as u64
+    }
+
+    /// Retained records from sequence number `seq` on, oldest first.
+    fn since(&self, seq: u64) -> impl Iterator<Item = &Record> {
+        let len = self.slots.len() as u64;
+        (seq.max(self.oldest())..self.appended).map(move |s| &self.slots[(s % len) as usize])
+    }
 }
 
 /// A bounded ring buffer of closed spans, plus the id well every trace
@@ -334,7 +428,7 @@ struct RecorderBuf {
 /// (e.g. across daemon restarts).
 pub struct Recorder {
     cap: usize,
-    buf: Mutex<RecorderBuf>,
+    ring: Mutex<Ring>,
     next_trace: AtomicU64,
     next_span: AtomicU64,
 }
@@ -344,11 +438,13 @@ pub struct Recorder {
 pub const DEFAULT_RECORDER_CAPACITY: usize = 16_384;
 
 impl Recorder {
-    /// A recorder keeping at most `cap` most-recent events.
+    /// A recorder keeping at most `cap` most-recent events, its slots
+    /// allocated up front.
     pub fn new(cap: usize) -> Recorder {
+        let cap = cap.max(1);
         Recorder {
-            cap: cap.max(1),
-            buf: Mutex::new(RecorderBuf { events: VecDeque::new(), dropped: 0 }),
+            cap,
+            ring: Mutex::new(Ring { slots: Vec::with_capacity(cap), appended: 0 }),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
         }
@@ -364,29 +460,47 @@ impl Recorder {
         SpanId(self.next_span.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Appends one closed span, evicting the oldest once full.
-    pub fn append(&self, event: TraceEvent) {
-        let mut buf = self.buf.lock();
-        if buf.events.len() >= self.cap {
-            buf.events.pop_front();
-            buf.dropped += 1;
+    /// Keeps one closed span in the next slot, which once the ring is
+    /// full is the oldest one's. The slot's previous record is swapped
+    /// into `record`, so its owner frees whatever an evicted span owned
+    /// after the lock is released.
+    fn keep(&self, record: &mut Record) {
+        let mut ring = self.ring.lock();
+        if ring.slots.len() < self.cap {
+            ring.slots.push(std::mem::take(record));
+        } else {
+            let slot = (ring.appended % self.cap as u64) as usize;
+            std::mem::swap(&mut ring.slots[slot], record);
         }
-        buf.events.push_back(event);
+        ring.appended += 1;
     }
 
-    /// A copy of every retained event, oldest first.
+    /// Every retained event, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf.lock().events.iter().cloned().collect()
+        self.ring.lock().since(0).map(Record::event).collect()
     }
 
     /// Events evicted by the ring bound so far.
     pub fn dropped(&self) -> u64 {
-        self.buf.lock().dropped
+        self.ring.lock().oldest()
+    }
+
+    /// Events ever appended: a mark for [`Recorder::events_since`].
+    pub fn appended(&self) -> u64 {
+        self.ring.lock().appended
+    }
+
+    /// The events appended since `mark` (an earlier
+    /// [`Recorder::appended`]) that the ring still holds, oldest first,
+    /// and how many more of them it has already evicted.
+    pub fn events_since(&self, mark: u64) -> (Vec<TraceEvent>, u64) {
+        let ring = self.ring.lock();
+        (ring.since(mark).map(Record::event).collect(), ring.oldest().saturating_sub(mark))
     }
 
     /// Events belonging to one trace, oldest first.
     pub fn trace_events(&self, trace: TraceId) -> Vec<TraceEvent> {
-        self.buf.lock().events.iter().filter(|e| e.trace == trace.0).cloned().collect()
+        self.ring.lock().since(0).filter(|r| r.trace == trace.0).map(Record::event).collect()
     }
 }
 
@@ -400,58 +514,64 @@ impl Default for Recorder {
 // Span
 // ---------------------------------------------------------------------------
 
-/// A timed slice of work. Closing (explicitly via [`Span::finish`] /
-/// [`Span::fail`], or implicitly on drop) records a [`TraceEvent`] with
-/// the clock's current reading as the end time.
-pub struct Span {
-    recorder: Arc<Recorder>,
-    clock: Arc<dyn TelemetryClock>,
-    trace: TraceId,
-    id: SpanId,
-    parent: Option<SpanId>,
-    layer: &'static str,
-    name: Cow<'static, str>,
-    start_us: u64,
-    attrs: Vec<String>,
-    outcome: Option<String>,
+/// A timed slice of work, borrowed from the [`Telemetry`] it was opened
+/// on. Closing it (explicitly via [`Span::finish`] / [`Span::fail`], or
+/// implicitly on drop) stamps the clock's reading as its end and writes
+/// it into a slot of the recorder's ring; nothing is rendered on the way.
+pub struct Span<'a> {
+    telemetry: &'a Telemetry,
+    record: Record,
 }
 
-impl Span {
+impl<'a> Span<'a> {
+    fn open(
+        telemetry: &'a Telemetry,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        layer: &'static str,
+        name: Cow<'static, str>,
+    ) -> Span<'a> {
+        let record = Record {
+            trace: trace.0,
+            span: telemetry.recorder.new_span().0,
+            parent: parent.map(|p| p.0),
+            layer,
+            name,
+            start_ns: telemetry.clock.now_nanos(),
+            ..Record::default()
+        };
+        Span { telemetry, record }
+    }
+
     /// The context downstream work (local children or remote peers)
     /// should parent under.
     pub fn context(&self) -> TraceContext {
-        TraceContext { trace: self.trace, span: self.id }
+        TraceContext { trace: self.trace_id(), span: SpanId(self.record.span) }
     }
 
     /// The trace this span belongs to.
     pub fn trace_id(&self) -> TraceId {
-        self.trace
+        TraceId(self.record.trace)
     }
 
-    /// Opens a child span under this one, on the same recorder/clock.
-    pub fn child(&self, layer: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
-        Span {
-            recorder: Arc::clone(&self.recorder),
-            clock: Arc::clone(&self.clock),
-            trace: self.trace,
-            id: self.recorder.new_span(),
-            parent: Some(self.id),
-            layer,
-            name: name.into(),
-            start_us: self.clock.now_micros(),
-            attrs: Vec::new(),
-            outcome: None,
+    /// Opens a child span under this one, on the same telemetry.
+    pub fn child(&self, layer: &'static str, name: impl Into<Cow<'static, str>>) -> Span<'a> {
+        Span::open(self.telemetry, self.trace_id(), Some(SpanId(self.record.span)), layer, name.into())
+    }
+
+    /// Annotates the span with a typed `key=value` attribute, rendered
+    /// only when the ring is read. A span holds up to eight of them.
+    pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
+        let free = self.record.attrs.iter_mut().find(|a| a.is_none());
+        debug_assert!(free.is_some(), "a span holds at most {SPAN_ATTRS} attributes ({key} is one more)");
+        if let Some(slot) = free {
+            *slot = Some((key, value.into()));
         }
-    }
-
-    /// Annotates the span with a `key=value` attribute.
-    pub fn attr(&mut self, key: &str, value: impl std::fmt::Display) {
-        self.attrs.push(format!("{key}={value}"));
     }
 
     /// Marks the span failed; the outcome is recorded at close.
     pub fn set_error(&mut self, message: impl Into<String>) {
-        self.outcome = Some(message.into());
+        self.record.error = Some(message.into());
     }
 
     /// Closes the span successfully (drop would record the same).
@@ -463,20 +583,10 @@ impl Span {
     }
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let event = TraceEvent {
-            trace: self.trace.0,
-            span: self.id.0,
-            parent: self.parent.map(|p| p.0),
-            layer: Cow::Borrowed(self.layer),
-            name: std::mem::take(&mut self.name),
-            start_us: self.start_us,
-            end_us: self.clock.now_micros(),
-            outcome: self.outcome.take().map_or(Cow::Borrowed("ok"), Cow::Owned),
-            attrs: std::mem::take(&mut self.attrs),
-        };
-        self.recorder.append(event);
+        self.record.end_ns = self.telemetry.clock.now_nanos();
+        self.telemetry.recorder.keep(&mut self.record);
     }
 }
 
@@ -524,19 +634,14 @@ impl Telemetry {
         }
     }
 
-    /// The clock spans and histograms are timed with.
-    pub fn clock(&self) -> Arc<dyn TelemetryClock> {
-        Arc::clone(&self.clock)
-    }
-
     /// The recorder closed spans land in.
     pub fn recorder(&self) -> Arc<Recorder> {
         Arc::clone(&self.recorder)
     }
 
-    /// The clock's current reading (µs).
-    pub fn now_micros(&self) -> u64 {
-        self.clock.now_micros()
+    /// The clock's current reading (ns).
+    pub fn now_nanos(&self) -> u64 {
+        self.clock.now_nanos()
     }
 
     /// The named counter, created on first use. Callers on hot paths
@@ -565,37 +670,14 @@ impl Telemetry {
     }
 
     /// Opens a root span, allocating a fresh trace.
-    pub fn root_span(&self, layer: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
-        let trace = self.recorder.new_trace();
-        Span {
-            recorder: Arc::clone(&self.recorder),
-            clock: Arc::clone(&self.clock),
-            trace,
-            id: self.recorder.new_span(),
-            parent: None,
-            layer,
-            name: name.into(),
-            start_us: self.clock.now_micros(),
-            attrs: Vec::new(),
-            outcome: None,
-        }
+    pub fn root_span(&self, layer: &'static str, name: impl Into<Cow<'static, str>>) -> Span<'_> {
+        Span::open(self, self.recorder.new_trace(), None, layer, name.into())
     }
 
     /// Opens a span under a propagated [`TraceContext`] — how a remote
     /// peer (or a layer handed a context) joins an existing trace.
-    pub fn span_under(&self, ctx: TraceContext, layer: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
-        Span {
-            recorder: Arc::clone(&self.recorder),
-            clock: Arc::clone(&self.clock),
-            trace: ctx.trace,
-            id: self.recorder.new_span(),
-            parent: Some(ctx.span),
-            layer,
-            name: name.into(),
-            start_us: self.clock.now_micros(),
-            attrs: Vec::new(),
-            outcome: None,
-        }
+    pub fn span_under(&self, ctx: TraceContext, layer: &'static str, name: impl Into<Cow<'static, str>>) -> Span<'_> {
+        Span::open(self, ctx.trace, Some(ctx.span), layer, name.into())
     }
 
     /// Opens a span that joins `ctx` when present, or roots a fresh
@@ -605,7 +687,7 @@ impl Telemetry {
         ctx: Option<TraceContext>,
         layer: &'static str,
         name: impl Into<Cow<'static, str>>,
-    ) -> Span {
+    ) -> Span<'_> {
         match ctx {
             Some(ctx) => self.span_under(ctx, layer, name),
             None => self.root_span(layer, name),
@@ -673,14 +755,14 @@ impl Telemetry {
 ///
 /// ```text
 /// trace 00000001
-/// └─ slurm/sbatch 812µs ok
-///    ├─ slurm/parse 14µs ok
-///    └─ plugin/job_submit 780µs ok binary=/opt/hpcg/bin/xhpcg
-///       └─ client/attempt 731µs ok attempt=1
+/// └─ slurm/sbatch 812.406µs ok
+///    ├─ slurm/parse 14.120µs ok
+///    └─ plugin/job_submit 780.031µs ok binary=/opt/hpcg/bin/xhpcg
+///       └─ client/attempt 731.877µs ok attempt=1
 /// ```
 pub fn render_trace(events: &[TraceEvent], trace: TraceId) -> String {
     let mut of_trace: Vec<&TraceEvent> = events.iter().filter(|e| e.trace == trace.0).collect();
-    of_trace.sort_by_key(|e| (e.start_us, e.span));
+    of_trace.sort_by_key(|e| (e.start_ns, e.span));
     let mut out = format!("trace {trace}\n");
     let roots: Vec<&TraceEvent> =
         of_trace.iter().filter(|e| e.parent.is_none_or(|p| !of_trace.iter().any(|x| x.span == p))).copied().collect();
@@ -693,11 +775,13 @@ pub fn render_trace(events: &[TraceEvent], trace: TraceId) -> String {
 fn render_subtree(all: &[&TraceEvent], node: &TraceEvent, prefix: &str, last: bool, out: &mut String) {
     let connector = if last { "└─" } else { "├─" };
     let attrs = if node.attrs.is_empty() { String::new() } else { format!(" {}", node.attrs.join(" ")) };
+    let ns = node.duration_ns();
     out.push_str(&format!(
-        "{prefix}{connector} {}/{} {}µs {}{}\n",
+        "{prefix}{connector} {}/{} {}.{:03}µs {}{}\n",
         node.layer,
         node.name,
-        node.duration_us(),
+        ns / 1000,
+        ns % 1000,
         node.outcome,
         attrs
     ));
@@ -712,7 +796,7 @@ fn render_subtree(all: &[&TraceEvent], node: &TraceEvent, prefix: &str, last: bo
 mod tests {
     use super::*;
 
-    /// A manually advanced clock for deterministic tests.
+    /// A manually advanced clock for deterministic tests, stepped in µs.
     struct TestClock(AtomicU64);
 
     impl TestClock {
@@ -722,8 +806,8 @@ mod tests {
     }
 
     impl TelemetryClock for TestClock {
-        fn now_micros(&self) -> u64 {
-            self.0.load(Ordering::SeqCst)
+        fn now_nanos(&self) -> u64 {
+            self.0.load(Ordering::SeqCst) * 1000
         }
     }
 
@@ -804,8 +888,8 @@ mod tests {
         assert_eq!(root_e.parent, None);
         assert_eq!(child_e.parent, Some(root_e.span));
         assert_eq!(child_e.trace, root_e.trace);
-        assert_eq!(child_e.duration_us(), 10);
-        assert_eq!(root_e.duration_us(), 16);
+        assert_eq!(child_e.duration_ns(), 10_000);
+        assert_eq!(root_e.duration_ns(), 16_000);
         assert!(root_e.is_ok());
         assert_eq!(root_e.attrs, vec!["user=alice".to_string()]);
     }
@@ -838,16 +922,28 @@ mod tests {
     }
 
     #[test]
-    fn recorder_ring_drops_oldest() {
-        let recorder = Arc::new(Recorder::new(2));
+    fn recorder_ring_drops_oldest_and_reads_since_a_mark() {
+        let recorder = Arc::new(Recorder::new(4));
         let tel = Telemetry::with_parts(Arc::new(WallClock::new()), Arc::clone(&recorder));
-        for name in ["a", "b", "c"] {
-            drop(tel.root_span("t", name));
-        }
-        assert_eq!(recorder.dropped(), 1);
-        let events = recorder.events();
-        let names: Vec<&str> = events.iter().map(|e| &*e.name).collect();
-        assert_eq!(names, vec!["b", "c"], "oldest event evicted first");
+        let record = |names: &[&'static str]| names.iter().for_each(|&name| drop(tel.root_span("t", name)));
+        let names = |events: &[TraceEvent]| events.iter().map(|e| e.name.to_string()).collect::<Vec<_>>();
+        record(&["a"]);
+        let mark = recorder.appended();
+        record(&["b", "c"]);
+        let (since, evicted) = recorder.events_since(mark);
+        assert_eq!((names(&since), evicted), (vec!["b".into(), "c".into()], 0));
+        // wrap the ring once and a half: `a` (before the mark) and `b`
+        // (after it) are overwritten in place, oldest first
+        record(&["d", "e", "f"]);
+        assert_eq!((recorder.appended(), recorder.dropped()), (6, 2));
+        assert_eq!(names(&recorder.events()), ["c", "d", "e", "f"], "oldest event evicted first");
+        let (since, evicted) = recorder.events_since(mark);
+        assert_eq!(names(&since), ["c", "d", "e", "f"]);
+        assert_eq!(evicted, 1, "only `b` was both after the mark and evicted");
+        record(&["g", "h", "i", "j"]);
+        assert_eq!(names(&recorder.events_since(8).0), ["i", "j"]);
+        assert_eq!(recorder.events_since(mark).1, 5);
+        assert!(recorder.events_since(recorder.appended()).0.is_empty());
     }
 
     #[test]
@@ -893,104 +989,6 @@ mod tests {
         assert_eq!(events[0].name, "sbatch");
     }
 
-    /// The three span strings are carried borrowed since PR 20; what
-    /// leaves the process must not have noticed. The literals below were
-    /// printed by this same scenario at the commit before (`651375d`):
-    /// a root, an `ok` span with attrs, and a failed span with an owned
-    /// name — through `export_json`, `render_trace` and one serialized
-    /// `TraceEvent` each, which also parse back into the new types.
-    #[test]
-    fn exported_bytes_are_what_they_were_when_every_string_was_owned() {
-        let (clock, tel) = test_telemetry();
-        tel.counter("slurm.sbatch").bump();
-        let mut root = tel.root_span("slurm", "sbatch");
-        root.attr("user", "alice");
-        clock.advance(2);
-        let mut ok = root.child("plugin", "job_submit");
-        ok.attr("binary", "/opt/hpcg/bin/xhpcg");
-        ok.attr("outcome", "applied");
-        clock.advance(5);
-        let failed = tel.span_under(ok.context(), "client", format!("attempt-{}", 1));
-        clock.advance(7);
-        failed.fail("connect failed: \"refused\"");
-        drop(ok);
-        clock.advance(1);
-        let trace = root.trace_id();
-        drop(root);
-
-        const EVENTS: [&str; 3] = [
-            r#"{"trace":1,"span":3,"parent":2,"layer":"client","name":"attempt-1","start_us":7,"end_us":14,"outcome":"connect failed: \"refused\"","attrs":[]}"#,
-            r#"{"trace":1,"span":2,"parent":1,"layer":"plugin","name":"job_submit","start_us":2,"end_us":14,"outcome":"ok","attrs":["binary=/opt/hpcg/bin/xhpcg","outcome=applied"]}"#,
-            r#"{"trace":1,"span":1,"parent":null,"layer":"slurm","name":"sbatch","start_us":0,"end_us":15,"outcome":"ok","attrs":["user=alice"]}"#,
-        ];
-        const RENDERED: &str = "trace 00000001\n\
-            └─ slurm/sbatch 15µs ok user=alice\n   \
-            └─ plugin/job_submit 12µs ok binary=/opt/hpcg/bin/xhpcg outcome=applied\n      \
-            └─ client/attempt-1 7µs connect failed: \"refused\"\n";
-        const EXPORT: &str = r#"{
-  "counters": [
-    {
-      "name": "slurm.sbatch",
-      "value": 1
-    }
-  ],
-  "gauges": [],
-  "histograms": [],
-  "events_dropped": 0,
-  "events": [
-    {
-      "trace": 1,
-      "span": 3,
-      "parent": 2,
-      "layer": "client",
-      "name": "attempt-1",
-      "start_us": 7,
-      "end_us": 14,
-      "outcome": "connect failed: \"refused\"",
-      "attrs": []
-    },
-    {
-      "trace": 1,
-      "span": 2,
-      "parent": 1,
-      "layer": "plugin",
-      "name": "job_submit",
-      "start_us": 2,
-      "end_us": 14,
-      "outcome": "ok",
-      "attrs": [
-        "binary=/opt/hpcg/bin/xhpcg",
-        "outcome=applied"
-      ]
-    },
-    {
-      "trace": 1,
-      "span": 1,
-      "parent": null,
-      "layer": "slurm",
-      "name": "sbatch",
-      "start_us": 0,
-      "end_us": 15,
-      "outcome": "ok",
-      "attrs": [
-        "user=alice"
-      ]
-    }
-  ]
-}"#;
-        let events = tel.recorder().events();
-        assert_eq!(tel.export_json(), EXPORT);
-        assert_eq!(render_trace(&events, trace), RENDERED);
-        for (event, pinned) in events.iter().zip(EVENTS) {
-            assert_eq!(serde_json::to_string(event).unwrap(), pinned);
-            assert_eq!(&serde_json::from_str::<TraceEvent>(pinned).unwrap(), event);
-        }
-        // a literal is carried, not copied
-        assert!(matches!(events[2].layer, Cow::Borrowed("slurm")));
-        assert!(matches!(events[2].name, Cow::Borrowed("sbatch")));
-        assert!(matches!(events[2].outcome, Cow::Borrowed("ok")));
-    }
-
     #[test]
     fn render_trace_draws_the_tree() {
         let (clock, tel) = test_telemetry();
@@ -1012,10 +1010,10 @@ mod tests {
         drop(root);
         let text = render_trace(&tel.recorder().events(), trace);
         assert!(text.contains("slurm/sbatch"), "{text}");
-        assert!(text.contains("├─ slurm/parse 2µs ok"), "{text}");
+        assert!(text.contains("├─ slurm/parse 2.000µs ok"), "{text}");
         assert!(text.contains("└─ plugin/job_submit"), "{text}");
         assert!(text.contains("daemon busy"), "{text}");
-        assert!(text.contains("   └─ client/attempt 3µs ok"), "{text}");
+        assert!(text.contains("   └─ client/attempt 3.000µs ok"), "{text}");
         assert!(text.contains("user=alice"), "{text}");
     }
 }

@@ -76,7 +76,8 @@ simtest_world() {
 # Traced runs add the layer-share check: `sched-deep` must spend over 85 %
 # of a submission in the scheduler (scripts/sched_share.sh is red already
 # under 90 %), `submit-tcp` under 25 % — so a pass, or a submit path, that
-# got much cheaper is red here and not a failed benchmark run.
+# got much cheaper is red here and not a failed benchmark run — and the
+# transport arm: TCP workloads wait on TCP only, `submit-shm` on the ring.
 stage_benchmark-builds() {
     run cargo build --release --offline --manifest-path benchmark/Cargo.toml
     run cargo test --offline --manifest-path benchmark/Cargo.toml
@@ -84,6 +85,8 @@ stage_benchmark-builds() {
     run benchmark/run.sh --workload submit-tcp --seed 1 --seconds 2 --trace 0
     run scripts/sched_share.sh 2
     run benchmark/run.sh --workload submit-tcp --seed 1 --seconds 2 --trace 1
+    # the ring workload's layer checks: waits on the ring, never on TCP, no ticks
+    run benchmark/run.sh --workload submit-shm --seed 1 --seconds 2 --trace 1
     # the only workload that drives Preload -> model source -> republish
     run benchmark/run.sh --workload refresh-mix --seed 1 --seconds 2 --trace 0
 }
