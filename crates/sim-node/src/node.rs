@@ -160,6 +160,12 @@ impl SimNode {
         }
     }
 
+    /// CPU package temperature right now (°C): `telemetry().cpu_temp_c`
+    /// without the two power-model evaluations a snapshot makes.
+    pub fn cpu_temp_c(&self) -> f64 {
+        self.thermal.temperature()
+    }
+
     /// Accumulated true energy totals since node start.
     pub fn energy(&self) -> EnergyTotals {
         self.energy
@@ -218,6 +224,28 @@ mod tests {
         node.advance(SimDuration::from_mins(10));
         let cooled = node.telemetry().cpu_temp_c;
         assert!(cooled < hot - 15.0, "should cool down: {hot} -> {cooled}");
+    }
+
+    /// The scheduler prices nodes through `cpu_temp_c()`; it must read
+    /// what a full snapshot reads, bit for bit, in every thermal phase.
+    #[test]
+    fn cpu_temp_c_is_the_snapshot_temperature_idle_heating_and_cooling() {
+        let mut node = SimNode::sr650();
+        let same = |node: &SimNode| node.cpu_temp_c().to_bits() == node.telemetry().cpu_temp_c.to_bits();
+        assert!(same(&node), "idle");
+        node.set_load(CpuLoad::busy(CpuConfig::new(32, 2_500_000, 1)));
+        let mut last = node.cpu_temp_c();
+        for _ in 0..5 {
+            node.advance(SimDuration::from_secs(30));
+            assert!(same(&node) && node.cpu_temp_c() > last, "heating: {last} -> {}", node.cpu_temp_c());
+            last = node.cpu_temp_c();
+        }
+        node.set_idle();
+        for _ in 0..5 {
+            node.advance(SimDuration::from_secs(30));
+            assert!(same(&node) && node.cpu_temp_c() < last, "cooling: {last} -> {}", node.cpu_temp_c());
+            last = node.cpu_temp_c();
+        }
     }
 
     #[test]

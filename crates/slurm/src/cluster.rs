@@ -379,7 +379,7 @@ impl Cluster {
     /// good proxy at scheduling granularity.
     pub(crate) fn planned_power_w(&self, idx: usize, joining: Option<CpuConfig>) -> f64 {
         let node = &self.daemons[idx].node;
-        node.power_model().system_power(&self.planned_load(idx, joining), node.telemetry().cpu_temp_c)
+        node.power_model().system_power(&self.planned_load(idx, joining), node.cpu_temp_c())
     }
 
     /// Estimated aggregate steady-state system power right now: busy nodes
@@ -629,6 +629,7 @@ impl Cluster {
     /// Advances simulated time, executing and completing jobs.
     pub fn advance(&mut self, dt: SimDuration) {
         let target = self.now() + dt;
+        let mut settled = false;
         while self.now() < target {
             let now = self.now();
             // next point any running job vacates its node
@@ -638,24 +639,25 @@ impl Cluster {
             let step = step_end - now;
 
             if step.is_zero() {
-                // an event fires exactly now
+                // an event fires exactly now; fire it, then force progress
                 self.fire_due_events();
-                // a zero-length stall with nothing due means next_event was
-                // in the past relative to target handling; force progress
-                if self.due_event_count() == 0 && self.now() < target {
-                    let force = SimDuration((target - self.now()).as_millis().min(LOAD_UPDATE.as_millis()).max(1));
-                    self.step_nodes(force);
-                }
+                let force = SimDuration((target - now).as_millis().min(LOAD_UPDATE.as_millis()).max(1));
+                self.step_nodes(force);
+                settled = false;
                 continue;
             }
 
             self.step_nodes(step);
             self.fire_due_events();
+            settled = !self.schedule();
+        }
+        // skipped only after a pass that placed nothing, with nothing run
+        // since: a pass is a function of the cluster's state, so this one
+        // would decide the same. After a placement it is not redundant: a
+        // job held before it may pack onto the host it made busy (sched.rs)
+        if !settled {
             self.schedule();
         }
-        // not redundant: a job held before a placement of the last pass
-        // may pack onto the host that placement made busy (sched.rs)
-        self.schedule();
     }
 
     /// Runs the simulation forward until no job is pending or running, up
@@ -792,11 +794,6 @@ impl Cluster {
                 r.cpu_j += d_cpu * share;
             }
         }
-    }
-
-    fn due_event_count(&self) -> usize {
-        let now = self.now();
-        self.daemons.iter().flat_map(|d| d.running.iter()).filter(|r| r.vacate_at() <= now).count()
     }
 
     fn fire_due_events(&mut self) {

@@ -6,18 +6,18 @@
 //! and their order — answers: `Start`, `Pack`, or `Hold` with a typed
 //! [`HoldReason`]; [`Cluster::place`] is the only way a job starts
 //! running. Priorities are read once per job, before the sort. Under a
-//! power cap the pass holds `estimated_power_w()` — summed when it
-//! begins, re-summed in node order after each placement, the only thing
-//! that moves it — and every budget comparison reads the held value; an
-//! uncapped pass computes none.
+//! power cap the pass prices each node once, re-prices only the nodes a
+//! placement takes, and holds their in-node-order sum — the float
+//! `estimated_power_w()` returns — for every budget comparison; an
+//! uncapped pass prices nothing.
 //!
-//! Two traps, both measured. The estimate is good for one pass and no
-//! longer: it prices every node at its *current* package temperature,
-//! which `step_nodes` moves, so nothing derived from the power model is
-//! kept on the `Cluster`. And the pass `Cluster::advance` runs after its
-//! last step is not redundant: a job held before a placement may pack
-//! onto the host that placement just made busy, and without that pass
-//! `tests/scheduler_trace.rs` moves.
+//! Two traps, both measured. Prices are good for one pass and no longer:
+//! they read each node's *current* package temperature, which
+//! `step_nodes` moves, so none is kept on the `Cluster`. And
+//! `Cluster::advance` skips its trailing pass only after a pass that
+//! placed nothing, with nothing run since: after a placement, a job held
+//! before it may pack onto the host it made busy. Still re-derived: the
+//! `pack_host` scan per candidate, and a pass on every `sbatch`.
 
 use crate::cluster::{Cluster, CoSchedulePolicy, RunningJob};
 use crate::job::{Job, JobId, JobState};
@@ -66,9 +66,11 @@ struct Pass {
     /// Idle, undrained nodes no earlier job of this pass has taken.
     free: Vec<usize>,
     reservation: Option<Reservation>,
-    /// `estimated_power_w()` as of this pass's last placement, the only
-    /// thing that moves it within a pass; `None` on an uncapped cluster,
-    /// which compares nothing against it.
+    /// `planned_power_w(i, None)` of each node `i`, re-priced where this
+    /// pass places, the only thing that moves it; empty when uncapped.
+    node_w: Vec<f64>,
+    /// `node_w` summed in node order: `estimated_power_w()`, held. `None`
+    /// on an uncapped cluster, which compares nothing against it.
     estimate_w: Option<f64>,
     /// Jobs this pass leaves pending, by `HoldReason as usize`.
     held: [u32; 4],
@@ -80,7 +82,8 @@ const PACK_AI_RIDGE: f64 = 1.0;
 
 impl Cluster {
     /// One scheduling pass: priority-ordered dispatch with EASY backfill.
-    pub(crate) fn schedule(&mut self) {
+    /// Returns whether it placed a job.
+    pub(crate) fn schedule(&mut self) -> bool {
         // multifactor priority (desc), submit order as tie-break
         let total_cores = self.daemons.iter().map(|d| d.node.spec().cores).sum();
         let priority = |job: &Job| {
@@ -90,14 +93,18 @@ impl Cluster {
         let mut order: Vec<(f64, JobId)> = self.pending.iter().map(|&id| (priority(&self.jobs[&id]), id)).collect();
         order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("priorities are finite").then(a.1.cmp(&b.1)));
 
+        let priced = if self.power_cap_w.is_some() { self.daemons.len() } else { 0 };
+        let node_w: Vec<f64> = (0..priced).map(|i| self.planned_power_w(i, None)).collect();
         let mut pass = Pass {
             free: (0..self.daemons.len())
                 .filter(|&i| self.daemons[i].running.is_empty() && !self.daemons[i].drained)
                 .collect(),
             reservation: None,
-            estimate_w: self.power_cap_w.map(|_| self.estimated_power_w()),
+            estimate_w: self.power_cap_w.map(|_| node_w.iter().sum()),
+            node_w,
             held: [0; 4],
         };
+        let queued = self.pending.len();
         let mut queue = order.into_iter().map(|(_, id)| id);
         for id in queue.by_ref() {
             let admission = self.admit(id, &mut pass);
@@ -116,9 +123,12 @@ impl Cluster {
             };
             pass.free.retain(|n| !nodes.contains(n));
             self.place(id, &nodes);
-            // the same in-order re-sum, so the float every later
+            // the same in-order sum, so the float every later
             // comparison reads is the one a fresh call would return
-            pass.estimate_w = pass.estimate_w.map(|_| self.estimated_power_w());
+            pass.estimate_w = pass.estimate_w.map(|_| {
+                nodes.iter().for_each(|&i| pass.node_w[i] = self.planned_power_w(i, None));
+                pass.node_w.iter().sum()
+            });
         }
         // jobs the pass ended before reaching wait behind the one that ended it
         for id in queue {
@@ -132,6 +142,7 @@ impl Cluster {
         }
         self.pending.retain(|id| self.jobs[id].state == JobState::Pending);
         debug_assert_eq!(pass.held.iter().sum::<u32>() as usize, self.pending.len(), "one reason per pending job");
+        self.pending.len() < queued
     }
 
     /// The admission decision for one job, stage by stage: begin time →
@@ -149,10 +160,8 @@ impl Cluster {
         if job.descriptor.begin_time.is_some_and(|b| b > now) {
             return Admission::Hold(HoldReason::BeginTime, false);
         }
-        // only nodes of the job's partition are eligible
         let partition = self.partition_of(job);
         let need = job.descriptor.num_nodes as usize;
-        let eligible: Vec<usize> = pass.free.iter().copied().filter(|&n| partition.contains(n)).collect();
         // a packed job consumes no free node, so it can never delay the
         // reservation and is tried before the window
         if need == 1 && self.co_schedule == CoSchedulePolicy::Pack {
@@ -160,17 +169,20 @@ impl Cluster {
                 return Admission::Pack(host);
             }
         }
-        let reason = if eligible.len() < need || !self.fits_window(job, need, pass) {
+        // only nodes of the job's partition are eligible
+        let eligible = pass.free.iter().filter(|&&n| partition.contains(n)).count();
+        let reason = if eligible < need || !self.fits_window(job, need, pass) {
             if pass.reservation.is_none() {
-                pass.reservation =
-                    Some(Reservation { start: self.earliest_start(partition, need - eligible.len()), need });
+                pass.reservation = Some(Reservation { start: self.earliest_start(partition, need - eligible), need });
                 // strict FIFO: nothing may jump the blocked head
                 return Admission::Hold(HoldReason::Resources, !self.backfill_enabled);
             }
             HoldReason::Priority
-        } else if self.within_budget(job, &eligible[..need], pass) {
-            return Admission::Start(eligible[..need].to_vec());
         } else {
+            let nodes: Vec<usize> = pass.free.iter().copied().filter(|&n| partition.contains(n)).take(need).collect();
+            if self.within_budget(job, &nodes, pass) {
+                return Admission::Start(nodes);
+            }
             HoldReason::PowerCap
         };
         Admission::Hold(reason, self.starvation_guard.is_some_and(|g| now - job.submit_time >= g))
@@ -201,18 +213,20 @@ impl Cluster {
     /// is charged what it would *additionally* draw — its planned power
     /// with the new job minus without (busy-minus-idle on an empty node)
     /// — with the configuration resolved against *that node's* spec, so
-    /// mixed-class partitions are charged correctly. The aggregate is the
-    /// pass's held estimate, not a re-sum per comparison.
+    /// mixed-class partitions are charged correctly. The aggregate and the
+    /// "without" are the pass's held prices, not re-evaluated per call.
     fn within_budget(&self, job: &Job, nodes: &[usize], pass: &Pass) -> bool {
         let (Some(cap), Some(estimate_w)) = (self.power_cap_w, pass.estimate_w) else { return true };
         debug_assert_eq!(estimate_w.to_bits(), self.estimated_power_w().to_bits(), "the held estimate went stale");
+        let fresh = |i: usize| self.planned_power_w(i, None).to_bits();
+        debug_assert!(nodes.iter().all(|&i| pass.node_w[i].to_bits() == fresh(i)), "a held node price went stale");
         // the budget is the cap minus the configured drift headroom
         let budget = cap - self.power_headroom_w;
         let marginal: f64 = nodes
             .iter()
             .map(|&i| {
                 let joining = job.descriptor.resolve_config(self.daemons[i].node.spec());
-                self.planned_power_w(i, Some(joining)) - self.planned_power_w(i, None)
+                self.planned_power_w(i, Some(joining)) - pass.node_w[i]
             })
             .sum();
         estimate_w + marginal <= budget
@@ -446,6 +460,75 @@ mod tests {
         assert!(idle_w + marginal_w <= 400.0, "b fits under the estimate the pass began with");
         assert!(c.estimated_power_w() + marginal_w > 400.0, "and not under the one a's placement left");
         assert_eq!(c.job(b).unwrap().reason, Some(HoldReason::PowerCap), "{}", c.squeue());
+    }
+
+    fn holds(telemetry: &Telemetry) -> u64 {
+        ["begin_time", "resources", "priority", "power_cap"]
+            .map(|reason| telemetry.counter(&format!("slurm.sched_hold.{reason}")).get())
+            .iter()
+            .sum()
+    }
+
+    /// A tick whose pass places nothing ends there: the trailing pass
+    /// would see the same cluster and decide the same.
+    #[test]
+    fn a_tick_that_places_nothing_runs_one_pass() {
+        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
+        let telemetry = Arc::new(Telemetry::wall());
+        c.set_telemetry(Arc::clone(&telemetry));
+        c.register_binary("/bin/app", quick_workload(800.0));
+        // a cap nothing fits under: the queue cannot move
+        c.set_power_cap(Some(1.0));
+        let jobs = [c.submit(desc(32)).unwrap(), c.submit(desc(16)).unwrap()];
+        let before = holds(&telemetry);
+        c.advance(SimDuration::from_secs(1));
+        assert!(jobs.iter().all(|&id| c.job(id).unwrap().reason == Some(HoldReason::PowerCap)), "{}", c.squeue());
+        assert_eq!(holds(&telemetry) - before, jobs.len() as u64, "one pass held each pending job once");
+    }
+
+    /// The trailing pass after a placement is not redundant: the in-loop
+    /// pass holds a memory-bound job outside the EASY window, then starts
+    /// a compute-bound one, and only the pass after that packs the first
+    /// onto the host the second just made busy.
+    #[test]
+    fn the_pass_after_a_placement_packs_a_job_held_before_it() {
+        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
+        c.set_co_schedule(CoSchedulePolicy::Pack);
+        c.register_binary("/bin/app", quick_workload(800.0));
+        c.register_binary("/bin/long", quick_workload(8000.0));
+        c.register_binary("/bin/short", quick_workload(80.0));
+        c.register_binary(
+            "/bin/stream",
+            Arc::new(SyntheticWorkload::new("stream", ScalingKind::MemoryBound, 1000.0, 1.0)),
+        );
+        // node 0's whole package, until t=100: nothing packs beside it
+        let mut long = JobDescriptor::new("long", "alice", "/bin/long");
+        long.num_tasks = 32;
+        let _long = c.submit(long).unwrap();
+        // a two-node head reserves both nodes for t=100
+        let mut head = desc(32);
+        head.num_nodes = 2;
+        let head = c.submit(head).unwrap();
+        // wider, so ahead of the short job: ends after t=100, no window
+        let mut stream = JobDescriptor::new("stream", "alice", "/bin/stream");
+        stream.num_tasks = 16;
+        let stream = c.submit(stream).unwrap();
+        // ends by t=5, so it backfills node 1 once its begin time comes
+        let mut short = JobDescriptor::new("short", "alice", "/bin/short");
+        short.num_tasks = 8;
+        short.begin_time = Some(SimTime::from_secs(1));
+        let short = c.submit(short).unwrap();
+        let reasons = [head, stream, short].map(|id| c.job(id).unwrap().reason);
+        assert_eq!(reasons, [Some(HoldReason::Resources), Some(HoldReason::Priority), Some(HoldReason::BeginTime)]);
+        c.advance(SimDuration::from_secs(1));
+        for id in [short, stream] {
+            let job = c.job(id).unwrap();
+            assert_eq!(
+                (job.state, job.node, job.start_time),
+                (JobState::Running, Some(1), Some(SimTime::from_secs(1)))
+            );
+        }
+        assert_eq!(c.job(head).unwrap().reason, Some(HoldReason::Resources), "{}", c.squeue());
     }
 
     #[test]
