@@ -356,10 +356,12 @@ impl Chronus {
         publish(&local_path, &bytes, false)?;
 
         // also stage the benchmark rows: the deadline-aware extension
-        // (§6.2.1) needs measured runtimes on the submit path
+        // (§6.2.1) needs measured runtimes on the submit path, and reads
+        // them while a re-stage may be writing them, so they are
+        // published whole too
         let benchmarks = self.repository.benchmarks(meta.system_id, meta.binary_hash)?;
         let benchmarks_path = self.local.resolve(&format!("opt/chronus/optimizers/benchmarks-{model_id}.json"));
-        std::fs::write(&benchmarks_path, serde_json::to_vec(&benchmarks)?)?;
+        publish(&benchmarks_path, &serde_json::to_vec(&benchmarks)?, false)?;
 
         let loaded = LoadedModel {
             model_id,
@@ -576,6 +578,27 @@ mod tests {
         let predicted = app.slurm_config(sys_hash, runner.binary_hash()).unwrap();
         // with the small sweep the measured best is 32c @ 2.2 GHz no-HT
         assert_eq!(predicted, CpuConfig::new(32, 2_200_000, 1));
+    }
+
+    /// A deadline job reads the staged rows while a re-stage may be
+    /// running: the rows file is replaced by a new one, never rewritten
+    /// in place where a reader could meet it torn.
+    #[cfg(unix)]
+    #[test]
+    fn restaging_a_model_publishes_a_new_benchmarks_file() {
+        use std::os::unix::fs::MetadataExt;
+        let root = tmpdir("restage-rows");
+        let (mut app, mut cluster, runner, mut sampler, info) = setup(&root);
+        app.benchmark(&mut cluster, &runner, &mut sampler, &info, Some(&small_sweep()), DEFAULT_SAMPLE_INTERVAL)
+            .unwrap();
+        let meta = app.init_model("brute-force", 1, runner.binary_hash(), 1_000).unwrap();
+
+        let rows = app.load_model(meta.id).unwrap().benchmarks_path.unwrap();
+        let first = std::fs::metadata(&rows).unwrap();
+        app.load_model(meta.id).unwrap();
+        let second = std::fs::metadata(&rows).unwrap();
+        assert_ne!(first.ino(), second.ino(), "the rows file was rewritten in place");
+        assert_eq!(first.len(), second.len());
     }
 
     #[test]

@@ -1,32 +1,35 @@
-//! The shared-memory local transport: a lock-free SPSC ring-buffer
-//! pair over a memory-mapped file, for clients co-located with the
-//! daemon (the eco plugin on the head node).
+//! The shared-memory local transport: one mailbox per direction in a
+//! memory-mapped file, for clients co-located with the daemon (the eco
+//! plugin on the head node).
 //!
 //! ## File layout
 //!
-//! One 4 KiB header page, then two slot arrays: the client→daemon ring
-//! (`c2s`) and the daemon→client ring (`s2c`). Each ring has
-//! [`SLOTS`] slots of a 64-byte slot header plus [`SLOT_PAYLOAD`]
-//! payload bytes — sized so a maximum `PredictMany` frame fits with
-//! room to spare. A frame that exceeds a slot is refused client-side
-//! with `InvalidData`, which the failover loop treats like any other
-//! I/O failure and routes over TCP.
+//! One 4 KiB header page, then two mailboxes: client→daemon (`c2s`)
+//! and daemon→client (`s2c`). A mailbox is a 64-byte slot header
+//! (`seq`, `len`, `check`, then the doorbell and waiter words) and
+//! [`MAX_FRAME_LEN`] payload bytes, so the ring refuses exactly the
+//! frames TCP refuses: `InvalidData`, before anything is written. The
+//! file is ≈ 2.1 MB, sparse until written.
 //!
-//! ## Ring protocol
+//! ## Mailbox protocol
 //!
-//! Single producer, single consumer, Vyukov-style per-slot sequence
-//! numbers: slot `i` starts at `seq = i`; the writer at absolute
-//! position `p` waits for `seq == p`, fills the payload, publishes
-//! `len`/`check`, then `Release`-stores `seq = p + 1`; the reader at
-//! `p` requires exactly `seq == p + 1` (`Acquire`), validates the
-//! header with [`validate_slot`], copies the payload out and
-//! `Release`-stores `seq = p + SLOTS` to free the slot for the next
-//! lap. The client has at most one request in flight, so a full ring
-//! (`SLOTS` = 64) means a stopped consumer, never a live protocol state.
+//! The client has at most one request in flight: it writes request
+//! `n + 1` only after reading reply `n`, and the daemon writes reply `n`
+//! only after consuming request `n`. So one slot per direction holds
+//! every state a session can reach, and its `seq` word alternates.
+//! Before message `n` of a session it holds `2n` (empty); the writer
+//! requires exactly that, fills the payload, publishes `len` and
+//! `check = slot_check(2n + 1, len)`, then stores `seq = 2n + 1`; the
+//! reader waits until `seq` leaves `2n`, validates the header with
+//! [`validate_slot`] against `2n + 1`, copies the payload out and
+//! `Release`-stores `2n + 2`. A writer that finds its mailbox full is
+//! talking to a broken peer, never a slow one, so it does not wait: the
+//! client's `send_frame` errors at once (and the client drops the
+//! connection), and the daemon ends the session.
 //!
 //! The reader's wait is spin-then-park: a bounded `spin_loop` burst
 //! for the warm path (a co-located daemon answers in microseconds),
-//! then a futex wait on the ring's doorbell word in short ticks,
+//! then a futex wait on the mailbox's doorbell word in short ticks,
 //! re-checking peer liveness and the I/O deadline between ticks. The
 //! writer bumps the doorbell after every publish and issues a
 //! `FUTEX_WAKE` only when the waiter count says someone is parked.
@@ -36,16 +39,16 @@
 //! The header stamps the daemon's pid and a boot epoch, and carries a
 //! one-seat session word: a client claims the seat by CAS-ing
 //! `IDLE → CLAIM`, writes its pid, and publishes `ACTIVE`; dropping
-//! the connection publishes `DONE`. Ring resets are solely the
-//! daemon's job — it re-arms the slot sequences and counters and only
-//! then stores `IDLE`, so a new session never reads a predecessor's
-//! slots. The daemon detects a dead client with `kill(pid, 0)`; the
-//! client detects a dead daemon the same way (plus the epoch stamp)
-//! and surfaces `ConnectionReset`, which sends the PR-5 failover loop
-//! to the next endpoint — TCP, if the operator configured the
-//! recommended `shm://…,tcp://…` pair. A restarting daemon recreates
-//! the file via temp+rename, so stale client mappings keep pointing at
-//! the orphaned inode and fail fast instead of corrupting the new one.
+//! the connection publishes `DONE`. Resets are solely the daemon's
+//! job — it re-arms both mailboxes and only then stores `IDLE`, so a
+//! new session never reads a predecessor's frames. The daemon detects
+//! a dead client with `kill(pid, 0)`; the client detects a dead daemon
+//! the same way (plus the epoch stamp) and surfaces `ConnectionReset`,
+//! which sends the client's failover loop to the next endpoint — TCP, if
+//! the operator configured the recommended `shm://…,tcp://…` pair. A
+//! restarting daemon recreates the file via temp+rename, so stale
+//! client mappings keep pointing at the orphaned inode and fail fast
+//! instead of corrupting the new one.
 
 mod sys;
 
@@ -56,38 +59,31 @@ use std::time::{Duration, Instant};
 
 use super::{Connection, Transport, MAX_FRAME_LEN};
 
-/// Slots per ring. The client has at most one request in flight, so
-/// a full ring means a stopped consumer — which the liveness ticks
-/// then detect — never a transient state of a healthy session.
-pub const SLOTS: u64 = 64;
-
-/// Payload capacity of one slot (256 KiB): a worst-case 1024-key
-/// `PredictMany` JSON reply measures ~70 KiB, so even pathological
-/// frames fit; anything larger is refused and falls back to TCP.
-pub const SLOT_PAYLOAD: u32 = 256 * 1024;
-
 const MAGIC: u64 = 0x4348_524F_4E53_484D; // "CHRONSHM"
-const VERSION: u32 = 1;
+/// The layout's version: a peer built against another layout reads
+/// "not a chronusd shm ring file" and fails over to TCP.
+const VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 4096;
 const SLOT_HDR_LEN: usize = 64;
+/// One mailbox: its slot header, then room for the largest frame.
+const MAILBOX_LEN: usize = SLOT_HDR_LEN + MAX_FRAME_LEN;
+/// The whole file: the header page and the two mailboxes.
+const FILE_LEN: usize = HEADER_LEN + 2 * MAILBOX_LEN;
 
 // Header field offsets.
 const OFF_MAGIC: usize = 0;
 const OFF_VERSION: usize = 8;
-const OFF_SLOTS: usize = 12;
-const OFF_SLOT_PAYLOAD: usize = 16;
 const OFF_STATE: usize = 20;
 const OFF_EPOCH: usize = 24;
 const OFF_DAEMON_PID: usize = 32;
 const OFF_CLIENT_PID: usize = 36;
-// Per-ring control blocks (c2s, then s2c), cache-line separated.
-const OFF_C2S_CTL: usize = 64;
-const OFF_S2C_CTL: usize = 128;
-const CTL_PRODUCED: usize = 0;
-const CTL_CONSUMED: usize = 8;
-const CTL_DOORBELL: usize = 16;
-const CTL_WAITERS: usize = 20;
+// Slot-header field offsets, from the start of a mailbox.
+const SLOT_SEQ: usize = 0;
+const SLOT_LEN: usize = 8;
+const SLOT_CHECK: usize = 12;
+const SLOT_DOORBELL: usize = 16;
+const SLOT_WAITERS: usize = 20;
 
 // Session seat states.
 const IDLE: u32 = 0;
@@ -109,15 +105,15 @@ const PARK_TICK: Duration = Duration::from_millis(5);
 
 /// The integrity word stored beside a slot's payload length. Mixing
 /// the publishing sequence number in means a stale header from an
-/// earlier lap — or any torn combination of old and new words — fails
-/// validation instead of yielding a phantom frame.
+/// earlier message — or any torn combination of old and new words —
+/// fails validation instead of yielding a phantom frame.
 pub fn slot_check(seq: u64, len: u32) -> u32 {
     (seq as u32) ^ ((seq >> 32) as u32) ^ len.rotate_left(16) ^ 0x9E37_79B9
 }
 
-/// Validates a slot header as the reader at `expect_seq - 1` sees it:
-/// the sequence must match exactly, the length must fit the slot, and
-/// the check word must agree. Returns the payload length, or `None`
+/// Validates a slot header as the reader expecting `expect_seq` sees
+/// it: the sequence must match exactly, the length must fit the slot,
+/// and the check word must agree. Returns the payload length, or `None`
 /// for anything torn, stale, or corrupt.
 pub fn validate_slot(expect_seq: u64, seq: u64, len: u32, check: u32, max_len: u32) -> Option<u32> {
     (seq == expect_seq && len <= max_len && check == slot_check(seq, len)).then_some(len)
@@ -147,39 +143,6 @@ pub fn decode_slot_header(raw: &[u8; 16], expect_seq: u64, max_len: u32) -> Opti
 
 fn io_err(kind: std::io::ErrorKind, msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(kind, msg.into())
-}
-
-/// Geometry read from (or written to) the header, kept dynamic so a
-/// client can speak to a daemon built with different ring constants.
-#[derive(Debug, Clone, Copy)]
-struct Geometry {
-    slots: u64,
-    slot_payload: u32,
-}
-
-impl Geometry {
-    fn stride(&self) -> usize {
-        SLOT_HDR_LEN + self.slot_payload as usize
-    }
-
-    fn ring_len(&self) -> usize {
-        self.slots as usize * self.stride()
-    }
-
-    fn total_len(&self) -> usize {
-        HEADER_LEN + 2 * self.ring_len()
-    }
-
-    fn validate(&self) -> std::io::Result<()> {
-        if self.slots == 0
-            || self.slots > 4096
-            || self.slot_payload == 0
-            || self.slot_payload as usize > MAX_FRAME_LEN
-        {
-            return Err(io_err(std::io::ErrorKind::InvalidData, "shm header advertises absurd ring geometry"));
-        }
-        Ok(())
-    }
 }
 
 /// An mmap-ed ring file. All access goes through atomics or
@@ -229,13 +192,6 @@ impl ShmMap {
         unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(off), dst.as_mut_ptr(), dst.len()) };
     }
 
-    fn geometry(&self) -> Geometry {
-        Geometry {
-            slots: self.atomic_u32(OFF_SLOTS).load(Ordering::Relaxed) as u64,
-            slot_payload: self.atomic_u32(OFF_SLOT_PAYLOAD).load(Ordering::Relaxed),
-        }
-    }
-
     fn daemon_pid(&self) -> u32 {
         self.atomic_u32(OFF_DAEMON_PID).load(Ordering::Relaxed)
     }
@@ -250,98 +206,81 @@ impl ShmMap {
 }
 
 // ---------------------------------------------------------------------------
-// Ring endpoints
+// Mailboxes
 // ---------------------------------------------------------------------------
 
-/// One directional ring as seen from this process: offsets into the
-/// map plus the geometry needed to locate slots.
+/// One direction's mailbox, by its offset in the file.
 #[derive(Clone, Copy)]
-struct Ring {
-    base: usize,
-    ctl: usize,
-    geo: Geometry,
-}
+struct Mailbox(usize);
 
-impl Ring {
-    fn c2s(geo: Geometry) -> Ring {
-        Ring { base: HEADER_LEN, ctl: OFF_C2S_CTL, geo }
+/// Client → daemon.
+const C2S: Mailbox = Mailbox(HEADER_LEN);
+/// Daemon → client.
+const S2C: Mailbox = Mailbox(HEADER_LEN + MAILBOX_LEN);
+
+impl Mailbox {
+    fn seq(self, map: &ShmMap) -> &AtomicU64 {
+        map.atomic_u64(self.0 + SLOT_SEQ)
     }
 
-    fn s2c(geo: Geometry) -> Ring {
-        Ring { base: HEADER_LEN + geo.ring_len(), ctl: OFF_S2C_CTL, geo }
+    fn doorbell(self, map: &ShmMap) -> &AtomicU32 {
+        map.atomic_u32(self.0 + SLOT_DOORBELL)
     }
 
-    fn slot_off(&self, pos: u64) -> usize {
-        self.base + (pos % self.geo.slots) as usize * self.geo.stride()
+    fn waiters(self, map: &ShmMap) -> &AtomicU32 {
+        map.atomic_u32(self.0 + SLOT_WAITERS)
     }
 
-    fn reset(&self, map: &ShmMap) {
-        for i in 0..self.geo.slots {
-            map.atomic_u64(self.slot_off(i)).store(i, Ordering::Relaxed);
+    /// Empty, at message 0 of a session.
+    fn reset(self, map: &ShmMap) {
+        self.seq(map).store(0, Ordering::Relaxed);
+        self.waiters(map).store(0, Ordering::Relaxed);
+    }
+
+    /// Bumps the doorbell, waking whoever is parked on it.
+    fn ring(self, map: &ShmMap) {
+        self.doorbell(map).fetch_add(1, Ordering::SeqCst);
+        if self.waiters(map).load(Ordering::SeqCst) > 0 {
+            sys::futex_wake(self.doorbell(map), u32::MAX);
         }
-        map.atomic_u64(self.ctl + CTL_PRODUCED).store(0, Ordering::Relaxed);
-        map.atomic_u64(self.ctl + CTL_CONSUMED).store(0, Ordering::Relaxed);
-        map.atomic_u32(self.ctl + CTL_WAITERS).store(0, Ordering::Relaxed);
     }
 
-    /// Publishes `payload` at absolute position `pos`. `tick` is
-    /// called between waits while the target slot is still occupied
-    /// (only possible with a stuck peer — see [`SLOTS`]); it returns
-    /// an error to abort the send.
-    fn send(
-        &self,
-        map: &ShmMap,
-        pos: u64,
-        payload: &[u8],
-        tick: &mut dyn FnMut() -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        if payload.len() > self.geo.slot_payload as usize {
+    /// Publishes `payload` as message `n` of the session. The mailbox
+    /// must be empty: under the one-in-flight contract a full one is a
+    /// broken peer, so this errors at once instead of waiting.
+    fn send(self, map: &ShmMap, n: u64, payload: &[u8]) -> std::io::Result<()> {
+        if payload.len() > MAX_FRAME_LEN {
             return Err(io_err(
                 std::io::ErrorKind::InvalidData,
-                format!("frame of {} bytes exceeds the {} byte shm slot", payload.len(), self.geo.slot_payload),
+                format!("frame of {} bytes exceeds the {MAX_FRAME_LEN} byte limit", payload.len()),
             ));
         }
-        let slot = self.slot_off(pos);
-        let seq = map.atomic_u64(slot);
-        let mut spun = 0u32;
-        while seq.load(Ordering::Acquire) != pos {
-            if spun < SPIN {
-                spun += 1;
-                std::hint::spin_loop();
-            } else {
-                tick()?;
-                std::thread::sleep(Duration::from_micros(200));
-            }
+        let seq = self.seq(map);
+        if seq.load(Ordering::Acquire) != 2 * n {
+            return Err(io_err(
+                std::io::ErrorKind::ConnectionReset,
+                "shm mailbox is not empty: a frame is in flight",
+            ));
         }
-        map.write_bytes(slot + SLOT_HDR_LEN, payload);
-        let publish = pos + 1;
+        map.write_bytes(self.0 + SLOT_HDR_LEN, payload);
+        let publish = 2 * n + 1;
         let len = payload.len() as u32;
-        map.atomic_u32(slot + 8).store(len, Ordering::Relaxed);
-        map.atomic_u32(slot + 12).store(slot_check(publish, len), Ordering::Relaxed);
-        seq.store(publish, Ordering::Release);
-        map.atomic_u64(self.ctl + CTL_PRODUCED).store(publish, Ordering::SeqCst);
-        let doorbell = map.atomic_u32(self.ctl + CTL_DOORBELL);
-        doorbell.fetch_add(1, Ordering::SeqCst);
-        if map.atomic_u32(self.ctl + CTL_WAITERS).load(Ordering::SeqCst) > 0 {
-            sys::futex_wake(doorbell, u32::MAX);
-        }
+        map.atomic_u32(self.0 + SLOT_LEN).store(len, Ordering::Relaxed);
+        map.atomic_u32(self.0 + SLOT_CHECK).store(slot_check(publish, len), Ordering::Relaxed);
+        // SeqCst, not just Release: with the doorbell bump and the
+        // waiter load it is what a parking reader re-checks.
+        seq.store(publish, Ordering::SeqCst);
+        self.ring(map);
         Ok(())
     }
 
-    /// Receives the frame at absolute position `pos`, spin-then-park
-    /// waiting for the producer. `tick` runs between parks; its error
-    /// aborts the wait (deadline, dead peer, closed session).
-    fn recv(
-        &self,
-        map: &ShmMap,
-        pos: u64,
-        tick: &mut dyn FnMut() -> std::io::Result<()>,
-    ) -> std::io::Result<Vec<u8>> {
-        let produced = map.atomic_u64(self.ctl + CTL_PRODUCED);
-        let doorbell = map.atomic_u32(self.ctl + CTL_DOORBELL);
-        let waiters = map.atomic_u32(self.ctl + CTL_WAITERS);
+    /// Receives message `n` of the session, spin-then-park waiting for
+    /// the writer. `tick` runs between parks; its error aborts the wait
+    /// (deadline, dead peer, closed session).
+    fn recv(self, map: &ShmMap, n: u64, tick: &mut dyn FnMut() -> std::io::Result<()>) -> std::io::Result<Vec<u8>> {
+        let (seq, doorbell, waiters) = (self.seq(map), self.doorbell(map), self.waiters(map));
         let mut spun = 0u32;
-        while produced.load(Ordering::Acquire) <= pos {
+        while seq.load(Ordering::Acquire) == 2 * n {
             if spun < SPIN {
                 spun += 1;
                 std::hint::spin_loop();
@@ -349,22 +288,22 @@ impl Ring {
             }
             waiters.fetch_add(1, Ordering::SeqCst);
             let snap = doorbell.load(Ordering::SeqCst);
-            if produced.load(Ordering::SeqCst) <= pos {
+            if seq.load(Ordering::SeqCst) == 2 * n {
                 sys::futex_wait(doorbell, snap, PARK_TICK);
             }
             waiters.fetch_sub(1, Ordering::SeqCst);
             tick()?;
         }
-        let slot = self.slot_off(pos);
-        let seq = map.atomic_u64(slot).load(Ordering::Acquire);
-        let len = map.atomic_u32(slot + 8).load(Ordering::Relaxed);
-        let check = map.atomic_u32(slot + 12).load(Ordering::Relaxed);
-        let len = validate_slot(pos + 1, seq, len, check, self.geo.slot_payload)
+        let published = seq.load(Ordering::Acquire);
+        let len = map.atomic_u32(self.0 + SLOT_LEN).load(Ordering::Relaxed);
+        let check = map.atomic_u32(self.0 + SLOT_CHECK).load(Ordering::Relaxed);
+        let len = validate_slot(2 * n + 1, published, len, check, MAX_FRAME_LEN as u32)
             .ok_or_else(|| io_err(std::io::ErrorKind::ConnectionReset, "torn shm slot"))?;
         let mut out = vec![0u8; len as usize];
-        map.read_bytes(slot + SLOT_HDR_LEN, &mut out);
-        map.atomic_u64(slot).store(pos + self.geo.slots, Ordering::Release);
-        map.atomic_u64(self.ctl + CTL_CONSUMED).store(pos + 1, Ordering::Release);
+        map.read_bytes(self.0 + SLOT_HDR_LEN, &mut out);
+        // Release, paired with the writer's Acquire check in `send`: the
+        // copy-out is done before the next message overwrites the payload.
+        seq.store(2 * n + 2, Ordering::Release);
         Ok(out)
     }
 }
@@ -410,10 +349,9 @@ impl Transport for ShmTransport {
 /// One claimed session over the ring file.
 pub struct ShmConnection {
     map: ShmMap,
-    c2s: Ring,
-    s2c: Ring,
-    send_pos: u64,
-    recv_pos: u64,
+    /// Replies read so far: the next request and the next reply are
+    /// both message `exchanged` of the session.
+    exchanged: u64,
     daemon_pid: u32,
     epoch: u64,
     io_timeout: Duration,
@@ -421,53 +359,36 @@ pub struct ShmConnection {
 
 impl ShmConnection {
     fn dial(path: &str, connect_timeout: Duration, io_timeout: Duration) -> std::io::Result<ShmConnection> {
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        if (file.metadata()?.len() as usize) < FILE_LEN {
+            return Err(io_err(std::io::ErrorKind::InvalidData, "shm ring file shorter than its layout"));
+        }
+        let map = ShmMap::map(file, FILE_LEN)?;
+        if map.atomic_u64(OFF_MAGIC).load(Ordering::Relaxed) != MAGIC
+            || map.atomic_u32(OFF_VERSION).load(Ordering::Relaxed) != VERSION
+        {
+            return Err(io_err(std::io::ErrorKind::InvalidData, "not a chronusd shm ring file"));
+        }
+        let daemon_pid = map.daemon_pid();
         let start = Instant::now();
         loop {
-            let file = OpenOptions::new().read(true).write(true).open(path)?;
-            let map = ShmMap::map(file, HEADER_LEN)?;
-            if map.atomic_u64(OFF_MAGIC).load(Ordering::Relaxed) != MAGIC
-                || map.atomic_u32(OFF_VERSION).load(Ordering::Relaxed) != VERSION
-            {
-                return Err(io_err(std::io::ErrorKind::InvalidData, "not a chronusd shm ring file"));
-            }
-            let geo = map.geometry();
-            geo.validate()?;
-            let daemon_pid = map.daemon_pid();
             if !sys::process_alive(daemon_pid) {
                 return Err(io_err(std::io::ErrorKind::ConnectionRefused, "shm daemon is dead"));
             }
-            // Remap at full ring length now that the geometry is known.
-            drop(map);
-            let file = OpenOptions::new().read(true).write(true).open(path)?;
-            if (file.metadata()?.len() as usize) < geo.total_len() {
-                return Err(io_err(std::io::ErrorKind::InvalidData, "shm ring file shorter than its header claims"));
-            }
-            let map = ShmMap::map(file, geo.total_len())?;
             if map.state().compare_exchange(IDLE, CLAIM, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
-                map.atomic_u32(OFF_CLIENT_PID).store(std::process::id(), Ordering::SeqCst);
-                map.state().store(ACTIVE, Ordering::Release);
-                // Ring the c2s doorbell so the daemon's acceptor wakes.
-                let doorbell = map.atomic_u32(OFF_C2S_CTL + CTL_DOORBELL);
-                doorbell.fetch_add(1, Ordering::SeqCst);
-                sys::futex_wake(doorbell, u32::MAX);
-                let epoch = map.epoch();
-                return Ok(ShmConnection {
-                    map,
-                    c2s: Ring::c2s(geo),
-                    s2c: Ring::s2c(geo),
-                    send_pos: 0,
-                    recv_pos: 0,
-                    daemon_pid,
-                    epoch,
-                    io_timeout,
-                });
+                break;
             }
-            drop(map);
             if start.elapsed() >= connect_timeout {
                 return Err(io_err(std::io::ErrorKind::WouldBlock, "shm session seat is busy"));
             }
             std::thread::sleep(Duration::from_micros(200));
         }
+        map.atomic_u32(OFF_CLIENT_PID).store(std::process::id(), Ordering::SeqCst);
+        map.state().store(ACTIVE, Ordering::Release);
+        // Ring the c2s doorbell so the daemon's acceptor wakes.
+        C2S.ring(&map);
+        let epoch = map.epoch();
+        Ok(ShmConnection { map, exchanged: 0, daemon_pid, epoch, io_timeout })
     }
 
     /// The client's between-parks check: daemon still the one we
@@ -490,20 +411,17 @@ impl ShmConnection {
 }
 
 impl Connection for ShmConnection {
+    /// A second frame before the reply to the first finds the mailbox
+    /// not at this message's empty mark (its own frame, or the daemon's
+    /// consumed mark of it) and is refused at once.
     fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        let deadline = Instant::now() + self.io_timeout;
-        let (map, pos) = (&self.map, self.send_pos);
-        let conn = &*self;
-        self.c2s.send(map, pos, payload, &mut || conn.liveness_tick(deadline))?;
-        self.send_pos += 1;
-        Ok(())
+        C2S.send(&self.map, self.exchanged, payload)
     }
 
     fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
         let deadline = Instant::now() + self.io_timeout;
-        let conn = &*self;
-        let out = self.s2c.recv(&self.map, self.recv_pos, &mut || conn.liveness_tick(deadline))?;
-        self.recv_pos += 1;
+        let out = S2C.recv(&self.map, self.exchanged, &mut || self.liveness_tick(deadline))?;
+        self.exchanged += 1;
         Ok(out)
     }
 }
@@ -515,9 +433,7 @@ impl Drop for ShmConnection {
         if self.map.atomic_u32(OFF_CLIENT_PID).load(Ordering::SeqCst) == std::process::id()
             && self.map.state().compare_exchange(ACTIVE, DONE, Ordering::SeqCst, Ordering::SeqCst).is_ok()
         {
-            let doorbell = self.map.atomic_u32(OFF_C2S_CTL + CTL_DOORBELL);
-            doorbell.fetch_add(1, Ordering::SeqCst);
-            sys::futex_wake(doorbell, u32::MAX);
+            C2S.ring(&self.map);
         }
     }
 }
@@ -541,15 +457,12 @@ pub enum SessionEnd {
 pub struct ShmListener {
     map: ShmMap,
     path: PathBuf,
-    c2s: Ring,
-    s2c: Ring,
 }
 
 impl ShmListener {
     /// Creates the ring file at `path` and becomes its daemon.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<ShmListener> {
         let path = path.as_ref().to_path_buf();
-        let geo = Geometry { slots: SLOTS, slot_payload: SLOT_PAYLOAD };
         let tmp = {
             let mut name = path.as_os_str().to_os_string();
             name.push(format!(".tmp.{}", std::process::id()));
@@ -557,11 +470,11 @@ impl ShmListener {
         };
         let _ = std::fs::remove_file(&tmp);
         let file = OpenOptions::new().read(true).write(true).create_new(true).open(&tmp)?;
-        file.set_len(geo.total_len() as u64)?;
-        let map = ShmMap::map(file, geo.total_len())?;
+        file.set_len(FILE_LEN as u64)?;
+        // A fresh file is all zeroes: both mailboxes empty at message 0,
+        // no waiters, the seat IDLE.
+        let map = ShmMap::map(file, FILE_LEN)?;
         map.atomic_u32(OFF_VERSION).store(VERSION, Ordering::Relaxed);
-        map.atomic_u32(OFF_SLOTS).store(geo.slots as u32, Ordering::Relaxed);
-        map.atomic_u32(OFF_SLOT_PAYLOAD).store(geo.slot_payload, Ordering::Relaxed);
         let epoch = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
@@ -569,15 +482,11 @@ impl ShmListener {
             ^ u64::from(std::process::id()).rotate_left(32);
         map.atomic_u64(OFF_EPOCH).store(epoch, Ordering::Relaxed);
         map.atomic_u32(OFF_DAEMON_PID).store(std::process::id(), Ordering::Relaxed);
-        let (c2s, s2c) = (Ring::c2s(geo), Ring::s2c(geo));
-        c2s.reset(&map);
-        s2c.reset(&map);
-        map.state().store(IDLE, Ordering::Relaxed);
         // Publish the magic last: a concurrent early client sees either
         // no file (pre-rename) or a fully initialized one.
         map.atomic_u64(OFF_MAGIC).store(MAGIC, Ordering::SeqCst);
         std::fs::rename(&tmp, &path)?;
-        Ok(ShmListener { map, path, c2s, s2c })
+        Ok(ShmListener { map, path })
     }
 
     /// Waits for a client to claim the seat, then answers its frames
@@ -589,8 +498,7 @@ impl ShmListener {
         should_stop: &mut dyn FnMut() -> bool,
         handle: &mut dyn FnMut(&[u8]) -> Vec<u8>,
     ) -> std::io::Result<SessionEnd> {
-        let doorbell = self.map.atomic_u32(OFF_C2S_CTL + CTL_DOORBELL);
-        let waiters = self.map.atomic_u32(OFF_C2S_CTL + CTL_WAITERS);
+        let (doorbell, waiters) = (C2S.doorbell(&self.map), C2S.waiters(&self.map));
         let mut claim_ticks = 0u32;
         loop {
             if should_stop() {
@@ -623,52 +531,40 @@ impl ShmListener {
         }
 
         let client_pid = self.map.atomic_u32(OFF_CLIENT_PID).load(Ordering::SeqCst);
-        let mut recv_pos = 0u64;
-        let mut send_pos = 0u64;
+        let mut tick = || -> std::io::Result<()> {
+            if should_stop() {
+                return Err(io_err(std::io::ErrorKind::Interrupted, "daemon shutting down"));
+            }
+            let state = self.map.state().load(Ordering::Acquire);
+            if state == DONE || !sys::process_alive(client_pid) {
+                return Err(io_err(std::io::ErrorKind::UnexpectedEof, "shm client left"));
+            }
+            Ok(())
+        };
+        let mut n = 0u64;
         let end = loop {
-            let mut tick = || -> std::io::Result<()> {
-                if should_stop() {
-                    return Err(io_err(std::io::ErrorKind::Interrupted, "daemon shutting down"));
-                }
-                let state = self.map.state().load(Ordering::Acquire);
-                if state == DONE || !sys::process_alive(client_pid) {
-                    return Err(io_err(std::io::ErrorKind::UnexpectedEof, "shm client left"));
-                }
-                Ok(())
-            };
-            let payload = match self.c2s.recv(&self.map, recv_pos, &mut tick) {
+            let request = match C2S.recv(&self.map, n, &mut tick) {
                 Ok(p) => p,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => break SessionEnd::Stopped,
                 Err(_) => break SessionEnd::ClientGone,
             };
-            recv_pos += 1;
-            let reply = handle(&payload);
-            let mut tick = || -> std::io::Result<()> {
-                if should_stop() {
-                    return Err(io_err(std::io::ErrorKind::Interrupted, "daemon shutting down"));
-                }
-                let state = self.map.state().load(Ordering::Acquire);
-                if state == DONE || !sys::process_alive(client_pid) {
-                    return Err(io_err(std::io::ErrorKind::UnexpectedEof, "shm client left"));
-                }
-                Ok(())
-            };
-            match self.s2c.send(&self.map, send_pos, &reply, &mut tick) {
-                Ok(()) => send_pos += 1,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => break SessionEnd::Stopped,
-                Err(_) => break SessionEnd::ClientGone,
+            // A full reply mailbox is a client that left its last reply
+            // unread, yet sent again: a broken peer, the session is over.
+            if S2C.send(&self.map, n, &handle(&request)).is_err() {
+                break SessionEnd::ClientGone;
             }
+            n += 1;
         };
         self.reset_seat();
         Ok(end)
     }
 
-    /// Re-arms both rings and frees the seat. Solely the daemon's job:
-    /// clients never touch sequence words or counters on exit, so a
-    /// half-dead client cannot corrupt the next session.
+    /// Re-arms both mailboxes and frees the seat. Solely the daemon's
+    /// job: clients never touch sequence words on exit, so a half-dead
+    /// client cannot corrupt the next session.
     fn reset_seat(&self) {
-        self.c2s.reset(&self.map);
-        self.s2c.reset(&self.map);
+        C2S.reset(&self.map);
+        S2C.reset(&self.map);
         self.map.atomic_u32(OFF_CLIENT_PID).store(0, Ordering::SeqCst);
         self.map.state().store(IDLE, Ordering::Release);
     }
@@ -686,7 +582,6 @@ impl Drop for ShmListener {
         let _ = std::fs::remove_file(&self.path);
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,27 +644,26 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_frames_keep_order_across_ring_laps() {
-        let path = temp_ring("pipeline");
+    fn a_second_frame_before_the_reply_is_refused_not_queued() {
+        let path = temp_ring("second");
         let Some(listener) = listener_or_skip(&path) else { return };
         let listener = Arc::new(listener);
         let stop = Arc::new(AtomicBool::new(false));
         let daemon = echo_daemon(listener.clone(), stop.clone());
 
-        let mut transport =
-            ShmTransport::new(path.to_str().unwrap(), Duration::from_millis(500), Duration::from_secs(2));
+        let io_timeout = Duration::from_secs(2);
+        let mut transport = ShmTransport::new(path.to_str().unwrap(), Duration::from_millis(500), io_timeout);
         let mut conn = transport.connect().unwrap();
-        // Keep SLOTS frames in flight for several laps of the ring.
-        let depth = SLOTS as u32;
-        for wave in 0..10u32 {
-            for i in 0..depth {
-                conn.send_frame(&(wave * depth + i).to_le_bytes()).unwrap();
-            }
-            for i in 0..depth {
-                let reply = conn.recv_frame().unwrap();
-                assert_eq!(reply[5..9], (wave * depth + i).to_le_bytes());
-            }
+        for round in 0..20u8 {
+            conn.send_frame(&[b'a', round]).unwrap();
+            // Whether or not the daemon has consumed the first frame yet,
+            // the mailbox is not at the second one's empty mark.
+            let t0 = Instant::now();
+            assert!(conn.send_frame(&[b'b', round]).is_err(), "round {round}: a second frame was accepted");
+            assert!(t0.elapsed() < io_timeout / 10, "round {round}: the refusal waited");
+            assert_eq!(conn.recv_frame().unwrap(), [&b"echo:a"[..], &[round]].concat(), "round {round}");
         }
+
         drop(conn);
         stop.store(true, Ordering::SeqCst);
         daemon.join().unwrap();
@@ -786,7 +680,12 @@ mod tests {
         let mut transport =
             ShmTransport::new(path.to_str().unwrap(), Duration::from_millis(500), Duration::from_secs(2));
         let mut conn = transport.connect().unwrap();
-        let huge = vec![0u8; SLOT_PAYLOAD as usize + 1];
+        // The ring carries every frame TCP carries ...
+        let big: Vec<u8> = (0..300 * 1024u32).map(|i| i as u8).collect();
+        conn.send_frame(&big).unwrap();
+        assert_eq!(conn.recv_frame().unwrap(), [&b"echo:"[..], &big].concat());
+        // ... and refuses what TCP refuses.
+        let huge = vec![0u8; MAX_FRAME_LEN + 1];
         assert_eq!(conn.send_frame(&huge).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
         // The ring is still usable afterwards.
         conn.send_frame(b"still alive").unwrap();
@@ -795,6 +694,26 @@ mod tests {
         drop(conn);
         stop.store(true, Ordering::SeqCst);
         daemon.join().unwrap();
+    }
+
+    #[test]
+    fn a_ring_file_of_another_layout_version_is_refused_fast() {
+        let path = temp_ring("version");
+        let Some(listener) = listener_or_skip(&path) else { return };
+        let connect_timeout = Duration::from_secs(2);
+        let mut transport = ShmTransport::new(path.to_str().unwrap(), connect_timeout, Duration::from_secs(2));
+        for version in [VERSION - 1, VERSION + 1] {
+            listener.map.atomic_u32(OFF_VERSION).store(version, Ordering::SeqCst);
+            let t0 = Instant::now();
+            let err = match transport.connect() {
+                Err(e) => e,
+                Ok(_) => panic!("a version {version} ring file must be refused"),
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "version {version}: {err}");
+            assert!(t0.elapsed() < connect_timeout / 10, "version {version}: the refusal waited");
+        }
+        listener.map.atomic_u32(OFF_VERSION).store(VERSION, Ordering::SeqCst);
+        assert!(transport.connect().is_ok(), "the daemon's own version is served");
     }
 
     #[test]
@@ -849,18 +768,20 @@ mod tests {
 
     #[test]
     fn slot_header_codec_round_trips_and_rejects_tears() {
-        for (seq, len) in [(1u64, 0u32), (64, 1), (u64::MAX, SLOT_PAYLOAD)] {
+        let max = MAX_FRAME_LEN as u32;
+        for (seq, len) in [(1u64, 0u32), (63, 1), (u64::MAX, max)] {
             let raw = encode_slot_header(seq, len);
-            assert_eq!(decode_slot_header(&raw, seq, SLOT_PAYLOAD), Some(len));
+            assert_eq!(decode_slot_header(&raw, seq, max), Some(len));
             // Any single flipped byte must invalidate the header.
             for i in 0..raw.len() {
                 let mut torn = raw;
                 torn[i] ^= 0x41;
-                assert_eq!(decode_slot_header(&torn, seq, SLOT_PAYLOAD), None, "byte {i} tear accepted");
+                assert_eq!(decode_slot_header(&torn, seq, max), None, "byte {i} tear accepted");
             }
-            // A stale header from the previous lap never validates.
-            assert_eq!(decode_slot_header(&raw, seq.wrapping_add(SLOTS), SLOT_PAYLOAD), None);
+            // The previous message's header, still in the mailbox, never
+            // validates for the next one.
+            assert_eq!(decode_slot_header(&raw, seq.wrapping_add(2), max), None);
         }
-        assert_eq!(decode_slot_header(&encode_slot_header(5, SLOT_PAYLOAD + 1), 5, SLOT_PAYLOAD), None);
+        assert_eq!(decode_slot_header(&encode_slot_header(5, max + 1), 5, max), None);
     }
 }

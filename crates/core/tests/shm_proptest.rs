@@ -1,5 +1,5 @@
 //! Property-based tests for two pure codecs: the slot-header codec
-//! (seq | len | check) that guards shared-memory ring slots against torn
+//! (seq | len | check) that guards shared-memory mailboxes against torn
 //! and stale reads, and the binary fast-path layout every `Predict` and
 //! `PredictMany` frame travels in, on the ring and on TCP alike.
 //!
@@ -15,11 +15,14 @@
 //! * binary frames and JSON frames can never be confused (`is_binary`
 //!   keys off a byte serde_json cannot emit first).
 
-use chronus::remote::shm::{decode_slot_header, encode_slot_header, slot_check, validate_slot, SLOT_PAYLOAD};
-use chronus::remote::{fastpath, KeyOutcome, Request, RequestFrame, Response, MAX_BATCH_KEYS};
+use chronus::remote::shm::{decode_slot_header, encode_slot_header, slot_check, validate_slot};
+use chronus::remote::{fastpath, KeyOutcome, Request, RequestFrame, Response, MAX_BATCH_KEYS, MAX_FRAME_LEN};
 use chronus::telemetry::{SpanId, TraceContext, TraceId};
 use eco_sim_node::cpu::CpuConfig;
 use proptest::prelude::*;
+
+/// A mailbox's payload capacity: the frame limit, as on TCP.
+const SLOT_PAYLOAD: u32 = MAX_FRAME_LEN as u32;
 
 fn arb_keys() -> impl Strategy<Value = Vec<(u64, u64)>> {
     prop::collection::vec(((0u64..=u64::MAX), (0u64..=u64::MAX)), 0..48)
@@ -120,11 +123,11 @@ proptest! {
         prop_assert_eq!(decode_slot_header(&raw, seq, SLOT_PAYLOAD), None);
     }
 
-    /// A stale header from an earlier lap of the ring — same slot,
-    /// older sequence — never validates for a later reader, even
-    /// though its check word is internally consistent.
+    /// A header left in the mailbox by an earlier message — older
+    /// sequence — never validates for a later reader, even though its
+    /// check word is internally consistent.
     #[test]
-    fn stale_laps_never_validate(seq in 0u64..u64::MAX, ahead in 1u64..=1_000, len in 0u32..=SLOT_PAYLOAD) {
+    fn an_earlier_messages_header_never_validates(seq in 0u64..u64::MAX, ahead in 1u64..=1_000, len in 0u32..=SLOT_PAYLOAD) {
         let raw = encode_slot_header(seq, len);
         prop_assert_eq!(decode_slot_header(&raw, seq.saturating_add(ahead), SLOT_PAYLOAD), None);
     }

@@ -135,55 +135,54 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     let mut keys_ok = 0usize;
     let mut keys_failed = 0usize;
 
-    let mut batch_once =
-        |client: &mut PredictClient, rng: &mut StdRng, phase: &str, expect_ok: bool, violations: &mut Vec<String>| {
-            let n = match rng.gen_range(0..8) {
-                0 => 0,
-                1 => 1,
-                r => 2 + (r * MAX_ROUND_BATCH / 8).min(MAX_ROUND_BATCH - 2),
-            };
-            let asked: Vec<usize> = (0..n).map(|_| rng.gen_range(0..SHM_KEYS)).collect();
-            let batch: Vec<(u64, u64)> = asked.iter().map(|&i| keys[i]).collect();
-            let call = batch_calls;
-            batch_calls += 1;
-            keys_asked += n;
-            let t0 = net.now_ms();
-            let results = client.predict_many(&batch, &CallOptions::default());
-            let elapsed = net.now_ms() - t0;
-            if results.len() != n {
-                violations.push(format!(
-                    "batch #{call} ({phase}): asked {n} keys, got {} outcomes (exactly-once broken)",
-                    results.len()
-                ));
-                return;
-            }
-            for (slot, (&key_idx, outcome)) in asked.iter().zip(&results).enumerate() {
-                match outcome {
-                    Ok(cfg) => {
-                        keys_ok += 1;
-                        if strict && *cfg != answers[key_idx] {
-                            violations.push(format!(
-                                "batch #{call} ({phase}) slot {slot}: key {key_idx} answered with the wrong \
+    let mut batch_once = |client: &mut PredictClient, rng: &mut StdRng, phase: &str, violations: &mut Vec<String>| {
+        let n = match rng.gen_range(0..8) {
+            0 => 0,
+            1 => 1,
+            r => 2 + (r * MAX_ROUND_BATCH / 8).min(MAX_ROUND_BATCH - 2),
+        };
+        let asked: Vec<usize> = (0..n).map(|_| rng.gen_range(0..SHM_KEYS)).collect();
+        let batch: Vec<(u64, u64)> = asked.iter().map(|&i| keys[i]).collect();
+        let call = batch_calls;
+        batch_calls += 1;
+        keys_asked += n;
+        let t0 = net.now_ms();
+        let results = client.predict_many(&batch, &CallOptions::default());
+        let elapsed = net.now_ms() - t0;
+        if results.len() != n {
+            violations.push(format!(
+                "batch #{call} ({phase}): asked {n} keys, got {} outcomes (exactly-once broken)",
+                results.len()
+            ));
+            return;
+        }
+        for (slot, (&key_idx, outcome)) in asked.iter().zip(&results).enumerate() {
+            match outcome {
+                Ok(cfg) => {
+                    keys_ok += 1;
+                    if strict && *cfg != answers[key_idx] {
+                        violations.push(format!(
+                            "batch #{call} ({phase}) slot {slot}: key {key_idx} answered with the wrong \
                                  config {cfg:?} (cross-wired reply)"
-                            ));
-                        }
+                        ));
                     }
-                    Err(e) => {
-                        keys_failed += 1;
-                        if strict && expect_ok {
-                            violations.push(format!(
-                                "batch #{call} ({phase}) slot {slot}: key {key_idx} lost ({e}) with a live daemon"
-                            ));
-                        }
+                }
+                Err(e) => {
+                    keys_failed += 1;
+                    if strict {
+                        violations.push(format!(
+                            "batch #{call} ({phase}) slot {slot}: key {key_idx} lost ({e}) with a live daemon"
+                        ));
                     }
                 }
             }
-            if elapsed > MAX_BATCH_VIRTUAL_MS {
-                violations.push(format!(
-                    "batch #{call} ({phase}) consumed {elapsed}ms of virtual time (budget {MAX_BATCH_VIRTUAL_MS}ms)"
-                ));
-            }
-        };
+        }
+        if elapsed > MAX_BATCH_VIRTUAL_MS {
+            violations.push(format!(
+                "batch #{call} ({phase}) consumed {elapsed}ms of virtual time (budget {MAX_BATCH_VIRTUAL_MS}ms)"
+            ));
+        }
+    };
 
     // Phase 1 — roll every model out, then steady batches: while the
     // ring is healthy, locality must route everything over it.
@@ -197,7 +196,7 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         }
     }
     for _ in 0..ROUNDS_PER_PHASE {
-        batch_once(&mut client, &mut rng, "steady", true, &mut violations);
+        batch_once(&mut client, &mut rng, "steady", &mut violations);
     }
     if plan.name == "none" {
         let (shm, tcp) = count_predicts(&net);
@@ -214,7 +213,7 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     net.note("phase: ring torn down (TCP fallback)".to_string());
     net.drop_shm(0, 1_000_000);
     for _ in 0..ROUNDS_PER_PHASE {
-        batch_once(&mut client, &mut rng, "ring-down", true, &mut violations);
+        batch_once(&mut client, &mut rng, "ring-down", &mut violations);
     }
     if plan.name == "none" {
         let (_, tcp) = count_predicts(&net);
@@ -228,11 +227,11 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     net.note("phase: ring restored".to_string());
     net.heal_all();
     for _ in 0..ROUNDS_PER_PHASE {
-        batch_once(&mut client, &mut rng, "restored", true, &mut violations);
+        batch_once(&mut client, &mut rng, "restored", &mut violations);
     }
     if plan.name == "none" {
         let before = count_predicts(&net).0;
-        batch_once(&mut client, &mut rng, "restored", true, &mut violations);
+        batch_once(&mut client, &mut rng, "restored", &mut violations);
         let after = count_predicts(&net).0;
         if after == before {
             violations.push("ring restored but traffic never returned to it".to_string());
@@ -246,11 +245,11 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     for _ in 0..ROUNDS_PER_PHASE {
         // the daemon restarts 50 virtual ms in; retries ride it out,
         // so answers are still owed on strict plans
-        batch_once(&mut client, &mut rng, "crash", true, &mut violations);
+        batch_once(&mut client, &mut rng, "crash", &mut violations);
     }
     net.heal_all();
     for _ in 0..ROUNDS_PER_PHASE {
-        batch_once(&mut client, &mut rng, "recovered", true, &mut violations);
+        batch_once(&mut client, &mut rng, "recovered", &mut violations);
     }
 
     violations.extend(net.finish());

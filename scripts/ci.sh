@@ -62,7 +62,8 @@ simtest_world() {
         run cargo test -q -p eco-slurm-sim --release --test properties ;;
     adapt) # drift hysteresis, reservoir eviction, refit, canary verdicts
         run cargo test -q -p eco-adapt --release ;;
-    shm) # a real daemon on a real ring file; codec + endpoint proptests
+    shm) # the mailbox's own tests optimised; a real daemon on a real ring file; codec + endpoint proptests
+        run cargo test -q -p chronus --release --lib remote::shm
         run cargo test -q -p chronusd --release --test shm_daemon
         run cargo test -q -p chronus --release --test shm_proptest --test endpoint_proptest ;;
     esac
