@@ -4,12 +4,14 @@
 //! flipped to `Done`/`Failed` after it reaches a terminal state. A campaign
 //! killed at any point can therefore resume by replaying the journal:
 //! `Done` trials are never re-run, `Started` trials (in flight at the
-//! crash) are resubmitted under their original entry id.
+//! crash) are resubmitted under their original entry id. A kill mid-append
+//! tears the last frame, which the next write cuts: a torn `Started` was
+//! never submitted, a torn `Done` re-runs only its trial.
 //!
-//! [`RecordJournal`] persists through the same append-only
-//! [`chronus::integrations::record_store::RecordStore`] WAL
-//! the repository uses; [`FlakyJournal`] wraps any journal with a
-//! deterministic write-failure injection point for the fault-plan tests.
+//! [`RecordJournal`] persists through the repository's
+//! [`chronus::integrations::record_store::RecordStore`], one CRC frame per
+//! write; [`FlakyJournal`] wraps any journal with a deterministic
+//! write-failure injection point for the fault-plan tests.
 
 use crate::error::{CampaignError, Result};
 use crate::plan::TrialMeasurement;
@@ -204,14 +206,8 @@ mod tests {
         TrialEntry { round, config: CpuConfig::new(8, 1_500_000, 1), fraction: 1.0, status: TrialStatus::Started }
     }
 
-    #[test]
-    fn journal_survives_reopen() {
-        let path = tmp("reopen");
-        let mut j = RecordJournal::open(&path).unwrap();
-        assert!(j.load_spec().unwrap().is_none());
-        j.save_spec(&spec()).unwrap();
-        let id = j.append(&entry(0)).unwrap();
-        let done = TrialEntry {
+    fn done(round: u32) -> TrialEntry {
+        TrialEntry {
             status: TrialStatus::Done {
                 measurement: TrialMeasurement {
                     gflops: 5.0,
@@ -224,8 +220,18 @@ mod tests {
                     sample_count: 3,
                 },
             },
-            ..entry(0)
-        };
+            ..entry(round)
+        }
+    }
+
+    #[test]
+    fn journal_survives_reopen() {
+        let path = tmp("reopen");
+        let mut j = RecordJournal::open(&path).unwrap();
+        assert!(j.load_spec().unwrap().is_none());
+        j.save_spec(&spec()).unwrap();
+        let id = j.append(&entry(0)).unwrap();
+        let done = done(0);
         j.update(id, &done).unwrap();
         j.append(&entry(1)).unwrap();
         drop(j);
@@ -237,6 +243,30 @@ mod tests {
         assert_eq!(entries[0].1, done);
         assert!(entries[0].1.is_done());
         assert_eq!(entries[1].1.status, TrialStatus::Started);
+    }
+
+    /// A crash mid-append leaves a prefix of the last frame: every cut of
+    /// the file keeps exactly the records whose frames it holds whole.
+    #[test]
+    fn a_cut_at_any_byte_keeps_every_record_before_it() {
+        let path = tmp("torn");
+        let mut j = RecordJournal::open(&path).unwrap();
+        let len = || std::fs::metadata(&path).unwrap().len() as usize;
+        j.save_spec(&spec()).unwrap();
+        let spec_end = len();
+        let id = j.append(&entry(0)).unwrap();
+        let started_end = len();
+        j.update(id, &done(0)).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        let cut_path = path.with_file_name("cut.db");
+        for cut in 0..whole.len() {
+            std::fs::write(&cut_path, &whole[..cut]).unwrap();
+            let j = RecordJournal::open(&cut_path).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            assert_eq!(j.load_spec().unwrap().is_some(), cut >= spec_end, "cut at {cut}");
+            let kept: Vec<TrialEntry> = j.entries().unwrap().into_iter().map(|(_, e)| e).collect();
+            let want = if cut >= started_end { vec![entry(0)] } else { Vec::new() };
+            assert_eq!(kept, want, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Multi-seed campaign fault sweep: every seed takes one campaign
-//! through a storage write failure, a resume, and a node crash
-//! mid-trial, then audits the journal against a clean reference run.
+//! through a storage write failure that tears the journal's last append,
+//! a resume, and a node crash mid-trial, then audits the journal against
+//! a clean reference run.
 //!
 //! A violating seed dumps its journal (database + a readable rendering)
 //! where CI can pick it up as an artifact; `CAMPAIGN_JOURNAL_DIR`
@@ -8,6 +9,7 @@
 //! locally with
 //! `CAMPAIGN_SEED=<seed> cargo test -p eco-campaign --test fault_sweep -- --nocapture`.
 
+use chronus::integrations::codec;
 use chronus::integrations::record_store::RecordStore;
 use eco_campaign::{
     CampaignEngine, CampaignError, CampaignSpec, FlakyJournal, Journal, PlanSpec, RecordJournal, RunOptions,
@@ -18,6 +20,7 @@ use eco_sim_node::cpu::CpuSpec;
 use eco_sim_node::SimNode;
 use eco_slurm_sim::Cluster;
 use std::collections::HashSet;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -77,6 +80,16 @@ fn unique_done(journal: &RecordJournal, violations: &mut Vec<String>) -> usize {
     done
 }
 
+/// Appends a prefix of the journal's last frame, 1 to len − 1 bytes picked
+/// by `seed`: the bytes a write that died midway leaves behind.
+fn tear_last_frame(path: &Path, seed: u64) {
+    let bytes = std::fs::read(path).unwrap();
+    let last = codec::recover(&bytes).records.pop().expect("the spec is journaled before any trial");
+    let frame = &bytes[bytes.len() - (codec::RECORD_HEADER_LEN + last.len())..];
+    let torn = &frame[..1 + seed as usize % (frame.len() - 1)];
+    std::fs::OpenOptions::new().append(true).open(path).unwrap().write_all(torn).unwrap();
+}
+
 /// One seed's journey: storage write failure → resume under a node
 /// crash → audit against a clean run. Returns accumulated violations.
 fn check_seed(seed: u64, dir: &Path) -> Vec<String> {
@@ -97,6 +110,7 @@ fn check_seed(seed: u64, dir: &Path) -> Vec<String> {
         Err(other) => violations.push(format!("write fault surfaced as {other} (wanted Journal)")),
         Ok(_) => violations.push("campaign completed through a failing journal".into()),
     }
+    tear_last_frame(&dir.join("journal.db"), seed);
     let journal = RecordJournal::open(dir.join("journal.db")).unwrap();
     let done_before = unique_done(&journal, &mut violations);
     drop(journal);
@@ -148,6 +162,9 @@ fn check_seed(seed: u64, dir: &Path) -> Vec<String> {
     let journal = RecordJournal::open(dir.join("journal.db")).unwrap();
     let done_after = unique_done(&journal, &mut violations);
     drop(journal);
+    if codec::recover(&std::fs::read(dir.join("journal.db")).unwrap()).truncated {
+        violations.push("the resumed campaign appended after the torn tail instead of cutting it".into());
+    }
     if done_after != done_before + resumed.trials_run {
         violations.push(format!(
             "journal holds {done_after} completions != {done_before} resumed + {} run",

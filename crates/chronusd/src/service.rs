@@ -872,7 +872,8 @@ mod tests {
 
     #[test]
     fn snapshot_counts_serving_models_per_node_class() {
-        use eco_store::{codec::RECORD_HEADER_LEN, MemBackend, Provenance, JOURNAL_FILE};
+        use chronus::integrations::codec::RECORD_HEADER_LEN;
+        use eco_store::{MemBackend, Provenance, JOURNAL_FILE};
 
         let mem = MemBackend::new();
         let mut store = ModelStore::open(Box::new(mem.clone())).unwrap();

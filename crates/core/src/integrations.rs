@@ -10,6 +10,7 @@
 //! | Local Storage    | [`storage::EtcStorage`]                             |
 //! | File Repository  | [`storage::LocalBlobStore`]                         |
 
+pub mod codec;
 pub mod csv_repo;
 pub mod generic_runner;
 pub mod hpcg_runner;

@@ -1,7 +1,8 @@
 //! The journal record framing: length-prefixed, CRC-checked, torn-tail
 //! tolerant.
 //!
-//! Every ledger record is appended to the journal as one frame:
+//! The record store ([`super::record_store`]: `data.db`, the campaign
+//! journal) and `eco-store`'s model ledger append every record as one frame:
 //!
 //! ```text
 //! +----------------+----------------+------------------+
@@ -14,10 +15,7 @@
 //! oversized, truncated, or whose checksum fails — everything before
 //! that point is the **longest valid prefix** and survives; everything
 //! after it (a torn append from a crash mid-write, or trailing junk) is
-//! discarded. This is the same write-ahead discipline as the campaign's
-//! record store, hardened: where the record store treats any corrupt
-//! line as a hard error, the model ledger must reopen after a crash
-//! that tore its own tail.
+//! discarded, so either log reopens after a crash that tore its tail.
 
 /// Hard ceiling on one journal record's payload. A corrupt length
 /// prefix must surface as a truncation, never as a giant allocation.

@@ -1,21 +1,25 @@
-//! The embedded record store: a minimal single-file database standing in
-//! for the paper's SQLite repository.
+//! The embedded record store: a single-file database standing in for the
+//! paper's SQLite repository, and the campaign's write-ahead journal.
 //!
-//! Format: an append-only log of JSON lines, one operation per line —
-//! `{"t":"benchmarks","id":3,"d":{…}}`. Opening replays the log into
-//! in-memory tables; every write appends and flushes, so interrupted
-//! processes lose at most the unflushed tail. [`RecordStore::compact`]
-//! rewrites the file to drop superseded versions.
+//! Format: an append-only log of [`codec`] frames (length, CRC-32, payload),
+//! one operation each, whose payload is `{"t":"benchmarks","id":3,"d":{…}}`.
+//! [`RecordStore::open`] replays the longest valid prefix and never writes:
+//! it is also the read path beside a live writer (`campaign status` beside
+//! `campaign run`), whose record in flight a cut would destroy. The writer
+//! cuts a torn tail instead: every write truncates the file to the length
+//! its handle validated, appends one frame and flushes it (`sync_data`).
+//! One writer per file: ids come from the handle's own tables, so two
+//! writers on one file were never supported.
 
 use crate::domain::{Benchmark, ModelMetadata, SystemEntry};
 use crate::error::{ChronusError, Result};
-use crate::integrations::storage::publish;
+use crate::integrations::codec;
 use crate::interfaces::Repository;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::fs::OpenOptions;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -24,7 +28,7 @@ struct LogLine {
     t: String,
     /// Record id within the table.
     id: i64,
-    /// The record body (`null` marks a deletion).
+    /// The record body.
     d: Value,
 }
 
@@ -33,10 +37,14 @@ struct LogLine {
 pub struct RecordStore {
     path: PathBuf,
     tables: BTreeMap<String, BTreeMap<i64, Value>>,
+    /// File bytes this handle replayed or wrote; the next write cuts to here.
+    validated: u64,
 }
 
 impl RecordStore {
-    /// Opens (or creates) the database file, replaying its log.
+    /// Opens the database file (creating its directory), replaying its
+    /// longest valid prefix. A file whose first frame is oversized, such as
+    /// a JSON-lines database, is refused rather than read as empty.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         if let Some(parent) = path.parent() {
@@ -44,31 +52,21 @@ impl RecordStore {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let mut tables: BTreeMap<String, BTreeMap<i64, Value>> = BTreeMap::new();
-        if path.exists() {
-            let reader = BufReader::new(File::open(&path)?);
-            for (lineno, line) in reader.lines().enumerate() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let entry: LogLine = serde_json::from_str(&line).map_err(|e| {
-                    ChronusError::InvalidInput(format!("corrupt record store at line {}: {e}", lineno + 1))
-                })?;
-                let table = tables.entry(entry.t).or_default();
-                if entry.d.is_null() {
-                    table.remove(&entry.id);
-                } else {
-                    table.insert(entry.id, entry.d);
-                }
-            }
+        let bytes = match std::fs::read(&path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
+        if bytes.first_chunk().is_some_and(|len| u32::from_be_bytes(*len) as usize > codec::MAX_RECORD_LEN) {
+            let refused = "its first frame is oversized (a JSON-lines database is refused, not read)";
+            return Err(ChronusError::InvalidInput(format!("{} is not a record store: {refused}", path.display())));
         }
-        Ok(RecordStore { path, tables })
-    }
-
-    /// The database file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        let recovered = codec::recover(&bytes);
+        let mut tables: BTreeMap<String, BTreeMap<i64, Value>> = BTreeMap::new();
+        for payload in &recovered.records {
+            let line: LogLine = serde_json::from_slice(payload)?;
+            tables.entry(line.t).or_default().insert(line.id, line.d);
+        }
+        Ok(RecordStore { path, tables, validated: recovered.valid_len as u64 })
     }
 
     /// Inserts a record with a fresh id; returns the id.
@@ -84,15 +82,6 @@ impl RecordStore {
         self.append(&LogLine { t: table.to_string(), id, d: d.clone() })?;
         self.tables.entry(table.to_string()).or_default().insert(id, d);
         Ok(())
-    }
-
-    /// Deletes a record; returns whether it existed.
-    pub fn delete(&mut self, table: &str, id: i64) -> Result<bool> {
-        let existed = self.tables.get_mut(table).is_some_and(|t| t.remove(&id).is_some());
-        if existed {
-            self.append(&LogLine { t: table.to_string(), id, d: Value::Null })?;
-        }
-        Ok(existed)
     }
 
     /// Fetches one record, deserialized.
@@ -119,27 +108,19 @@ impl RecordStore {
         self.len(table) == 0
     }
 
-    /// Rewrites the log keeping only live records (reclaims space after
-    /// overwrites/deletes).
-    pub fn compact(&self) -> Result<()> {
-        let mut log = String::new();
-        for (table, records) in &self.tables {
-            for (&id, d) in records {
-                log.push_str(&serde_json::to_string(&LogLine { t: table.clone(), id, d: d.clone() })?);
-                log.push('\n');
-            }
-        }
-        Ok(publish(&self.path, log.as_bytes(), false)?)
-    }
-
     fn next_id(&self, table: &str) -> i64 {
         self.tables.get(table).and_then(|t| t.keys().next_back()).map_or(1, |max| max + 1)
     }
 
-    fn append(&self, line: &LogLine) -> Result<()> {
-        let mut f = OpenOptions::new().create(true).append(true).open(&self.path)?;
-        writeln!(f, "{}", serde_json::to_string(line)?)?;
-        f.flush()?;
+    fn append(&mut self, line: &LogLine) -> Result<()> {
+        let mut frame = Vec::new();
+        codec::encode_record(&serde_json::to_vec(line)?, &mut frame)
+            .map_err(|e| ChronusError::InvalidInput(e.to_string()))?;
+        let mut file = OpenOptions::new().create(true).append(true).open(&self.path)?;
+        file.set_len(self.validated)?;
+        file.write_all(&frame)?;
+        file.sync_data()?;
+        self.validated += frame.len() as u64;
         Ok(())
     }
 }
@@ -249,9 +230,7 @@ mod tests {
         assert_eq!(id, 1);
         let got: Option<Value> = db.get("things", id).unwrap();
         assert_eq!(got.unwrap()["x"], 1);
-        assert!(db.delete("things", id).unwrap());
-        assert!(!db.delete("things", id).unwrap());
-        assert!(db.is_empty("things"));
+        assert_eq!(db.len("things"), 1);
     }
 
     #[test]
@@ -262,51 +241,47 @@ mod tests {
             let mut db = RecordStore::open(&path).unwrap();
             db.insert("t", &serde_json::json!({"v": "a"})).unwrap();
             db.insert("t", &serde_json::json!({"v": "b"})).unwrap();
-            db.delete("t", 1).unwrap();
+            db.put("t", 1, &serde_json::json!({"v": "c"})).unwrap();
         }
         let db = RecordStore::open(&path).unwrap();
-        assert_eq!(db.len("t"), 1);
-        let got: Option<Value> = db.get("t", 2).unwrap();
-        assert_eq!(got.unwrap()["v"], "b");
+        assert_eq!(db.len("t"), 2);
+        let got: Vec<(i64, Value)> = db.scan("t").unwrap();
+        assert_eq!((got[0].1["v"].as_str(), got[1].1["v"].as_str()), (Some("c"), Some("b")));
     }
 
     #[test]
-    fn ids_do_not_recycle_after_tail_delete() {
-        let dir = tmpdir("ids");
-        let mut db = RecordStore::open(dir.join("d.db")).unwrap();
-        let a = db.insert("t", &serde_json::json!(1)).unwrap();
-        let b = db.insert("t", &serde_json::json!(2)).unwrap();
-        assert_eq!((a, b), (1, 2));
-        // deleting the middle record keeps later ids unique
-        db.delete("t", 1).unwrap();
-        let c = db.insert("t", &serde_json::json!(3)).unwrap();
-        assert_eq!(c, 3);
-    }
-
-    #[test]
-    fn compact_preserves_state_and_shrinks() {
-        let dir = tmpdir("compact");
+    fn a_torn_last_frame_is_dropped_on_open_and_cut_by_the_next_write() {
+        let dir = tmpdir("torn");
         let path = dir.join("d.db");
         let mut db = RecordStore::open(&path).unwrap();
-        for i in 0..20 {
-            db.put("t", 1, &serde_json::json!({"rev": i})).unwrap();
+        db.insert("t", &serde_json::json!({"v": "a"})).unwrap();
+        db.insert("t", &serde_json::json!({"v": "b"})).unwrap();
+        let two = std::fs::metadata(&path).unwrap().len() as usize;
+        db.insert("t", &serde_json::json!({"v": "c"})).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        let frame = whole.len() - two;
+        let cut_path = dir.join("cut.db");
+        for cut in two + 1..whole.len() {
+            std::fs::write(&cut_path, &whole[..cut]).unwrap();
+            let mut db = RecordStore::open(&cut_path).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            let kept: Vec<(i64, Value)> = db.scan("t").unwrap();
+            let kept: Vec<_> = kept.iter().map(|(id, v)| (*id, v["v"].as_str().unwrap())).collect();
+            assert_eq!(kept, [(1, "a"), (2, "b")], "cut at {cut}");
+            assert_eq!(db.insert("t", &serde_json::json!({"v": "d"})).unwrap(), 3, "cut at {cut}");
+            assert_eq!(RecordStore::open(&cut_path).unwrap().len("t"), 3, "cut at {cut}");
+            assert_eq!(std::fs::metadata(&cut_path).unwrap().len() as usize, two + frame, "cut at {cut}");
         }
-        let before = std::fs::metadata(&path).unwrap().len();
-        db.compact().unwrap();
-        let after = std::fs::metadata(&path).unwrap().len();
-        assert!(after < before, "{after} !< {before}");
-        let reopened = RecordStore::open(&path).unwrap();
-        let got: Option<Value> = reopened.get("t", 1).unwrap();
-        assert_eq!(got.unwrap()["rev"], 19);
     }
 
     #[test]
-    fn corrupt_file_reports_line() {
-        let dir = tmpdir("corrupt");
+    fn a_json_lines_file_is_refused_and_left_unchanged() {
+        let dir = tmpdir("jsonl");
         let path = dir.join("d.db");
-        std::fs::write(&path, "{\"t\":\"x\",\"id\":1,\"d\":{}}\nnot json\n").unwrap();
+        let lines = "{\"t\":\"x\",\"id\":1,\"d\":{}}\n{\"t\":\"x\",\"id\":2,\"d\":{}}\n";
+        std::fs::write(&path, lines).unwrap();
         let err = RecordStore::open(&path).unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
+        assert!(err.to_string().contains("JSON-lines"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), lines.as_bytes());
     }
 
     #[test]

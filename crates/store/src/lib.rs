@@ -13,7 +13,7 @@
 //! * a **metadata record** ([`ModelRecord`]) carries provenance
 //!   ([`Provenance`]: which campaign, which seed, what calibration
 //!   numbers) and generation lineage (parent → child), appended to a
-//!   CRC-checked write-ahead journal ([`codec`]);
+//!   CRC-checked write-ahead journal ([`chronus::integrations::codec`]);
 //! * the journal is an **append-only ledger** ([`LedgerRecord`]):
 //!   rollback appends a record pointing at an earlier generation, it
 //!   never rewrites history — so the currently-serving generation is a
@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod codec;
 pub mod ledger;
 mod store;
 

@@ -8,7 +8,7 @@
 //!    blob*, which is harmless and invisible to readers;
 //! 2. the metadata record is appended to `journal.wal` — a crash
 //!    mid-append leaves a *torn tail*, which recovery truncates back to
-//!    the longest valid prefix ([`crate::codec::recover`]).
+//!    the longest valid prefix ([`chronus::integrations::codec::recover`]).
 //!
 //! Readers therefore never observe a committed record whose blob was
 //! not durably written first, and reopening after any crash yields a
@@ -19,8 +19,8 @@ use std::io;
 use std::path::Path;
 
 use crate::backend::{DiskBackend, StoreBackend};
-use crate::codec::{self, EncodeError};
 use crate::ledger::{LedgerRecord, ModelBlob, ModelRecord, Provenance};
+use chronus::integrations::codec::{self, EncodeError};
 
 /// The journal's file name inside the store directory.
 pub const JOURNAL_FILE: &str = "journal.wal";

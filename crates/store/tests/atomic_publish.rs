@@ -1,9 +1,9 @@
-//! One atomic publish, four call sites. Two `chronus benchmark`/`campaign`
-//! processes over one `$CHRONUS_HOME`, two `chronus set`, a campaign and an
-//! adaptation refit committing to one store: each rewrites a whole file
-//! while someone else may be rewriting or reading it. Every such site goes
-//! through `chronus::integrations::storage::publish` (a temp name of its
-//! own per write, then a rename), so under two writers and a reader
+//! One atomic publish, three call sites. Two `chronus set`, two `chronus
+//! init-model` over one CSV repository, a campaign and an adaptation refit
+//! committing to one store: each rewrites a whole file while someone else
+//! may be rewriting or reading it. Every such site goes through
+//! `chronus::integrations::storage::publish` (a temp name of its own per
+//! write, then a rename), so under two writers and a reader
 //!
 //! * no write fails because another is in flight,
 //! * the reader only ever meets one writer's whole file or the other's,
@@ -12,11 +12,10 @@
 //! On one shared temp name the second writer truncates the file the first
 //! is about to rename, keeps writing into the one it has already renamed
 //! live, or finds its temp renamed away. This crate hosts the test because
-//! it is the one that sees all four sites.
+//! it is the one that sees all three sites.
 
 use chronus::domain::{ModelMetadata, PluginState, Settings};
 use chronus::integrations::csv_repo::CsvRepository;
-use chronus::integrations::record_store::RecordStore;
 use chronus::integrations::storage::EtcStorage;
 use chronus::interfaces::{LocalStorage, Repository};
 use eco_store::{DiskBackend, StoreBackend};
@@ -78,7 +77,7 @@ fn two_writers_and_a_reader(
         .unwrap()
         .flatten()
         .map(|entry| entry.file_name().to_string_lossy().into_owned())
-        .filter(|name| name.ends_with(".tmp") || name.ends_with(".compact"))
+        .filter(|name| name.ends_with(".tmp"))
         .collect();
     assert!(left.is_empty(), "{site}: temp files outlived their write: {left:?}");
 }
@@ -103,27 +102,6 @@ fn settings_json() {
     });
     let published_in = reader.settings_path().parent().unwrap().to_path_buf();
     two_writers_and_a_reader("save_settings", &published_in, 2000, [writer(&off), writer(&active)], read);
-}
-
-/// Two processes compacting one database: `RecordStore::compact`.
-#[test]
-fn record_store_compact() {
-    let dir = scratch("compact");
-    let path = dir.join("data.db");
-    let mut seed = RecordStore::open(&path).unwrap();
-    for i in 0..64 {
-        seed.put("benchmarks", i, &"r".repeat(512)).unwrap();
-    }
-    let writer = || -> Step<'static> {
-        let mine = RecordStore::open(&path).unwrap();
-        Box::new(move || mine.compact().map_err(|e| e.to_string()))
-    };
-    let read: Step<'_> = Box::new(|| match RecordStore::open(&path) {
-        Ok(seen) if seen.len("benchmarks") == 64 => Ok(()),
-        Ok(seen) => Err(format!("{} of 64 records", seen.len("benchmarks"))),
-        Err(e) => Err(e.to_string()),
-    });
-    two_writers_and_a_reader("compact", &dir, 1500, [writer(), writer()], read);
 }
 
 /// Two `chronus init-model` over one CSV repository: `csv_repo::write_csv`.

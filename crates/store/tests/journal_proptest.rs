@@ -6,8 +6,8 @@
 //! query as a whole-ledger re-fold would, on the writer, on a live
 //! reader and on a freshly opened store.
 
+use chronus::integrations::codec::{crc32, encode_record, recover, MAX_RECORD_LEN, RECORD_HEADER_LEN};
 use eco_sim_node::cpu::CpuConfig;
-use eco_store::codec::{crc32, encode_record, recover, MAX_RECORD_LEN, RECORD_HEADER_LEN};
 use eco_store::{
     LedgerRecord, MemBackend, ModelBlob, ModelRecord, ModelStore, Provenance, ProvenanceSource, JOURNAL_FILE,
 };

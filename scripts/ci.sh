@@ -52,7 +52,7 @@ simtest_world() {
     case $1 in
     fleet) # kill mid-load with zero lost predictions, rejoin + re-preload
         run cargo test -q -p chronusd --release --test fleet_failover ;;
-    store) # the journal and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes
+    store) # the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes
         run cargo test -q -p eco-store --release
         run cargo test -q -p chronusd --release --test store_durability --test cli_binary --test cli_table ;;
     batch) # concurrent callers of one RemotePrediction over real TCP; the registry's readers racing rollouts and evictions, optimised
@@ -93,12 +93,15 @@ stage_benchmark-builds() {
 }
 
 # The campaign E2E suite (adaptive-vs-brute optimum, crash/resume, storage
-# faults) plus the multi-seed fault sweep, then campaign → model →
+# faults) plus the multi-seed fault sweep, whose every seed tears the
+# journal's last append before resuming, then the record store's own
+# torn-append tests (the journal's file format), then campaign → model →
 # live-daemon rollout over real TCP. A failing sweep seed dumps its trial
 # journal into $CAMPAIGN_JOURNAL_DIR and is reproducible with
 #   CAMPAIGN_SEED=<seed> cargo test -p eco-campaign --test fault_sweep -- --nocapture
 stage_campaign() {
     run cargo test -q -p eco-campaign --release
+    run cargo test -q -p chronus --release --lib integrations::record_store
     run cargo test -q -p chronusd --release --test campaign_rollout
 }
 
