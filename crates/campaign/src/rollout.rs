@@ -21,8 +21,7 @@ pub struct RolloutAck {
     pub model_id: i64,
     /// Its optimizer type.
     pub model_type: String,
-    /// The rollout generation the daemon committed it under
-    /// (0 from pre-versioning daemons).
+    /// The rollout generation the daemon committed it under.
     pub generation: u64,
 }
 
@@ -128,8 +127,7 @@ pub fn roll_into(
 ) -> Result<RolloutAck> {
     let ack = target.preload(model_id)?;
     if let Some(prev) = previous_generation {
-        // generation 0 means the daemon predates versioned rollouts
-        if ack.generation != 0 && ack.generation <= prev {
+        if ack.generation <= prev {
             return Err(CampaignError::Rollout(format!(
                 "daemon committed generation {} but {} was already committed",
                 ack.generation, prev
@@ -192,7 +190,7 @@ pub fn roll_into_fleet(
     }
     if let Some(prev) = previous_generation {
         for (endpoint, ack) in &acks {
-            if ack.generation != 0 && ack.generation <= prev {
+            if ack.generation <= prev {
                 return Err(CampaignError::Rollout(format!(
                     "replica {endpoint} committed generation {} but {} was already committed",
                     ack.generation, prev
@@ -219,6 +217,15 @@ mod tests {
             }
             self.gen += 1;
             Ok(RolloutAck { model_id, model_type: "brute-force".into(), generation: self.gen })
+        }
+    }
+
+    /// A daemon that acks every preload with one fixed generation.
+    struct FixedAck(u64);
+
+    impl RolloutTarget for FixedAck {
+        fn preload(&mut self, model_id: i64) -> Result<RolloutAck> {
+            Ok(RolloutAck { model_id, model_type: "brute-force".into(), generation: self.0 })
         }
     }
 
@@ -275,6 +282,9 @@ mod tests {
         let mut fleet = FakeFleet { gens: vec![9, 1, 9], down: vec![false, false, false] };
         let err = roll_into_fleet(&mut fleet, 11, Some(9), 2).unwrap_err();
         assert!(err.to_string().contains("r1"), "{err}");
+        // a zero ack is a regression too, not a daemon to excuse
+        let err = roll_into_fleet(&mut FixedAck(0), 11, Some(3), 1).unwrap_err();
+        assert!(err.to_string().contains("generation 0 but 3"), "{err}");
     }
 
     #[test]
@@ -295,6 +305,8 @@ mod tests {
         let mut stale = FakeTarget { gen: 2, fail: false };
         let err = roll_into(&mut stale, 7, Some(9)).unwrap_err();
         assert!(matches!(err, CampaignError::Rollout(_)), "{err}");
+        let err = roll_into(&mut FixedAck(0), 7, Some(3)).unwrap_err();
+        assert!(err.to_string().contains("generation 0 but 3"), "{err}");
     }
 
     #[test]

@@ -42,7 +42,8 @@
 //! * [`backend`] — where models come from (the durable store when the
 //!   daemon has one, else the staged disk layout; a static set for
 //!   tests);
-//! * [`stats`] — counters and latency histogram behind the `stats` RPC.
+//! * `stats` (crate-private) — the counter and histogram handles behind
+//!   the `stats` RPC, read by [`PredictService::snapshot`].
 //!
 //! The wire protocol and the client live in [`chronus::remote`] so the
 //! plugin does not depend on this crate.
@@ -51,7 +52,7 @@ pub mod backend;
 pub mod registry;
 pub mod server;
 pub mod service;
-pub mod stats;
+mod stats;
 
 /// The benchmark-campaign engine (re-exported from `eco-campaign`): plans
 /// sweeps, journals trials write-ahead, and hot-rolls rebuilt models into
@@ -80,4 +81,3 @@ pub use backend::{ModelBackend, PreparedModel, StaticBackend, StorageBackend, St
 pub use registry::{ModelKey, ModelRegistry};
 pub use server::{BootRecovery, PredictServer, ServerConfig};
 pub use service::{PredictService, QueueGauges, ServiceClock, StoreCatchUp, WallClock};
-pub use stats::ServerStats;

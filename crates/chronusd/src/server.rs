@@ -266,7 +266,7 @@ fn accept_loop(listener: TcpListener, tx: Sender<(Instant, TcpStream)>, ctx: Arc
         match tx.try_send((Instant::now(), stream)) {
             Ok(()) => {}
             Err(TrySendError::Full((_, mut stream))) => {
-                ctx.service.stats().busy_rejection();
+                ctx.service.stats().busy_rejections.bump();
                 let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
                 // bare: the bounce never reads the request, so it has no
                 // tag to echo; dropping the stream then closes the connection

@@ -83,7 +83,8 @@ pub struct PredictService {
     /// The canary phase label stamped on `Stats` answers. The canary
     /// *controller* lives with whoever drives rollouts (the adaptation
     /// driver, the simulation world); the daemon only reports the label
-    /// so `chronus stats` shows where the fleet is mid-judgment.
+    /// so `chronus stats` shows where the fleet is mid-judgment. Empty
+    /// until a driver sets one: no controller, no label.
     canary_state: Mutex<String>,
 }
 
@@ -125,7 +126,7 @@ impl PredictService {
             replica: String::new(),
             store: None,
             adapt: Monitor::default(),
-            canary_state: Mutex::new(String::from("idle")),
+            canary_state: Mutex::new(String::new()),
         }
     }
 
@@ -170,7 +171,7 @@ impl PredictService {
             match verified(&store, record) {
                 Ok(model) => {
                     self.install(model, self.registry.begin_rollout());
-                    self.stats.store_catchup();
+                    self.stats.store_catchups.bump();
                     report.installed += 1;
                 }
                 Err(e) => report.rejected.push(e.to_string()),
@@ -193,7 +194,7 @@ impl PredictService {
     }
 
     /// The operational counters.
-    pub fn stats(&self) -> &ServerStats {
+    pub(crate) fn stats(&self) -> &ServerStats {
         &self.stats
     }
 
@@ -207,16 +208,16 @@ impl PredictService {
     /// daemon's outcome reservoirs (called by the adaptation driver —
     /// the daemon itself never writes the store).
     pub fn note_adapt_refit(&self) {
-        self.stats.adapt_refit();
+        self.stats.adapt_refits.bump();
     }
 
     /// Records a canary verdict: promoted fleet-wide, or rolled back
     /// to the baseline generation.
     pub fn note_canary_verdict(&self, promoted: bool) {
         if promoted {
-            self.stats.canary_promotion();
+            self.stats.canary_promotions.bump();
         } else {
-            self.stats.canary_rollback();
+            self.stats.canary_rollbacks.bump();
         }
     }
 
@@ -241,36 +242,62 @@ impl PredictService {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// A counters snapshot; queue gauges come from the transport.
+    /// The `stats` RPC's answer: counters, registry, store, monitor and
+    /// canary label, plus the queue gauges the transport samples.
     pub fn snapshot(&self, gauges: QueueGauges) -> StatsSnapshot {
-        let mut snap = self.stats.snapshot(
-            gauges.depth,
-            gauges.capacity,
-            gauges.workers,
-            self.registry.len() as u64,
-            self.registry.evictions(),
-            self.registry.generation(),
-        );
-        snap.replica = self.replica.clone();
-        if let Some(handle) = &self.store {
-            snap.store_dir = handle.dir.clone();
-            let store = handle.store.lock();
-            snap.store_generation = store.high_water();
-            // serving-model counts per node class, from the ledger's
-            // provenance (records predating classes land in `default`)
-            let mut by_class = std::collections::BTreeMap::<String, u64>::new();
-            for class in store.serving().into_iter().map(|r| r.provenance.node_class.as_str()) {
-                *by_class.entry(if class.is_empty() { "default" } else { class }.to_string()).or_default() += 1;
+        let (store_dir, store_generation, models_by_class) = match &self.store {
+            Some(handle) => {
+                let store = handle.store.lock();
+                // serving-model counts per node class, from the ledger's
+                // provenance (records predating classes land in `default`)
+                let mut by_class = std::collections::BTreeMap::<String, u64>::new();
+                for class in store.serving().into_iter().map(|r| r.provenance.node_class.as_str()) {
+                    *by_class.entry(if class.is_empty() { "default" } else { class }.to_string()).or_default() += 1;
+                }
+                (handle.dir.clone(), store.high_water(), by_class.into_iter().collect())
             }
-            snap.models_by_class = by_class.into_iter().collect();
-        }
+            None => (String::new(), 0, Vec::new()),
+        };
         let adapt = self.adapt.snapshot();
-        snap.outcomes_ingested = adapt.ingested;
-        snap.outcomes_rejected = adapt.rejected;
-        snap.outcome_reservoirs = adapt.reservoirs;
-        snap.drift_score_milli = adapt.drift_score_milli;
-        snap.canary_state = self.canary_state.lock().clone();
-        snap
+        let s = &self.stats;
+        StatsSnapshot {
+            replica: self.replica.clone(),
+            requests_total: s.requests_total.get(),
+            predictions: s.predictions.get(),
+            cache_hits: s.cache_hits.get(),
+            cache_misses: s.cache_misses.get(),
+            busy_rejections: s.busy_rejections.get(),
+            deadline_exceeded: s.deadline_exceeded.get(),
+            errors: s.errors.get(),
+            queue_depth: gauges.depth,
+            queue_capacity: gauges.capacity,
+            workers: gauges.workers,
+            models_resident: self.registry.len() as u64,
+            evictions: self.registry.evictions(),
+            model_generation: self.registry.generation(),
+            stale_generation_hits: s.stale_generation_hits.get(),
+            generation_rollbacks: s.generation_rollbacks.get(),
+            preloads: s.preloads.get(),
+            store_catchups: s.store_catchups.get(),
+            batches: s.batches.get(),
+            batched_keys: s.batched_keys.get(),
+            store_dir,
+            store_generation,
+            models_by_class,
+            outcomes_ingested: adapt.ingested,
+            outcomes_rejected: adapt.rejected,
+            outcome_reservoirs: adapt.reservoirs,
+            drift_score_milli: adapt.drift_score_milli,
+            drift_trips: s.drift_trips.get(),
+            drift_clears: s.drift_clears.get(),
+            adapt_refits: s.adapt_refits.get(),
+            canary_promotions: s.canary_promotions.get(),
+            canary_rollbacks: s.canary_rollbacks.get(),
+            canary_state: self.canary_state.lock().clone(),
+            latency_p50_us: s.service_us.percentile_us(0.50),
+            latency_p99_us: s.service_us.percentile_us(0.99),
+            latency_max_us: s.service_us.max_us(),
+        }
     }
 
     /// The one door: one request payload in, one reply payload out, in
@@ -313,7 +340,7 @@ impl PredictService {
     /// and the connection is kept.
     fn serve(&self, payload: &[u8], gauges: QueueGauges) -> (bool, Option<u64>, Response) {
         let started = self.telemetry.now_nanos();
-        self.stats.request();
+        self.stats.requests_total.bump();
         let (binary, decoded) = wire::decode_request(payload);
         let (corr, response, finished) = match decoded {
             Ok(frame) => {
@@ -329,7 +356,7 @@ impl PredictService {
                 let elapsed_us = finished.saturating_sub(started) / 1000;
                 let response = match frame.deadline_ms {
                     Some(budget) if elapsed_us > budget * 1000 => {
-                        self.stats.deadline_exceeded();
+                        self.stats.deadline_exceeded.bump();
                         if let Some(s) = &mut span {
                             s.set_error(format!("deadline exceeded: {elapsed_us}us over a {budget}ms budget"));
                         }
@@ -345,7 +372,7 @@ impl PredictService {
                 (frame.corr, response, finished)
             }
             Err(e) => {
-                self.stats.error();
+                self.stats.errors.bump();
                 // nothing to join: a malformed frame roots its own trace
                 let mut span = self.telemetry.root_span("daemon", "handle");
                 let message = format!("malformed request: {e}");
@@ -353,7 +380,7 @@ impl PredictService {
                 (None, Response::Error { message }, self.telemetry.now_nanos())
             }
         };
-        self.stats.record_latency_us(finished.saturating_sub(started) / 1000);
+        self.stats.service_us.record_us(finished.saturating_sub(started) / 1000);
         (binary, corr, response)
     }
 
@@ -367,7 +394,7 @@ impl PredictService {
             },
             Request::PredictMany { keys } => {
                 if keys.len() > MAX_BATCH_KEYS {
-                    self.stats.error();
+                    self.stats.errors.bump();
                     return Response::Error {
                         message: format!("batch of {} keys exceeds the {MAX_BATCH_KEYS}-key limit", keys.len()),
                     };
@@ -375,7 +402,9 @@ impl PredictService {
                 // Frame-level shape first, then the per-key loop bumps
                 // the same prediction/hit/miss counters a single-key
                 // Predict would: conservation counts keys, not frames.
-                self.stats.batch(keys.len() as u64);
+                self.stats.batches.bump();
+                self.stats.batched_keys.add(keys.len() as u64);
+                self.stats.batch_keys.record_us(keys.len() as u64);
                 let results =
                     keys.iter().map(|&(system_hash, binary_hash)| self.predict_key(system_hash, binary_hash, ctx));
                 Response::ManyConfigs { results: results.collect() }
@@ -385,7 +414,7 @@ impl PredictService {
                 // when its generation commits, so a load that fails (or a
                 // daemon observed mid-flow) can never serve a half-loaded
                 // answer
-                self.stats.preload();
+                self.stats.preloads.bump();
                 let generation = self.registry.begin_rollout();
                 match self.backend.load(model_id) {
                     Ok(model) => {
@@ -400,8 +429,8 @@ impl PredictService {
                         response
                     }
                     Err(e) => {
-                        self.stats.error();
-                        self.stats.generation_rollback();
+                        self.stats.errors.bump();
+                        self.stats.generation_rollbacks.bump();
                         Response::Error { message: e.to_string() }
                     }
                 }
@@ -441,10 +470,10 @@ impl PredictService {
         let report = self.adapt.ingest(key, outcome);
         match report.event {
             Some(eco_adapt::DriftEvent::Trip { score, .. }) => {
-                self.stats.drift_trip();
+                self.stats.drift_trips.bump();
                 self.telemetry.gauge("daemon.adapt.drift_score_milli").set_max((score * 1000.0).round() as u64);
             }
-            Some(eco_adapt::DriftEvent::Clear { .. }) => self.stats.drift_clear(),
+            Some(eco_adapt::DriftEvent::Clear { .. }) => self.stats.drift_clears.bump(),
             None => {}
         }
         Response::OutcomeAck { accepted: report.accepted }
@@ -456,12 +485,12 @@ impl PredictService {
     /// on miss, and exactly one `prediction` + one `hit`-or-`miss`
     /// counter bump per key regardless of framing.
     fn predict_key(&self, system_hash: u64, binary_hash: u64, ctx: Option<TraceContext>) -> KeyOutcome {
-        self.stats.prediction();
+        self.stats.predictions.bump();
         {
             let mut lookup = ctx.map(|c| self.telemetry.span_under(c, "daemon", "registry_lookup"));
             match self.registry.lookup(&(system_hash, binary_hash)) {
                 Lookup::Hit { config, .. } => {
-                    self.stats.cache_hit();
+                    self.stats.cache_hits.bump();
                     if let Some(s) = &mut lookup {
                         s.attr("result", "hit");
                     }
@@ -470,14 +499,14 @@ impl PredictService {
                 Lookup::Stale => {
                     // a half-rolled-out model must never answer;
                     // fall through to the backend like a miss
-                    self.stats.stale_generation_hit();
-                    self.stats.cache_miss();
+                    self.stats.stale_generation_hits.bump();
+                    self.stats.cache_misses.bump();
                     if let Some(s) = &mut lookup {
                         s.attr("result", "stale");
                     }
                 }
                 Lookup::Miss => {
-                    self.stats.cache_miss();
+                    self.stats.cache_misses.bump();
                     if let Some(s) = &mut lookup {
                         s.attr("result", "miss");
                     }
@@ -505,7 +534,7 @@ impl PredictService {
             }
             // … anything else is the daemon's own problem
             Err(e) => {
-                self.stats.error();
+                self.stats.errors.bump();
                 if let Some(s) = &mut backend_span {
                     s.set_error(e.to_string());
                 }
@@ -962,7 +991,7 @@ mod tests {
         assert_eq!(snap.outcomes_ingested, 1);
         assert_eq!(snap.outcome_reservoirs, 1);
         assert_eq!(snap.predictions, 0, "an outcome report is not a prediction");
-        assert_eq!(snap.canary_state, "idle");
+        assert_eq!(snap.canary_state, "");
         assert_eq!(svc.adapt().drain((10, 20)).len(), 1, "the driver can drain what was reported");
     }
 
@@ -1037,15 +1066,136 @@ mod tests {
         assert!(snap.canary_state.starts_with("canary gen 5 vs 4"));
     }
 
+    /// A clock on which every observation moves time forward 30 ms, so
+    /// any deadline under that is exceeded.
+    struct JumpClock(AtomicU64);
+
+    impl ServiceClock for JumpClock {
+        fn now_nanos(&self) -> u64 {
+            self.0.fetch_add(30_000_000, Ordering::Relaxed)
+        }
+    }
+
     #[test]
-    fn deadline_is_enforced_on_the_injected_clock() {
-        struct JumpClock(std::sync::atomic::AtomicU64);
-        impl ServiceClock for JumpClock {
-            fn now_nanos(&self) -> u64 {
-                // every observation moves time forward 30 ms
-                self.0.fetch_add(30_000_000, Ordering::Relaxed)
+    fn a_daemon_without_a_canary_controller_reports_no_canary_label() {
+        let svc = service_with_one_model();
+        let table = chronus::presenter::stats_table(&svc.snapshot(QueueGauges::default()));
+        assert!(!table.contains("canary"), "{table}");
+        svc.set_canary_state("idle");
+        let table = chronus::presenter::stats_table(&svc.snapshot(QueueGauges::default()));
+        assert!(table.contains("canary              idle"), "{table}");
+    }
+
+    #[test]
+    fn every_counter_in_the_snapshot_is_its_telemetry_cell() {
+        use eco_store::{MemBackend, Provenance};
+
+        // three served models, so boot catch-up counts three
+        let mut store = ModelStore::open(Box::new(MemBackend::new())).unwrap();
+        for (id, system_hash) in [(1, 10), (2, 11), (3, 12)] {
+            store.commit(&store_blob(system_hash, 20), id, Provenance::default()).unwrap();
+        }
+        let backend = StaticBackend::new(vec![PreparedModel {
+            model_id: 1,
+            model_type: "brute-force".into(),
+            system_hash: 10,
+            binary_hash: 20,
+            config: CpuConfig::new(16, 2_200_000, 1),
+        }]);
+        let svc = PredictService::with_clock(2, 8, Arc::new(backend), Arc::new(JumpClock(AtomicU64::new(0))))
+            .with_store(Arc::new(Mutex::new(store)), "/var/lib/chronus/store");
+        let send = |frame: RequestFrame| svc.answer(&frame_bytes(&frame), QueueGauges::default());
+        let predict = |system_hash, binary_hash| RequestFrame::new(Request::Predict { system_hash, binary_hash });
+        let outcome = |gflops| {
+            let outcome = ObservedOutcome {
+                config: CpuConfig::new(16, 2_200_000, 1),
+                gflops,
+                watts: 200.0,
+                duration_s: 60.0,
+                node_class: String::new(),
+            };
+            RequestFrame::new(Request::ReportOutcome { system_hash: 10, binary_hash: 20, outcome })
+        };
+
+        // Loop counts are chosen so no two counters end equal: a field
+        // read from the wrong cell cannot pass.
+        svc.catch_up_from_store();
+        for _ in 0..6 {
+            send(predict(10, 20)); // hit
+        }
+        for _ in 0..2 {
+            send(predict(9, 9)); // miss
+        }
+        for _ in 0..4 {
+            send(RequestFrame::new(Request::PredictMany { keys: vec![(10, 20), (9, 9)] }));
+        }
+        for _ in 0..5 {
+            // a rollout that died mid-flight: refused, then a miss
+            let gen = svc.registry().begin_rollout();
+            svc.registry().insert_at((10, 20), 7, "auto".into(), CpuConfig::new(8, 1_500_000, 2), gen);
+            send(predict(10, 20));
+        }
+        for _ in 0..6 {
+            send(RequestFrame::new(Request::Preload { model_id: 999 }));
+        }
+        send(RequestFrame::new(Request::Preload { model_id: 1 }));
+        for _ in 0..3 {
+            svc.answer(b"not json", QueueGauges::default());
+        }
+        for _ in 0..13 {
+            send(RequestFrame::with_deadline(Request::Ping, 10));
+        }
+        // 16 calibrate at 0.15 GFLOPS/W; 32 at 0.10 trip, 16 back at
+        // 0.15 clear, 32 at 0.10 trip again
+        for (gflops, n) in [(30.0, 16), (20.0, 32), (30.0, 16), (20.0, 32)] {
+            for _ in 0..n {
+                send(outcome(gflops));
             }
         }
+        for _ in 0..12 {
+            svc.stats().busy_rejections.bump(); // as the accept loop bounces
+        }
+        (0..14).for_each(|_| svc.note_adapt_refit());
+        (0..15).for_each(|_| svc.note_canary_verdict(true));
+        (0..16).for_each(|_| svc.note_canary_verdict(false));
+
+        let snap = svc.snapshot(QueueGauges::default());
+        let requests = 6 + 2 + 4 + 5 + 7 + 3 + 13 + 96;
+        let table = [
+            ("requests_total", snap.requests_total, requests),
+            ("predictions", snap.predictions, 6 + 2 + 4 * 2 + 5),
+            ("cache_hits", snap.cache_hits, 6 + 4),
+            ("cache_misses", snap.cache_misses, 2 + 4 + 5),
+            ("busy_rejections", snap.busy_rejections, 12),
+            ("deadline_exceeded", snap.deadline_exceeded, 13),
+            ("errors", snap.errors, 6 + 3),
+            ("stale_generation_hits", snap.stale_generation_hits, 5),
+            ("generation_rollbacks", snap.generation_rollbacks, 6),
+            ("preloads", snap.preloads, 7),
+            ("store_catchups", snap.store_catchups, 3),
+            ("batches", snap.batches, 4),
+            ("batched_keys", snap.batched_keys, 8),
+            ("drift_trips", snap.drift_trips, 2),
+            ("drift_clears", snap.drift_clears, 1),
+            ("adapt_refits", snap.adapt_refits, 14),
+            ("canary_promotions", snap.canary_promotions, 15),
+            ("canary_rollbacks", snap.canary_rollbacks, 16),
+        ];
+        for (name, field, expected) in table {
+            let cell = svc.telemetry().counter(&format!("daemon.{name}")).get();
+            assert_eq!((field, cell), (expected, expected), "daemon.{name}");
+        }
+        assert_eq!(svc.telemetry().histogram("daemon.batch_keys").count(), 4);
+        let latency = svc.telemetry().histogram("daemon.service_us");
+        assert_eq!(latency.count(), requests);
+        assert_eq!(
+            (snap.latency_p50_us, snap.latency_p99_us, snap.latency_max_us),
+            (latency.percentile_us(0.50), latency.percentile_us(0.99), latency.max_us())
+        );
+    }
+
+    #[test]
+    fn deadline_is_enforced_on_the_injected_clock() {
         let backend = StaticBackend::new(vec![]);
         let svc = PredictService::with_clock(1, 4, Arc::new(backend), Arc::new(JumpClock(AtomicU64::new(0))));
         let payload = frame_bytes(&RequestFrame::with_deadline(Request::Ping, 10));

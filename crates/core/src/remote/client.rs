@@ -494,7 +494,7 @@ impl PredictClient {
                 t.ring_lookups.bump();
             }
             for (i, &(s, b)) in keys.iter().enumerate() {
-                let owner = self.ring.ordered(predict_key(s, b)).first().copied().unwrap_or_default() as usize;
+                let owner = self.ring.primary(predict_key(s, b)).unwrap_or_default() as usize;
                 groups[owner.min(self.replicas.len() - 1)].push(i);
             }
         }

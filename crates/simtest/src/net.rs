@@ -747,7 +747,7 @@ impl SimConnection {
         if core.roll(plan.busy) {
             // what the accept loop does when its queue is full: count it,
             // answer Busy, hang up
-            core.replicas[r].service.stats().busy_rejection();
+            core.replicas[r].service.telemetry().counter("daemon.busy_rejections").bump();
             core.replicas[r].ledger.busy_injected += 1;
             self.inbox.extend(encode(Response::Busy { retry_after_ms: plan.retry_after_ms }));
             self.dead = Some(io::ErrorKind::ConnectionAborted);

@@ -50,6 +50,8 @@ stage_docs() { RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps; }
 simtest_world() {
     run cargo test -q -p simtest --release --test sweep "$1"
     case $1 in
+    pipeline) # the daemon's counter table, which every world's ledger audit reads, optimised
+        run cargo test -q -p chronusd --release --lib service ;;
     fleet) # kill mid-load with zero lost predictions, rejoin + re-preload
         run cargo test -q -p chronusd --release --test fleet_failover ;;
     store) # the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes
