@@ -99,11 +99,6 @@ impl ReservoirSet {
         }
     }
 
-    /// Keys with at least one row held right now.
-    pub fn populated_keys(&self) -> Vec<(u64, u64)> {
-        self.by_key.iter().filter(|(_, r)| !r.is_empty()).map(|(&k, _)| k).collect()
-    }
-
     /// Count of keys with at least one row held right now.
     pub fn populated(&self) -> u64 {
         self.by_key.values().filter(|r| !r.is_empty()).count() as u64

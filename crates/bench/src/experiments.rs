@@ -5,7 +5,7 @@
 
 use crate::lab::Lab;
 use crate::report::{fmt_hms, ExperimentOutput};
-use chronus::domain::{Benchmark, EnergySample};
+use chronus::domain::{trapezoid, Benchmark, EnergySample};
 use chronus::interfaces::{ApplicationRunner, SystemService};
 use chronus::optimizers::ModelFactory;
 use eco_hpcg::paper_data::{self, TABLE2_BEST, TABLE2_STANDARD};
@@ -459,8 +459,7 @@ pub fn ablation_sampling(scale: f64) -> ExperimentOutput {
             // ground truth over exactly the sampled window
             true_j = lab.cluster.node(0).energy().system_j - true_before;
         }
-        let sampled_j: f64 =
-            samples.windows(2).map(|w| (w[1].t_s - w[0].t_s) * (w[0].system_w + w[1].system_w) / 2.0).sum();
+        let sampled_j = trapezoid(&samples, |s| s.system_w);
         let err = (sampled_j - true_j).abs() / true_j * 100.0;
         text.push_str(&format!(
             "{interval_s:>6} s  {:>7}  {:>9.1}  {:>8.1}  {err:>5.2}%\n",

@@ -18,6 +18,7 @@ use eco_sim_node::cpu::{ghz_to_khz, CpuConfig};
 use eco_sim_node::SimNode;
 use eco_slurm_sim::Cluster;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A ready-to-run laboratory: one simulated SR650 node under Slurm with
@@ -48,7 +49,11 @@ impl Lab {
     /// for quick runs).
     pub fn new(tag: &str, scale: f64) -> Self {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
-        let root = std::env::temp_dir().join(format!("eco-lab-{tag}-{}", std::process::id()));
+        // a root of its own per lab: tests that share a tag run in
+        // parallel, and one must not delete or rewrite another's store
+        static LABS: AtomicU64 = AtomicU64::new(0);
+        let n = LABS.fetch_add(1, Ordering::Relaxed);
+        let root = std::env::temp_dir().join(format!("eco-lab-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root).expect("create lab root");
 

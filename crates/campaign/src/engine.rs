@@ -12,7 +12,7 @@ use crate::error::{CampaignError, Result};
 use crate::journal::{Journal, TrialEntry, TrialStatus};
 use crate::plan::{TrialMeasurement, TrialResult, TrialSpec};
 use crate::spec::CampaignSpec;
-use chronus::domain::{Benchmark, EnergySample, SystemEntry};
+use chronus::domain::{mean, trapezoid, Benchmark, EnergySample, SystemEntry};
 use chronus::hash::{binary_hash, classed_system_hash, system_hash};
 use chronus::integrations::monitoring::IpmiService;
 use chronus::interfaces::{Repository, SystemService};
@@ -86,7 +86,7 @@ struct ActiveTrial<'t> {
     spec: TrialSpec,
     entry_id: i64,
     job: JobId,
-    span: Option<Span<'t>>,
+    span: Span<'t>,
     samples: Vec<EnergySample>,
     work_gflop: f64,
     node: Option<usize>,
@@ -133,7 +133,6 @@ impl<'a> CampaignEngine<'a> {
             Some(_) => {}
             None => self.journal.save_spec(&self.spec)?,
         }
-        let plan = self.spec.plan.build(&self.spec.configs)?;
 
         // One probe binary per workload fraction. All share the same
         // binary_id (the problem size doesn't change with run length), so
@@ -163,7 +162,7 @@ impl<'a> CampaignEngine<'a> {
         let telemetry = Arc::clone(&self.telemetry);
         let mut run_span = telemetry.root_span("campaign", "run");
         run_span.attr("campaign", self.spec.name.clone());
-        run_span.attr("plan", plan.name());
+        run_span.attr("plan", self.spec.plan.name());
 
         let interval = SimDuration::from_millis(self.spec.sample_interval_ms);
         let mut history: Vec<TrialResult> = Vec::new();
@@ -172,7 +171,7 @@ impl<'a> CampaignEngine<'a> {
         let mut trial_seconds = 0.0f64;
 
         loop {
-            let trials = plan.round(round, &history);
+            let trials = self.spec.plan.round(&self.spec.configs, round, &history);
             if trials.is_empty() {
                 if round == 0 {
                     return Err(CampaignError::InvalidSpec("the plan scheduled no trials".into()));
@@ -184,22 +183,17 @@ impl<'a> CampaignEngine<'a> {
             let mut queue: VecDeque<(TrialSpec, Option<i64>)> = VecDeque::new();
             for t in &trials {
                 match prior.get(&(t.round, t.config)) {
-                    Some((_, e)) => match &e.status {
-                        TrialStatus::Done { measurement } => {
-                            history.push(TrialResult { spec: *t, outcome: Some(*measurement) });
-                            trials_skipped += 1;
-                            telemetry.counter("campaign.trials_skipped").add(1);
-                        }
-                        TrialStatus::Failed { .. } => {
-                            history.push(TrialResult { spec: *t, outcome: None });
-                            trials_skipped += 1;
-                            telemetry.counter("campaign.trials_skipped").add(1);
-                        }
-                        TrialStatus::Started => {
-                            // in flight at the crash: resubmit under the same entry
-                            queue.push_back((*t, Some(prior[&(t.round, t.config)].0)));
-                        }
-                    },
+                    // in flight at the crash: resubmit under the same entry
+                    Some((id, TrialEntry { status: TrialStatus::Started, .. })) => queue.push_back((*t, Some(*id))),
+                    Some((_, e)) => {
+                        let outcome = match e.status {
+                            TrialStatus::Done { measurement } => Some(measurement),
+                            _ => None,
+                        };
+                        history.push(TrialResult { spec: *t, outcome });
+                        trials_skipped += 1;
+                        telemetry.counter("campaign.trials_skipped").add(1);
+                    }
                     None => queue.push_back((*t, None)),
                 }
             }
@@ -215,12 +209,7 @@ impl<'a> CampaignEngine<'a> {
                     let Some((t, prior_id)) = queue.pop_front() else { break };
                     let entry_id = match prior_id {
                         Some(id) => id,
-                        None => self.journal.append(&TrialEntry {
-                            round: t.round,
-                            config: t.config,
-                            fraction: t.fraction,
-                            status: TrialStatus::Started,
-                        })?,
+                        None => self.journal.append(&TrialEntry::new(t, TrialStatus::Started))?,
                     };
                     let (path, work) = level_for(&levels, t.fraction)?;
                     let script =
@@ -236,7 +225,7 @@ impl<'a> CampaignEngine<'a> {
                         spec: t,
                         entry_id,
                         job,
-                        span: Some(span),
+                        span,
                         samples: Vec::new(),
                         work_gflop: work,
                         node: None,
@@ -276,49 +265,32 @@ impl<'a> CampaignEngine<'a> {
                                 _ => 0.0,
                             };
                             trial_seconds += runtime_s;
-                            if record.state == JobState::Completed && runtime_s > 0.0 {
+                            let outcome = (record.state == JobState::Completed && runtime_s > 0.0).then(|| {
                                 let gflops = a.work_gflop / runtime_s;
-                                let m = measure(
-                                    &a.samples,
-                                    runtime_s,
-                                    gflops,
-                                    record.system_energy_j,
-                                    record.cpu_energy_j,
-                                );
-                                self.journal.update(
-                                    a.entry_id,
-                                    &TrialEntry {
-                                        round: a.spec.round,
-                                        config: a.spec.config,
-                                        fraction: a.spec.fraction,
-                                        status: TrialStatus::Done { measurement: m },
-                                    },
-                                )?;
-                                if let Some(mut span) = a.span.take() {
+                                measure(&a.samples, runtime_s, gflops, record.system_energy_j, record.cpu_energy_j)
+                            });
+                            let mut span = a.span;
+                            let status = match outcome {
+                                Some(m) => {
                                     span.attr("gflops", format!("{:.3}", m.gflops));
                                     span.attr("gpw", format!("{:.5}", m.gflops_per_watt()));
                                     span.attr("runtime_s", format!("{runtime_s:.1}"));
                                     span.attr("samples", m.sample_count);
+                                    TrialStatus::Done { measurement: m }
                                 }
-                                history.push(TrialResult { spec: a.spec, outcome: Some(m) });
+                                None => {
+                                    let reason = format!("job ended {:?}", record.state);
+                                    span.set_error(reason.clone());
+                                    TrialStatus::Failed { reason }
+                                }
+                            };
+                            self.journal.update(a.entry_id, &TrialEntry::new(a.spec, status))?;
+                            history.push(TrialResult { spec: a.spec, outcome });
+                            if outcome.is_some() {
                                 trials_run += 1;
                                 telemetry.counter("campaign.trials_completed").add(1);
                                 telemetry.histogram("campaign.trial_runtime").record_us((runtime_s * 1e6) as u64);
                             } else {
-                                let reason = format!("job ended {:?}", record.state);
-                                self.journal.update(
-                                    a.entry_id,
-                                    &TrialEntry {
-                                        round: a.spec.round,
-                                        config: a.spec.config,
-                                        fraction: a.spec.fraction,
-                                        status: TrialStatus::Failed { reason: reason.clone() },
-                                    },
-                                )?;
-                                if let Some(mut span) = a.span.take() {
-                                    span.set_error(reason);
-                                }
-                                history.push(TrialResult { spec: a.spec, outcome: None });
                                 trials_failed += 1;
                                 telemetry.counter("campaign.trials_failed").add(1);
                             }
@@ -392,7 +364,7 @@ impl<'a> CampaignEngine<'a> {
         run_span.attr("best", best.config.to_string());
 
         Ok(CampaignOutcome {
-            plan: plan.name().to_string(),
+            plan: self.spec.plan.name().to_string(),
             rounds: round,
             trials_run,
             trials_skipped,
@@ -425,19 +397,14 @@ fn measure(
     record_cpu_j: f64,
 ) -> TrialMeasurement {
     if samples.len() >= 2 {
-        let n = samples.len() as f64;
-        let avg = |f: fn(&EnergySample) -> f64| samples.iter().map(f).sum::<f64>() / n;
-        let trapezoid = |f: fn(&EnergySample) -> f64| {
-            samples.windows(2).map(|w| 0.5 * (f(&w[0]) + f(&w[1])) * (w[1].t_s - w[0].t_s)).sum::<f64>()
-        };
         TrialMeasurement {
             gflops,
             runtime_s,
-            avg_system_w: avg(|s| s.system_w),
-            avg_cpu_w: avg(|s| s.cpu_w),
-            avg_cpu_temp_c: avg(|s| s.cpu_temp_c),
-            system_energy_j: trapezoid(|s| s.system_w),
-            cpu_energy_j: trapezoid(|s| s.cpu_w),
+            avg_system_w: mean(samples, |s| s.system_w),
+            avg_cpu_w: mean(samples, |s| s.cpu_w),
+            avg_cpu_temp_c: mean(samples, |s| s.cpu_temp_c),
+            system_energy_j: trapezoid(samples, |s| s.system_w),
+            cpu_energy_j: trapezoid(samples, |s| s.cpu_w),
             sample_count: samples.len(),
         }
     } else {

@@ -14,7 +14,7 @@
 //! write-failure injection point for the fault-plan tests.
 
 use crate::error::{CampaignError, Result};
-use crate::plan::TrialMeasurement;
+use crate::plan::{TrialMeasurement, TrialSpec};
 use crate::spec::CampaignSpec;
 use chronus::integrations::record_store::RecordStore;
 use eco_sim_node::cpu::CpuConfig;
@@ -59,6 +59,11 @@ pub struct TrialEntry {
 }
 
 impl TrialEntry {
+    /// The journal row of `spec` at `status`.
+    pub fn new(spec: TrialSpec, status: TrialStatus) -> Self {
+        TrialEntry { round: spec.round, config: spec.config, fraction: spec.fraction, status }
+    }
+
     /// Whether the entry records a finished, measured trial.
     pub fn is_done(&self) -> bool {
         matches!(self.status, TrialStatus::Done { .. })

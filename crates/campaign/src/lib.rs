@@ -5,18 +5,18 @@
 //! threads-per-core) configuration at full length — 192 full HPCG runs on
 //! the SR650 testbed. This crate turns that sweep into a *campaign*:
 //!
-//! * a [`plan::CampaignPlan`] decides which configurations run at which
-//!   probe length each round ([`plan::SuccessiveHalvingPlan`] prunes the
-//!   sweep with short probe runs scored by mid-run IPMI power samples;
-//!   [`plan::BruteForcePlan`] is the paper's exhaustive baseline);
+//! * a [`PlanSpec`] decides which configurations run at which probe
+//!   length each round: successive halving prunes the sweep with short
+//!   probe runs scored by mid-run IPMI power samples, and the paper's
+//!   exhaustive baseline is the one-rung ladder of full runs;
 //! * the [`engine::CampaignEngine`] executes trials as real batch jobs,
 //!   concurrently across cluster nodes, journaling every state
 //!   transition write-ahead so a killed campaign resumes without
 //!   re-running finished trials ([`journal::RecordJournal`]);
-//! * [`rollout`] rebuilds the model from the final round's benchmarks and
-//!   hot-rolls it into a running chronusd through the versioned
-//!   `Preload` flow — committed generations only, never a half-loaded
-//!   model.
+//! * [`rollout`] commits the model rebuilt from the final round's
+//!   benchmarks to the store and hot-rolls it into running chronusd
+//!   replicas through the versioned `Preload` flow — committed
+//!   generations only, never a half-loaded model.
 //!
 //! Everything is deterministic given the campaign seed, so fault plans
 //! (node crash mid-trial, storage write failure, unreachable daemon) are
@@ -36,10 +36,6 @@ pub use engine::{ActiveJob, CampaignEngine, CampaignOutcome, RunOptions};
 pub use error::{CampaignError, Result};
 pub use fit::{fit_best_config, FittedModel};
 pub use journal::{FlakyJournal, Journal, RecordJournal, TrialEntry, TrialStatus};
-pub use plan::{
-    BruteForcePlan, CampaignPlan, PlanSpec, SuccessiveHalvingPlan, TrialMeasurement, TrialResult, TrialSpec,
-};
-pub use rollout::{
-    commit_to_store, rebuild_model, roll_into, roll_into_fleet, FleetRolloutReport, RolloutAck, RolloutTarget,
-};
+pub use plan::{PlanSpec, TrialMeasurement, TrialResult, TrialSpec};
+pub use rollout::{commit_to_store, roll_into, roll_into_fleet, FleetRolloutReport, RolloutAck, RolloutTarget};
 pub use spec::CampaignSpec;

@@ -1,10 +1,11 @@
-//! Campaign plans — the strategy that decides which configurations run at
+//! Campaign plans — the rule that decides which configurations run at
 //! which probe length in each round.
 //!
-//! A [`CampaignPlan`] is a pure function from the trial history to the next
-//! round's trials. It holds no mutable state, so a resumed campaign that
-//! replays journaled results recomputes exactly the same rounds the crashed
-//! run saw — the property the crash-resume tests rely on.
+//! [`PlanSpec::round`] is a pure function from the trial history to the
+//! next round's trials. A plan holds no mutable state, so a resumed
+//! campaign that replays journaled results recomputes exactly the same
+//! rounds the crashed run saw — the property the crash-resume tests rely
+//! on.
 
 use crate::error::{CampaignError, Result};
 use eco_sim_node::cpu::CpuConfig;
@@ -63,131 +64,16 @@ pub struct TrialResult {
     pub outcome: Option<TrialMeasurement>,
 }
 
-/// A campaign strategy: given everything measured so far, which trials run
-/// next? Returning an empty round ends the campaign.
-pub trait CampaignPlan {
-    /// Strategy name, for telemetry and status output.
-    fn name(&self) -> &'static str;
-
-    /// Trials for `round`, given the results of all previous rounds.
-    fn round(&self, round: u32, history: &[TrialResult]) -> Vec<TrialSpec>;
-}
-
-/// The paper's exhaustive baseline: every configuration at full length in
-/// a single round.
-pub struct BruteForcePlan {
-    configs: Vec<CpuConfig>,
-}
-
-impl BruteForcePlan {
-    /// Sweeps every configuration once.
-    pub fn new(configs: Vec<CpuConfig>) -> Self {
-        BruteForcePlan { configs }
-    }
-}
-
-impl CampaignPlan for BruteForcePlan {
-    fn name(&self) -> &'static str {
-        "brute-force"
-    }
-
-    fn round(&self, round: u32, _history: &[TrialResult]) -> Vec<TrialSpec> {
-        if round != 0 {
-            return Vec::new();
-        }
-        self.configs.iter().map(|&config| TrialSpec { round: 0, config, fraction: 1.0 }).collect()
-    }
-}
-
-/// Successive halving over short probe runs: round `r` runs the surviving
-/// configurations at `fractions[r]` of the full workload, then keeps the
-/// top `1/eta` by measured GFLOPS/W. The final fraction must be 1.0 so the
-/// winners' measurements are real full-length benchmarks.
-pub struct SuccessiveHalvingPlan {
-    configs: Vec<CpuConfig>,
-    fractions: Vec<f64>,
-    eta: u32,
-}
-
-impl SuccessiveHalvingPlan {
-    /// Builds a plan; rejects unusable fraction ladders.
-    pub fn new(configs: Vec<CpuConfig>, fractions: Vec<f64>, eta: u32) -> Result<Self> {
-        validate_fractions(&fractions)?;
-        if eta < 2 {
-            return Err(CampaignError::InvalidSpec(format!("halving factor eta must be at least 2, got {eta}")));
-        }
-        Ok(SuccessiveHalvingPlan { configs, fractions, eta })
-    }
-
-    /// Position of a configuration in the original sweep order, used to
-    /// break GFLOPS/W ties deterministically.
-    fn order_of(&self, config: &CpuConfig) -> usize {
-        self.configs.iter().position(|c| c == config).unwrap_or(usize::MAX)
-    }
-}
-
-impl CampaignPlan for SuccessiveHalvingPlan {
-    fn name(&self) -> &'static str {
-        "successive-halving"
-    }
-
-    fn round(&self, round: u32, history: &[TrialResult]) -> Vec<TrialSpec> {
-        let r = round as usize;
-        if r >= self.fractions.len() {
-            return Vec::new();
-        }
-        let candidates: Vec<CpuConfig> = if r == 0 {
-            self.configs.clone()
-        } else {
-            // survivors: top 1/eta of the previous round by measured GFLOPS/W
-            let mut prev: Vec<(&TrialSpec, TrialMeasurement)> = history
-                .iter()
-                .filter(|t| t.spec.round == round - 1)
-                .filter_map(|t| t.outcome.map(|m| (&t.spec, m)))
-                .collect();
-            if prev.is_empty() {
-                return Vec::new();
-            }
-            prev.sort_by(|(sa, ma), (sb, mb)| {
-                mb.gflops_per_watt()
-                    .partial_cmp(&ma.gflops_per_watt())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| self.order_of(&sa.config).cmp(&self.order_of(&sb.config)))
-            });
-            let keep = (prev.len()).div_ceil(self.eta as usize).max(1);
-            prev.truncate(keep);
-            // re-sort survivors into sweep order so rounds are stable
-            prev.sort_by_key(|(s, _)| self.order_of(&s.config));
-            prev.into_iter().map(|(s, _)| s.config).collect()
-        };
-        candidates.into_iter().map(|config| TrialSpec { round, config, fraction: self.fractions[r] }).collect()
-    }
-}
-
-fn validate_fractions(fractions: &[f64]) -> Result<()> {
-    if fractions.is_empty() {
-        return Err(CampaignError::InvalidSpec("probe fraction ladder is empty".into()));
-    }
-    for &f in fractions {
-        if !(f > 0.0 && f <= 1.0) {
-            return Err(CampaignError::InvalidSpec(format!("probe fraction {f} is outside (0, 1]")));
-        }
-    }
-    if fractions.windows(2).any(|w| w[1] <= w[0]) {
-        return Err(CampaignError::InvalidSpec("probe fractions must strictly increase".into()));
-    }
-    let last = *fractions.last().unwrap();
-    if last != 1.0 {
-        return Err(CampaignError::InvalidSpec(format!(
-            "final probe fraction must be 1.0 (full benchmark), got {last}"
-        )));
-    }
-    Ok(())
-}
-
-/// Which plan to run — the serializable descriptor stored in the journal
-/// so a resumed campaign rebuilds exactly the strategy the original run
-/// used.
+/// Which plan to run, and the plan itself. The descriptor is stored in
+/// the journal, so a resumed campaign runs exactly the rule the original
+/// run used.
+///
+/// Every plan is successive halving over a probe-fraction ladder: round
+/// `r` runs the surviving configurations at `fractions[r]` of the full
+/// workload, then keeps the top `1/eta` by measured GFLOPS/W. The final
+/// fraction must be 1.0 so the winners' measurements are real full-length
+/// benchmarks. The paper's exhaustive baseline is the one-rung ladder
+/// `[1.0]`: every configuration at full length in a single round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PlanSpec {
     /// Every configuration at full length.
@@ -208,7 +94,7 @@ impl PlanSpec {
         PlanSpec::SuccessiveHalving { fractions: vec![0.1, 0.3, 1.0], eta: 4 }
     }
 
-    /// Strategy name without building the plan.
+    /// Strategy name, for telemetry, status output and store provenance.
     pub fn name(&self) -> &'static str {
         match self {
             PlanSpec::BruteForce => "brute-force",
@@ -216,23 +102,74 @@ impl PlanSpec {
         }
     }
 
-    /// The distinct workload fractions the plan can schedule, in round
-    /// order — the engine registers one probe binary per fraction.
-    pub fn fractions(&self) -> Vec<f64> {
+    /// The workload fraction of each round, in round order — the engine
+    /// registers one probe binary per fraction.
+    pub fn fractions(&self) -> &[f64] {
         match self {
-            PlanSpec::BruteForce => vec![1.0],
-            PlanSpec::SuccessiveHalving { fractions, .. } => fractions.clone(),
+            PlanSpec::BruteForce => &[1.0],
+            PlanSpec::SuccessiveHalving { fractions, .. } => fractions,
         }
     }
 
-    /// Instantiates the strategy over a configuration sweep.
-    pub fn build(&self, configs: &[CpuConfig]) -> Result<Box<dyn CampaignPlan>> {
-        match self {
-            PlanSpec::BruteForce => Ok(Box::new(BruteForcePlan::new(configs.to_vec()))),
-            PlanSpec::SuccessiveHalving { fractions, eta } => {
-                Ok(Box::new(SuccessiveHalvingPlan::new(configs.to_vec(), fractions.clone(), *eta)?))
+    /// Rejects an unusable fraction ladder or halving factor.
+    pub fn validate(&self) -> Result<()> {
+        let fractions = self.fractions();
+        let Some(&last) = fractions.last() else {
+            return Err(CampaignError::InvalidSpec("probe fraction ladder is empty".into()));
+        };
+        for &f in fractions {
+            if !(f > 0.0 && f <= 1.0) {
+                return Err(CampaignError::InvalidSpec(format!("probe fraction {f} is outside (0, 1]")));
             }
         }
+        if fractions.windows(2).any(|w| w[1] <= w[0]) {
+            return Err(CampaignError::InvalidSpec("probe fractions must strictly increase".into()));
+        }
+        if last != 1.0 {
+            return Err(CampaignError::InvalidSpec(format!(
+                "final probe fraction must be 1.0 (full benchmark), got {last}"
+            )));
+        }
+        match self {
+            PlanSpec::SuccessiveHalving { eta, .. } if *eta < 2 => {
+                Err(CampaignError::InvalidSpec(format!("halving factor eta must be at least 2, got {eta}")))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Trials for `round` over the sweep `configs`, given the results of
+    /// all previous rounds. An empty round ends the campaign.
+    pub fn round(&self, configs: &[CpuConfig], round: u32, history: &[TrialResult]) -> Vec<TrialSpec> {
+        let Some(&fraction) = self.fractions().get(round as usize) else { return Vec::new() };
+        // position in the sweep breaks GFLOPS/W ties deterministically
+        let order_of = |config: &CpuConfig| configs.iter().position(|c| c == config).unwrap_or(usize::MAX);
+        let candidates: Vec<CpuConfig> = match self {
+            _ if round == 0 => configs.to_vec(),
+            PlanSpec::BruteForce => unreachable!("a one-rung ladder has no round after the first"),
+            PlanSpec::SuccessiveHalving { eta, .. } => {
+                // survivors: top 1/eta of the previous round by measured GFLOPS/W
+                let mut prev: Vec<(&TrialSpec, TrialMeasurement)> = history
+                    .iter()
+                    .filter(|t| t.spec.round == round - 1)
+                    .filter_map(|t| t.outcome.map(|m| (&t.spec, m)))
+                    .collect();
+                if prev.is_empty() {
+                    return Vec::new();
+                }
+                prev.sort_by(|(sa, ma), (sb, mb)| {
+                    mb.gflops_per_watt()
+                        .partial_cmp(&ma.gflops_per_watt())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| order_of(&sa.config).cmp(&order_of(&sb.config)))
+                });
+                prev.truncate(prev.len().div_ceil(*eta as usize).max(1));
+                // re-sort survivors into sweep order so rounds are stable
+                prev.sort_by_key(|(s, _)| order_of(&s.config));
+                prev.into_iter().map(|(s, _)| s.config).collect()
+            }
+        };
+        candidates.into_iter().map(|config| TrialSpec { round, config, fraction }).collect()
     }
 }
 
@@ -265,84 +202,102 @@ mod tests {
         }
     }
 
+    fn halving(fractions: Vec<f64>, eta: u32) -> PlanSpec {
+        PlanSpec::SuccessiveHalving { fractions, eta }
+    }
+
     #[test]
     fn brute_force_is_one_full_round() {
-        let plan = BruteForcePlan::new(sweep());
-        let r0 = plan.round(0, &[]);
+        let plan = PlanSpec::BruteForce;
+        let r0 = plan.round(&sweep(), 0, &[]);
         assert_eq!(r0.len(), 4);
         assert!(r0.iter().all(|t| t.fraction == 1.0 && t.round == 0));
-        assert!(plan.round(1, &[]).is_empty());
+        assert!(plan.round(&sweep(), 1, &[]).is_empty());
+    }
+
+    #[test]
+    fn brute_force_is_the_one_rung_halving_ladder_over_the_full_sweep() {
+        let configs = eco_sim_node::cpu::CpuSpec::epyc_7502p().all_configurations();
+        assert_eq!(configs.len(), 192);
+        let (brute, ladder) = (PlanSpec::BruteForce, halving(vec![1.0], 2));
+        let r0 = brute.round(&configs, 0, &[]);
+        assert_eq!(r0, ladder.round(&configs, 0, &[]));
+        assert_eq!(r0.len(), 192);
+        let history: Vec<TrialResult> =
+            r0.iter().enumerate().map(|(i, &s)| done(s, 10.0 + i as f64, 100.0)).collect();
+        assert!(brute.round(&configs, 1, &history).is_empty());
+        assert!(ladder.round(&configs, 1, &history).is_empty());
     }
 
     #[test]
     fn halving_keeps_top_survivors_by_gpw() {
-        let plan = SuccessiveHalvingPlan::new(sweep(), vec![0.1, 1.0], 2).unwrap();
-        let r0 = plan.round(0, &[]);
+        let plan = halving(vec![0.1, 1.0], 2);
+        let r0 = plan.round(&sweep(), 0, &[]);
         assert_eq!(r0.len(), 4);
         assert!(r0.iter().all(|t| t.fraction == 0.1));
         // best gpw: configs[2] (10/100) and configs[1] (8/100); the rest worse
         let history =
             vec![done(r0[0], 2.0, 100.0), done(r0[1], 8.0, 100.0), done(r0[2], 10.0, 100.0), done(r0[3], 4.0, 100.0)];
-        let r1 = plan.round(1, &history);
+        let r1 = plan.round(&sweep(), 1, &history);
         assert_eq!(r1.len(), 2, "keep ceil(4/2) = 2 survivors");
         assert!(r1.iter().all(|t| t.fraction == 1.0));
         let survivors: Vec<CpuConfig> = r1.iter().map(|t| t.config).collect();
         assert_eq!(survivors, vec![sweep()[1], sweep()[2]], "sweep order preserved");
-        assert!(plan.round(2, &history).is_empty());
+        assert!(plan.round(&sweep(), 2, &history).is_empty());
     }
 
     #[test]
     fn halving_drops_failed_trials_from_the_survivor_pool() {
-        let plan = SuccessiveHalvingPlan::new(sweep(), vec![0.1, 1.0], 2).unwrap();
-        let r0 = plan.round(0, &[]);
+        let plan = halving(vec![0.1, 1.0], 2);
+        let r0 = plan.round(&sweep(), 0, &[]);
         let history = vec![
             TrialResult { spec: r0[0], outcome: None }, // crashed
             done(r0[1], 1.0, 100.0),
             done(r0[2], 9.0, 100.0),
             TrialResult { spec: r0[3], outcome: None }, // crashed
         ];
-        let r1 = plan.round(1, &history);
+        let r1 = plan.round(&sweep(), 1, &history);
         assert_eq!(r1.len(), 1, "ceil(2/2) = 1 survivor from the two completions");
         assert_eq!(r1[0].config, sweep()[2]);
     }
 
     #[test]
     fn halving_with_no_completions_ends_the_campaign() {
-        let plan = SuccessiveHalvingPlan::new(sweep(), vec![0.1, 1.0], 2).unwrap();
-        let r0 = plan.round(0, &[]);
+        let plan = halving(vec![0.1, 1.0], 2);
+        let r0 = plan.round(&sweep(), 0, &[]);
         let history: Vec<TrialResult> = r0.iter().map(|&spec| TrialResult { spec, outcome: None }).collect();
-        assert!(plan.round(1, &history).is_empty());
+        assert!(plan.round(&sweep(), 1, &history).is_empty());
     }
 
     #[test]
     fn fraction_ladder_is_validated() {
-        assert!(SuccessiveHalvingPlan::new(sweep(), vec![], 2).is_err());
-        assert!(SuccessiveHalvingPlan::new(sweep(), vec![0.5, 0.4, 1.0], 2).is_err());
-        assert!(SuccessiveHalvingPlan::new(sweep(), vec![0.1, 0.5], 2).is_err(), "must end at 1.0");
-        assert!(SuccessiveHalvingPlan::new(sweep(), vec![0.0, 1.0], 2).is_err());
-        assert!(SuccessiveHalvingPlan::new(sweep(), vec![0.1, 1.0], 1).is_err(), "eta >= 2");
-        assert!(SuccessiveHalvingPlan::new(sweep(), vec![1.0], 2).is_ok());
+        assert!(halving(vec![], 2).validate().is_err());
+        assert!(halving(vec![0.5, 0.4, 1.0], 2).validate().is_err());
+        assert!(halving(vec![0.1, 0.5], 2).validate().is_err(), "must end at 1.0");
+        assert!(halving(vec![0.0, 1.0], 2).validate().is_err());
+        assert!(halving(vec![0.1, 1.0], 1).validate().is_err(), "eta >= 2");
+        assert!(halving(vec![1.0], 2).validate().is_ok());
+        assert!(PlanSpec::BruteForce.validate().is_ok());
     }
 
     #[test]
-    fn plan_spec_roundtrips_and_builds() {
+    fn plan_spec_roundtrips_and_names_itself() {
         let spec = PlanSpec::default_halving();
         let json = serde_json::to_string(&spec).unwrap();
         let back: PlanSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
         assert_eq!(spec.name(), "successive-halving");
-        assert_eq!(spec.fractions(), vec![0.1, 0.3, 1.0]);
-        assert_eq!(spec.build(&sweep()).unwrap().name(), "successive-halving");
-        assert_eq!(PlanSpec::BruteForce.build(&sweep()).unwrap().name(), "brute-force");
-        assert_eq!(PlanSpec::BruteForce.fractions(), vec![1.0]);
+        assert_eq!(spec.fractions(), [0.1, 0.3, 1.0]);
+        assert_eq!(PlanSpec::BruteForce.name(), "brute-force");
+        assert_eq!(PlanSpec::BruteForce.fractions(), [1.0]);
     }
 
     #[test]
     fn ties_break_toward_sweep_order() {
-        let plan = SuccessiveHalvingPlan::new(sweep(), vec![0.1, 1.0], 4).unwrap();
-        let r0 = plan.round(0, &[]);
+        let plan = halving(vec![0.1, 1.0], 4);
+        let r0 = plan.round(&sweep(), 0, &[]);
         let history: Vec<TrialResult> = r0.iter().map(|&s| done(s, 5.0, 100.0)).collect();
-        let r1 = plan.round(1, &history);
+        let r1 = plan.round(&sweep(), 1, &history);
         assert_eq!(r1.len(), 1);
         assert_eq!(r1[0].config, sweep()[0], "all tied: earliest sweep entry survives");
     }

@@ -1,6 +1,7 @@
-//! Hot model rollout: after a campaign round produces fresh benchmarks,
-//! rebuild the model through the Chronus application layer and push it
-//! into a running prediction daemon with the versioned `Preload` flow.
+//! Hot model rollout: after a campaign produces fresh benchmarks and the
+//! Chronus application layer rebuilds the model from them (`init_model`,
+//! then `load_model`), commit it to the durable store and push it into
+//! running prediction daemons with the versioned `Preload` flow.
 //!
 //! The daemon side guarantees atomicity (a rollout generation is either
 //! fully committed or rolled back, and stale-generation entries are never
@@ -11,7 +12,7 @@ use crate::engine::CampaignOutcome;
 use crate::error::{CampaignError, Result};
 use crate::spec::CampaignSpec;
 use chronus::remote::{CallOptions, PredictClient};
-use chronus::{Chronus, LoadedModel};
+use chronus::LoadedModel;
 use eco_store::{ModelBlob, ModelRecord, ModelStore, Provenance, ProvenanceSource, StoreError};
 
 /// Acknowledgement of a committed rollout.
@@ -26,29 +27,18 @@ pub struct RolloutAck {
 }
 
 /// Anything a freshly built model can be hot-rolled into. The production
-/// implementation is [`PredictClient`] speaking to chronusd over TCP; the
-/// fault-injection tests substitute unreachable or failing targets.
+/// implementation is [`PredictClient`] speaking to chronusd (one daemon or
+/// a fleet); the fault-injection tests substitute unreachable or failing
+/// targets.
 pub trait RolloutTarget {
-    /// Asks the daemon to stage and commit `model_id`; returns only after
-    /// the daemon has committed the generation.
-    fn preload(&mut self, model_id: i64) -> Result<RolloutAck>;
-
-    /// Fans the preload out to every replica behind the target,
-    /// reporting each one's outcome as `(endpoint, ack-or-error)`.
-    /// Single-daemon targets have exactly one replica, which is what
-    /// the default implementation reports.
-    fn preload_all(&mut self, model_id: i64) -> Vec<(String, std::result::Result<RolloutAck, String>)> {
-        vec![("target".to_string(), self.preload(model_id).map_err(|e| e.to_string()))]
-    }
+    /// Asks every replica behind the target to stage and commit
+    /// `model_id`, reporting each one's outcome as
+    /// `(endpoint, ack-or-error)`. An ack means the replica committed the
+    /// generation.
+    fn preload_all(&mut self, model_id: i64) -> Vec<(String, std::result::Result<RolloutAck, String>)>;
 }
 
 impl RolloutTarget for PredictClient {
-    fn preload(&mut self, model_id: i64) -> Result<RolloutAck> {
-        let ack = PredictClient::preload(self, model_id, &CallOptions::default())
-            .map_err(|e| CampaignError::Rollout(e.to_string()))?;
-        Ok(RolloutAck { model_id: ack.model_id, model_type: ack.model_type, generation: ack.generation })
-    }
-
     fn preload_all(&mut self, model_id: i64) -> Vec<(String, std::result::Result<RolloutAck, String>)> {
         let fleet = self.preload_detailed(model_id, &CallOptions::default());
         let mut out: Vec<(String, std::result::Result<RolloutAck, String>)> = fleet
@@ -61,20 +51,6 @@ impl RolloutTarget for PredictClient {
         out.extend(fleet.failures.into_iter().map(|(ep, e)| (ep, Err(e.to_string()))));
         out
     }
-}
-
-/// Rebuilds a model from the repository's benchmarks (which the campaign
-/// just extended) and stages it for serving: fit, persist to blob
-/// storage, pre-load into local settings. Returns the staged model.
-pub fn rebuild_model(
-    app: &mut Chronus,
-    model_type: &str,
-    system_id: i64,
-    binary_hash: u64,
-    now_ms: u64,
-) -> chronus::Result<LoadedModel> {
-    let meta = app.init_model(model_type, system_id, binary_hash, now_ms)?;
-    app.load_model(meta.id)
 }
 
 /// Commits a staged model to the durable store *before* any replica is
@@ -118,23 +94,15 @@ pub fn commit_to_store(
     store.commit(&blob, staged.model_id, provenance)
 }
 
-/// Drives a staged model into a live daemon, verifying the committed
-/// generation advanced monotonically if the caller knows the previous one.
+/// Drives a staged model into a live daemon: [`roll_into_fleet`] at
+/// quorum 1, answering the highest-generation acknowledgement.
 pub fn roll_into(
     target: &mut dyn RolloutTarget,
     model_id: i64,
     previous_generation: Option<u64>,
 ) -> Result<RolloutAck> {
-    let ack = target.preload(model_id)?;
-    if let Some(prev) = previous_generation {
-        if ack.generation <= prev {
-            return Err(CampaignError::Rollout(format!(
-                "daemon committed generation {} but {} was already committed",
-                ack.generation, prev
-            )));
-        }
-    }
-    Ok(ack)
+    let report = roll_into_fleet(target, model_id, previous_generation, 1)?;
+    Ok(report.acks.into_iter().map(|(_, ack)| ack).max_by_key(|a| a.generation).expect("a met quorum has an ack"))
 }
 
 /// Per-replica outcome of a fleet-wide rollout, plus the quorum it was
@@ -159,8 +127,8 @@ impl FleetRolloutReport {
 /// Fans a staged model out to every replica behind `target` and demands
 /// at least `quorum` of them commit it. Each committing replica's
 /// generation is checked for monotonicity against
-/// `previous_generation`, exactly as in [`roll_into`] — generations are
-/// per-daemon counters, so in a fleet driven through one client they
+/// `previous_generation`; a committed generation at or below it is an
+/// error, 0 included. Generations are per-daemon counters, so in a fleet driven through one client they
 /// advance in lockstep and one previous value covers all replicas.
 /// Failures below quorum leave the fleet mixed (committed replicas keep
 /// the new model; that is safe because committed generations are never
@@ -205,27 +173,12 @@ pub fn roll_into_fleet(
 mod tests {
     use super::*;
 
-    struct FakeTarget {
-        gen: u64,
-        fail: bool,
-    }
-
-    impl RolloutTarget for FakeTarget {
-        fn preload(&mut self, model_id: i64) -> Result<RolloutAck> {
-            if self.fail {
-                return Err(CampaignError::Rollout("daemon unreachable".into()));
-            }
-            self.gen += 1;
-            Ok(RolloutAck { model_id, model_type: "brute-force".into(), generation: self.gen })
-        }
-    }
-
     /// A daemon that acks every preload with one fixed generation.
     struct FixedAck(u64);
 
     impl RolloutTarget for FixedAck {
-        fn preload(&mut self, model_id: i64) -> Result<RolloutAck> {
-            Ok(RolloutAck { model_id, model_type: "brute-force".into(), generation: self.0 })
+        fn preload_all(&mut self, model_id: i64) -> Vec<(String, std::result::Result<RolloutAck, String>)> {
+            vec![("fixed".into(), Ok(RolloutAck { model_id, model_type: "brute-force".into(), generation: self.0 }))]
         }
     }
 
@@ -235,14 +188,12 @@ mod tests {
         down: Vec<bool>,
     }
 
-    impl RolloutTarget for FakeFleet {
-        fn preload(&mut self, model_id: i64) -> Result<RolloutAck> {
-            match self.preload_all(model_id).into_iter().find(|(_, o)| o.is_ok()) {
-                Some((_, Ok(ack))) => Ok(ack),
-                _ => Err(CampaignError::Rollout("no replica reachable".into())),
-            }
-        }
+    /// One live daemon whose last committed generation is `gen`.
+    fn daemon(gen: u64) -> FakeFleet {
+        FakeFleet { gens: vec![gen], down: vec![false] }
+    }
 
+    impl RolloutTarget for FakeFleet {
         fn preload_all(&mut self, model_id: i64) -> Vec<(String, std::result::Result<RolloutAck, String>)> {
             (0..self.gens.len())
                 .map(|i| {
@@ -288,22 +239,24 @@ mod tests {
     }
 
     #[test]
-    fn single_target_default_fans_out_to_itself() {
-        let mut t = FakeTarget { gen: 0, fail: false };
-        let report = roll_into_fleet(&mut t, 5, None, 1).unwrap();
+    fn roll_into_is_the_fleet_rollout_at_quorum_one() {
+        let report = roll_into_fleet(&mut daemon(0), 5, None, 1).unwrap();
         assert_eq!(report.acks.len(), 1);
         assert_eq!(report.committed_generation(), 1);
+        // one live replica of three meets quorum 1; the highest ack answers
+        let mut fleet = FakeFleet { gens: vec![4, 7, 2], down: vec![true, false, false] };
+        assert_eq!(roll_into(&mut fleet, 5, None).unwrap().generation, 8);
+        let mut dark = FakeFleet { gens: vec![0, 0], down: vec![true, true] };
+        assert!(roll_into(&mut dark, 5, None).unwrap_err().to_string().contains("0/2"));
     }
 
     #[test]
     fn roll_into_checks_generation_monotonicity() {
-        let mut t = FakeTarget { gen: 5, fail: false };
-        let ack = roll_into(&mut t, 7, Some(5)).unwrap();
+        let ack = roll_into(&mut daemon(5), 7, Some(5)).unwrap();
         assert_eq!(ack.generation, 6);
         assert_eq!(ack.model_id, 7);
         // a daemon that regressed its generation is reported
-        let mut stale = FakeTarget { gen: 2, fail: false };
-        let err = roll_into(&mut stale, 7, Some(9)).unwrap_err();
+        let err = roll_into(&mut daemon(2), 7, Some(9)).unwrap_err();
         assert!(matches!(err, CampaignError::Rollout(_)), "{err}");
         let err = roll_into(&mut FixedAck(0), 7, Some(3)).unwrap_err();
         assert!(err.to_string().contains("generation 0 but 3"), "{err}");
@@ -391,10 +344,10 @@ mod tests {
 
     #[test]
     fn unreachable_target_surfaces_typed_error_and_retry_works() {
-        let mut t = FakeTarget { gen: 0, fail: true };
+        let mut t = FakeFleet { gens: vec![0], down: vec![true] };
         let err = roll_into(&mut t, 3, None).unwrap_err();
-        assert!(err.to_string().contains("unreachable"));
-        t.fail = false;
+        assert!(err.to_string().contains("connection refused"), "{err}");
+        t.down[0] = false;
         assert_eq!(roll_into(&mut t, 3, None).unwrap().generation, 1);
     }
 }

@@ -47,8 +47,7 @@ impl CampaignSpec {
                 self.full_work_gflop
             )));
         }
-        // building the plan validates its parameters (fraction ladder, eta)
-        self.plan.build(&self.configs).map(|_| ())
+        self.plan.validate()
     }
 }
 
@@ -103,6 +102,6 @@ mod tests {
 
         let mut s = spec();
         s.plan = PlanSpec::SuccessiveHalving { fractions: vec![0.5], eta: 2 };
-        assert!(s.validate().is_err(), "ladder not ending at 1.0 rejected via plan build");
+        assert!(s.validate().is_err(), "ladder not ending at 1.0 rejected by the plan");
     }
 }

@@ -59,8 +59,8 @@ use chronus::presenter;
 use chronus::remote::{CallOptions, PredictClient, RemotePrediction};
 use chronus::telemetry::{render_trace, Telemetry, TraceId};
 use chronusd::campaign::{
-    commit_to_store, rebuild_model, roll_into, roll_into_fleet, CampaignEngine, CampaignError, CampaignSpec, Journal,
-    PlanSpec, RecordJournal, RunOptions, TrialStatus,
+    commit_to_store, roll_into_fleet, CampaignEngine, CampaignError, CampaignSpec, Journal, PlanSpec, RecordJournal,
+    RunOptions, TrialStatus,
 };
 use chronusd::store::{LedgerRecord, ModelStore, ProvenanceSource};
 use chronusd::{PredictServer, ServerConfig, StorageBackend};
@@ -507,8 +507,10 @@ fn campaign_drive(args: &Args, resume: bool) -> Outcome {
     // rebuild and stage the model from the fresh benchmarks (the engine's
     // repository handle is closed; the app opens its own)
     let mut app = open_app(&home)?;
-    let staged = rebuild_model(&mut app, &args[&CAMPAIGN_MODEL], outcome.system_id, outcome.binary_hash, 0)
+    let meta = app
+        .init_model(&args[&CAMPAIGN_MODEL], outcome.system_id, outcome.binary_hash, 0)
         .map_err(|e| e.to_string())?;
+    let staged = app.load_model(meta.id).map_err(|e| e.to_string())?;
     out.push_str(&format!("model {} ({}) staged for serving\n", staged.model_id, staged.model_type));
 
     // the durable commit comes BEFORE any replica is asked to serve the
@@ -524,39 +526,27 @@ fn campaign_drive(args: &Args, resume: bool) -> Outcome {
 
     if let Some(addr) = args.get(&ROLLOUT) {
         let mut client = client_for(addr)?;
-        if client.replicas_total() > 1 {
-            // fleet rollout: fan out to every replica, demand a quorum
-            // (default: majority) before declaring the model live
-            let quorum = args.size(&QUORUM).unwrap_or(client.replicas_total() / 2 + 1);
-            match roll_into_fleet(&mut client, staged.model_id, None, quorum) {
-                Ok(report) => {
-                    out.push_str(&format!(
-                        "fleet rollout into {addr}: model {} committed on {}/{} replicas at generation {}\n",
-                        staged.model_id,
-                        report.acks.len(),
-                        report.acks.len() + report.failures.len(),
-                        report.committed_generation()
-                    ));
-                    for (ep, e) in &report.failures {
-                        out.push_str(&format!("  replica {ep} did not commit: {e}\n"));
-                    }
+        // fan out to every replica and demand a quorum (default: a
+        // majority, so one daemon must commit) before declaring it live
+        let quorum = args.size(&QUORUM).unwrap_or(client.replicas_total() / 2 + 1);
+        match roll_into_fleet(&mut client, staged.model_id, None, quorum) {
+            Ok(report) => {
+                out.push_str(&format!(
+                    "rollout into {addr}: model {} committed at generation {} on {}/{} replica(s)\n",
+                    staged.model_id,
+                    report.committed_generation(),
+                    report.acks.len(),
+                    report.acks.len() + report.failures.len()
+                ));
+                for (ep, e) in &report.failures {
+                    out.push_str(&format!("  replica {ep} did not commit: {e}\n"));
                 }
-                Err(e) => out.push_str(&format!(
-                    "fleet rollout into {addr} failed: {e}\n\
-                     (committed replicas keep the new model; retry with `chronus campaign resume --rollout {addr}`)\n"
-                )),
             }
-        } else {
-            match roll_into(&mut client, staged.model_id, None) {
-                Ok(ack) => out.push_str(&format!(
-                    "hot rollout into {addr}: model {} committed at generation {}\n",
-                    ack.model_id, ack.generation
-                )),
-                Err(e) => out.push_str(&format!(
-                    "rollout into {addr} failed: {e}\n\
-                     (the daemon keeps serving its previous model; retry with `chronus campaign run --rollout {addr}`)\n"
-                )),
-            }
+            Err(e) => out.push_str(&format!(
+                "rollout into {addr} failed: {e}\n\
+                 (committed replicas keep the new model, the rest their previous one; \
+                 retry with `chronus campaign resume --rollout {addr}`)\n"
+            )),
         }
     }
     Ok(out)

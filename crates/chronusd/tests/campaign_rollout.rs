@@ -9,9 +9,7 @@ use chronus::application::Chronus;
 use chronus::integrations::record_store::RecordStore;
 use chronus::integrations::storage::{EtcStorage, LocalBlobStore};
 use chronus::remote::{CallOptions, PredictClient};
-use chronusd::campaign::{
-    rebuild_model, roll_into, CampaignEngine, CampaignSpec, PlanSpec, RecordJournal, RunOptions,
-};
+use chronusd::campaign::{roll_into, CampaignEngine, CampaignSpec, PlanSpec, RecordJournal, RunOptions};
 use chronusd::{PredictServer, ServerConfig, StorageBackend};
 use eco_hpcg::PerfModel;
 use eco_sim_node::cpu::{CpuConfig, CpuSpec};
@@ -62,7 +60,8 @@ fn campaign_model_rolls_hot_into_a_live_daemon() {
         Box::new(LocalBlobStore::new(root.join("optimizers")).unwrap()),
         Box::new(EtcStorage::new(&root)),
     );
-    let staged = rebuild_model(&mut app, "brute-force", outcome.system_id, outcome.binary_hash, 1).unwrap();
+    let meta = app.init_model("brute-force", outcome.system_id, outcome.binary_hash, 1).unwrap();
+    let staged = app.load_model(meta.id).unwrap();
     assert_eq!(staged.system_hash, system_hash);
 
     // 3. hot-roll into a live daemon over TCP
@@ -127,7 +126,8 @@ fn rollout_against_a_dead_daemon_is_a_typed_error_and_retry_succeeds() {
         Box::new(LocalBlobStore::new(root.join("optimizers")).unwrap()),
         Box::new(EtcStorage::new(&root)),
     );
-    let staged = rebuild_model(&mut app, "brute-force", outcome.system_id, outcome.binary_hash, 2).unwrap();
+    let meta = app.init_model("brute-force", outcome.system_id, outcome.binary_hash, 2).unwrap();
+    let staged = app.load_model(meta.id).unwrap();
     let server = PredictServer::start(
         ServerConfig { addr: "127.0.0.1:0".to_string(), ..ServerConfig::default() },
         Arc::new(StorageBackend::new(Box::new(EtcStorage::new(&root)))),

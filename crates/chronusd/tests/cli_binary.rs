@@ -226,3 +226,47 @@ fn models_cli_shows_adaptation_lineage() {
 
     let _ = std::fs::remove_dir_all(&home);
 }
+
+/// `chronus campaign` across processes: a brute-force sweep interrupted
+/// after two trials, its journal read back by `status`, and a resume that
+/// finishes the sweep from the journal and rolls the rebuilt model into a
+/// live daemon.
+#[test]
+fn campaign_resumes_from_its_journal_and_rolls_out() {
+    use chronus::integrations::storage::EtcStorage;
+    use chronusd::{PredictServer, ServerConfig, StorageBackend};
+    use std::sync::Arc;
+
+    let home = std::env::temp_dir().join(format!("eco-clibin-campaign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&home);
+    std::fs::create_dir_all(&home).unwrap();
+
+    let run = ["campaign", "run", "--plan", "brute-force", "--nodes", "4", "--max-trials", "2"];
+    let (ok, out) = chronus(&home, &run);
+    assert!(ok, "{out}");
+    assert!(out.contains("campaign interrupted after 2 trial(s)"), "{out}");
+
+    let (ok, out) = chronus(&home, &["campaign", "status"]);
+    assert!(ok, "{out}");
+    assert!(out.contains("(plan brute-force, seed 42, 192 configurations)"), "{out}");
+    assert!(out.contains("round 0: 2 done, 0 failed"), "{out}");
+
+    // the daemon serves what the resume stages in the same home
+    let server = PredictServer::start(
+        ServerConfig { addr: "127.0.0.1:0".to_string(), ..ServerConfig::default() },
+        Arc::new(StorageBackend::new(Box::new(EtcStorage::new(&home)))),
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let (ok, out) = chronus(&home, &["campaign", "resume", "--nodes", "4", "--rollout", &addr]);
+    server.shutdown();
+    assert!(ok, "{out}");
+    assert!(out.contains("1 round(s), 190 trial(s) run, 2 resumed from journal, 0 failed"), "{out}");
+    assert!(out.contains("best configuration: 32 cores @ 2.2 GHz, no-HT"), "{out}");
+    let rollouts: Vec<&str> = out.lines().filter(|l| l.starts_with("rollout into")).collect();
+    assert_eq!(
+        rollouts,
+        [format!("rollout into {addr}: model 1 committed at generation 1 on 1/1 replica(s)")],
+        "{out}"
+    );
+}

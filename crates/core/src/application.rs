@@ -9,7 +9,7 @@
 //! 5. **Settings** — [`Chronus::set_state`] and friends (`chronus set`)
 
 use crate::domain::{
-    Benchmark, EnergySample, LoadedModel, ModelMetadata, PluginState, SampleIntervalMs, Settings, SystemEntry,
+    mean, trapezoid, Benchmark, LoadedModel, ModelMetadata, PluginState, SampleIntervalMs, Settings, SystemEntry,
 };
 use crate::error::{ChronusError, Result};
 use crate::integrations::storage::publish;
@@ -465,17 +465,6 @@ pub fn predict_from_settings(settings: &Settings, system_hash: u64, binary_hash:
     optimizer.best_config(&spec.all_configurations())
 }
 
-fn mean(samples: &[EnergySample], f: impl Fn(&EnergySample) -> f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().map(f).sum::<f64>() / samples.len() as f64
-}
-
-fn trapezoid(samples: &[EnergySample], f: impl Fn(&EnergySample) -> f64) -> f64 {
-    samples.windows(2).map(|w| (w[1].t_s - w[0].t_s) * (f(&w[0]) + f(&w[1])) / 2.0).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,16 +760,5 @@ mod tests {
         let approx = b.avg_system_w * b.runtime_s;
         let rel = (b.system_energy_j - approx).abs() / approx;
         assert!(rel < 0.15, "integral {} vs avg*t {approx}", b.system_energy_j);
-    }
-
-    #[test]
-    fn trapezoid_and_mean_helpers() {
-        let samples = vec![
-            EnergySample { t_s: 0.0, system_w: 100.0, cpu_w: 50.0, cpu_temp_c: 40.0 },
-            EnergySample { t_s: 2.0, system_w: 200.0, cpu_w: 100.0, cpu_temp_c: 60.0 },
-        ];
-        assert_eq!(trapezoid(&samples, |s| s.system_w), 300.0);
-        assert_eq!(mean(&samples, |s| s.cpu_temp_c), 50.0);
-        assert_eq!(mean(&[], |s: &EnergySample| s.cpu_w), 0.0);
     }
 }

@@ -30,6 +30,20 @@ pub struct EnergySample {
     pub cpu_temp_c: f64,
 }
 
+/// Mean of `f` over a benchmark's samples; 0 when there are none.
+pub fn mean(samples: &[EnergySample], f: impl Fn(&EnergySample) -> f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.iter().map(f).sum::<f64>() / samples.len() as f64
+}
+
+/// Trapezoidal integral of `f` over the samples' timestamps — a power
+/// reading in W integrates to joules.
+pub fn trapezoid(samples: &[EnergySample], f: impl Fn(&EnergySample) -> f64) -> f64 {
+    samples.windows(2).map(|w| (w[1].t_s - w[0].t_s) * (f(&w[0]) + f(&w[1])) / 2.0).sum()
+}
+
 /// A completed benchmark of one configuration (§3.1.2 step 3: "saves the
 /// energy usage and the results of the job to a benchmark in a database").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -203,6 +217,17 @@ impl Default for Settings {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trapezoid_and_mean_helpers() {
+        let samples = vec![
+            EnergySample { t_s: 0.0, system_w: 100.0, cpu_w: 50.0, cpu_temp_c: 40.0 },
+            EnergySample { t_s: 2.0, system_w: 200.0, cpu_w: 100.0, cpu_temp_c: 60.0 },
+        ];
+        assert_eq!(trapezoid(&samples, |s| s.system_w), 300.0);
+        assert_eq!(mean(&samples, |s| s.cpu_temp_c), 50.0);
+        assert_eq!(mean(&[], |s: &EnergySample| s.cpu_w), 0.0);
+    }
 
     fn bench(gflops: f64, watts: f64) -> Benchmark {
         Benchmark {

@@ -7,7 +7,8 @@
 //! it is also the read path beside a live writer (`campaign status` beside
 //! `campaign run`), whose record in flight a cut would destroy. The writer
 //! cuts a torn tail instead: every write truncates the file to the length
-//! its handle validated, appends one frame and flushes it (`sync_data`).
+//! its handle validated, appends one frame and flushes it (`sync_data`);
+//! the append that may have created the file also syncs its directory.
 //! One writer per file: ids come from the handle's own tables, so two
 //! writers on one file were never supported.
 
@@ -120,9 +121,30 @@ impl RecordStore {
         file.set_len(self.validated)?;
         file.write_all(&frame)?;
         file.sync_data()?;
+        if self.validated == 0 {
+            // the append that may have created the file: its directory
+            // entry is only durable once the directory is synced too
+            sync_parent_dir(&self.path)?;
+        }
         self.validated += frame.len() as u64;
         Ok(())
     }
+}
+
+/// Flushes the directory holding `path`, making a file just created in it
+/// survive a crash (fsync(2): the file's own sync does not cover its entry).
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    #[cfg(not(unix))]
+    let _ = path;
+    Ok(())
 }
 
 const T_SYSTEMS: &str = "systems";

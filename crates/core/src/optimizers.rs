@@ -213,11 +213,6 @@ impl RandomTreeOptimizer {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Overrides the forest hyperparameters (used by the ablation bench).
-    pub fn with_params(params: ForestParams) -> Self {
-        RandomTreeOptimizer { params, model: None }
-    }
 }
 
 impl Optimizer for RandomTreeOptimizer {

@@ -145,11 +145,6 @@ impl PowerSampler {
         mean(&self.readings, |r| r.total_power_w as f64)
     }
 
-    /// Mean of the `CPU_Power` sensor (W); 0 when empty.
-    pub fn avg_cpu_power_w(&self) -> f64 {
-        mean(&self.readings, |r| r.cpu_power_w as f64)
-    }
-
     /// Mean of the `CPU_Temp` sensor (°C); 0 when empty.
     pub fn avg_cpu_temp_c(&self) -> f64 {
         mean(&self.readings, |r| r.cpu_temp_c as f64)

@@ -35,25 +35,13 @@
 //! Any violation panics with the seed, the plan and a replay command
 //! ([`crate::sweep::fail`]).
 
-use chronus::hash::{binary_hash, system_hash};
-use chronus::remote::{CallOptions, PredictClient, Transport};
-use chronusd::backend::PreparedModel;
-use eco_sim_node::cpu::{CpuConfig, CpuSpec};
-use rand::{Rng, SeedableRng, StdRng};
+use chronus::remote::Transport;
+use rand::{SeedableRng, StdRng};
 
-use crate::batch::MAX_BATCH_VIRTUAL_MS;
+use crate::batch::{BatchDriver, ROUNDS_PER_PHASE};
 use crate::faults::FaultPlan;
 use crate::net::{Exchange, Injected, SimNet};
 use crate::world::failover_client;
-
-/// Distinct prediction keys in play (one model each).
-const SHM_KEYS: usize = 8;
-
-/// Largest batch a round may ask for.
-const MAX_ROUND_BATCH: usize = 32;
-
-/// Batched rounds per phase of the choreography.
-const ROUNDS_PER_PHASE: usize = 6;
 
 /// What one seeded shm run produced (for assertions in tests).
 #[derive(Debug)]
@@ -98,20 +86,9 @@ fn count_predicts(net: &SimNet) -> (usize, usize) {
 pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     // Distinct RNG stream from the network's, as in the other worlds.
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9d3a_77f5_21eb_04c1);
-    let spec = CpuSpec::epyc_7502p();
-    let sys = system_hash(&spec, 256);
-    let keys: Vec<(u64, u64)> = (0..SHM_KEYS).map(|i| (sys, binary_hash(&format!("shm-binary-{i}")))).collect();
-    let answers: Vec<CpuConfig> =
-        (0..SHM_KEYS).map(|i| CpuConfig::new(4 + i as u32 * 4, 1_500_000 + i as u64 * 100_000, 1)).collect();
-    let models: Vec<PreparedModel> = (0..SHM_KEYS)
-        .map(|i| PreparedModel {
-            model_id: 1 + i as i64,
-            model_type: "brute-force".into(),
-            system_hash: keys[i].0,
-            binary_hash: keys[i].1,
-            config: answers[i],
-        })
-        .collect();
+    // On the ring `blackout` is a seat that is always busy; stale and
+    // duplicated frames only exist on the TCP fallback.
+    let (mut driver, models) = BatchDriver::new("shm-binary-", plan);
     let net = SimNet::new(seed, plan.clone(), models);
     let telemetry = net.telemetry();
     // The fallback ladder in one client: the ring first (preferred by
@@ -126,82 +103,17 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         .expect("shm client config is valid");
     client.set_telemetry(std::sync::Arc::clone(&telemetry));
 
-    // On the ring `blackout` is a seat that is always busy; stale and
-    // duplicated frames only exist on the TCP fallback.
-    let strict = plan.retry_beats_it();
-    let mut violations: Vec<String> = Vec::new();
-    let mut batch_calls = 0usize;
-    let mut keys_asked = 0usize;
-    let mut keys_ok = 0usize;
-    let mut keys_failed = 0usize;
-
-    let mut batch_once = |client: &mut PredictClient, rng: &mut StdRng, phase: &str, violations: &mut Vec<String>| {
-        let n = match rng.gen_range(0..8) {
-            0 => 0,
-            1 => 1,
-            r => 2 + (r * MAX_ROUND_BATCH / 8).min(MAX_ROUND_BATCH - 2),
-        };
-        let asked: Vec<usize> = (0..n).map(|_| rng.gen_range(0..SHM_KEYS)).collect();
-        let batch: Vec<(u64, u64)> = asked.iter().map(|&i| keys[i]).collect();
-        let call = batch_calls;
-        batch_calls += 1;
-        keys_asked += n;
-        let t0 = net.now_ms();
-        let results = client.predict_many(&batch, &CallOptions::default());
-        let elapsed = net.now_ms() - t0;
-        if results.len() != n {
-            violations.push(format!(
-                "batch #{call} ({phase}): asked {n} keys, got {} outcomes (exactly-once broken)",
-                results.len()
-            ));
-            return;
-        }
-        for (slot, (&key_idx, outcome)) in asked.iter().zip(&results).enumerate() {
-            match outcome {
-                Ok(cfg) => {
-                    keys_ok += 1;
-                    if strict && *cfg != answers[key_idx] {
-                        violations.push(format!(
-                            "batch #{call} ({phase}) slot {slot}: key {key_idx} answered with the wrong \
-                                 config {cfg:?} (cross-wired reply)"
-                        ));
-                    }
-                }
-                Err(e) => {
-                    keys_failed += 1;
-                    if strict {
-                        violations.push(format!(
-                            "batch #{call} ({phase}) slot {slot}: key {key_idx} lost ({e}) with a live daemon"
-                        ));
-                    }
-                }
-            }
-        }
-        if elapsed > MAX_BATCH_VIRTUAL_MS {
-            violations.push(format!(
-                "batch #{call} ({phase}) consumed {elapsed}ms of virtual time (budget {MAX_BATCH_VIRTUAL_MS}ms)"
-            ));
-        }
-    };
-
     // Phase 1 — roll every model out, then steady batches: while the
     // ring is healthy, locality must route everything over it.
     net.note("phase: rollout + steady over the ring".to_string());
-    for id in 1..=SHM_KEYS as i64 {
-        let rollout = client.preload(id, &CallOptions::default());
-        if strict {
-            if let Err(e) = &rollout {
-                violations.push(format!("rollout of model {id} failed: {e}"));
-            }
-        }
-    }
+    driver.roll_out_all(&mut client);
     for _ in 0..ROUNDS_PER_PHASE {
-        batch_once(&mut client, &mut rng, "steady", &mut violations);
+        driver.batch_once(&mut client, &mut rng, &net, "steady");
     }
     if plan.name == "none" {
         let (shm, tcp) = count_predicts(&net);
         if tcp > 0 || shm == 0 {
-            violations.push(format!(
+            driver.violations.push(format!(
                 "locality preference broken: {tcp} predictions rode TCP (and {shm} the ring) with a clean, \
                  healthy ring"
             ));
@@ -213,12 +125,12 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     net.note("phase: ring torn down (TCP fallback)".to_string());
     net.drop_shm(0, 1_000_000);
     for _ in 0..ROUNDS_PER_PHASE {
-        batch_once(&mut client, &mut rng, "ring-down", &mut violations);
+        driver.batch_once(&mut client, &mut rng, &net, "ring-down");
     }
     if plan.name == "none" {
         let (_, tcp) = count_predicts(&net);
         if tcp == 0 {
-            violations.push("ring torn down but no prediction fell back to TCP".to_string());
+            driver.violations.push("ring torn down but no prediction fell back to TCP".to_string());
         }
     }
 
@@ -227,14 +139,14 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     net.note("phase: ring restored".to_string());
     net.heal_all();
     for _ in 0..ROUNDS_PER_PHASE {
-        batch_once(&mut client, &mut rng, "restored", &mut violations);
+        driver.batch_once(&mut client, &mut rng, &net, "restored");
     }
     if plan.name == "none" {
         let before = count_predicts(&net).0;
-        batch_once(&mut client, &mut rng, "restored", &mut violations);
+        driver.batch_once(&mut client, &mut rng, &net, "restored");
         let after = count_predicts(&net).0;
         if after == before {
-            violations.push("ring restored but traffic never returned to it".to_string());
+            driver.violations.push("ring restored but traffic never returned to it".to_string());
         }
     }
 
@@ -245,17 +157,17 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     for _ in 0..ROUNDS_PER_PHASE {
         // the daemon restarts 50 virtual ms in; retries ride it out,
         // so answers are still owed on strict plans
-        batch_once(&mut client, &mut rng, "crash", &mut violations);
+        driver.batch_once(&mut client, &mut rng, &net, "crash");
     }
     net.heal_all();
     for _ in 0..ROUNDS_PER_PHASE {
-        batch_once(&mut client, &mut rng, "recovered", &mut violations);
+        driver.batch_once(&mut client, &mut rng, &net, "recovered");
     }
 
-    violations.extend(net.finish());
+    driver.violations.extend(net.finish());
 
-    if !violations.is_empty() {
-        crate::sweep::fail("shm", seed, plan.name, &violations, &net.export());
+    if !driver.violations.is_empty() {
+        crate::sweep::fail("shm", seed, plan.name, &driver.violations, &net.export());
     }
 
     let injected = net.injected();
@@ -264,10 +176,10 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         seed,
         plan: plan.name.to_string(),
         log: net.log(),
-        batch_calls,
-        keys_asked,
-        keys_ok,
-        keys_failed,
+        batch_calls: driver.batch_calls,
+        keys_asked: driver.keys_asked,
+        keys_ok: driver.keys_ok,
+        keys_failed: driver.keys_failed,
         shm_exchanges,
         tcp_exchanges,
         injected,

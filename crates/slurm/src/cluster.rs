@@ -395,11 +395,6 @@ impl Cluster {
         self.daemons.iter().map(|d| d.node.telemetry().system_power_w).sum()
     }
 
-    /// Overrides the multifactor priority weights.
-    pub fn set_priority_weights(&mut self, weights: PriorityWeights) {
-        self.weights = weights;
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.daemons[0].node.now()

@@ -105,6 +105,8 @@ stage_campaign() {
     run cargo test -q -p eco-campaign --release
     run cargo test -q -p chronus --release --lib integrations::record_store
     run cargo test -q -p chronusd --release --test campaign_rollout
+    # the `chronus campaign` CLI: run interrupted, status, resume + rollout
+    run cargo test -q -p chronusd --release --test cli_binary campaign
 }
 
 [[ $# -gt 0 ]] || set -- "${stages[@]}"
