@@ -816,6 +816,42 @@ mod tests {
         assert!(buf.is_empty());
     }
 
+    /// What a client's byte stream does when the peer dies mid-frame:
+    /// the blanket `Connection` impl reports the stream's end or its
+    /// reset, and never hands back the frame's first half.
+    #[test]
+    fn a_byte_stream_cut_mid_frame_is_an_error_never_a_frame() {
+        /// Yields its bytes, then fails the way a reset socket does.
+        struct Reset(std::io::Cursor<Vec<u8>>);
+        impl Read for Reset {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                match self.0.read(buf)? {
+                    0 => Err(std::io::ErrorKind::ConnectionReset.into()),
+                    n => Ok(n),
+                }
+            }
+        }
+        impl Write for Reset {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &Response::Busy { retry_after_ms: 5 }).unwrap();
+        let half = stream[..4 + (stream.len() - 4) / 2].to_vec();
+        let whole = std::io::Cursor::new(stream).recv_frame().unwrap();
+        assert_eq!(serde_json::from_slice::<Response>(&whole).unwrap(), Response::Busy { retry_after_ms: 5 });
+
+        let eof = std::io::Cursor::new(half.clone()).recv_frame().unwrap_err();
+        assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
+        let reset = Reset(std::io::Cursor::new(half)).recv_frame().unwrap_err();
+        assert_eq!(reset.kind(), std::io::ErrorKind::ConnectionReset);
+    }
+
     #[test]
     fn oversized_length_prefix_is_rejected() {
         let mut buf = BytesMut::new();

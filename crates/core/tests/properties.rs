@@ -10,12 +10,38 @@ use chronus::optimizers::ModelFactory;
 use eco_sim_node::cpu::CpuConfig;
 use eco_sim_node::sysinfo::SystemFacts;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
-fn tmpdir(tag: &str) -> PathBuf {
+/// One proptest case's own empty directory: removed when the case ends,
+/// kept for inspection when it panicked.
+struct TmpDir(PathBuf);
+
+impl std::ops::Deref for TmpDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TmpDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+fn tmpdir(tag: &str) -> TmpDir {
     let d = std::env::temp_dir().join(format!(
         "eco-props-{tag}-{}-{}",
         std::process::id(),
@@ -23,7 +49,7 @@ fn tmpdir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
-    d
+    TmpDir(d)
 }
 
 fn arb_config() -> impl Strategy<Value = CpuConfig> {

@@ -32,7 +32,8 @@ pub struct FaultPlan {
     pub reorder: f64,
     /// The connection dies mid-request (daemon never sees the frame).
     pub req_cut: f64,
-    /// The connection dies mid-response (client gets a partial frame).
+    /// The connection dies mid-response. The client never gets a partial
+    /// frame: it gets a stream cut mid-frame, or a torn slot on the ring.
     pub resp_cut: f64,
     /// The daemon answers `Busy` and hangs up, as its accept queue would.
     pub busy: f64,

@@ -15,10 +15,13 @@
 //!   (drop, delay, duplicate, reorder, mid-frame cut, partition, daemon
 //!   crash/restart, slow or poisoned backend, total blackout) plus named
 //!   presets covering each fault family and a `chaos` mix of all of them;
-//! * [`net`] — [`SimNet`] implements [`chronus::remote::Transport`] with
-//!   an in-memory channel that delivers request frames straight into a
-//!   real [`chronusd::PredictService`], rolling the fault plan on a seeded
-//!   RNG at every step and logging a `t=<virtual ms>` event line;
+//! * [`net`] — [`SimNet`] hands out [`net::SimTransport`]s, one
+//!   [`chronus::remote::Transport`] over a simulated TCP stream or shm
+//!   ring, whose connections deliver whole request frames straight into
+//!   a real [`chronusd::PredictService`], rolling the fault plan on a
+//!   seeded RNG at every step (skipping each family the medium cannot
+//!   suffer, [`net::Exchange::admits`]) and logging a `t=<virtual ms>`
+//!   event line;
 //! * [`invariants`] — a per-incarnation [`invariants::Ledger`] that
 //!   cross-checks the daemon's counters after **every** exchange
 //!   (requests = delivered, hits + misses = predictions, deadline verdicts
@@ -33,7 +36,7 @@
 //!   (config or typed error) and never cross-wired, with rollout churn
 //!   republishing registry snapshots under the batched readers;
 //! * [`shm`] — [`run_shm_seed`] gives one client both the simulated
-//!   shared-memory ring (frame-level, local) and a TCP endpoint to the
+//!   shared-memory ring (local) and a TCP endpoint to the
 //!   same daemon, then attacks the fallback
 //!   ladder: torn slots, lost doorbells, the ring torn down while TCP
 //!   serves, and full daemon crashes — asserting locality preference,

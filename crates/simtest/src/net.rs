@@ -1,6 +1,7 @@
-//! The simulated network: an in-memory [`Transport`] whose connections
-//! deliver frames straight into a real [`PredictService`] under a seeded
-//! fault plan, advancing a shared virtual clock instead of ever sleeping.
+//! The simulated network: one in-memory [`Transport`], [`SimTransport`],
+//! whose connections carry whole frames over a simulated TCP stream or
+//! shm ring straight into a real [`PredictService`] under a seeded fault
+//! plan, advancing a shared virtual clock instead of ever sleeping.
 //!
 //! Determinism contract: every random decision comes from one
 //! [`StdRng`] seeded per run, every passage of time is an explicit
@@ -19,14 +20,13 @@
 //! [`chronus::remote::PredictClient`] is simulated against.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::BytesMut;
 use chronus::error::ChronusError;
-use chronus::remote::{take_frame, wire, Connection, Request, RequestFrame, Response, Transport};
+use chronus::remote::{wire, Connection, Request, RequestFrame, Response, Transport};
 use chronus::telemetry::{Recorder, Telemetry};
 use chronusd::backend::{ModelBackend, PreparedModel};
 use chronusd::service::{PredictService, QueueGauges, ServiceClock};
@@ -62,8 +62,7 @@ const RECORDER_CAP: usize = 1 << 16;
 
 /// What carried an exchange: one single-key or control-plane frame or
 /// one `PredictMany` batch over the simulated TCP stream, or any frame
-/// over the simulated shm ring (which has its own fault physics, see
-/// [`SimShmTransport`]).
+/// over the simulated shm ring (see [`SimTransport`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Exchange {
     Single,
@@ -75,9 +74,13 @@ impl Exchange {
     pub const ALL: [Exchange; 3] = [Exchange::Single, Exchange::Batch, Exchange::Shm];
 
     /// Whether the fault `family` ([`FaultPlan::families`]) can show up
-    /// under this kind at all. A dial carries no frame yet, so the TCP
-    /// side books its dial-level families under `Single`; the ring never
-    /// crosses the network and cannot reorder, duplicate or bounce.
+    /// under this kind at all — what the gauntlet rolls
+    /// (`NetCore::roll`) and what the took-effect audit owes. A dial
+    /// carries no frame yet, so the TCP side books its dial-level
+    /// families under `Single`. The ring never crosses the network (no
+    /// partition), its one mailbox per direction can neither reorder nor
+    /// duplicate a frame, and it has no accept queue to bounce from (no
+    /// busy).
     pub fn admits(self, family: &str) -> bool {
         match self {
             Exchange::Single => true,
@@ -191,7 +194,7 @@ struct ReplicaCore {
     crashed_until: Option<SimTime>,
     /// The replica's shared-memory ring is torn down (file unlinked /
     /// listener thread gone) while TCP keeps serving — the fault that
-    /// exists only for [`SimShmTransport`]; network partitions never
+    /// exists only for a ring [`SimTransport`]; network partitions never
     /// touch the local ring.
     shm_down_until: Option<SimTime>,
     incarnation: u64,
@@ -222,8 +225,19 @@ struct NetCore {
 }
 
 impl NetCore {
-    fn roll(&mut self, p: f64) -> bool {
-        p > 0.0 && self.rng.gen_bool(p)
+    /// Whether fault `family` ([`FaultPlan::families`]) strikes an
+    /// exchange of `kind` now. A family the kind cannot suffer
+    /// ([`Exchange::admits`]) never does, and costs no draw.
+    fn roll(&mut self, kind: Exchange, family: &str) -> bool {
+        let (_, p) = self.plan.families().into_iter().find(|&(f, _)| f == family).expect("a fault family");
+        kind.admits(family) && p > 0.0 && self.rng.gen_bool(p)
+    }
+
+    /// Draws an injected delay and lets it pass; returns it in ms.
+    fn delay(&mut self) -> u64 {
+        let d = self.rng.gen_range(1..=self.plan.max_delay_ms.max(1));
+        self.clock.advance(SimDuration::from_millis(d));
+        d
     }
 
     fn note(&mut self, msg: String) {
@@ -277,8 +291,8 @@ impl NetCore {
         binary: bool,
         frame: &RequestFrame,
     ) -> Vec<u8> {
-        let backend_slow = self.roll(self.plan.backend_slow);
-        let backend_poisoned = self.roll(self.plan.backend_poison);
+        let backend_slow = self.roll(kind, "backend_slow");
+        let backend_poisoned = self.roll(kind, "backend_poison");
         let latency_ms = if backend_slow { self.plan.backend_latency_ms } else { 0 };
         self.backend.latency_ms.store(latency_ms, Ordering::SeqCst);
         self.backend.poisoned.store(backend_poisoned, Ordering::SeqCst);
@@ -489,18 +503,19 @@ impl SimNet {
     /// A fresh client-side endpoint to replica `i` (share-nothing with
     /// other clients except the network itself).
     pub fn transport_for(&self, i: usize) -> SimTransport {
-        assert!(i < self.state.mu.lock().replicas.len(), "replica {i} does not exist");
-        SimTransport { net: Arc::clone(&self.state), replica: i }
+        self.endpoint(i, false)
     }
 
     /// A fresh client-side endpoint to replica `i`'s *shared-memory
-    /// ring*: frame-level (no byte stream to tear mid-prefix) and local
-    /// (`is_local`, so the client prefers it over TCP entries to the
-    /// same fleet). Cuts become torn slots, drops become lost doorbells,
-    /// and partitions are ignored — the ring never crosses the network.
-    pub fn shm_transport_for(&self, i: usize) -> SimShmTransport {
+    /// ring*: local, so the client prefers it over TCP entries to the
+    /// same fleet (see [`SimTransport`]).
+    pub fn shm_transport_for(&self, i: usize) -> SimTransport {
+        self.endpoint(i, true)
+    }
+
+    fn endpoint(&self, i: usize, ring: bool) -> SimTransport {
         assert!(i < self.state.mu.lock().replicas.len(), "replica {i} does not exist");
-        SimShmTransport { net: Arc::clone(&self.state), replica: i }
+        SimTransport { net: Arc::clone(&self.state), replica: i, ring }
     }
 
     /// Tears down replica `i`'s shared-memory ring for `ms` of virtual
@@ -622,55 +637,83 @@ impl SimNet {
 
 /// The client side of the simulated network; implements [`Transport`] so
 /// [`chronus::remote::PredictClient`] runs on it unchanged. Each
-/// transport is pinned to one replica, exactly like a TCP endpoint.
+/// transport is pinned to one replica, exactly like a real endpoint, and
+/// reaches it over one of two media:
+///
+/// * the TCP stream (`simnet://`): a dial is refused, or times out
+///   against a partition, and a cut leaves the client a stream that ends
+///   mid-frame;
+/// * the replica's shared-memory ring (`simshm://`, `ring`): local
+///   ([`Transport::is_local`], so a client holding both routes everything
+///   here while it is healthy) and gone while [`SimNet::drop_shm`] holds
+///   it down. A refused dial is its one seat already claimed, a cut a
+///   torn slot, a drop a lost doorbell, a delay a stalled writer or
+///   reader.
+///
+/// Both media run one gauntlet; which families a medium cannot suffer
+/// at all is [`Exchange::admits`].
 pub struct SimTransport {
     net: Arc<NetState>,
     replica: usize,
+    ring: bool,
 }
 
 impl Transport for SimTransport {
     fn connect(&mut self) -> io::Result<Box<dyn Connection>> {
-        let r = self.replica;
+        let (r, ring) = (self.replica, self.ring);
+        let kind = if ring { Exchange::Shm } else { Exchange::Single };
         let mut core = self.net.mu.lock();
         core.tick(r);
         core.clock.advance(SimDuration::from_millis(DIAL_MS));
+        if ring && (core.replicas[r].crashed_until.is_some() || core.replicas[r].shm_down_until.is_some()) {
+            // no ring file: the dial fails fast (the ladder's cue to
+            // fall back to TCP), never a lingering timeout
+            core.rnote(r, "shm dial failed fast: ring file missing".to_string());
+            return Err(io::Error::new(io::ErrorKind::NotFound, "shm ring file missing"));
+        }
         if core.replicas[r].crashed_until.is_some() {
             core.rnote(r, "dial refused: daemon down".to_string());
             return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "daemon down"));
         }
-        let p_partition = core.plan.partition;
-        if core.replicas[r].partitioned_until.is_none() && core.roll(p_partition) {
+        if core.replicas[r].partitioned_until.is_none() && core.roll(kind, "partition") {
             let span = core.plan.partition_ms.max(1);
             core.replicas[r].partitioned_until = Some(core.clock.now() + SimDuration::from_millis(span));
-            core.inject(r, "partition", Exchange::Single, format!("network partition begins ({span}ms)"));
+            core.inject(r, "partition", kind, format!("network partition begins ({span}ms)"));
         }
-        if core.replicas[r].partitioned_until.is_some() {
+        if !ring && core.replicas[r].partitioned_until.is_some() {
             core.clock.advance(SimDuration::from_millis(DIAL_TIMEOUT_MS));
             core.rnote(r, "dial timed out: partitioned".to_string());
             return Err(io::Error::new(io::ErrorKind::TimedOut, "network partitioned"));
         }
-        let p_refuse = core.plan.connect_refuse;
-        if core.roll(p_refuse) {
-            core.inject(r, "connect_refuse", Exchange::Single, "dial refused".to_string());
+        if core.roll(kind, "connect_refuse") {
+            if ring {
+                core.inject(r, "connect_refuse", kind, "shm dial bounced: seat busy".to_string());
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "shm session seat is busy"));
+            }
+            core.inject(r, "connect_refuse", kind, "dial refused".to_string());
             return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "connection refused"));
         }
-        let id = core.next_conn;
-        core.next_conn += 1;
-        let incarnation = core.replicas[r].incarnation;
-        core.rnote(r, format!("conn {id} established"));
-        Ok(Box::new(SimConnection {
+        let conn = SimConnection {
             net: Arc::clone(&self.net),
             replica: r,
-            id,
-            incarnation,
-            pending: BytesMut::new(),
+            ring,
+            id: core.next_conn,
+            incarnation: core.replicas[r].incarnation,
             inbox: VecDeque::new(),
             dead: None,
-        }))
+        };
+        core.next_conn += 1;
+        core.rnote(r, format!("{} {}", conn.who(), if ring { "attached" } else { "established" }));
+        Ok(Box::new(conn))
     }
 
     fn describe(&self) -> String {
-        format!("simnet://{}", self.net.mu.lock().replicas[self.replica].label)
+        let scheme = if self.ring { "simshm" } else { "simnet" };
+        format!("{scheme}://{}", self.net.mu.lock().replicas[self.replica].label)
+    }
+
+    fn is_local(&self) -> bool {
+        self.ring
     }
 
     /// Client backoffs and Busy hints burn virtual time, not wall time.
@@ -682,118 +725,133 @@ impl Transport for SimTransport {
     }
 }
 
-/// One simulated connection: outbound bytes are reframed and delivered
-/// to its replica on `flush`; inbound bytes wait in `inbox`.
+/// One simulated connection: whole request frames in, whole reply
+/// frames out. The client never reads a partial frame: a cut stream and
+/// a torn slot both leave it the connection's death, once `inbox` is
+/// drained.
 struct SimConnection {
     net: Arc<NetState>,
     replica: usize,
+    ring: bool,
     id: u64,
     /// Daemon incarnation this connection was dialed against; a restart
-    /// in between resets it, exactly like a real TCP peer dying.
+    /// in between resets it, exactly like a real peer dying.
     incarnation: u64,
-    pending: BytesMut,
-    inbox: VecDeque<u8>,
+    inbox: VecDeque<Vec<u8>>,
     dead: Option<io::ErrorKind>,
 }
 
 impl SimConnection {
-    /// Runs one complete request frame through the fault plan and — if
-    /// it survives the gauntlet — the daemon, queueing whatever response
-    /// bytes the client should eventually read.
+    /// How the log names this connection.
+    fn who(&self) -> String {
+        format!("{}conn {}", if self.ring { "shm " } else { "" }, self.id)
+    }
+
+    /// Marks the connection dead: every send from now on, and every read
+    /// once `inbox` is drained, fails with `kind`.
+    fn die(&mut self, kind: io::ErrorKind) -> io::Result<()> {
+        self.dead = Some(kind);
+        Err(kind.into())
+    }
+
+    /// Runs one request frame through the fault gauntlet and — if it
+    /// survives — the daemon, queueing whatever reply frames the client
+    /// should eventually read. Both media roll the same families in the
+    /// same order; [`NetCore::roll`] skips one the medium cannot suffer.
     fn deliver(&mut self, payload: &[u8]) -> io::Result<()> {
-        let r = self.replica;
+        let (r, ring, who) = (self.replica, self.ring, self.who());
         let state = Arc::clone(&self.net);
         let mut core = state.mu.lock();
         core.tick(r);
-        let plan = core.plan.clone();
         let (binary, frame) = decoded(payload);
-        let kind = if matches!(frame.body, Request::PredictMany { .. }) { Exchange::Batch } else { Exchange::Single };
-        let id = self.id;
+        let kind = match frame.body {
+            _ if ring => Exchange::Shm,
+            Request::PredictMany { .. } => Exchange::Batch,
+            _ => Exchange::Single,
+        };
+        // what the log calls a fault on the stream and on the ring
+        let say = |stream: &str, shm: &str| format!("{who}: {}", if ring { shm } else { stream });
 
-        if core.replicas[r].crashed_until.is_some() {
-            core.rnote(r, format!("conn {}: reset (daemon down)", self.id));
-            self.dead = Some(io::ErrorKind::ConnectionReset);
-            return Err(io::ErrorKind::ConnectionReset.into());
+        let down = core.replicas[r].crashed_until.is_some() || (ring && core.replicas[r].shm_down_until.is_some());
+        if down || core.replicas[r].incarnation != self.incarnation {
+            let stream = if down { "reset (daemon down)" } else { "reset (stale connection, daemon restarted)" };
+            core.rnote(r, say(stream, "session reset (daemon gone)"));
+            return self.die(io::ErrorKind::ConnectionReset);
         }
-        if core.replicas[r].incarnation != self.incarnation {
-            core.rnote(r, format!("conn {}: reset (stale connection, daemon restarted)", self.id));
-            self.dead = Some(io::ErrorKind::ConnectionReset);
-            return Err(io::ErrorKind::ConnectionReset.into());
-        }
-        if core.roll(plan.crash) {
+        if core.roll(kind, "crash") {
             core.crash_now(r, kind);
-            self.dead = Some(io::ErrorKind::ConnectionReset);
-            return Err(io::ErrorKind::ConnectionReset.into());
+            return self.die(io::ErrorKind::ConnectionReset);
         }
-        if core.replicas[r].partitioned_until.is_some() {
-            core.rnote(r, format!("conn {}: request lost in partition", self.id));
+        if !ring && core.replicas[r].partitioned_until.is_some() {
+            core.rnote(r, format!("{who}: request lost in partition"));
             return Ok(()); // the client's next read times out
         }
-        if core.roll(plan.req_cut) {
-            // the wire died mid-frame: the daemon must never see it
-            core.inject(r, "req_cut", kind, format!("conn {id}: request frame cut mid-flight"));
-            self.dead = Some(io::ErrorKind::ConnectionReset);
-            return Err(io::ErrorKind::ConnectionReset.into());
+        if core.roll(kind, "req_cut") {
+            // the daemon never sees a frame cut off the wire or a torn slot
+            core.inject(r, "req_cut", kind, say("request frame cut mid-flight", "torn request slot"));
+            return self.die(io::ErrorKind::ConnectionReset);
         }
-        if core.roll(plan.req_drop) {
-            core.inject(r, "req_drop", kind, format!("conn {id}: request dropped"));
+        if core.roll(kind, "req_drop") {
+            core.inject(r, "req_drop", kind, say("request dropped", "doorbell lost (request unseen)"));
             return Ok(());
         }
-        if core.roll(plan.req_delay) {
-            let d = core.rng.gen_range(1..=plan.max_delay_ms.max(1));
-            core.clock.advance(SimDuration::from_millis(d));
-            core.inject(r, "req_delay", kind, format!("conn {id}: request delayed {d}ms"));
+        if core.roll(kind, "req_delay") {
+            let d = core.delay();
+            core.inject(r, "req_delay", kind, format!("{} {d}ms", say("request delayed", "writer stalled")));
         }
-        if core.roll(plan.busy) {
+        if core.roll(kind, "busy") {
             // what the accept loop does when its queue is full: count it,
             // answer Busy, hang up
+            let retry_after_ms = core.plan.retry_after_ms;
             core.replicas[r].service.telemetry().counter("daemon.busy_rejections").bump();
             core.replicas[r].ledger.busy_injected += 1;
-            self.inbox.extend(encode(Response::Busy { retry_after_ms: plan.retry_after_ms }));
+            self.inbox.push_back(wire::encode_reply(false, None, Response::Busy { retry_after_ms }));
             self.dead = Some(io::ErrorKind::ConnectionAborted);
-            core.inject(r, "busy", kind, format!("conn {id}: busy bounce (retry after {}ms)", plan.retry_after_ms));
+            core.inject(r, "busy", kind, format!("{who}: busy bounce (retry after {retry_after_ms}ms)"));
             return Ok(());
         }
 
-        let wire = prefixed(&core.serve_and_audit(r, kind, &format!("conn {id}"), payload, binary, &frame));
+        let reply = core.serve_and_audit(r, kind, &who, payload, binary, &frame);
 
-        if core.roll(plan.resp_drop) {
-            core.inject(r, "resp_drop", kind, format!("conn {id}: response dropped"));
+        if core.roll(kind, "resp_drop") {
+            core.inject(r, "resp_drop", kind, say("response dropped", "doorbell lost (reply unseen)"));
             return Ok(());
         }
-        if core.roll(plan.resp_delay) {
-            let d = core.rng.gen_range(1..=plan.max_delay_ms.max(1));
-            core.clock.advance(SimDuration::from_millis(d));
-            core.inject(r, "resp_delay", kind, format!("conn {id}: response delayed {d}ms"));
+        if core.roll(kind, "resp_delay") {
+            let d = core.delay();
+            core.inject(r, "resp_delay", kind, format!("{} {d}ms", say("response delayed", "reader stalled")));
         }
-        if core.roll(plan.resp_cut) {
-            let cut = (wire.len() / 2).max(1);
-            self.inbox.extend(wire[..cut].iter().copied());
+        if core.roll(kind, "resp_cut") {
+            let len = 4 + reply.len(); // the stream's length prefix and payload
+            let cut = format!("response cut after {}/{len} bytes", (len / 2).max(1));
+            core.inject(r, "resp_cut", kind, say(&cut, "torn reply slot"));
             self.dead = Some(io::ErrorKind::ConnectionReset);
-            core.inject(r, "resp_cut", kind, format!("conn {id}: response cut after {cut}/{} bytes", wire.len()));
             return Ok(());
         }
-        if core.roll(plan.reorder) {
-            self.inbox.extend(encode(Response::Pong));
-            core.inject(r, "reorder", kind, format!("conn {id}: stale frame delivered ahead (reorder)"));
+        if core.roll(kind, "reorder") {
+            self.inbox.push_back(wire::encode_reply(false, None, Response::Pong));
+            core.inject(r, "reorder", kind, format!("{who}: stale frame delivered ahead (reorder)"));
         }
-        self.inbox.extend(wire.iter().copied());
-        if core.roll(plan.duplicate) {
-            self.inbox.extend(wire.iter().copied());
-            core.inject(r, "duplicate", kind, format!("conn {id}: response duplicated"));
+        if core.roll(kind, "duplicate") {
+            self.inbox.push_back(reply.clone());
+            core.inject(r, "duplicate", kind, format!("{who}: response duplicated"));
         }
+        self.inbox.push_back(reply);
         Ok(())
     }
 }
 
-impl Read for SimConnection {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if !self.inbox.is_empty() {
-            let n = buf.len().min(self.inbox.len());
-            for slot in buf.iter_mut().take(n) {
-                *slot = self.inbox.pop_front().expect("inbox length checked above");
-            }
-            return Ok(n);
+impl Connection for SimConnection {
+    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
+        match self.dead {
+            Some(kind) => Err(kind.into()),
+            None => self.deliver(payload),
+        }
+    }
+
+    fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
+        if let Some(frame) = self.inbox.pop_front() {
+            return Ok(frame);
         }
         if let Some(kind) = self.dead {
             return Err(kind.into());
@@ -803,196 +861,8 @@ impl Read for SimConnection {
         let mut core = self.net.mu.lock();
         let ms = core.plan.read_timeout_ms.max(1);
         core.clock.advance(SimDuration::from_millis(ms));
-        let id = self.id;
-        core.rnote(self.replica, format!("conn {id}: read timed out after {ms}ms"));
-        Err(io::ErrorKind::TimedOut.into())
-    }
-}
-
-impl Write for SimConnection {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if let Some(kind) = self.dead {
-            return Err(kind.into());
-        }
-        self.pending.put_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if let Some(kind) = self.dead {
-            return Err(kind.into());
-        }
-        while let Some(payload) = take_frame(&mut self.pending)? {
-            self.deliver(&payload)?;
-        }
-        Ok(())
-    }
-}
-
-/// The client side of a simulated shared-memory ring: frame-level (the
-/// slot header owns framing, so there is no byte stream to cut
-/// mid-length-prefix) and local (`is_local`, so a client holding both
-/// this and a [`SimTransport`] routes everything here while it is
-/// healthy), exactly like the real `ShmTransport`. The fault plan
-/// translates to ring physics:
-///
-/// * `req_cut` / `resp_cut` → a **torn slot**: the exchange dies with
-///   `ConnectionReset` and no frame is ever yielded from the tear
-///   (slot-header validation rejects partial writes; the byte level is
-///   covered by the codec proptests);
-/// * `req_drop` / `resp_drop` → a **lost doorbell**: the frame sits
-///   unseen and the client's next read burns its timeout;
-/// * `connect_refuse` → the single seat is already claimed;
-/// * `partition` → **ignored**: the ring never crosses the network;
-/// * `reorder` / `duplicate` / `busy` → impossible by construction
-///   (SPSC FIFO slots, exactly-once turns, no accept queue);
-/// * `crash` → the daemon dies mid-turn, shm and TCP listeners alike.
-pub struct SimShmTransport {
-    net: Arc<NetState>,
-    replica: usize,
-}
-
-impl Transport for SimShmTransport {
-    fn connect(&mut self) -> io::Result<Box<dyn Connection>> {
-        let r = self.replica;
-        let mut core = self.net.mu.lock();
-        core.tick(r);
-        core.clock.advance(SimDuration::from_millis(DIAL_MS));
-        if core.replicas[r].crashed_until.is_some() || core.replicas[r].shm_down_until.is_some() {
-            // no ring file: the dial fails fast (the ladder's cue to
-            // fall back to TCP), never a lingering timeout
-            core.rnote(r, "shm dial failed fast: ring file missing".to_string());
-            return Err(io::Error::new(io::ErrorKind::NotFound, "shm ring file missing"));
-        }
-        let p_refuse = core.plan.connect_refuse;
-        if core.roll(p_refuse) {
-            core.inject(r, "connect_refuse", Exchange::Shm, "shm dial bounced: seat busy".to_string());
-            return Err(io::Error::new(io::ErrorKind::WouldBlock, "shm session seat is busy"));
-        }
-        let id = core.next_conn;
-        core.next_conn += 1;
-        let incarnation = core.replicas[r].incarnation;
-        core.rnote(r, format!("shm conn {id} attached"));
-        Ok(Box::new(SimShmConnection {
-            net: Arc::clone(&self.net),
-            replica: r,
-            id,
-            incarnation,
-            inbox: VecDeque::new(),
-        }))
-    }
-
-    fn describe(&self) -> String {
-        format!("simshm://{}", self.net.mu.lock().replicas[self.replica].label)
-    }
-
-    fn is_local(&self) -> bool {
-        true
-    }
-
-    fn sleep(&mut self, d: Duration) {
-        let ms = (d.as_millis() as u64).max(1);
-        let mut core = self.net.mu.lock();
-        core.clock.advance(SimDuration::from_millis(ms));
-        core.note(format!("client backed off {ms}ms"));
-    }
-}
-
-/// One simulated ring session: whole frames in, whole frames out.
-struct SimShmConnection {
-    net: Arc<NetState>,
-    replica: usize,
-    id: u64,
-    incarnation: u64,
-    /// Complete reply frames awaiting `recv_frame` (FIFO — the ring
-    /// cannot reorder).
-    inbox: VecDeque<Vec<u8>>,
-}
-
-impl SimShmConnection {
-    /// Runs one request frame through the fault gauntlet and — if it
-    /// survives — the daemon, queueing the reply frame. Binary batch
-    /// frames are audited in the ledger as the `PredictMany` they
-    /// decode to.
-    fn deliver(&mut self, payload: &[u8]) -> io::Result<()> {
-        let r = self.replica;
-        let state = Arc::clone(&self.net);
-        let mut core = state.mu.lock();
-        core.tick(r);
-        let plan = core.plan.clone();
-        let (id, kind) = (self.id, Exchange::Shm);
-
-        if core.replicas[r].crashed_until.is_some()
-            || core.replicas[r].shm_down_until.is_some()
-            || core.replicas[r].incarnation != self.incarnation
-        {
-            core.rnote(r, format!("shm conn {}: session reset (daemon gone)", self.id));
-            return Err(io::Error::new(io::ErrorKind::ConnectionReset, "shm daemon died"));
-        }
-        if core.roll(plan.crash) {
-            core.crash_now(r, kind);
-            return Err(io::Error::new(io::ErrorKind::ConnectionReset, "shm daemon died"));
-        }
-        if core.roll(plan.req_cut) {
-            // a torn request slot: validation rejects it and the
-            // session dies — the daemon never sees a frame
-            core.inject(r, "req_cut", kind, format!("shm conn {id}: torn request slot"));
-            return Err(io::Error::new(io::ErrorKind::ConnectionReset, "torn shm slot"));
-        }
-        if core.roll(plan.req_drop) {
-            core.inject(r, "req_drop", kind, format!("shm conn {id}: doorbell lost (request unseen)"));
-            return Ok(());
-        }
-        if core.roll(plan.req_delay) {
-            let d = core.rng.gen_range(1..=plan.max_delay_ms.max(1));
-            core.clock.advance(SimDuration::from_millis(d));
-            core.inject(r, "req_delay", kind, format!("shm conn {id}: writer stalled {d}ms"));
-        }
-
-        let (binary, frame) = decoded(payload);
-        let wire = core.serve_and_audit(r, kind, &format!("shm conn {id}"), payload, binary, &frame);
-
-        if core.roll(plan.resp_drop) {
-            core.inject(r, "resp_drop", kind, format!("shm conn {id}: doorbell lost (reply unseen)"));
-            return Ok(());
-        }
-        if core.roll(plan.resp_delay) {
-            let d = core.rng.gen_range(1..=plan.max_delay_ms.max(1));
-            core.clock.advance(SimDuration::from_millis(d));
-            core.inject(r, "resp_delay", kind, format!("shm conn {id}: reader stalled {d}ms"));
-        }
-        if core.roll(plan.resp_cut) {
-            // a torn reply slot: the client validates, rejects, and the
-            // session dies — never a partial or garbage frame
-            core.inject(r, "resp_cut", kind, format!("shm conn {id}: torn reply slot"));
-            self.inbox.clear();
-            self.inbox.push_back(Vec::new()); // sentinel: next recv reports the tear
-            return Ok(());
-        }
-        self.inbox.push_back(wire);
-        Ok(())
-    }
-}
-
-impl Connection for SimShmConnection {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.deliver(payload)
-    }
-
-    fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
-        if let Some(frame) = self.inbox.pop_front() {
-            if frame.is_empty() {
-                return Err(io::Error::new(io::ErrorKind::ConnectionReset, "torn shm slot"));
-            }
-            return Ok(frame);
-        }
-        // nothing queued: burn the virtual read timeout like the real
-        // spin-then-park wait would
-        let mut core = self.net.mu.lock();
-        let ms = core.plan.read_timeout_ms.max(1);
-        core.clock.advance(SimDuration::from_millis(ms));
-        let id = self.id;
-        core.rnote(self.replica, format!("shm conn {id}: wait timed out after {ms}ms"));
+        let wait = if self.ring { "wait" } else { "read" };
+        core.rnote(self.replica, format!("{}: {wait} timed out after {ms}ms", self.who()));
         Err(io::ErrorKind::TimedOut.into())
     }
 }
@@ -1001,19 +871,6 @@ impl Connection for SimShmConnection {
 fn decoded(payload: &[u8]) -> (bool, RequestFrame) {
     let (binary, frame) = wire::decode_request(payload);
     (binary, frame.expect("the harness client only writes well-formed frames"))
-}
-
-/// `payload` behind its length prefix: what a byte stream carries.
-fn prefixed(payload: &[u8]) -> Vec<u8> {
-    let mut stream = io::Cursor::new(Vec::new());
-    stream.send_frame(payload).expect("replies fit a frame");
-    stream.into_inner()
-}
-
-/// A bare reply no request was read for (a bounce, a stale frame), as
-/// the byte stream carries it.
-fn encode(response: Response) -> Vec<u8> {
-    prefixed(&wire::encode_reply(false, None, response))
 }
 
 #[cfg(test)]
@@ -1086,6 +943,39 @@ mod tests {
         };
         assert_eq!(run(42), run(42), "same seed must replay identically");
         assert_ne!(run(42), run(43), "different seeds should diverge");
+    }
+
+    /// Every fault the gauntlet books is one its exchange kind admits:
+    /// the ring rolls no family it cannot suffer, and the took-effect
+    /// audit owes none.
+    #[test]
+    fn no_medium_books_a_fault_its_exchange_kind_does_not_admit() {
+        let plan = FaultPlan::chaos();
+        let net = SimNet::new(5, plan.clone(), vec![model(1, 10, 20), model(2, 10, 21)]);
+        let transports: Vec<Box<dyn Transport>> =
+            vec![Box::new(net.shm_transport_for(0)), Box::new(net.transport_for(0))];
+        let mut c = crate::world::failover_client(&plan, transports).build().unwrap();
+        let keys: Vec<(u64, u64)> = (20..26).map(|b| (10, b)).collect();
+        for round in 0..400 {
+            if round == 200 {
+                net.drop_shm(0, 1_000_000);
+            }
+            let _ = c.predict_many(&keys, OPTS);
+            let _ = c.ping();
+        }
+        let injected = net.injected();
+        let faults: Vec<_> = injected
+            .0
+            .iter()
+            .filter(|((what, _), _)| ![Injected::DELIVERED, Injected::PREDICTS].contains(what))
+            .filter(|((what, _), _)| !what.starts_with("backend_"))
+            .collect();
+        assert!(faults.iter().any(|((_, kind), _)| *kind == Exchange::Shm), "the ring took no fault: {faults:?}");
+        assert!(faults.iter().any(|((_, kind), _)| *kind != Exchange::Shm), "TCP took no fault: {faults:?}");
+        for ((family, kind), n) in faults {
+            assert!(kind.admits(family), "{n} {family} fault(s) booked under {kind:?}, which does not admit it");
+        }
+        assert!(net.finish().is_empty(), "chaos over both media breaks no invariant");
     }
 
     #[test]

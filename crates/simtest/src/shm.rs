@@ -2,14 +2,14 @@
 //! ladder under a fault plan.
 //!
 //! One daemon, one client, **two** endpoints to it: the simulated shm
-//! ring ([`crate::net::SimShmTransport`] — frame-level, `is_local`)
-//! and a plain simulated TCP endpoint. The
+//! ring ([`SimNet::shm_transport_for`] — `is_local`) and a plain
+//! simulated TCP endpoint. The
 //! client's local-preference routing must send everything over the
 //! ring while it is healthy, and the choreography attacks exactly the
 //! seams the real transport has:
 //!
-//! * torn slots and lost doorbells from the fault plan (cuts/drops
-//!   translated to ring physics by `SimShmConnection`);
+//! * torn slots and lost doorbells from the fault plan (cuts and drops
+//!   on the ring, see [`crate::net::SimTransport`]);
 //! * the ring torn down while TCP keeps serving (`drop_shm`) — the
 //!   shm→tcp rung of the fallback ladder;
 //! * a full daemon crash mid-traffic (both listeners die) and the

@@ -45,8 +45,10 @@ stage_docs() { RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps; }
 # and dumps its telemetry export and event log into $SIMTEST_TRACE_DIR.
 # Not a gate, but the proof a change that must not move a simulated run
 # owes: one log-only and one log+summary hash per world over its full
-# seed range — run on the parent tree and on the change, compare lines:
-#   cargo test -q -p simtest --release --test sweep world_hashes -- --ignored --nocapture
+# seed range, on a parent revision and on the working tree, side by side
+# (exits 1 if a line differs; not a stage, since a change may move a
+# hash on purpose):
+#   scripts/world_hashes.sh [REV]
 simtest_world() {
     run cargo test -q -p simtest --release --test sweep "$1"
     case $1 in

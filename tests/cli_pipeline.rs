@@ -13,8 +13,10 @@ use eco_hpc::hpcg::perf_model::PerfModel;
 use eco_hpc::hpcg::workload::HpcgWorkload;
 use eco_hpc::node::SimNode;
 use eco_hpc::slurm::Cluster;
-use std::path::PathBuf;
 use std::sync::Arc;
+
+mod support;
+use support::TempRoot;
 
 struct CliWorld {
     app: Chronus,
@@ -22,14 +24,12 @@ struct CliWorld {
     runner: HpcgRunner,
     sampler: IpmiService,
     info: LscpuInfo,
-    root: PathBuf,
+    root: TempRoot,
 }
 
 impl CliWorld {
     fn new(tag: &str) -> Self {
-        let root = std::env::temp_dir().join(format!("eco-clip-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).unwrap();
+        let root = TempRoot::new(&format!("clip-{tag}"));
         let mut cluster = Cluster::single_node(SimNode::sr650());
         let perf = Arc::new(PerfModel::sr650());
         let work = perf.gflops(&perf.standard_config()) * 20.0;

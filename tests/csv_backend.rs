@@ -15,11 +15,12 @@ use eco_hpc::node::SimNode;
 use eco_hpc::slurm::Cluster;
 use std::sync::Arc;
 
+mod support;
+use support::TempRoot;
+
 #[test]
 fn csv_backend_runs_the_whole_pipeline() {
-    let root = std::env::temp_dir().join(format!("eco-csvpipe-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
+    let root = TempRoot::new("csvpipe");
 
     let mut cluster = Cluster::single_node(SimNode::sr650());
     let perf = Arc::new(PerfModel::sr650());

@@ -14,21 +14,21 @@ use eco_hpc::hpcg::workload::{HpcgWorkload, Workload};
 use eco_hpc::node::cpu::CpuConfig;
 use eco_hpc::node::SimNode;
 use eco_hpc::slurm::Cluster;
-use std::path::PathBuf;
 use std::sync::Arc;
 
+mod support;
+use support::TempRoot;
+
 struct World {
-    root: PathBuf,
     cluster: Cluster,
     workload: Arc<HpcgWorkload>,
     /// Measured runtimes per config, for deadline arithmetic in asserts.
     runtimes: Vec<(CpuConfig, f64)>,
+    root: TempRoot,
 }
 
 fn setup(tag: &str) -> World {
-    let root = std::env::temp_dir().join(format!("eco-dlp-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
+    let root = TempRoot::new(&format!("dlp-{tag}"));
     let mut cluster = Cluster::single_node(SimNode::sr650());
     let perf = Arc::new(PerfModel::sr650());
     let work = perf.gflops(&perf.standard_config()) * 60.0; // ~1 min at standard

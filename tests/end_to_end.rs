@@ -16,23 +16,23 @@ use eco_hpc::node::clock::SimDuration;
 use eco_hpc::node::cpu::CpuConfig;
 use eco_hpc::node::SimNode;
 use eco_hpc::slurm::{Cluster, JobState};
-use std::path::PathBuf;
 use std::sync::Arc;
 
+mod support;
+use support::TempRoot;
+
 struct World {
-    root: PathBuf,
     cluster: Cluster,
     app: Chronus,
     runner: HpcgRunner,
     sampler: IpmiService,
     info: LscpuInfo,
     workload: Arc<HpcgWorkload>,
+    root: TempRoot,
 }
 
 fn world(tag: &str) -> World {
-    let root = std::env::temp_dir().join(format!("eco-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
+    let root = TempRoot::new(&format!("e2e-{tag}"));
     let mut cluster = Cluster::single_node(SimNode::sr650());
     let perf = Arc::new(PerfModel::sr650());
     let work = perf.gflops(&perf.standard_config()) * 30.0;

@@ -18,11 +18,13 @@ use eco_hpc::node::SimNode;
 use eco_hpc::slurm::Cluster;
 use std::sync::Arc;
 
+mod support;
+use support::TempRoot;
+
 /// Runs configurations through the full pipeline at `scale` of the
 /// paper's run length.
 fn measure(tag: &str, configs: &[CpuConfig], scale: f64, interval_s: u64) -> Vec<Benchmark> {
-    let root = std::env::temp_dir().join(format!("eco-repro-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempRoot::new(&format!("repro-{tag}"));
     let mut cluster = Cluster::single_node(SimNode::sr650());
     let perf = Arc::new(PerfModel::sr650());
     let work = perf.gflops(&perf.standard_config()) * PAPER_STANDARD_RUNTIME_S * scale;
@@ -166,8 +168,6 @@ fn ht_crossover_reproduces() {
 #[test]
 fn power_stability_contrast() {
     use eco_hpc::chronus::interfaces::{ApplicationRunner, SystemService};
-    let root = std::env::temp_dir().join(format!("eco-repro-stability-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
     let sd_of = |config: CpuConfig, tag: &str| -> f64 {
         let mut cluster = Cluster::single_node(SimNode::sr650());
         let perf = Arc::new(PerfModel::sr650());

@@ -21,8 +21,11 @@ use eco_hpc::node::cpu::CpuConfig;
 use eco_hpc::node::sysinfo::SystemFacts;
 use eco_hpc::node::SimNode;
 use eco_hpc::slurm::Cluster;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
+
+mod support;
+use support::TempRoot;
 
 const BINARY: &str = "/opt/hpcg/bin/xhpcg";
 
@@ -40,17 +43,15 @@ const FRUGAL: CpuConfig = CpuConfig { cores: 16, frequency_khz: 1_500_000, threa
 /// A head node: the controller with the plugin loaded over one
 /// `EtcStorage`, and the CLI's own `EtcStorage` over the same root.
 struct Head {
-    root: PathBuf,
     cluster: Cluster,
     cli: EtcStorage,
     telemetry: Arc<Telemetry>,
     binary_id: String,
+    root: TempRoot,
 }
 
 fn head(tag: &str) -> Head {
-    let root = std::env::temp_dir().join(format!("eco-freshness-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
+    let root = TempRoot::new(&format!("freshness-{tag}"));
     let mut cluster = Cluster::single_node(SimNode::sr650());
     let workload = HpcgWorkload::paper_default(Arc::new(PerfModel::sr650()));
     let binary_id = workload.binary_id().to_string();
