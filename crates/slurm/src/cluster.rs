@@ -14,6 +14,7 @@ use crate::job::{Job, JobDescriptor, JobId, JobRecord, JobState};
 use crate::partition::{Partition, PartitionTable};
 use crate::plugin::{JobSubmitPlugin, PluginHost};
 use crate::priority::{FairShare, PriorityWeights};
+use crate::sched::NodeSet;
 use crate::script::parse_script;
 use eco_hpcg::workload::Workload;
 use eco_sim_node::class::NodeClass;
@@ -73,6 +74,11 @@ impl NodeDaemon {
         self.running.iter().map(|r| r.vacate_at()).max()
     }
 
+    /// Idle and undrained: a node a job may start on.
+    pub(crate) fn is_free(&self) -> bool {
+        self.running.is_empty() && !self.drained
+    }
+
     /// Cores already committed to running jobs.
     pub(crate) fn busy_cores(&self) -> u32 {
         self.running.iter().map(|r| r.config.cores).sum()
@@ -118,6 +124,13 @@ pub struct Cluster {
     /// of it, so draining nodes eventually fit it.
     pub(crate) starvation_guard: Option<SimDuration>,
     partitions: PartitionTable,
+    /// The nodes of each partition, by index into `partitions`.
+    pub(crate) members: Vec<NodeSet>,
+    /// Idle, undrained nodes: kept by `place`, `complete_job` and
+    /// `set_drained`, the only functions that change either condition.
+    pub(crate) idle: NodeSet,
+    /// Cores of every node; nodes are fixed at construction.
+    pub(crate) total_cores: u32,
     pub(crate) tel: Option<ClusterTelemetry>,
     /// When set, nodes slow down as they accumulate busy hours (same
     /// power draw, fewer GFLOPS) — the drift the adaptation loop's
@@ -159,8 +172,9 @@ impl Cluster {
         assert!(!nodes.is_empty(), "a cluster needs at least one node");
         let t0 = nodes[0].now();
         assert!(nodes.iter().all(|n| n.now() == t0), "node clocks must agree");
-        let partitions = PartitionTable::with_default(nodes.len());
-        Cluster {
+        let n = nodes.len();
+        let mut cluster = Cluster {
+            total_cores: nodes.iter().map(|node| node.spec().cores).sum(),
             daemons: nodes
                 .into_iter()
                 .map(|node| NodeDaemon { node, running: Vec::new(), drained: false, busy_s: 0.0 })
@@ -178,10 +192,14 @@ impl Cluster {
             power_headroom_w: 0.0,
             co_schedule: CoSchedulePolicy::default(),
             starvation_guard: None,
-            partitions,
+            partitions: PartitionTable::with_default(n),
+            members: Vec::new(),
+            idle: NodeSet::of(0..n, n),
             tel: None,
             aging: None,
-        }
+        };
+        cluster.index_partitions();
+        cluster
     }
 
     /// A heterogeneous cluster built from node classes: `counts` gives
@@ -212,6 +230,7 @@ impl Cluster {
             table.upsert(partition);
         }
         cluster.partitions = table;
+        cluster.index_partitions();
         cluster
     }
 
@@ -329,13 +348,25 @@ impl Cluster {
         self.starvation_guard = age;
     }
 
-    /// Adds (or replaces) a partition. Node indices must exist.
+    /// Adds (or replaces) a partition. Node indices must exist and be
+    /// distinct.
     pub fn add_partition(&mut self, partition: Partition) {
         assert!(
             partition.nodes.iter().all(|&n| n < self.daemons.len()),
             "partition references a node the cluster does not have"
         );
+        assert!(
+            NodeSet::of(partition.nodes.iter().copied(), self.daemons.len()).len() == partition.nodes.len(),
+            "partition lists a node more than once"
+        );
         self.partitions.upsert(partition);
+        self.index_partitions();
+    }
+
+    /// Rebuilds `members` from the partition table, its one source.
+    fn index_partitions(&mut self) {
+        let n = self.daemons.len();
+        self.members = self.partitions.all().iter().map(|p| NodeSet::of(p.nodes.iter().copied(), n)).collect();
     }
 
     /// The configured partitions.
@@ -414,6 +445,7 @@ impl Cluster {
     /// A drained node finishes its current job but receives no new ones.
     pub fn set_drained(&mut self, idx: usize, drained: bool) {
         self.daemons[idx].drained = drained;
+        self.idle.set(idx, self.daemons[idx].is_free());
         if !drained {
             self.schedule();
         }
@@ -833,6 +865,7 @@ impl Cluster {
         for idx in touched {
             let load = self.planned_load(idx, None);
             self.daemons[idx].node.set_load(load);
+            self.idle.set(idx, self.daemons[idx].is_free());
         }
         assert!(config.is_some(), "job {id} was not running anywhere");
 
@@ -1258,6 +1291,16 @@ pub(crate) mod tests {
     fn partition_with_bad_node_rejected() {
         let mut c = cluster();
         c.add_partition(Partition::over("bad", vec![7]));
+    }
+
+    /// A node listed twice is counted twice by the size check and once by
+    /// the scheduler: a `--nodes=2` job on `[0, 0]` would be accepted and
+    /// then wait for a second node forever.
+    #[test]
+    #[should_panic(expected = "more than once")]
+    fn partition_listing_a_node_twice_rejected() {
+        let mut c = Cluster::new(vec![SimNode::sr650(), SimNode::sr650()]);
+        c.add_partition(Partition::over("dup", vec![0, 0]));
     }
 
     #[test]

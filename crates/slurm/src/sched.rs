@@ -11,13 +11,19 @@
 //! `estimated_power_w()` returns — for every budget comparison; an
 //! uncapped pass prices nothing.
 //!
+//! What the cluster holds across passes is membership, never a price: the
+//! idle, undrained nodes and each partition's members as [`NodeSet`]s,
+//! kept by the only functions that change them, so a job's free nodes
+//! are one intersection and no pass visits every node to find them.
+//!
 //! Two traps, both measured. Prices are good for one pass and no longer:
 //! they read each node's *current* package temperature, which
 //! `step_nodes` moves, so none is kept on the `Cluster`. And
 //! `Cluster::advance` skips its trailing pass only after a pass that
 //! placed nothing, with nothing run since: after a placement, a job held
 //! before it may pack onto the host it made busy. Still re-derived: the
-//! `pack_host` scan per candidate, and a pass on every `sbatch`.
+//! `pack_host` scan of the partition per candidate, the power-blocked
+//! classes, and a pass on every `sbatch`.
 
 use crate::cluster::{Cluster, CoSchedulePolicy, RunningJob};
 use crate::job::{Job, JobId, JobState};
@@ -61,10 +67,55 @@ struct Reservation {
     need: usize,
 }
 
-/// What one pass knows besides the cluster itself.
+/// A set of node indices, one bit each: the cluster's idle nodes and
+/// each partition's members, which `admit` intersects.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct NodeSet(Vec<u64>);
+
+impl NodeSet {
+    /// The set of `nodes`, each below `node_count`.
+    pub(crate) fn of(nodes: impl IntoIterator<Item = usize>, node_count: usize) -> Self {
+        let mut set = NodeSet(vec![0; node_count.div_ceil(64)]);
+        nodes.into_iter().for_each(|n| set.set(n, true));
+        set
+    }
+
+    pub(crate) fn set(&mut self, node: usize, member: bool) {
+        let (word, bit) = (&mut self.0[node / 64], 1 << (node % 64));
+        *word = if member { *word | bit } else { *word & !bit };
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// How many nodes are in both sets.
+    fn count_and(&self, other: &NodeSet) -> usize {
+        self.0.iter().zip(&other.0).map(|(a, b)| (a & b).count_ones() as usize).sum()
+    }
+
+    /// The nodes in the set, in ascending index order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.and(self)
+    }
+
+    /// The nodes in both sets, in ascending index order.
+    fn and<'a>(&'a self, other: &'a NodeSet) -> impl Iterator<Item = usize> + 'a {
+        self.0.iter().zip(&other.0).enumerate().flat_map(|(i, (a, b))| {
+            let mut word = a & b;
+            std::iter::from_fn(move || {
+                let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+                word &= word - 1;
+                Some(i * 64 + bit)
+            })
+        })
+    }
+}
+
+/// What one pass knows besides the cluster itself. Its free nodes are
+/// the cluster's `idle` set: `place`, the only thing in a pass that
+/// changes it, takes the nodes it starts a job on out of it.
 struct Pass {
-    /// Idle, undrained nodes no earlier job of this pass has taken.
-    free: Vec<usize>,
     reservation: Option<Reservation>,
     /// `planned_power_w(i, None)` of each node `i`, re-priced where this
     /// pass places, the only thing that moves it; empty when uncapped.
@@ -84,21 +135,23 @@ impl Cluster {
     /// One scheduling pass: priority-ordered dispatch with EASY backfill.
     /// Returns whether it placed a job.
     pub(crate) fn schedule(&mut self) -> bool {
+        let n = self.daemons.len();
+        debug_assert_eq!(
+            self.idle,
+            NodeSet::of((0..n).filter(|&i| self.daemons[i].is_free()), n),
+            "the idle set went stale"
+        );
         // multifactor priority (desc), submit order as tie-break
-        let total_cores = self.daemons.iter().map(|d| d.node.spec().cores).sum();
         let priority = |job: &Job| {
-            multifactor_priority(job, self.now(), total_cores, &self.weights, &self.fairshare)
+            multifactor_priority(job, self.now(), self.total_cores, &self.weights, &self.fairshare)
                 + self.partition_of(job).priority_bonus
         };
         let mut order: Vec<(f64, JobId)> = self.pending.iter().map(|&id| (priority(&self.jobs[&id]), id)).collect();
         order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("priorities are finite").then(a.1.cmp(&b.1)));
 
-        let priced = if self.power_cap_w.is_some() { self.daemons.len() } else { 0 };
+        let priced = if self.power_cap_w.is_some() { n } else { 0 };
         let node_w: Vec<f64> = (0..priced).map(|i| self.planned_power_w(i, None)).collect();
         let mut pass = Pass {
-            free: (0..self.daemons.len())
-                .filter(|&i| self.daemons[i].running.is_empty() && !self.daemons[i].drained)
-                .collect(),
             reservation: None,
             estimate_w: self.power_cap_w.map(|_| node_w.iter().sum()),
             node_w,
@@ -121,7 +174,6 @@ impl Cluster {
                     continue;
                 }
             };
-            pass.free.retain(|n| !nodes.contains(n));
             self.place(id, &nodes);
             // the same in-order sum, so the float every later
             // comparison reads is the one a fresh call would return
@@ -165,12 +217,13 @@ impl Cluster {
         // a packed job consumes no free node, so it can never delay the
         // reservation and is tried before the window
         if need == 1 && self.co_schedule == CoSchedulePolicy::Pack {
-            if let Some(host) = self.pack_host(job, partition, pass) {
+            if let Some(host) = self.pack_host(job, pass) {
                 return Admission::Pack(host);
             }
         }
-        // only nodes of the job's partition are eligible
-        let eligible = pass.free.iter().filter(|&&n| partition.contains(n)).count();
+        // only free nodes of the job's partition are eligible
+        let members = &self.members[job.partition];
+        let eligible = self.idle.count_and(members);
         let reason = if eligible < need || !self.fits_window(job, need, pass) {
             if pass.reservation.is_none() {
                 pass.reservation = Some(Reservation { start: self.earliest_start(partition, need - eligible), need });
@@ -179,7 +232,7 @@ impl Cluster {
             }
             HoldReason::Priority
         } else {
-            let nodes: Vec<usize> = pass.free.iter().copied().filter(|&n| partition.contains(n)).take(need).collect();
+            let nodes: Vec<usize> = self.idle.and(members).take(need).collect();
             if self.within_budget(job, &nodes, pass) {
                 return Admission::Start(nodes);
             }
@@ -238,12 +291,12 @@ impl Cluster {
     /// residents (opposite side of the arithmetic-intensity ridge), and
     /// the packed marginal power must fit the budget. Returns the first
     /// such node.
-    fn pack_host(&self, job: &Job, partition: &Partition, pass: &Pass) -> Option<usize> {
+    fn pack_host(&self, job: &Job, pass: &Pass) -> Option<usize> {
         let memory_bound = |ai: f64| ai < PACK_AI_RIDGE;
         let mine = memory_bound(self.registry[&job.descriptor.binary_path].arithmetic_intensity());
-        (0..self.daemons.len()).find(|&idx| {
+        self.members[job.partition].iter().find(|&idx| {
             let d = &self.daemons[idx];
-            if d.drained || d.running.is_empty() || !partition.contains(idx) {
+            if d.drained || d.running.is_empty() {
                 return false;
             }
             let config = job.descriptor.resolve_config(d.node.spec());
@@ -258,7 +311,7 @@ impl Cluster {
     /// anyway, or if it finishes before the holder's reserved start.
     fn fits_window(&self, job: &Job, need: usize, pass: &Pass) -> bool {
         let Some(reservation) = &pass.reservation else { return true };
-        pass.free.len() >= need + reservation.need || self.now() + self.expected_duration(job) <= reservation.start
+        self.idle.len() >= need + reservation.need || self.now() + self.expected_duration(job) <= reservation.start
     }
 
     /// Earliest instant at which `still_needed` (≥ 1) more nodes of the
@@ -298,6 +351,7 @@ impl Cluster {
         let kill_at = job.descriptor.time_limit.map(|l| now + l);
 
         for &idx in nodes {
+            self.idle.set(idx, false);
             self.daemons[idx].busy_s += duration.as_secs_f64();
             self.daemons[idx].running.push(RunningJob {
                 id,

@@ -5,7 +5,7 @@ use eco_hpcg::workload::{ScalingKind, SyntheticWorkload};
 use eco_sim_node::clock::{SimDuration, SimTime};
 use eco_sim_node::SimNode;
 use eco_slurm_sim::script::{generate_hpcg_script, parse_script};
-use eco_slurm_sim::{Cluster, HoldReason, JobDescriptor, JobId, JobState, Qos};
+use eco_slurm_sim::{Cluster, CoSchedulePolicy, HoldReason, JobDescriptor, JobId, JobState, Partition, Qos};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -86,8 +86,120 @@ fn note_reservation(cluster: &Cluster, jobs: &[Submitted], promised: &mut Vec<(J
     }
 }
 
+/// One step of the interleaving in `idle_and_partition_sets_follow_every_change`.
+#[derive(Debug, Clone)]
+enum Op {
+    /// `(nodes, tasks, binary, partition)`: the binary indexes the test's
+    /// list, the partition the configured ones, modulo their count.
+    Submit(u32, u32, usize, usize),
+    /// The `n`th accepted job, modulo how many there are.
+    Cancel(usize),
+    /// Drain (`true`) or resume a node, modulo the node count.
+    Drain(usize, bool),
+    Advance(u64),
+    /// Adds or replaces `p{k}` over `len` nodes from `start`, wrapping
+    /// round the node count, so the ranges overlap `batch` and each other.
+    AddPartition(usize, usize, usize),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u32..9, 1u32..=3, 1u32..=32, 0usize..3, 0usize..8, 1usize..=8, any::<bool>()).prop_map(
+        |(kind, width, tasks, k, pick, len, on)| match kind {
+            0..=3 => Op::Submit(width, tasks, k, pick % 4),
+            4 => Op::Cancel(pick),
+            5 => Op::Drain(pick, on),
+            6 | 7 => Op::Advance(width.into()),
+            _ => Op::AddPartition(k, pick, len),
+        },
+    )
+}
+
+/// The jobs `sinfo` lists on each node, by node index.
+fn residents(cluster: &Cluster) -> Vec<Vec<JobId>> {
+    let ids = |field: &str| field.split('+').filter(|&id| id != "-").map(|id| JobId(id.parse().unwrap())).collect();
+    cluster.sinfo().lines().skip(1).map(|line| ids(line.split_whitespace().last().unwrap())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Submissions (multi-node ones too), cancellations, drains and
+    /// resumes, time and overlapping partitions added or replaced, in any
+    /// order, with packing on and off. After every step, a job the step
+    /// started sits on as many nodes as it asked for, every one of them in
+    /// its partition and none drained, and without packing no node holds
+    /// two jobs; at the end, with every node resumed, the cluster drains. In a
+    /// debug build every pass also compares the cluster's idle set with a
+    /// fresh count.
+    #[test]
+    fn idle_and_partition_sets_follow_every_change(
+        nodes in 2usize..=6,
+        pack in any::<bool>(),
+        ops in prop::collection::vec(arb_op(), 1..60),
+    ) {
+        let mut cluster = build_cluster(nodes);
+        if pack {
+            cluster.set_co_schedule(CoSchedulePolicy::Pack);
+        }
+        let binaries = ["/bin/app", "/bin/long", "/bin/stream"];
+        cluster.register_binary(binaries[1], Arc::new(SyntheticWorkload::new("long", ScalingKind::ComputeBound, 400.0, 1.0)));
+        cluster.register_binary(binaries[2], Arc::new(SyntheticWorkload::new("stream", ScalingKind::MemoryBound, 100.0, 1.0)));
+        let partitions = ["p0", "p1", "p2"];
+        let mut ids: Vec<JobId> = Vec::new();
+        for op in ops {
+            // the jobs this step may start: those pending before it, and
+            // any it submits
+            let mut waiting: Vec<JobId> =
+                ids.iter().copied().filter(|&id| cluster.job(id).unwrap().state == JobState::Pending).collect();
+            let known = ids.len();
+            match op {
+                Op::Submit(width, tasks, binary, partition) => {
+                    let mut d = JobDescriptor::new(&format!("j{}", ids.len()), "u", binaries[binary]);
+                    d.num_nodes = width;
+                    d.num_tasks = tasks;
+                    let configured = cluster.partitions().all();
+                    d.partition = Some(configured[partition % configured.len()].name.clone());
+                    // a job wider than its partition is refused
+                    if let Ok(id) = cluster.submit(d) {
+                        ids.push(id);
+                    }
+                }
+                Op::Cancel(n) if !ids.is_empty() => {
+                    let _ = cluster.cancel(ids[n % ids.len()]);
+                }
+                Op::Cancel(_) => {}
+                Op::Drain(node, on) => cluster.set_drained(node % nodes, on),
+                Op::Advance(s) => cluster.advance(SimDuration::from_secs(s)),
+                Op::AddPartition(k, start, len) => {
+                    // a replacement may move the range but never shrink it
+                    // below a job it has accepted
+                    let accepted = cluster.partitions().resolve(Some(partitions[k])).map_or(0, |p| p.nodes.len());
+                    let range = (0..len.min(nodes).max(accepted)).map(|i| (start + i) % nodes).collect();
+                    cluster.add_partition(Partition::over(partitions[k], range));
+                }
+            }
+            let on = residents(&cluster);
+            for (node, jobs) in on.iter().enumerate() {
+                prop_assert!(jobs.len() <= 1 || pack, "node {node} holds {jobs:?}");
+            }
+            waiting.extend(&ids[known..]);
+            for id in waiting.into_iter().filter(|&id| cluster.job(id).unwrap().state == JobState::Running) {
+                let job = cluster.job(id).unwrap();
+                let partition = cluster.partitions().resolve(job.descriptor.partition.as_deref()).unwrap();
+                let placed: Vec<usize> = (0..nodes).filter(|&n| on[n].contains(&id)).collect();
+                prop_assert_eq!(placed.len(), job.descriptor.num_nodes as usize, "job {} on {:?}", id, placed);
+                for n in placed {
+                    prop_assert!(partition.contains(n) && !cluster.is_drained(n), "job {id} started on node {n}");
+                }
+            }
+        }
+        (0..nodes).for_each(|n| cluster.set_drained(n, false));
+        prop_assert!(cluster.run_until_idle(SimDuration::from_secs(7200)), "{}", cluster.squeue());
+        for &id in &ids {
+            prop_assert!(cluster.job(id).unwrap().state.is_terminal(), "job {id}");
+        }
+        prop_assert_eq!(cluster.accounting().records().len(), ids.len());
+    }
 
     /// EASY's promise: backfill never delays the job that holds the
     /// reservation. One user, one QOS, one job size, no cap, so priority
