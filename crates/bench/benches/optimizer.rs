@@ -5,8 +5,9 @@
 use chronus::application::predict_from_settings;
 use chronus::domain::{Benchmark, LoadedModel, PluginState, Settings};
 use chronus::hash::{binary_hash, system_hash};
-use chronus::optimizers::ModelFactory;
+use chronus::optimizers::{ModelFactory, RANDOM_TREE};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use eco_campaign::fit_best_config;
 use eco_hpcg::paper_data::GFLOPS_PER_WATT;
 use eco_sim_node::cpu::{ghz_to_khz, CpuConfig, CpuSpec};
 use eco_sim_node::sysinfo::SystemFacts;
@@ -64,6 +65,19 @@ fn bench_predict(c: &mut Criterion) {
     group.finish();
 }
 
+/// Model building as a campaign times it (`campaign.fit_ns`):
+/// `fit_best_config`, a fresh fit plus the argmax over the 192 EPYC
+/// candidates.
+fn bench_fit_best_config(c: &mut Criterion) {
+    let data = paper_benchmarks();
+    let candidates = CpuSpec::epyc_7502p().all_configurations();
+    let mut group = c.benchmark_group("fit_best_config");
+    group.bench_with_input(BenchmarkId::from_parameter(RANDOM_TREE), &data, |b, data| {
+        b.iter(|| fit_best_config(RANDOM_TREE, black_box(data), black_box(&candidates)).unwrap())
+    });
+    group.finish();
+}
+
 /// The complete submit-path prediction, exactly what `job_submit_eco`
 /// triggers: read the pre-loaded model file, deserialize, enumerate and
 /// score every candidate configuration.
@@ -106,5 +120,5 @@ fn bench_submit_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fit, bench_predict, bench_submit_path);
+criterion_group!(benches, bench_fit, bench_predict, bench_fit_best_config, bench_submit_path);
 criterion_main!(benches);

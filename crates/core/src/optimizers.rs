@@ -213,6 +213,10 @@ impl RandomTreeOptimizer {
     pub fn new() -> Self {
         Self::default()
     }
+
+    fn forest(&self) -> Result<&RandomForest> {
+        self.model.as_ref().ok_or_else(|| ChronusError::Model("random forest is not fitted".into()))
+    }
 }
 
 impl Optimizer for RandomTreeOptimizer {
@@ -223,14 +227,24 @@ impl Optimizer for RandomTreeOptimizer {
     fn fit(&mut self, benchmarks: &[Benchmark]) -> Result<FitReport> {
         let data = dataset(benchmarks)?;
         let model = RandomForest::fit(&data, &self.params);
-        let r2 = training_r2(|row| model.predict(row), &data);
+        let r2 = eco_ml::r2(&model.predict_batch(data.features()), data.targets());
         self.model = Some(model);
         Ok(FitReport { train_rows: data.len(), r2 })
     }
 
     fn predict_gpw(&self, config: &CpuConfig) -> Result<f64> {
-        let model = self.model.as_ref().ok_or_else(|| ChronusError::Model("random forest is not fitted".into()))?;
-        Ok(model.predict(&features(config)))
+        Ok(self.forest()?.predict(&features(config)))
+    }
+
+    /// The trait's argmax (first strict maximum, same errors), scored
+    /// tree by tree.
+    fn best_config(&self, candidates: &[CpuConfig]) -> Result<CpuConfig> {
+        if candidates.is_empty() {
+            return Err(ChronusError::Model("no candidates".into()));
+        }
+        let rows: Vec<Vec<f64>> = candidates.iter().map(features).collect();
+        let gpw = self.forest()?.predict_batch(&rows);
+        Ok(candidates[(1..gpw.len()).fold(0, |best, i| if gpw[i] > gpw[best] { i } else { best })])
     }
 
     fn to_bytes(&self) -> Result<Vec<u8>> {
@@ -246,7 +260,9 @@ pub const AUTO: &str = "auto";
 
 /// Selects the best optimizer family for a benchmark set by k-fold
 /// cross-validated R² (ties break toward the cheaper family in listing
-/// order). Used by `init-model --model auto`.
+/// order). A family that cannot fit some training fold is not eligible;
+/// when none is, the error names the first refused fold. Used by
+/// `init-model --model auto`.
 pub fn select_model_type(benchmarks: &[Benchmark], folds: usize, seed: u64) -> Result<(&'static str, f64)> {
     if benchmarks.len() < folds {
         return Err(ChronusError::Model(format!(
@@ -256,13 +272,20 @@ pub fn select_model_type(benchmarks: &[Benchmark], folds: usize, seed: u64) -> R
     }
     let data = dataset(benchmarks)?;
     let mut best: Option<(&'static str, f64)> = None;
+    let mut refused = None;
     for model_type in ModelFactory::model_types() {
+        let (mut fold, mut fits_every_fold) = (0, true);
         let score = eco_ml::cross_val_r2(&data, folds, seed, |train| {
             // rebuild a Benchmark view of the fold to reuse Optimizer::fit
             let rows: Vec<Benchmark> =
                 train.features().iter().zip(train.targets()).map(|(f, &gpw)| synth_benchmark(f, gpw)).collect();
             let mut opt = ModelFactory::create(model_type).expect("known type");
-            opt.fit(&rows).expect("fold fit");
+            fold += 1;
+            if let Err(e) = opt.fit(&rows) {
+                fits_every_fold = false;
+                refused
+                    .get_or_insert_with(|| format!("{model_type} cannot fit training fold {fold} of {folds}: {e}"));
+            }
             move |row: &[f64]| {
                 let config = CpuConfig::new(
                     row[0].round() as u32,
@@ -272,11 +295,12 @@ pub fn select_model_type(benchmarks: &[Benchmark], folds: usize, seed: u64) -> R
                 opt.predict_gpw(&config).unwrap_or(f64::NAN)
             }
         });
-        if best.is_none_or(|(_, b)| score > b) {
+        if fits_every_fold && best.is_none_or(|(_, b)| score > b) {
             best = Some((model_type, score));
         }
     }
-    best.ok_or_else(|| ChronusError::Model("no model families available".into()))
+    let refused = refused.unwrap_or_default();
+    best.ok_or_else(|| ChronusError::DegenerateData(format!("no model family fits every fold: {refused}")))
 }
 
 /// Reconstructs a minimal benchmark row from a feature vector + target
@@ -522,6 +546,20 @@ mod tests {
         // on the full smooth sweep, the forest or brute force should beat
         // the quadratic surface
         assert_ne!(chosen, LINEAR_REGRESSION, "cv {score}");
+    }
+
+    #[test]
+    fn auto_selection_refuses_a_fold_no_family_can_fit() {
+        // the full set has two configurations, but the fold that holds out
+        // the 32-core row trains on one configuration twice
+        let at = |config: CpuConfig| paper_benchmarks().into_iter().find(|b| b.config == config).unwrap();
+        let sixteen = at(CpuConfig::new(16, 2_200_000, 1));
+        let benches = vec![sixteen.clone(), sixteen, at(CpuConfig::new(32, 2_200_000, 1))];
+        validate_training_set(&benches).unwrap();
+        match select_model_type(&benches, 3, 1) {
+            Err(ChronusError::DegenerateData(m)) => assert!(m.contains("fold"), "{m}"),
+            other => panic!("expected DegenerateData, got {other:?}"),
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! the paper's Optimizer integration interface (§3.2).
 
 use crate::dataset::Dataset;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{self, RegressionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -41,10 +41,11 @@ pub struct RandomForest {
 impl RandomForest {
     /// Fits the forest: each tree trains on a bootstrap resample with
     /// feature subsampling at every split. Also computes the out-of-bag
-    /// RMSE when enough trees leave rows out of bag.
+    /// RMSE when enough trees leave rows out of bag. The dataset is ranked
+    /// once for all trees (see [`crate::tree`]).
     ///
     /// # Panics
-    /// Panics if `params.n_trees == 0`.
+    /// Panics if `params.n_trees == 0`, or as [`RegressionTree::fit`] does.
     pub fn fit(data: &Dataset, params: &ForestParams) -> Self {
         assert!(params.n_trees > 0, "forest needs at least one tree");
         let mut params = *params;
@@ -53,6 +54,7 @@ impl RandomForest {
             params.tree.max_features = Some(k.max(1));
         }
         let mut rng = StdRng::seed_from_u64(params.seed);
+        let ranks = tree::ranks(data);
 
         let n = data.len();
         let mut trees = Vec::with_capacity(params.n_trees);
@@ -69,8 +71,7 @@ impl RandomForest {
                     i
                 })
                 .collect();
-            let sample = data.subset(&idx);
-            let tree = RegressionTree::fit(&sample, &params.tree, &mut rng);
+            let tree = tree::grow(data, &ranks, &idx, &params.tree, &mut rng);
             for i in 0..n {
                 if !in_bag[i] {
                     oob_sum[i] += tree.predict(data.row(i));
@@ -100,9 +101,15 @@ impl RandomForest {
         sum / self.trees.len() as f64
     }
 
-    /// Predicts over many rows.
+    /// Predicts over many rows, tree by tree. Each row's sum runs in tree
+    /// order from `-0.0`, as [`Self::predict`]'s `Iterator::sum` does, so
+    /// every value equals `predict`'s bit for bit.
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict(r)).collect()
+        let mut sums = vec![-0.0; rows.len()];
+        for tree in &self.trees {
+            sums.iter_mut().zip(rows).for_each(|(sum, row)| *sum += tree.predict(row));
+        }
+        sums.into_iter().map(|sum| sum / self.trees.len() as f64).collect()
     }
 
     /// Out-of-bag RMSE estimated during fitting, when available.

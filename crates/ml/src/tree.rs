@@ -1,6 +1,17 @@
 //! CART regression trees: greedy variance-reduction splitting with
 //! configurable depth, minimum leaf size, and per-split feature subsampling
 //! (the latter is what the random forest uses).
+//!
+//! # How a tree grows
+//!
+//! Nothing is sorted, copied or allocated per node. `ranks` ranks each
+//! feature column once per dataset (a forest ranks once for all its trees).
+//! A tree counting-sorts its sample positions by rank once per feature, into
+//! (value, position) order; a node is the same `[lo, hi)` segment of each of
+//! those lists and of the ascending one, and a split partitions every
+//! segment stably in place. Sums, ties, thresholds and RNG draws are the
+//! per-node-sort CART's in the same order, so the nodes are bit for bit its
+//! own; `tests/properties.rs` keeps that algorithm as the oracle.
 
 use crate::dataset::Dataset;
 use rand::Rng;
@@ -43,12 +54,13 @@ pub struct RegressionTree {
 impl RegressionTree {
     /// Fits a tree on the dataset. Deterministic when `max_features` is
     /// `None`; otherwise the RNG drives feature subsampling.
+    ///
+    /// # Panics
+    /// Panics if `min_leaf` is 0, or with "NaN feature" if a feature column
+    /// of two or more rows holds a NaN.
     pub fn fit<R: Rng>(data: &Dataset, params: &TreeParams, rng: &mut R) -> Self {
-        assert!(params.min_leaf >= 1, "min_leaf must be at least 1");
-        let mut nodes = Vec::new();
-        let indices: Vec<usize> = (0..data.len()).collect();
-        build(data, &indices, params, 0, &mut nodes, rng);
-        RegressionTree { nodes, input_width: data.width() }
+        let sample: Vec<usize> = (0..data.len()).collect();
+        grow(data, &ranks(data), &sample, params, rng)
     }
 
     /// Predicts the target for one feature row.
@@ -90,101 +102,177 @@ impl RegressionTree {
     }
 }
 
-/// Recursively builds the subtree for `indices`, returning its arena index.
-fn build<R: Rng>(
-    data: &Dataset,
-    indices: &[usize],
-    params: &TreeParams,
-    depth: usize,
-    nodes: &mut Vec<Node>,
-    rng: &mut R,
-) -> usize {
-    let mean: f64 = indices.iter().map(|&i| data.target(i)).sum::<f64>() / indices.len() as f64;
-    let make_leaf = |nodes: &mut Vec<Node>| {
-        nodes.push(Node::Leaf { value: mean, n_samples: indices.len() });
-        nodes.len() - 1
-    };
-
-    if depth >= params.max_depth || indices.len() < 2 * params.min_leaf {
-        return make_leaf(nodes);
-    }
-    let Some((feature, threshold)) = best_split(data, indices, params, rng) else {
-        return make_leaf(nodes);
-    };
-
-    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-        indices.iter().partition(|&&i| data.row(i)[feature] <= threshold);
-    if left_idx.len() < params.min_leaf || right_idx.len() < params.min_leaf {
-        return make_leaf(nodes);
-    }
-
-    // reserve our slot before children so the root stays at index 0
-    let me = nodes.len();
-    nodes.push(Node::Leaf { value: mean, n_samples: indices.len() }); // placeholder
-    let left = build(data, &left_idx, params, depth + 1, nodes, rng);
-    let right = build(data, &right_idx, params, depth + 1, nodes, rng);
-    nodes[me] = Node::Split { feature, threshold, left, right };
-    me
-}
-
-/// Finds the (feature, threshold) minimising the weighted child variance.
-/// Returns `None` when no split reduces impurity (e.g. constant targets).
-fn best_split<R: Rng>(data: &Dataset, indices: &[usize], params: &TreeParams, rng: &mut R) -> Option<(usize, f64)> {
-    let width = data.width();
-    let candidates: Vec<usize> = match params.max_features {
-        None => (0..width).collect(),
-        Some(k) => sample_without_replacement(width, k.min(width).max(1), rng),
-    };
-
-    let n = indices.len() as f64;
-    let sum: f64 = indices.iter().map(|&i| data.target(i)).sum();
-    let sum_sq: f64 = indices.iter().map(|&i| data.target(i) * data.target(i)).sum();
-    let parent_sse = sum_sq - sum * sum / n;
-
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-    let mut sorted: Vec<(f64, f64)> = Vec::with_capacity(indices.len());
-
-    for &f in &candidates {
-        sorted.clear();
-        sorted.extend(indices.iter().map(|&i| (data.row(i)[f], data.target(i))));
-        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN feature"));
-
-        // prefix scan: evaluate split after each distinct feature value
-        let mut left_sum = 0.0;
-        let mut left_sq = 0.0;
-        for k in 0..sorted.len() - 1 {
-            left_sum += sorted[k].1;
-            left_sq += sorted[k].1 * sorted[k].1;
-            if sorted[k].0 == sorted[k + 1].0 {
-                continue; // can't split between equal values
-            }
-            let nl = (k + 1) as f64;
-            let nr = n - nl;
-            if (nl as usize) < params.min_leaf || (nr as usize) < params.min_leaf {
-                continue;
-            }
-            let right_sum = sum - left_sum;
-            let right_sq = sum_sq - left_sq;
-            let sse = (left_sq - left_sum * left_sum / nl) + (right_sq - right_sum * right_sum / nr);
-            if best.as_ref().is_none_or(|&(_, _, b)| sse < b) {
-                let threshold = (sorted[k].0 + sorted[k + 1].0) / 2.0;
-                best = Some((f, threshold, sse));
-            }
+/// Dense per-feature ranks of `data`'s rows (equal values share one):
+/// `rank[f * data.len() + i]` is row `i`'s in feature `f`. Panics with
+/// "NaN feature" if a column of two or more rows holds a NaN.
+pub(crate) fn ranks(data: &Dataset) -> Vec<u32> {
+    let rows = data.len();
+    let mut rank = vec![0u32; data.width() * rows];
+    let mut order: Vec<usize> = (0..rows).collect();
+    for f in 0..data.width() {
+        order.sort_by(|&a, &b| data.row(a)[f].partial_cmp(&data.row(b)[f]).expect("NaN feature"));
+        for k in 1..rows {
+            let tie = data.row(order[k])[f] == data.row(order[k - 1])[f];
+            rank[f * rows + order[k]] = rank[f * rows + order[k - 1]] + !tie as u32;
         }
     }
-
-    best.and_then(|(f, t, sse)| if sse < parent_sse - 1e-12 { Some((f, t)) } else { None })
+    rank
 }
 
-/// Samples `k` distinct values from `0..n` (partial Fisher-Yates).
-fn sample_without_replacement<R: Rng>(n: usize, k: usize, rng: &mut R) -> Vec<usize> {
-    let mut pool: Vec<usize> = (0..n).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        pool.swap(i, j);
+/// Grows a tree on the rows of `data` that `sample` names (repeats
+/// allowed); `rank` is `ranks(data)`.
+pub(crate) fn grow<R: Rng>(
+    data: &Dataset,
+    rank: &[u32],
+    sample: &[usize],
+    params: &TreeParams,
+    rng: &mut R,
+) -> RegressionTree {
+    assert!(params.min_leaf >= 1, "min_leaf must be at least 1");
+    let (rows, n, width) = (data.len(), sample.len(), data.width());
+    let mut x = Vec::with_capacity(width * n);
+    let mut lists = Vec::with_capacity((width + 1) * n);
+    let mut start = vec![0; rows + 1];
+    for f in 0..width {
+        x.extend(sample.iter().map(|&i| data.row(i)[f]));
+        // counting sort: positions enter in ascending order, so ties keep it
+        let rank_of = |p: usize| rank[f * rows + sample[p]] as usize;
+        start.fill(0);
+        (0..n).for_each(|p| start[rank_of(p) + 1] += 1);
+        (1..=rows).for_each(|r| start[r] += start[r - 1]);
+        lists.resize((f + 1) * n, 0);
+        for p in 0..n {
+            lists[f * n + start[rank_of(p)]] = p;
+            start[rank_of(p)] += 1;
+        }
     }
-    pool.truncate(k);
-    pool
+    lists.extend(0..n);
+    let y = sample.iter().map(|&i| data.target(i)).collect();
+    let (goes_left, scratch, pool, nodes) = (vec![false; n], vec![0; n], Vec::with_capacity(width), Vec::new());
+    let mut grower = Grower { params, rng, n, width, x, y, lists, goes_left, scratch, pool, nodes };
+    grower.build(0, n, 0);
+    RegressionTree { nodes: grower.nodes, input_width: width }
+}
+
+/// One tree's working set over its `n` sample positions.
+struct Grower<'a, R> {
+    params: &'a TreeParams,
+    rng: &'a mut R,
+    n: usize,
+    width: usize,
+    /// `x[f * n + p]` is feature `f` of position `p`; `y[p]` its target.
+    x: Vec<f64>,
+    y: Vec<f64>,
+    /// `width + 1` lists of the positions: list `f < width` in (value,
+    /// position) order of feature `f`, list `width` ascending.
+    lists: Vec<usize>,
+    goes_left: Vec<bool>,
+    scratch: Vec<usize>,
+    /// Feature indices, shuffled per split.
+    pool: Vec<usize>,
+    nodes: Vec<Node>,
+}
+
+impl<R: Rng> Grower<'_, R> {
+    fn segment(&self, list: usize, lo: usize, hi: usize) -> &[usize] {
+        &self.lists[list * self.n + lo..list * self.n + hi]
+    }
+
+    /// Builds the subtree over the segment `[lo, hi)`, returning its arena index.
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        let len = hi - lo;
+        let sum: f64 = self.segment(self.width, lo, hi).iter().map(|&p| self.y[p]).sum();
+        let leaf = Node::Leaf { value: sum / len as f64, n_samples: len };
+        let split = if depth >= self.params.max_depth || len < 2 * self.params.min_leaf {
+            None
+        } else {
+            self.best_split(lo, hi, sum)
+        };
+        let Some((feature, threshold, n_left)) = split else {
+            self.nodes.push(leaf);
+            return self.nodes.len() - 1;
+        };
+        for list in 0..=self.width {
+            // branch-free stable partition: each position is written to both
+            // sides' next slot and only its own side's cursor advances
+            let segment = &mut self.lists[list * self.n + lo..list * self.n + hi];
+            let mut w = 0;
+            for r in 0..len {
+                let p = segment[r];
+                segment[w] = p;
+                self.scratch[r - w] = p;
+                w += self.goes_left[p] as usize;
+            }
+            segment[w..].copy_from_slice(&self.scratch[..len - w]);
+        }
+
+        // reserve our slot before children so the root stays at index 0
+        let me = self.nodes.len();
+        self.nodes.push(leaf); // placeholder
+        let left = self.build(lo, lo + n_left, depth + 1);
+        let right = self.build(lo + n_left, hi, depth + 1);
+        self.nodes[me] = Node::Split { feature, threshold, left, right };
+        me
+    }
+
+    /// Finds the (feature, threshold) minimising the weighted child variance
+    /// of the segment `[lo, hi)`, whose targets sum to `sum`, marks the rows
+    /// going left and counts them. Returns `None` when no split reduces
+    /// impurity (e.g. constant targets) or a child would be under `min_leaf`.
+    fn best_split(&mut self, lo: usize, hi: usize, sum: f64) -> Option<(usize, f64, usize)> {
+        // partial Fisher-Yates over all feature indices
+        let (width, min_leaf) = (self.width, self.params.min_leaf);
+        self.pool.clear();
+        self.pool.extend(0..width);
+        let candidates = self.params.max_features.map_or(width, |k| k.min(width).max(1));
+        if self.params.max_features.is_some() {
+            for i in 0..candidates {
+                self.pool.swap(i, self.rng.gen_range(i..width));
+            }
+        }
+
+        let y = &self.y;
+        let n = (hi - lo) as f64;
+        let sum_sq: f64 = self.segment(width, lo, hi).iter().map(|&p| y[p] * y[p]).sum();
+        let parent_sse = sum_sq - sum * sum / n;
+
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
+        for &f in &self.pool[..candidates] {
+            let sorted = self.segment(f, lo, hi);
+            let column = &self.x[f * self.n..(f + 1) * self.n];
+            // prefix scan: evaluate split after each distinct feature value
+            let mut left_sum = 0.0;
+            let mut left_sq = 0.0;
+            for k in 0..sorted.len() - 1 {
+                let (p, q) = (sorted[k], sorted[k + 1]);
+                left_sum += y[p];
+                left_sq += y[p] * y[p];
+                if column[p] == column[q] {
+                    continue; // can't split between equal values
+                }
+                let nl = (k + 1) as f64;
+                let nr = n - nl;
+                if (nl as usize) < min_leaf || (nr as usize) < min_leaf {
+                    continue;
+                }
+                let right_sum = sum - left_sum;
+                let right_sq = sum_sq - left_sq;
+                let sse = (left_sq - left_sum * left_sum / nl) + (right_sq - right_sum * right_sum / nr);
+                if best.as_ref().is_none_or(|&(_, _, b)| sse < b) {
+                    best = Some((f, (column[p] + column[q]) / 2.0, sse));
+                }
+            }
+        }
+
+        let (feature, threshold, _) = best.filter(|&(_, _, sse)| sse < parent_sse - 1e-12)?;
+        let mut n_left = 0;
+        for k in lo..hi {
+            let p = self.lists[width * self.n + k];
+            self.goes_left[p] = self.x[feature * self.n + p] <= threshold;
+            n_left += self.goes_left[p] as usize;
+        }
+        (n_left >= min_leaf && hi - lo - n_left >= min_leaf).then_some((feature, threshold, n_left))
+    }
 }
 
 #[cfg(test)]
@@ -277,19 +365,5 @@ mod tests {
         let tree = RegressionTree::fit(&step_data(), &TreeParams::default(), &mut rng());
         assert!(tree.depth() >= 1);
         assert!(tree.depth() <= 12);
-    }
-
-    #[test]
-    fn sample_without_replacement_distinct() {
-        let mut r = rng();
-        for _ in 0..100 {
-            let s = sample_without_replacement(10, 4, &mut r);
-            assert_eq!(s.len(), 4);
-            let mut t = s.clone();
-            t.sort_unstable();
-            t.dedup();
-            assert_eq!(t.len(), 4, "duplicates in {s:?}");
-            assert!(s.iter().all(|&v| v < 10));
-        }
     }
 }

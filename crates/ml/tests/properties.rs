@@ -1,9 +1,10 @@
 //! Property-based tests for the ML substrate.
 
+use eco_ml::tree::Node;
 use eco_ml::{Dataset, Degree, ForestParams, LinearRegression, Matrix, RandomForest, RegressionTree, TreeParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 fn finite_f64(lo: f64, hi: f64) -> impl Strategy<Value = f64> {
     prop::num::f64::NORMAL.prop_map(move |v| lo + (v.abs() % (hi - lo)))
@@ -154,5 +155,240 @@ proptest! {
         prop_assert_eq!(m.transpose().transpose(), m.clone());
         let norm = |x: &Matrix| x.as_slice().iter().map(|v| v * v).sum::<f64>();
         prop_assert!((norm(&m) - norm(&m.transpose())).abs() < 1e-9);
+    }
+}
+
+/// The reference CART: every node collects its rows, sorts them once per
+/// sampled feature and scans the prefix sums. `RegressionTree::fit` must
+/// grow exactly this tree, float for float and draw for draw.
+mod oracle {
+    use super::*;
+
+    pub fn fit<R: Rng>(data: &Dataset, params: &TreeParams, rng: &mut R) -> Vec<Node> {
+        let mut nodes = Vec::new();
+        let indices: Vec<usize> = (0..data.len()).collect();
+        build(data, &indices, params, 0, &mut nodes, rng);
+        nodes
+    }
+
+    pub fn predict(nodes: &[Node], features: &[f64]) -> f64 {
+        let mut i = 0;
+        loop {
+            match &nodes[i] {
+                Node::Leaf { value, .. } => return *value,
+                Node::Split { feature, threshold, left, right } => {
+                    i = if features[*feature] <= *threshold { *left } else { *right };
+                }
+            }
+        }
+    }
+
+    /// `RandomForest::fit`'s bootstrap loop over the reference trees:
+    /// each tree's nodes and the out-of-bag RMSE.
+    pub fn forest(data: &Dataset, params: &ForestParams) -> (Vec<Vec<Node>>, Option<f64>) {
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let n = data.len();
+        let (mut trees, mut oob_sum, mut oob_cnt) = (Vec::new(), vec![0.0f64; n], vec![0usize; n]);
+        for _ in 0..params.n_trees {
+            let mut in_bag = vec![false; n];
+            let idx: Vec<usize> = (0..n)
+                .map(|_| {
+                    let i = rng.gen_range(0..n);
+                    in_bag[i] = true;
+                    i
+                })
+                .collect();
+            let tree = fit(&data.subset(&idx), &params.tree, &mut rng);
+            for i in (0..n).filter(|&i| !in_bag[i]) {
+                oob_sum[i] += predict(&tree, data.row(i));
+                oob_cnt[i] += 1;
+            }
+            trees.push(tree);
+        }
+        let (mut se, mut covered) = (0.0, 0usize);
+        for i in (0..n).filter(|&i| oob_cnt[i] > 0) {
+            let p = oob_sum[i] / oob_cnt[i] as f64;
+            se += (p - data.target(i)) * (p - data.target(i));
+            covered += 1;
+        }
+        (trees, if covered > 0 { Some((se / covered as f64).sqrt()) } else { None })
+    }
+
+    fn build<R: Rng>(
+        data: &Dataset,
+        indices: &[usize],
+        params: &TreeParams,
+        depth: usize,
+        nodes: &mut Vec<Node>,
+        rng: &mut R,
+    ) -> usize {
+        let mean: f64 = indices.iter().map(|&i| data.target(i)).sum::<f64>() / indices.len() as f64;
+        let make_leaf = |nodes: &mut Vec<Node>| {
+            nodes.push(Node::Leaf { value: mean, n_samples: indices.len() });
+            nodes.len() - 1
+        };
+        if depth >= params.max_depth || indices.len() < 2 * params.min_leaf {
+            return make_leaf(nodes);
+        }
+        let Some((feature, threshold)) = best_split(data, indices, params, rng) else {
+            return make_leaf(nodes);
+        };
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
+            indices.iter().partition(|&&i| data.row(i)[feature] <= threshold);
+        if left_idx.len() < params.min_leaf || right_idx.len() < params.min_leaf {
+            return make_leaf(nodes);
+        }
+        let me = nodes.len();
+        nodes.push(Node::Leaf { value: mean, n_samples: indices.len() });
+        let left = build(data, &left_idx, params, depth + 1, nodes, rng);
+        let right = build(data, &right_idx, params, depth + 1, nodes, rng);
+        nodes[me] = Node::Split { feature, threshold, left, right };
+        me
+    }
+
+    fn best_split<R: Rng>(
+        data: &Dataset,
+        indices: &[usize],
+        params: &TreeParams,
+        rng: &mut R,
+    ) -> Option<(usize, f64)> {
+        let width = data.width();
+        let candidates: Vec<usize> = match params.max_features {
+            None => (0..width).collect(),
+            Some(k) => {
+                let mut pool: Vec<usize> = (0..width).collect();
+                for i in 0..k.min(width).max(1) {
+                    let j = rng.gen_range(i..width);
+                    pool.swap(i, j);
+                }
+                pool.truncate(k.min(width).max(1));
+                pool
+            }
+        };
+        let n = indices.len() as f64;
+        let sum: f64 = indices.iter().map(|&i| data.target(i)).sum();
+        let sum_sq: f64 = indices.iter().map(|&i| data.target(i) * data.target(i)).sum();
+        let parent_sse = sum_sq - sum * sum / n;
+        let mut best: Option<(usize, f64, f64)> = None;
+        for &f in &candidates {
+            let mut sorted: Vec<(f64, f64)> = indices.iter().map(|&i| (data.row(i)[f], data.target(i))).collect();
+            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN feature"));
+            let (mut left_sum, mut left_sq) = (0.0, 0.0);
+            for k in 0..sorted.len() - 1 {
+                left_sum += sorted[k].1;
+                left_sq += sorted[k].1 * sorted[k].1;
+                if sorted[k].0 == sorted[k + 1].0 {
+                    continue;
+                }
+                let nl = (k + 1) as f64;
+                let nr = n - nl;
+                if (nl as usize) < params.min_leaf || (nr as usize) < params.min_leaf {
+                    continue;
+                }
+                let right_sum = sum - left_sum;
+                let right_sq = sum_sq - left_sq;
+                let sse = (left_sq - left_sum * left_sum / nl) + (right_sq - right_sum * right_sum / nr);
+                if best.as_ref().is_none_or(|&(_, _, b)| sse < b) {
+                    best = Some((f, (sorted[k].0 + sorted[k + 1].0) / 2.0, sse));
+                }
+            }
+        }
+        best.and_then(|(f, t, sse)| if sse < parent_sse - 1e-12 { Some((f, t)) } else { None })
+    }
+}
+
+/// Nodes as comparable bits: floats by `to_bits`, so `-0.0 != 0.0`.
+fn node_bits(nodes: &[Node]) -> Vec<(usize, u64, usize, usize)> {
+    nodes
+        .iter()
+        .map(|node| match *node {
+            Node::Split { feature, threshold, left, right } => (feature, threshold.to_bits(), left, right),
+            Node::Leaf { value, n_samples } => (usize::MAX, value.to_bits(), n_samples, 0),
+        })
+        .collect()
+}
+
+/// A tie-heavy dataset: each feature takes at most 4 levels (drawn from a
+/// pool holding `-0.0`, `0.0` and two adjacent floats, whose midpoint
+/// rounds onto one of them), some features follow feature 0's level (so
+/// different features offer the same split and only summation order
+/// separates their SSEs), targets repeat and do not add exactly, and rows
+/// are duplicated.
+fn tie_heavy(seed: u64, rows: usize, width: usize) -> Dataset {
+    const POOL: [f64; 8] = [-0.0, 0.0, 1.0, 1.0 + f64::EPSILON, -2.5, 3.0, 1e300, -7.25];
+    const TARGETS: [f64; 7] = [-0.0, 0.0, 0.1, 0.7, 1.0 / 3.0, -2.9, 12_345.678];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let levels: Vec<Vec<f64>> =
+        (0..width).map(|_| (0..rng.gen_range(1..=4)).map(|_| POOL[rng.gen_range(0..POOL.len())]).collect()).collect();
+    let follows: Vec<bool> = (0..width).map(|f| f > 0 && rng.gen_range(0..2) == 0).collect();
+    let mut features: Vec<Vec<f64>> = Vec::new();
+    let mut targets = Vec::new();
+    while features.len() < rows {
+        if !features.is_empty() && rng.gen_range(0..4) == 0 {
+            let i = rng.gen_range(0..features.len());
+            features.push(features[i].clone());
+            targets.push(targets[i]);
+        } else {
+            let first: usize = rng.gen_range(0..4);
+            let row = (0..width).map(|f| {
+                let k = if f == 0 || follows[f] { first } else { rng.gen_range(0..4) };
+                levels[f][k % levels[f].len()]
+            });
+            features.push(row.collect());
+            targets.push(TARGETS[rng.gen_range(0..TARGETS.len())]);
+        }
+    }
+    Dataset::new(features, targets).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// A tree grown over rank lists is the reference CART's, node for node
+    /// and bit for bit, and leaves the RNG where the reference does.
+    #[test]
+    fn tree_fit_matches_the_per_node_sort_oracle(
+        seed in 0u64..1_000_000,
+        rows in 2usize..40,
+        width in 1usize..4,
+        max_features in 0usize..3,
+        min_leaf in 1usize..6,
+        max_depth in 0usize..12,
+    ) {
+        let data = tie_heavy(seed, rows, width);
+        let params = TreeParams { max_depth, min_leaf, max_features: (max_features > 0).then_some(max_features) };
+        let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let tree = RegressionTree::fit(&data, &params, &mut rng);
+        let reference = oracle::fit(&data, &params, &mut reference_rng);
+        prop_assert_eq!(node_bits(tree.nodes()), node_bits(&reference));
+        prop_assert_eq!(rng.next_u64(), reference_rng.next_u64(), "RNG out of step");
+    }
+
+    /// A forest ranks once and grows over bootstrap positions: each row's
+    /// prediction and the out-of-bag RMSE are the reference forest's bit
+    /// for bit, and `predict_batch` is `predict` row by row.
+    #[test]
+    fn forest_fit_matches_the_oracle_and_batches_bit_for_bit(
+        seed in 0u64..1_000_000,
+        rows in 2usize..30,
+        width in 1usize..4,
+        max_features in 0usize..3,
+        min_leaf in 1usize..6,
+    ) {
+        let data = tie_heavy(seed, rows, width);
+        let params = ForestParams {
+            n_trees: 4,
+            tree: TreeParams { max_depth: 8, min_leaf, max_features: (max_features > 0).then_some(max_features) },
+            seed,
+        };
+        let forest = RandomForest::fit(&data, &params);
+        let (trees, oob) = oracle::forest(&data, forest.params());
+        prop_assert_eq!(forest.oob_rmse().map(f64::to_bits), oob.map(f64::to_bits));
+        let batch = forest.predict_batch(data.features());
+        for (row, &batched) in data.features().iter().zip(&batch) {
+            let reference = trees.iter().map(|t| oracle::predict(t, row)).sum::<f64>() / trees.len() as f64;
+            prop_assert_eq!(forest.predict(row).to_bits(), reference.to_bits());
+            prop_assert_eq!(batched.to_bits(), forest.predict(row).to_bits());
+        }
     }
 }
