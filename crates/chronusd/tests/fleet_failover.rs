@@ -62,7 +62,6 @@ fn killing_a_replica_mid_load_loses_no_predictions() {
     let mut client = PredictClient::builder()
         .endpoints(servers.iter().map(|s| s.addr().to_string()))
         .max_retries(4)
-        .backoff(Duration::from_millis(2))
         .build()
         .unwrap();
 
@@ -110,7 +109,6 @@ fn restarted_replica_rejoins_and_is_repreloaded() {
         .endpoint(stable.addr().to_string())
         .transport(Box::new(RedirectTransport { label: "fleet://r1".into(), target: Arc::clone(&target) }))
         .max_retries(4)
-        .backoff(Duration::from_millis(2))
         .build()
         .unwrap();
 

@@ -20,6 +20,12 @@
 //! failover: the retry loop runs over the one candidate. Everything
 //! that touches a connection is [`Link`]'s; this module is the fleet
 //! layer over it.
+//!
+//! Every request has one time budget ([`ClientBuilder::budget`]) on the
+//! transport's clock: its attempts, waits and failovers, and any probe
+//! or rejoin it triggers, all spend from it. An attempt waits at most
+//! its share — what remains over the attempts still allowed — and no
+//! wait starts unless an attempt can still follow it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,8 +42,8 @@ use super::{
 use crate::telemetry::{Counter, Histogram, Telemetry, TraceContext};
 
 /// Per-call options for [`PredictClient`] RPCs: the caller's trace
-/// context. (The deadline budget is the client's, see
-/// [`ClientBuilder::deadline_ms`].)
+/// context. (The time budget is the client's, see
+/// [`ClientBuilder::budget`].)
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CallOptions {
     /// Propagated trace context; each attempt opens a `client/attempt`
@@ -57,8 +63,8 @@ impl CallOptions {
 pub enum ClientBuildError {
     /// No endpoint or transport was supplied.
     NoEndpoints,
-    /// A timeout knob was zero (named in the payload).
-    ZeroTimeout(&'static str),
+    /// The request budget was zero.
+    ZeroBudget,
     /// `max_retries` above the sanity bound (16).
     RetriesOutOfRange(u32),
     /// An endpoint string that does not parse (named in the payload);
@@ -70,7 +76,7 @@ impl std::fmt::Display for ClientBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClientBuildError::NoEndpoints => write!(f, "client needs at least one endpoint or transport"),
-            ClientBuildError::ZeroTimeout(which) => write!(f, "{which} timeout must be non-zero"),
+            ClientBuildError::ZeroBudget => write!(f, "the request budget must be non-zero"),
             ClientBuildError::RetriesOutOfRange(n) => write!(f, "max_retries {n} exceeds the sanity bound of 16"),
             ClientBuildError::BadEndpoint(e) => write!(f, "bad endpoint: {e}"),
         }
@@ -99,12 +105,7 @@ enum Target {
 /// ```
 pub struct ClientBuilder {
     endpoints: Vec<Target>,
-    connect_timeout: Duration,
-    read_timeout: Duration,
-    max_retries: u32,
-    backoff: Duration,
-    deadline_ms: Option<u64>,
-    probe_cooldown: u32,
+    knobs: Knobs,
 }
 
 /// Ring points per replica.
@@ -112,18 +113,14 @@ const VNODES: u32 = 64;
 /// Consecutive transport failures before a replica leaves the ring. The
 /// last in-ring replica never leaves.
 const DOWN_AFTER: u32 = 2;
+/// Backoff before the `n`th retry of a candidate list: `n × BACKOFF`.
+const BACKOFF: Duration = Duration::from_millis(10);
 
 impl Default for ClientBuilder {
     fn default() -> Self {
-        ClientBuilder {
-            endpoints: Vec::new(),
-            connect_timeout: Duration::from_millis(200),
-            read_timeout: Duration::from_millis(500),
-            max_retries: 2,
-            backoff: Duration::from_millis(10),
-            deadline_ms: None,
-            probe_cooldown: 16,
-        }
+        // the control plane's budget: three attempts of a ≈ 200 ms dial and a ≈ 500 ms read
+        let knobs = Knobs { budget: Duration::from_secs(2), max_retries: 2, probe_cooldown: 16 };
+        ClientBuilder { endpoints: Vec::new(), knobs }
     }
 }
 
@@ -159,33 +156,16 @@ impl ClientBuilder {
         self
     }
 
-    /// TCP connect timeout (default 200 ms).
-    pub fn connect_timeout(mut self, d: Duration) -> Self {
-        self.connect_timeout = d;
-        self
-    }
-
-    /// Per-response read timeout (default 500 ms).
-    pub fn read_timeout(mut self, d: Duration) -> Self {
-        self.read_timeout = d;
+    /// The most time one request may take (default 2 s, the control
+    /// plane's; the plugin's source runs [`super::SUBMIT_BUDGET`]).
+    pub fn budget(mut self, d: Duration) -> Self {
+        self.knobs.budget = d;
         self
     }
 
     /// Additional attempts after the first (default 2; 0 = fail fast).
     pub fn max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
-    }
-
-    /// Base backoff between attempts; grows linearly (default 10 ms).
-    pub fn backoff(mut self, d: Duration) -> Self {
-        self.backoff = d;
-        self
-    }
-
-    /// Deadline budget stamped on every request frame (default: none).
-    pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline_ms = Some(ms);
+        self.knobs.max_retries = n;
         self
     }
 
@@ -193,7 +173,7 @@ impl ClientBuilder {
     /// (default 16). Each probe is one `Ping`, so a dead replica costs
     /// one timeout per window instead of one per submission.
     pub fn probe_cooldown(mut self, n: u32) -> Self {
-        self.probe_cooldown = n;
+        self.knobs.probe_cooldown = n;
         self
     }
 
@@ -203,21 +183,18 @@ impl ClientBuilder {
         if self.endpoints.is_empty() {
             return Err(ClientBuildError::NoEndpoints);
         }
-        if self.connect_timeout.is_zero() {
-            return Err(ClientBuildError::ZeroTimeout("connect"));
+        if self.knobs.budget.is_zero() {
+            return Err(ClientBuildError::ZeroBudget);
         }
-        if self.read_timeout.is_zero() {
-            return Err(ClientBuildError::ZeroTimeout("read"));
-        }
-        if self.max_retries > 16 {
-            return Err(ClientBuildError::RetriesOutOfRange(self.max_retries));
+        if self.knobs.max_retries > 16 {
+            return Err(ClientBuildError::RetriesOutOfRange(self.knobs.max_retries));
         }
         let mut replicas: Vec<Replica> = Vec::with_capacity(self.endpoints.len());
         for e in self.endpoints {
             let transport: Box<dyn Transport> = match e {
                 Target::Spec(spec) => Endpoint::parse(&spec)
                     .map_err(ClientBuildError::BadEndpoint)?
-                    .transport(self.connect_timeout, self.read_timeout),
+                    .transport(self.knobs.budget, self.knobs.budget),
                 Target::Transport(t) => t,
             };
             replicas.push(Replica {
@@ -233,12 +210,8 @@ impl ClientBuilder {
         Ok(PredictClient {
             replicas,
             ring,
-            knobs: Knobs {
-                max_retries: self.max_retries,
-                backoff: self.backoff,
-                deadline_ms: self.deadline_ms,
-                probe_cooldown: self.probe_cooldown,
-            },
+            knobs: self.knobs,
+            deadline: None,
             tel: None,
             rolled_models: Vec::new(),
             rejoining: false,
@@ -248,9 +221,8 @@ impl ClientBuilder {
 
 #[derive(Debug, Clone)]
 struct Knobs {
+    budget: Duration,
     max_retries: u32,
-    backoff: Duration,
-    deadline_ms: Option<u64>,
     probe_cooldown: u32,
 }
 
@@ -292,13 +264,17 @@ pub struct FleetPreload {
 /// Holds one persistent connection per replica, reconnecting lazily
 /// after any failure; every RPC retries a bounded number of times with
 /// linear backoff, honouring the daemon's `Busy { retry_after_ms }`
-/// hint and failing over between replicas in ring order. All waiting
-/// goes through each replica's [`Transport`], so a simulated transport
-/// sees every back-off.
+/// hint and failing over between replicas in ring order, all inside
+/// the request's budget. All waiting and timekeeping go through the
+/// replicas' [`Transport`], so a simulated transport sees every wait.
 pub struct PredictClient {
     replicas: Vec<Replica>,
     ring: HashRing,
     knobs: Knobs,
+    /// When the request in flight must be done, on the transport's clock:
+    /// its attempts, and any probe or rejoin it triggers, spend from it.
+    /// A request starts with `None`; its first timed step sets it.
+    deadline: Option<Duration>,
     tel: Option<ClientTelemetry>,
     /// Model ids committed fleet-wide, in rollout order; replayed into
     /// any replica that rejoins the ring.
@@ -419,6 +395,7 @@ impl PredictClient {
     /// which counts public calls: a batch that falls back per key is
     /// still one request.
     fn route(&mut self, body: Request, opts: &CallOptions) -> Result<Response, RemoteError> {
+        self.deadline = None;
         self.probe_if_due(opts.trace);
         let candidates = self.candidates(routing_key(&body));
         self.drive(body, opts, &candidates)
@@ -479,6 +456,7 @@ impl PredictClient {
             let (s, b) = keys[0];
             return vec![self.predict_one(s, b, opts)];
         }
+        self.deadline = None;
         self.probe_if_due(opts.trace);
         // ring-aware splitter: each key goes to its first-choice
         // replica — except that a healthy local (shm) replica owns the
@@ -516,10 +494,10 @@ impl PredictClient {
     }
 
     /// Sends one group of key indices to one replica as `PredictMany`
-    /// frames, each answered before the next is sent, and fills their
-    /// result slots. Every frame carries a fresh tag ([`Link::exchange`]),
-    /// so a reply left over from an earlier exchange can never fill this
-    /// one's slots.
+    /// frames, each answered before the next is sent and each one
+    /// request with its own budget, and fills their result slots. Every
+    /// frame carries a fresh tag ([`Link::exchange`]), so a reply left
+    /// over from an earlier exchange can never fill this one's slots.
     /// Slots left `None` (connection died mid-batch, `Busy` bounce) are
     /// picked up by the caller's per-key fallback.
     fn batch_on(
@@ -531,8 +509,10 @@ impl PredictClient {
         results: &mut [Option<Result<CpuConfig, RemoteError>>],
     ) {
         for chunk in group.chunks(MAX_BATCH_KEYS) {
+            self.deadline = None;
+            let budget = self.left();
             let frame = RequestFrame {
-                deadline_ms: self.knobs.deadline_ms,
+                deadline_ms: Some(super::ceil_ms(budget)),
                 trace: opts.trace,
                 corr: None,
                 body: Request::PredictMany { keys: chunk.iter().map(|&i| keys[i]).collect() },
@@ -540,7 +520,7 @@ impl PredictClient {
             if let Some(t) = &self.tel {
                 t.attempts.bump();
             }
-            match self.replicas[idx].link.exchange(frame) {
+            match self.replicas[idx].link.exchange(frame, budget) {
                 Ok(Response::ManyConfigs { results: outcomes }) => {
                     for (&key_index, outcome) in chunk.iter().zip(outcomes) {
                         let (system_hash, binary_hash) = keys[key_index];
@@ -601,6 +581,7 @@ impl PredictClient {
 
     /// Stages a model on every replica, reporting each replica's
     /// outcome — the campaign layer's quorum decisions build on this.
+    /// Each replica's preload is one request with its own budget.
     pub fn preload_detailed(&mut self, model_id: i64, opts: &CallOptions) -> FleetPreload {
         if let Some(t) = &self.tel {
             t.requests.bump();
@@ -609,6 +590,7 @@ impl PredictClient {
         let mut failures = Vec::new();
         for idx in 0..self.replicas.len() {
             let desc = self.replicas[idx].link.desc.clone();
+            self.deadline = None;
             match self.preload_on(idx, model_id, opts) {
                 Ok(ack) => {
                     self.replicas[idx].generation = ack.generation;
@@ -650,8 +632,9 @@ impl PredictClient {
         }
     }
 
-    /// Fetches every replica's counters, keyed by endpoint. Replicas
-    /// that cannot answer report their error instead.
+    /// Fetches every replica's counters, keyed by endpoint, one request
+    /// with its own budget per replica. Replicas that cannot answer
+    /// report their error instead.
     pub fn stats_all(&mut self) -> Vec<(String, Result<StatsSnapshot, RemoteError>)> {
         if let Some(t) = &self.tel {
             t.requests.bump();
@@ -659,6 +642,7 @@ impl PredictClient {
         (0..self.replicas.len())
             .map(|idx| {
                 let desc = self.replicas[idx].link.desc.clone();
+                self.deadline = None;
                 let res = self.drive(Request::Stats, &CallOptions::default(), &[idx]).and_then(|resp| match resp {
                     Response::Stats(s) => Ok(*s),
                     other => Err(RemoteError::Protocol(format!("expected Stats, got {other:?}"))),
@@ -694,16 +678,23 @@ impl PredictClient {
         out
     }
 
-    /// The retry/failover state machine. With a single candidate:
-    /// `max_retries + 1` attempts, busy hints honoured, linear backoff
-    /// between attempts.
+    /// What remains of the request's budget, on the transport clock
+    /// (every replica shares one clock).
+    fn left(&mut self) -> Duration {
+        let now = self.replicas[0].link.transport.now();
+        self.deadline.get_or_insert(now + self.knobs.budget).saturating_sub(now)
+    }
+
+    /// The retry/failover state machine, inside the request's budget.
+    /// With a single candidate: `max_retries + 1` attempts, busy hints
+    /// honoured, linear backoff between attempts.
     /// With several candidates, a failed exchange moves to the next
     /// candidate immediately (the failed dial/read already cost its
-    /// timeout); backoff only applies when the whole list wraps around.
+    /// share); backoff only applies when the whole list wraps around.
     fn drive(&mut self, body: Request, opts: &CallOptions, candidates: &[usize]) -> Result<Response, RemoteError> {
         let verb = body.verb();
         let parent = opts.trace;
-        let base = RequestFrame { deadline_ms: self.knobs.deadline_ms, trace: parent, corr: None, body };
+        let mut base = RequestFrame { deadline_ms: None, trace: parent, corr: None, body };
         let fleet = self.replicas.len() > 1;
         let max_attempts = self.knobs.max_retries + candidates.len() as u32;
         let mut attempt: u32 = 0;
@@ -711,6 +702,14 @@ impl PredictClient {
         loop {
             attempt += 1;
             let idx = candidates[pos];
+            let left = self.left();
+            let share = left / (max_attempts - attempt + 1);
+            if share.is_zero() {
+                // only a first attempt gets here: a probe, a rejoin or the
+                // request whose rejoin this is spent the budget
+                return Err(RemoteError::Io(std::io::ErrorKind::TimedOut.into()));
+            }
+            base.deadline_ms = Some(super::ceil_ms(left));
             // the attempt's span closes in here, before the bookkeeping
             // below needs the client mutably
             let reply = {
@@ -728,7 +727,7 @@ impl PredictClient {
                     s
                 });
                 let frame = base.clone().traced(span.as_ref().map(|s| s.context()).or(parent));
-                let reply = self.replicas[idx].link.exchange(frame);
+                let reply = self.replicas[idx].link.exchange(frame, share);
                 if let Some(s) = span {
                     match &reply {
                         Ok(Response::Busy { retry_after_ms }) => {
@@ -740,21 +739,13 @@ impl PredictClient {
                 }
                 reply
             };
-            match reply {
+            let (err, wait, why) = match reply {
                 Ok(Response::Busy { retry_after_ms }) => {
                     if let Some(t) = &self.tel {
                         t.busy.bump();
                     }
-                    if attempt >= max_attempts {
-                        return Err(RemoteError::Busy { retry_after_ms, attempts: attempt });
-                    }
-                    if pos + 1 < candidates.len() {
-                        self.note_failover(idx, candidates[pos + 1], "busy", parent);
-                        pos += 1;
-                    } else {
-                        pos = 0;
-                        self.replicas[idx].link.transport.sleep(Duration::from_millis(retry_after_ms.min(50)));
-                    }
+                    let busy = RemoteError::Busy { retry_after_ms, attempts: attempt };
+                    (busy, Duration::from_millis(retry_after_ms.min(50)), "busy")
                 }
                 Ok(resp) => {
                     self.note_success(idx, parent);
@@ -765,18 +756,20 @@ impl PredictClient {
                         t.errors.bump();
                     }
                     self.note_failure(idx);
-                    if attempt >= max_attempts {
-                        return Err(e);
-                    }
-                    if pos + 1 < candidates.len() {
-                        self.note_failover(idx, candidates[pos + 1], "error", parent);
-                        pos += 1;
-                    } else {
-                        pos = 0;
-                        let backoff = self.knobs.backoff * attempt;
-                        self.replicas[idx].link.transport.sleep(backoff);
-                    }
+                    (e, BACKOFF * attempt, "error")
                 }
+            };
+            let wraps = pos + 1 == candidates.len();
+            let wait = if wraps { wait } else { Duration::ZERO };
+            if attempt >= max_attempts || self.left() <= wait {
+                return Err(err);
+            }
+            if wraps {
+                pos = 0;
+                self.replicas[idx].link.transport.sleep(wait);
+            } else {
+                self.note_failover(idx, candidates[pos + 1], why, parent);
+                pos += 1;
             }
         }
     }
@@ -878,8 +871,9 @@ impl PredictClient {
     }
 
     /// Counts down out-of-ring cooldowns and pings at most one replica
-    /// whose window expired. A `Pong` starts the rejoin flow; anything
-    /// else re-arms the cooldown.
+    /// whose window expired, as one more attempt of the request in
+    /// flight, inside its share of the budget. A `Pong` starts the
+    /// rejoin flow; anything else re-arms the cooldown.
     fn probe_if_due(&mut self, parent: Option<TraceContext>) {
         if self.replicas.len() == 1 {
             return;
@@ -898,7 +892,8 @@ impl PredictClient {
         if let Some(t) = &self.tel {
             t.ring_probes.bump();
         }
-        if self.replicas[idx].link.probe(parent) {
+        let share = self.left() / (self.knobs.max_retries + self.replicas.len() as u32 + 1);
+        if !share.is_zero() && self.replicas[idx].link.probe(parent, share) {
             self.note_success(idx, parent);
         } else {
             self.replicas[idx].probe_in = self.knobs.probe_cooldown;
@@ -1118,12 +1113,8 @@ mod tests {
     fn builder_validates_knobs() {
         assert_eq!(PredictClient::builder().build().unwrap_err(), ClientBuildError::NoEndpoints);
         assert_eq!(
-            PredictClient::builder().endpoint("a:1").connect_timeout(Duration::ZERO).build().unwrap_err(),
-            ClientBuildError::ZeroTimeout("connect")
-        );
-        assert_eq!(
-            PredictClient::builder().endpoint("a:1").read_timeout(Duration::ZERO).build().unwrap_err(),
-            ClientBuildError::ZeroTimeout("read")
+            PredictClient::builder().endpoint("a:1").budget(Duration::ZERO).build().unwrap_err(),
+            ClientBuildError::ZeroBudget
         );
         assert_eq!(
             PredictClient::builder().endpoint("a:1").max_retries(99).build().unwrap_err(),
@@ -1183,9 +1174,8 @@ mod tests {
         };
         let mut client = PredictClient::builder()
             .endpoint(format!("127.0.0.1:{port}"))
-            .connect_timeout(Duration::from_millis(50))
+            .budget(Duration::from_millis(100))
             .max_retries(1)
-            .backoff(Duration::from_millis(1))
             .build()
             .unwrap();
         let start = Instant::now();
@@ -1202,9 +1192,8 @@ mod tests {
         };
         let mut client = PredictClient::builder()
             .endpoints([dead(), dead(), dead()])
-            .connect_timeout(Duration::from_millis(20))
+            .budget(Duration::from_millis(200))
             .max_retries(1)
-            .backoff(Duration::from_millis(1))
             .build()
             .unwrap();
         let start = Instant::now();
@@ -1213,5 +1202,113 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(2), "failover must stay bounded");
         // repeated failures voted replicas off the ring, but never the last one
         assert!(client.replicas_in_ring() >= 1);
+    }
+    /// A daemon on a fake clock that every transport cloned from it
+    /// shares: it answers honestly, or — while `stalled` — accepts every
+    /// frame and never answers, so a read waits out exactly what the
+    /// client armed. Each stalled wait is booked as `(start, length)`.
+    #[derive(Clone, Default)]
+    struct Clocked {
+        clock: Arc<parking_lot::Mutex<Duration>>,
+        stalled: bool,
+        armed: Duration,
+        waits: Arc<parking_lot::Mutex<Vec<(Duration, Duration)>>>,
+        inbox: VecDeque<Vec<u8>>,
+    }
+
+    impl Transport for Clocked {
+        fn connect(&mut self) -> std::io::Result<Box<dyn Connection>> {
+            Ok(Box::new(self.clone()))
+        }
+
+        fn describe(&self) -> String {
+            format!("clocked{}", if self.stalled { " (stalled)" } else { "" })
+        }
+
+        fn sleep(&mut self, d: Duration) {
+            *self.clock.lock() += d;
+        }
+
+        fn now(&self) -> Duration {
+            *self.clock.lock()
+        }
+    }
+
+    impl Connection for Clocked {
+        fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
+            if !self.stalled {
+                self.inbox.push_back(honest(&wire::decode_request(payload).1.expect("a well-formed frame")));
+            }
+            Ok(())
+        }
+
+        fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
+            if let Some(reply) = self.inbox.pop_front() {
+                return Ok(reply);
+            }
+            let mut now = self.clock.lock();
+            self.waits.lock().push((*now, self.armed));
+            *now += self.armed;
+            Err(std::io::ErrorKind::TimedOut.into())
+        }
+
+        fn arm(&mut self, timeout: Duration) -> std::io::Result<()> {
+            self.armed = timeout;
+            Ok(())
+        }
+    }
+
+    const BUDGET: Duration = Duration::from_millis(50);
+
+    #[test]
+    fn a_stalled_daemon_costs_one_budget_and_no_attempt_more_than_its_share() {
+        let daemon = Clocked { stalled: true, ..Clocked::default() };
+        let (clock, waits) = (Arc::clone(&daemon.clock), Arc::clone(&daemon.waits));
+        let mut client = PredictClient::builder().budget(BUDGET).transport(Box::new(daemon)).build().unwrap();
+        let err = client.predict(7, 1, OPTS).unwrap_err();
+        assert!(matches!(&err, RemoteError::Io(e) if e.kind() == std::io::ErrorKind::TimedOut), "{err}");
+        assert!(*clock.lock() <= BUDGET, "the request outlived its budget: {:?}", clock.lock());
+        let waits = waits.lock();
+        assert!(waits.len() >= 2, "one stalled attempt must leave time for the next: {waits:?}");
+        for (i, &(start, wait)) in waits.iter().enumerate() {
+            // three attempts (max_retries 2), this one and those after it
+            let share = (BUDGET - start) / (3 - i as u32);
+            assert!(wait <= share, "attempt {i} waited {wait:?}, over its share {share:?}");
+        }
+    }
+
+    #[test]
+    fn a_due_probe_of_a_stalled_replica_spends_from_the_requests_budget() {
+        let healthy = Clocked::default();
+        let stalled = Clocked { stalled: true, clock: Arc::clone(&healthy.clock), ..Clocked::default() };
+        let (clock, waits) = (Arc::clone(&healthy.clock), Arc::clone(&stalled.waits));
+        let mut client = PredictClient::builder()
+            .budget(BUDGET)
+            .probe_cooldown(0)
+            .transport(Box::new(healthy))
+            .transport(Box::new(stalled))
+            .build()
+            .unwrap();
+        // the keys the stalled replica owns fail over, until it leaves the ring
+        for b in 0..64 {
+            assert_eq!(client.predict(7, b, OPTS).unwrap(), answer((7, b)));
+            if client.replicas_in_ring() == 1 {
+                break;
+            }
+        }
+        assert_eq!(client.replicas_in_ring(), 1, "the stalled replica never left the ring");
+
+        // out of the ring with no cooldown: the next request probes it first
+        let (start, probes) = (*clock.lock(), waits.lock().len());
+        let config = client.predict(7, 1, OPTS).expect("the probe left the request no time");
+        assert_eq!(config, answer((7, 1)));
+        assert!(*clock.lock() - start <= BUDGET, "the request and its probe outlived one budget");
+        let waits = waits.lock();
+        assert_eq!(waits.len(), probes + 1, "one probe: {waits:?}");
+        // the probe is one more attempt ahead of the request's four
+        // (max_retries 2 over two candidates)
+        let (probed, wait) = waits[probes];
+        let share = (start + BUDGET - probed) / 5;
+        assert!(wait <= share, "the probe waited {wait:?}, over its share {share:?}");
     }
 }

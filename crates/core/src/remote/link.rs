@@ -1,6 +1,8 @@
 //! One endpoint's persistent connection — the only client code that
 //! touches a [`Connection`].
 
+use std::time::Duration;
+
 use super::{wire, Connection, RemoteError, Request, RequestFrame, Response, Transport};
 use crate::telemetry::TraceContext;
 
@@ -23,13 +25,13 @@ impl Link {
     }
 
     /// One framed exchange under a fresh tag, dialing first if
-    /// necessary. Any `Err` costs the connection (dead, or desynced and
-    /// reading one reply behind forever), and so does `Busy` (the daemon
-    /// hangs up after a bounce).
-    pub(super) fn exchange(&mut self, mut frame: RequestFrame) -> Result<Response, RemoteError> {
+    /// necessary, that waits at most `share` in all. Any `Err` costs the
+    /// connection (dead, or desynced and reading one reply behind
+    /// forever), and so does `Busy` (the daemon hangs up after a bounce).
+    pub(super) fn exchange(&mut self, mut frame: RequestFrame, share: Duration) -> Result<Response, RemoteError> {
         self.last_tag += 1;
         frame.corr = Some(self.last_tag);
-        let result = self.round_trip(&frame);
+        let result = self.round_trip(&frame, share);
         let in_step = matches!(&result, Ok(response) if !matches!(response, Response::Busy { .. }));
         if !in_step {
             self.conn = None;
@@ -41,8 +43,9 @@ impl Link {
     /// `Pong`. Anything else costs the connection — even an `Error`,
     /// which [`response_matches`] lets answer any verb but which no
     /// daemon sends for a `Ping`: it is a stale reply read one ahead.
-    pub(super) fn probe(&mut self, trace: Option<TraceContext>) -> bool {
-        let alive = matches!(self.exchange(RequestFrame::new(Request::Ping).traced(trace)), Ok(Response::Pong));
+    pub(super) fn probe(&mut self, trace: Option<TraceContext>, share: Duration) -> bool {
+        let alive =
+            matches!(self.exchange(RequestFrame::new(Request::Ping).traced(trace), share), Ok(Response::Pong));
         if !alive {
             self.conn = None;
         }
@@ -54,12 +57,18 @@ impl Link {
     /// duplicated or foreign reply. A bare reply is taken in order: the
     /// accept loop's `Busy` bounce never reads the request. Either way
     /// the reply must be a shape that can answer the verb (see
-    /// [`response_matches`]).
-    fn round_trip(&mut self, frame: &RequestFrame) -> Result<Response, RemoteError> {
-        let conn = match &mut self.conn {
-            Some(conn) => conn,
-            vacant => vacant.insert(self.transport.connect().map_err(RemoteError::Connect)?),
+    /// [`response_matches`]). A dial spends from `share`; the
+    /// connection is armed with what is left of it.
+    fn round_trip(&mut self, frame: &RequestFrame, share: Duration) -> Result<Response, RemoteError> {
+        let (conn, left) = match &mut self.conn {
+            Some(conn) => (conn, share),
+            vacant => {
+                let dialing = self.transport.now();
+                let conn = vacant.insert(self.transport.connect_within(share).map_err(RemoteError::Connect)?);
+                (conn, share.saturating_sub(self.transport.now().saturating_sub(dialing)))
+            }
         };
+        conn.arm(left).map_err(RemoteError::Io)?;
         let payload = wire::encode_request(frame).map_err(RemoteError::Io)?;
         conn.send_frame(&payload).map_err(RemoteError::Io)?;
         let reply = conn.recv_frame().map_err(|e| {

@@ -36,11 +36,12 @@
 //!
 //! ## Transports
 //!
-//! The client is generic over a [`Transport`] that dials connections and
-//! owns every wait the client performs (busy back-off, retry back-off).
+//! The client is generic over a [`Transport`] that dials connections,
+//! owns every wait the client performs (busy back-off, retry back-off)
+//! and keeps the clock a request's budget is measured on.
 //! [`TcpTransport`] is the production path; the `simtest` crate plugs in
-//! an in-memory channel whose `sleep` advances a discrete-event clock,
-//! so the whole retry/backoff state machine runs on virtual time.
+//! an in-memory channel whose `sleep` and `now` run a discrete-event
+//! clock, so the whole retry/backoff state machine runs on virtual time.
 //!
 //! ## Fleet mode
 //!
@@ -60,11 +61,12 @@ pub mod wire;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use eco_sim_node::cpu::CpuConfig;
+use eco_slurm_sim::plugin::DEFAULT_PLUGIN_BUDGET_MS;
 use serde::{Deserialize, Serialize};
 
 use crate::application::predict_from_settings;
@@ -81,6 +83,15 @@ pub use shm::{SessionEnd, ShmListener, ShmTransport};
 
 /// Upper bound on a single frame's JSON payload (1 MiB).
 pub const MAX_FRAME_LEN: usize = 1 << 20;
+
+/// The plugin's request budget: half the scheduler's per-plugin budget,
+/// leaving the rest for the plugin's own work and host jitter.
+pub const SUBMIT_BUDGET: Duration = Duration::from_millis(DEFAULT_PLUGIN_BUDGET_MS / 2);
+
+/// `d` in whole milliseconds, rounded up: how a transport arms a timeout.
+pub fn ceil_ms(d: Duration) -> u64 {
+    (d.as_nanos() as u64).div_ceil(1_000_000)
+}
 
 /// Upper bound on the keys one [`Request::PredictMany`] may carry.
 /// Chosen so a worst-case reply (one full `Config` per key) stays far
@@ -477,6 +488,14 @@ pub trait Connection: Send {
     /// Receives the next complete frame.
     fn recv_frame(&mut self) -> std::io::Result<Vec<u8>>;
 
+    /// Bounds the next exchange's write and read by `timeout`, an
+    /// attempt's share of its request's budget. The default keeps the
+    /// bound the connection was dialed with.
+    fn arm(&mut self, timeout: Duration) -> std::io::Result<()> {
+        let _ = timeout;
+        Ok(())
+    }
+
     /// No longer consulted: the verb, not the connection, picks a
     /// frame's encoding (see [`wire`]). Kept, with its default, because
     /// `benchmark/src/layers.rs` forwards it from its connection
@@ -507,6 +526,19 @@ impl<T: Read + Write + Send> Connection for T {
 pub trait Transport: Send {
     /// Opens a fresh connection to the daemon.
     fn connect(&mut self) -> std::io::Result<Box<dyn Connection>>;
+
+    /// [`Transport::connect`] within `timeout`; the default ignores it.
+    fn connect_within(&mut self, timeout: Duration) -> std::io::Result<Box<dyn Connection>> {
+        let _ = timeout;
+        self.connect()
+    }
+
+    /// The clock request budgets run on, from a fixed origin: by default
+    /// the monotonic wall clock.
+    fn now(&self) -> Duration {
+        static ORIGIN: OnceLock<Instant> = OnceLock::new();
+        ORIGIN.get_or_init(Instant::now).elapsed()
+    }
 
     /// Human-readable endpoint description for logs.
     fn describe(&self) -> String;
@@ -545,14 +577,18 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn connect(&mut self) -> std::io::Result<Box<dyn Connection>> {
+        self.connect_within(self.connect_timeout)
+    }
+
+    fn connect_within(&mut self, timeout: Duration) -> std::io::Result<Box<dyn Connection>> {
         let mut last = std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no addresses resolved");
         for addr in self.addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&addr, self.connect_timeout) {
+            match TcpStream::connect_timeout(&addr, timeout.min(self.connect_timeout)) {
                 Ok(stream) => {
-                    stream.set_read_timeout(Some(self.io_timeout))?;
-                    stream.set_write_timeout(Some(self.io_timeout))?;
-                    let _ = stream.set_nodelay(true);
-                    return Ok(Box::new(stream));
+                    let mut conn = TcpConnection { stream, armed_ms: 0 };
+                    conn.arm(self.io_timeout)?;
+                    let _ = conn.stream.set_nodelay(true);
+                    return Ok(Box::new(conn));
                 }
                 Err(e) => last = e,
             }
@@ -562,6 +598,34 @@ impl Transport for TcpTransport {
 
     fn describe(&self) -> String {
         self.addr.clone()
+    }
+}
+
+/// A TCP stream and its I/O timeout in whole ms, re-armed only when a
+/// share differs: a warm exchange costs no `setsockopt`.
+struct TcpConnection {
+    stream: TcpStream,
+    armed_ms: u64,
+}
+
+impl Connection for TcpConnection {
+    fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        write_prefixed(&mut self.stream, payload)
+    }
+
+    fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
+        read_prefixed(&mut self.stream)
+    }
+
+    fn arm(&mut self, timeout: Duration) -> std::io::Result<()> {
+        let ms = ceil_ms(timeout).max(1);
+        if ms != self.armed_ms {
+            let timeout = Some(Duration::from_millis(ms));
+            self.stream.set_read_timeout(timeout)?;
+            self.stream.set_write_timeout(timeout)?;
+            self.armed_ms = ms;
+        }
+        Ok(())
     }
 }
 
@@ -735,9 +799,10 @@ impl RemotePrediction {
     /// daemon is listed, the client prefers it and keeps the TCP entries
     /// as failover, so the submit path rides shared memory while the
     /// daemon is up and degrades to the network when it is not.
+    /// Every request gets [`SUBMIT_BUDGET`].
     pub fn from_endpoints(addrs: &str) -> std::result::Result<RemotePrediction, client::ClientBuildError> {
-        let client =
-            PredictClient::builder().endpoints(addrs.split(',').map(str::trim).filter(|a| !a.is_empty())).build()?;
+        let endpoints = addrs.split(',').map(str::trim).filter(|a| !a.is_empty());
+        let client = PredictClient::builder().budget(SUBMIT_BUDGET).endpoints(endpoints).build()?;
         Ok(RemotePrediction::from_client(client))
     }
 

@@ -334,7 +334,11 @@ impl ShmTransport {
 
 impl Transport for ShmTransport {
     fn connect(&mut self) -> std::io::Result<Box<dyn Connection>> {
-        Ok(Box::new(ShmConnection::dial(&self.path, self.connect_timeout, self.io_timeout)?))
+        self.connect_within(self.connect_timeout)
+    }
+
+    fn connect_within(&mut self, timeout: Duration) -> std::io::Result<Box<dyn Connection>> {
+        Ok(Box::new(ShmConnection::dial(&self.path, timeout.min(self.connect_timeout), self.io_timeout)?))
     }
 
     fn describe(&self) -> String {
@@ -423,6 +427,12 @@ impl Connection for ShmConnection {
         let out = S2C.recv(&self.map, self.exchanged, &mut || self.liveness_tick(deadline))?;
         self.exchanged += 1;
         Ok(out)
+    }
+
+    /// A send never waits; `timeout` bounds the reply's.
+    fn arm(&mut self, timeout: Duration) -> std::io::Result<()> {
+        self.io_timeout = timeout;
+        Ok(())
     }
 }
 

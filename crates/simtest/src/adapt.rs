@@ -412,7 +412,7 @@ pub fn run_adapt_seed(seed: u64, plan: &FaultPlan) -> AdaptReport {
             JobSubmitEco::new(Arc::clone(&storage) as Arc<dyn LocalStorage + Send + Sync>, &spec, class.ram_gb);
         eco.register_binary(BIN, BIN_CONTENTS);
         eco.set_telemetry(Arc::clone(&telemetry));
-        let source = Arc::new(RemotePrediction::from_client(sim_client(plan, net.transport_for(i))));
+        let source = Arc::new(RemotePrediction::from_client(sim_client(net.transport_for(i))));
         source.set_telemetry(Arc::clone(&telemetry));
         eco.set_source(source);
         arms.push(ArmState { eco, expected: rec1.config, label, root });
@@ -630,7 +630,7 @@ pub fn run_adapt_seed(seed: u64, plan: &FaultPlan) -> AdaptReport {
 /// the fault plan — with a direct-snapshot fallback for plans that eat
 /// every retry) plus the control daemon's trip counter directly.
 fn audit_wire_stats(w: &mut AdaptWorld, rec3: &ModelRecord) {
-    let mut client = sim_client(&w.plan, w.net.transport_for(0));
+    let mut client = sim_client(w.net.transport_for(0));
     let snap = (0..8).find_map(|_| client.stats().ok()).unwrap_or_else(|| {
         w.net.note("stats audit fell back to a direct snapshot".to_string());
         w.net.service(0).snapshot(chronusd::QueueGauges { depth: 0, capacity: 64, workers: 4 })

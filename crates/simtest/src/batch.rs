@@ -90,7 +90,7 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
     let net = SimNet::fleet(seed, plan.clone(), &["b0", "b1", "b2"], models);
     let telemetry = net.telemetry();
     let transports = (0..BATCH_REPLICAS).map(|i| Box::new(net.transport_for(i)) as Box<dyn Transport>).collect();
-    let mut client = failover_client(plan, transports).build().expect("batch client config is valid");
+    let mut client = failover_client(transports).build().expect("batch client config is valid");
     client.set_telemetry(std::sync::Arc::clone(&telemetry));
 
     // Phase 1 — roll every model out, then steady-state batches.

@@ -330,7 +330,7 @@ pub fn run_cluster_seed(seed: u64, world: &ClusterWorld) -> ClusterReport {
         eco.set_default_class(&world.classes[0].0.name);
     }
     eco.set_telemetry(Arc::clone(&telemetry));
-    let source = Arc::new(RemotePrediction::from_client(sim_client(&plan, net.transport())));
+    let source = Arc::new(RemotePrediction::from_client(sim_client(net.transport())));
     source.set_telemetry(Arc::clone(&telemetry));
     eco.set_source(source);
 
@@ -421,6 +421,7 @@ pub fn run_cluster_seed(seed: u64, world: &ClusterWorld) -> ClusterReport {
             ));
         }
     }
+    violations.extend(crate::invariants::audit_submit_budget(&telemetry));
     violations.extend(net.finish());
 
     let eco_gpw = efficiency(&cluster, &ids, &mut violations, "eco");

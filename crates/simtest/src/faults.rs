@@ -9,7 +9,8 @@
 /// Per-event fault probabilities and magnitudes for one simulated run.
 ///
 /// All `f64` fields are probabilities in `[0, 1]`, rolled independently
-/// per opportunity; `_ms` fields are virtual-time magnitudes.
+/// per opportunity; `_ms` fields are virtual-time magnitudes. How long
+/// the client waits is its own: the share of its budget it armed.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Preset name (shows up in failure reports and replay hints).
@@ -53,9 +54,6 @@ pub struct FaultPlan {
     pub backend_latency_ms: u64,
     /// The model backend fails internally (I/O error, not a miss).
     pub backend_poison: f64,
-    /// Client-observed virtual read timeout (stands in for
-    /// `ClientBuilder::read_timeout` on the simulated channel).
-    pub read_timeout_ms: u64,
 }
 
 impl FaultPlan {
@@ -83,7 +81,6 @@ impl FaultPlan {
             backend_slow: 0.0,
             backend_latency_ms: 20,
             backend_poison: 0.0,
-            read_timeout_ms: 10,
         }
     }
 
@@ -150,7 +147,8 @@ impl FaultPlan {
         FaultPlan { backend_poison: 0.5, ..FaultPlan::base("poisoned_backend") }
     }
 
-    /// Everything at once, at lower odds.
+    /// Everything at once, at lower odds — with delays of up to 150 ms,
+    /// past the scheduler's 100 ms submit budget.
     pub fn chaos() -> FaultPlan {
         FaultPlan {
             connect_refuse: 0.05,
@@ -167,6 +165,7 @@ impl FaultPlan {
             crash: 0.04,
             backend_slow: 0.15,
             backend_poison: 0.1,
+            max_delay_ms: 150,
             ..FaultPlan::base("chaos")
         }
     }

@@ -107,7 +107,7 @@ pub fn run_fleet_seed(seed: u64, plan: &FaultPlan) -> FleetReport {
     let net = SimNet::fleet(seed, plan.clone(), &["r0", "r1", "r2"], models);
     let telemetry = net.telemetry();
     let transports = (0..FLEET_REPLICAS).map(|i| Box::new(net.transport_for(i)) as Box<dyn Transport>).collect();
-    let mut client = failover_client(plan, transports).build().expect("fleet client config is valid");
+    let mut client = failover_client(transports).build().expect("fleet client config is valid");
     client.set_telemetry(std::sync::Arc::clone(&telemetry));
 
     // The ledger audit in `finish()` applies to every plan regardless.

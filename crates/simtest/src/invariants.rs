@@ -15,12 +15,17 @@
 //!   `requests_total` = frames delivered, `hits + misses` = predictions,
 //!   every busy bounce accounted, response kinds sum to deliveries).
 //!
+//! Beside the ledger, [`audit_submit_budget`] holds the submit path to
+//! the scheduler's plugin budget in virtual time.
+//!
 //! The ledger lives *outside* the daemon on purpose: it would catch a
 //! daemon that drops, double-counts, or half-applies a frame.
 
 use std::collections::BTreeMap;
 
 use chronus::remote::{KeyOutcome, Request, RequestFrame, Response, StatsSnapshot};
+use chronus::telemetry::Telemetry;
+use eco_slurm_sim::plugin::DEFAULT_PLUGIN_BUDGET_MS;
 
 /// A stable label for a request verb (event log + ledger keys).
 pub fn verb_of(request: &Request) -> &'static str {
@@ -401,6 +406,32 @@ impl Ledger {
         }
         Ok(())
     }
+}
+
+/// The submit budget, on virtual time, for a world whose cluster hosts
+/// the plugin: every `slurm/plugin_call` span of the run lasted at most
+/// [`DEFAULT_PLUGIN_BUDGET_MS`], and no submission was refused for time
+/// (`slurm.plugin_timeouts`). The host measures wall time, which the
+/// worlds give slack; this is the check that sees what a fault plan did
+/// to the submit path.
+pub fn audit_submit_budget(telemetry: &Telemetry) -> Vec<String> {
+    let (events, evicted) = telemetry.recorder().events_since(0);
+    let mut violations = Vec::new();
+    if evicted > 0 {
+        violations.push(format!("submit budget: the trace recorder evicted {evicted} spans before the audit"));
+    }
+    for call in events.iter().filter(|e| e.layer == "slurm" && e.name == "plugin_call") {
+        let ms = call.duration_ns() as f64 / 1e6;
+        if ms > DEFAULT_PLUGIN_BUDGET_MS as f64 {
+            violations
+                .push(format!("a plugin call took {ms}ms of virtual time (budget {DEFAULT_PLUGIN_BUDGET_MS}ms)"));
+        }
+    }
+    let timeouts = telemetry.counter("slurm.plugin_timeouts").get();
+    if timeouts > 0 {
+        violations.push(format!("{timeouts} submissions refused for a plugin budget overrun"));
+    }
+    violations
 }
 
 #[cfg(test)]

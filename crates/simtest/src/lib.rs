@@ -52,7 +52,8 @@
 //!   submissions through it, asserting end-to-end invariants: every
 //!   submission is accepted even under total daemon loss, no descriptor is
 //!   ever half-rewritten, deadline-constrained jobs never exceed their
-//!   budget, and virtual submit latency stays bounded.
+//!   budget, and every plugin call fits the scheduler's submit budget in
+//!   virtual time.
 //!
 //! Every world is one row of [`sweep::WORLDS`], swept by the one driver
 //! [`sweep::sweep`], and every failing run — a sweep's or a scenario
@@ -86,4 +87,4 @@ pub use invariants::Ledger;
 pub use net::SimNet;
 pub use shm::{run_shm_seed, ShmReport};
 pub use store::{run_store_seed, CrashingBackend, StoreReport, STORE_ROUNDS};
-pub use world::{run_seed, SeedReport, MAX_SUBMIT_VIRTUAL_MS, SUBMISSIONS_PER_SEED};
+pub use world::{run_seed, SeedReport, SUBMISSIONS_PER_SEED};

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use chronus::error::ChronusError;
-use chronus::remote::{wire, Connection, Request, RequestFrame, Response, Transport};
+use chronus::remote::{ceil_ms, wire, Connection, Request, RequestFrame, Response, Transport};
 use chronus::telemetry::{Recorder, Telemetry};
 use chronusd::backend::{ModelBackend, PreparedModel};
 use chronusd::service::{PredictService, QueueGauges, ServiceClock};
@@ -233,10 +233,11 @@ impl NetCore {
         kind.admits(family) && p > 0.0 && self.rng.gen_bool(p)
     }
 
-    /// Draws an injected delay and lets it pass; returns it in ms.
-    fn delay(&mut self) -> u64 {
+    /// Draws an injected delay and lets it pass — but no further than
+    /// `until`, when the client stops waiting; returns it in ms.
+    fn delay(&mut self, until: u64) -> u64 {
         let d = self.rng.gen_range(1..=self.plan.max_delay_ms.max(1));
-        self.clock.advance(SimDuration::from_millis(d));
+        self.clock.advance(SimDuration::from_millis(d.min(left(&self.clock, until))));
         d
     }
 
@@ -280,8 +281,10 @@ impl NetCore {
     /// replica `r`'s one door and audits what came out *of the wire* —
     /// the reply payload decoded the way the client will decode it, not a
     /// value handed over beside it. `(binary, frame)` is `payload` as
-    /// [`decoded`], `who` names the connection in the log. Returns the
-    /// reply payload.
+    /// [`decoded`], `who` names the connection in the log. A slow backend
+    /// stalls no further than `until`, when the client stops waiting.
+    /// Returns the reply payload.
+    #[allow(clippy::too_many_arguments)]
     fn serve_and_audit(
         &mut self,
         r: usize,
@@ -290,10 +293,11 @@ impl NetCore {
         payload: &[u8],
         binary: bool,
         frame: &RequestFrame,
+        until: u64,
     ) -> Vec<u8> {
         let backend_slow = self.roll(kind, "backend_slow");
         let backend_poisoned = self.roll(kind, "backend_poison");
-        let latency_ms = if backend_slow { self.plan.backend_latency_ms } else { 0 };
+        let latency_ms = if backend_slow { self.plan.backend_latency_ms.min(left(&self.clock, until)) } else { 0 };
         self.backend.latency_ms.store(latency_ms, Ordering::SeqCst);
         self.backend.poisoned.store(backend_poisoned, Ordering::SeqCst);
 
@@ -660,6 +664,12 @@ pub struct SimTransport {
 
 impl Transport for SimTransport {
     fn connect(&mut self) -> io::Result<Box<dyn Connection>> {
+        self.connect_within(Duration::from_millis(DIAL_TIMEOUT_MS))
+    }
+
+    /// A dial lost to a partition times out after the shorter of
+    /// `timeout` and `DIAL_TIMEOUT_MS`.
+    fn connect_within(&mut self, timeout: Duration) -> io::Result<Box<dyn Connection>> {
         let (r, ring) = (self.replica, self.ring);
         let kind = if ring { Exchange::Shm } else { Exchange::Single };
         let mut core = self.net.mu.lock();
@@ -681,7 +691,7 @@ impl Transport for SimTransport {
             core.inject(r, "partition", kind, format!("network partition begins ({span}ms)"));
         }
         if !ring && core.replicas[r].partitioned_until.is_some() {
-            core.clock.advance(SimDuration::from_millis(DIAL_TIMEOUT_MS));
+            core.clock.advance(SimDuration::from_millis(ceil_ms(timeout).min(DIAL_TIMEOUT_MS)));
             core.rnote(r, "dial timed out: partitioned".to_string());
             return Err(io::Error::new(io::ErrorKind::TimedOut, "network partitioned"));
         }
@@ -701,6 +711,7 @@ impl Transport for SimTransport {
             incarnation: core.replicas[r].incarnation,
             inbox: VecDeque::new(),
             dead: None,
+            until: 0,
         };
         core.next_conn += 1;
         core.rnote(r, format!("{} {}", conn.who(), if ring { "attached" } else { "established" }));
@@ -714,6 +725,11 @@ impl Transport for SimTransport {
 
     fn is_local(&self) -> bool {
         self.ring
+    }
+
+    /// The shared virtual clock: request budgets run on virtual time.
+    fn now(&self) -> Duration {
+        Duration::from_millis(self.net.clock.now().as_millis())
     }
 
     /// Client backoffs and Busy hints burn virtual time, not wall time.
@@ -739,6 +755,14 @@ struct SimConnection {
     incarnation: u64,
     inbox: VecDeque<Vec<u8>>,
     dead: Option<io::ErrorKind>,
+    /// Virtual ms at which the client stops waiting for this exchange's
+    /// reply ([`Connection::arm`]).
+    until: u64,
+}
+
+/// Virtual milliseconds left before `until`.
+fn left(clock: &SharedSimClock, until: u64) -> u64 {
+    until.saturating_sub(clock.now().as_millis())
 }
 
 impl SimConnection {
@@ -758,8 +782,9 @@ impl SimConnection {
     /// survives — the daemon, queueing whatever reply frames the client
     /// should eventually read. Both media roll the same families in the
     /// same order; [`NetCore::roll`] skips one the medium cannot suffer.
+    /// Delays and stalls end when the client stops waiting, `until`.
     fn deliver(&mut self, payload: &[u8]) -> io::Result<()> {
-        let (r, ring, who) = (self.replica, self.ring, self.who());
+        let (r, ring, who, until) = (self.replica, self.ring, self.who(), self.until);
         let state = Arc::clone(&self.net);
         let mut core = state.mu.lock();
         core.tick(r);
@@ -796,7 +821,7 @@ impl SimConnection {
             return Ok(());
         }
         if core.roll(kind, "req_delay") {
-            let d = core.delay();
+            let d = core.delay(until);
             core.inject(r, "req_delay", kind, format!("{} {d}ms", say("request delayed", "writer stalled")));
         }
         if core.roll(kind, "busy") {
@@ -811,14 +836,14 @@ impl SimConnection {
             return Ok(());
         }
 
-        let reply = core.serve_and_audit(r, kind, &who, payload, binary, &frame);
+        let reply = core.serve_and_audit(r, kind, &who, payload, binary, &frame, until);
 
         if core.roll(kind, "resp_drop") {
             core.inject(r, "resp_drop", kind, say("response dropped", "doorbell lost (reply unseen)"));
             return Ok(());
         }
         if core.roll(kind, "resp_delay") {
-            let d = core.delay();
+            let d = core.delay(until);
             core.inject(r, "resp_delay", kind, format!("{} {d}ms", say("response delayed", "reader stalled")));
         }
         if core.roll(kind, "resp_cut") {
@@ -849,21 +874,29 @@ impl Connection for SimConnection {
         }
     }
 
+    /// Anything queued once the client stopped waiting is never read.
     fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
-        if let Some(frame) = self.inbox.pop_front() {
-            return Ok(frame);
+        let left = left(&self.net.clock, self.until);
+        if left > 0 {
+            if let Some(frame) = self.inbox.pop_front() {
+                return Ok(frame);
+            }
+            if let Some(kind) = self.dead {
+                return Err(kind.into());
+            }
         }
-        if let Some(kind) = self.dead {
-            return Err(kind.into());
-        }
-        // Nothing queued and the connection is alive: the real client
-        // would block until its read timeout — burn it in virtual time.
+        // Nothing to read in time and the connection is alive: the real
+        // client would block until its timeout — burn it in virtual time.
         let mut core = self.net.mu.lock();
-        let ms = core.plan.read_timeout_ms.max(1);
-        core.clock.advance(SimDuration::from_millis(ms));
+        core.clock.advance(SimDuration::from_millis(left));
         let wait = if self.ring { "wait" } else { "read" };
-        core.rnote(self.replica, format!("{}: {wait} timed out after {ms}ms", self.who()));
+        core.rnote(self.replica, format!("{}: {wait} timed out", self.who()));
         Err(io::ErrorKind::TimedOut.into())
+    }
+
+    fn arm(&mut self, timeout: Duration) -> io::Result<()> {
+        self.until = self.net.clock.now().as_millis() + ceil_ms(timeout);
+        Ok(())
     }
 }
 
@@ -890,7 +923,7 @@ mod tests {
     }
 
     fn client(net: &SimNet) -> PredictClient {
-        crate::world::sim_client(&FaultPlan::none(), net.transport())
+        crate::world::sim_client(net.transport())
     }
 
     const OPTS: &CallOptions = &CallOptions { trace: None };
@@ -954,7 +987,7 @@ mod tests {
         let net = SimNet::new(5, plan.clone(), vec![model(1, 10, 20), model(2, 10, 21)]);
         let transports: Vec<Box<dyn Transport>> =
             vec![Box::new(net.shm_transport_for(0)), Box::new(net.transport_for(0))];
-        let mut c = crate::world::failover_client(&plan, transports).build().unwrap();
+        let mut c = crate::world::failover_client(transports).build().unwrap();
         let keys: Vec<(u64, u64)> = (20..26).map(|b| (10, b)).collect();
         for round in 0..400 {
             if round == 200 {

@@ -95,7 +95,7 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     // locality, not position), TCP to the same daemon as the net.
     let transports: Vec<Box<dyn Transport>> =
         vec![Box::new(net.shm_transport_for(0)), Box::new(net.transport_for(0))];
-    let mut client = failover_client(plan, transports)
+    let mut client = failover_client(transports)
         // probe the torn-down ring every few requests so the restore
         // phase sees the rejoin within its rounds
         .probe_cooldown(4)

@@ -2,22 +2,27 @@
 //! `job_submit_eco` → `RemotePrediction` → `PredictClient` over an
 //! in-memory transport. Covers the three things a submission can do
 //! with a remote source: be rewritten, never ask, or ask and get no
-//! answer (which must never fail the submission).
+//! answer (which must never fail the submission) — the last one also
+//! through the production source over real sockets, under the
+//! scheduler's default plugin budget.
 
 use eco_hpc::chronus::integrations::storage::EtcStorage;
 use eco_hpc::chronus::remote::{
-    wire, Connection, PredictClient, RemotePrediction, Request, RequestFrame, Response, Transport,
+    wire, Connection, PredictClient, PredictionSource, RemotePrediction, Request, RequestFrame, Response, Transport,
 };
+use eco_hpc::chronus::telemetry::Telemetry;
 use eco_hpc::eco_plugin::JobSubmitEco;
 use eco_hpc::hpcg::perf_model::PerfModel;
 use eco_hpc::hpcg::workload::HpcgWorkload;
 use eco_hpc::node::cpu::CpuConfig;
 use eco_hpc::node::SimNode;
+use eco_hpc::slurm::plugin::DEFAULT_PLUGIN_BUDGET_MS;
 use eco_hpc::slurm::{Cluster, JobDescriptor};
 use std::collections::VecDeque;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SCRIPT_OPTED_IN: &str = "#!/bin/bash\n\
     #SBATCH --nodes=1\n\
@@ -75,19 +80,30 @@ impl Connection for Daemon {
 
 /// A one-node cluster whose eco plugin predicts through `daemon`.
 fn cluster_with(tag: &str, daemon: Daemon) -> Cluster {
+    let client = PredictClient::builder().transport(Box::new(daemon)).build().unwrap();
+    let source = RemotePrediction::from_client(client);
+    assert!(source.describe().contains("in-memory daemon"));
+    let (cluster, _) = cluster_over(tag, source);
+    cluster
+}
+
+/// A one-node cluster under the default `PluginHost` (the scheduler's
+/// plugin budget), whose eco plugin predicts through `source`; the
+/// telemetry carries the host's counters.
+fn cluster_over(tag: &str, source: RemotePrediction) -> (Cluster, Arc<Telemetry>) {
     let root = std::env::temp_dir().join(format!("eco-remote-source-{tag}-{}", std::process::id()));
     // no settings file: the plugin runs on defaults (opt-in by comment)
     let _ = std::fs::remove_dir_all(&root);
     let mut cluster = Cluster::single_node(SimNode::sr650());
+    let telemetry = Arc::new(Telemetry::wall());
+    cluster.set_telemetry(Arc::clone(&telemetry));
     let workload = HpcgWorkload::paper_default(Arc::new(PerfModel::sr650()));
     cluster.register_binary("/opt/hpcg/bin/xhpcg", Arc::new(workload));
     let mut plugin =
         JobSubmitEco::new(Arc::new(EtcStorage::new(&root)), cluster.node(0).spec(), cluster.node(0).ram_gb());
-    let client = PredictClient::builder().transport(Box::new(daemon)).build().unwrap();
-    plugin.set_source(Arc::new(RemotePrediction::from_client(client)));
-    assert!(plugin.source_description().contains("in-memory daemon"));
+    plugin.set_source(Arc::new(source));
     cluster.register_plugin(Box::new(plugin));
-    cluster
+    (cluster, telemetry)
 }
 
 fn submit(cluster: &mut Cluster, script: &str) -> JobDescriptor {
@@ -134,4 +150,24 @@ fn refused_connection_leaves_the_job_untouched_and_accepted() {
     assert_eq!((desc.num_tasks, desc.max_frequency_khz), (32, None), "no prediction, no rewrite");
     assert_eq!(desc.min_frequency_khz, None);
     assert!(dials.load(Ordering::SeqCst) >= 1, "the plugin did try the daemon");
+}
+
+#[test]
+fn a_stalled_daemon_leaves_the_job_untouched_and_accepted_within_the_plugin_budget() {
+    // the kernel completes every dial into the backlog; nobody ever reads
+    let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+    let refused = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+    for (tag, addr) in [("stalled", stalled.local_addr().unwrap()), ("refused-tcp", refused)] {
+        let source = RemotePrediction::from_endpoints(&addr.to_string()).unwrap();
+        let (mut cluster, telemetry) = cluster_over(tag, source);
+        let submitted = Instant::now();
+        let desc = submit(&mut cluster, SCRIPT_OPTED_IN);
+        let elapsed = submitted.elapsed();
+        assert_eq!((desc.num_tasks, desc.max_frequency_khz), (32, None), "{tag}: no prediction, no rewrite");
+        assert_eq!(telemetry.counter("slurm.plugin_timeouts").get(), 0, "{tag}: the budget was overrun");
+        assert!(
+            elapsed < Duration::from_millis(DEFAULT_PLUGIN_BUDGET_MS),
+            "{tag}: the submission took {elapsed:?}, past the plugin budget"
+        );
+    }
 }
