@@ -4,7 +4,10 @@
 //! from memory. A daemon has exactly one: the durable store
 //! ([`StoreModelBackend`]) when it was started with one, the staged
 //! `settings.json` model ([`StorageBackend`]) in the paper's store-less
-//! configuration.
+//! configuration. Whatever else the daemon reads from a store (boot
+//! catch-up, the `Stats` gauges, drift calibration) it reaches through
+//! [`ModelBackend::store`], so a store is never a second source beside
+//! another backend.
 
 use std::io;
 use std::sync::Arc;
@@ -35,6 +38,12 @@ pub trait ModelBackend: Send + Sync {
 
     /// Resolves a registry miss for `(system_hash, binary_hash)`.
     fn lookup(&self, system_hash: u64, binary_hash: u64) -> Result<PreparedModel>;
+
+    /// The durable store this source reads and its directory label, if
+    /// the source is one ([`StoreModelBackend`]); `None` for every other.
+    fn store(&self) -> Option<(&Mutex<ModelStore>, &str)> {
+        None
+    }
 }
 
 /// Verify, then prepare — the only place a ledger record becomes
@@ -102,6 +111,10 @@ impl ModelBackend for StoreModelBackend {
         self.resolve(&format!("a model for ({system_hash:#x}, {binary_hash:#x})"), |store| {
             store.serving_for(system_hash, binary_hash)
         })
+    }
+
+    fn store(&self) -> Option<(&Mutex<ModelStore>, &str)> {
+        Some((&self.store, &self.dir))
     }
 }
 

@@ -141,8 +141,7 @@ impl PredictServer {
                 let store = ModelStore::open_dir(dir).map_err(|e| {
                     std::io::Error::new(std::io::ErrorKind::InvalidData, format!("model store at {dir}: {e}"))
                 })?;
-                let store = Arc::new(Mutex::new(store));
-                serve_from(Arc::new(StoreModelBackend::new(Arc::clone(&store), dir))).with_store(store, dir)
+                serve_from(Arc::new(StoreModelBackend::new(Arc::new(Mutex::new(store)), dir)))
             }
             None => serve_from(backend),
         };

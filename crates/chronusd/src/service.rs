@@ -1,12 +1,19 @@
 //! The daemon's request engine, independent of any transport.
 //!
 //! [`PredictService`] owns the registry, backend, counters and shutdown
-//! flag, and turns one request frame into one response. The TCP server
-//! in [`crate::server`] feeds it frames read off worker-owned sockets;
-//! the `simtest` harness feeds it frames over an in-memory channel on
-//! virtual time. Keeping the engine transport-free is what makes the
-//! daemon's semantics (deadline accounting, miss/error classification,
-//! counter conservation) testable deterministically.
+//! flag, and turns one request frame into one response. A model the
+//! backend resolves — at boot catch-up, for a `Preload`, on a registry
+//! miss — is installed in one step: one registry insert, visible to the
+//! next lookup. The backend is the daemon's one model source; a
+//! store-backed daemon's backend is its store
+//! ([`crate::backend::StoreModelBackend`]), and everything else the
+//! service reads from a store comes through [`ModelBackend::store`].
+//!
+//! The TCP server in [`crate::server`] feeds it frames read off
+//! worker-owned sockets; the `simtest` harness feeds it frames over an
+//! in-memory channel on virtual time. Keeping the engine transport-free
+//! is what makes the daemon's semantics (deadline accounting, miss/error
+//! classification, counter conservation) testable deterministically.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,7 +27,7 @@ use eco_adapt::Monitor;
 use eco_store::ModelStore;
 use parking_lot::Mutex;
 
-use crate::backend::{verified, ModelBackend, PreparedModel};
+use crate::backend::{verified, ModelBackend, PreparedModel, StoreModelBackend};
 use crate::registry::{Lookup, ModelRegistry};
 use crate::stats::ServerStats;
 
@@ -48,21 +55,10 @@ pub struct QueueGauges {
     pub workers: u64,
 }
 
-/// A service's attached durable store: the handle itself plus the
-/// operator-facing directory label stamped on `Stats` answers. The
-/// daemon is a read-only consumer — the campaign CLI is the writer —
-/// so every use here is either a boot catch-up or a gauge read; a
-/// `Preload` or a miss reaches the same store through the backend
-/// ([`crate::backend::StoreModelBackend`]).
-struct StoreHandle {
-    store: Arc<Mutex<ModelStore>>,
-    dir: String,
-}
-
 /// What [`PredictService::catch_up_from_store`] installed and refused.
 #[derive(Debug, Default)]
 pub struct StoreCatchUp {
-    /// Models installed, one committed registry generation each.
+    /// Models installed, one registry generation each.
     pub installed: usize,
     /// Serving records refused because their blob failed verification
     /// (missing, hash mismatch, or unparseable) — never installed.
@@ -78,7 +74,6 @@ pub struct PredictService {
     telemetry: Arc<Telemetry>,
     shutdown: AtomicBool,
     replica: String,
-    store: Option<StoreHandle>,
     adapt: Monitor,
     /// The canary phase label stamped on `Stats` answers. The canary
     /// *controller* lives with whoever drives rollouts (the adaptation
@@ -124,7 +119,6 @@ impl PredictService {
             telemetry,
             shutdown: AtomicBool::new(false),
             replica: String::new(),
-            store: None,
             adapt: Monitor::default(),
             canary_state: Mutex::new(String::new()),
         }
@@ -143,29 +137,26 @@ impl PredictService {
         &self.replica
     }
 
-    /// Attaches a durable model store. `dir` is the operator-facing
-    /// directory label stamped on `Stats` answers (how `chronus stats`
-    /// distinguishes store-backed replicas from memory-only ones). The
-    /// caller runs [`PredictService::catch_up_from_store`] afterwards;
-    /// attaching alone installs nothing.
+    /// Replaces the model source with the durable store at `dir`, as
+    /// if built over [`StoreModelBackend::new`]. `benchmark/src/micro.rs`
+    /// builds its service this way.
     pub fn with_store(mut self, store: Arc<Mutex<ModelStore>>, dir: impl Into<String>) -> PredictService {
-        self.store = Some(StoreHandle { store, dir: dir.into() });
+        self.backend = Arc::new(StoreModelBackend::new(store, dir));
         self
     }
 
-    /// Self-serve catch-up: installs every record the attached store
+    /// Self-serve catch-up: installs every record the backend's store
     /// says should be serving ([`ModelStore::serving`] — the ledger
-    /// folded with rollback-rewind semantics), each under its own
-    /// committed registry generation, oldest first. Every record comes
-    /// through [`verified`] *before* it installs: a model whose blob
-    /// fails verification is reported and never served. A serving set
-    /// larger than the registry leaves its newest records resident; the
-    /// rest are the backend's to resolve on their first request. No-op
-    /// without a store.
+    /// folded with rollback-rewind semantics), each as its own registry
+    /// generation, oldest first. Every record comes through [`verified`]
+    /// *before* it installs: a model whose blob fails verification is
+    /// reported and never served. A serving set larger than the registry
+    /// leaves its newest records resident; the rest the store resolves
+    /// on their first request. No-op for a backend that is not a store.
     pub fn catch_up_from_store(&self) -> StoreCatchUp {
         let mut report = StoreCatchUp::default();
-        let Some(handle) = &self.store else { return report };
-        let mut store = handle.store.lock();
+        let Some((store, _)) = self.backend.store() else { return report };
+        let mut store = store.lock();
         let _ = store.refresh();
         for record in store.serving() {
             match verified(&store, record) {
@@ -180,11 +171,10 @@ impl PredictService {
         report
     }
 
-    /// Makes `model` servable as rollout `generation`: inserted under
-    /// it, then the generation committed.
+    /// Installs `model` and publishes `generation`.
     fn install(&self, model: PreparedModel, generation: u64) {
         let key = (model.system_hash, model.binary_hash);
-        self.registry.insert_at(key, model.model_id, model.model_type, model.config, generation);
+        self.registry.insert(key, model.model_id, model.model_type, model.config);
         self.registry.commit_rollout(generation);
     }
 
@@ -245,16 +235,16 @@ impl PredictService {
     /// The `stats` RPC's answer: counters, registry, store, monitor and
     /// canary label, plus the queue gauges the transport samples.
     pub fn snapshot(&self, gauges: QueueGauges) -> StatsSnapshot {
-        let (store_dir, store_generation, models_by_class) = match &self.store {
-            Some(handle) => {
-                let store = handle.store.lock();
+        let (store_dir, store_generation, models_by_class) = match self.backend.store() {
+            Some((store, dir)) => {
+                let store = store.lock();
                 // serving-model counts per node class, from the ledger's
                 // provenance (records predating classes land in `default`)
                 let mut by_class = std::collections::BTreeMap::<String, u64>::new();
                 for class in store.serving().into_iter().map(|r| r.provenance.node_class.as_str()) {
                     *by_class.entry(if class.is_empty() { "default" } else { class }.to_string()).or_default() += 1;
                 }
-                (handle.dir.clone(), store.high_water(), by_class.into_iter().collect())
+                (dir.to_string(), store.high_water(), by_class.into_iter().collect())
             }
             None => (String::new(), 0, Vec::new()),
         };
@@ -275,8 +265,6 @@ impl PredictService {
             models_resident: self.registry.len() as u64,
             evictions: self.registry.evictions(),
             model_generation: self.registry.generation(),
-            stale_generation_hits: s.stale_generation_hits.get(),
-            generation_rollbacks: s.generation_rollbacks.get(),
             preloads: s.preloads.get(),
             store_catchups: s.store_catchups.get(),
             batches: s.batches.get(),
@@ -410,10 +398,8 @@ impl PredictService {
                 Response::ManyConfigs { results: results.collect() }
             }
             Request::Preload { model_id } => {
-                // versioned rollout: the new model becomes visible only
-                // when its generation commits, so a load that fails (or a
-                // daemon observed mid-flow) can never serve a half-loaded
-                // answer
+                // the number is allocated before the load, so a load that
+                // fails spends one and installs nothing
                 self.stats.preloads.bump();
                 let generation = self.registry.begin_rollout();
                 match self.backend.load(model_id) {
@@ -430,7 +416,6 @@ impl PredictService {
                     }
                     Err(e) => {
                         self.stats.errors.bump();
-                        self.stats.generation_rollbacks.bump();
                         Response::Error { message: e.to_string() }
                     }
                 }
@@ -439,8 +424,8 @@ impl PredictService {
                 // the campaign CLI may have appended to a shared store
                 // dir since boot; refresh (read-only — refresh never
                 // truncates) so the generation gauge is current
-                if let Some(handle) = &self.store {
-                    let _ = handle.store.lock().refresh();
+                if let Some((store, _)) = self.backend.store() {
+                    let _ = store.lock().refresh();
                 }
                 Response::Stats(Box::new(self.snapshot(gauges)))
             }
@@ -459,8 +444,8 @@ impl PredictService {
     fn report_outcome(&self, system_hash: u64, binary_hash: u64, outcome: &ObservedOutcome) -> Response {
         let key = (system_hash, binary_hash);
         if !self.adapt.has_expectation(key) {
-            if let Some(handle) = &self.store {
-                let store = handle.store.lock();
+            if let Some((store, _)) = self.backend.store() {
+                let store = store.lock();
                 let expected = store.serving_for(system_hash, binary_hash).map(|r| r.provenance.best_gflops_per_watt);
                 if let Some(expected) = expected.filter(|e| e.is_finite() && *e > 0.0) {
                     self.adapt.set_expectation(key, expected);
@@ -481,9 +466,9 @@ impl PredictService {
 
     /// One key's prediction, shared verbatim between `Predict` and the
     /// per-key loop of `PredictMany` so the two paths can never drift:
-    /// registry lookup (hit / stale-refusal / miss), backend fallback
-    /// on miss, and exactly one `prediction` + one `hit`-or-`miss`
-    /// counter bump per key regardless of framing.
+    /// registry lookup (hit / miss), backend fallback on miss, and
+    /// exactly one `prediction` + one `hit`-or-`miss` counter bump per
+    /// key regardless of framing.
     fn predict_key(&self, system_hash: u64, binary_hash: u64, ctx: Option<TraceContext>) -> KeyOutcome {
         self.stats.predictions.bump();
         {
@@ -495,15 +480,6 @@ impl PredictService {
                         s.attr("result", "hit");
                     }
                     return KeyOutcome::Config(config);
-                }
-                Lookup::Stale => {
-                    // a half-rolled-out model must never answer;
-                    // fall through to the backend like a miss
-                    self.stats.stale_generation_hits.bump();
-                    self.stats.cache_misses.bump();
-                    if let Some(s) = &mut lookup {
-                        s.attr("result", "stale");
-                    }
                 }
                 Lookup::Miss => {
                     self.stats.cache_misses.bump();
@@ -810,9 +786,7 @@ mod tests {
             }
             other => panic!("expected Preloaded, got {other:?}"),
         }
-        let snap = svc.snapshot(QueueGauges::default());
-        assert_eq!(snap.model_generation, 1);
-        assert_eq!(snap.generation_rollbacks, 0);
+        assert_eq!(svc.snapshot(QueueGauges::default()).model_generation, 1);
         // and the committed model serves straight from the registry
         let predict = frame_bytes(&RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 }));
         assert!(matches!(svc.handle_frame(&predict, QueueGauges::default()), Response::Config(_)));
@@ -820,13 +794,12 @@ mod tests {
     }
 
     #[test]
-    fn failed_preload_rolls_back_without_moving_the_generation() {
+    fn failed_preload_spends_a_number_without_moving_the_generation() {
         let svc = service_with_one_model();
         let payload = frame_bytes(&RequestFrame::new(Request::Preload { model_id: 999 }));
         assert!(matches!(svc.handle_frame(&payload, QueueGauges::default()), Response::Error { .. }));
         let snap = svc.snapshot(QueueGauges::default());
-        assert_eq!(snap.model_generation, 0, "failed rollout never commits");
-        assert_eq!(snap.generation_rollbacks, 1);
+        assert_eq!((snap.model_generation, snap.errors), (0, 1), "a failed preload installs nothing");
         // the next successful rollout still gets a fresh generation number
         let ok = frame_bytes(&RequestFrame::new(Request::Preload { model_id: 1 }));
         match svc.handle_frame(&ok, QueueGauges::default()) {
@@ -834,23 +807,6 @@ mod tests {
             other => panic!("expected Preloaded, got {other:?}"),
         }
         assert_eq!(svc.snapshot(QueueGauges::default()).model_generation, 2);
-    }
-
-    #[test]
-    fn stale_registry_entries_fall_back_to_the_backend() {
-        let svc = service_with_one_model();
-        // plant an uncommitted entry, as if a rollout died mid-flight
-        let gen = svc.registry().begin_rollout();
-        svc.registry().insert_at((10, 20), 7, "auto".into(), CpuConfig::new(8, 1_500_000, 2), gen);
-        let predict = frame_bytes(&RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 }));
-        match svc.handle_frame(&predict, QueueGauges::default()) {
-            // served from the backend, not the half-rolled-out entry
-            Response::Config(c) => assert_eq!(c, CpuConfig::new(16, 2_200_000, 1)),
-            other => panic!("expected Config, got {other:?}"),
-        }
-        let snap = svc.snapshot(QueueGauges::default());
-        assert_eq!(snap.stale_generation_hits, 1);
-        assert_eq!(snap.cache_misses, 1, "a stale refusal is also a miss");
     }
 
     #[test]
@@ -868,8 +824,7 @@ mod tests {
         bytes[0] ^= 0x01;
         mem.put_raw(&name, bytes);
 
-        let svc = PredictService::new(2, 8, Arc::new(StaticBackend::new(vec![])))
-            .with_store(Arc::new(Mutex::new(store)), "/var/lib/chronus/store");
+        let svc = PredictService::new(2, 8, over_store(store));
         let report = svc.catch_up_from_store();
         assert_eq!(report.installed, 1);
         assert_eq!(report.rejected.len(), 1);
@@ -887,6 +842,11 @@ mod tests {
         assert_eq!(snap.store_dir, "/var/lib/chronus/store");
         assert_eq!(snap.store_generation, 2, "high-water gauge counts the corrupt commit too");
         assert_eq!(snap.model_generation, 1);
+    }
+
+    /// The one source of a store-backed daemon.
+    fn over_store(store: ModelStore) -> Arc<StoreModelBackend> {
+        Arc::new(StoreModelBackend::new(Arc::new(Mutex::new(store)), "/var/lib/chronus/store"))
     }
 
     fn store_blob(system_hash: u64, binary_hash: u64) -> eco_store::ModelBlob {
@@ -913,8 +873,7 @@ mod tests {
         store.commit(&store_blob(11, 21), 3, dense64()).unwrap();
         let mut writer = ModelStore::open(Box::new(mem.clone())).unwrap();
 
-        let svc = PredictService::new(2, 8, Arc::new(StaticBackend::new(vec![])))
-            .with_store(Arc::new(Mutex::new(store)), "/var/lib/chronus/store");
+        let svc = PredictService::new(2, 8, over_store(store));
         svc.catch_up_from_store();
         let stats =
             || match svc.handle_frame(&frame_bytes(&RequestFrame::new(Request::Stats)), QueueGauges::default()) {
@@ -945,15 +904,12 @@ mod tests {
 
     #[test]
     fn a_journal_cut_below_what_the_daemon_validated_is_an_error_on_the_miss_path() {
-        use crate::backend::StoreModelBackend;
         use eco_store::{MemBackend, Provenance, JOURNAL_FILE};
 
         let mem = MemBackend::new();
         let mut store = ModelStore::open(Box::new(mem.clone())).unwrap();
         store.commit(&store_blob(10, 20), 1, Provenance::default()).unwrap();
-        let (store, dir) = (Arc::new(Mutex::new(store)), "/var/lib/chronus/store");
-        let svc = PredictService::new(2, 8, Arc::new(StoreModelBackend::new(Arc::clone(&store), dir)))
-            .with_store(store, dir);
+        let svc = PredictService::new(2, 8, over_store(store));
 
         // only `open` truncates: a journal shorter than what the daemon
         // validated is the daemon's problem, not "no model for this key"
@@ -963,7 +919,7 @@ mod tests {
         let predict = frame_bytes(&RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 }));
         match svc.handle_frame(&predict, QueueGauges::default()) {
             Response::Error { message } => {
-                assert!(message.contains(dir) && message.contains(JOURNAL_FILE), "{message}")
+                assert!(message.contains("/var/lib/chronus/store") && message.contains(JOURNAL_FILE), "{message}")
             }
             other => panic!("a cut journal answered {other:?}"),
         }
@@ -1025,8 +981,7 @@ mod tests {
         let mut store = ModelStore::open(Box::new(MemBackend::new())).unwrap();
         let fitted = Provenance { best_gflops_per_watt: 0.20, ..Provenance::default() };
         store.commit(&store_blob(10, 20), 1, fitted).unwrap();
-        let svc = PredictService::new(2, 8, Arc::new(StaticBackend::new(vec![])))
-            .with_store(Arc::new(Mutex::new(store)), "/var/lib/chronus/store");
+        let svc = PredictService::new(2, 8, over_store(store));
 
         // sustained 50% shortfall vs the fitted 0.20 GFLOPS/W trips the
         // detector within the default 16-observation window x 2 windows
@@ -1095,15 +1050,7 @@ mod tests {
         for (id, system_hash) in [(1, 10), (2, 11), (3, 12)] {
             store.commit(&store_blob(system_hash, 20), id, Provenance::default()).unwrap();
         }
-        let backend = StaticBackend::new(vec![PreparedModel {
-            model_id: 1,
-            model_type: "brute-force".into(),
-            system_hash: 10,
-            binary_hash: 20,
-            config: CpuConfig::new(16, 2_200_000, 1),
-        }]);
-        let svc = PredictService::with_clock(2, 8, Arc::new(backend), Arc::new(JumpClock(AtomicU64::new(0))))
-            .with_store(Arc::new(Mutex::new(store)), "/var/lib/chronus/store");
+        let svc = PredictService::with_clock(2, 8, over_store(store), Arc::new(JumpClock(AtomicU64::new(0))));
         let send = |frame: RequestFrame| svc.answer(&frame_bytes(&frame), QueueGauges::default());
         let predict = |system_hash, binary_hash| RequestFrame::new(Request::Predict { system_hash, binary_hash });
         let outcome = |gflops| {
@@ -1120,7 +1067,7 @@ mod tests {
         // Loop counts are chosen so no two counters end equal: a field
         // read from the wrong cell cannot pass.
         svc.catch_up_from_store();
-        for _ in 0..6 {
+        for _ in 0..7 {
             send(predict(10, 20)); // hit
         }
         for _ in 0..2 {
@@ -1128,12 +1075,6 @@ mod tests {
         }
         for _ in 0..4 {
             send(RequestFrame::new(Request::PredictMany { keys: vec![(10, 20), (9, 9)] }));
-        }
-        for _ in 0..5 {
-            // a rollout that died mid-flight: refused, then a miss
-            let gen = svc.registry().begin_rollout();
-            svc.registry().insert_at((10, 20), 7, "auto".into(), CpuConfig::new(8, 1_500_000, 2), gen);
-            send(predict(10, 20));
         }
         for _ in 0..6 {
             send(RequestFrame::new(Request::Preload { model_id: 999 }));
@@ -1160,17 +1101,15 @@ mod tests {
         (0..16).for_each(|_| svc.note_canary_verdict(false));
 
         let snap = svc.snapshot(QueueGauges::default());
-        let requests = 6 + 2 + 4 + 5 + 7 + 3 + 13 + 96;
+        let requests = 7 + 2 + 4 + 7 + 3 + 13 + 96;
         let table = [
             ("requests_total", snap.requests_total, requests),
-            ("predictions", snap.predictions, 6 + 2 + 4 * 2 + 5),
-            ("cache_hits", snap.cache_hits, 6 + 4),
-            ("cache_misses", snap.cache_misses, 2 + 4 + 5),
+            ("predictions", snap.predictions, 7 + 2 + 4 * 2),
+            ("cache_hits", snap.cache_hits, 7 + 4),
+            ("cache_misses", snap.cache_misses, 2 + 4),
             ("busy_rejections", snap.busy_rejections, 12),
             ("deadline_exceeded", snap.deadline_exceeded, 13),
             ("errors", snap.errors, 6 + 3),
-            ("stale_generation_hits", snap.stale_generation_hits, 5),
-            ("generation_rollbacks", snap.generation_rollbacks, 6),
             ("preloads", snap.preloads, 7),
             ("store_catchups", snap.store_catchups, 3),
             ("batches", snap.batches, 4),

@@ -14,17 +14,12 @@ pub(crate) struct ServerStats {
     /// One per key served, whether framed as `Predict` or `PredictMany`.
     pub predictions: Counter,
     pub cache_hits: Counter,
-    /// Registry misses, stale refusals included.
+    /// Registry misses.
     pub cache_misses: Counter,
     pub busy_rejections: Counter,
     pub deadline_exceeded: Counter,
     pub errors: Counter,
-    /// Lookups refused because the entry's rollout generation was never
-    /// committed (a half-rolled-out model was *not* served).
-    pub stale_generation_hits: Counter,
-    /// Rollouts that allocated a generation and then failed to commit.
-    pub generation_rollbacks: Counter,
-    /// `Preload` requests handled (committed or rolled back).
+    /// `Preload` requests handled (installed or refused).
     pub preloads: Counter,
     /// Models installed by boot catch-up from the store, outside any
     /// `Preload` RPC.
@@ -55,8 +50,6 @@ impl ServerStats {
             busy_rejections: telemetry.counter("daemon.busy_rejections"),
             deadline_exceeded: telemetry.counter("daemon.deadline_exceeded"),
             errors: telemetry.counter("daemon.errors"),
-            stale_generation_hits: telemetry.counter("daemon.stale_generation_hits"),
-            generation_rollbacks: telemetry.counter("daemon.generation_rollbacks"),
             preloads: telemetry.counter("daemon.preloads"),
             store_catchups: telemetry.counter("daemon.store_catchups"),
             batches: telemetry.counter("daemon.batches"),

@@ -143,7 +143,7 @@ pub fn stats_table(s: &StatsSnapshot) -> String {
          errors              {}\n\
          queue               {}/{} waiting, {} workers\n\
          models resident     {} ({} evictions)\n\
-         model generation    {} ({} stale hits / {} rollbacks)\n\
+         model generation    {}\n\
          store               {store}\n\
          {classes}{adapt}service latency     p50 {}us  p99 {}us  max {}us\n",
         s.requests_total,
@@ -161,8 +161,6 @@ pub fn stats_table(s: &StatsSnapshot) -> String {
         s.models_resident,
         s.evictions,
         s.model_generation,
-        s.stale_generation_hits,
-        s.generation_rollbacks,
         s.latency_p50_us,
         s.latency_p99_us,
         s.latency_max_us,
@@ -249,8 +247,6 @@ mod tests {
             workers: 4,
             models_resident: 1,
             model_generation: 3,
-            stale_generation_hits: 1,
-            generation_rollbacks: 2,
             batches: 2,
             batched_keys: 6,
             ..StatsSnapshot::default()
@@ -258,7 +254,7 @@ mod tests {
         let t = stats_table(&snap);
         assert!(t.contains("predictions         8 (6 hits / 2 misses, 75.0% hit rate)"), "{t}");
         assert!(t.contains("batched             6 keys over 2 PredictMany frames (avg 3.0 keys/frame)"), "{t}");
-        assert!(t.contains("model generation    3 (1 stale hits / 2 rollbacks)"), "{t}");
+        assert!(t.contains("model generation    3\n"), "{t}");
         assert!(t.contains("p50 4us  p99 128us  max 250us"), "{t}");
         // a replica without --store says so explicitly
         assert!(t.contains("store               memory-only (no --store)"), "{t}");

@@ -344,12 +344,7 @@ pub struct StatsSnapshot {
     pub evictions: u64,
     /// Latest committed model-rollout generation (0 before any rollout).
     pub model_generation: u64,
-    /// Lookups refused because the resident entry's rollout generation
-    /// was never committed (half-rolled-out models are never served).
-    pub stale_generation_hits: u64,
-    /// Rollouts that allocated a generation but failed to commit.
-    pub generation_rollbacks: u64,
-    /// `Preload` requests handled (committed or rolled back).
+    /// `Preload` requests handled (installed or refused).
     pub preloads: u64,
     /// Models installed outside any `Preload` RPC: boot catch-up from
     /// the configured store.

@@ -120,7 +120,7 @@ fn arb_frame() -> impl Strategy<Value = RequestFrame> {
 
 fn arb_snapshot() -> impl Strategy<Value = StatsSnapshot> {
     (
-        prop::collection::vec(0u64..=u64::MAX, 32),
+        prop::collection::vec(0u64..=u64::MAX, 30),
         "[a-z0-9-]{0,12}",
         "[a-z0-9/._-]{0,24}",
         prop::collection::vec(("[a-z0-9-]{0,10}", 0u64..=u64::MAX), 0..4),
@@ -144,25 +144,23 @@ fn arb_snapshot() -> impl Strategy<Value = StatsSnapshot> {
             models_resident: v[10],
             evictions: v[11],
             model_generation: v[12],
-            stale_generation_hits: v[13],
-            generation_rollbacks: v[14],
-            latency_p50_us: v[15],
-            latency_p99_us: v[16],
-            latency_max_us: v[17],
-            preloads: v[18],
-            store_catchups: v[19],
-            store_generation: v[20],
-            batches: v[21],
-            batched_keys: v[22],
-            outcomes_ingested: v[23],
-            outcomes_rejected: v[24],
-            outcome_reservoirs: v[25],
-            drift_score_milli: v[26],
-            drift_trips: v[27],
-            drift_clears: v[28],
-            adapt_refits: v[29],
-            canary_promotions: v[30],
-            canary_rollbacks: v[31],
+            latency_p50_us: v[13],
+            latency_p99_us: v[14],
+            latency_max_us: v[15],
+            preloads: v[16],
+            store_catchups: v[17],
+            store_generation: v[18],
+            batches: v[19],
+            batched_keys: v[20],
+            outcomes_ingested: v[21],
+            outcomes_rejected: v[22],
+            outcome_reservoirs: v[23],
+            drift_score_milli: v[24],
+            drift_trips: v[25],
+            drift_clears: v[26],
+            adapt_refits: v[27],
+            canary_promotions: v[28],
+            canary_rollbacks: v[29],
         })
 }
 

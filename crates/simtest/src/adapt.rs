@@ -401,7 +401,7 @@ pub fn run_adapt_seed(seed: u64, plan: &FaultPlan) -> AdaptReport {
         .expect("commit generation 1");
 
     // --- the fleet: canary and control replicas over the one store ---
-    let net = SimNet::fleet_with_store(seed, plan.clone(), &["canary", "control"], Vec::new(), Arc::clone(&store));
+    let net = SimNet::fleet_with_store(seed, plan.clone(), &["canary", "control"], Arc::clone(&store));
     let telemetry = net.telemetry();
     let mut arms = Vec::new();
     for (i, label) in ["canary", "control"].into_iter().enumerate() {

@@ -10,13 +10,15 @@
 //! log, byte for byte.
 //!
 //! A daemon here is a [`PredictService`] (the transport-free engine the
-//! real TCP server uses) plus a [`SimBackend`]; "crashing" it swaps in a
-//! fresh service, which loses the model registry exactly like a real
-//! process restart — but not before the [`Ledger`] audits the dying
-//! incarnation's counters. [`SimNet::new`] builds the classic single
-//! daemon; [`SimNet::fleet`] builds N replicas sharing the clock, RNG
-//! and backend but each with its own service, ledger, partition state
-//! and crash schedule — the substrate the failover-aware
+//! real TCP server uses) over one model source: a [`SimBackend`], or in
+//! a store-backed fleet the store itself, as in production
+//! ([`StoreModelBackend`]). "Crashing" it swaps in a fresh service,
+//! which loses the model registry exactly like a real process restart —
+//! but not before the [`Ledger`] audits the dying incarnation's
+//! counters. [`SimNet::new`] builds the classic single daemon;
+//! [`SimNet::fleet`] builds N replicas sharing the clock, RNG and
+//! backend but each with its own service, ledger, partition state and
+//! crash schedule — the substrate the failover-aware
 //! [`chronus::remote::PredictClient`] is simulated against.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -28,7 +30,7 @@ use std::time::Duration;
 use chronus::error::ChronusError;
 use chronus::remote::{ceil_ms, wire, Connection, Request, RequestFrame, Response, Transport};
 use chronus::telemetry::{Recorder, Telemetry};
-use chronusd::backend::{ModelBackend, PreparedModel};
+use chronusd::backend::{ModelBackend, PreparedModel, StoreModelBackend};
 use chronusd::service::{PredictService, QueueGauges, ServiceClock};
 use chronusd::store::ModelStore;
 use eco_sim_node::clock::{SharedSimClock, SimDuration, SimTime};
@@ -207,6 +209,7 @@ struct NetCore {
     plan: FaultPlan,
     clock: Arc<SharedSimClock>,
     replicas: Vec<ReplicaCore>,
+    /// The store-less replicas' model source (a store fleet never reads it).
     backend: Arc<SimBackend>,
     /// The durable model store every replica reads (None = the classic
     /// store-less fleet). A replica attaches it at (re)start and
@@ -378,22 +381,15 @@ fn fresh_service(
     // restart loses them too) but shares the run-wide recorder, so span
     // ids stay unique and traces span crash boundaries.
     let telemetry = Telemetry::with_parts(Arc::new(SimServiceClock(Arc::clone(clock))), Arc::clone(recorder));
-    let mut service = PredictService::with_telemetry(
-        CACHE_SHARDS,
-        CACHE_CAP,
-        Arc::clone(backend) as Arc<dyn ModelBackend>,
-        Arc::new(telemetry),
-    )
-    .with_replica(label);
-    if let Some(store) = store {
-        service = service.with_store(Arc::clone(store), "/sim/store");
-    }
-    let service = Arc::new(service);
-    if store.is_some() {
-        // a store-backed daemon self-serves its models at boot, exactly
-        // like the real process does before accepting traffic
-        let _ = service.catch_up_from_store();
-    }
+    let source: Arc<dyn ModelBackend> = match store {
+        Some(store) => Arc::new(StoreModelBackend::new(Arc::clone(store), "/sim/store")),
+        None => Arc::clone(backend) as Arc<dyn ModelBackend>,
+    };
+    let service = PredictService::with_telemetry(CACHE_SHARDS, CACHE_CAP, source, Arc::new(telemetry));
+    let service = Arc::new(service.with_replica(label));
+    // a store-backed daemon self-serves its models at boot, exactly like
+    // the real process does before accepting traffic (a no-op without)
+    let _ = service.catch_up_from_store();
     service
 }
 
@@ -426,20 +422,13 @@ impl SimNet {
         SimNet::build(seed, plan, labels, models, None)
     }
 
-    /// A fleet whose replicas all read one durable model store: each
-    /// daemon attaches it and catches up to the serving generation at
-    /// (re)start, so store commits, rollouts and rollbacks reach the
-    /// fleet through [`SimNet::catch_up`] — the adaptation worlds'
-    /// substrate. Pass an empty `models` vec to make the store the only
-    /// model source.
-    pub fn fleet_with_store(
-        seed: u64,
-        plan: FaultPlan,
-        labels: &[&str],
-        models: Vec<PreparedModel>,
-        store: Arc<Mutex<ModelStore>>,
-    ) -> SimNet {
-        SimNet::build(seed, plan, labels, models, Some(store))
+    /// A fleet whose replicas all read one durable model store, their
+    /// one model source ([`StoreModelBackend`], as a `--store` daemon):
+    /// each catches up to the serving generation at (re)start, so store
+    /// commits, rollouts and rollbacks reach the fleet through
+    /// [`SimNet::catch_up`] — the adaptation worlds' substrate.
+    pub fn fleet_with_store(seed: u64, plan: FaultPlan, labels: &[&str], store: Arc<Mutex<ModelStore>>) -> SimNet {
+        SimNet::build(seed, plan, labels, Vec::new(), Some(store))
     }
 
     fn build(

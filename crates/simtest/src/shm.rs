@@ -142,8 +142,11 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         driver.batch_once(&mut client, &mut rng, &net, "restored");
     }
     if plan.name == "none" {
-        let before = count_predicts(&net).0;
-        driver.batch_once(&mut client, &mut rng, &net, "restored");
+        let (before, asked) = (count_predicts(&net).0, driver.keys_asked);
+        // an empty batch sends nothing: draw until one asks a key
+        while driver.keys_asked == asked {
+            driver.batch_once(&mut client, &mut rng, &net, "restored");
+        }
         let after = count_predicts(&net).0;
         if after == before {
             driver.violations.push("ring restored but traffic never returned to it".to_string());

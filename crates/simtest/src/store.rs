@@ -350,8 +350,8 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
             .collect();
 
         let store = Arc::new(Mutex::new(store));
-        let source = Arc::new(StoreModelBackend::new(Arc::clone(&store), "/sim/store"));
-        let service = PredictService::new(2, REGISTRY_CAP, source).with_store(store, "/sim/store");
+        let source = Arc::new(StoreModelBackend::new(store, "/sim/store"));
+        let service = PredictService::new(2, REGISTRY_CAP, source);
         let outcome = service.catch_up_from_store();
         let good = serving.iter().filter(|m| m.blob_ok).count();
         let bad = serving.len() - good;

@@ -7,7 +7,7 @@
 //! SIMTEST_SEED=<world>:<seed>[:<case>] cargo test -p simtest replay -- --nocapture
 //! ```
 
-use simtest::sweep::{sweep, world, WORLDS};
+use simtest::sweep::{run_one, sweep, world, WORLDS};
 use simtest::{adapt_plan_for_seed, FaultPlan};
 
 /// One `#[test]` per world, named after it, each sweeping its row of the
@@ -115,6 +115,54 @@ fn world_hashes() {
         }
         println!("{:<8} seeds 0..{:<3} log {log:016x} log+summary {all:016x}", world.name, world.seeds);
     }
+}
+
+/// The seed-odds scan: how thin is each cell the sweeps sample? For
+/// every world whose cases are fault plans (and the store world's one
+/// case), runs each case over `N` seeds past the sweep's own range and
+/// prints `failed/N` per cell with the first failing seed and its first
+/// violation. `SIMTEST_SCAN` picks the seeds, optionally for one world:
+///
+/// ```text
+/// SIMTEST_SCAN=[<world>:]<N>|<from>..<to> cargo test -q -p simtest --release --test sweep seed_odds \
+///     -- --ignored --nocapture
+/// ```
+///
+/// `N` means seeds `seeds..seeds + N` of each world; `from..to` names
+/// the range outright (`shm:0..600`). A cell a few percent red is one a
+/// change that moves its exchange sequence can redden by chance.
+#[test]
+#[ignore = "prints failure odds per cell; asserts nothing"]
+fn seed_odds() {
+    let raw = std::env::var("SIMTEST_SCAN").unwrap_or_else(|_| "20".to_string());
+    let (only, span) = raw.split_once(':').map_or((None, raw.as_str()), |(w, s)| (Some(w), s));
+    let seeds = |world: &simtest::sweep::World| match span.split_once("..") {
+        Some((from, to)) => from.parse::<u64>().expect("a seed")..to.parse().expect("a seed"),
+        None => world.seeds..world.seeds + span.parse::<u64>().expect("SIMTEST_SCAN=[<world>:]<N>|<from>..<to>"),
+    };
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    for world in WORLDS.iter().filter(|w| only.is_none_or(|name| name == w.name)) {
+        let cases = (world.cases)();
+        if !cases.iter().all(|c| c.is_empty() || FaultPlan::named(c).is_some()) {
+            continue;
+        }
+        for case in cases {
+            let (mut failed, mut first) = (0, String::new());
+            for seed in seeds(world) {
+                if let Err(detail) = run_one(world, seed, case) {
+                    failed += 1;
+                    if first.is_empty() {
+                        let violation = detail.lines().find(|l| l.starts_with("  ")).unwrap_or(&detail);
+                        first = format!("  first: seed {seed}: {}", violation.trim());
+                    }
+                }
+            }
+            let n = seeds(world).count();
+            println!("{:<8} {:<16} {failed:>4}/{n}{first}", world.name, if case.is_empty() { "-" } else { case });
+        }
+    }
+    std::panic::set_hook(hook);
 }
 
 /// Replay hook — the only reader of `SIMTEST_SEED` (grammar in

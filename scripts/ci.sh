@@ -8,6 +8,9 @@
 #   scripts/ci.sh simtest shm         one simtest world (no world = all seven)
 #
 # Stages: fmt clippy tier1 workspace docs simtest benchmark-builds campaign.
+# Two simtest proofs are not stages (see simtest_world): the event-log
+# hashes of two trees (scripts/world_hashes.sh) and the seed-odds scan
+# (the ignored `seed_odds` test of crates/simtest/tests/sweep.rs).
 # Needs no network (every dependency is a path under vendor/); the
 # benchmark-builds stage needs `jq`.
 set -euo pipefail
@@ -49,6 +52,9 @@ stage_docs() { RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps; }
 # (exits 1 if a line differs; not a stage, since a change may move a
 # hash on purpose):
 #   scripts/world_hashes.sh [REV]
+# Nor is the seed-odds scan beside it, which prints each plan cell's
+# failed/N over N seeds past the sweep's own (how thin a cell is):
+#   SIMTEST_SCAN=[<world>:]<N>|<from>..<to> cargo test -q -p simtest --release --test sweep seed_odds -- --ignored --nocapture
 simtest_world() {
     run cargo test -q -p simtest --release --test sweep "$1"
     case $1 in
@@ -60,7 +66,7 @@ simtest_world() {
     store) # the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes
         run cargo test -q -p eco-store --release
         run cargo test -q -p chronusd --release --test store_durability --test cli_binary --test cli_table ;;
-    batch) # concurrent callers of one RemotePrediction over real TCP; the registry's readers racing rollouts and evictions, optimised
+    batch) # concurrent callers of one RemotePrediction over real TCP; the registry's readers racing one-step installs and evictions, and writers racing its capacity, optimised
         run cargo test -q -p chronusd --release --test e2e_remote concurrent_callers_are_serialised
         run cargo test -q -p chronusd --release --lib registry ;;
     cluster) # cap conservation, partition isolation and drain as properties
