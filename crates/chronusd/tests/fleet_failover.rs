@@ -1,7 +1,7 @@
 //! Fleet failover over real TCP: a client spanning several live
 //! daemons keeps answering through the loss of one replica, and a
-//! restarted replica is probed back onto the ring and re-preloaded
-//! with the committed model before it serves again.
+//! restarted replica is probed back onto the ring and answers from its
+//! own backend.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -100,7 +100,7 @@ fn killing_a_replica_mid_load_loses_no_predictions() {
 }
 
 #[test]
-fn restarted_replica_rejoins_and_is_repreloaded() {
+fn restarted_replica_rejoins_and_answers_from_its_backend() {
     let stable = replica("r0");
     let flappy = replica("r1");
     let target = Arc::new(Mutex::new(flappy.addr().to_string()));
@@ -112,9 +112,9 @@ fn restarted_replica_rejoins_and_is_repreloaded() {
         .build()
         .unwrap();
 
-    let ack = client.preload(1, OPTS).expect("rollout to both replicas");
-    assert_eq!(ack.generation, 1);
-    assert_eq!(client.replica_health().iter().filter(|r| r.generation >= 1).count(), 2);
+    let fleet = client.preload_detailed(1, OPTS);
+    assert_eq!((fleet.acks.len(), fleet.failures.len()), (2, 0), "rollout to both replicas");
+    assert!(fleet.acks.iter().all(|(_, ack)| ack.generation == 1), "{:?}", fleet.acks);
 
     // Take r1 down; traffic continues and the ring shrinks to r0.
     flappy.shutdown();
@@ -127,8 +127,8 @@ fn restarted_replica_rejoins_and_is_repreloaded() {
     assert_eq!(client.replicas_in_ring(), 1);
 
     // r1 restarts as a fresh process on a new port: no cached state, no
-    // committed model. The client must probe it back, re-preload the
-    // rolled model, and only then route to it again.
+    // committed model. The client probes it back onto the ring and
+    // replays nothing into it.
     let reborn = replica("r1");
     *target.lock().unwrap() = reborn.addr().to_string();
 
@@ -142,20 +142,18 @@ fn restarted_replica_rejoins_and_is_repreloaded() {
     }
     assert!(rejoined, "restarted replica never rejoined the ring");
 
-    // The rejoin path re-preloaded the committed model before the
-    // replica re-entered the ring: the new process already holds it.
-    let health = client.replica_health();
-    let r1 = health.iter().find(|r| r.endpoint == "fleet://r1").expect("r1 tracked");
-    assert!(r1.in_ring);
-    assert!(r1.generation >= 1, "rejoined replica must have re-acknowledged the rollout: {r1:?}");
-    assert!(reborn.snapshot().model_generation >= 1, "the fresh process committed the re-preloaded model");
-
-    // And predictions against its share of the keyspace come from a
-    // warm registry, not a backend trip per request.
+    // The fresh process answers both keys from its backend, and through
+    // the fleet client as well.
+    let mut direct = PredictClient::builder().endpoint(reborn.addr().to_string()).build().unwrap();
     for _ in 0..20 {
-        assert_eq!(client.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
-        assert_eq!(client.predict(30, 40, OPTS).unwrap(), CpuConfig::new(16, 1_500_000, 2));
+        for c in [&mut direct, &mut client] {
+            assert_eq!(c.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
+            assert_eq!(c.predict(30, 40, OPTS).unwrap(), CpuConfig::new(16, 1_500_000, 2));
+        }
     }
+    let snap = reborn.snapshot();
+    assert_eq!(snap.preloads, 0, "the client replayed a rollout into the rejoined replica");
+    assert!(snap.cache_misses >= 2, "both keys came from the backend: {snap:?}");
     stable.shutdown();
     reborn.shutdown();
 }

@@ -53,6 +53,6 @@ pub use logging::{ChronusLog, LogEntry};
 pub use optimizers::{BruteForceOptimizer, LinearRegressionOptimizer, ModelFactory, RandomTreeOptimizer};
 pub use remote::{
     CallOptions, ClientBuildError, ClientBuilder, Endpoint, EndpointParseError, FleetPreload, LocalPrediction,
-    ObservedOutcome, PredictClient, PredictionSource, PreloadAck, RemoteError, RemotePrediction, ReplicaStatus,
-    Request, RequestFrame, Response, ShmListener, ShmTransport, StatsSnapshot,
+    ObservedOutcome, PredictClient, PredictionSource, PreloadAck, RemoteError, RemotePrediction, Request,
+    RequestFrame, Response, ShmListener, ShmTransport, StatsSnapshot,
 };

@@ -12,9 +12,8 @@
 //! exchanges leaves the ring (negative-result caching: a dead replica
 //! then costs one probe per cooldown window, not one timeout per
 //! submission). Probes are plain `Ping`s; a probe that answers `Pong`
-//! triggers rejoin, and a rejoining replica is first re-preloaded with
-//! every fleet-committed model so it never re-enters the ring behind
-//! the committed rollout state.
+//! puts the replica back on the ring. Within one request, a replica
+//! whose dial failed is not dialled again while another can be.
 //!
 //! With a single endpoint there is no ring lookup, no probe and no
 //! failover: the retry loop runs over the one candidate. Everything
@@ -23,7 +22,7 @@
 //!
 //! Every request has one time budget ([`ClientBuilder::budget`]) on the
 //! transport's clock: its attempts, waits and failovers, and any probe
-//! or rejoin it triggers, all spend from it. An attempt waits at most
+//! it triggers, all spend from it. An attempt waits at most
 //! its share — what remains over the attempts still allowed — and no
 //! wait starts unless an attempt can still follow it.
 
@@ -202,20 +201,11 @@ impl ClientBuilder {
                 in_ring: true,
                 consecutive_failures: 0,
                 probe_in: 0,
-                generation: 0,
             });
         }
         let mut ring = HashRing::new(VNODES);
         ring.rebuild(0..replicas.len() as u32);
-        Ok(PredictClient {
-            replicas,
-            ring,
-            knobs: self.knobs,
-            deadline: None,
-            tel: None,
-            rolled_models: Vec::new(),
-            rejoining: false,
-        })
+        Ok(PredictClient { replicas, ring, knobs: self.knobs, deadline: None, tel: None })
     }
 }
 
@@ -235,19 +225,6 @@ struct Replica {
     consecutive_failures: u32,
     /// Requests until the next probe while out of the ring.
     probe_in: u32,
-    /// Last rollout generation this replica acknowledged to us.
-    generation: u64,
-}
-
-/// One replica's health and rollout state, as the client sees it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaStatus {
-    /// The replica's endpoint description.
-    pub endpoint: String,
-    /// Whether the replica is currently on the routing ring.
-    pub in_ring: bool,
-    /// The last rollout generation it acknowledged (0 = none seen).
-    pub generation: u64,
 }
 
 /// Per-replica outcome of a fleet-wide model rollout
@@ -272,16 +249,10 @@ pub struct PredictClient {
     ring: HashRing,
     knobs: Knobs,
     /// When the request in flight must be done, on the transport's clock:
-    /// its attempts, and any probe or rejoin it triggers, spend from it.
-    /// A request starts with `None`; its first timed step sets it.
+    /// its attempts, and any probe it triggers, spend from it. A request
+    /// starts with `None`; its first timed step sets it.
     deadline: Option<Duration>,
     tel: Option<ClientTelemetry>,
-    /// Model ids committed fleet-wide, in rollout order; replayed into
-    /// any replica that rejoins the ring.
-    rolled_models: Vec<i64>,
-    /// Re-entrancy guard: rejoin replays preloads whose own successes
-    /// must not recursively trigger another rejoin.
-    rejoining: bool,
 }
 
 /// The client's cached telemetry handles: counter lookups happen once,
@@ -298,7 +269,17 @@ struct ClientTelemetry {
     ring_failovers: Counter,
     ring_rebuilds: Counter,
     ring_probes: Counter,
-    ring_repreloads: Counter,
+}
+
+/// The candidate position `drive` tries after `pos` of `n`: the next one
+/// whose dial has not failed in this request (`dial_failed`, one bit per
+/// position below 64), wrapping — a result at or before `pos` — past the
+/// end. Once every dial has failed, every candidate is tried again.
+fn next_candidate(pos: usize, n: usize, dial_failed: &mut u64) -> usize {
+    if n <= 64 && *dial_failed == u64::MAX >> (64 - n) {
+        *dial_failed = 0;
+    }
+    (pos + 1..n).chain(0..=pos).find(|&p| p >= 64 || *dial_failed & (1 << p) == 0).unwrap_or(pos)
 }
 
 /// The routing key for a request body: predictions hash their
@@ -350,14 +331,6 @@ impl PredictClient {
         self.replicas.iter().filter(|r| r.in_ring).count()
     }
 
-    /// Per-replica health and last-acknowledged rollout generation.
-    pub fn replica_health(&self) -> Vec<ReplicaStatus> {
-        self.replicas
-            .iter()
-            .map(|r| ReplicaStatus { endpoint: r.link.desc.clone(), in_ring: r.in_ring, generation: r.generation })
-            .collect()
-    }
-
     /// Attaches telemetry: every RPC from here on bumps `client.*` and
     /// `ring.*` counters and records one `client/attempt` span per
     /// exchange (retries included), each carrying its own context on
@@ -375,7 +348,6 @@ impl PredictClient {
             ring_failovers: telemetry.counter("ring.failovers"),
             ring_rebuilds: telemetry.counter("ring.rebuilds"),
             ring_probes: telemetry.counter("ring.probes"),
-            ring_repreloads: telemetry.counter("ring.repreloads"),
             telemetry,
         });
     }
@@ -511,6 +483,9 @@ impl PredictClient {
         for chunk in group.chunks(MAX_BATCH_KEYS) {
             self.deadline = None;
             let budget = self.left();
+            // the frame waits one attempt's share, as `drive`'s first: a
+            // lost reply costs that, not the budget, before the fallback
+            let share = budget / (self.knobs.max_retries + self.replicas.len() as u32);
             let frame = RequestFrame {
                 deadline_ms: Some(super::ceil_ms(budget)),
                 trace: opts.trace,
@@ -520,7 +495,7 @@ impl PredictClient {
             if let Some(t) = &self.tel {
                 t.attempts.bump();
             }
-            match self.replicas[idx].link.exchange(frame, budget) {
+            match self.replicas[idx].link.exchange(frame, share) {
                 Ok(Response::ManyConfigs { results: outcomes }) => {
                     for (&key_index, outcome) in chunk.iter().zip(outcomes) {
                         let (system_hash, binary_hash) = keys[key_index];
@@ -557,15 +532,15 @@ impl PredictClient {
                 }
             }
         }
-        self.note_success(idx, opts.trace);
+        self.note_success(idx);
     }
 
     /// Stages a model on every replica (fan-out in fleet mode) and
     /// returns the highest-generation acknowledgement. Succeeds when at
     /// least one replica commits; per-replica outcomes are available
-    /// through [`PredictClient::preload_detailed`]. The committed model
-    /// is remembered and replayed into any replica that later rejoins
-    /// the ring behind it.
+    /// through [`PredictClient::preload_detailed`]. Nothing is
+    /// remembered: a replica that restarts empty answers from its own
+    /// backend until the next rollout reaches it.
     pub fn preload(&mut self, model_id: i64, opts: &CallOptions) -> Result<PreloadAck, RemoteError> {
         let fleet = self.preload_detailed(model_id, opts);
         match fleet.acks.into_iter().map(|(_, a)| a).max_by_key(|a| a.generation) {
@@ -592,15 +567,9 @@ impl PredictClient {
             let desc = self.replicas[idx].link.desc.clone();
             self.deadline = None;
             match self.preload_on(idx, model_id, opts) {
-                Ok(ack) => {
-                    self.replicas[idx].generation = ack.generation;
-                    acks.push((desc, ack));
-                }
+                Ok(ack) => acks.push((desc, ack)),
                 Err(e) => failures.push((desc, e)),
             }
-        }
-        if !acks.is_empty() && !self.rolled_models.contains(&model_id) {
-            self.rolled_models.push(model_id);
         }
         FleetPreload { acks, failures }
     }
@@ -691,6 +660,8 @@ impl PredictClient {
     /// With several candidates, a failed exchange moves to the next
     /// candidate immediately (the failed dial/read already cost its
     /// share); backoff only applies when the whole list wraps around.
+    /// A candidate whose dial failed is skipped for the rest of the
+    /// request while another can still be dialled.
     fn drive(&mut self, body: Request, opts: &CallOptions, candidates: &[usize]) -> Result<Response, RemoteError> {
         let verb = body.verb();
         let parent = opts.trace;
@@ -699,14 +670,15 @@ impl PredictClient {
         let max_attempts = self.knobs.max_retries + candidates.len() as u32;
         let mut attempt: u32 = 0;
         let mut pos: usize = 0;
+        // bit `p`: candidate `p`'s dial failed in this request
+        let mut dial_failed: u64 = 0;
         loop {
             attempt += 1;
             let idx = candidates[pos];
             let left = self.left();
             let share = left / (max_attempts - attempt + 1);
             if share.is_zero() {
-                // only a first attempt gets here: a probe, a rejoin or the
-                // request whose rejoin this is spent the budget
+                // only a first attempt gets here: a due probe spent the budget
                 return Err(RemoteError::Io(std::io::ErrorKind::TimedOut.into()));
             }
             base.deadline_ms = Some(super::ceil_ms(left));
@@ -748,7 +720,7 @@ impl PredictClient {
                     (busy, Duration::from_millis(retry_after_ms.min(50)), "busy")
                 }
                 Ok(resp) => {
-                    self.note_success(idx, parent);
+                    self.note_success(idx);
                     return Ok(resp);
                 }
                 Err(e) => {
@@ -756,21 +728,24 @@ impl PredictClient {
                         t.errors.bump();
                     }
                     self.note_failure(idx);
+                    if matches!(e, RemoteError::Connect(_)) && pos < 64 {
+                        dial_failed |= 1 << pos;
+                    }
                     (e, BACKOFF * attempt, "error")
                 }
             };
-            let wraps = pos + 1 == candidates.len();
+            let next = next_candidate(pos, candidates.len(), &mut dial_failed);
+            let wraps = next <= pos;
             let wait = if wraps { wait } else { Duration::ZERO };
             if attempt >= max_attempts || self.left() <= wait {
                 return Err(err);
             }
             if wraps {
-                pos = 0;
                 self.replicas[idx].link.transport.sleep(wait);
             } else {
-                self.note_failover(idx, candidates[pos + 1], why, parent);
-                pos += 1;
+                self.note_failover(idx, candidates[next], why, parent);
             }
+            pos = next;
         }
     }
 
@@ -812,68 +787,20 @@ impl PredictClient {
         }
     }
 
-    /// A successful exchange: reset health, and rejoin the ring if the
-    /// replica had been voted out.
-    fn note_success(&mut self, idx: usize, parent: Option<TraceContext>) {
+    /// A successful exchange: reset health, and put the replica back on
+    /// the ring if it had been voted out.
+    fn note_success(&mut self, idx: usize) {
         self.replicas[idx].consecutive_failures = 0;
-        if !self.replicas[idx].in_ring && !self.rejoining {
-            self.rejoining = true;
-            self.rejoin(idx, parent);
-            self.rejoining = false;
+        if !self.replicas[idx].in_ring {
+            self.replicas[idx].in_ring = true;
+            self.rebuild_ring();
         }
-    }
-
-    /// Brings a recovered replica back onto the ring. If the fleet has
-    /// committed rollouts the replica may have missed (it may have
-    /// restarted with an empty registry), every committed model is
-    /// re-preloaded first — the replica never serves ring traffic
-    /// behind the committed generation.
-    ///
-    /// A replica running with `--store` catches itself up from its own
-    /// store at boot; its `Stats` then already show a committed
-    /// generation and a configured store directory, and the re-preload
-    /// replay is skipped (the store replaces the client-driven path).
-    fn rejoin(&mut self, idx: usize, parent: Option<TraceContext>) {
-        if !self.rolled_models.is_empty() {
-            match self.drive(Request::Stats, &CallOptions::traced(parent), &[idx]) {
-                Ok(Response::Stats(s)) if !s.store_dir.is_empty() && s.model_generation >= 1 => {
-                    self.replicas[idx].generation = s.model_generation;
-                    self.replicas[idx].in_ring = true;
-                    self.rebuild_ring();
-                    return;
-                }
-                Ok(_) => {} // memory-only or still cold: replay below
-                Err(_) => {
-                    // not healthy enough to answer Stats: stay out, probe later
-                    self.replicas[idx].probe_in = self.knobs.probe_cooldown;
-                    return;
-                }
-            }
-        }
-        let models = self.rolled_models.clone();
-        for model_id in models {
-            match self.preload_on(idx, model_id, &CallOptions::traced(parent)) {
-                Ok(ack) => {
-                    self.replicas[idx].generation = ack.generation;
-                    if let Some(t) = &self.tel {
-                        t.ring_repreloads.bump();
-                    }
-                }
-                Err(_) => {
-                    // not healthy enough to catch up: stay out, probe later
-                    self.replicas[idx].probe_in = self.knobs.probe_cooldown;
-                    return;
-                }
-            }
-        }
-        self.replicas[idx].in_ring = true;
-        self.rebuild_ring();
     }
 
     /// Counts down out-of-ring cooldowns and pings at most one replica
     /// whose window expired, as one more attempt of the request in
-    /// flight, inside its share of the budget. A `Pong` starts the
-    /// rejoin flow; anything else re-arms the cooldown.
+    /// flight, inside its share of the budget. A `Pong` puts the replica
+    /// back on the ring; anything else re-arms the cooldown.
     fn probe_if_due(&mut self, parent: Option<TraceContext>) {
         if self.replicas.len() == 1 {
             return;
@@ -894,7 +821,7 @@ impl PredictClient {
         }
         let share = self.left() / (self.knobs.max_retries + self.replicas.len() as u32 + 1);
         if !share.is_zero() && self.replicas[idx].link.probe(parent, share) {
-            self.note_success(idx, parent);
+            self.note_success(idx);
         } else {
             self.replicas[idx].probe_in = self.knobs.probe_cooldown;
         }
@@ -1159,10 +1086,6 @@ mod tests {
         assert_eq!(client.addr(), "h1:4117");
         assert_eq!(client.replicas_total(), 3);
         assert_eq!(client.replicas_in_ring(), 3, "everyone starts on the ring");
-        for s in client.replica_health() {
-            assert!(s.in_ring);
-            assert_eq!(s.generation, 0);
-        }
     }
 
     #[test]
@@ -1204,13 +1127,18 @@ mod tests {
         assert!(client.replicas_in_ring() >= 1);
     }
     /// A daemon on a fake clock that every transport cloned from it
-    /// shares: it answers honestly, or — while `stalled` — accepts every
-    /// frame and never answers, so a read waits out exactly what the
-    /// client armed. Each stalled wait is booked as `(start, length)`.
+    /// shares: it answers honestly, or — while `stalled`, and for its
+    /// first `drops` frames — accepts a frame and never answers, so a
+    /// read waits out exactly what the client armed. Each such wait is
+    /// booked as `(start, length)`. A `ring_gone` one is a local (shm)
+    /// endpoint whose ring file is missing: every dial fails at once.
     #[derive(Clone, Default)]
     struct Clocked {
         clock: Arc<parking_lot::Mutex<Duration>>,
         stalled: bool,
+        drops: Arc<AtomicUsize>,
+        ring_gone: bool,
+        dials: Arc<AtomicUsize>,
         armed: Duration,
         waits: Arc<parking_lot::Mutex<Vec<(Duration, Duration)>>>,
         inbox: VecDeque<Vec<u8>>,
@@ -1218,11 +1146,19 @@ mod tests {
 
     impl Transport for Clocked {
         fn connect(&mut self) -> std::io::Result<Box<dyn Connection>> {
+            self.dials.fetch_add(1, Ordering::SeqCst);
+            if self.ring_gone {
+                return Err(std::io::Error::new(std::io::ErrorKind::NotFound, "shm ring file missing"));
+            }
             Ok(Box::new(self.clone()))
         }
 
         fn describe(&self) -> String {
             format!("clocked{}", if self.stalled { " (stalled)" } else { "" })
+        }
+
+        fn is_local(&self) -> bool {
+            self.ring_gone
         }
 
         fn sleep(&mut self, d: Duration) {
@@ -1236,7 +1172,8 @@ mod tests {
 
     impl Connection for Clocked {
         fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
-            if !self.stalled {
+            let dropped = self.drops.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)).is_ok();
+            if !self.stalled && !dropped {
                 self.inbox.push_back(honest(&wire::decode_request(payload).1.expect("a well-formed frame")));
             }
             Ok(())
@@ -1310,5 +1247,49 @@ mod tests {
         let (probed, wait) = waits[probes];
         let share = (start + BUDGET - probed) / 5;
         assert!(wait <= share, "the probe waited {wait:?}, over its share {share:?}");
+    }
+
+    /// The `shm://…,tcp://…` ladder after its ring died: whether the
+    /// ring was voted off before it (`off` 0) or is the last ring member
+    /// with TCP voted off (`off` 1), a request whose TCP exchange is lost
+    /// `k` times dials the missing ring once and spends every retry on
+    /// TCP.
+    #[test]
+    fn a_failed_dial_is_not_retried_while_another_candidate_can_answer() {
+        for off in [0, 1] {
+            for k in 2..=4 {
+                let tcp = Clocked::default();
+                let ring = Clocked { ring_gone: true, clock: Arc::clone(&tcp.clock), ..Clocked::default() };
+                let (drops, ring_dials) = (Arc::clone(&tcp.drops), Arc::clone(&ring.dials));
+                let mut client = PredictClient::builder()
+                    .budget(Duration::from_secs(1))
+                    .max_retries(k)
+                    .transport(Box::new(ring))
+                    .transport(Box::new(tcp))
+                    .build()
+                    .unwrap();
+                // voted off with no probe due in this test
+                client.replicas[off].in_ring = false;
+                client.replicas[off].probe_in = u32::MAX;
+                client.rebuild_ring();
+                drops.store(k as usize, Ordering::SeqCst);
+                let got = client.predict(7, 1, OPTS);
+                assert_eq!(got.unwrap(), answer((7, 1)), "off {off}, k {k}");
+                assert_eq!(ring_dials.load(Ordering::SeqCst), 1, "off {off}, k {k}: the missing ring was re-dialled");
+            }
+        }
+    }
+
+    #[test]
+    fn when_every_dial_fails_every_candidate_is_tried_again() {
+        let mut dial_failed = 0b11;
+        assert_eq!(next_candidate(1, 2, &mut dial_failed), 0, "all failed: wrap to the first");
+        assert_eq!(dial_failed, 0);
+        let mut dial_failed = 0b01;
+        assert_eq!(next_candidate(1, 2, &mut dial_failed), 1, "the live one again, wrapping");
+        assert_eq!(next_candidate(0, 3, &mut 0b010), 2, "past the failed one");
+        assert_eq!(next_candidate(0, 1, &mut 0b1), 0, "one candidate is always retried");
+        let mut dial_failed = u64::MAX;
+        assert_eq!(next_candidate(63, 70, &mut dial_failed), 64, "positions past 64 are never skipped");
     }
 }

@@ -76,7 +76,7 @@ use crate::integrations::storage::FileStamp;
 use crate::interfaces::LocalStorage;
 use crate::telemetry::{Telemetry, TraceContext};
 
-pub use client::{CallOptions, ClientBuildError, ClientBuilder, FleetPreload, PredictClient, ReplicaStatus};
+pub use client::{CallOptions, ClientBuildError, ClientBuilder, FleetPreload, PredictClient};
 pub use endpoint::{Endpoint, EndpointParseError};
 pub use ring::{predict_key, HashRing};
 pub use shm::{SessionEnd, ShmListener, ShmTransport};

@@ -6,7 +6,7 @@
 //! [`run_fleet_seed`] concentrates on what replication adds: a
 //! three-replica [`SimNet::fleet`] with per-replica crash and partition
 //! schedules, the client's consistent-hash routing, health-driven ring
-//! membership, probing, and rejoin-with-re-preload.
+//! membership, probing, and rejoin.
 //!
 //! Checked invariants, per seeded run:
 //!
@@ -18,11 +18,10 @@
 //! * **bounded failover cost** — a predict consumes a bounded amount of
 //!   virtual time even when it has to walk dead replicas;
 //! * **rejoin convergence** — after all injected faults heal, the
-//!   killed replica is probed back onto the ring and the committed
-//!   model is re-preloaded, so every replica's live incarnation ends
-//!   at a committed generation ≥ 1 (monotonic per incarnation: the
-//!   restarted one starts over, it never serves a stale committed
-//!   entry);
+//!   killed replica is probed back onto the ring, and one more rollout
+//!   leaves every replica's live incarnation at a committed generation
+//!   ≥ 1 (monotonic per incarnation: the restarted one starts over, it
+//!   never serves a stale committed entry);
 //! * **ledger conservation** — every replica incarnation's counters
 //!   audit clean ([`crate::invariants::Ledger`]), kills and crashes
 //!   included.
@@ -229,9 +228,9 @@ pub fn run_fleet_seed(seed: u64, plan: &FaultPlan) -> FleetReport {
                     }
                     // A crash plan can crash the replica during this
                     // very stats exchange; the restarted incarnation
-                    // then reports generation 0 until the client's
-                    // rejoin path re-preloads it — only a violation
-                    // when nothing can crash.
+                    // then reports generation 0 until the next rollout
+                    // reaches it — only a violation when nothing can
+                    // crash.
                     if snap.model_generation == 0 && plan.crash == 0.0 {
                         violations.push(format!("{endpoint} still serves at generation 0 after the rollout"));
                     }

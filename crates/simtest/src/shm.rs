@@ -43,6 +43,16 @@ use crate::faults::FaultPlan;
 use crate::net::{Exchange, Injected, SimNet};
 use crate::world::failover_client;
 
+/// Requests between probes of the torn-down ring: few, so the restore phase sees its rejoin.
+const PROBE_COOLDOWN: u32 = 4;
+
+/// Batched rounds while the ring is down: the only phase whose batches
+/// ride TCP, so the one where a plan's faults on TCP batches get their
+/// chances. `chaos`'s 4 % `crash` misses all of `n` such frames with
+/// odds 0.96ⁿ: ≈ 6 % at twice the rounds (≈ 70 frames over the plan's
+/// nine sweep seeds), ≈ 2 % at three times (≈ 100).
+const RING_DOWN_ROUNDS: usize = 3 * ROUNDS_PER_PHASE;
+
 /// What one seeded shm run produced (for assertions in tests).
 #[derive(Debug)]
 pub struct ShmReport {
@@ -95,12 +105,8 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     // locality, not position), TCP to the same daemon as the net.
     let transports: Vec<Box<dyn Transport>> =
         vec![Box::new(net.shm_transport_for(0)), Box::new(net.transport_for(0))];
-    let mut client = failover_client(transports)
-        // probe the torn-down ring every few requests so the restore
-        // phase sees the rejoin within its rounds
-        .probe_cooldown(4)
-        .build()
-        .expect("shm client config is valid");
+    let mut client =
+        failover_client(transports).probe_cooldown(PROBE_COOLDOWN).build().expect("shm client config is valid");
     client.set_telemetry(std::sync::Arc::clone(&telemetry));
 
     // Phase 1 — roll every model out, then steady batches: while the
@@ -124,7 +130,7 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
     // fallback rung. On strict plans not a single key may be lost.
     net.note("phase: ring torn down (TCP fallback)".to_string());
     net.drop_shm(0, 1_000_000);
-    for _ in 0..ROUNDS_PER_PHASE {
+    for _ in 0..RING_DOWN_ROUNDS {
         driver.batch_once(&mut client, &mut rng, &net, "ring-down");
     }
     if plan.name == "none" {
@@ -142,13 +148,17 @@ pub fn run_shm_seed(seed: u64, plan: &FaultPlan) -> ShmReport {
         driver.batch_once(&mut client, &mut rng, &net, "restored");
     }
     if plan.name == "none" {
-        let (before, asked) = (count_predicts(&net).0, driver.keys_asked);
-        // an empty batch sends nothing: draw until one asks a key
-        while driver.keys_asked == asked {
+        // The rejoining probe is count-based (due `PROBE_COOLDOWN`
+        // requests after the last, and an empty batch is no request): the
+        // last of one cycle of non-empty batches must ride the ring.
+        let (mut nonempty, mut before) = (0, 0);
+        while nonempty <= PROBE_COOLDOWN {
+            let asked = driver.keys_asked;
+            before = count_predicts(&net).0;
             driver.batch_once(&mut client, &mut rng, &net, "restored");
+            nonempty += u32::from(driver.keys_asked > asked);
         }
-        let after = count_predicts(&net).0;
-        if after == before {
+        if count_predicts(&net).0 == before {
             driver.violations.push("ring restored but traffic never returned to it".to_string());
         }
     }

@@ -189,16 +189,12 @@ pub fn sweep(world: &World) {
 
 /// `(world, plan, family, kind)` cells [`took_effect`] found idle when
 /// it was first switched on, and why each stays that way.
-const KNOWN_IDLE: [(&str, &str, &str, Exchange); 2] = [
+const KNOWN_IDLE: [(&str, &str, &str, Exchange); 1] = [
     // The ring ignores partitions by construction, and the world's one
     // TCP connection is dialed once per run — nine dials at 0.15 over
     // the plan's nine seeds, and a partition only ever begins at a
     // dial: under `partitions` the shm world runs fault-free.
     ("shm", "partitions", "partition", Exchange::Single),
-    // Luck, not structure: only the ring-down phase batches over TCP —
-    // 42 frames in the plan's nine runs at 0.1, a 1.2 % miss — while
-    // the same runs crashed 53 single and 112 ring exchanges.
-    ("shm", "crashes", "crash", Exchange::Batch),
 ];
 
 /// The fault-took-effect audit: every family `plan` rolls at non-zero

@@ -61,7 +61,7 @@ simtest_world() {
     pipeline) # the daemon's counter table, which every world's ledger audit reads, optimised; the submit-budget audit's real-socket side: the plugin's production source against a warm, a dead and a slow daemon
         run cargo test -q -p chronusd --release --lib service
         run cargo test -q -p chronusd --release --test e2e_remote ;;
-    fleet) # kill mid-load with zero lost predictions, rejoin + re-preload
+    fleet) # kill mid-load with zero lost predictions; a restarted replica rejoins and answers from its backend
         run cargo test -q -p chronusd --release --test fleet_failover ;;
     store) # the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes
         run cargo test -q -p eco-store --release
