@@ -1,10 +1,11 @@
 //! Where the daemon gets models from. A [`ModelBackend`] resolves a
 //! preload (by model id) or a cold lookup (by identity hashes) into a
 //! [`PreparedModel`] whose best configuration the registry then serves
-//! from memory. A daemon has exactly one: the durable store
-//! ([`StoreModelBackend`]) when it was started with one, the staged
-//! `settings.json` model ([`StorageBackend`]) in the paper's store-less
-//! configuration. Whatever else the daemon reads from a store (boot
+//! from memory. A daemon has exactly one. In production it is the durable
+//! store ([`StoreModelBackend`]): `chronus serve` always reads one, the
+//! home's `$CHRONUS_HOME/store` (where `load-model` and campaigns commit)
+//! unless `--store` names another. [`StaticBackend`] is a fixed set for
+//! tests and benchmarks. Whatever else the daemon reads from a store (boot
 //! catch-up, the `Stats` gauges, drift calibration) it reaches through
 //! [`ModelBackend::store`], so a store is never a second source beside
 //! another backend.
@@ -13,9 +14,7 @@ use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
-use chronus::application::predict_from_settings;
 use chronus::error::{ChronusError, Result};
-use chronus::interfaces::LocalStorage;
 use eco_sim_node::cpu::CpuConfig;
 use eco_store::{ModelRecord, ModelStore, StoreError};
 use parking_lot::Mutex;
@@ -115,55 +114,6 @@ impl ModelBackend for StoreModelBackend {
 
     fn store(&self) -> Option<(&Mutex<ModelStore>, &str)> {
         Some((&self.store, &self.dir))
-    }
-}
-
-/// The backend of a store-less daemon, the paper's configuration: the
-/// same staged-model layout the CLI's `load-model` writes
-/// (`settings.json` pointing at a serialized optimizer on local disk).
-/// Prediction runs the optimizer's argmax over the staged system facts
-/// once; the registry caches the result.
-pub struct StorageBackend {
-    storage: Box<dyn LocalStorage + Send + Sync>,
-}
-
-impl StorageBackend {
-    pub fn new(storage: Box<dyn LocalStorage + Send + Sync>) -> StorageBackend {
-        StorageBackend { storage }
-    }
-
-    fn prepare(&self, system_hash: u64, binary_hash: u64) -> Result<PreparedModel> {
-        let settings = self.storage.load_settings()?;
-        let loaded = settings
-            .loaded_model
-            .as_ref()
-            .ok_or_else(|| ChronusError::NotFound("no model pre-loaded".into()))?
-            .clone();
-        let config = predict_from_settings(&settings, system_hash, binary_hash)?;
-        Ok(PreparedModel {
-            model_id: loaded.model_id,
-            model_type: loaded.model_type,
-            system_hash: loaded.system_hash,
-            binary_hash: loaded.binary_hash,
-            config,
-        })
-    }
-}
-
-impl ModelBackend for StorageBackend {
-    fn load(&self, model_id: i64) -> Result<PreparedModel> {
-        let settings = self.storage.load_settings()?;
-        let loaded = settings
-            .loaded_model
-            .as_ref()
-            .filter(|m| m.model_id == model_id)
-            .ok_or_else(|| ChronusError::NotFound(format!("model {model_id} is not staged on this node")))?;
-        let (system_hash, binary_hash) = (loaded.system_hash, loaded.binary_hash);
-        self.prepare(system_hash, binary_hash)
-    }
-
-    fn lookup(&self, system_hash: u64, binary_hash: u64) -> Result<PreparedModel> {
-        self.prepare(system_hash, binary_hash)
     }
 }
 

@@ -17,13 +17,13 @@
 //! chronus set state active
 //! ```
 //!
-//! `serve` runs chronusd over this `$CHRONUS_HOME`'s staged model, or with
-//! `--store` over a durable model store, then its only model source;
-//! `--remote` answers the prediction from a running daemon instead of
-//! reading the staged model in-process. Everywhere an address is accepted,
-//! a comma-separated list names a replicated fleet: the client routes each
-//! prediction key over a consistent-hash ring and fails over when a
-//! replica goes dark. Endpoints take URI schemes — `tcp://host:port` (also
+//! `load-model` also commits what it stages to `$CHRONUS_HOME/store`, the
+//! model store that `serve` reads, campaigns commit to and `models` audits
+//! unless `--store` names another; `--remote` answers the prediction from
+//! a running daemon instead of the staged model. Everywhere an address is
+//! accepted, a comma-separated list names a replicated fleet: the client
+//! routes each prediction key over a consistent-hash ring and fails over
+//! when a replica goes dark. Endpoints take URI schemes — `tcp://host:port` (also
 //! bare `host:port`) and `shm://path` for a same-host daemon's
 //! shared-memory ring, which the client prefers when one is healthy:
 //!
@@ -58,12 +58,13 @@ use chronus::interfaces::{ApplicationRunner, LocalStorage};
 use chronus::presenter;
 use chronus::remote::{CallOptions, PredictClient, RemotePrediction};
 use chronus::telemetry::{render_trace, Telemetry, TraceId};
+use chronus::ChronusError;
 use chronusd::campaign::{
-    commit_to_store, roll_into_fleet, CampaignEngine, CampaignError, CampaignSpec, Journal, PlanSpec, RecordJournal,
-    RunOptions, TrialStatus,
+    commit_to_store, roll_into_fleet, CampaignEngine, CampaignError, CampaignOutcome, CampaignSpec, Journal,
+    PlanSpec, RecordJournal, RunOptions, TrialStatus,
 };
-use chronusd::store::{LedgerRecord, ModelStore, ProvenanceSource};
-use chronusd::{PredictServer, ServerConfig, StorageBackend};
+use chronusd::store::{LedgerRecord, ModelBlob, ModelStore, Provenance, ProvenanceSource};
+use chronusd::{PredictServer, ServerConfig, StaticBackend};
 use eco_hpcg::perf_model::PerfModel;
 use eco_hpcg::workload::{HpcgWorkload, PAPER_STANDARD_RUNTIME_S};
 use eco_plugin::JobSubmitEco;
@@ -86,9 +87,7 @@ const ADDR: Arg =
 const WORKERS: Arg = Arg::new("--workers", Usize, Default("4"), "Worker threads per replica");
 const CACHE_CAP: Arg = Arg::new("--cache-cap", Usize, Default("64"), "Resident models per replica");
 const FLEET: Arg = Arg::new("--fleet", Usize, Default("1"), "Replicas r0, r1, ... on consecutive ports; at least 1");
-const STORE: Arg =
-    Arg::new("--store", Str, Optional, "Model store directory: the replicas' model source; campaigns commit to it");
-const MODELS_STORE: Arg = Arg { need: Required, help: "Model store directory", ..STORE };
+const STORE: Arg = Arg::new("--store", Str, Optional, "Model store directory (default: $CHRONUS_HOME/store)");
 const SHM: Arg = Arg::new(
     "--shm",
     Str,
@@ -116,7 +115,11 @@ const REASON: Arg = Arg::new("--reason", Str, Default("operator rollback"), "Rec
 pub const CHRONUS: Command = cli::root(&[
     cli::BENCHMARK,
     cli::INIT_MODEL,
-    cli::LOAD_MODEL,
+    Command {
+        about: "Stages a pre-trained model and commits it to this home's model store.",
+        run: Handler::Testbed(cmd_load_model),
+        ..cli::LOAD_MODEL
+    },
     Command {
         args: &[cli::SYSTEM_HASH, cli::BINARY_HASH, REMOTE],
         run: Standalone(cmd_slurm_config),
@@ -125,7 +128,7 @@ pub const CHRONUS: Command = cli::root(&[
     cli::SET,
     Command {
         name: "serve",
-        about: "Runs chronusd over this home's staged model, or over --store, until killed.",
+        about: "Runs chronusd over a model store, this home's by default, until killed.",
         args: &[ADDR, WORKERS, CACHE_CAP, FLEET, STORE, SHM],
         run: Standalone(cmd_serve),
     },
@@ -181,25 +184,25 @@ pub const CHRONUS: Command = cli::root(&[
                 Command {
                     name: "list",
                     about: "The ledger with lineage and provenance; * marks the serving record.",
-                    args: &[MODELS_STORE],
+                    args: &[STORE],
                     run: Standalone(models_list),
                 },
                 Command {
                     name: "show",
                     about: "One record and its blob's verification state.",
-                    args: &[GEN, MODELS_STORE],
+                    args: &[GEN, STORE],
                     run: Standalone(models_show),
                 },
                 Command {
                     name: "verify",
                     about: "Exits 1 iff a committed generation fails hash verification.",
-                    args: &[MODELS_STORE],
+                    args: &[STORE],
                     run: Standalone(models_verify),
                 },
                 Command {
                     name: "rollback",
                     about: "Appends a rollback to the ledger and restores that model on a fleet.",
-                    args: &[GEN, MODELS_STORE, REASON, ROLLOUT, QUORUM],
+                    args: &[GEN, STORE, REASON, ROLLOUT, QUORUM],
                     run: Standalone(models_rollback),
                 },
             ],
@@ -266,42 +269,55 @@ fn client_for(endpoints: &str) -> Result<PredictClient, String> {
         .map_err(|e| format!("bad endpoint list '{endpoints}': {e}"))
 }
 
-/// `chronus serve`: with `--store` the store is every replica's model
-/// source — caught up from (blob-verified, zero Preload traffic) before it
-/// accepts connections, asked again on every `Preload` and miss. Without
-/// one, the source is this home's staged model.
-fn cmd_serve(args: &Args) -> Outcome {
-    let size = |arg| args.size(arg).expect("declared with a default");
-    let text = |arg| args.get(arg).map(str::to_string);
-    let base = ServerConfig {
-        addr: args[&ADDR].to_string(),
-        workers: size(&WORKERS),
-        cache_cap: size(&CACHE_CAP),
-        store_dir: text(&STORE),
-        shm_path: text(&SHM),
-        ..ServerConfig::default()
-    };
-    let fleet = size(&FLEET).max(1);
-    let (host, port) = base
-        .addr
+/// The model store a command reads or writes: `--store`, or the home's
+/// (always the home's for `load-model`, which takes no `--store`).
+fn store_dir(args: &Args) -> String {
+    args.get(&STORE).map_or_else(|| format!("{}/store", home()), str::to_string)
+}
+
+/// The bind address of each of `fleet` replicas: consecutive ports from
+/// `--addr`'s, or an ephemeral port each when it asks for port 0. The
+/// whole range is checked before any replica binds.
+pub fn replica_addrs(addr: &str, fleet: usize) -> Result<Vec<String>, String> {
+    let (host, port) = addr
         .rsplit_once(':')
         .and_then(|(h, p)| p.parse::<u16>().ok().map(|p| (h, p)))
-        .ok_or_else(|| format!("serve: bad {} '{}' (expected host:port)", ADDR.name, base.addr))?;
+        .ok_or_else(|| format!("serve: bad {} '{addr}' (expected host:port)", ADDR.name))?;
+    let fleet = fleet.max(1);
+    if port != 0 && fleet - 1 > usize::from(u16::MAX - port) {
+        return Err(format!("serve: {} {addr} with {} {fleet} needs ports past {}", ADDR.name, FLEET.name, u16::MAX));
+    }
+    let port = |i| if port == 0 { 0 } else { usize::from(port) + i };
+    Ok((0..fleet).map(|i| format!("{host}:{}", port(i))).collect())
+}
+
+/// `chronus serve`: the store is every replica's one model source, caught
+/// up from (blob-verified, zero Preload traffic) before it accepts
+/// connections and asked again on every `Preload` and miss.
+fn cmd_serve(args: &Args) -> Outcome {
+    let size = |arg| args.size(arg).expect("declared with a default");
+    let addrs = replica_addrs(&args[&ADDR], size(&FLEET))?;
+    let fleet = addrs.len();
+    let base = ServerConfig {
+        workers: size(&WORKERS),
+        cache_cap: size(&CACHE_CAP),
+        store_dir: Some(store_dir(args)),
+        shm_path: args.get(&SHM).map(str::to_string),
+        ..ServerConfig::default()
+    };
     let mut servers = Vec::with_capacity(fleet);
     let mut endpoints = Vec::with_capacity(fleet);
-    for i in 0..fleet {
+    for (i, addr) in addrs.into_iter().enumerate() {
         let cfg = ServerConfig {
-            // port 0 asks the OS for an ephemeral port per replica;
-            // otherwise replicas take consecutive ports from the base
-            addr: if port == 0 { format!("{host}:0") } else { format!("{host}:{}", port + i as u16) },
+            addr,
             replica_id: if fleet > 1 { format!("r{i}") } else { String::new() },
             // one ring file per replica: the seat protocol is strictly
             // one daemon per ring
             shm_path: base.shm_path.as_ref().map(|p| if fleet > 1 { format!("{p}.r{i}") } else { p.clone() }),
             ..base.clone()
         };
-        let backend = Arc::new(StorageBackend::new(Box::new(EtcStorage::new(home()))));
-        let s = PredictServer::start(cfg.clone(), backend)
+        // with `store_dir` set, `start` never consults this backend
+        let s = PredictServer::start(cfg.clone(), Arc::new(StaticBackend::new(Vec::new())))
             .map_err(|e| format!("serve: cannot bind {}: {e}", cfg.addr))?;
         println!(
             "chronusd{} listening on {} ({} workers, cache {})",
@@ -311,19 +327,17 @@ fn cmd_serve(args: &Args) -> Outcome {
             cfg.cache_cap
         );
         let boot = s.boot_recovery();
-        if cfg.store_dir.is_some() {
-            let installed = boot.store.installed;
-            println!("  store catch-up: {installed} installed from the ledger, {} resident", s.registry().len());
-            if installed > cfg.cache_cap {
-                println!(
-                    "  warning: the ledger serves {installed} models, {} holds {}: the rest resolve from the \
-                     store on their first request",
-                    CACHE_CAP.name, cfg.cache_cap
-                );
-            }
-            for rejected in &boot.store.rejected {
-                println!("  store rejected {rejected}");
-            }
+        let installed = boot.store.installed;
+        println!("  store catch-up: {installed} installed from the ledger, {} resident", s.registry().len());
+        if installed > cfg.cache_cap {
+            println!(
+                "  warning: the ledger serves {installed} models, {} holds {}: the rest resolve from the store \
+                 on their first request",
+                CACHE_CAP.name, cfg.cache_cap
+            );
+        }
+        for rejected in &boot.store.rejected {
+            println!("  store rejected {rejected}");
         }
         if let Some(ring) = s.shm_path() {
             println!("  local transport: shm://{ring}");
@@ -340,6 +354,33 @@ fn cmd_serve(args: &Args) -> Outcome {
     loop {
         std::thread::park();
     }
+}
+
+/// `chronus load-model`: the paper's staging, which the in-process plugin
+/// reads, then a commit to the home store of the staged rows with, as the
+/// configuration, what `slurm-config` answers for the staged key.
+fn cmd_load_model(ctx: &mut CliContext<'_>, args: &Args) -> chronus::Result<String> {
+    let mut out = cli::cmd_load_model(ctx, args)?;
+    if args.get(&cli::MODEL_ID).is_none() {
+        return Ok(out); // the model listing stages nothing
+    }
+    let staged = EtcStorage::new(home()).load_settings()?.loaded_model.expect("load-model staged a model");
+    let rows = std::fs::read(staged.benchmarks_path.as_deref().expect("load-model stages the rows"))?;
+    let blob = ModelBlob {
+        model_type: staged.model_type.clone(),
+        system_hash: staged.system_hash,
+        binary_hash: staged.binary_hash,
+        config: ctx.app.slurm_config(staged.system_hash, staged.binary_hash)?,
+        benchmarks: serde_json::from_slice(&rows)?,
+    };
+    let provenance =
+        Provenance { campaign: "load-model".into(), plan: blob.model_type.clone(), ..Provenance::default() };
+    let dir = store_dir(args);
+    let record = ModelStore::open_dir(&dir)
+        .and_then(|mut store| store.commit(&blob, staged.model_id, provenance))
+        .map_err(|e| ChronusError::Model(format!("model store at {dir}: {e}")))?;
+    out.push_str(&format!("model {} committed to store {dir}: generation {}\n", staged.model_id, record.generation));
+    Ok(out)
 }
 
 /// `chronus slurm-config`: from a daemon with `--remote`, else (only then
@@ -514,15 +555,18 @@ fn campaign_drive(args: &Args, resume: bool) -> Outcome {
     out.push_str(&format!("model {} ({}) staged for serving\n", staged.model_id, staged.model_type));
 
     // the durable commit comes BEFORE any replica is asked to serve the
-    // model: a store failure aborts the rollout, never the reverse
-    if let Some(dir) = args.get(&STORE) {
-        let mut store = ModelStore::open_dir(dir).map_err(|e| e.to_string())?;
-        let record = commit_to_store(&mut store, &staged, &spec, &outcome).map_err(|e| e.to_string())?;
-        out.push_str(&format!(
-            "model committed to store {dir}: generation {} (parent {}, blob {})\n",
-            record.generation, record.parent, record.blob_hash
-        ));
-    }
+    // model: a store failure aborts the rollout, never the reverse. It
+    // records the staged optimizer's answer, which a local `slurm-config`
+    // gives too: a fitted model's argmax need not be the measured best
+    let best = app.slurm_config(staged.system_hash, staged.binary_hash).map_err(|e| e.to_string())?;
+    let dir = store_dir(args);
+    let mut store = ModelStore::open_dir(&dir).map_err(|e| e.to_string())?;
+    let record = commit_to_store(&mut store, &staged, &spec, &CampaignOutcome { best, ..outcome })
+        .map_err(|e| e.to_string())?;
+    out.push_str(&format!(
+        "model committed to store {dir}: generation {} (parent {}, blob {})\n",
+        record.generation, record.parent, record.blob_hash
+    ));
 
     if let Some(addr) = args.get(&ROLLOUT) {
         let mut client = client_for(addr)?;
@@ -552,10 +596,10 @@ fn campaign_drive(args: &Args, resume: bool) -> Outcome {
     Ok(out)
 }
 
-/// Opens the `--store` every `chronus models` sub-command names.
-fn open_store(args: &Args) -> Result<(&str, ModelStore), String> {
-    let dir = &args[&MODELS_STORE];
-    let store = ModelStore::open_dir(dir).map_err(|e| e.to_string())?;
+/// Opens the store a `chronus models` sub-command audits or rolls back.
+fn open_store(args: &Args) -> Result<(String, ModelStore), String> {
+    let dir = store_dir(args);
+    let store = ModelStore::open_dir(&dir).map_err(|e| e.to_string())?;
     if store.recovered_truncation() {
         eprintln!("chronus models: store {dir} had a torn journal tail; recovered to the last valid record");
     }

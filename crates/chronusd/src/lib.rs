@@ -6,9 +6,10 @@
 //! plugin no longer pays that — `LocalPrediction` holds the staged
 //! answer behind the model file's stamp — but it still serves one
 //! staged `(system, binary)` to one controller on one host. `chronusd`
-//! moves prediction behind a small TCP service so many keys are
-//! resident at once, computed once each (at preload, or on first miss),
-//! and served from memory by a worker pool to every host that asks:
+//! moves prediction behind a small TCP service over a durable model
+//! store, so every key ever committed (by `load-model` or a campaign) is
+//! answered, computed once at commit, and served from memory by a worker
+//! pool to every host that asks:
 //!
 //! ```text
 //!  sbatch ──► job_submit_eco ──► PredictClient ──► chronusd
@@ -39,9 +40,8 @@
 //!   the deterministic simulation harness;
 //! * [`registry`] — sharded LRU map of pre-computed answers, one
 //!   capacity for the whole of it;
-//! * [`backend`] — where models come from (the durable store when the
-//!   daemon has one, else the staged disk layout; a static set for
-//!   tests);
+//! * [`backend`] — where models come from (the durable store, which
+//!   `load-model` and campaigns commit to; a static set for tests);
 //! * `stats` (crate-private) — the counter and histogram handles behind
 //!   the `stats` RPC, read by [`PredictService::snapshot`].
 //!
@@ -71,13 +71,13 @@ pub mod adapt {
 
 /// The durable model store (re-exported from `eco-store`): the
 /// content-addressed blob area and append-only provenance ledger behind
-/// `chronusd --store`, the campaign's pre-rollout commit, and the
+/// every daemon, `load-model`'s and the campaign's commits, and the
 /// `chronus models` audit/rollback CLI.
 pub mod store {
     pub use eco_store::*;
 }
 
-pub use backend::{ModelBackend, PreparedModel, StaticBackend, StorageBackend, StoreModelBackend};
+pub use backend::{ModelBackend, PreparedModel, StaticBackend, StoreModelBackend};
 pub use registry::{ModelKey, ModelRegistry};
 pub use server::{BootRecovery, PredictServer, ServerConfig};
 pub use service::{PredictService, QueueGauges, ServiceClock, StoreCatchUp, WallClock};

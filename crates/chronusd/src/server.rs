@@ -43,14 +43,13 @@ pub struct ServerConfig {
     /// This daemon's fleet identity, stamped on `Stats` answers
     /// (empty = unnamed single daemon).
     pub replica_id: String,
-    /// Durable model store directory. When set, the store is the
-    /// daemon's model source: it is opened at boot and every serving
-    /// model re-installed — blob hash-verified first — before the
-    /// listener accepts a single connection, so a restarted replica is
-    /// warm with zero Preload traffic; afterwards every `Preload` and
-    /// every registry miss resolves from the same store through the
-    /// same verification. The daemon only *reads* the store; the
-    /// campaign and the `chronus models` CLI are its writers.
+    /// Durable model store directory, the model source of every `chronus
+    /// serve`: opened at boot and every serving model re-installed — blob
+    /// hash-verified first — before the listener accepts a connection,
+    /// so a restarted replica is warm with zero Preload traffic; then
+    /// every `Preload` and registry miss resolves from it the same way.
+    /// The daemon only *reads* it; `load-model`, the campaign and `chronus
+    /// models` write it. `None` serves `start`'s backend (tests, benches).
     pub store_dir: Option<String>,
     /// When set, the daemon also listens on a shared-memory ring at
     /// this filesystem path (dialed as `shm://<path>`) for same-host
@@ -122,14 +121,13 @@ impl PredictServer {
     /// Binds, spawns the worker pool and the accept thread, and
     /// returns immediately.
     ///
-    /// `backend` is the model source of a **store-less** daemon only.
-    /// With [`ServerConfig::store_dir`] set the store is the source and
-    /// `backend` is never consulted: the store is opened once, caught
-    /// up from before the address is reachable (so the registry is warm
-    /// for the first connection), and the same open handle then answers
-    /// every `Preload` and every miss through
-    /// [`StoreModelBackend`]. An unopenable store is a hard error
-    /// (better dead than silently cold).
+    /// With [`ServerConfig::store_dir`] set, as in every production
+    /// daemon, the store is the source and `backend` is never consulted:
+    /// the store is opened once, caught up from before the address is
+    /// reachable, and the same handle then answers every `Preload` and
+    /// miss through [`StoreModelBackend`]. An unopenable store is a hard
+    /// error (better dead than silently cold). Without one, `backend` (a
+    /// test's or a benchmark's fixed set) is the source.
     pub fn start(cfg: ServerConfig, backend: Arc<dyn ModelBackend>) -> std::io::Result<PredictServer> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;

@@ -439,8 +439,8 @@ impl PredictService {
     /// (GFLOPS, watts, duration) into the key's reservoir, feeding the
     /// drift detector. The detector's expectation is calibrated lazily
     /// from the serving generation's fitted efficiency when a store
-    /// knows it; store-less daemons self-calibrate from the first full
-    /// window of observations instead.
+    /// knows it; a daemon over a fixed backend (tests, benches)
+    /// self-calibrates from the first full window of observations.
     fn report_outcome(&self, system_hash: u64, binary_hash: u64, outcome: &ObservedOutcome) -> Response {
         let key = (system_hash, binary_hash);
         if !self.adapt.has_expectation(key) {
@@ -897,7 +897,7 @@ mod tests {
         writer.rollback_to(1, "regression").unwrap();
         assert_eq!(stats(), (vec![class("default", 1)], 4));
 
-        // a store-less daemon reports no class line at all
+        // a daemon without a store reports no class line at all
         let bare = PredictService::new(2, 8, Arc::new(StaticBackend::new(vec![])));
         assert!(bare.snapshot(QueueGauges::default()).models_by_class.is_empty());
     }

@@ -2,8 +2,11 @@
 //! run as a real CLI across separate invocations, with state persisting in
 //! `$CHRONUS_HOME`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Arc;
+
+use chronusd::{PredictServer, ServerConfig, StaticBackend};
 
 fn chronus(home: &PathBuf, args: &[&str]) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_chronus"))
@@ -14,6 +17,25 @@ fn chronus(home: &PathBuf, args: &[&str]) -> (bool, String) {
         .expect("spawn chronus");
     let text = format!("{}{}", String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
     (out.status.success(), text)
+}
+
+/// The system and binary hashes `chronus hashes` prints for the testbed.
+fn hashes(home: &PathBuf) -> (String, String) {
+    let (ok, out) = chronus(home, &["hashes"]);
+    assert!(ok, "{out}");
+    let hash = |line: usize| out.lines().nth(line).unwrap().rsplit(' ').next().unwrap().to_string();
+    (hash(0), hash(1))
+}
+
+/// A daemon over the home's store, `$CHRONUS_HOME/store`, as a bare
+/// `chronus serve` runs it.
+fn serve_home_store(home: &Path) -> PredictServer {
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        store_dir: Some(home.join("store").to_string_lossy().into_owned()),
+        ..ServerConfig::default()
+    };
+    PredictServer::start(cfg, Arc::new(StaticBackend::new(Vec::new()))).unwrap()
 }
 
 #[test]
@@ -40,21 +62,35 @@ fn workflow_across_separate_processes() {
     assert!(ok, "{out}");
     assert!(out.contains("Model 1 saved"), "{out}");
 
-    // stage the model
+    // stage the model, which also commits it to the home store
     let (ok, out) = chronus(&home, &["load-model", "--model", "1"]);
     assert!(ok, "{out}");
     assert!(out.contains("downloaded to"), "{out}");
 
     // grab the hashes, then predict from yet another process
-    let (ok, hashes) = chronus(&home, &["hashes"]);
-    assert!(ok, "{hashes}");
-    let sys = hashes.lines().next().unwrap().rsplit(' ').next().unwrap().to_string();
-    let bin = hashes.lines().nth(1).unwrap().rsplit(' ').next().unwrap().to_string();
+    let (sys, bin) = hashes(&home);
     let (ok, json) = chronus(&home, &["slurm-config", &sys, &bin]);
     assert!(ok, "{json}");
     let v: serde_json::Value = serde_json::from_str(json.trim()).expect("plugin-protocol JSON");
     assert_eq!(v["cores"], 32, "{json}");
     assert_eq!(v["frequency"], 2_200_000, "{json}");
+
+    // the home store holds one commit, for the staged key and by load-model
+    let (ok, out) = chronus(&home, &["models", "list"]);
+    assert!(ok, "{out}");
+    assert!(out.contains("1 commit(s), high-water generation 1, serving generation 1"), "{out}");
+    let key: Vec<u64> = [&sys, &bin].iter().map(|h| h.parse().expect("a decimal hash")).collect();
+    let row = out.lines().find(|l| l.starts_with("* gen   1")).expect("the serving row");
+    assert!(row.contains(&format!("model    1 (brute-force)  key {:#x}/{:#x}", key[0], key[1])), "{out}");
+    assert!(row.contains("campaign \"load-model\""), "{out}");
+
+    // a daemon over the home store answers what the staged model does
+    let server = serve_home_store(&home);
+    assert_eq!(server.boot_recovery().store.installed, 1);
+    let (ok, remote) = chronus(&home, &["slurm-config", "--remote", &server.addr().to_string(), &sys, &bin]);
+    server.shutdown();
+    assert!(ok, "{remote}");
+    assert_eq!(remote, json, "the daemon and the staged model disagree");
 
     // a bad command exits non-zero
     let (ok, _) = chronus(&home, &["frobnicate"]);
@@ -233,10 +269,6 @@ fn models_cli_shows_adaptation_lineage() {
 /// live daemon.
 #[test]
 fn campaign_resumes_from_its_journal_and_rolls_out() {
-    use chronus::integrations::storage::EtcStorage;
-    use chronusd::{PredictServer, ServerConfig, StorageBackend};
-    use std::sync::Arc;
-
     let home = std::env::temp_dir().join(format!("eco-clibin-campaign-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&home);
     std::fs::create_dir_all(&home).unwrap();
@@ -251,15 +283,12 @@ fn campaign_resumes_from_its_journal_and_rolls_out() {
     assert!(out.contains("(plan brute-force, seed 42, 192 configurations)"), "{out}");
     assert!(out.contains("round 0: 2 done, 0 failed"), "{out}");
 
-    // the daemon serves what the resume stages in the same home
-    let server = PredictServer::start(
-        ServerConfig { addr: "127.0.0.1:0".to_string(), ..ServerConfig::default() },
-        Arc::new(StorageBackend::new(Box::new(EtcStorage::new(&home)))),
-    )
-    .unwrap();
+    // the daemon serves the home store, where the resume commits what it
+    // stages before rolling it out; nothing is committed yet
+    let server = serve_home_store(&home);
+    assert_eq!(server.boot_recovery().store.installed, 0);
     let addr = server.addr().to_string();
     let (ok, out) = chronus(&home, &["campaign", "resume", "--nodes", "4", "--rollout", &addr]);
-    server.shutdown();
     assert!(ok, "{out}");
     assert!(out.contains("1 round(s), 190 trial(s) run, 2 resumed from journal, 0 failed"), "{out}");
     assert!(out.contains("best configuration: 32 cores @ 2.2 GHz, no-HT"), "{out}");
@@ -269,4 +298,13 @@ fn campaign_resumes_from_its_journal_and_rolls_out() {
         [format!("rollout into {addr}: model 1 committed at generation 1 on 1/1 replica(s)")],
         "{out}"
     );
+
+    // the daemon answers what a local `slurm-config` reads from the staging
+    let (sys, bin) = hashes(&home);
+    let (ok, local) = chronus(&home, &["slurm-config", &sys, &bin]);
+    assert!(ok, "{local}");
+    let (ok, remote) = chronus(&home, &["slurm-config", "--remote", &addr, &sys, &bin]);
+    server.shutdown();
+    assert!(ok, "{remote}");
+    assert_eq!(remote, local, "the daemon and the staged model disagree");
 }

@@ -156,6 +156,24 @@ fn the_measured_reproductions_are_refused() {
     assert!(!Path::new("D").exists(), "`models rollback` opened (created) its store before refusing --quorum");
 }
 
+/// A fleet takes consecutive ports from `--addr`'s. One that would run
+/// past port 65535 is refused, naming both flags, before any replica
+/// binds: an unchecked `u16` sum panics in debug builds and, in release,
+/// wraps to port 0, an ephemeral port.
+#[test]
+fn a_fleet_past_the_last_port_is_refused_before_any_replica_binds() {
+    let addrs = |addr, fleet| bin::replica_addrs(addr, fleet);
+    assert_eq!(addrs("127.0.0.1:65534", 2).unwrap(), ["127.0.0.1:65534", "127.0.0.1:65535"]);
+    assert_eq!(addrs("127.0.0.1:0", 3).unwrap(), ["127.0.0.1:0"; 3], "port 0: an ephemeral port each");
+    assert_eq!(addrs("[::1]:4517", 0).unwrap(), ["[::1]:4517"], "a fleet is at least one replica");
+    assert_eq!(addrs("127.0.0.1:65000", 536).unwrap().last().unwrap(), "127.0.0.1:65535");
+    for (addr, fleet) in [("127.0.0.1:65535", 2), ("127.0.0.1:65000", 537), ("127.0.0.1:1", usize::MAX)] {
+        let err = addrs(addr, fleet).unwrap_err();
+        assert!(err.contains("--addr") && err.contains("--fleet") && err.contains(addr), "{err}");
+    }
+    assert!(addrs("127.0.0.1", 1).unwrap_err().contains("--addr"));
+}
+
 #[test]
 fn help_lists_every_command_and_every_argument_with_type_and_default() {
     let render = |words: &[&str]| match cli::parse(&bin::CHRONUS, words) {

@@ -18,7 +18,8 @@ use chronus::integrations::record_store::RecordStore;
 use chronus::integrations::storage::{EtcStorage, LocalBlobStore};
 use chronus::interfaces::ApplicationRunner;
 use chronus::remote::{CallOptions, PredictClient, RemotePrediction};
-use chronusd::{PredictServer, PreparedModel, ServerConfig, StaticBackend, StorageBackend};
+use chronusd::store::{ModelBlob, ModelStore, Provenance};
+use chronusd::{PredictServer, PreparedModel, ServerConfig, StaticBackend};
 use eco_hpcg::perf_model::PerfModel;
 use eco_hpcg::workload::{HpcgWorkload, Workload};
 use eco_plugin::JobSubmitEco;
@@ -67,17 +68,32 @@ fn world(tag: &str) -> World {
     World { root, cluster, app, runner, sampler: IpmiService::new(0, 23), info: LscpuInfo::new(0), workload }
 }
 
-/// Benchmarks, trains and stages a brute-force model in `w.root`,
-/// returning its repository id.
+/// Benchmarks, trains and stages a brute-force model in `w.root`, and
+/// commits it to the store under `w.root` as `chronus load-model` does;
+/// returns its repository id.
 fn stage_model(w: &mut World) -> i64 {
     let configs =
         vec![CpuConfig::new(32, 2_500_000, 1), CpuConfig::new(32, 2_200_000, 1), CpuConfig::new(16, 1_500_000, 2)];
-    w.app
+    let benchmarks = w
+        .app
         .benchmark(&mut w.cluster, &w.runner, &mut w.sampler, &w.info, Some(&configs), DEFAULT_SAMPLE_INTERVAL)
         .unwrap();
     let meta = w.app.init_model("brute-force", 1, w.runner.binary_hash(), 7).unwrap();
-    w.app.load_model(meta.id).unwrap();
+    let staged = w.app.load_model(meta.id).unwrap();
+    let blob = ModelBlob {
+        model_type: staged.model_type.clone(),
+        system_hash: staged.system_hash,
+        binary_hash: staged.binary_hash,
+        config: w.app.slurm_config(staged.system_hash, staged.binary_hash).unwrap(),
+        benchmarks,
+    };
+    let provenance = Provenance { campaign: "load-model".into(), plan: staged.model_type, ..Provenance::default() };
+    ModelStore::open_dir(store_dir(w)).unwrap().commit(&blob, meta.id, provenance).unwrap();
     meta.id
+}
+
+fn store_dir(w: &World) -> String {
+    w.root.join("store").to_string_lossy().into_owned()
 }
 
 fn eco_plugin(w: &World) -> JobSubmitEco {
@@ -92,10 +108,10 @@ fn submission_is_rewritten_through_the_daemon() {
     let mut w = world("happy");
     let model_id = stage_model(&mut w);
 
-    // serve the staged model on an ephemeral port
+    // serve the store the model was committed to on an ephemeral port
     let server = PredictServer::start(
-        ServerConfig { addr: "127.0.0.1:0".to_string(), ..ServerConfig::default() },
-        Arc::new(StorageBackend::new(Box::new(EtcStorage::new(&w.root)))),
+        ServerConfig { addr: "127.0.0.1:0".to_string(), store_dir: Some(store_dir(&w)), ..ServerConfig::default() },
+        Arc::new(StaticBackend::new(Vec::new())),
     )
     .unwrap();
     let addr = server.addr().to_string();
@@ -104,6 +120,7 @@ fn submission_is_rewritten_through_the_daemon() {
     let mut admin = PredictClient::builder().endpoint(addr.clone()).build().unwrap();
     let ack = admin.preload(model_id, &CallOptions::default()).unwrap();
     assert_eq!(ack.model_type, "brute-force");
+    assert_eq!(ack.generation, 2, "the boot catch-up installed the committed model as generation 1");
 
     // the plugin predicts via the daemon, through the production source
     let mut plugin = eco_plugin(&w);

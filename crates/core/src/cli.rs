@@ -316,7 +316,8 @@ const CONFIGURATIONS: Arg =
     Arg::new("--configurations", Str, Optional, "JSON file of configurations to run (default: all)");
 const MODEL_TYPE: Arg = Arg::new("--model", Str, Default("linear-regression"), "Optimizer type to train");
 const SYSTEM: Arg = Arg::new("--system", U64, Optional, "System id to train for; lists the systems when left out");
-const MODEL_ID: Arg = Arg::new("--model", U64, Optional, "Model id to stage; lists the models when left out");
+/// `load-model`'s one argument.
+pub const MODEL_ID: Arg = Arg::new("--model", U64, Optional, "Model id to stage; lists the models when left out");
 /// `slurm-config`'s first positional.
 pub const SYSTEM_HASH: Arg = Arg::new("SYSTEM_HASH", Hash, Required, "Hash of the system the job runs on");
 /// `slurm-config`'s second positional.
@@ -485,7 +486,9 @@ fn cmd_init_model(ctx: &mut CliContext<'_>, args: &Args) -> Result<String> {
     ))
 }
 
-fn cmd_load_model(ctx: &mut CliContext<'_>, args: &Args) -> Result<String> {
+/// `chronus load-model`: stages the `--model` for the submit path, or lists
+/// the models without one.
+pub fn cmd_load_model(ctx: &mut CliContext<'_>, args: &Args) -> Result<String> {
     let Some(model) = id(args, &MODEL_ID) else {
         // the paper's Figure 9 behaviour: present the available models
         return Ok(presenter::models_table(&ctx.app.repository().models()?));

@@ -88,7 +88,7 @@ pub fn stats_table(s: &StatsSnapshot) -> String {
         format!("chronusd statistics (replica {})", s.replica)
     };
     let store = if s.store_dir.is_empty() {
-        "memory-only (no --store)".to_string()
+        "none (a fixed in-memory backend)".to_string()
     } else {
         format!("{} (generation {}, {} catch-ups)", s.store_dir, s.store_generation, s.store_catchups)
     };
@@ -256,8 +256,8 @@ mod tests {
         assert!(t.contains("batched             6 keys over 2 PredictMany frames (avg 3.0 keys/frame)"), "{t}");
         assert!(t.contains("model generation    3\n"), "{t}");
         assert!(t.contains("p50 4us  p99 128us  max 250us"), "{t}");
-        // a replica without --store says so explicitly
-        assert!(t.contains("store               memory-only (no --store)"), "{t}");
+        // a replica without a store says so explicitly
+        assert!(t.contains("store               none (a fixed in-memory backend)"), "{t}");
         // empty snapshot must not divide by zero
         assert!(stats_table(&StatsSnapshot::default()).contains("0.0% hit rate"));
     }

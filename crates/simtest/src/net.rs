@@ -423,7 +423,7 @@ impl SimNet {
     }
 
     /// A fleet whose replicas all read one durable model store, their
-    /// one model source ([`StoreModelBackend`], as a `--store` daemon):
+    /// one model source ([`StoreModelBackend`], as in `chronus serve`):
     /// each catches up to the serving generation at (re)start, so store
     /// commits, rollouts and rollbacks reach the fleet through
     /// [`SimNet::catch_up`] — the adaptation worlds' substrate.

@@ -10,8 +10,8 @@
 //! bytes, which models a crash between the blob write and the metadata
 //! append). After every writer action the daemon side is restarted: a
 //! fresh [`chronusd::PredictService`] opens the same backend — its model
-//! source is that store ([`chronusd::StoreModelBackend`]), as in a
-//! daemon started with `--store` — runs
+//! source is that store ([`chronusd::StoreModelBackend`]), as in every
+//! daemon `chronus serve` starts — runs
 //! [`chronusd::PredictService::catch_up_from_store`] and answers real
 //! Predict frames. Its registry holds [`REGISTRY_CAP`] models, fewer than
 //! there are keys, so whenever every key serves a verifiable model the

@@ -27,10 +27,11 @@
 //! directories, [`MemBackend`] for tests and for the simtest store
 //! world's fault injection.
 //!
-//! Consumers: `chronusd --store <dir>` self-serves catch-up from the
-//! store on boot, the campaign engine commits each built model before
-//! rolling it out, and `chronus models` audits, verifies and rolls
-//! back the history.
+//! Consumers: every `chronus serve` (over `$CHRONUS_HOME/store`, or
+//! `--store <dir>`) self-serves catch-up from the store on boot,
+//! `chronus load-model` commits what it stages, the campaign engine
+//! commits each built model before rolling it out, and `chronus models`
+//! audits, verifies and rolls back the history.
 
 #![warn(missing_docs)]
 

@@ -58,12 +58,12 @@ stage_docs() { RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps; }
 simtest_world() {
     run cargo test -q -p simtest --release --test sweep "$1"
     case $1 in
-    pipeline) # the daemon's counter table, which every world's ledger audit reads, optimised; the submit-budget audit's real-socket side: the plugin's production source against a warm, a dead and a slow daemon
+    pipeline) # the daemon's counter table, which every world's ledger audit reads, optimised; the submit-budget audit's real-socket side: the plugin's production source against a warm daemon serving the model store the staged model was committed to, a dead and a slow daemon
         run cargo test -q -p chronusd --release --lib service
         run cargo test -q -p chronusd --release --test e2e_remote ;;
     fleet) # kill mid-load with zero lost predictions; a restarted replica rejoins and answers from its backend
         run cargo test -q -p chronusd --release --test fleet_failover ;;
-    store) # the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes
+    store) # the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes: load-model commits to the home store, and a daemon over it answers what the local slurm-config does
         run cargo test -q -p eco-store --release
         run cargo test -q -p chronusd --release --test store_durability --test cli_binary --test cli_table ;;
     batch) # concurrent callers of one RemotePrediction over real TCP; the registry's readers racing one-step installs and evictions, and writers racing its capacity, optimised
@@ -107,14 +107,15 @@ stage_benchmark-builds() {
 # faults) plus the multi-seed fault sweep, whose every seed tears the
 # journal's last append before resuming, then the record store's own
 # torn-append tests (the journal's file format), then campaign → model →
-# live-daemon rollout over real TCP. A failing sweep seed dumps its trial
+# store commit → live-daemon rollout over real TCP, the daemon serving
+# that store. A failing sweep seed dumps its trial
 # journal into $CAMPAIGN_JOURNAL_DIR and is reproducible with
 #   CAMPAIGN_SEED=<seed> cargo test -p eco-campaign --test fault_sweep -- --nocapture
 stage_campaign() {
     run cargo test -q -p eco-campaign --release
     run cargo test -q -p chronus --release --lib integrations::record_store
     run cargo test -q -p chronusd --release --test campaign_rollout
-    # the `chronus campaign` CLI: run interrupted, status, resume + rollout
+    # the `chronus campaign` CLI: run interrupted, status, resume + commit to the home store + rollout
     run cargo test -q -p chronusd --release --test cli_binary campaign
 }
 
