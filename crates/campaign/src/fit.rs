@@ -38,9 +38,7 @@ pub fn fit_best_config(
     let mut optimizer = ModelFactory::create(model_type)?;
     let report = optimizer.fit(benchmarks)?;
     let best = optimizer.best_config(candidates)?;
-    let best_gflops_per_watt =
-        benchmarks.iter().filter(|b| b.avg_system_w > 0.0).map(|b| b.gflops / b.avg_system_w).fold(0.0f64, f64::max);
-    Ok(FittedModel { best, report, best_gflops_per_watt })
+    Ok(FittedModel { best, report, best_gflops_per_watt: chronus::domain::best_gflops_per_watt(benchmarks) })
 }
 
 #[cfg(test)]

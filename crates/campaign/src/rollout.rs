@@ -73,12 +73,6 @@ pub fn commit_to_store(
         config: outcome.best,
         benchmarks: outcome.benchmarks.clone(),
     };
-    let best_gflops_per_watt = outcome
-        .benchmarks
-        .iter()
-        .filter(|b| b.avg_system_w > 0.0)
-        .map(|b| b.gflops / b.avg_system_w)
-        .fold(0.0f64, f64::max);
     let provenance = Provenance {
         campaign: spec.name.clone(),
         seed: spec.seed,
@@ -86,7 +80,7 @@ pub fn commit_to_store(
         trials_run: outcome.trials_run as u64,
         trials_skipped: outcome.trials_skipped as u64,
         trial_seconds: outcome.trial_seconds,
-        best_gflops_per_watt,
+        best_gflops_per_watt: chronus::domain::best_gflops_per_watt(&outcome.benchmarks),
         node_class: spec.node_class.clone(),
         source: ProvenanceSource::Campaign,
         refit_of: 0,

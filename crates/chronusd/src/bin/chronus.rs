@@ -50,6 +50,7 @@
 
 use chronus::application::Chronus;
 use chronus::cli::{self, Arg, Args, CliContext, Command, Handler, Invocation};
+use chronus::domain::best_gflops_per_watt;
 use chronus::integrations::hpcg_runner::HpcgRunner;
 use chronus::integrations::monitoring::{IpmiService, LscpuInfo};
 use chronus::integrations::record_store::RecordStore;
@@ -318,7 +319,7 @@ fn cmd_serve(args: &Args) -> Outcome {
         };
         // with `store_dir` set, `start` never consults this backend
         let s = PredictServer::start(cfg.clone(), Arc::new(StaticBackend::new(Vec::new())))
-            .map_err(|e| format!("serve: cannot bind {}: {e}", cfg.addr))?;
+            .map_err(|e| format!("serve: {e}"))?;
         println!(
             "chronusd{} listening on {} ({} workers, cache {})",
             if fleet > 1 { format!(" replica r{i}") } else { String::new() },
@@ -373,8 +374,12 @@ fn cmd_load_model(ctx: &mut CliContext<'_>, args: &Args) -> chronus::Result<Stri
         config: ctx.app.slurm_config(staged.system_hash, staged.binary_hash)?,
         benchmarks: serde_json::from_slice(&rows)?,
     };
-    let provenance =
-        Provenance { campaign: "load-model".into(), plan: blob.model_type.clone(), ..Provenance::default() };
+    let provenance = Provenance {
+        campaign: "load-model".into(),
+        plan: blob.model_type.clone(),
+        best_gflops_per_watt: best_gflops_per_watt(&blob.benchmarks),
+        ..Provenance::default()
+    };
     let dir = store_dir(args);
     let record = ModelStore::open_dir(&dir)
         .and_then(|mut store| store.commit(&blob, staged.model_id, provenance))
@@ -597,9 +602,10 @@ fn campaign_drive(args: &Args, resume: bool) -> Outcome {
 }
 
 /// Opens the store a `chronus models` sub-command audits or rolls back.
+/// It must exist: opening it creates nothing.
 fn open_store(args: &Args) -> Result<(String, ModelStore), String> {
     let dir = store_dir(args);
-    let store = ModelStore::open_dir(&dir).map_err(|e| e.to_string())?;
+    let store = ModelStore::open_existing(&dir).map_err(|e| format!("model store at {dir}: {e}"))?;
     if store.recovered_truncation() {
         eprintln!("chronus models: store {dir} had a torn journal tail; recovered to the last valid record");
     }

@@ -10,14 +10,15 @@
 //! [`crate::service::PredictService`], which this module only carries
 //! frames to and from.
 
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use chronus::remote::{take_frame, wire, Connection, Response, SessionEnd, ShmListener, StatsSnapshot};
+use chronus::remote::{
+    wire, write_prefixed, Connection, FrameReader, Response, SessionEnd, ShmListener, StatsSnapshot,
+};
 use chronus::telemetry::Histogram;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
@@ -129,7 +130,8 @@ impl PredictServer {
     /// error (better dead than silently cold). Without one, `backend` (a
     /// test's or a benchmark's fixed set) is the source.
     pub fn start(cfg: ServerConfig, backend: Arc<dyn ModelBackend>) -> std::io::Result<PredictServer> {
-        let listener = TcpListener::bind(&cfg.addr)?;
+        let listener = TcpListener::bind(&cfg.addr)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("cannot bind {}: {e}", cfg.addr)))?;
         let addr = listener.local_addr()?;
         let workers_n = cfg.workers.max(1);
         let serve_from =
@@ -170,7 +172,8 @@ impl PredictServer {
 
         let shm = match &cfg.shm_path {
             Some(path) => {
-                let ring = ShmListener::create(path)?;
+                let ring = ShmListener::create(path)
+                    .map_err(|e| std::io::Error::new(e.kind(), format!("cannot create shm ring {path}: {e}")))?;
                 let ctx = Arc::clone(&ctx);
                 Some(
                     std::thread::Builder::new()
@@ -286,31 +289,32 @@ fn worker_loop(rx: Receiver<(Instant, TcpStream)>, ctx: Arc<Ctx>) {
 }
 
 /// Serves every request on one connection until the peer hangs up, a
-/// protocol violation occurs, or the daemon shuts down.
+/// protocol violation occurs, or the daemon shuts down. Requests are
+/// framed out of one held buffer and replies written from another, so a
+/// warm request costs one `read` and one `write` and allocates only its
+/// reply.
 fn serve_connection(mut stream: TcpStream, ctx: &Ctx, rx: &Receiver<(Instant, TcpStream)>) {
     if stream.set_read_timeout(Some(READ_TICK)).is_err() {
         return;
     }
     let _ = stream.set_nodelay(true);
-    let mut buf = BytesMut::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
+    let mut inbox = FrameReader::default();
+    let mut out = BytesMut::new();
     loop {
         loop {
-            match take_frame(&mut buf) {
-                Ok(Some(payload)) => {
-                    let reply = ctx.service.answer(&payload, ctx.gauges(rx.len()));
-                    if stream.send_frame(&reply).is_err() {
-                        return;
-                    }
-                }
+            let reply = match inbox.take() {
+                Ok(Some(payload)) => ctx.service.answer(payload, ctx.gauges(rx.len())),
                 Ok(None) => break,
                 // oversized length prefix: unrecoverable framing state
                 Err(_) => return,
+            };
+            if write_prefixed(&mut stream, &mut out, &reply).is_err() {
+                return;
             }
         }
-        match stream.read(&mut chunk) {
+        match inbox.fill(&mut stream) {
             Ok(0) => return,
-            Ok(n) => buf.put_slice(&chunk[..n]),
+            Ok(_) => {}
             Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {
                 if ctx.service.is_shutting_down() {
                     return;

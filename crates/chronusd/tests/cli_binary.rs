@@ -3,9 +3,11 @@
 //! `$CHRONUS_HOME`.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use chronusd::store::ModelStore;
 use chronusd::{PredictServer, ServerConfig, StaticBackend};
 
 fn chronus(home: &PathBuf, args: &[&str]) -> (bool, String) {
@@ -84,6 +86,16 @@ fn workflow_across_separate_processes() {
     assert!(row.contains(&format!("model    1 (brute-force)  key {:#x}/{:#x}", key[0], key[1])), "{out}");
     assert!(row.contains("campaign \"load-model\""), "{out}");
 
+    // the commit carries the calibration of the rows it stages
+    let store = ModelStore::open_existing(home.join("store")).unwrap();
+    let record = store.record(1).expect("generation 1 was committed");
+    let best = chronus::domain::best_gflops_per_watt(&store.load_blob(record).unwrap().benchmarks);
+    assert!(best > 0.0, "three benchmarked rows drew power");
+    assert_eq!(record.provenance.best_gflops_per_watt, best);
+    let (ok, out) = chronus(&home, &["models", "show", "1"]);
+    assert!(ok, "{out}");
+    assert!(out.contains(&format!("calibration: best {best:.4} GFLOP/s per watt")), "{out}");
+
     // a daemon over the home store answers what the staged model does
     let server = serve_home_store(&home);
     assert_eq!(server.boot_recovery().store.installed, 1);
@@ -103,7 +115,7 @@ fn workflow_across_separate_processes() {
 /// with a non-zero exit.
 #[test]
 fn models_cli_audits_and_rolls_back_a_store() {
-    use chronusd::store::{ModelBlob, ModelStore, Provenance};
+    use chronusd::store::{ModelBlob, Provenance};
     use eco_sim_node::cpu::CpuConfig;
 
     let home = std::env::temp_dir().join(format!("eco-clibin-models-{}", std::process::id()));
@@ -307,4 +319,57 @@ fn campaign_resumes_from_its_journal_and_rolls_out() {
     server.shutdown();
     assert!(ok, "{remote}");
     assert_eq!(remote, local, "the daemon and the staged model disagree");
+}
+
+/// `models list|show|verify|rollback` audit a store that exists: a fresh
+/// `$CHRONUS_HOME`, or a mistyped `--store`, is refused by name and
+/// leaves no directory behind.
+#[test]
+fn workflow_audits_never_create_the_store_they_audit() {
+    let home = std::env::temp_dir().join(format!("eco-clibin-audit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&home);
+    std::fs::create_dir_all(&home).unwrap();
+    let typo = home.join("no-such-store");
+    let typo_s = typo.to_str().unwrap();
+    for command in
+        [&["models", "list"][..], &["models", "verify"], &["models", "show", "1"], &["models", "rollback", "1"]]
+    {
+        for (store, flags) in [(home.join("store"), &[][..]), (typo.clone(), &["--store", typo_s][..])] {
+            let (ok, out) = chronus(&home, &[command, flags].concat());
+            assert!(!ok, "{command:?} {flags:?} on a missing store: {out}");
+            assert!(out.contains(&format!("model store at {}", store.display())), "{out}");
+            assert!(!store.exists(), "{command:?} {flags:?} created {}", store.display());
+        }
+    }
+}
+
+/// A daemon whose store cannot be opened says so, naming the store, not
+/// the address it bound.
+#[test]
+fn workflow_serve_names_the_store_it_cannot_open() {
+    let home = std::env::temp_dir().join(format!("eco-clibin-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&home);
+    std::fs::create_dir_all(&home).unwrap();
+    let file = home.join("a-file");
+    std::fs::write(&file, b"not a store").unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_chronus"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--store", file.to_str().unwrap()])
+        .env("CHRONUS_HOME", &home)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn chronus");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("serve kept running over a store it cannot open");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    let text = format!("{}{}", String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(!out.status.success(), "{text}");
+    assert!(!text.contains("cannot bind"), "{text}");
+    assert!(text.contains(&format!("model store at {}", file.display())), "{text}");
 }

@@ -85,6 +85,13 @@ impl Benchmark {
     }
 }
 
+/// The headline calibration of a training set, recorded in a model's
+/// store provenance: the best GFLOP/s per watt among `rows` (0 with no
+/// row that drew power).
+pub fn best_gflops_per_watt(rows: &[Benchmark]) -> f64 {
+    rows.iter().map(Benchmark::gflops_per_watt).fold(0.0, f64::max)
+}
+
 /// Metadata for a trained model (§3.1.2 "Model building" step 3: "path in
 /// blob storage, time on creation, etc.").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

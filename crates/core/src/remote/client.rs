@@ -205,7 +205,7 @@ impl ClientBuilder {
         }
         let mut ring = HashRing::new(VNODES);
         ring.rebuild(0..replicas.len() as u32);
-        Ok(PredictClient { replicas, ring, knobs: self.knobs, deadline: None, tel: None })
+        Ok(PredictClient { replicas, ring, order: Vec::new(), knobs: self.knobs, deadline: None, tel: None })
     }
 }
 
@@ -247,6 +247,8 @@ pub struct FleetPreload {
 pub struct PredictClient {
     replicas: Vec<Replica>,
     ring: HashRing,
+    /// The try-order `drive` walks, held so that routing allocates nothing.
+    order: Vec<u32>,
     knobs: Knobs,
     /// When the request in flight must be done, on the transport's clock:
     /// its attempts, and any probe it triggers, spend from it. A request
@@ -297,7 +299,7 @@ fn routing_key(body: &Request) -> u64 {
 impl std::fmt::Debug for PredictClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PredictClient")
-            .field("endpoints", &self.replicas.iter().map(|r| r.link.desc.as_str()).collect::<Vec<_>>())
+            .field("endpoints", &self.endpoints())
             .field("in_ring", &self.replicas_in_ring())
             .field("knobs", &self.knobs)
             .finish()
@@ -318,7 +320,7 @@ impl PredictClient {
 
     /// Every replica endpoint this client balances over.
     pub fn endpoints(&self) -> Vec<&str> {
-        self.replicas.iter().map(|r| r.link.desc.as_str()).collect()
+        self.replicas.iter().map(|r| &*r.link.desc).collect()
     }
 
     /// Total replicas configured.
@@ -369,8 +371,8 @@ impl PredictClient {
     fn route(&mut self, body: Request, opts: &CallOptions) -> Result<Response, RemoteError> {
         self.deadline = None;
         self.probe_if_due(opts.trace);
-        let candidates = self.candidates(routing_key(&body));
-        self.drive(body, opts, &candidates)
+        self.order_for(routing_key(&body));
+        self.drive(&mut RequestFrame::new(body).traced(opts.trace))
     }
 
     /// Round-trip liveness probe; returns the observed latency.
@@ -486,7 +488,7 @@ impl PredictClient {
             // the frame waits one attempt's share, as `drive`'s first: a
             // lost reply costs that, not the budget, before the fallback
             let share = budget / (self.knobs.max_retries + self.replicas.len() as u32);
-            let frame = RequestFrame {
+            let mut frame = RequestFrame {
                 deadline_ms: Some(super::ceil_ms(budget)),
                 trace: opts.trace,
                 corr: None,
@@ -495,7 +497,7 @@ impl PredictClient {
             if let Some(t) = &self.tel {
                 t.attempts.bump();
             }
-            match self.replicas[idx].link.exchange(frame, share) {
+            match self.replicas[idx].link.exchange(&mut frame, share) {
                 Ok(Response::ManyConfigs { results: outcomes }) => {
                     for (&key_index, outcome) in chunk.iter().zip(outcomes) {
                         let (system_hash, binary_hash) = keys[key_index];
@@ -564,7 +566,7 @@ impl PredictClient {
         let mut acks = Vec::new();
         let mut failures = Vec::new();
         for idx in 0..self.replicas.len() {
-            let desc = self.replicas[idx].link.desc.clone();
+            let desc = self.replicas[idx].link.desc.to_string();
             self.deadline = None;
             match self.preload_on(idx, model_id, opts) {
                 Ok(ack) => acks.push((desc, ack)),
@@ -610,9 +612,10 @@ impl PredictClient {
         }
         (0..self.replicas.len())
             .map(|idx| {
-                let desc = self.replicas[idx].link.desc.clone();
+                let desc = self.replicas[idx].link.desc.to_string();
                 self.deadline = None;
-                let res = self.drive(Request::Stats, &CallOptions::default(), &[idx]).and_then(|resp| match resp {
+                self.order = vec![idx as u32];
+                let res = self.drive(&mut RequestFrame::new(Request::Stats)).and_then(|resp| match resp {
                     Response::Stats(s) => Ok(*s),
                     other => Err(RemoteError::Protocol(format!("expected Stats, got {other:?}"))),
                 });
@@ -623,28 +626,22 @@ impl PredictClient {
 
     // -- fleet internals ---------------------------------------------------
 
-    /// The replica try-order for a key: healthy local (shm) replicas
-    /// first — the fallback ladder shm → tcp → caller's local model —
-    /// then ring members clockwise from the key, then out-of-ring
-    /// replicas as a last resort. Single-replica clients skip the ring
-    /// entirely (the warm-path fast path).
-    fn candidates(&mut self, key: u64) -> Vec<usize> {
-        if self.replicas.len() == 1 {
-            return vec![0];
-        }
-        if let Some(t) = &self.tel {
+    /// The replica try-order for a key, into `self.order`: healthy local (shm)
+    /// replicas first — the fallback ladder shm → tcp → caller's local
+    /// model — then ring members clockwise from the key, then
+    /// out-of-ring replicas as a last resort. A single replica is its
+    /// own ring (the last in-ring replica never leaves), so its order is
+    /// `[0]`.
+    fn order_for(&mut self, key: u64) {
+        if let Some(t) = self.tel.as_ref().filter(|_| self.replicas.len() > 1) {
             t.ring_lookups.bump();
         }
-        let mut out: Vec<usize> = self.ring.ordered(key).into_iter().map(|m| m as usize).collect();
+        self.order.clear();
+        self.ring.extend_ordered(key, &mut self.order);
         // stable: local in-ring members jump the queue, everyone else
         // keeps ring order
-        out.sort_by_key(|&i| !self.replicas[i].link.local);
-        for (i, r) in self.replicas.iter().enumerate() {
-            if !r.in_ring {
-                out.push(i);
-            }
-        }
-        out
+        self.order.sort_by_key(|&i| !self.replicas[i as usize].link.local);
+        self.order.extend((0..self.replicas.len() as u32).filter(|&i| !self.replicas[i as usize].in_ring));
     }
 
     /// What remains of the request's budget, on the transport clock
@@ -662,26 +659,27 @@ impl PredictClient {
     /// share); backoff only applies when the whole list wraps around.
     /// A candidate whose dial failed is skipped for the rest of the
     /// request while another can still be dialled.
-    fn drive(&mut self, body: Request, opts: &CallOptions, candidates: &[usize]) -> Result<Response, RemoteError> {
-        let verb = body.verb();
-        let parent = opts.trace;
-        let mut base = RequestFrame { deadline_ms: None, trace: parent, corr: None, body };
+    /// The candidates are `self.order`; each attempt sends `frame` under
+    /// its own deadline, trace context and tag.
+    fn drive(&mut self, frame: &mut RequestFrame) -> Result<Response, RemoteError> {
+        let verb = frame.body.verb();
+        let parent = frame.trace;
         let fleet = self.replicas.len() > 1;
-        let max_attempts = self.knobs.max_retries + candidates.len() as u32;
+        let max_attempts = self.knobs.max_retries + self.order.len() as u32;
         let mut attempt: u32 = 0;
         let mut pos: usize = 0;
         // bit `p`: candidate `p`'s dial failed in this request
         let mut dial_failed: u64 = 0;
         loop {
             attempt += 1;
-            let idx = candidates[pos];
+            let idx = self.order[pos] as usize;
             let left = self.left();
             let share = left / (max_attempts - attempt + 1);
             if share.is_zero() {
                 // only a first attempt gets here: a due probe spent the budget
                 return Err(RemoteError::Io(std::io::ErrorKind::TimedOut.into()));
             }
-            base.deadline_ms = Some(super::ceil_ms(left));
+            frame.deadline_ms = Some(super::ceil_ms(left));
             // the attempt's span closes in here, before the bookkeeping
             // below needs the client mutably
             let reply = {
@@ -694,11 +692,11 @@ impl PredictClient {
                     s.attr("verb", verb);
                     s.attr("attempt", attempt);
                     if fleet {
-                        s.attr("replica", self.replicas[idx].link.desc.clone());
+                        s.attr("replica", Arc::clone(&self.replicas[idx].link.desc));
                     }
                     s
                 });
-                let frame = base.clone().traced(span.as_ref().map(|s| s.context()).or(parent));
+                frame.trace = span.as_ref().map(|s| s.context()).or(parent);
                 let reply = self.replicas[idx].link.exchange(frame, share);
                 if let Some(s) = span {
                     match &reply {
@@ -734,7 +732,7 @@ impl PredictClient {
                     (e, BACKOFF * attempt, "error")
                 }
             };
-            let next = next_candidate(pos, candidates.len(), &mut dial_failed);
+            let next = next_candidate(pos, self.order.len(), &mut dial_failed);
             let wraps = next <= pos;
             let wait = if wraps { wait } else { Duration::ZERO };
             if attempt >= max_attempts || self.left() <= wait {
@@ -743,7 +741,7 @@ impl PredictClient {
             if wraps {
                 self.replicas[idx].link.transport.sleep(wait);
             } else {
-                self.note_failover(idx, candidates[next], why, parent);
+                self.note_failover(idx, self.order[next] as usize, why, parent);
             }
             pos = next;
         }
@@ -751,7 +749,8 @@ impl PredictClient {
 
     /// A bounded preload against one specific replica.
     fn preload_on(&mut self, idx: usize, model_id: i64, opts: &CallOptions) -> Result<PreloadAck, RemoteError> {
-        match self.drive(Request::Preload { model_id }, opts, &[idx])? {
+        self.order = vec![idx as u32];
+        match self.drive(&mut RequestFrame::new(Request::Preload { model_id }).traced(opts.trace))? {
             Response::Preloaded { model_id, model_type, system_hash, binary_hash, generation } => {
                 Ok(PreloadAck { model_id, model_type, system_hash, binary_hash, generation })
             }
@@ -802,9 +801,6 @@ impl PredictClient {
     /// flight, inside its share of the budget. A `Pong` puts the replica
     /// back on the ring; anything else re-arms the cooldown.
     fn probe_if_due(&mut self, parent: Option<TraceContext>) {
-        if self.replicas.len() == 1 {
-            return;
-        }
         let mut due: Option<usize> = None;
         for (i, r) in self.replicas.iter_mut().enumerate() {
             if !r.in_ring {
@@ -832,8 +828,8 @@ impl PredictClient {
             t.ring_failovers.bump();
             if let Some(ctx) = parent {
                 let mut s = t.telemetry.span_under(ctx, "client", "failover");
-                s.attr("from", self.replicas[from].link.desc.clone());
-                s.attr("to", self.replicas[to].link.desc.clone());
+                s.attr("from", Arc::clone(&self.replicas[from].link.desc));
+                s.attr("to", Arc::clone(&self.replicas[to].link.desc));
                 s.attr("why", why);
             }
         }
@@ -1073,10 +1069,14 @@ mod tests {
             .build()
             .unwrap();
         for key in [0u64, 1, 99, u64::MAX] {
-            let order = client.candidates(key);
-            assert_eq!(order[0], 1, "shm replica must lead for key {key}");
-            assert_eq!(order.len(), 3);
+            client.order_for(key);
+            assert_eq!(client.order[0], 1, "shm replica must lead for key {key}");
+            assert_eq!(client.order.len(), 3);
         }
+        // one endpoint is its own ring: the same code orders it first and only
+        let mut single = PredictClient::builder().endpoint("h1:4117").build().unwrap();
+        single.order_for(7);
+        assert_eq!(single.order, [0]);
     }
 
     #[test]

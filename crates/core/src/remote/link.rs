@@ -1,6 +1,7 @@
 //! One endpoint's persistent connection — the only client code that
 //! touches a [`Connection`].
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use super::{wire, Connection, RemoteError, Request, RequestFrame, Response, Transport};
@@ -9,7 +10,8 @@ use crate::telemetry::TraceContext;
 /// Dials lazily, holds the connection across exchanges and drops it
 /// itself whenever it can no longer be trusted.
 pub(super) struct Link {
-    pub(super) desc: String,
+    /// [`Transport::describe`], shared with the spans that name it.
+    pub(super) desc: Arc<str>,
     /// Cached [`Transport::is_local`].
     pub(super) local: bool,
     pub(super) transport: Box<dyn Transport>,
@@ -21,17 +23,17 @@ pub(super) struct Link {
 
 impl Link {
     pub(super) fn new(transport: Box<dyn Transport>) -> Link {
-        Link { desc: transport.describe(), local: transport.is_local(), transport, conn: None, last_tag: 0 }
+        Link { desc: transport.describe().into(), local: transport.is_local(), transport, conn: None, last_tag: 0 }
     }
 
     /// One framed exchange under a fresh tag, dialing first if
     /// necessary, that waits at most `share` in all. Any `Err` costs the
     /// connection (dead, or desynced and reading one reply behind
     /// forever), and so does `Busy` (the daemon hangs up after a bounce).
-    pub(super) fn exchange(&mut self, mut frame: RequestFrame, share: Duration) -> Result<Response, RemoteError> {
+    pub(super) fn exchange(&mut self, frame: &mut RequestFrame, share: Duration) -> Result<Response, RemoteError> {
         self.last_tag += 1;
         frame.corr = Some(self.last_tag);
-        let result = self.round_trip(&frame, share);
+        let result = self.round_trip(frame, share);
         let in_step = matches!(&result, Ok(response) if !matches!(response, Response::Busy { .. }));
         if !in_step {
             self.conn = None;
@@ -45,7 +47,7 @@ impl Link {
     /// daemon sends for a `Ping`: it is a stale reply read one ahead.
     pub(super) fn probe(&mut self, trace: Option<TraceContext>, share: Duration) -> bool {
         let alive =
-            matches!(self.exchange(RequestFrame::new(Request::Ping).traced(trace), share), Ok(Response::Pong));
+            matches!(self.exchange(&mut RequestFrame::new(Request::Ping).traced(trace), share), Ok(Response::Pong));
         if !alive {
             self.conn = None;
         }

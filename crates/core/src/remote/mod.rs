@@ -416,19 +416,22 @@ fn frame_len(header: &[u8]) -> std::io::Result<usize> {
     Ok(len)
 }
 
-/// Writes `payload` behind its length prefix, in one `write_all`.
-fn write_prefixed<W: Write + ?Sized>(stream: &mut W, payload: &[u8]) -> std::io::Result<()> {
+/// Writes `payload` behind its length prefix in one `write_all`,
+/// assembled in `out`: a held `out` keeps its capacity, so a warm send
+/// allocates nothing.
+pub fn write_prefixed<W: Write + ?Sized>(stream: &mut W, out: &mut BytesMut, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(invalid_data(format!("frame of {} bytes exceeds the {MAX_FRAME_LEN} byte limit", payload.len())));
     }
-    let mut buf = BytesMut::with_capacity(4 + payload.len());
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(payload);
-    stream.write_all(&buf)?;
+    out.clear();
+    out.put_u32(payload.len() as u32);
+    out.put_slice(payload);
+    stream.write_all(out)?;
     stream.flush()
 }
 
-/// Reads one length prefix and the payload it announces.
+/// Reads one length prefix and the payload it announces, never a byte
+/// more: what a connection that holds no buffer between frames can do.
 fn read_prefixed<R: Read + ?Sized>(stream: &mut R) -> std::io::Result<Vec<u8>> {
     let mut header = [0u8; 4];
     stream.read_exact(&mut header)?;
@@ -439,7 +442,7 @@ fn read_prefixed<R: Read + ?Sized>(stream: &mut R) -> std::io::Result<Vec<u8>> {
 
 /// Serializes `msg` and writes it as one length-prefixed frame.
 pub fn write_frame<T: Serialize>(stream: &mut dyn Write, msg: &T) -> std::io::Result<()> {
-    write_prefixed(stream, &to_json(msg)?)
+    write_prefixed(stream, &mut BytesMut::new(), &to_json(msg)?)
 }
 
 /// Reads one length-prefixed frame and deserializes it.
@@ -447,19 +450,82 @@ pub fn read_frame<T: for<'de> Deserialize<'de>>(stream: &mut dyn Read) -> std::i
     serde_json::from_slice(&read_prefixed(stream)?).map_err(invalid_data)
 }
 
-/// Extracts the next complete frame from a receive buffer, leaving any
-/// trailing bytes in place. Returns `Ok(None)` while the frame is still
-/// incomplete and an error on an oversized length prefix.
-pub fn take_frame(buf: &mut BytesMut) -> std::io::Result<Option<Vec<u8>>> {
-    if buf.len() < 4 {
-        return Ok(None);
+/// Reassembles length-prefixed frames from a byte stream in one buffer
+/// held across frames. A `read` takes whatever the stream has ready, up
+/// to the buffer's free space, so a reply normally costs one `read`;
+/// bytes past a frame wait in the buffer for the next call. The buffer
+/// grows to the largest frame seen and keeps that capacity.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+/// What a [`FrameReader`] asks a stream for at least: one `read` holds
+/// any hot-verb reply and most control-plane ones.
+const READ_CHUNK: usize = 4096;
+
+impl FrameReader {
+    /// The next whole frame already buffered, consumed: `Ok(None)` while
+    /// it is incomplete, `InvalidData` on an oversized length prefix.
+    pub fn take(&mut self) -> std::io::Result<Option<&[u8]>> {
+        Ok(self.take_range()?.map(|frame| &self.buf[frame]))
     }
-    let len = frame_len(&buf[..4])?;
-    if buf.len() < 4 + len {
-        return Ok(None);
+
+    fn take_range(&mut self) -> std::io::Result<Option<std::ops::Range<usize>>> {
+        let pending = &self.buf[self.start..self.end];
+        if pending.len() < 4 {
+            return Ok(None);
+        }
+        let len = frame_len(&pending[..4])?;
+        if pending.len() < 4 + len {
+            return Ok(None);
+        }
+        let frame = self.start + 4..self.start + 4 + len;
+        self.start = frame.end;
+        if self.start == self.end {
+            // nothing left over: the next frame starts at the front
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(Some(frame))
     }
-    buf.advance(4);
-    Ok(Some(buf.split_to(len).freeze()))
+
+    /// One `read` from `stream` into the buffer, once
+    /// [`FrameReader::take`] has answered `None`. A partial frame moves to
+    /// the front first, and the buffer grows to hold the whole frame its
+    /// prefix announces. `Ok(0)` is the peer's end of stream; a read
+    /// timeout is the stream's error, with every buffered byte kept.
+    pub fn fill<R: Read + ?Sized>(&mut self, stream: &mut R) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        let whole = if self.end >= 4 { 4 + frame_len(&self.buf[..4])? } else { 4 };
+        if self.buf.len() < whole.max(READ_CHUNK) {
+            self.buf.resize(whole.max(READ_CHUNK), 0);
+        }
+        let n = stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The next frame, reading as often as it takes. The stream ending
+    /// before the frame does is `UnexpectedEof`, never a short frame.
+    pub fn next<R: Read + ?Sized>(&mut self, stream: &mut R) -> std::io::Result<&[u8]> {
+        loop {
+            if let Some(frame) = self.take_range()? {
+                return Ok(&self.buf[frame]);
+            }
+            match self.fill(stream) {
+                Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -502,10 +568,11 @@ pub trait Connection: Send {
 
 /// Byte streams frame themselves: 4-byte big-endian length prefix,
 /// then the payload — the same bytes [`write_frame`] and [`read_frame`]
-/// speak.
+/// speak. Such a stream holds no buffer between frames; [`TcpTransport`]'s
+/// connections do.
 impl<T: Read + Write + Send> Connection for T {
     fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        write_prefixed(self, payload)
+        write_prefixed(self, &mut BytesMut::new(), payload)
     }
 
     fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
@@ -580,7 +647,8 @@ impl Transport for TcpTransport {
         for addr in self.addr.to_socket_addrs()? {
             match TcpStream::connect_timeout(&addr, timeout.min(self.connect_timeout)) {
                 Ok(stream) => {
-                    let mut conn = TcpConnection { stream, armed_ms: 0 };
+                    let mut conn =
+                        TcpConnection { stream, armed_ms: 0, inbox: FrameReader::default(), out: BytesMut::new() };
                     conn.arm(self.io_timeout)?;
                     let _ = conn.stream.set_nodelay(true);
                     return Ok(Box::new(conn));
@@ -596,20 +664,24 @@ impl Transport for TcpTransport {
     }
 }
 
-/// A TCP stream and its I/O timeout in whole ms, re-armed only when a
-/// share differs: a warm exchange costs no `setsockopt`.
+/// A TCP stream, its I/O timeout in whole ms, re-armed only when a
+/// share differs (a warm exchange costs no `setsockopt`), and the two
+/// buffers it frames through: a warm exchange is one `write` and
+/// normally one `read`.
 struct TcpConnection {
     stream: TcpStream,
     armed_ms: u64,
+    inbox: FrameReader,
+    out: BytesMut,
 }
 
 impl Connection for TcpConnection {
     fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        write_prefixed(&mut self.stream, payload)
+        write_prefixed(&mut self.stream, &mut self.out, payload)
     }
 
     fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
-        read_prefixed(&mut self.stream)
+        self.inbox.next(&mut self.stream).map(<[u8]>::to_vec)
     }
 
     fn arm(&mut self, timeout: Duration) -> std::io::Result<()> {
@@ -858,22 +930,89 @@ mod tests {
         assert_eq!(back, frame);
     }
 
-    #[test]
-    fn take_frame_handles_partial_and_back_to_back_frames() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &Response::Pong).unwrap();
-        write_frame(&mut wire, &Response::Busy { retry_after_ms: 5 }).unwrap();
+    /// A stream end that counts the `read` calls made on it.
+    struct Counted<R> {
+        inner: R,
+        reads: usize,
+    }
 
-        let mut buf = BytesMut::new();
-        buf.put_slice(&wire[..3]);
-        assert!(take_frame(&mut buf).unwrap().is_none(), "3 bytes is not even a header");
-        buf.put_slice(&wire[3..]);
-        let first: Response = serde_json::from_slice(&take_frame(&mut buf).unwrap().unwrap()).unwrap();
-        assert_eq!(first, Response::Pong);
-        let second: Response = serde_json::from_slice(&take_frame(&mut buf).unwrap().unwrap()).unwrap();
-        assert_eq!(second, Response::Busy { retry_after_ms: 5 });
-        assert!(take_frame(&mut buf).unwrap().is_none());
-        assert!(buf.is_empty());
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    /// A connected socket pair: the far end writes, the counted near end
+    /// is read through a [`FrameReader`].
+    fn socket_pair() -> (std::os::unix::net::UnixStream, Counted<std::os::unix::net::UnixStream>) {
+        let (far, near) = std::os::unix::net::UnixStream::pair().unwrap();
+        near.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        (far, Counted { inner: near, reads: 0 })
+    }
+
+    fn framed(msg: &Response) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, msg).unwrap();
+        wire
+    }
+
+    fn decoded(frame: &[u8]) -> Response {
+        serde_json::from_slice(frame).unwrap()
+    }
+
+    #[test]
+    fn a_frame_split_across_reads_is_reassembled() {
+        let (mut far, mut near) = socket_pair();
+        let wire = framed(&Response::Busy { retry_after_ms: 5 });
+        let mut reader = FrameReader::default();
+        far.write_all(&wire[..3]).unwrap();
+        assert_eq!(reader.fill(&mut near).unwrap(), 3);
+        assert!(reader.take().unwrap().is_none(), "3 bytes is not even a header");
+        far.write_all(&wire[3..6]).unwrap();
+        reader.fill(&mut near).unwrap();
+        assert!(reader.take().unwrap().is_none(), "a header and two payload bytes are not a frame");
+        far.write_all(&wire[6..]).unwrap();
+        assert_eq!(decoded(reader.next(&mut near).unwrap()), Response::Busy { retry_after_ms: 5 });
+        assert_eq!(near.reads, 3);
+    }
+
+    #[test]
+    fn two_frames_in_one_read_answer_two_calls() {
+        let (mut far, mut near) = socket_pair();
+        let mut wire = framed(&Response::Pong);
+        wire.extend(framed(&Response::Busy { retry_after_ms: 5 }));
+        far.write_all(&wire).unwrap();
+        let mut reader = FrameReader::default();
+        assert_eq!(decoded(reader.next(&mut near).unwrap()), Response::Pong);
+        assert_eq!(near.reads, 1, "one read carries both frames");
+        assert_eq!(decoded(reader.next(&mut near).unwrap()), Response::Busy { retry_after_ms: 5 });
+        assert_eq!(near.reads, 1, "the second frame waited in the buffer");
+        // the buffer, emptied, keeps its capacity for the next reply
+        let held = reader.buf.capacity();
+        far.write_all(&framed(&Response::Pong)).unwrap();
+        assert_eq!(decoded(reader.next(&mut near).unwrap()), Response::Pong);
+        assert_eq!((near.reads, reader.buf.capacity()), (2, held));
+    }
+
+    #[test]
+    fn a_stream_cut_mid_frame_is_an_error_never_a_frame() {
+        let (mut far, mut near) = socket_pair();
+        let wire = framed(&Response::Busy { retry_after_ms: 5 });
+        far.write_all(&wire[..wire.len() - 1]).unwrap();
+        drop(far);
+        let cut = FrameReader::default().next(&mut near).unwrap_err();
+        assert_eq!(cut.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn an_oversized_prefix_is_invalid_data() {
+        let (mut far, mut near) = socket_pair();
+        far.write_all(&((MAX_FRAME_LEN + 1) as u32).to_be_bytes()).unwrap();
+        let mut reader = FrameReader::default();
+        let err = reader.next(&mut near).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(reader.buf.len() <= READ_CHUNK, "nothing was allocated for the announced frame");
     }
 
     /// What a client's byte stream does when the peer dies mid-frame:
@@ -914,9 +1053,6 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32((MAX_FRAME_LEN + 1) as u32);
-        assert!(take_frame(&mut buf).is_err());
         let mut wire: &[u8] = &(((MAX_FRAME_LEN + 1) as u32).to_be_bytes());
         assert!(read_frame::<Response>(&mut wire).is_err());
     }

@@ -89,22 +89,25 @@ impl HashRing {
     /// All distinct members in clockwise preference order starting at
     /// `key` — the failover order for that key.
     pub fn ordered(&self, key: u64) -> Vec<u32> {
-        let n = self.members();
-        let mut out = Vec::with_capacity(n);
-        if self.points.is_empty() {
-            return out;
-        }
+        let mut out = Vec::with_capacity(self.members());
+        self.extend_ordered(key, &mut out);
+        out
+    }
+
+    /// [`HashRing::ordered`], appended to `out`: a caller that holds
+    /// `out` across lookups allocates nothing.
+    pub(crate) fn extend_ordered(&self, key: u64, out: &mut Vec<u32>) {
+        let (first, n) = (out.len(), self.members());
         let start = self.points.partition_point(|&(p, _)| p < key);
         for off in 0..self.points.len() {
+            if out.len() - first == n {
+                break;
+            }
             let (_, member) = self.points[(start + off) % self.points.len()];
-            if !out.contains(&member) {
+            if !out[first..].contains(&member) {
                 out.push(member);
-                if out.len() == n {
-                    break;
-                }
             }
         }
-        out
     }
 }
 

@@ -9,9 +9,8 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 
-use bytes::BytesMut;
 use chronus::remote::{
-    read_frame, take_frame, write_frame, Connection, KeyOutcome, ObservedOutcome, Request, RequestFrame, Response,
+    read_frame, write_frame, Connection, FrameReader, KeyOutcome, ObservedOutcome, Request, RequestFrame, Response,
     ResponseFrame, StatsSnapshot, MAX_BATCH_KEYS, MAX_FRAME_LEN,
 };
 use chronus::telemetry::{SpanId, TraceContext, TraceId};
@@ -45,6 +44,21 @@ impl Write for ByteLoop {
 
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
+    }
+}
+
+/// A byte stream that hands out at most `chunk` bytes per `read`.
+struct Chunked<'a> {
+    rest: &'a [u8],
+    chunk: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.chunk.min(out.len()).min(self.rest.len());
+        out[..n].copy_from_slice(&self.rest[..n]);
+        self.rest = &self.rest[n..];
+        Ok(n)
     }
 }
 
@@ -234,16 +248,14 @@ proptest! {
         for frame in &frames {
             write_frame(&mut wire, frame).unwrap();
         }
-        let mut buf = BytesMut::new();
+        let mut stream = Chunked { rest: &wire, chunk };
+        let mut reader = FrameReader::default();
         let mut decoded = Vec::new();
-        for piece in wire.chunks(chunk) {
-            buf.put_slice(piece);
-            while let Some(payload) = take_frame(&mut buf).unwrap() {
-                decoded.push(serde_json::from_slice::<RequestFrame>(&payload).unwrap());
-            }
+        while let Ok(payload) = reader.next(&mut stream) {
+            decoded.push(serde_json::from_slice::<RequestFrame>(payload).unwrap());
         }
         prop_assert_eq!(decoded, frames);
-        prop_assert!(buf.is_empty(), "no bytes may linger after the last frame");
+        prop_assert!(reader.take().unwrap().is_none(), "no bytes may linger after the last frame");
     }
 
     /// Arbitrary junk bytes never panic the decoder: every outcome is a
@@ -256,10 +268,9 @@ proptest! {
     /// Arbitrary junk never panics the streaming path either; an
     /// oversized length prefix must surface as `Err`, not an allocation.
     #[test]
-    fn junk_bytes_never_panic_take_frame(junk in prop::collection::vec(0u8..=255, 0..256)) {
-        let mut buf = BytesMut::new();
-        buf.put_slice(&junk);
-        while let Ok(Some(_)) = take_frame(&mut buf) {}
+    fn junk_bytes_never_panic_the_frame_reader(junk in prop::collection::vec(0u8..=255, 0..256)) {
+        let mut reader = FrameReader::default();
+        while reader.next(&mut junk.as_slice()).is_ok() {}
     }
 
     /// A truncated valid frame is "not yet" (`Ok(None)`) for the
@@ -269,9 +280,10 @@ proptest! {
         let mut wire = Vec::new();
         write_frame(&mut wire, &frame).unwrap();
         let cut = wire.len().saturating_sub(keep + 1);
-        let mut buf = BytesMut::new();
-        buf.put_slice(&wire[..cut]);
-        prop_assert!(take_frame(&mut buf).unwrap().is_none());
+        let mut reader = FrameReader::default();
+        let mut stream = &wire[..cut];
+        while reader.fill(&mut stream).unwrap() > 0 {}
+        prop_assert!(reader.take().unwrap().is_none());
     }
 
     /// Junk in the trace header slot never panics the decoder: whatever
@@ -426,7 +438,7 @@ proptest! {
 
     /// The blanket impl speaks exactly the classic wire format: bytes
     /// produced by `send_frame` on a stream are bit-identical to
-    /// `write_frame`'s, and `read_frame`/`take_frame` decode them.
+    /// `write_frame`'s, and `read_frame`/`FrameReader` decode them.
     #[test]
     fn blanket_impl_preserves_the_classic_wire_format(frame in arb_frame()) {
         let mut classic = Vec::new();

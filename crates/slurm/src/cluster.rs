@@ -15,7 +15,7 @@ use crate::partition::{Partition, PartitionTable};
 use crate::plugin::{JobSubmitPlugin, PluginHost};
 use crate::priority::{FairShare, PriorityWeights};
 use crate::sched::NodeSet;
-use crate::script::parse_script;
+use crate::script::parse_submission;
 use eco_hpcg::workload::Workload;
 use eco_sim_node::class::NodeClass;
 use eco_sim_node::clock::{SimDuration, SimTime};
@@ -489,8 +489,7 @@ impl Cluster {
         });
         let parsed = {
             let parse_span = root.as_ref().map(|r| r.child("slurm", "parse"));
-            let parsed =
-                parse_script(script, user).and_then(|desc| Ok((desc, crate::commands::array_directive(script)?)));
+            let parsed = parse_submission(script, user);
             if let Some(s) = parse_span {
                 match &parsed {
                     Ok(_) => s.finish(),
@@ -602,6 +601,9 @@ impl Cluster {
         let partition = self.partitions.resolve(desc.partition.as_deref()).ok_or_else(|| {
             SlurmError::Unsatisfiable(format!("unknown partition '{}'", desc.partition.as_deref().unwrap_or("")))
         })?;
+        if desc.num_nodes == 0 {
+            return Err(SlurmError::Unsatisfiable("0 nodes requested, a job needs at least one".into()));
+        }
         if desc.num_nodes as usize > partition.nodes.len() {
             return Err(SlurmError::Unsatisfiable(format!(
                 "{} nodes requested, partition '{}' has {}",

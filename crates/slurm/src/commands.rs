@@ -3,6 +3,7 @@
 
 use crate::error::SlurmError;
 use crate::job::JobDescriptor;
+use crate::script::array_value;
 
 /// Parses an `srun` command line into a descriptor (interactive submission
 /// — paper §3.1: "srun is used to submit an interactive job and directly
@@ -87,21 +88,14 @@ pub fn parse_array_spec(spec: &str) -> Result<ArraySpec, SlurmError> {
     Ok(ArraySpec { indices })
 }
 
-/// Extracts the `--array` directive from a batch script, if present.
+/// Extracts the `--array` directive from a batch script, if present: the
+/// first `#SBATCH --array=V` or `#SBATCH --array V` line.
 pub fn array_directive(script: &str) -> Result<Option<ArraySpec>, SlurmError> {
-    for raw in script.lines() {
-        let line = raw.trim();
-        if let Some(rest) = line.strip_prefix("#SBATCH") {
-            let rest = rest.trim();
-            if let Some(v) = rest.strip_prefix("--array=") {
-                return parse_array_spec(v.trim()).map(Some);
-            }
-            if let Some(v) = rest.strip_prefix("--array ") {
-                return parse_array_spec(v.trim()).map(Some);
-            }
-        }
-    }
-    Ok(None)
+    script
+        .lines()
+        .find_map(|raw| raw.trim().strip_prefix("#SBATCH").and_then(|rest| array_value(rest.trim())))
+        .map(parse_array_spec)
+        .transpose()
 }
 
 fn parse<T: std::str::FromStr>(v: &str, opt: &str) -> Result<T, SlurmError> {

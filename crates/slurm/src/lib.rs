@@ -40,4 +40,4 @@ pub use partition::{Partition, PartitionTable};
 pub use plugin::{JobSubmitPlugin, PluginHost, PluginRejection};
 pub use priority::{FairShare, PriorityWeights};
 pub use sched::HoldReason;
-pub use script::{generate_hpcg_script, parse_script};
+pub use script::{generate_hpcg_script, parse_script, parse_submission};

@@ -13,9 +13,10 @@
 //! srun --mpi=pmix_v4 --ntasks-per-core=2 /opt/hpcg/bin/xhpcg
 //! ```
 
+use crate::commands::{parse_array_spec, ArraySpec};
 use crate::error::SlurmError;
 use crate::job::{JobDescriptor, Qos};
-use eco_sim_node::clock::SimDuration;
+use eco_sim_node::clock::{SimDuration, SimTime};
 
 /// Parses an sbatch script into a [`JobDescriptor`] for `user`.
 ///
@@ -25,94 +26,132 @@ use eco_sim_node::clock::SimDuration;
 /// options are ignored (as Slurm tolerates plenty we don't model);
 /// malformed values are errors.
 pub fn parse_script(script: &str, user: &str) -> Result<JobDescriptor, SlurmError> {
-    let mut desc = JobDescriptor::new("sbatch", user, "");
-    let mut saw_srun = false;
-
-    for raw in script.lines() {
-        let line = raw.trim();
-        if let Some(rest) = line.strip_prefix("#SBATCH") {
-            parse_sbatch_directive(rest.trim(), &mut desc)?;
-        } else if line.starts_with("srun") {
-            parse_srun_line(line, &mut desc)?;
-            saw_srun = true;
-        }
-    }
-
-    if !saw_srun || desc.binary_path.is_empty() {
-        return Err(SlurmError::InvalidScript("script has no srun line with an executable".into()));
-    }
-    Ok(desc)
+    Scan::of(script).map(|scan| scan.descriptor(user))
 }
 
-fn parse_sbatch_directive(directive: &str, desc: &mut JobDescriptor) -> Result<(), SlurmError> {
-    let (key, value) = split_option(directive);
-    match key {
-        "--nodes" => desc.num_nodes = parse_num(key, &value)?,
-        "--ntasks" => desc.num_tasks = parse_num(key, &value)?,
-        "--cpu-freq" => {
-            let khz: u64 = parse_num(key, &value)?;
-            desc.min_frequency_khz = Some(khz);
-            desc.max_frequency_khz = Some(khz);
-        }
-        "--comment" => desc.comment = value,
-        "--partition" => desc.partition = Some(value),
-        "--job-name" => desc.name = value,
-        "--time" => desc.time_limit = Some(parse_time(&value)?),
-        "--qos" => {
-            desc.qos = match value.as_str() {
-                "high" => Qos::High,
-                "normal" => Qos::Normal,
-                "low" => Qos::Low,
-                other => return Err(SlurmError::InvalidScript(format!("unknown qos '{other}'"))),
+/// What `sbatch` reads from a script: [`parse_script`]'s descriptor and
+/// [`crate::commands::array_directive`]'s array, in one pass. Results and
+/// errors are those two calls' in that order: any error `parse_script`
+/// reports comes before a bad `--array` value.
+pub fn parse_submission(script: &str, user: &str) -> Result<(JobDescriptor, Option<ArraySpec>), SlurmError> {
+    let scan = Scan::of(script)?;
+    let array = scan.array.map(parse_array_spec).transpose()?;
+    Ok((scan.descriptor(user), array))
+}
+
+/// The value of an `--array` directive (the text after `#SBATCH`,
+/// trimmed): `--array=V` or `--array V`, `V` trimmed and quotes kept.
+pub(crate) fn array_value(directive: &str) -> Option<&str> {
+    directive.strip_prefix("--array=").or_else(|| directive.strip_prefix("--array ")).map(str::trim)
+}
+
+/// One pass over a script. Strings stay borrowed from it until
+/// [`Scan::descriptor`] copies the ones the descriptor keeps.
+struct Scan<'s> {
+    /// Every field but the strings below.
+    desc: JobDescriptor,
+    name: &'s str,
+    comment: &'s str,
+    partition: Option<&'s str>,
+    binary_path: &'s str,
+    /// The first `--array` value, parsed only once the script is known good.
+    array: Option<&'s str>,
+}
+
+impl<'s> Scan<'s> {
+    fn of(script: &'s str) -> Result<Scan<'s>, SlurmError> {
+        let mut scan = Scan {
+            desc: JobDescriptor::new("", "", ""),
+            name: "sbatch",
+            comment: "",
+            partition: None,
+            binary_path: "",
+            array: None,
+        };
+        let mut saw_srun = false;
+        for raw in script.lines() {
+            let line = raw.trim();
+            if let Some(rest) = line.strip_prefix("#SBATCH") {
+                let directive = rest.trim();
+                if scan.array.is_none() {
+                    scan.array = array_value(directive);
+                }
+                scan.sbatch_directive(directive)?;
+            } else if line.starts_with("srun") {
+                scan.srun_line(line)?;
+                saw_srun = true;
             }
         }
-        "--begin" => {
-            let secs: u64 = parse_num(key, &value)?;
-            desc.begin_time = Some(eco_sim_node::clock::SimTime::from_secs(secs));
+        if !saw_srun || scan.binary_path.is_empty() {
+            return Err(SlurmError::InvalidScript("script has no srun line with an executable".into()));
         }
-        _ => {} // tolerated, like real Slurm with unmodelled options
+        Ok(scan)
     }
-    Ok(())
-}
 
-fn parse_srun_line(line: &str, desc: &mut JobDescriptor) -> Result<(), SlurmError> {
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    let mut i = 1; // skip "srun"
-    while i < tokens.len() {
-        let tok = tokens[i];
-        if let Some(v) = tok.strip_prefix("--ntasks-per-core=") {
-            desc.threads_per_cpu =
-                v.parse().map_err(|_| SlurmError::InvalidScript(format!("bad --ntasks-per-core '{v}'")))?;
-        } else if !tok.starts_with('-') {
-            desc.binary_path = tok.to_string();
+    fn sbatch_directive(&mut self, directive: &'s str) -> Result<(), SlurmError> {
+        let (key, value) = split_option(directive);
+        let desc = &mut self.desc;
+        match key {
+            "--nodes" => desc.num_nodes = parse_num(key, value)?,
+            "--ntasks" => desc.num_tasks = parse_num(key, value)?,
+            "--cpu-freq" => {
+                let khz: u64 = parse_num(key, value)?;
+                desc.min_frequency_khz = Some(khz);
+                desc.max_frequency_khz = Some(khz);
+            }
+            "--comment" => self.comment = value,
+            "--partition" => self.partition = Some(value),
+            "--job-name" => self.name = value,
+            "--time" => desc.time_limit = Some(parse_time(value)?),
+            "--qos" => {
+                desc.qos = match value {
+                    "high" => Qos::High,
+                    "normal" => Qos::Normal,
+                    "low" => Qos::Low,
+                    other => return Err(SlurmError::InvalidScript(format!("unknown qos '{other}'"))),
+                }
+            }
+            "--begin" => desc.begin_time = Some(SimTime::from_secs(parse_num(key, value)?)),
+            _ => {} // tolerated, like real Slurm with unmodelled options
         }
-        i += 1;
+        Ok(())
     }
-    Ok(())
+
+    fn srun_line(&mut self, line: &'s str) -> Result<(), SlurmError> {
+        for tok in line.split_whitespace().skip(1) {
+            if let Some(v) = tok.strip_prefix("--ntasks-per-core=") {
+                self.desc.threads_per_cpu =
+                    v.parse().map_err(|_| SlurmError::InvalidScript(format!("bad --ntasks-per-core '{v}'")))?;
+            } else if !tok.starts_with('-') {
+                self.binary_path = tok;
+            }
+        }
+        Ok(())
+    }
+
+    fn descriptor(self, user: &str) -> JobDescriptor {
+        JobDescriptor {
+            name: self.name.to_string(),
+            user: user.to_string(),
+            comment: self.comment.to_string(),
+            partition: self.partition.map(str::to_string),
+            binary_path: self.binary_path.to_string(),
+            ..self.desc
+        }
+    }
 }
 
 /// Splits `--key=value`, `--key value` or `--key "value"` forms. When both
 /// separators appear, the first one wins, so an `=` inside a quoted value
 /// (`--comment "chronus deadline=3600"`) stays in the value.
-fn split_option(s: &str) -> (&str, String) {
-    let eq = s.find('=');
-    let sp = s.find(char::is_whitespace);
-    let cut = match (eq, sp) {
-        (Some(e), Some(w)) => Some(e.min(w)),
-        (one, None) => one,
-        (None, one) => one,
-    };
-    match cut {
+fn split_option(s: &str) -> (&str, &str) {
+    match s.find(|c: char| c == '=' || c.is_whitespace()) {
         Some(i) => {
             let (k, v) = s.split_at(i);
-            (k.trim(), unquote(v[1..].trim()))
+            (k.trim(), v[1..].trim().trim_matches('"'))
         }
-        None => (s, String::new()),
+        None => (s, ""),
     }
-}
-
-fn unquote(s: &str) -> String {
-    s.trim_matches('"').to_string()
 }
 
 fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, SlurmError> {
@@ -126,9 +165,14 @@ fn parse_time(value: &str) -> Result<SimDuration, SlurmError> {
         Some((d, r)) => (d.parse::<u64>().map_err(|_| bad())?, r),
         None => (0, value),
     };
-    let parts: Vec<&str> = rest.split(':').collect();
-    let nums: Vec<u64> = parts.iter().map(|p| p.parse::<u64>().map_err(|_| bad())).collect::<Result<_, _>>()?;
-    let secs = match nums.as_slice() {
+    let mut nums = [0u64; 3];
+    let mut n = 0;
+    for part in rest.split(':') {
+        let num = part.parse().map_err(|_| bad())?;
+        *nums.get_mut(n).ok_or_else(bad)? = num;
+        n += 1;
+    }
+    let secs = match nums[..n] {
         [m] => m * 60,
         [m, s] => m * 60 + s,
         [h, m, s] => h * 3600 + m * 60 + s,

@@ -46,6 +46,15 @@ impl DiskBackend {
         Ok(DiskBackend { root: root.as_ref().to_path_buf() })
     }
 
+    /// Opens the store rooted at `root`, which must already be a
+    /// directory: nothing is created.
+    pub(crate) fn open_existing(root: impl AsRef<Path>) -> io::Result<Self> {
+        if !root.as_ref().is_dir() {
+            return Err(io::Error::new(io::ErrorKind::NotFound, "no such store directory"));
+        }
+        Ok(DiskBackend { root: root.as_ref().to_path_buf() })
+    }
+
     fn resolve(&self, name: &str) -> PathBuf {
         let mut path = self.root.clone();
         for part in name.split('/') {

@@ -220,6 +220,12 @@ impl ModelStore {
         ModelStore::open(Box::new(DiskBackend::open(dir)?))
     }
 
+    /// [`ModelStore::open_dir`] on a directory that must already exist:
+    /// what an audit opens, so a mistyped path is refused, not created.
+    pub fn open_existing(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        ModelStore::open(Box::new(DiskBackend::open_existing(dir)?))
+    }
+
     /// Whether the last open had to discard a torn or corrupt tail.
     pub fn recovered_truncation(&self) -> bool {
         self.recovered_truncation

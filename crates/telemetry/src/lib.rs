@@ -293,6 +293,8 @@ pub enum AttrValue {
     F64(f64),
     /// A literal is carried borrowed; anything else is an owned copy.
     Str(Cow<'static, str>),
+    /// A string its owner keeps for many spans, shared rather than copied.
+    Shared(Arc<str>),
 }
 
 impl std::fmt::Display for AttrValue {
@@ -302,6 +304,7 @@ impl std::fmt::Display for AttrValue {
             AttrValue::I64(v) => v.fmt(f),
             AttrValue::F64(v) => v.fmt(f),
             AttrValue::Str(v) => v.fmt(f),
+            AttrValue::Shared(v) => v.fmt(f),
         }
     }
 }
@@ -323,6 +326,7 @@ attr_value_from! {
     I64 <- isize => |v| v as i64;
     F64 <- f64 => f64::from;
     Str <- &'static str, String, Cow<'static, str> => Cow::from;
+    Shared <- Arc<str> => std::convert::identity;
 }
 
 /// Attributes one span holds inline: enough for every span site in the
