@@ -105,8 +105,7 @@ impl CanaryController {
         &self.state
     }
 
-    /// The phase as the one-line label `chronus stats` prints and the
-    /// wire snapshot carries.
+    /// The phase as a one-line label, sample counts included.
     pub fn state_label(&self) -> String {
         match &self.state {
             CanaryState::Idle => "idle".to_string(),

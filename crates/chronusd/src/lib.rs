@@ -19,7 +19,7 @@
 //!                    │                               worker pool
 //!                    │                                   │
 //!                    ▼                                   ▼
-//!             rewritten job              sharded LRU model registry
+//!             rewritten job                 LRU model registry
 //!         (cores, freq, threads)        (system_hash, binary_hash) →
 //!                                        pre-computed best CpuConfig
 //! ```
@@ -38,8 +38,8 @@
 //! * [`service`] — the transport-free request engine (deadlines,
 //!   miss/error classification, counters) shared by the TCP server and
 //!   the deterministic simulation harness;
-//! * [`registry`] — sharded LRU map of pre-computed answers, one
-//!   capacity for the whole of it;
+//! * [`registry`] — one LRU map of pre-computed answers under one
+//!   lock;
 //! * [`backend`] — where models come from (the durable store, which
 //!   `load-model` and campaigns commit to; a static set for tests);
 //! * `stats` (crate-private) — the counter and histogram handles behind

@@ -1,35 +1,31 @@
-//! The daemon's model registry: a sharded, LRU-bounded map from
+//! The daemon's model registry: an LRU-bounded map from
 //! `(system_hash, binary_hash)` to the pre-computed most
 //! energy-efficient configuration.
 //!
 //! Predictions are read-mostly and latency-critical (they sit on the
 //! scheduler's submit path), so the registry stores the *answer* — the
 //! optimizer's argmax over the system's configuration space, computed
-//! once at preload — rather than the optimizer itself. Each shard is one
-//! `RwLock<HashMap>`: a lookup takes its shard's read lock, and writers
-//! (preloads, cold-miss inserts, evictions) change the map in place
-//! under the write lock. A hit refreshes its entry's LRU stamp, an
-//! atomic, under the read lock. An insert is visible to the next lookup
-//! of its key: installing a model is one step.
+//! once at preload — rather than the optimizer itself. The registry is
+//! one `RwLock<HashMap>`: a lookup takes the read lock and refreshes its
+//! entry's LRU stamp, an atomic, under it; writers (preloads, cold-miss
+//! inserts, evictions) change the map in place under the write lock. An
+//! insert is visible to the next lookup of its key: installing a model
+//! is one step.
 //!
-//! Capacity is one budget for the whole registry, not a share per
-//! shard: a new key arriving at capacity evicts the entry with the
-//! globally oldest LRU stamp, whichever shard holds it. Inserts are
-//! serialized by one registry-wide mutex so "count, pick the victim,
-//! insert" is a single decision; under it the victim's shard and the
-//! key's shard are written one after the other, never nested, and the
-//! resident count moves down with the victim before it moves up with the
-//! new key — so [`ModelRegistry::len`] never reads above capacity.
+//! Capacity is one budget for the whole registry: a new key arriving at
+//! capacity evicts the entry with the oldest LRU stamp, under the same
+//! write lock as the insert, so "count, pick the victim, insert" is one
+//! decision and [`ModelRegistry::len`] never reads above capacity.
 //!
 //! The registry also numbers rollouts: [`ModelRegistry::begin_rollout`]
 //! allocates a generation, [`ModelRegistry::commit_rollout`] publishes
 //! it as [`ModelRegistry::generation`]. Entries carry no generation.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use eco_sim_node::cpu::CpuConfig;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 /// Registry key: the plugin's identity pair (§4.2.1).
 pub type ModelKey = (u64, u64);
@@ -53,19 +49,10 @@ pub enum Lookup {
     Miss,
 }
 
-type Shard = RwLock<HashMap<ModelKey, ResidentModel>>;
-
-/// Sharded LRU registry with one global capacity.
+/// LRU registry with one capacity.
 pub struct ModelRegistry {
-    shards: Vec<Shard>,
+    models: RwLock<HashMap<ModelKey, ResidentModel>>,
     capacity: usize,
-    /// Serializes inserts, so the capacity check, the choice of victim
-    /// and the insert are one decision. Readers never touch it.
-    budget: Mutex<()>,
-    /// Entries across all shards, changed only under `budget`: down for
-    /// a victim before up for the new key, so no value it ever holds is
-    /// above `capacity`. It publishes no other data (`Relaxed`).
-    resident: AtomicUsize,
     clock: AtomicU64,
     evictions: AtomicU64,
     /// Latest committed rollout generation.
@@ -75,25 +62,18 @@ pub struct ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// A registry with `shards` shards and room for `capacity` models
-    /// in total, however they hash. Both are clamped to at least 1.
-    pub fn new(shards: usize, capacity: usize) -> ModelRegistry {
+    /// A registry with room for `capacity` models (at least 1). `_shards`
+    /// is ignored: the registry is one map. It stays in the signature
+    /// because `benchmark/src/micro.rs` calls `new(shards, capacity)`.
+    pub fn new(_shards: usize, capacity: usize) -> ModelRegistry {
         ModelRegistry {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
+            models: RwLock::default(),
             capacity: capacity.max(1),
-            budget: Mutex::new(()),
-            resident: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             committed_gen: AtomicU64::new(0),
             next_gen: AtomicU64::new(0),
         }
-    }
-
-    fn shard_for(&self, key: &ModelKey) -> &Shard {
-        // cheap mix of both hashes; the shard count is small
-        let mixed = key.0 ^ key.1.rotate_left(17);
-        &self.shards[(mixed % self.shards.len() as u64) as usize]
     }
 
     fn tick(&self) -> u64 {
@@ -120,7 +100,7 @@ impl ModelRegistry {
 
     /// Looks `key` up, refreshing its LRU stamp on a hit.
     pub fn lookup(&self, key: &ModelKey) -> Lookup {
-        match self.shard_for(key).read().get(key) {
+        match self.models.read().get(key) {
             None => Lookup::Miss,
             Some(m) => {
                 m.last_used.store(self.tick(), Ordering::Relaxed);
@@ -132,25 +112,19 @@ impl ModelRegistry {
     /// Inserts (or replaces) a model, visible to the next lookup,
     /// evicting the registry's least recently used entry if the key is
     /// new and the registry is full. The model type is not kept: a
-    /// lookup answers with the id and the configuration only.
+    /// lookup answers with the id and the configuration only. The
+    /// argument stays because `benchmark/src/micro.rs` passes one.
     pub fn insert(&self, key: ModelKey, model_id: i64, _model_type: String, config: CpuConfig) {
         let stamp = self.tick();
-        let _budget = self.budget.lock();
-        let shard = self.shard_for(&key);
-        // each guard is released before the next lock is taken:
-        // `coldest` reads every shard, this one included
-        let present = shard.read().contains_key(&key);
-        if !present && self.resident.load(Ordering::Relaxed) >= self.capacity {
-            if let Some(victim) = self.coldest() {
-                self.shard_for(&victim).write().remove(&victim);
-                self.resident.fetch_sub(1, Ordering::Relaxed);
+        let mut models = self.models.write();
+        if models.len() >= self.capacity && !models.contains_key(&key) {
+            let coldest = models.iter().min_by_key(|(_, m)| m.last_used.load(Ordering::Relaxed)).map(|(k, _)| *k);
+            if let Some(victim) = coldest {
+                models.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shard.write().insert(key, ResidentModel { model_id, config, last_used: AtomicU64::new(stamp) });
-        if !present {
-            self.resident.fetch_add(1, Ordering::Relaxed);
-        }
+        models.insert(key, ResidentModel { model_id, config, last_used: AtomicU64::new(stamp) });
     }
 
     /// [`Self::insert`]; `_gen` is not kept. Kept under its own name
@@ -159,18 +133,9 @@ impl ModelRegistry {
         self.insert(key, model_id, model_type, config);
     }
 
-    /// The key with the oldest LRU stamp in the whole registry.
-    fn coldest(&self) -> Option<ModelKey> {
-        let coldest_in = |shard: &Shard| {
-            let entries = shard.read();
-            entries.iter().map(|(key, m)| (m.last_used.load(Ordering::Relaxed), *key)).min()
-        };
-        self.shards.iter().filter_map(coldest_in).min().map(|(_, key)| key)
-    }
-
-    /// Models resident across all shards.
+    /// Models resident.
     pub fn len(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
+        self.models.read().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -193,7 +158,7 @@ mod tests {
 
     #[test]
     fn lookup_returns_what_insert_stored() {
-        let reg = ModelRegistry::new(4, 8);
+        let reg = ModelRegistry::new(1, 8);
         assert_eq!(reg.lookup(&(1, 2)), Lookup::Miss);
         reg.insert((1, 2), 7, "brute-force".into(), cfg(32));
         assert_eq!(reg.lookup(&(1, 2)), Lookup::Hit { model_id: 7, config: cfg(32) });
@@ -224,29 +189,17 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_one_budget_however_the_keys_hash() {
-        // every key lands in one shard of eight: under a per-shard share
-        // (64 / 8) all but eight of them would have been evicted
-        let reg = ModelRegistry::new(8, 64);
-        for i in 0..64u64 {
-            reg.insert((i * 8, 0), i as i64, "a".into(), cfg(1));
-        }
-        assert_eq!((reg.len(), reg.evictions()), (64, 0));
-        assert!((0..64u64).all(|i| matches!(reg.lookup(&(i * 8, 0)), Lookup::Hit { .. })));
-    }
-
-    #[test]
     fn a_new_key_at_capacity_evicts_the_globally_coldest_entry() {
-        let reg = ModelRegistry::new(4, 4);
+        let reg = ModelRegistry::new(1, 4);
         for i in 0..4u64 {
             reg.insert((i, 0), i as i64, "a".into(), cfg(1));
         }
-        // touch everything but (2,0); the new key (5,0) hashes to (1,0)'s shard
+        // touch everything but (2,0)
         for i in [0u64, 1, 3] {
             assert!(matches!(reg.lookup(&(i, 0)), Lookup::Hit { .. }));
         }
         reg.insert((5, 0), 5, "a".into(), cfg(1));
-        assert_eq!(reg.lookup(&(2, 0)), Lookup::Miss, "the coldest entry went, whichever shard held it");
+        assert_eq!(reg.lookup(&(2, 0)), Lookup::Miss, "the coldest entry went");
         assert!(
             matches!(reg.lookup(&(1, 0)), Lookup::Hit { .. }) && matches!(reg.lookup(&(5, 0)), Lookup::Hit { .. })
         );
@@ -258,7 +211,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_never_exceed_capacity() {
-        let reg = std::sync::Arc::new(ModelRegistry::new(8, 16));
+        let reg = std::sync::Arc::new(ModelRegistry::new(1, 16));
         crossbeam::scope(|s| {
             for t in 0..4u64 {
                 let reg = std::sync::Arc::clone(&reg);
@@ -277,7 +230,7 @@ mod tests {
 
     #[test]
     fn an_insert_serves_at_once_and_only_a_commit_moves_the_generation() {
-        let reg = ModelRegistry::new(2, 8);
+        let reg = ModelRegistry::new(1, 8);
         let gen = reg.begin_rollout();
         assert_eq!((gen, reg.generation()), (1, 0));
         reg.insert_at((1, 2), 9, "auto".into(), cfg(32), gen);
@@ -293,7 +246,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_and_writers_do_not_lose_entries() {
-        let reg = std::sync::Arc::new(ModelRegistry::new(8, 1024));
+        let reg = std::sync::Arc::new(ModelRegistry::new(1, 1024));
         crossbeam::scope(|s| {
             for t in 0..4u64 {
                 let reg = std::sync::Arc::clone(&reg);
@@ -318,7 +271,7 @@ mod tests {
         // another key's entry, and the budget must come out exact
         const CAP: usize = 32;
         const MORE: u64 = 64;
-        let reg = ModelRegistry::new(8, CAP);
+        let reg = ModelRegistry::new(1, CAP);
         for k in 0..CAP as u64 {
             reg.insert((k, k), k as i64, "bf".into(), cfg(k as u32 + 1));
         }
@@ -359,13 +312,13 @@ mod tests {
     #[test]
     fn a_touched_entry_survives_an_unrelated_write() {
         // a touch protects the entry from eviction even after another
-        // write to the same shard
+        // write
         let reg = ModelRegistry::new(1, 3);
         reg.insert((1, 0), 1, "a".into(), cfg(1));
         reg.insert((2, 0), 2, "a".into(), cfg(2));
         reg.insert((3, 0), 3, "a".into(), cfg(3));
         assert!(matches!(reg.lookup(&(1, 0)), Lookup::Hit { .. })); // stamps (1,0) as the most recent
-        reg.insert((3, 0), 3, "a".into(), cfg(3)); // an unrelated write to the same shard
+        reg.insert((3, 0), 3, "a".into(), cfg(3)); // an unrelated write
         reg.insert((4, 0), 4, "a".into(), cfg(4)); // now someone must go
         assert!(matches!(reg.lookup(&(1, 0)), Lookup::Hit { .. }), "the touched entry survived the republish");
         assert_eq!(reg.lookup(&(2, 0)), Lookup::Miss, "the untouched entry was the LRU victim");
@@ -381,7 +334,7 @@ mod tests {
         // rollout the answer belongs to.
         const KEYS: u64 = 8;
         const ROLLOUTS: i64 = 200;
-        let reg = std::sync::Arc::new(ModelRegistry::new(2, 64));
+        let reg = std::sync::Arc::new(ModelRegistry::new(1, 64));
         for k in 0..KEYS {
             reg.insert((k, k), 0, "bf".into(), cfg(8));
         }

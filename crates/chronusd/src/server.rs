@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 
 use crate::backend::{ModelBackend, StoreModelBackend};
 use crate::registry::ModelRegistry;
-use crate::service::{PredictService, QueueGauges, StoreCatchUp};
+use crate::service::{PredictService, QueueGauges, StoreCatchUp, WallClock};
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -38,8 +38,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Connections that may wait between accept and a worker.
     pub queue_cap: usize,
-    /// Registry capacity: resident models in total, one budget however
-    /// the keys hash across shards.
+    /// Registry capacity: resident models in total.
     pub cache_cap: usize,
     /// This daemon's fleet identity, stamped on `Stats` answers
     /// (empty = unnamed single daemon).
@@ -75,9 +74,6 @@ impl Default for ServerConfig {
 /// Idle tick on worker connections: how often a blocked read wakes up
 /// to check for shutdown.
 const READ_TICK: Duration = Duration::from_millis(25);
-
-/// Registry shards.
-const CACHE_SHARDS: usize = 8;
 
 /// The hint sent with `Busy` rejections, in milliseconds.
 pub const RETRY_AFTER_MS: u64 = 20;
@@ -134,8 +130,10 @@ impl PredictServer {
             .map_err(|e| std::io::Error::new(e.kind(), format!("cannot bind {}: {e}", cfg.addr)))?;
         let addr = listener.local_addr()?;
         let workers_n = cfg.workers.max(1);
-        let serve_from =
-            |source| PredictService::new(CACHE_SHARDS, cfg.cache_cap, source).with_replica(&cfg.replica_id);
+        let serve_from = |source| {
+            PredictService::with_clock(cfg.cache_cap, source, Arc::new(WallClock::new()))
+                .with_replica(&cfg.replica_id)
+        };
         let service = match &cfg.store_dir {
             Some(dir) => {
                 let store = ModelStore::open_dir(dir).map_err(|e| {

@@ -75,29 +75,24 @@ pub struct PredictService {
     shutdown: AtomicBool,
     replica: String,
     adapt: Monitor,
-    /// The canary phase label stamped on `Stats` answers. The canary
-    /// *controller* lives with whoever drives rollouts (the adaptation
-    /// driver, the simulation world); the daemon only reports the label
-    /// so `chronus stats` shows where the fleet is mid-judgment. Empty
-    /// until a driver sets one: no controller, no label.
-    canary_state: Mutex<String>,
 }
 
 impl PredictService {
-    /// A service on the wall clock.
-    pub fn new(cache_shards: usize, cache_cap: usize, backend: Arc<dyn ModelBackend>) -> PredictService {
-        PredictService::with_clock(cache_shards, cache_cap, backend, Arc::new(WallClock::new()))
+    /// A service on the wall clock whose registry holds `cache_cap`
+    /// models. `_cache_shards` is ignored (the registry is one map); it
+    /// stays because `benchmark/src/micro.rs` passes one.
+    pub fn new(_cache_shards: usize, cache_cap: usize, backend: Arc<dyn ModelBackend>) -> PredictService {
+        PredictService::with_clock(cache_cap, backend, Arc::new(WallClock::new()))
     }
 
     /// A service on an explicit clock (virtual time in simulation),
     /// with its own private telemetry over that clock.
     pub fn with_clock(
-        cache_shards: usize,
         cache_cap: usize,
         backend: Arc<dyn ModelBackend>,
         clock: Arc<dyn ServiceClock>,
     ) -> PredictService {
-        PredictService::with_telemetry(cache_shards, cache_cap, backend, Arc::new(Telemetry::with_clock(clock)))
+        PredictService::with_telemetry(cache_cap, backend, Arc::new(Telemetry::with_clock(clock)))
     }
 
     /// A service emitting through an externally owned [`Telemetry`] —
@@ -107,20 +102,18 @@ impl PredictService {
     /// fresh `Telemetry` instances sharing one recorder, so counters
     /// reset on restart while the trace timeline persists.
     pub fn with_telemetry(
-        cache_shards: usize,
         cache_cap: usize,
         backend: Arc<dyn ModelBackend>,
         telemetry: Arc<Telemetry>,
     ) -> PredictService {
         PredictService {
-            registry: ModelRegistry::new(cache_shards, cache_cap),
+            registry: ModelRegistry::new(1, cache_cap),
             stats: ServerStats::over(&telemetry),
             backend,
             telemetry,
             shutdown: AtomicBool::new(false),
             replica: String::new(),
             adapt: Monitor::default(),
-            canary_state: Mutex::new(String::new()),
         }
     }
 
@@ -194,29 +187,6 @@ impl PredictService {
         &self.adapt
     }
 
-    /// Records that an incremental re-fit was committed from this
-    /// daemon's outcome reservoirs (called by the adaptation driver —
-    /// the daemon itself never writes the store).
-    pub fn note_adapt_refit(&self) {
-        self.stats.adapt_refits.bump();
-    }
-
-    /// Records a canary verdict: promoted fleet-wide, or rolled back
-    /// to the baseline generation.
-    pub fn note_canary_verdict(&self, promoted: bool) {
-        if promoted {
-            self.stats.canary_promotions.bump();
-        } else {
-            self.stats.canary_rollbacks.bump();
-        }
-    }
-
-    /// Updates the canary phase label stamped on `Stats` answers (the
-    /// driver's [`eco_adapt::CanaryController::state_label`]).
-    pub fn set_canary_state(&self, label: impl Into<String>) {
-        *self.canary_state.lock() = label.into();
-    }
-
     /// The telemetry the service emits through.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
@@ -232,8 +202,10 @@ impl PredictService {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The `stats` RPC's answer: counters, registry, store, monitor and
-    /// canary label, plus the queue gauges the transport samples.
+    /// The `stats` RPC's answer: counters, registry, store and monitor,
+    /// plus the queue gauges the transport samples. Refits and canary
+    /// verdicts are not here: the store's ledger records them
+    /// (`chronus models`).
     pub fn snapshot(&self, gauges: QueueGauges) -> StatsSnapshot {
         let (store_dir, store_generation, models_by_class) = match self.backend.store() {
             Some((store, dir)) => {
@@ -278,10 +250,6 @@ impl PredictService {
             drift_score_milli: adapt.drift_score_milli,
             drift_trips: s.drift_trips.get(),
             drift_clears: s.drift_clears.get(),
-            adapt_refits: s.adapt_refits.get(),
-            canary_promotions: s.canary_promotions.get(),
-            canary_rollbacks: s.canary_rollbacks.get(),
-            canary_state: self.canary_state.lock().clone(),
             latency_p50_us: s.service_us.percentile_us(0.50),
             latency_p99_us: s.service_us.percentile_us(0.99),
             latency_max_us: s.service_us.max_us(),
@@ -947,7 +915,6 @@ mod tests {
         assert_eq!(snap.outcomes_ingested, 1);
         assert_eq!(snap.outcome_reservoirs, 1);
         assert_eq!(snap.predictions, 0, "an outcome report is not a prediction");
-        assert_eq!(snap.canary_state, "");
         assert_eq!(svc.adapt().drain((10, 20)).len(), 1, "the driver can drain what was reported");
     }
 
@@ -1008,19 +975,6 @@ mod tests {
         assert_eq!(svc.telemetry().gauge("daemon.adapt.drift_score_milli").get(), 500);
     }
 
-    #[test]
-    fn driver_notes_surface_in_the_snapshot() {
-        let svc = service_with_one_model();
-        svc.note_adapt_refit();
-        svc.note_canary_verdict(true);
-        svc.note_canary_verdict(false);
-        svc.set_canary_state("canary gen 5 vs 4 (0/8 canary, 0/8 control)");
-        let snap = svc.snapshot(QueueGauges::default());
-        assert_eq!(snap.adapt_refits, 1);
-        assert_eq!((snap.canary_promotions, snap.canary_rollbacks), (1, 1));
-        assert!(snap.canary_state.starts_with("canary gen 5 vs 4"));
-    }
-
     /// A clock on which every observation moves time forward 30 ms, so
     /// any deadline under that is exceeded.
     struct JumpClock(AtomicU64);
@@ -1032,16 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn a_daemon_without_a_canary_controller_reports_no_canary_label() {
-        let svc = service_with_one_model();
-        let table = chronus::presenter::stats_table(&svc.snapshot(QueueGauges::default()));
-        assert!(!table.contains("canary"), "{table}");
-        svc.set_canary_state("idle");
-        let table = chronus::presenter::stats_table(&svc.snapshot(QueueGauges::default()));
-        assert!(table.contains("canary              idle"), "{table}");
-    }
-
-    #[test]
     fn every_counter_in_the_snapshot_is_its_telemetry_cell() {
         use eco_store::{MemBackend, Provenance};
 
@@ -1050,7 +994,7 @@ mod tests {
         for (id, system_hash) in [(1, 10), (2, 11), (3, 12)] {
             store.commit(&store_blob(system_hash, 20), id, Provenance::default()).unwrap();
         }
-        let svc = PredictService::with_clock(2, 8, over_store(store), Arc::new(JumpClock(AtomicU64::new(0))));
+        let svc = PredictService::with_clock(8, over_store(store), Arc::new(JumpClock(AtomicU64::new(0))));
         let send = |frame: RequestFrame| svc.answer(&frame_bytes(&frame), QueueGauges::default());
         let predict = |system_hash, binary_hash| RequestFrame::new(Request::Predict { system_hash, binary_hash });
         let outcome = |gflops| {
@@ -1096,9 +1040,6 @@ mod tests {
         for _ in 0..12 {
             svc.stats().busy_rejections.bump(); // as the accept loop bounces
         }
-        (0..14).for_each(|_| svc.note_adapt_refit());
-        (0..15).for_each(|_| svc.note_canary_verdict(true));
-        (0..16).for_each(|_| svc.note_canary_verdict(false));
 
         let snap = svc.snapshot(QueueGauges::default());
         let requests = 7 + 2 + 4 + 7 + 3 + 13 + 96;
@@ -1116,9 +1057,6 @@ mod tests {
             ("batched_keys", snap.batched_keys, 8),
             ("drift_trips", snap.drift_trips, 2),
             ("drift_clears", snap.drift_clears, 1),
-            ("adapt_refits", snap.adapt_refits, 14),
-            ("canary_promotions", snap.canary_promotions, 15),
-            ("canary_rollbacks", snap.canary_rollbacks, 16),
         ];
         for (name, field, expected) in table {
             let cell = svc.telemetry().counter(&format!("daemon.{name}")).get();
@@ -1136,7 +1074,7 @@ mod tests {
     #[test]
     fn deadline_is_enforced_on_the_injected_clock() {
         let backend = StaticBackend::new(vec![]);
-        let svc = PredictService::with_clock(1, 4, Arc::new(backend), Arc::new(JumpClock(AtomicU64::new(0))));
+        let svc = PredictService::with_clock(4, Arc::new(backend), Arc::new(JumpClock(AtomicU64::new(0))));
         let payload = frame_bytes(&RequestFrame::with_deadline(Request::Ping, 10));
         assert!(matches!(svc.handle_frame(&payload, QueueGauges::default()), Response::DeadlineExceeded));
         assert_eq!(svc.snapshot(QueueGauges::default()).deadline_exceeded, 1);

@@ -30,10 +30,6 @@ pub(crate) struct ServerStats {
     pub batched_keys: Counter,
     pub drift_trips: Counter,
     pub drift_clears: Counter,
-    /// Incremental re-fits committed from this daemon's reservoirs.
-    pub adapt_refits: Counter,
-    pub canary_promotions: Counter,
-    pub canary_rollbacks: Counter,
     pub batch_keys: Histogram,
     /// Request handling latency.
     pub service_us: Histogram,
@@ -56,9 +52,6 @@ impl ServerStats {
             batched_keys: telemetry.counter("daemon.batched_keys"),
             drift_trips: telemetry.counter("daemon.drift_trips"),
             drift_clears: telemetry.counter("daemon.drift_clears"),
-            adapt_refits: telemetry.counter("daemon.adapt_refits"),
-            canary_promotions: telemetry.counter("daemon.canary_promotions"),
-            canary_rollbacks: telemetry.counter("daemon.canary_rollbacks"),
             batch_keys: telemetry.histogram("daemon.batch_keys"),
             service_us: telemetry.histogram("daemon.service_us"),
         }

@@ -153,8 +153,8 @@ fn restarted_replica_self_serves_current_generation_with_zero_preloads() {
 }
 
 /// A fleet-sized store under the default configuration: the ledger's 64
-/// models fit `cache_cap`'s 64 whichever shards their keys hash to, so
-/// every key is a registry hit from the first request on.
+/// models fit `cache_cap`'s 64, so every key is a registry hit from the
+/// first request on.
 #[test]
 fn a_fleet_sized_store_is_fully_resident_at_the_default_cache_cap() {
     let dir = temp_store("fleet64");
@@ -166,7 +166,7 @@ fn a_fleet_sized_store_is_fully_resident_at_the_default_cache_cap() {
     let mut client = PredictClient::builder().endpoint(server.addr().to_string()).build().unwrap();
     every_key_answers_its_ledger_config(&mut client, &fleet);
     let snap = server.snapshot();
-    assert_eq!(snap.models_resident, 64, "one budget for the registry, not a share per shard");
+    assert_eq!(snap.models_resident, 64, "the registry holds all 64");
     assert_eq!(snap.evictions, 0);
     assert_eq!((snap.cache_hits, snap.cache_misses), (3 * 64, 0));
 

@@ -100,35 +100,21 @@ pub fn stats_table(s: &StatsSnapshot) -> String {
         let mix = s.models_by_class.iter().map(|(c, n)| format!("{c}={n}")).collect::<Vec<_>>().join(", ");
         format!("model classes       {mix}\n")
     };
-    // the adaptation block renders only when the daemon has an
-    // adaptation surface at all, so pre-adaptation daemons (every
-    // adapt counter zero, no canary controller) print byte-identically
-    let adapt_active = s.outcomes_ingested
-        + s.outcomes_rejected
-        + s.outcome_reservoirs
-        + s.drift_trips
-        + s.drift_clears
-        + s.adapt_refits
-        + s.canary_promotions
-        + s.canary_rollbacks
-        > 0
-        || !s.canary_state.is_empty();
+    // the outcome block renders only once the daemon has measured an
+    // outcome, so a daemon nobody reports to prints none; refits and
+    // canary verdicts are the store ledger's (`chronus models`)
+    let adapt_active =
+        s.outcomes_ingested + s.outcomes_rejected + s.outcome_reservoirs + s.drift_trips + s.drift_clears > 0;
     let adapt = if adapt_active {
         format!(
             "outcomes            {} ingested / {} rejected, {} reservoir(s)\n\
-             drift               {} trip(s) / {} clear(s), worst score {:.3}\n\
-             adaptation          {} refit(s), {} promoted / {} rolled back\n\
-             canary              {}\n",
+             drift               {} trip(s) / {} clear(s), worst score {:.3}\n",
             s.outcomes_ingested,
             s.outcomes_rejected,
             s.outcome_reservoirs,
             s.drift_trips,
             s.drift_clears,
             s.drift_score_milli as f64 / 1_000.0,
-            s.adapt_refits,
-            s.canary_promotions,
-            s.canary_rollbacks,
-            if s.canary_state.is_empty() { "idle" } else { &s.canary_state },
         )
     } else {
         String::new()
@@ -263,12 +249,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_table_shows_adaptation_only_when_active() {
-        // a pre-adaptation daemon (all adapt counters zero, no canary
-        // controller) renders no adaptation block at all
+    fn stats_table_shows_outcomes_only_when_reported() {
+        // a daemon nobody reported an outcome to renders no outcome block
         let quiet = stats_table(&StatsSnapshot::default());
-        assert!(!quiet.contains("adaptation"), "{quiet}");
-        assert!(!quiet.contains("canary"), "{quiet}");
+        assert!(!quiet.contains("outcomes"), "{quiet}");
+        assert!(!quiet.contains("drift"), "{quiet}");
 
         let snap = StatsSnapshot {
             outcomes_ingested: 40,
@@ -277,17 +262,11 @@ mod tests {
             drift_score_milli: 180,
             drift_trips: 1,
             drift_clears: 1,
-            adapt_refits: 2,
-            canary_promotions: 1,
-            canary_rollbacks: 1,
-            canary_state: "canary gen 3 vs 1 (4/8 canary, 5/8 control)".into(),
             ..StatsSnapshot::default()
         };
         let t = stats_table(&snap);
         assert!(t.contains("outcomes            40 ingested / 2 rejected, 3 reservoir(s)"), "{t}");
         assert!(t.contains("drift               1 trip(s) / 1 clear(s), worst score 0.180"), "{t}");
-        assert!(t.contains("adaptation          2 refit(s), 1 promoted / 1 rolled back"), "{t}");
-        assert!(t.contains("canary              canary gen 3 vs 1 (4/8 canary, 5/8 control)"), "{t}");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! wait starts unless an attempt can still follow it.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eco_sim_node::cpu::CpuConfig;
 
@@ -375,11 +375,13 @@ impl PredictClient {
         self.drive(&mut RequestFrame::new(body).traced(opts.trace))
     }
 
-    /// Round-trip liveness probe; returns the observed latency.
+    /// Round-trip liveness probe; returns the observed latency on the
+    /// transport clock (every replica shares one clock).
     pub fn ping(&mut self) -> Result<Duration, RemoteError> {
-        let start = Instant::now();
+        let clock = |client: &PredictClient| client.replicas[0].link.transport.now();
+        let start = clock(self);
         match self.request(Request::Ping, &CallOptions::default())? {
-            Response::Pong => Ok(start.elapsed()),
+            Response::Pong => Ok(clock(self).saturating_sub(start)),
             other => Err(RemoteError::Protocol(format!("expected Pong, got {other:?}"))),
         }
     }
@@ -842,6 +844,7 @@ mod tests {
     use crate::remote::{wire, Connection};
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
 
     /// The config the in-memory daemon holds for a key: distinct per
     /// key, so a cross-wired answer shows.
@@ -862,6 +865,7 @@ mod tests {
 
     fn served(body: &Request) -> Response {
         match body {
+            Request::Ping => Response::Pong,
             Request::Predict { system_hash, binary_hash } => Response::Config(answer((*system_hash, *binary_hash))),
             Request::PredictMany { keys } => {
                 Response::ManyConfigs { results: keys.iter().map(|&k| KeyOutcome::Config(answer(k))).collect() }
@@ -1174,7 +1178,10 @@ mod tests {
         fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
             let dropped = self.drops.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)).is_ok();
             if !self.stalled && !dropped {
-                self.inbox.push_back(honest(&wire::decode_request(payload).1.expect("a well-formed frame")));
+                // answered in the request's encoding, as a daemon does
+                let (binary, frame) = wire::decode_request(payload);
+                let frame = frame.expect("a well-formed frame");
+                self.inbox.push_back(wire::encode_reply(binary, frame.corr, served(&frame.body)));
             }
             Ok(())
         }
@@ -1196,6 +1203,18 @@ mod tests {
     }
 
     const BUDGET: Duration = Duration::from_millis(50);
+
+    #[test]
+    fn a_ping_is_timed_on_the_transport_clock() {
+        // the first frame is lost: the read waits out its share on the
+        // transport clock, then the retry is answered
+        let daemon = Clocked { drops: Arc::new(AtomicUsize::new(1)), ..Clocked::default() };
+        let clock = Arc::clone(&daemon.clock);
+        let mut client = PredictClient::builder().budget(BUDGET).transport(Box::new(daemon)).build().unwrap();
+        let latency = client.ping().unwrap();
+        assert!(*clock.lock() > Duration::ZERO, "the lost frame cost no time");
+        assert_eq!(latency, *clock.lock(), "the ping's latency is what the transport clock moved");
+    }
 
     #[test]
     fn a_stalled_daemon_costs_one_budget_and_no_attempt_more_than_its_share() {

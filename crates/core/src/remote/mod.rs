@@ -378,14 +378,6 @@ pub struct StatsSnapshot {
     pub drift_trips: u64,
     /// Drift detector clears (divergence subsided below hysteresis).
     pub drift_clears: u64,
-    /// Adaptation re-fits committed to the store.
-    pub adapt_refits: u64,
-    /// Canary verdicts that promoted the candidate fleet-wide.
-    pub canary_promotions: u64,
-    /// Canary verdicts that rolled the candidate back.
-    pub canary_rollbacks: u64,
-    /// The canary controller's current state (empty = no controller).
-    pub canary_state: String,
     /// Median request handling latency (µs, bucket upper bound).
     pub latency_p50_us: u64,
     /// 99th-percentile request handling latency (µs, bucket upper bound).

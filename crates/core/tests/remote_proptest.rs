@@ -134,17 +134,15 @@ fn arb_frame() -> impl Strategy<Value = RequestFrame> {
 
 fn arb_snapshot() -> impl Strategy<Value = StatsSnapshot> {
     (
-        prop::collection::vec(0u64..=u64::MAX, 30),
+        prop::collection::vec(0u64..=u64::MAX, 27),
         "[a-z0-9-]{0,12}",
         "[a-z0-9/._-]{0,24}",
         prop::collection::vec(("[a-z0-9-]{0,10}", 0u64..=u64::MAX), 0..4),
-        "[a-z0-9 /()-]{0,24}",
     )
-        .prop_map(|(v, replica, store_dir, models_by_class, canary_state)| StatsSnapshot {
+        .prop_map(|(v, replica, store_dir, models_by_class)| StatsSnapshot {
             replica,
             store_dir,
             models_by_class,
-            canary_state,
             requests_total: v[0],
             predictions: v[1],
             cache_hits: v[2],
@@ -172,9 +170,6 @@ fn arb_snapshot() -> impl Strategy<Value = StatsSnapshot> {
             drift_score_milli: v[24],
             drift_trips: v[25],
             drift_clears: v[26],
-            adapt_refits: v[27],
-            canary_promotions: v[28],
-            canary_rollbacks: v[29],
         })
 }
 

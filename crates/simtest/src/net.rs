@@ -40,9 +40,8 @@ use rand::{Rng, SeedableRng, StdRng};
 use crate::faults::FaultPlan;
 use crate::invariants::{kind_of, verb_of, Ledger};
 
-/// A deliberately tiny registry (single shard, one slot) so LRU churn,
-/// backend consults and their fault opportunities happen constantly.
-const CACHE_SHARDS: usize = 1;
+/// A deliberately tiny registry (one slot) so LRU churn, backend
+/// consults and their fault opportunities happen constantly.
 const CACHE_CAP: usize = 1;
 
 /// Virtual cost of a successful dial.
@@ -385,7 +384,7 @@ fn fresh_service(
         Some(store) => Arc::new(StoreModelBackend::new(Arc::clone(store), "/sim/store")),
         None => Arc::clone(backend) as Arc<dyn ModelBackend>,
     };
-    let service = PredictService::with_telemetry(CACHE_SHARDS, CACHE_CAP, source, Arc::new(telemetry));
+    let service = PredictService::with_telemetry(CACHE_CAP, source, Arc::new(telemetry));
     let service = Arc::new(service.with_replica(label));
     // a store-backed daemon self-serves its models at boot, exactly like
     // the real process does before accepting traffic (a no-op without)

@@ -470,12 +470,20 @@ impl Cluster {
     /// job-array script, returns the first array element's id (use
     /// [`Cluster::sbatch_array`] for all of them).
     pub fn sbatch(&mut self, script: &str, user: &str) -> Result<JobId, SlurmError> {
-        self.sbatch_array(script, user).map(|ids| ids[0])
+        self.submit_script(script, user, |_| {})
     }
 
     /// Submits a batch script, expanding `#SBATCH --array=...` into one
     /// job per task index (`name_[i]`). Non-array scripts yield one job.
     pub fn sbatch_array(&mut self, script: &str, user: &str) -> Result<Vec<JobId>, SlurmError> {
+        let mut ids = Vec::new();
+        self.submit_script(script, user, |id| ids.push(id))?;
+        Ok(ids)
+    }
+
+    /// Parses and submits a batch script, handing `each` every job id in
+    /// submission order; returns the first.
+    fn submit_script(&mut self, script: &str, user: &str, mut each: impl FnMut(JobId)) -> Result<JobId, SlurmError> {
         // one handle per submission: its spans borrow it while the
         // submission itself borrows the cluster mutably
         let telemetry = self.tel.as_ref().map(|t| {
@@ -499,16 +507,22 @@ impl Cluster {
             parsed
         };
         let ctx = root.as_ref().map(|s| s.context());
-        let result: Result<Vec<JobId>, SlurmError> = (|| match parsed? {
-            (desc, None) => Ok(vec![self.submit_under(telemetry.as_deref(), desc, ctx)?]),
+        let result: Result<JobId, SlurmError> = (|| match parsed? {
+            (desc, None) => {
+                let id = self.submit_under(telemetry.as_deref(), desc, ctx)?;
+                each(id);
+                Ok(id)
+            }
             (desc, Some(spec)) => {
-                let mut ids = Vec::with_capacity(spec.indices.len());
+                let mut first = None;
                 for idx in spec.indices {
                     let mut element = desc.clone();
                     element.name = format!("{}_[{}]", desc.name, idx);
-                    ids.push(self.submit_under(telemetry.as_deref(), element, ctx)?);
+                    let id = self.submit_under(telemetry.as_deref(), element, ctx)?;
+                    each(id);
+                    first.get_or_insert(id);
                 }
-                Ok(ids)
+                Ok(first.expect("an array spec has at least one index"))
             }
         })();
         if let Err(e) = &result {

@@ -66,7 +66,7 @@ simtest_world() {
     store) # the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes: load-model commits to the home store, and a daemon over it answers what the local slurm-config does
         run cargo test -q -p eco-store --release
         run cargo test -q -p chronusd --release --test store_durability --test cli_binary --test cli_table ;;
-    batch) # concurrent callers of one RemotePrediction over real TCP; the registry's readers racing one-step installs and evictions, and writers racing its capacity, optimised
+    batch) # concurrent callers of one RemotePrediction over real TCP; the registry's one map under one lock: readers racing one-step installs and evictions, and writers racing its capacity, optimised
         run cargo test -q -p chronusd --release --test e2e_remote concurrent_callers_are_serialised
         run cargo test -q -p chronusd --release --lib registry ;;
     cluster) # cap conservation, partition isolation and drain as properties
