@@ -105,20 +105,6 @@ impl CanaryController {
         &self.state
     }
 
-    /// The phase as a one-line label, sample counts included.
-    pub fn state_label(&self) -> String {
-        match &self.state {
-            CanaryState::Idle => "idle".to_string(),
-            CanaryState::Canarying { candidate_generation, baseline_generation } => format!(
-                "canary gen {candidate_generation} vs {baseline_generation} ({}/{} canary, {}/{} control)",
-                self.canary.len(),
-                self.cfg.min_samples_per_arm,
-                self.control.len(),
-                self.cfg.min_samples_per_arm,
-            ),
-        }
-    }
-
     /// Feeds one observed efficiency value from a canary replica.
     /// Ignored while idle.
     pub fn observe_canary(&mut self, gflops_per_watt: f64) {
@@ -179,6 +165,16 @@ mod tests {
         verdict
     }
 
+    /// The verdict's samples per arm after `n` more observations per arm,
+    /// judged once at the end so that no stray sample hides in the count.
+    fn samples_after(c: &mut CanaryController, n: usize) -> (usize, usize) {
+        for _ in 0..n {
+            c.observe_canary(0.2);
+            c.observe_control(0.2);
+        }
+        c.decide().expect("both arms filled").samples
+    }
+
     #[test]
     fn better_candidate_promotes() {
         let mut c = CanaryController::new(cfg());
@@ -221,7 +217,7 @@ mod tests {
             c.observe_canary(0.2);
         }
         assert_eq!(c.decide(), None, "control arm still empty");
-        assert!(c.state_label().contains("canary gen 5 vs 4"));
+        assert_eq!(c.state(), &CanaryState::Canarying { candidate_generation: 5, baseline_generation: 4 });
         for _ in 0..4 {
             c.observe_control(0.2);
         }
@@ -231,12 +227,12 @@ mod tests {
     #[test]
     fn idle_controller_ignores_observations() {
         let mut c = CanaryController::new(cfg());
-        feed(&mut c, 0.2, 0.2, 32);
+        assert_eq!(feed(&mut c, 0.2, 0.2, 32), None);
         assert_eq!(c.decide(), None);
-        assert_eq!(c.state_label(), "idle");
+        assert_eq!(c.state(), &CanaryState::Idle);
         // and a fresh judgment starts from zero samples
         c.begin(5, 4);
-        assert!(c.state_label().contains("0/4 canary"));
+        assert_eq!(samples_after(&mut c, 4), (4, 4));
     }
 
     #[test]
@@ -259,6 +255,7 @@ mod tests {
         c.begin(5, 4);
         c.observe_canary(f64::NAN);
         c.observe_control(f64::INFINITY);
-        assert!(c.state_label().contains("0/4 canary, 0/4 control"));
+        assert_eq!(c.decide(), None);
+        assert_eq!(samples_after(&mut c, 4), (4, 4));
     }
 }

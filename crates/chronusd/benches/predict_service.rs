@@ -18,7 +18,7 @@ use eco_sim_node::cpu::CpuConfig;
 const SYSTEM_HASH: u64 = 0x5eed_cafe;
 const BINARY_HASH: u64 = 0xb1a5_ed15;
 
-fn start_server(workers: usize) -> PredictServer {
+fn start_server() -> PredictServer {
     let model = PreparedModel {
         model_id: 1,
         model_type: "brute-force".into(),
@@ -26,12 +26,12 @@ fn start_server(workers: usize) -> PredictServer {
         binary_hash: BINARY_HASH,
         config: CpuConfig::new(32, 2_200_000, 1),
     };
-    let cfg = ServerConfig { addr: "127.0.0.1:0".to_string(), workers, queue_cap: 128, ..ServerConfig::default() };
+    let cfg = ServerConfig { addr: "127.0.0.1:0".to_string(), ..ServerConfig::default() };
     PredictServer::start(cfg, Arc::new(StaticBackend::new(vec![model]))).expect("bind ephemeral port")
 }
 
 fn predict_service(c: &mut Criterion) {
-    let server = start_server(8);
+    let server = start_server();
     let addr = server.addr().to_string();
 
     // warm the registry so every benched request is a cache hit

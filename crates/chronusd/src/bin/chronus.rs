@@ -85,7 +85,6 @@ const ALL_REPLICAS: Arg =
     Arg::new("--all-replicas", Switch, Optional, "Query every replica, also of a single endpoint");
 const ADDR: Arg =
     Arg::new("--addr", Str, Default("127.0.0.1:4517"), "host:port to listen on; port 0 asks for any free one");
-const WORKERS: Arg = Arg::new("--workers", Usize, Default("4"), "Worker threads per replica");
 const CACHE_CAP: Arg = Arg::new("--cache-cap", Usize, Default("64"), "Resident models per replica");
 const FLEET: Arg = Arg::new("--fleet", Usize, Default("1"), "Replicas r0, r1, ... on consecutive ports; at least 1");
 const STORE: Arg = Arg::new("--store", Str, Optional, "Model store directory (default: $CHRONUS_HOME/store)");
@@ -130,7 +129,7 @@ pub const CHRONUS: Command = cli::root(&[
     Command {
         name: "serve",
         about: "Runs chronusd over a model store, this home's by default, until killed.",
-        args: &[ADDR, WORKERS, CACHE_CAP, FLEET, STORE, SHM],
+        args: &[ADDR, CACHE_CAP, FLEET, STORE, SHM],
         run: Standalone(cmd_serve),
     },
     Command {
@@ -300,7 +299,6 @@ fn cmd_serve(args: &Args) -> Outcome {
     let addrs = replica_addrs(&args[&ADDR], size(&FLEET))?;
     let fleet = addrs.len();
     let base = ServerConfig {
-        workers: size(&WORKERS),
         cache_cap: size(&CACHE_CAP),
         store_dir: Some(store_dir(args)),
         shm_path: args.get(&SHM).map(str::to_string),
@@ -321,10 +319,9 @@ fn cmd_serve(args: &Args) -> Outcome {
         let s = PredictServer::start(cfg.clone(), Arc::new(StaticBackend::new(Vec::new())))
             .map_err(|e| format!("serve: {e}"))?;
         println!(
-            "chronusd{} listening on {} ({} workers, cache {})",
+            "chronusd{} listening on {} (cache {})",
             if fleet > 1 { format!(" replica r{i}") } else { String::new() },
             s.addr(),
-            cfg.workers,
             cfg.cache_cap
         );
         let boot = s.boot_recovery();

@@ -8,16 +8,16 @@
 //! staged `(system, binary)` to one controller on one host. `chronusd`
 //! moves prediction behind a small TCP service over a durable model
 //! store, so every key ever committed (by `load-model` or a campaign) is
-//! answered, computed once at commit, and served from memory by a worker
-//! pool to every host that asks:
+//! answered, computed once at commit, and served from memory to every
+//! host that asks, one thread per connection:
 //!
 //! ```text
 //!  sbatch ──► job_submit_eco ──► PredictClient ──► chronusd
 //!                 (plugin)       binary hot verbs     accept thread
-//!                    │           over TCP, JSON          │ bounded queue
-//!                    │           control plane           ▼ (Busy when full)
-//!                    │                               worker pool
-//!                    │                                   │
+//!                    │           over TCP, JSON          │ Busy past 64
+//!                    │           control plane           ▼ open connections
+//!                    │                               one thread per
+//!                    │                               connection
 //!                    ▼                                   ▼
 //!             rewritten job                 LRU model registry
 //!         (cores, freq, threads)        (system_hash, binary_hash) →
@@ -26,7 +26,7 @@
 //!
 //! A same-host client can dial the daemon's shared-memory ring instead
 //! (`serve --shm`); the ring's thread answers the same binary frames
-//! inline, without the queue.
+//! inline, without a socket.
 //!
 //! Failure behaviour is the design's centre: the daemon answers
 //! `Busy`/`Miss`/`DeadlineExceeded` explicitly, the client times out
@@ -34,7 +34,8 @@
 //! failure as "leave the job untouched" — a dead daemon degrades to
 //! vanilla Slurm, never to a stuck scheduler.
 //!
-//! * [`server`] — accept loop, worker pool, Busy back-pressure;
+//! * [`server`] — accept loop, a thread per connection, Busy
+//!   back-pressure;
 //! * [`service`] — the transport-free request engine (deadlines,
 //!   miss/error classification, counters) shared by the TCP server and
 //!   the deterministic simulation harness;

@@ -1,26 +1,26 @@
-//! The daemon's network engine: one accept thread feeding a fixed
-//! worker pool through a bounded connection queue.
+//! The daemon's network engine: one accept thread, and one thread per
+//! accepted connection.
 //!
-//! Back-pressure is explicit: when the queue is full the accept thread
-//! answers `Busy { retry_after_ms }` on the new connection and closes
-//! it, instead of letting latency pile up invisibly. Workers own a
-//! connection for its lifetime and answer any number of pipelined
-//! requests on it; the request semantics themselves (deadline budgets,
-//! miss/error classification, counters) live in the transport-free
-//! [`crate::service::PredictService`], which this module only carries
-//! frames to and from.
+//! Back-pressure is explicit: with [`MAX_CONNECTIONS`] connections open
+//! the accept thread answers `Busy { retry_after_ms }` on the next one
+//! and closes it, instead of letting latency pile up invisibly. A
+//! connection's thread answers any number of pipelined requests on it
+//! until the peer hangs up, so an idle client holds a thread, never
+//! another client's turn; the request semantics themselves (deadline
+//! budgets, miss/error classification, counters) live in the
+//! transport-free [`crate::service::PredictService`], which this module
+//! only carries frames to and from.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::BytesMut;
 use chronus::remote::{
     wire, write_prefixed, Connection, FrameReader, Response, SessionEnd, ShmListener, StatsSnapshot,
 };
-use chronus::telemetry::Histogram;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
 use eco_store::ModelStore;
 use parking_lot::Mutex;
@@ -34,10 +34,6 @@ use crate::service::{PredictService, QueueGauges, StoreCatchUp, WallClock};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads (each owns one connection at a time).
-    pub workers: usize,
-    /// Connections that may wait between accept and a worker.
-    pub queue_cap: usize,
     /// Registry capacity: resident models in total.
     pub cache_cap: usize,
     /// This daemon's fleet identity, stamped on `Stats` answers
@@ -61,8 +57,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:4517".to_string(),
-            workers: 4,
-            queue_cap: 64,
             cache_cap: 64,
             replica_id: String::new(),
             store_dir: None,
@@ -71,25 +65,28 @@ impl Default for ServerConfig {
     }
 }
 
-/// Idle tick on worker connections: how often a blocked read wakes up
-/// to check for shutdown.
-const READ_TICK: Duration = Duration::from_millis(25);
+/// Idle tick on open connections: how often a blocked read wakes up to
+/// check for shutdown.
+pub const READ_TICK: Duration = Duration::from_millis(25);
 
 /// The hint sent with `Busy` rejections, in milliseconds.
 pub const RETRY_AFTER_MS: u64 = 20;
 
+/// Open connections past which a new one is bounced with `Busy`.
+pub const MAX_CONNECTIONS: usize = 64;
+
 struct Ctx {
     service: PredictService,
-    queue_cap: usize,
-    workers: usize,
-    /// Accept-to-worker wait, resolved once from the service telemetry
-    /// so workers bump bare atomics per dequeue.
-    queue_wait: Histogram,
+    /// TCP connections open right now, one thread each.
+    connections: AtomicUsize,
 }
 
 impl Ctx {
-    fn gauges(&self, queue_depth: usize) -> QueueGauges {
-        QueueGauges { depth: queue_depth as u64, capacity: self.queue_cap as u64, workers: self.workers as u64 }
+    fn gauges(&self) -> QueueGauges {
+        QueueGauges {
+            connections: self.connections.load(Ordering::SeqCst) as u64,
+            max_connections: MAX_CONNECTIONS as u64,
+        }
     }
 }
 
@@ -108,15 +105,12 @@ pub struct PredictServer {
     shm_path: Option<String>,
     ctx: Arc<Ctx>,
     boot: BootRecovery,
-    tx: Option<Sender<(Instant, TcpStream)>>,
     accept: Option<JoinHandle<()>>,
     shm: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl PredictServer {
-    /// Binds, spawns the worker pool and the accept thread, and
-    /// returns immediately.
+    /// Binds, spawns the accept thread, and returns immediately.
     ///
     /// With [`ServerConfig::store_dir`] set, as in every production
     /// daemon, the store is the source and `backend` is never consulted:
@@ -129,7 +123,6 @@ impl PredictServer {
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| std::io::Error::new(e.kind(), format!("cannot bind {}: {e}", cfg.addr)))?;
         let addr = listener.local_addr()?;
-        let workers_n = cfg.workers.max(1);
         let serve_from = |source| {
             PredictService::with_clock(cfg.cache_cap, source, Arc::new(WallClock::new()))
                 .with_replica(&cfg.replica_id)
@@ -144,28 +137,13 @@ impl PredictServer {
             None => serve_from(backend),
         };
         let boot = BootRecovery { store: service.catch_up_from_store() };
-        let queue_wait = service.telemetry().histogram("daemon.queue_wait_us");
-        let ctx = Arc::new(Ctx { service, queue_cap: cfg.queue_cap.max(1), workers: workers_n, queue_wait });
-        let (tx, rx) = bounded::<(Instant, TcpStream)>(cfg.queue_cap.max(1));
-
-        let mut workers = Vec::with_capacity(workers_n);
-        for i in 0..workers_n {
-            let rx = rx.clone();
-            let ctx = Arc::clone(&ctx);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("chronusd-worker-{i}"))
-                    .spawn(move || worker_loop(rx, ctx))?,
-            );
-        }
-        drop(rx);
+        let ctx = Arc::new(Ctx { service, connections: AtomicUsize::new(0) });
 
         let accept = {
-            let tx = tx.clone();
             let ctx = Arc::clone(&ctx);
             std::thread::Builder::new()
                 .name("chronusd-accept".to_string())
-                .spawn(move || accept_loop(listener, tx, ctx))?
+                .spawn(move || accept_loop(listener, &ctx))?
         };
 
         let shm = match &cfg.shm_path {
@@ -182,16 +160,7 @@ impl PredictServer {
             None => None,
         };
 
-        Ok(PredictServer {
-            addr,
-            shm_path: cfg.shm_path.clone(),
-            ctx,
-            boot,
-            tx: Some(tx),
-            accept: Some(accept),
-            shm,
-            workers,
-        })
+        Ok(PredictServer { addr, shm_path: cfg.shm_path.clone(), ctx, boot, accept: Some(accept), shm })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -212,8 +181,7 @@ impl PredictServer {
 
     /// A counters snapshot taken in-process (no RPC round trip).
     pub fn snapshot(&self) -> StatsSnapshot {
-        let depth = self.tx.as_ref().map(|t| t.len()).unwrap_or(0);
-        self.ctx.service.snapshot(self.ctx.gauges(depth))
+        self.ctx.service.snapshot(self.ctx.gauges())
     }
 
     /// Direct registry access for tests and the CLI's preload-at-boot.
@@ -226,16 +194,11 @@ impl PredictServer {
         // Unblock the accept loop with a throwaway connection; it
         // checks the flag before doing anything with it.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
+        // Joining it joins every connection thread too.
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        // With the accept loop gone, dropping our sender disconnects
-        // the channel and the workers drain out.
-        self.tx = None;
         if let Some(handle) = self.shm.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -252,38 +215,39 @@ impl Drop for PredictServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, tx: Sender<(Instant, TcpStream)>, ctx: Arc<Ctx>) {
-    for conn in listener.incoming() {
-        if ctx.service.is_shutting_down() {
-            break;
-        }
-        let stream = match conn {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        match tx.try_send((Instant::now(), stream)) {
-            Ok(()) => {}
-            Err(TrySendError::Full((_, mut stream))) => {
+/// Accepts until shutdown, serving each connection on its own thread.
+/// The threads are scoped to this loop, so returning from it joins them
+/// all; each notices shutdown within a [`READ_TICK`].
+fn accept_loop(listener: TcpListener, ctx: &Ctx) {
+    std::thread::scope(|scope| {
+        for conn in listener.incoming() {
+            if ctx.service.is_shutting_down() {
+                break;
+            }
+            let Ok(mut stream) = conn else { continue };
+            // only this thread opens connections, so the count cannot
+            // pass the cap between the check and the increment
+            if ctx.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
                 ctx.service.stats().busy_rejections.bump();
                 let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
                 // bare: the bounce never reads the request, so it has no
                 // tag to echo; dropping the stream then closes the connection
                 let bounce = Response::Busy { retry_after_ms: RETRY_AFTER_MS };
                 let _ = stream.send_frame(&wire::encode_reply(false, None, bounce));
+                continue;
             }
-            Err(TrySendError::Disconnected(_)) => break,
+            ctx.connections.fetch_add(1, Ordering::SeqCst);
+            let serve = move || {
+                serve_connection(stream, ctx);
+                ctx.connections.fetch_sub(1, Ordering::SeqCst);
+            };
+            if std::thread::Builder::new().name("chronusd-conn".to_string()).spawn_scoped(scope, serve).is_err() {
+                // the unspawned closure, and the stream in it, is dropped:
+                // the connection closes
+                ctx.connections.fetch_sub(1, Ordering::SeqCst);
+            }
         }
-    }
-}
-
-fn worker_loop(rx: Receiver<(Instant, TcpStream)>, ctx: Arc<Ctx>) {
-    while let Ok((queued_at, stream)) = rx.recv() {
-        if ctx.service.is_shutting_down() {
-            break;
-        }
-        ctx.queue_wait.record_us(queued_at.elapsed().as_micros() as u64);
-        serve_connection(stream, &ctx, &rx);
-    }
+    });
 }
 
 /// Serves every request on one connection until the peer hangs up, a
@@ -291,7 +255,7 @@ fn worker_loop(rx: Receiver<(Instant, TcpStream)>, ctx: Arc<Ctx>) {
 /// framed out of one held buffer and replies written from another, so a
 /// warm request costs one `read` and one `write` and allocates only its
 /// reply.
-fn serve_connection(mut stream: TcpStream, ctx: &Ctx, rx: &Receiver<(Instant, TcpStream)>) {
+fn serve_connection(mut stream: TcpStream, ctx: &Ctx) {
     if stream.set_read_timeout(Some(READ_TICK)).is_err() {
         return;
     }
@@ -301,7 +265,7 @@ fn serve_connection(mut stream: TcpStream, ctx: &Ctx, rx: &Receiver<(Instant, Tc
     loop {
         loop {
             let reply = match inbox.take() {
-                Ok(Some(payload)) => ctx.service.answer(payload, ctx.gauges(rx.len())),
+                Ok(Some(payload)) => ctx.service.answer(payload, ctx.gauges()),
                 Ok(None) => break,
                 // oversized length prefix: unrecoverable framing state
                 Err(_) => return,
@@ -330,7 +294,7 @@ fn serve_connection(mut stream: TcpStream, ctx: &Ctx, rx: &Receiver<(Instant, Tc
 /// payload [`PredictService::answer`] returns and nothing else.
 fn shm_loop(ring: ShmListener, ctx: Arc<Ctx>) {
     let mut should_stop = || ctx.service.is_shutting_down();
-    let mut handle = |payload: &[u8]| ctx.service.answer(payload, ctx.gauges(0));
+    let mut handle = |payload: &[u8]| ctx.service.answer(payload, ctx.gauges());
     loop {
         match ring.serve_session(&mut should_stop, &mut handle) {
             Ok(SessionEnd::Stopped) | Err(_) => return,

@@ -9,8 +9,8 @@
 //! ([`crate::backend::StoreModelBackend`]), and everything else the
 //! service reads from a store comes through [`ModelBackend::store`].
 //!
-//! The TCP server in [`crate::server`] feeds it frames read off
-//! worker-owned sockets; the `simtest` harness feeds it frames over an
+//! The TCP server in [`crate::server`] feeds it frames read off one
+//! thread per connection; the `simtest` harness feeds it frames over an
 //! in-memory channel on virtual time. Keeping the engine transport-free
 //! is what makes the daemon's semantics (deadline accounting, miss/error
 //! classification, counter conservation) testable deterministically.
@@ -43,16 +43,14 @@ pub use chronus::telemetry::TelemetryClock as ServiceClock;
 pub use chronus::telemetry::WallClock;
 
 /// Accept-side gauges the service cannot see itself: they describe the
-/// transport's connection queue, so whoever owns the transport samples
+/// transport's open connections, so whoever owns the transport samples
 /// them and passes them in for `Stats` answers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueGauges {
-    /// Connections waiting between accept and a worker right now.
-    pub depth: u64,
-    /// Accept-queue capacity.
-    pub capacity: u64,
-    /// Worker threads serving connections.
-    pub workers: u64,
+    /// Connections open right now.
+    pub connections: u64,
+    /// Open connections past which a new one is bounced with `Busy`.
+    pub max_connections: u64,
 }
 
 /// What [`PredictService::catch_up_from_store`] installed and refused.
@@ -66,7 +64,7 @@ pub struct StoreCatchUp {
 }
 
 /// The transport-independent daemon core: one instance per daemon,
-/// shared by every worker (all methods take `&self`).
+/// shared by every connection (all methods take `&self`).
 pub struct PredictService {
     registry: ModelRegistry,
     stats: ServerStats,
@@ -192,7 +190,7 @@ impl PredictService {
         &self.telemetry
     }
 
-    /// Raises the shutdown flag; burning workers notice within a tick.
+    /// Raises the shutdown flag; open connections notice within a tick.
     pub fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
@@ -203,7 +201,7 @@ impl PredictService {
     }
 
     /// The `stats` RPC's answer: counters, registry, store and monitor,
-    /// plus the queue gauges the transport samples. Refits and canary
+    /// plus the connection gauges the transport samples. Refits and canary
     /// verdicts are not here: the store's ledger records them
     /// (`chronus models`).
     pub fn snapshot(&self, gauges: QueueGauges) -> StatsSnapshot {
@@ -231,9 +229,8 @@ impl PredictService {
             busy_rejections: s.busy_rejections.get(),
             deadline_exceeded: s.deadline_exceeded.get(),
             errors: s.errors.get(),
-            queue_depth: gauges.depth,
-            queue_capacity: gauges.capacity,
-            workers: gauges.workers,
+            connections: gauges.connections,
+            max_connections: gauges.max_connections,
             models_resident: self.registry.len() as u64,
             evictions: self.registry.evictions(),
             model_generation: self.registry.generation(),

@@ -1,6 +1,6 @@
 //! Integration tests of the daemon over real TCP: the RPC surface,
 //! explicit back-pressure (`Busy`), per-request deadlines, protocol
-//! errors, LRU pressure, and concurrent clients.
+//! errors, LRU pressure, concurrent and idle clients, and shutdown.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -10,7 +10,7 @@ use chronus::remote::{
     fastpath, read_frame, wire, write_frame, CallOptions, Connection, KeyOutcome, PredictClient, RemoteError,
     Request, RequestFrame, Response,
 };
-use chronusd::server::RETRY_AFTER_MS;
+use chronusd::server::{MAX_CONNECTIONS, READ_TICK, RETRY_AFTER_MS};
 use chronusd::{PredictServer, PreparedModel, ServerConfig, StaticBackend};
 use eco_sim_node::cpu::CpuConfig;
 
@@ -52,8 +52,8 @@ fn ping_predict_and_stats_round_trip() {
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.cache_misses, 1);
     assert_eq!(stats.models_resident, 1);
-    assert_eq!(stats.workers, 4);
-    assert_eq!(stats.queue_capacity, 64);
+    assert_eq!(stats.max_connections, 64);
+    assert_eq!(stats.connections, 1, "this client's one connection");
     assert!(stats.requests_total >= 4, "{stats:?}");
     assert!(stats.latency_p50_us > 0, "latency histogram must be populated");
     assert!(stats.latency_p99_us >= stats.latency_p50_us);
@@ -90,23 +90,17 @@ fn unknown_key_is_an_explicit_miss() {
 
 #[test]
 fn saturated_daemon_answers_busy_with_a_retry_hint() {
-    let cfg = ServerConfig { workers: 1, queue_cap: 1, ..ServerConfig::default() };
-    let slow = StaticBackend::with_delay(vec![model(1, 10, 20, 32)], Duration::from_millis(600));
-    let server = ephemeral(cfg, slow);
+    let server = ephemeral(ServerConfig::default(), StaticBackend::new(vec![model(1, 10, 20, 32)]));
     let addr = server.addr();
 
-    // occupy the single worker with a cold prediction: the backend
-    // takes 600 ms to resolve the model …
-    let mut resolving = TcpStream::connect(addr).unwrap();
-    resolving.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write_frame(&mut resolving, &RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 })).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    // hold every connection the daemon will keep open, one of them with
+    // a prediction in flight …
+    let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    held[0].set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write_frame(&mut held[0], &RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 })).unwrap();
 
-    // … fill the one queue slot …
-    let queued = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-
-    // … and the next connection must bounce with Busy.
+    // … and the next connection must bounce with Busy (the accept thread
+    // takes connections in order, so every held one is counted first).
     let mut bounced = PredictClient::builder().endpoint(addr.to_string()).max_retries(0).build().unwrap();
     match bounced.ping().unwrap_err() {
         RemoteError::Busy { retry_after_ms, attempts } => {
@@ -116,17 +110,70 @@ fn saturated_daemon_answers_busy_with_a_retry_hint() {
         other => panic!("expected Busy, got {other}"),
     }
 
-    let resolved: Response = read_frame(&mut resolving).unwrap();
+    // the held connections are still served
+    let resolved: Response = read_frame(&mut held[0]).unwrap();
     assert_eq!(resolved, Response::Config(CpuConfig::new(32, 2_200_000, 1)));
-    drop(resolving);
-    drop(queued);
+    drop(held);
 
-    // a client WITH retries rides out the burst: once the model is
-    // resident and the held connections are gone, a retry gets through.
+    // a client WITH retries rides out the burst: once the held
+    // connections are gone, a retry gets through.
     let mut patient = PredictClient::builder().endpoint(addr.to_string()).max_retries(16).build().unwrap();
     assert_eq!(patient.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
 
     assert!(server.snapshot().busy_rejections >= 1);
+}
+
+#[test]
+fn idle_clients_do_not_lock_out_the_next_one() {
+    let server = ephemeral(ServerConfig::default(), StaticBackend::new(vec![model(1, 10, 20, 32)]));
+
+    // eight clients each complete a prediction and stay connected, idle
+    let _idle: Vec<PredictClient> = (0..8)
+        .map(|_| {
+            let mut c = client(&server);
+            assert_eq!(c.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
+            c
+        })
+        .collect();
+
+    let mut ninth = PredictClient::builder()
+        .endpoint(server.addr().to_string())
+        .budget(Duration::from_millis(500))
+        .build()
+        .unwrap();
+    let started = Instant::now();
+    let stats = ninth.stats().expect("an idle connection holds no other client's turn");
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(250), "stats took {took:?}");
+    assert_eq!(stats.connections, 9, "{stats:?}");
+}
+
+#[test]
+fn shutdown_joins_every_connection_thread() {
+    let server = ephemeral(ServerConfig::default(), StaticBackend::new(vec![model(1, 10, 20, 32)]));
+    let mut idle: Vec<PredictClient> = (0..8)
+        .map(|_| {
+            let mut c = client(&server);
+            c.ping().unwrap();
+            c
+        })
+        .collect();
+    assert_eq!(server.snapshot().connections, 8);
+
+    // every connection thread notices the flag within one read tick
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < 4 * READ_TICK, "shutdown took {took:?} with eight idle clients connected");
+
+    for c in &mut idle {
+        let started = Instant::now();
+        match c.ping() {
+            Err(RemoteError::Connect(_) | RemoteError::Io(_)) => {}
+            other => panic!("expected a connect or I/O failure, got {other:?}"),
+        }
+        assert!(started.elapsed() < Duration::from_secs(1), "a call to a stopped daemon hung");
+    }
 }
 
 #[test]
@@ -256,10 +303,8 @@ fn registry_pressure_evicts_but_keeps_answering() {
 
 #[test]
 fn concurrent_clients_all_get_correct_answers() {
-    let server = ephemeral(
-        ServerConfig { workers: 4, queue_cap: 32, ..ServerConfig::default() },
-        StaticBackend::new(vec![model(1, 10, 20, 32), model(2, 30, 40, 16)]),
-    );
+    let server =
+        ephemeral(ServerConfig::default(), StaticBackend::new(vec![model(1, 10, 20, 32), model(2, 30, 40, 16)]));
     let addr = server.addr().to_string();
 
     crossbeam::scope(|s| {
@@ -277,15 +322,16 @@ fn concurrent_clients_all_get_correct_answers() {
     })
     .unwrap();
 
-    // Cold misses are not single-flighted: workers that meet a key before
-    // the first insert of it lands each resolve it through the backend
-    // (same answer, one more miss). A worker misses a key at most once —
-    // after its own insert the key is resident — so the bound is
-    // workers × keys, not one miss per key.
+    // Cold misses are not single-flighted: connections that meet a key
+    // before the first insert of it lands each resolve it through the
+    // backend (same answer, one more miss). Each client has its own
+    // connection thread, which misses a key at most once — after its own
+    // insert the key is resident — so the bound is clients × keys, not
+    // one miss per key.
     let stats = server.snapshot();
     assert_eq!(stats.predictions, 400);
     assert_eq!(stats.cache_hits + stats.cache_misses, 400, "{stats:?}");
-    assert!((2..=4 * 2).contains(&stats.cache_misses), "one cold miss per key, per worker at most: {stats:?}");
+    assert!((2..=8 * 2).contains(&stats.cache_misses), "one cold miss per key, per client at most: {stats:?}");
     assert_eq!(stats.models_resident, 2);
 }
 

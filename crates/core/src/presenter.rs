@@ -77,7 +77,7 @@ pub fn benchmarks_table(benchmarks: &[Benchmark]) -> String {
 }
 
 /// Renders a daemon counters snapshot for `chronus stats`: the request
-/// mix, cache behaviour, queue gauges and the service-latency
+/// mix, cache behaviour, connection gauges and the service-latency
 /// percentiles the telemetry histogram tracks.
 pub fn stats_table(s: &StatsSnapshot) -> String {
     let hit_rate = if s.predictions > 0 { 100.0 * s.cache_hits as f64 / s.predictions as f64 } else { 0.0 };
@@ -127,7 +127,7 @@ pub fn stats_table(s: &StatsSnapshot) -> String {
          busy rejections     {}\n\
          deadline exceeded   {}\n\
          errors              {}\n\
-         queue               {}/{} waiting, {} workers\n\
+         connections         {}/{} open\n\
          models resident     {} ({} evictions)\n\
          model generation    {}\n\
          store               {store}\n\
@@ -141,9 +141,8 @@ pub fn stats_table(s: &StatsSnapshot) -> String {
         s.busy_rejections,
         s.deadline_exceeded,
         s.errors,
-        s.queue_depth,
-        s.queue_capacity,
-        s.workers,
+        s.connections,
+        s.max_connections,
         s.models_resident,
         s.evictions,
         s.model_generation,
@@ -229,8 +228,8 @@ mod tests {
             latency_p50_us: 4,
             latency_p99_us: 128,
             latency_max_us: 250,
-            queue_capacity: 64,
-            workers: 4,
+            connections: 2,
+            max_connections: 64,
             models_resident: 1,
             model_generation: 3,
             batches: 2,
@@ -241,6 +240,7 @@ mod tests {
         assert!(t.contains("predictions         8 (6 hits / 2 misses, 75.0% hit rate)"), "{t}");
         assert!(t.contains("batched             6 keys over 2 PredictMany frames (avg 3.0 keys/frame)"), "{t}");
         assert!(t.contains("model generation    3\n"), "{t}");
+        assert!(t.contains("connections         2/64 open\n"), "{t}");
         assert!(t.contains("p50 4us  p99 128us  max 250us"), "{t}");
         // a replica without a store says so explicitly
         assert!(t.contains("store               none (a fixed in-memory backend)"), "{t}");

@@ -257,7 +257,7 @@ pub enum Response {
     /// requested key, in request order, always exactly as many as the
     /// request carried keys — a key is never silently dropped.
     ManyConfigs { results: Vec<KeyOutcome> },
-    /// The daemon's connection queue is full; retry after the hint.
+    /// The daemon is at its connection cap; retry after the hint.
     Busy { retry_after_ms: u64 },
     /// No model is resident (or loadable) for this key.
     Miss { system_hash: u64, binary_hash: u64 },
@@ -326,18 +326,17 @@ pub struct StatsSnapshot {
     pub cache_hits: u64,
     /// `Predict` that had to consult the backend (or answered `Miss`).
     pub cache_misses: u64,
-    /// Connections bounced with `Busy` because the queue was full.
+    /// Connections bounced with `Busy` because the daemon was at its
+    /// connection cap.
     pub busy_rejections: u64,
     /// Requests answered `DeadlineExceeded`.
     pub deadline_exceeded: u64,
     /// Requests answered `Error`.
     pub errors: u64,
-    /// Connections waiting in the accept queue right now.
-    pub queue_depth: u64,
-    /// Accept-queue capacity.
-    pub queue_capacity: u64,
-    /// Worker threads serving connections.
-    pub workers: u64,
+    /// TCP connections open right now, one serving thread each.
+    pub connections: u64,
+    /// Open connections past which a new one is bounced with `Busy`.
+    pub max_connections: u64,
     /// Models resident in the registry.
     pub models_resident: u64,
     /// Models evicted by the registry's LRU policy.

@@ -134,7 +134,7 @@ fn arb_frame() -> impl Strategy<Value = RequestFrame> {
 
 fn arb_snapshot() -> impl Strategy<Value = StatsSnapshot> {
     (
-        prop::collection::vec(0u64..=u64::MAX, 27),
+        prop::collection::vec(0u64..=u64::MAX, 26),
         "[a-z0-9-]{0,12}",
         "[a-z0-9/._-]{0,24}",
         prop::collection::vec(("[a-z0-9-]{0,10}", 0u64..=u64::MAX), 0..4),
@@ -150,26 +150,25 @@ fn arb_snapshot() -> impl Strategy<Value = StatsSnapshot> {
             busy_rejections: v[4],
             deadline_exceeded: v[5],
             errors: v[6],
-            queue_depth: v[7],
-            queue_capacity: v[8],
-            workers: v[9],
-            models_resident: v[10],
-            evictions: v[11],
-            model_generation: v[12],
-            latency_p50_us: v[13],
-            latency_p99_us: v[14],
-            latency_max_us: v[15],
-            preloads: v[16],
-            store_catchups: v[17],
-            store_generation: v[18],
-            batches: v[19],
-            batched_keys: v[20],
-            outcomes_ingested: v[21],
-            outcomes_rejected: v[22],
-            outcome_reservoirs: v[23],
-            drift_score_milli: v[24],
-            drift_trips: v[25],
-            drift_clears: v[26],
+            connections: v[7],
+            max_connections: v[8],
+            models_resident: v[9],
+            evictions: v[10],
+            model_generation: v[11],
+            latency_p50_us: v[12],
+            latency_p99_us: v[13],
+            latency_max_us: v[14],
+            preloads: v[15],
+            store_catchups: v[16],
+            store_generation: v[17],
+            batches: v[18],
+            batched_keys: v[19],
+            outcomes_ingested: v[20],
+            outcomes_rejected: v[21],
+            outcome_reservoirs: v[22],
+            drift_score_milli: v[23],
+            drift_trips: v[24],
+            drift_clears: v[25],
         })
 }
 

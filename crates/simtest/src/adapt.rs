@@ -630,7 +630,7 @@ fn audit_wire_stats(w: &mut AdaptWorld, rec3: &ModelRecord) {
     let mut client = sim_client(w.net.transport_for(0));
     let snap = (0..8).find_map(|_| client.stats().ok()).unwrap_or_else(|| {
         w.net.note("stats audit fell back to a direct snapshot".to_string());
-        w.net.service(0).snapshot(chronusd::QueueGauges { depth: 0, capacity: 64, workers: 4 })
+        w.net.service(0).snapshot(chronusd::QueueGauges { connections: 0, max_connections: 64 })
     });
     let checks = [
         (snap.drift_trips >= 1, format!("drift_trips = {}, want >= 1", snap.drift_trips)),
@@ -645,7 +645,7 @@ fn audit_wire_stats(w: &mut AdaptWorld, rec3: &ModelRecord) {
             w.violations.push(format!("canary daemon stats: {msg}"));
         }
     }
-    let control = w.net.service(1).snapshot(chronusd::QueueGauges { depth: 0, capacity: 64, workers: 4 });
+    let control = w.net.service(1).snapshot(chronusd::QueueGauges { connections: 0, max_connections: 64 });
     if control.drift_trips < 1 {
         w.violations.push(format!("control daemon stats: drift_trips = {}, want >= 1", control.drift_trips));
     }

@@ -51,9 +51,9 @@ const DIAL_MS: u64 = 1;
 const DIAL_TIMEOUT_MS: u64 = 5;
 
 /// The gauges the simulated transport reports with `Stats` answers (it
-/// has no real accept queue).
+/// has no real sockets to count).
 fn sim_gauges() -> QueueGauges {
-    QueueGauges { depth: 0, capacity: 64, workers: 4 }
+    QueueGauges { connections: 0, max_connections: 64 }
 }
 
 /// Recorder capacity for one seeded run. Connectivity assertions walk

@@ -158,7 +158,7 @@ fn arb_blob(rng: &mut StdRng, key: (u64, u64)) -> ModelBlob {
 fn predict(service: &PredictService, system_hash: u64, binary_hash: u64) -> Response {
     let frame = RequestFrame::new(Request::Predict { system_hash, binary_hash });
     let payload = serde_json::to_vec(&frame).expect("request frames always serialize");
-    service.handle_frame(&payload, QueueGauges { depth: 0, capacity: 1, workers: 1 })
+    service.handle_frame(&payload, QueueGauges { connections: 0, max_connections: 1 })
 }
 
 /// One serving record as the harness resolved it from the ledger, and
@@ -393,7 +393,7 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
             }
         }
 
-        let snap = service.snapshot(QueueGauges { depth: 0, capacity: 1, workers: 1 });
+        let snap = service.snapshot(QueueGauges { connections: 0, max_connections: 1 });
         if snap.preloads != 0 {
             violations.push(format!(
                 "round {round}: restart catch-up consumed {} Preload RPCs (must be self-served)",

@@ -58,9 +58,9 @@ stage_docs() { RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps; }
 simtest_world() {
     run cargo test -q -p simtest --release --test sweep "$1"
     case $1 in
-    pipeline) # the daemon's counter table, which every world's ledger audit reads, optimised; the submit-budget audit's real-socket side: the plugin's production source against a warm daemon serving the model store the staged model was committed to, a dead and a slow daemon
+    pipeline) # the daemon's counter table, which every world's ledger audit reads, optimised; the submit-budget audit's real-socket side: the plugin's production source against a warm daemon serving the model store the staged model was committed to, a dead and a slow daemon; the accept loop, the Busy bounce and the connection threads over real sockets, optimised
         run cargo test -q -p chronusd --release --lib service
-        run cargo test -q -p chronusd --release --test e2e_remote ;;
+        run cargo test -q -p chronusd --release --test e2e_remote --test daemon ;;
     fleet) # kill mid-load with zero lost predictions; a restarted replica rejoins and answers from its backend
         run cargo test -q -p chronusd --release --test fleet_failover ;;
     store) # the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes: load-model commits to the home store, and a daemon over it answers what the local slurm-config does

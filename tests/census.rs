@@ -1,13 +1,14 @@
 //! Allocation census of the submit path: how many heap allocations one
 //! `sbatch` parse, one remote TCP prediction and one opted-in `sbatch`
-//! end to end make, pinned exactly.
+//! end to end make — over a staged model and over the daemon — pinned
+//! exactly.
 //! Timing on a shared two-vCPU host moves by 10–20 % between runs;
 //! these counts do not move at all, so a change that adds a copy to the
 //! submit path shows here first.
 //!
 //! The test has this binary to itself and counts process-wide: the
-//! daemon's worker thread answers the prediction, and its allocations
-//! are part of what a submission costs.
+//! daemon's connection thread answers the prediction, and its
+//! allocations are part of what a submission costs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -20,7 +21,7 @@ use eco_hpc::chronus::hash::{binary_hash, system_hash};
 use eco_hpc::chronus::integrations::storage::EtcStorage;
 use eco_hpc::chronus::interfaces::{LocalStorage, Optimizer};
 use eco_hpc::chronus::optimizers::BruteForceOptimizer;
-use eco_hpc::chronus::remote::{CallOptions, PredictClient};
+use eco_hpc::chronus::remote::{CallOptions, PredictClient, RemotePrediction};
 use eco_hpc::eco_plugin::JobSubmitEco;
 use eco_hpc::hpcg::perf_model::PerfModel;
 use eco_hpc::hpcg::workload::{HpcgWorkload, Workload};
@@ -87,20 +88,45 @@ fn benchmark_script(opt_in: bool) -> String {
     )
 }
 
+const BINARY: &str = "/opt/hpcg/bin/xhpcg";
+const BEST: CpuConfig = CpuConfig { cores: 32, frequency_khz: 2_200_000, threads_per_core: 1 };
+
 /// Allocations per opted-in `sbatch` of the benchmark's script on a
-/// one-node cluster: the parse, the plugin host, `job_submit_eco` over a
-/// staged model (`LocalPrediction`), the rewrite and the queue. Only the
-/// `sbatch` is counted; each job is cancelled outside the count, so the
-/// queue stays empty. The job table keeps every job and grows a node now
-/// and then, so a round is the mean over a fixed number of calls on a
-/// fresh cluster.
-fn allocations_per_opted_in_sbatch() -> f64 {
-    const BINARY: &str = "/opt/hpcg/bin/xhpcg";
-    const BEST: CpuConfig = CpuConfig { cores: 32, frequency_khz: 2_200_000, threads_per_core: 1 };
+/// one-node cluster whose only plugin `plugin` builds, each plugin
+/// asking its source for `BEST`: the parse, the plugin host,
+/// `job_submit_eco`, the rewrite and the queue. Only the `sbatch` is
+/// counted; each job is cancelled outside the count, so the queue stays
+/// empty. The job table keeps every job and grows a node now and then,
+/// so a round is the mean over a fixed number of calls on a fresh
+/// cluster.
+fn allocations_per_opted_in_sbatch(workload: &Arc<HpcgWorkload>, mut plugin: impl FnMut() -> JobSubmitEco) -> f64 {
+    // the single-node cluster has no `sr650` partition: its default serves
+    let script = benchmark_script(true).replace("#SBATCH --partition=sr650\n", "");
+    least_of_three(|| {
+        let mut cluster = Cluster::single_node(SimNode::sr650());
+        cluster.register_binary(BINARY, Arc::clone(workload) as _);
+        cluster.register_plugin(Box::new(plugin()));
+        let mut sbatch = || {
+            let before = ALLOCS.load(Ordering::SeqCst);
+            let id = cluster.sbatch(black_box(&script), "alice").unwrap();
+            let made = ALLOCS.load(Ordering::SeqCst) - before;
+            let job = &cluster.job(id).unwrap().descriptor;
+            assert_eq!(job.max_frequency_khz, Some(BEST.frequency_khz), "the plugin rewrote the job");
+            cluster.cancel(id).unwrap();
+            made
+        };
+        for _ in 0..100 {
+            sbatch();
+        }
+        (0..1_000).map(|_| sbatch()).sum::<u64>() as f64 / 1_000.0
+    })
+}
+
+/// Workload (a): `job_submit_eco` over a staged model
+/// (`LocalPrediction`), staged as `chronus load-model` does.
+fn allocations_per_local_sbatch(workload: &Arc<HpcgWorkload>) -> f64 {
     let root = TempRoot::new("census");
-    let workload = HpcgWorkload::paper_default(Arc::new(PerfModel::sr650()));
     let binary_id = workload.binary_id().to_string();
-    let workload = Arc::new(workload);
 
     // stage a two-row model, as `chronus load-model` does
     let row = |config, gflops| Benchmark {
@@ -134,28 +160,38 @@ fn allocations_per_opted_in_sbatch() -> f64 {
     let settings = Settings { loaded_model: Some(staged), ..Settings::default() };
     EtcStorage::new(&root).save_settings(&settings).unwrap();
 
-    // the single-node cluster has no `sr650` partition: its default serves
-    let script = benchmark_script(true).replace("#SBATCH --partition=sr650\n", "");
-    least_of_three(|| {
-        let mut cluster = Cluster::single_node(SimNode::sr650());
-        cluster.register_binary(BINARY, Arc::clone(&workload) as _);
+    allocations_per_opted_in_sbatch(workload, || {
         let mut plugin = JobSubmitEco::new(Arc::new(EtcStorage::new(&root)), node.spec(), node.ram_gb());
         plugin.register_binary(BINARY, &binary_id);
-        cluster.register_plugin(Box::new(plugin));
-        let mut sbatch = || {
-            let before = ALLOCS.load(Ordering::SeqCst);
-            let id = cluster.sbatch(black_box(&script), "alice").unwrap();
-            let made = ALLOCS.load(Ordering::SeqCst) - before;
-            let job = &cluster.job(id).unwrap().descriptor;
-            assert_eq!(job.max_frequency_khz, Some(BEST.frequency_khz), "the plugin rewrote the job");
-            cluster.cancel(id).unwrap();
-            made
-        };
-        for _ in 0..100 {
-            sbatch();
-        }
-        (0..1_000).map(|_| sbatch()).sum::<u64>() as f64 / 1_000.0
+        plugin
     })
+}
+
+/// Workload (b): `job_submit_eco` over `RemotePrediction`, asking an
+/// in-process daemon over TCP whose backend holds the staged key; the
+/// plugin state is the default, `user`.
+fn allocations_per_remote_sbatch(workload: &Arc<HpcgWorkload>) -> f64 {
+    let root = TempRoot::new("census-remote");
+    let binary_id = workload.binary_id().to_string();
+    let node = SimNode::sr650();
+    let model = PreparedModel {
+        model_id: 1,
+        model_type: "brute-force".into(),
+        system_hash: system_hash(node.spec(), node.ram_gb()),
+        binary_hash: binary_hash(&binary_id),
+        config: BEST,
+    };
+    let cfg = ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() };
+    let server = PredictServer::start(cfg, Arc::new(StaticBackend::new(vec![model]))).unwrap();
+    let remote = Arc::new(RemotePrediction::from_endpoints(&server.addr().to_string()).unwrap());
+    let made = allocations_per_opted_in_sbatch(workload, || {
+        let mut plugin = JobSubmitEco::new(Arc::new(EtcStorage::new(&root)), node.spec(), node.ram_gb());
+        plugin.register_binary(BINARY, &binary_id);
+        plugin.set_source(Arc::clone(&remote) as _);
+        plugin
+    });
+    server.shutdown();
+    made
 }
 
 #[test]
@@ -181,7 +217,7 @@ fn allocations_per_parse_and_per_remote_predict_are_pinned() {
         binary_hash: 20,
         config: CpuConfig::new(32, 2_200_000, 1),
     };
-    let cfg = ServerConfig { addr: "127.0.0.1:0".into(), workers: 1, ..ServerConfig::default() };
+    let cfg = ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() };
     let server = PredictServer::start(cfg, Arc::new(StaticBackend::new(vec![model]))).unwrap();
     let mut client = PredictClient::builder().endpoint(server.addr().to_string()).build().unwrap();
     let opts = CallOptions::default();
@@ -191,5 +227,15 @@ fn allocations_per_parse_and_per_remote_predict_are_pinned() {
     server.shutdown();
     assert_eq!(predict, 3.0, "allocations per remote TCP predict, client and daemon");
 
-    assert_eq!(allocations_per_opted_in_sbatch(), 19.166, "allocations per opted-in sbatch, mean of 1 000");
+    let workload = Arc::new(HpcgWorkload::paper_default(Arc::new(PerfModel::sr650())));
+    assert_eq!(
+        allocations_per_local_sbatch(&workload),
+        19.166,
+        "allocations per opted-in local sbatch, mean of 1 000"
+    );
+    assert_eq!(
+        allocations_per_remote_sbatch(&workload),
+        12.166,
+        "allocations per opted-in sbatch over the daemon, mean of 1 000"
+    );
 }
