@@ -3,10 +3,11 @@
 //! then `load_model`), commit it to the durable store and push it into
 //! running prediction daemons with the versioned `Preload` flow.
 //!
-//! The daemon side guarantees atomicity (a rollout generation is either
-//! fully committed or rolled back, and stale-generation entries are never
-//! served); this module's job is only to drive the sequence and surface
-//! typed failures the campaign CLI can retry.
+//! The daemon side guarantees atomicity (a `Preload` refreshes the
+//! daemon's table to the store's serving fold in one step, and a record
+//! whose blob does not verify is never served); this module's job is
+//! only to drive the sequence and surface typed failures the campaign
+//! CLI can retry.
 
 use crate::engine::CampaignOutcome;
 use crate::error::{CampaignError, Result};
@@ -22,7 +23,8 @@ pub struct RolloutAck {
     pub model_id: i64,
     /// Its optimizer type.
     pub model_type: String,
-    /// The rollout generation the daemon committed it under.
+    /// The ledger generation of the serving record the daemon answered
+    /// with.
     pub generation: u64,
 }
 
@@ -122,11 +124,14 @@ impl FleetRolloutReport {
 /// at least `quorum` of them commit it. Each committing replica's
 /// generation is checked for monotonicity against
 /// `previous_generation`; a committed generation at or below it is an
-/// error, 0 included. Generations are per-daemon counters, so in a fleet driven through one client they
-/// advance in lockstep and one previous value covers all replicas.
-/// Failures below quorum leave the fleet mixed (committed replicas keep
-/// the new model; that is safe because committed generations are never
-/// rolled back) and surface as [`CampaignError::Rollout`].
+/// error, 0 included. Generations are the store's ledger generations,
+/// not per-daemon counters: every replica over one store acks the
+/// generation its serving record was committed at, so one previous
+/// value covers all replicas, and re-rolling an unchanged model acks the
+/// same generation, which is refused as not newer. Failures below
+/// quorum leave the fleet mixed (committed replicas keep the new model;
+/// that is safe because committed generations are never rolled back)
+/// and surface as [`CampaignError::Rollout`].
 pub fn roll_into_fleet(
     target: &mut dyn RolloutTarget,
     model_id: i64,

@@ -85,7 +85,6 @@ const ALL_REPLICAS: Arg =
     Arg::new("--all-replicas", Switch, Optional, "Query every replica, also of a single endpoint");
 const ADDR: Arg =
     Arg::new("--addr", Str, Default("127.0.0.1:4517"), "host:port to listen on; port 0 asks for any free one");
-const CACHE_CAP: Arg = Arg::new("--cache-cap", Usize, Default("64"), "Resident models per replica");
 const FLEET: Arg = Arg::new("--fleet", Usize, Default("1"), "Replicas r0, r1, ... on consecutive ports; at least 1");
 const STORE: Arg = Arg::new("--store", Str, Optional, "Model store directory (default: $CHRONUS_HOME/store)");
 const SHM: Arg = Arg::new(
@@ -129,7 +128,7 @@ pub const CHRONUS: Command = cli::root(&[
     Command {
         name: "serve",
         about: "Runs chronusd over a model store, this home's by default, until killed.",
-        args: &[ADDR, CACHE_CAP, FLEET, STORE, SHM],
+        args: &[ADDR, FLEET, STORE, SHM],
         run: Standalone(cmd_serve),
     },
     Command {
@@ -293,13 +292,11 @@ pub fn replica_addrs(addr: &str, fleet: usize) -> Result<Vec<String>, String> {
 
 /// `chronus serve`: the store is every replica's one model source, caught
 /// up from (blob-verified, zero Preload traffic) before it accepts
-/// connections and asked again on every `Preload` and miss.
+/// connections and refreshed on every `Preload`, `Stats` and miss.
 fn cmd_serve(args: &Args) -> Outcome {
-    let size = |arg| args.size(arg).expect("declared with a default");
-    let addrs = replica_addrs(&args[&ADDR], size(&FLEET))?;
+    let addrs = replica_addrs(&args[&ADDR], args.size(&FLEET).expect("declared with a default"))?;
     let fleet = addrs.len();
     let base = ServerConfig {
-        cache_cap: size(&CACHE_CAP),
         store_dir: Some(store_dir(args)),
         shm_path: args.get(&SHM).map(str::to_string),
         ..ServerConfig::default()
@@ -319,21 +316,13 @@ fn cmd_serve(args: &Args) -> Outcome {
         let s = PredictServer::start(cfg.clone(), Arc::new(StaticBackend::new(Vec::new())))
             .map_err(|e| format!("serve: {e}"))?;
         println!(
-            "chronusd{} listening on {} (cache {})",
+            "chronusd{} listening on {}",
             if fleet > 1 { format!(" replica r{i}") } else { String::new() },
-            s.addr(),
-            cfg.cache_cap
+            s.addr()
         );
         let boot = s.boot_recovery();
         let installed = boot.store.installed;
         println!("  store catch-up: {installed} installed from the ledger, {} resident", s.registry().len());
-        if installed > cfg.cache_cap {
-            println!(
-                "  warning: the ledger serves {installed} models, {} holds {}: the rest resolve from the store \
-                 on their first request",
-                CACHE_CAP.name, cfg.cache_cap
-            );
-        }
         for rejected in &boot.store.rejected {
             println!("  store rejected {rejected}");
         }

@@ -19,8 +19,9 @@
 //!                    │                               one thread per
 //!                    │                               connection
 //!                    ▼                                   ▼
-//!             rewritten job                 LRU model registry
-//!         (cores, freq, threads)        (system_hash, binary_hash) →
+//!             rewritten job                 answer table: the store's
+//!         (cores, freq, threads)        serving fold, (system_hash,
+//!                                        binary_hash) → generation,
 //!                                        pre-computed best CpuConfig
 //! ```
 //!
@@ -36,13 +37,15 @@
 //!
 //! * [`server`] — accept loop, a thread per connection, Busy
 //!   back-pressure;
-//! * [`service`] — the transport-free request engine (deadlines,
-//!   miss/error classification, counters) shared by the TCP server and
-//!   the deterministic simulation harness;
-//! * [`registry`] — one LRU map of pre-computed answers under one
-//!   lock;
-//! * [`backend`] — where models come from (the durable store, which
-//!   `load-model` and campaigns commit to; a static set for tests);
+//! * [`service`] — the transport-free request engine (the one refresh
+//!   that folds the store into the table, deadlines, miss/error
+//!   classification, counters) shared by the TCP server and the
+//!   deterministic simulation harness;
+//! * [`registry`] — the answer table: one map of pre-computed answers
+//!   under one lock, each at its ledger generation;
+//! * [`backend`] — where models come from: always a store (the durable
+//!   one `load-model` and campaigns commit to; a static set committed to
+//!   an in-memory store for tests), every record hash-verified;
 //! * `stats` (crate-private) — the counter and histogram handles behind
 //!   the `stats` RPC, read by [`PredictService::snapshot`].
 //!
@@ -78,7 +81,7 @@ pub mod store {
     pub use eco_store::*;
 }
 
-pub use backend::{ModelBackend, PreparedModel, StaticBackend, StoreModelBackend};
+pub use backend::{ModelBackend, PreparedModel, StaticBackend};
 pub use registry::{ModelKey, ModelRegistry};
 pub use server::{BootRecovery, PredictServer, ServerConfig};
 pub use service::{PredictService, QueueGauges, ServiceClock, StoreCatchUp, WallClock};

@@ -25,7 +25,7 @@ use chronus::remote::{
 use eco_store::ModelStore;
 use parking_lot::Mutex;
 
-use crate::backend::{ModelBackend, StoreModelBackend};
+use crate::backend::ModelBackend;
 use crate::registry::ModelRegistry;
 use crate::service::{PredictService, QueueGauges, StoreCatchUp, WallClock};
 
@@ -34,18 +34,20 @@ use crate::service::{PredictService, QueueGauges, StoreCatchUp, WallClock};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Registry capacity: resident models in total.
+    /// Ignored: the daemon holds every model its store serves. Kept
+    /// because `benchmark/src/setup.rs` sets it.
     pub cache_cap: usize,
     /// This daemon's fleet identity, stamped on `Stats` answers
     /// (empty = unnamed single daemon).
     pub replica_id: String,
     /// Durable model store directory, the model source of every `chronus
-    /// serve`: opened at boot and every serving model re-installed — blob
+    /// serve`: opened at boot and every serving model installed — blob
     /// hash-verified first — before the listener accepts a connection,
     /// so a restarted replica is warm with zero Preload traffic; then
-    /// every `Preload` and registry miss resolves from it the same way.
+    /// every `Preload`, `Stats` and miss refreshes from it the same way.
     /// The daemon only *reads* it; `load-model`, the campaign and `chronus
-    /// models` write it. `None` serves `start`'s backend (tests, benches).
+    /// models` write it. `None` serves the store of `start`'s backend
+    /// (tests, benches).
     pub store_dir: Option<String>,
     /// When set, the daemon also listens on a shared-memory ring at
     /// this filesystem path (dialed as `shm://<path>`) for same-host
@@ -113,29 +115,26 @@ impl PredictServer {
     /// Binds, spawns the accept thread, and returns immediately.
     ///
     /// With [`ServerConfig::store_dir`] set, as in every production
-    /// daemon, the store is the source and `backend` is never consulted:
-    /// the store is opened once, caught up from before the address is
-    /// reachable, and the same handle then answers every `Preload` and
-    /// miss through [`StoreModelBackend`]. An unopenable store is a hard
-    /// error (better dead than silently cold). Without one, `backend` (a
-    /// test's or a benchmark's fixed set) is the source.
+    /// daemon, that store is opened once and `backend` is never
+    /// consulted; without it the daemon serves `backend`'s store (a
+    /// test's or a benchmark's fixed set). Either way it is caught up
+    /// from before the address is reachable. An unopenable store is a
+    /// hard error (better dead than silently cold).
     pub fn start(cfg: ServerConfig, backend: Arc<dyn ModelBackend>) -> std::io::Result<PredictServer> {
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| std::io::Error::new(e.kind(), format!("cannot bind {}: {e}", cfg.addr)))?;
         let addr = listener.local_addr()?;
-        let serve_from = |source| {
-            PredictService::with_clock(cfg.cache_cap, source, Arc::new(WallClock::new()))
-                .with_replica(&cfg.replica_id)
-        };
-        let service = match &cfg.store_dir {
+        let (store, dir) = match &cfg.store_dir {
             Some(dir) => {
                 let store = ModelStore::open_dir(dir).map_err(|e| {
                     std::io::Error::new(std::io::ErrorKind::InvalidData, format!("model store at {dir}: {e}"))
                 })?;
-                serve_from(Arc::new(StoreModelBackend::new(Arc::new(Mutex::new(store)), dir)))
+                (Arc::new(Mutex::new(store)), dir.clone())
             }
-            None => serve_from(backend),
+            None => backend.store(),
         };
+        let service =
+            PredictService::with_clock(store, dir, Arc::new(WallClock::new())).with_replica(&cfg.replica_id);
         let boot = BootRecovery { store: service.catch_up_from_store() };
         let ctx = Arc::new(Ctx { service, connections: AtomicUsize::new(0) });
 
@@ -184,7 +183,8 @@ impl PredictServer {
         self.ctx.service.snapshot(self.ctx.gauges())
     }
 
-    /// Direct registry access for tests and the CLI's preload-at-boot.
+    /// The answer table, for tests, the CLI's boot line and `benchmark/`'s
+    /// check that its generation is the store's high-water mark.
     pub fn registry(&self) -> &ModelRegistry {
         self.ctx.service.registry()
     }

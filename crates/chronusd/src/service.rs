@@ -1,13 +1,12 @@
 //! The daemon's request engine, independent of any transport.
 //!
-//! [`PredictService`] owns the registry, backend, counters and shutdown
-//! flag, and turns one request frame into one response. A model the
-//! backend resolves — at boot catch-up, for a `Preload`, on a registry
-//! miss — is installed in one step: one registry insert, visible to the
-//! next lookup. The backend is the daemon's one model source; a
-//! store-backed daemon's backend is its store
-//! ([`crate::backend::StoreModelBackend`]), and everything else the
-//! service reads from a store comes through [`ModelBackend::store`].
+//! [`PredictService`] owns the answer table, the durable model store it
+//! is folded from, the counters and the shutdown flag, and turns one
+//! request frame into one response. The table is the store's serving
+//! fold: one refresh brings it to the ledger at boot and on every
+//! `Preload`, `Stats` and miss, installing each serving record at its
+//! ledger generation once its blob hash-verifies. A hit reads the table
+//! and nothing else.
 //!
 //! The TCP server in [`crate::server`] feeds it frames read off one
 //! thread per connection; the `simtest` harness feeds it frames over an
@@ -15,6 +14,7 @@
 //! is what makes the daemon's semantics (deadline accounting, miss/error
 //! classification, counter conservation) testable deterministically.
 
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -24,11 +24,11 @@ use chronus::remote::{
 };
 use chronus::telemetry::{Telemetry, TraceContext};
 use eco_adapt::Monitor;
-use eco_store::ModelStore;
+use eco_store::{ModelStore, StoreError};
 use parking_lot::Mutex;
 
-use crate::backend::{verified, ModelBackend, PreparedModel, StoreModelBackend};
-use crate::registry::{Lookup, ModelRegistry};
+use crate::backend::{verified, ModelBackend};
+use crate::registry::ModelRegistry;
 use crate::stats::ServerStats;
 
 /// The clock the service measures request handling time with — since
@@ -56,19 +56,26 @@ pub struct QueueGauges {
 /// What [`PredictService::catch_up_from_store`] installed and refused.
 #[derive(Debug, Default)]
 pub struct StoreCatchUp {
-    /// Models installed, one registry generation each.
+    /// Serving records installed, each at its ledger generation.
     pub installed: usize,
     /// Serving records refused because their blob failed verification
-    /// (missing, hash mismatch, or unparseable) — never installed.
+    /// (missing, hash mismatch, or unparseable) — never installed — or
+    /// the store that could not be read.
     pub rejected: Vec<String>,
 }
+
+/// What one refresh installed, and the serving records it refused with
+/// why.
+type Refreshed = (usize, Vec<(u64, StoreError)>);
 
 /// The transport-independent daemon core: one instance per daemon,
 /// shared by every connection (all methods take `&self`).
 pub struct PredictService {
     registry: ModelRegistry,
+    store: Arc<Mutex<ModelStore>>,
+    /// The store's directory label, for `Stats` and error messages.
+    dir: String,
     stats: ServerStats,
-    backend: Arc<dyn ModelBackend>,
     telemetry: Arc<Telemetry>,
     shutdown: AtomicBool,
     replica: String,
@@ -76,21 +83,23 @@ pub struct PredictService {
 }
 
 impl PredictService {
-    /// A service on the wall clock whose registry holds `cache_cap`
-    /// models. `_cache_shards` is ignored (the registry is one map); it
-    /// stays because `benchmark/src/micro.rs` passes one.
-    pub fn new(_cache_shards: usize, cache_cap: usize, backend: Arc<dyn ModelBackend>) -> PredictService {
-        PredictService::with_clock(cache_cap, backend, Arc::new(WallClock::new()))
+    /// A service on the wall clock over `backend`'s store. Both numbers
+    /// are ignored (the table holds what the fold serves); they stay
+    /// because `benchmark/src/micro.rs` passes them.
+    pub fn new(_cache_shards: usize, _cache_cap: usize, backend: Arc<dyn ModelBackend>) -> PredictService {
+        let (store, dir) = backend.store();
+        PredictService::with_clock(store, dir, Arc::new(WallClock::new()))
     }
 
-    /// A service on an explicit clock (virtual time in simulation),
-    /// with its own private telemetry over that clock.
+    /// A service over `store` (labelled `dir`) on an explicit clock
+    /// (virtual time in simulation), with its own private telemetry over
+    /// that clock.
     pub fn with_clock(
-        cache_cap: usize,
-        backend: Arc<dyn ModelBackend>,
+        store: Arc<Mutex<ModelStore>>,
+        dir: impl Into<String>,
         clock: Arc<dyn ServiceClock>,
     ) -> PredictService {
-        PredictService::with_telemetry(cache_cap, backend, Arc::new(Telemetry::with_clock(clock)))
+        PredictService::with_telemetry(store, dir, Arc::new(Telemetry::with_clock(clock)))
     }
 
     /// A service emitting through an externally owned [`Telemetry`] —
@@ -100,14 +109,15 @@ impl PredictService {
     /// fresh `Telemetry` instances sharing one recorder, so counters
     /// reset on restart while the trace timeline persists.
     pub fn with_telemetry(
-        cache_cap: usize,
-        backend: Arc<dyn ModelBackend>,
+        store: Arc<Mutex<ModelStore>>,
+        dir: impl Into<String>,
         telemetry: Arc<Telemetry>,
     ) -> PredictService {
         PredictService {
-            registry: ModelRegistry::new(1, cache_cap),
+            registry: ModelRegistry::default(),
+            store,
+            dir: dir.into(),
             stats: ServerStats::over(&telemetry),
-            backend,
             telemetry,
             shutdown: AtomicBool::new(false),
             replica: String::new(),
@@ -128,48 +138,85 @@ impl PredictService {
         &self.replica
     }
 
-    /// Replaces the model source with the durable store at `dir`, as
-    /// if built over [`StoreModelBackend::new`]. `benchmark/src/micro.rs`
+    /// Serves the durable store at `dir` instead. `benchmark/src/micro.rs`
     /// builds its service this way.
     pub fn with_store(mut self, store: Arc<Mutex<ModelStore>>, dir: impl Into<String>) -> PredictService {
-        self.backend = Arc::new(StoreModelBackend::new(store, dir));
+        self.store = store;
+        self.dir = dir.into();
         self
     }
 
-    /// Self-serve catch-up: installs every record the backend's store
-    /// says should be serving ([`ModelStore::serving`] — the ledger
-    /// folded with rollback-rewind semantics), each as its own registry
-    /// generation, oldest first. Every record comes through [`verified`]
-    /// *before* it installs: a model whose blob fails verification is
-    /// reported and never served. A serving set larger than the registry
-    /// leaves its newest records resident; the rest the store resolves
-    /// on their first request. No-op for a backend that is not a store.
+    /// Self-serve catch-up, before the daemon answers anything: one
+    /// refresh, whose installs count as `store_catchups`. Every serving
+    /// record ([`ModelStore::serving`] — the ledger folded with
+    /// rollback-rewind semantics) comes through [`verified`] *before* it
+    /// installs: a model whose blob fails verification is reported and
+    /// never served.
     pub fn catch_up_from_store(&self) -> StoreCatchUp {
-        let mut report = StoreCatchUp::default();
-        let Some((store, _)) = self.backend.store() else { return report };
-        let mut store = store.lock();
-        let _ = store.refresh();
+        match self.refresh(&mut self.store.lock()) {
+            Ok((installed, rejected)) => {
+                self.stats.store_catchups.add(installed as u64);
+                StoreCatchUp { installed, rejected: rejected.iter().map(|(_, e)| e.to_string()).collect() }
+            }
+            Err(e) => StoreCatchUp { installed: 0, rejected: vec![e.to_string()] },
+        }
+    }
+
+    /// Brings the answer table to the store's serving fold: picks up
+    /// what other writers appended, installs every serving record the
+    /// table does not hold at that record's generation, drops the keys
+    /// the fold no longer serves, and moves the table's generation to
+    /// the ledger's high-water mark. A record whose blob fails
+    /// verification is returned and never served; its key keeps the
+    /// answer it had. A store that cannot be read, or whose journal was
+    /// cut below what this handle validated, is the daemon's own
+    /// problem: an error naming the store, and the table stays as it
+    /// was.
+    fn refresh(&self, store: &mut ModelStore) -> Result<Refreshed, ChronusError> {
+        store
+            .refresh()
+            .map_err(|e| ChronusError::Io(io::Error::other(format!("model store at {}: {e}", self.dir))))?;
+        let store = &*store;
+        let (mut fresh, mut rejected) = (Vec::new(), Vec::new());
         for record in store.serving() {
-            match verified(&store, record) {
-                Ok(model) => {
-                    self.install(model, self.registry.begin_rollout());
-                    self.stats.store_catchups.bump();
-                    report.installed += 1;
-                }
-                Err(e) => report.rejected.push(e.to_string()),
+            let key = (record.system_hash, record.binary_hash);
+            if self.registry.lookup(&key).is_some_and(|held| held.generation == record.generation) {
+                continue;
+            }
+            match verified(store, record) {
+                Ok(answer) => fresh.push((key, answer)),
+                Err(e) => rejected.push((record.generation, e)),
             }
         }
-        report
+        let installed = fresh.len();
+        self.registry.sync(|&(s, b)| store.serving_for(s, b).is_some(), fresh, store.high_water());
+        Ok((installed, rejected))
     }
 
-    /// Installs `model` and publishes `generation`.
-    fn install(&self, model: PreparedModel, generation: u64) {
-        let key = (model.system_hash, model.binary_hash);
-        self.registry.insert(key, model.model_id, model.model_type, model.config);
-        self.registry.commit_rollout(generation);
+    /// The `Preload` verb: refreshes, then answers with the latest
+    /// serving record carrying `model_id`, at its ledger generation. A
+    /// model the fold does not serve, or whose blob fails verification,
+    /// is an error naming the store.
+    fn preload(&self, model_id: i64) -> Result<Response, ChronusError> {
+        let mut store = self.store.lock();
+        let (_, rejected) = self.refresh(&mut store)?;
+        let dir = &self.dir;
+        let record = store.serving().into_iter().rfind(|r| r.model_id == model_id).ok_or_else(|| {
+            ChronusError::NotFound(format!("model {model_id} is not serving in the model store at {dir}"))
+        })?;
+        if let Some((_, e)) = rejected.iter().find(|(generation, _)| *generation == record.generation) {
+            return Err(ChronusError::Model(format!("model store at {dir}: {e}")));
+        }
+        Ok(Response::Preloaded {
+            model_id,
+            model_type: record.model_type.clone(),
+            system_hash: record.system_hash,
+            binary_hash: record.binary_hash,
+            generation: record.generation,
+        })
     }
 
-    /// The model registry (tests, preload-at-boot).
+    /// The answer table (tests, and `benchmark/`'s generation check).
     pub fn registry(&self) -> &ModelRegistry {
         &self.registry
     }
@@ -200,23 +247,20 @@ impl PredictService {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The `stats` RPC's answer: counters, registry, store and monitor,
+    /// The `stats` RPC's answer: counters, table, store and monitor,
     /// plus the connection gauges the transport samples. Refits and canary
     /// verdicts are not here: the store's ledger records them
     /// (`chronus models`).
     pub fn snapshot(&self, gauges: QueueGauges) -> StatsSnapshot {
-        let (store_dir, store_generation, models_by_class) = match self.backend.store() {
-            Some((store, dir)) => {
-                let store = store.lock();
-                // serving-model counts per node class, from the ledger's
-                // provenance (records predating classes land in `default`)
-                let mut by_class = std::collections::BTreeMap::<String, u64>::new();
-                for class in store.serving().into_iter().map(|r| r.provenance.node_class.as_str()) {
-                    *by_class.entry(if class.is_empty() { "default" } else { class }.to_string()).or_default() += 1;
-                }
-                (dir.to_string(), store.high_water(), by_class.into_iter().collect())
+        let (store_generation, models_by_class) = {
+            let store = self.store.lock();
+            // serving-model counts per node class, from the ledger's
+            // provenance (records predating classes land in `default`)
+            let mut by_class = std::collections::BTreeMap::<String, u64>::new();
+            for class in store.serving().into_iter().map(|r| r.provenance.node_class.as_str()) {
+                *by_class.entry(if class.is_empty() { "default" } else { class }.to_string()).or_default() += 1;
             }
-            None => (String::new(), 0, Vec::new()),
+            (store.high_water(), by_class.into_iter().collect())
         };
         let adapt = self.adapt.snapshot();
         let s = &self.stats;
@@ -232,13 +276,13 @@ impl PredictService {
             connections: gauges.connections,
             max_connections: gauges.max_connections,
             models_resident: self.registry.len() as u64,
-            evictions: self.registry.evictions(),
+            evictions: 0,
             model_generation: self.registry.generation(),
             preloads: s.preloads.get(),
             store_catchups: s.store_catchups.get(),
             batches: s.batches.get(),
             batched_keys: s.batched_keys.get(),
-            store_dir,
+            store_dir: self.dir.clone(),
             store_generation,
             models_by_class,
             outcomes_ingested: adapt.ingested,
@@ -363,35 +407,18 @@ impl PredictService {
                 Response::ManyConfigs { results: results.collect() }
             }
             Request::Preload { model_id } => {
-                // the number is allocated before the load, so a load that
-                // fails spends one and installs nothing
                 self.stats.preloads.bump();
-                let generation = self.registry.begin_rollout();
-                match self.backend.load(model_id) {
-                    Ok(model) => {
-                        let response = Response::Preloaded {
-                            model_id: model.model_id,
-                            model_type: model.model_type.clone(),
-                            system_hash: model.system_hash,
-                            binary_hash: model.binary_hash,
-                            generation,
-                        };
-                        self.install(model, generation);
-                        response
-                    }
-                    Err(e) => {
-                        self.stats.errors.bump();
-                        Response::Error { message: e.to_string() }
-                    }
-                }
+                self.preload(model_id).unwrap_or_else(|e| {
+                    self.stats.errors.bump();
+                    Response::Error { message: e.to_string() }
+                })
             }
             Request::Stats => {
                 // the campaign CLI may have appended to a shared store
                 // dir since boot; refresh (read-only — refresh never
-                // truncates) so the generation gauge is current
-                if let Some((store, _)) = self.backend.store() {
-                    let _ = store.lock().refresh();
-                }
+                // truncates) so the table and the gauges are current. A
+                // store that cannot be read still gets its stats.
+                let _ = self.refresh(&mut self.store.lock());
                 Response::Stats(Box::new(self.snapshot(gauges)))
             }
             Request::ReportOutcome { system_hash, binary_hash, outcome } => {
@@ -403,18 +430,16 @@ impl PredictService {
     /// The `ReportOutcome` verb: validates and folds one observed
     /// (GFLOPS, watts, duration) into the key's reservoir, feeding the
     /// drift detector. The detector's expectation is calibrated lazily
-    /// from the serving generation's fitted efficiency when a store
-    /// knows it; a daemon over a fixed backend (tests, benches)
+    /// from the serving record's fitted efficiency when its provenance
+    /// carries one; a key committed without (test and bench fixtures)
     /// self-calibrates from the first full window of observations.
     fn report_outcome(&self, system_hash: u64, binary_hash: u64, outcome: &ObservedOutcome) -> Response {
         let key = (system_hash, binary_hash);
         if !self.adapt.has_expectation(key) {
-            if let Some((store, _)) = self.backend.store() {
-                let store = store.lock();
-                let expected = store.serving_for(system_hash, binary_hash).map(|r| r.provenance.best_gflops_per_watt);
-                if let Some(expected) = expected.filter(|e| e.is_finite() && *e > 0.0) {
-                    self.adapt.set_expectation(key, expected);
-                }
+            let store = self.store.lock();
+            let expected = store.serving_for(system_hash, binary_hash).map(|r| r.provenance.best_gflops_per_watt);
+            if let Some(expected) = expected.filter(|e| e.is_finite() && *e > 0.0) {
+                self.adapt.set_expectation(key, expected);
             }
         }
         let report = self.adapt.ingest(key, outcome);
@@ -431,52 +456,40 @@ impl PredictService {
 
     /// One key's prediction, shared verbatim between `Predict` and the
     /// per-key loop of `PredictMany` so the two paths can never drift:
-    /// registry lookup (hit / miss), backend fallback on miss, and
-    /// exactly one `prediction` + one `hit`-or-`miss` counter bump per
-    /// key regardless of framing.
+    /// table lookup (hit / miss), one refresh and a second lookup on a
+    /// miss, and exactly one `prediction` + one `hit`-or-`miss` counter
+    /// bump per key regardless of framing.
     fn predict_key(&self, system_hash: u64, binary_hash: u64, ctx: Option<TraceContext>) -> KeyOutcome {
         self.stats.predictions.bump();
+        let key = (system_hash, binary_hash);
         {
             let mut lookup = ctx.map(|c| self.telemetry.span_under(c, "daemon", "registry_lookup"));
-            match self.registry.lookup(&(system_hash, binary_hash)) {
-                Lookup::Hit { config, .. } => {
-                    self.stats.cache_hits.bump();
-                    if let Some(s) = &mut lookup {
-                        s.attr("result", "hit");
-                    }
-                    return KeyOutcome::Config(config);
-                }
-                Lookup::Miss => {
-                    self.stats.cache_misses.bump();
-                    if let Some(s) = &mut lookup {
-                        s.attr("result", "miss");
-                    }
-                }
+            let held = self.registry.lookup(&key);
+            if let Some(s) = &mut lookup {
+                s.attr("result", if held.is_some() { "hit" } else { "miss" });
             }
+            if let Some(held) = held {
+                self.stats.cache_hits.bump();
+                return KeyOutcome::Config(held.config);
+            }
+            self.stats.cache_misses.bump();
         }
-        let mut backend_span = ctx.map(|c| self.telemetry.span_under(c, "daemon", "backend_lookup"));
-        match self.backend.lookup(system_hash, binary_hash) {
-            Ok(model) => {
-                let config = model.config;
-                self.registry.insert(
-                    (model.system_hash, model.binary_hash),
-                    model.model_id,
-                    model.model_type,
-                    config,
-                );
-                KeyOutcome::Config(config)
-            }
+        // another writer may have committed the key since the last refresh
+        let mut span = ctx.map(|c| self.telemetry.span_under(c, "daemon", "refresh"));
+        let refreshed = self.refresh(&mut self.store.lock());
+        match refreshed.map(|_| self.registry.lookup(&key)) {
+            Ok(Some(held)) => KeyOutcome::Config(held.config),
             // "no answer for this key" is a protocol-level miss …
-            Err(ChronusError::NotFound(_)) | Err(ChronusError::Model(_)) => {
-                if let Some(s) = &mut backend_span {
+            Ok(None) => {
+                if let Some(s) = &mut span {
                     s.attr("result", "miss");
                 }
                 KeyOutcome::Miss
             }
-            // … anything else is the daemon's own problem
+            // … a store that cannot be read is the daemon's own problem
             Err(e) => {
                 self.stats.errors.bump();
-                if let Some(s) = &mut backend_span {
+                if let Some(s) = &mut span {
                     s.set_error(e.to_string());
                 }
                 KeyOutcome::Error { message: e.to_string() }
@@ -488,7 +501,7 @@ impl PredictService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::StaticBackend;
+    use crate::backend::{ModelBackend, StaticBackend};
     use chronus::remote::RequestFrame;
     use eco_sim_node::cpu::CpuConfig;
     use std::sync::atomic::AtomicU64;
@@ -509,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_hits_backend_then_registry() {
+    fn a_key_the_table_misses_answers_after_one_refresh_then_hits() {
         let svc = service_with_one_model();
         let payload = frame_bytes(&RequestFrame::new(Request::Predict { system_hash: 10, binary_hash: 20 }));
         assert!(matches!(svc.handle_frame(&payload, QueueGauges::default()), Response::Config(_)));
@@ -707,11 +720,11 @@ mod tests {
             let lookup = events.iter().find(|e| e.name == "registry_lookup" && e.parent == Some(handle.span));
             assert!(lookup.is_some(), "lookup nests under handle");
         }
-        // the first, cold, lookup also consulted the backend under its handle
+        // the first lookup missed the table and refreshed under its handle
         let events = telemetry.recorder().trace_events(ctx.trace);
-        let backend = events.iter().find(|e| e.name == "backend_lookup").expect("cold key also consults the backend");
+        let refresh = events.iter().find(|e| e.name == "refresh").expect("a miss refreshes the fold");
         let first = events.iter().find(|e| e.layer == "daemon" && e.name == "handle").expect("recorded above");
-        assert_eq!(backend.parent, Some(first.span));
+        assert_eq!(refresh.parent, Some(first.span));
         drop(caller);
     }
 
@@ -740,7 +753,7 @@ mod tests {
     }
 
     #[test]
-    fn preload_commits_a_new_generation() {
+    fn preload_answers_the_ledger_generation() {
         let svc = service_with_one_model();
         assert_eq!(svc.snapshot(QueueGauges::default()).model_generation, 0);
         let payload = frame_bytes(&RequestFrame::new(Request::Preload { model_id: 1 }));
@@ -759,22 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_preload_spends_a_number_without_moving_the_generation() {
-        let svc = service_with_one_model();
-        let payload = frame_bytes(&RequestFrame::new(Request::Preload { model_id: 999 }));
-        assert!(matches!(svc.handle_frame(&payload, QueueGauges::default()), Response::Error { .. }));
-        let snap = svc.snapshot(QueueGauges::default());
-        assert_eq!((snap.model_generation, snap.errors), (0, 1), "a failed preload installs nothing");
-        // the next successful rollout still gets a fresh generation number
-        let ok = frame_bytes(&RequestFrame::new(Request::Preload { model_id: 1 }));
-        match svc.handle_frame(&ok, QueueGauges::default()) {
-            Response::Preloaded { generation, .. } => assert_eq!(generation, 2),
-            other => panic!("expected Preloaded, got {other:?}"),
-        }
-        assert_eq!(svc.snapshot(QueueGauges::default()).model_generation, 2);
-    }
-
-    #[test]
     fn catch_up_from_store_installs_only_hash_verified_models() {
         use eco_store::{blob_hash, MemBackend, Provenance, BLOB_DIR};
 
@@ -789,7 +786,7 @@ mod tests {
         bytes[0] ^= 0x01;
         mem.put_raw(&name, bytes);
 
-        let svc = PredictService::new(2, 8, over_store(store));
+        let svc = over_store(store);
         let report = svc.catch_up_from_store();
         assert_eq!(report.installed, 1);
         assert_eq!(report.rejected.len(), 1);
@@ -806,12 +803,127 @@ mod tests {
         assert_eq!(snap.preloads, 0, "catch-up involves no Preload RPC");
         assert_eq!(snap.store_dir, "/var/lib/chronus/store");
         assert_eq!(snap.store_generation, 2, "high-water gauge counts the corrupt commit too");
-        assert_eq!(snap.model_generation, 1);
+        assert_eq!(snap.model_generation, 2, "the table has reached the high-water mark, corrupt commit included");
     }
 
-    /// The one source of a store-backed daemon.
-    fn over_store(store: ModelStore) -> Arc<StoreModelBackend> {
-        Arc::new(StoreModelBackend::new(Arc::new(Mutex::new(store)), "/var/lib/chronus/store"))
+    fn blob(system_hash: u64, binary_hash: u64, cores: u32) -> eco_store::ModelBlob {
+        eco_store::ModelBlob { config: CpuConfig::new(cores, 2_200_000, 1), ..store_blob(system_hash, binary_hash) }
+    }
+
+    fn send(svc: &PredictService, request: Request) -> Response {
+        svc.handle_frame(&frame_bytes(&RequestFrame::new(request)), QueueGauges::default())
+    }
+
+    fn predict(svc: &PredictService, system_hash: u64, binary_hash: u64) -> Response {
+        send(svc, Request::Predict { system_hash, binary_hash })
+    }
+
+    #[test]
+    fn a_commit_by_another_writer_is_served_after_one_refresh() {
+        use eco_store::{MemBackend, Provenance};
+
+        let mem = MemBackend::new();
+        let mut store = ModelStore::open(Box::new(mem.clone())).unwrap();
+        store.commit(&blob(10, 20, 8), 1, Provenance::default()).unwrap();
+        let mut writer = ModelStore::open(Box::new(mem)).unwrap();
+        let svc = over_store(store);
+        svc.catch_up_from_store();
+        let config = |cores| Response::Config(CpuConfig::new(cores, 2_200_000, 1));
+        assert_eq!(predict(&svc, 10, 20), config(8));
+
+        // another process commits a new generation of the known key, and a new key
+        writer.commit(&blob(10, 20, 32), 1, Provenance::default()).unwrap();
+        writer.commit(&blob(11, 20, 16), 2, Provenance::default()).unwrap();
+        // a hit refreshes nothing: the known key keeps its generation …
+        assert_eq!(predict(&svc, 10, 20), config(8));
+        assert_eq!(svc.registry().generation(), 1);
+        // … and the new key answers on its first request, whose miss
+        // refreshes the fold — which moves the known key too
+        assert_eq!(predict(&svc, 11, 20), config(16));
+        assert_eq!(predict(&svc, 10, 20), config(32));
+        assert_eq!(svc.registry().generation(), 3);
+        let snap = svc.snapshot(QueueGauges::default());
+        assert_eq!((snap.cache_hits, snap.cache_misses, snap.errors), (3, 1, 0));
+    }
+
+    #[test]
+    fn every_generation_the_daemon_reports_is_the_ledgers() {
+        use eco_store::{MemBackend, Provenance};
+
+        let mem = MemBackend::new();
+        let mut writer = ModelStore::open(Box::new(mem.clone())).unwrap();
+        writer.commit(&blob(10, 20, 8), 1, Provenance::default()).unwrap();
+        writer.commit(&blob(11, 20, 16), 2, Provenance::default()).unwrap();
+        let svc = over_store(ModelStore::open(Box::new(mem)).unwrap());
+        // the table holds exactly the writer's serving fold, each key at
+        // its record's generation, and has reached its high-water mark
+        let agree = |svc: &PredictService, writer: &ModelStore, at: &str| {
+            let snap = svc.snapshot(QueueGauges::default());
+            let high_water = writer.high_water();
+            assert_eq!((snap.model_generation, svc.registry().generation()), (high_water, high_water), "{at}");
+            let serving = writer.serving();
+            assert_eq!(svc.registry().len(), serving.len(), "{at}");
+            for record in serving {
+                let held = svc.registry().lookup(&(record.system_hash, record.binary_hash));
+                assert_eq!(held.map(|r| (r.generation, r.config)), Some((record.generation, record.config)), "{at}");
+            }
+        };
+        let preloaded = |svc: &PredictService, model_id| match send(svc, Request::Preload { model_id }) {
+            Response::Preloaded { generation, .. } => generation,
+            other => panic!("preload of model {model_id} answered {other:?}"),
+        };
+
+        svc.catch_up_from_store();
+        agree(&svc, &writer, "boot");
+        let rolled = writer.commit(&blob(10, 20, 32), 3, Provenance::default()).unwrap();
+        assert_eq!(preloaded(&svc, 3), rolled.generation);
+        agree(&svc, &writer, "Preload");
+        writer.commit(&blob(12, 20, 4), 4, Provenance::default()).unwrap();
+        assert!(matches!(predict(&svc, 12, 20), Response::Config(_)));
+        agree(&svc, &writer, "a miss");
+        writer.commit(&blob(11, 20, 24), 5, Provenance::default()).unwrap();
+        assert!(matches!(send(&svc, Request::Stats), Response::Stats(s) if s.model_generation == 5));
+        agree(&svc, &writer, "Stats");
+        // rolled back to generation 2: (10, 20) serves generation 1 again,
+        // (12, 20) serves nothing, and the high-water mark stays at 5
+        writer.rollback_to(2, "regression").unwrap();
+        assert!(matches!(send(&svc, Request::Stats), Response::Stats(_)));
+        agree(&svc, &writer, "rollback");
+        assert!(matches!(predict(&svc, 12, 20), Response::Miss { .. }));
+        assert_eq!(preloaded(&svc, 1), 1);
+    }
+
+    #[test]
+    fn a_preload_is_refused_with_the_reason_when_its_blob_fails_verification() {
+        use eco_store::{blob_hash, MemBackend, Provenance, BLOB_DIR};
+
+        let mem = MemBackend::new();
+        let mut store = ModelStore::open(Box::new(mem.clone())).unwrap();
+        store.commit(&blob(10, 20, 8), 1, Provenance::default()).unwrap();
+        let name = format!("{BLOB_DIR}/{}", blob_hash(&blob(10, 20, 8)));
+        let mut bytes = mem.get_raw(&name).unwrap();
+        bytes[0] ^= 0x01;
+        mem.put_raw(&name, bytes);
+        let svc = over_store(store);
+        let refused = |model_id| match send(&svc, Request::Preload { model_id }) {
+            Response::Error { message } => message,
+            other => panic!("preload of model {model_id} answered {other:?}"),
+        };
+        let reason = refused(1);
+        assert!(
+            reason.contains("/var/lib/chronus/store") && reason.contains("generation 1: blob hashes to"),
+            "{reason}"
+        );
+        let reason = refused(7);
+        assert!(reason.contains("model 7 is not serving in the model store at /var/lib/chronus/store"), "{reason}");
+        assert!(matches!(predict(&svc, 10, 20), Response::Miss { .. }), "a refused record is never served");
+        let snap = svc.snapshot(QueueGauges::default());
+        assert_eq!((snap.preloads, snap.errors, snap.model_generation), (2, 2, 1));
+    }
+
+    /// A daemon's service over `store`, as `chronus serve` builds one.
+    fn over_store(store: ModelStore) -> PredictService {
+        PredictService::with_clock(Arc::new(Mutex::new(store)), "/var/lib/chronus/store", Arc::new(WallClock::new()))
     }
 
     fn store_blob(system_hash: u64, binary_hash: u64) -> eco_store::ModelBlob {
@@ -838,7 +950,7 @@ mod tests {
         store.commit(&store_blob(11, 21), 3, dense64()).unwrap();
         let mut writer = ModelStore::open(Box::new(mem.clone())).unwrap();
 
-        let svc = PredictService::new(2, 8, over_store(store));
+        let svc = over_store(store);
         svc.catch_up_from_store();
         let stats =
             || match svc.handle_frame(&frame_bytes(&RequestFrame::new(Request::Stats)), QueueGauges::default()) {
@@ -874,7 +986,7 @@ mod tests {
         let mem = MemBackend::new();
         let mut store = ModelStore::open(Box::new(mem.clone())).unwrap();
         store.commit(&store_blob(10, 20), 1, Provenance::default()).unwrap();
-        let svc = PredictService::new(2, 8, over_store(store));
+        let svc = over_store(store);
 
         // only `open` truncates: a journal shorter than what the daemon
         // validated is the daemon's problem, not "no model for this key"
@@ -945,7 +1057,7 @@ mod tests {
         let mut store = ModelStore::open(Box::new(MemBackend::new())).unwrap();
         let fitted = Provenance { best_gflops_per_watt: 0.20, ..Provenance::default() };
         store.commit(&store_blob(10, 20), 1, fitted).unwrap();
-        let svc = PredictService::new(2, 8, over_store(store));
+        let svc = over_store(store);
 
         // sustained 50% shortfall vs the fitted 0.20 GFLOPS/W trips the
         // detector within the default 16-observation window x 2 windows
@@ -991,7 +1103,11 @@ mod tests {
         for (id, system_hash) in [(1, 10), (2, 11), (3, 12)] {
             store.commit(&store_blob(system_hash, 20), id, Provenance::default()).unwrap();
         }
-        let svc = PredictService::with_clock(8, over_store(store), Arc::new(JumpClock(AtomicU64::new(0))));
+        let svc = PredictService::with_clock(
+            Arc::new(Mutex::new(store)),
+            "/var/lib/chronus/store",
+            Arc::new(JumpClock(AtomicU64::new(0))),
+        );
         let send = |frame: RequestFrame| svc.answer(&frame_bytes(&frame), QueueGauges::default());
         let predict = |system_hash, binary_hash| RequestFrame::new(Request::Predict { system_hash, binary_hash });
         let outcome = |gflops| {
@@ -1070,8 +1186,8 @@ mod tests {
 
     #[test]
     fn deadline_is_enforced_on_the_injected_clock() {
-        let backend = StaticBackend::new(vec![]);
-        let svc = PredictService::with_clock(4, Arc::new(backend), Arc::new(JumpClock(AtomicU64::new(0))));
+        let (store, dir) = StaticBackend::new(vec![]).store();
+        let svc = PredictService::with_clock(store, dir, Arc::new(JumpClock(AtomicU64::new(0))));
         let payload = frame_bytes(&RequestFrame::with_deadline(Request::Ping, 10));
         assert!(matches!(svc.handle_frame(&payload, QueueGauges::default()), Response::DeadlineExceeded));
         assert_eq!(svc.snapshot(QueueGauges::default()).deadline_exceeded, 1);

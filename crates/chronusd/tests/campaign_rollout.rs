@@ -30,8 +30,23 @@ fn home(tag: &str) -> PathBuf {
 }
 
 /// Commits the staged model to `root`'s store as `chronus campaign` does
-/// (its configuration is the staged optimizer's answer), then starts a
-/// daemon over that store.
+/// (its configuration is the staged optimizer's answer); returns the
+/// store directory and the committed generation.
+fn commit(
+    root: &Path,
+    app: &Chronus,
+    staged: &LoadedModel,
+    spec: &CampaignSpec,
+    outcome: &CampaignOutcome,
+) -> (String, u64) {
+    let dir = root.join("store").to_string_lossy().into_owned();
+    let best = app.slurm_config(staged.system_hash, staged.binary_hash).unwrap();
+    let mut store = ModelStore::open_dir(&dir).unwrap();
+    let record = commit_to_store(&mut store, staged, spec, &CampaignOutcome { best, ..outcome.clone() }).unwrap();
+    (dir, record.generation)
+}
+
+/// [`commit`], then starts a daemon over that store.
 fn commit_and_serve(
     root: &Path,
     app: &Chronus,
@@ -39,10 +54,7 @@ fn commit_and_serve(
     spec: &CampaignSpec,
     outcome: &CampaignOutcome,
 ) -> PredictServer {
-    let dir = root.join("store").to_string_lossy().into_owned();
-    let best = app.slurm_config(staged.system_hash, staged.binary_hash).unwrap();
-    let mut store = ModelStore::open_dir(&dir).unwrap();
-    commit_to_store(&mut store, staged, spec, &CampaignOutcome { best, ..outcome.clone() }).unwrap();
+    let (dir, _) = commit(root, app, staged, spec, outcome);
     let cfg = ServerConfig { addr: "127.0.0.1:0".to_string(), store_dir: Some(dir), ..ServerConfig::default() };
     PredictServer::start(cfg, Arc::new(StaticBackend::new(Vec::new()))).unwrap()
 }
@@ -87,27 +99,34 @@ fn campaign_model_rolls_hot_into_a_live_daemon() {
     assert_eq!(staged.system_hash, system_hash);
 
     // 3. commit it to the store a live daemon serves, then hot-roll it
-    //    in over TCP. The daemon's boot catch-up installed the committed
-    //    model as its generation 1, so the rollout commits generation 2
+    //    in over TCP. The ack names the ledger generation the commit
+    //    landed at, the store's first
     let server = commit_and_serve(&root, &app, &staged, &spec, &outcome);
     let mut client = PredictClient::builder().endpoint(server.addr().to_string()).build().unwrap();
     let ack = roll_into(&mut client, staged.model_id, None).unwrap();
     assert_eq!(ack.model_id, staged.model_id);
     assert_eq!(ack.model_type, "brute-force");
-    assert_eq!(ack.generation, 2, "the first rollout after the boot catch-up's generation 1");
+    assert_eq!(ack.generation, 1, "the ledger generation of the commit");
 
     // 4. the daemon now serves the campaign's optimum
     let predicted = client.predict(system_hash, outcome.binary_hash, &CallOptions::default()).unwrap();
     assert_eq!(predicted, outcome.best);
 
     // generation accounting is visible in stats, and the rollout was
-    // served from the registry
+    // served from the table
     let stats = client.stats().unwrap();
-    assert_eq!((stats.model_generation, stats.cache_hits, stats.errors), (2, 1, 0));
+    assert_eq!((stats.model_generation, stats.cache_hits, stats.errors), (1, 1, 0));
 
-    // 5. a second campaign-driven rollout advances the generation
+    // 5. a second campaign commits a new generation, and its rollout
+    //    acks it; re-rolling an unchanged model acks the same generation,
+    //    which is not newer
+    let (_, committed) = commit(&root, &app, &staged, &spec, &outcome);
     let ack2 = roll_into(&mut client, staged.model_id, Some(ack.generation)).unwrap();
-    assert_eq!(ack2.generation, 3);
+    assert_eq!((committed, ack2.generation), (2, 2));
+    assert!(
+        roll_into(&mut client, staged.model_id, Some(ack2.generation)).is_err(),
+        "an unchanged model is not newer"
+    );
     server.shutdown();
 }
 
@@ -153,6 +172,6 @@ fn rollout_against_a_dead_daemon_is_a_typed_error_and_retry_succeeds() {
     let server = commit_and_serve(&root, &app, &staged, &spec, &outcome);
     let mut client = PredictClient::builder().endpoint(server.addr().to_string()).build().unwrap();
     let ack = roll_into(&mut client, staged.model_id, None).unwrap();
-    assert_eq!(ack.generation, 2, "the boot catch-up installed the committed model as generation 1");
+    assert_eq!(ack.generation, 1, "the ledger generation of the commit");
     server.shutdown();
 }

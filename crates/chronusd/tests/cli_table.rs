@@ -124,7 +124,7 @@ fn every_malformed_invocation_in_the_table_is_refused_by_name_before_any_side_ef
         }
     }
     assert!(
-        typed >= 25 && valued >= 12,
+        typed >= 24 && valued >= 12,
         "the walk met {typed} typed arguments and {valued} commands with a valued flag"
     );
 }

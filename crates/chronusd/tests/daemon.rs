@@ -1,8 +1,10 @@
 //! Integration tests of the daemon over real TCP: the RPC surface,
 //! explicit back-pressure (`Busy`), per-request deadlines, protocol
-//! errors, LRU pressure, concurrent and idle clients, and shutdown.
+//! errors, a slow store refresh, concurrent and idle clients, and
+//! shutdown.
 
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,9 +12,12 @@ use chronus::remote::{
     fastpath, read_frame, wire, write_frame, CallOptions, Connection, KeyOutcome, PredictClient, RemoteError,
     Request, RequestFrame, Response,
 };
+use chronusd::backend::memory_store;
 use chronusd::server::{MAX_CONNECTIONS, READ_TICK, RETRY_AFTER_MS};
-use chronusd::{PredictServer, PreparedModel, ServerConfig, StaticBackend};
+use chronusd::store::{MemBackend, ModelStore, StoreBackend};
+use chronusd::{ModelBackend, PredictServer, PreparedModel, ServerConfig, StaticBackend};
 use eco_sim_node::cpu::CpuConfig;
+use parking_lot::Mutex;
 
 fn model(id: i64, sys: u64, bin: u64, cores: u32) -> PreparedModel {
     PreparedModel {
@@ -24,7 +29,7 @@ fn model(id: i64, sys: u64, bin: u64, cores: u32) -> PreparedModel {
     }
 }
 
-fn ephemeral(cfg: ServerConfig, backend: StaticBackend) -> PredictServer {
+fn ephemeral(cfg: ServerConfig, backend: impl ModelBackend + 'static) -> PredictServer {
     let cfg = ServerConfig { addr: "127.0.0.1:0".to_string(), ..cfg };
     PredictServer::start(cfg, Arc::new(backend)).expect("bind ephemeral port")
 }
@@ -43,15 +48,16 @@ fn ping_predict_and_stats_round_trip() {
 
     assert!(c.ping().unwrap() < Duration::from_secs(1));
 
-    // first predict resolves through the backend, second hits the cache
+    // boot caught the model up from the store: both predicts hit
     assert_eq!(c.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
     assert_eq!(c.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
 
     let stats = c.stats().unwrap();
     assert_eq!(stats.predictions, 2);
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_misses, 1);
+    assert_eq!(stats.cache_hits, 2);
+    assert_eq!(stats.cache_misses, 0);
     assert_eq!(stats.models_resident, 1);
+    assert_eq!((stats.store_catchups, stats.model_generation), (1, 1));
     assert_eq!(stats.max_connections, 64);
     assert_eq!(stats.connections, 1, "this client's one connection");
     assert!(stats.requests_total >= 4, "{stats:?}");
@@ -176,24 +182,66 @@ fn shutdown_joins_every_connection_thread() {
     }
 }
 
+/// A store whose every read sleeps for `delay_ms` once armed: what a
+/// refresh costs over a slow disk.
+#[derive(Clone)]
+struct SlowReads {
+    files: MemBackend,
+    delay_ms: Arc<AtomicU64>,
+}
+
+impl StoreBackend for SlowReads {
+    fn read(&self, name: &str) -> std::io::Result<Option<Vec<u8>>> {
+        std::thread::sleep(Duration::from_millis(self.delay_ms.load(Ordering::SeqCst)));
+        self.files.read(name)
+    }
+
+    fn append(&self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+        self.files.append(name, bytes)
+    }
+
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+        self.files.write_atomic(name, bytes)
+    }
+
+    fn list(&self, prefix: &str) -> std::io::Result<Vec<String>> {
+        self.files.list(prefix)
+    }
+}
+
+struct Over(Arc<Mutex<ModelStore>>);
+
+impl ModelBackend for Over {
+    fn store(&self) -> (Arc<Mutex<ModelStore>>, String) {
+        (Arc::clone(&self.0), "slow".to_string())
+    }
+}
+
 #[test]
 fn deadline_overrun_is_reported_not_hidden() {
-    // every cold prediction costs the backend 120 ms
-    let slow =
-        StaticBackend::with_delay(vec![model(1, 10, 20, 32), model(2, 11, 21, 16)], Duration::from_millis(120));
-    let server = ephemeral(ServerConfig::default(), slow);
+    // once the daemon is up, every store read costs 120 ms: a key the
+    // table misses pays one refresh, a key it holds pays nothing
+    let slow = SlowReads { files: MemBackend::new(), delay_ms: Arc::new(AtomicU64::new(0)) };
+    let store = memory_store(slow.clone(), &[model(1, 10, 20, 32)]);
+    let server = ephemeral(ServerConfig::default(), Over(Arc::new(Mutex::new(store))));
+    slow.delay_ms.store(120, Ordering::SeqCst);
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
-    let cold = |system_hash, binary_hash| Request::Predict { system_hash, binary_hash };
-    write_frame(&mut stream, &RequestFrame::with_deadline(cold(10, 20), 10)).unwrap();
+    let predict = |system_hash, binary_hash| Request::Predict { system_hash, binary_hash };
+    write_frame(&mut stream, &RequestFrame::with_deadline(predict(11, 21), 10)).unwrap();
     let resp: Response = read_frame(&mut stream).unwrap();
     assert_eq!(resp, Response::DeadlineExceeded);
 
     // a comfortable deadline leaves the result intact
-    write_frame(&mut stream, &RequestFrame::with_deadline(cold(11, 21), 5_000)).unwrap();
+    write_frame(&mut stream, &RequestFrame::with_deadline(predict(11, 21), 5_000)).unwrap();
     let resp: Response = read_frame(&mut stream).unwrap();
-    assert_eq!(resp, Response::Config(CpuConfig::new(16, 2_200_000, 1)));
+    assert_eq!(resp, Response::Miss { system_hash: 11, binary_hash: 21 });
+
+    // and a held key never reads the store
+    write_frame(&mut stream, &RequestFrame::with_deadline(predict(10, 20), 100)).unwrap();
+    let resp: Response = read_frame(&mut stream).unwrap();
+    assert_eq!(resp, Response::Config(CpuConfig::new(32, 2_200_000, 1)));
 
     assert_eq!(server.snapshot().deadline_exceeded, 1);
 }
@@ -285,23 +333,6 @@ fn a_batch_over_the_frame_cap_is_answered_in_order_in_three_frames() {
 }
 
 #[test]
-fn registry_pressure_evicts_but_keeps_answering() {
-    let cfg = ServerConfig { cache_cap: 2, ..ServerConfig::default() };
-    let models: Vec<PreparedModel> = (0..4).map(|i| model(i, 100 + i as u64, 200, 32)).collect();
-    let server = ephemeral(cfg, StaticBackend::new(models));
-    let mut c = client(&server);
-
-    for i in 0..4u64 {
-        assert_eq!(c.predict(100 + i, 200, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
-    }
-    let stats = c.stats().unwrap();
-    assert!(stats.evictions >= 2, "{stats:?}");
-    assert!(stats.models_resident <= 2, "{stats:?}");
-    // evicted keys still answer (via the backend) rather than missing
-    assert_eq!(c.predict(100, 200, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
-}
-
-#[test]
 fn concurrent_clients_all_get_correct_answers() {
     let server =
         ephemeral(ServerConfig::default(), StaticBackend::new(vec![model(1, 10, 20, 32), model(2, 30, 40, 16)]));
@@ -322,16 +353,10 @@ fn concurrent_clients_all_get_correct_answers() {
     })
     .unwrap();
 
-    // Cold misses are not single-flighted: connections that meet a key
-    // before the first insert of it lands each resolve it through the
-    // backend (same answer, one more miss). Each client has its own
-    // connection thread, which misses a key at most once — after its own
-    // insert the key is resident — so the bound is clients × keys, not
-    // one miss per key.
+    // boot caught both keys up from the store: nothing misses
     let stats = server.snapshot();
     assert_eq!(stats.predictions, 400);
-    assert_eq!(stats.cache_hits + stats.cache_misses, 400, "{stats:?}");
-    assert!((2..=8 * 2).contains(&stats.cache_misses), "one cold miss per key, per client at most: {stats:?}");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (400, 0), "{stats:?}");
     assert_eq!(stats.models_resident, 2);
 }
 
@@ -339,7 +364,7 @@ fn concurrent_clients_all_get_correct_answers() {
 fn warm_cache_throughput_smoke() {
     let server = ephemeral(ServerConfig::default(), StaticBackend::new(vec![model(1, 10, 20, 32)]));
     let mut c = client(&server);
-    c.predict(10, 20, OPTS).unwrap(); // warm the registry
+    c.predict(10, 20, OPTS).unwrap(); // warm the connection
 
     let n = 2_000u32;
     let started = Instant::now();

@@ -120,7 +120,7 @@ fn submission_is_rewritten_through_the_daemon() {
     let mut admin = PredictClient::builder().endpoint(addr.clone()).build().unwrap();
     let ack = admin.preload(model_id, &CallOptions::default()).unwrap();
     assert_eq!(ack.model_type, "brute-force");
-    assert_eq!(ack.generation, 2, "the boot catch-up installed the committed model as generation 1");
+    assert_eq!(ack.generation, 1, "the ledger generation the model was committed at");
 
     // the plugin predicts via the daemon, through the production source
     let mut plugin = eco_plugin(&w);
@@ -190,37 +190,22 @@ fn dead_daemon_falls_back_to_untouched_submission() {
 fn slow_daemon_times_out_and_falls_back() {
     let mut w = world("slow");
     stage_model(&mut w);
-    let (sys, bin) = stats_key(&w);
 
-    // a daemon whose model source takes far longer than the client waits
-    let laggard = StaticBackend::with_delay(
-        vec![PreparedModel {
-            model_id: 1,
-            model_type: "brute-force".into(),
-            system_hash: sys,
-            binary_hash: bin,
-            config: CpuConfig::new(32, 2_200_000, 1),
-        }],
-        Duration::from_millis(1200),
-    );
-    let server = PredictServer::start(
-        ServerConfig { addr: "127.0.0.1:0".to_string(), ..ServerConfig::default() },
-        Arc::new(laggard),
-    )
-    .unwrap();
-
+    // a daemon that accepts and never answers: every dial completes
+    // into the backlog, and nobody ever reads
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let mut plugin = eco_plugin(&w);
-    plugin.set_source(Arc::new(RemotePrediction::from_endpoints(&server.addr().to_string()).unwrap()));
+    plugin.set_source(Arc::new(RemotePrediction::from_endpoints(&silent.local_addr().unwrap().to_string()).unwrap()));
     w.cluster.register_plugin(Box::new(plugin));
 
     let submitted = Instant::now();
     let job = w.cluster.sbatch(SCRIPT_OPTED_IN, "alice").expect("slow daemon must not reject submissions");
     let elapsed = submitted.elapsed();
     // The client's whole budget is half the plugin's: it gives up on
-    // the 1200ms stall long before the scheduler would.
+    // the silent daemon long before the scheduler would.
     assert!(
         elapsed < Duration::from_millis(DEFAULT_PLUGIN_BUDGET_MS),
-        "submit took {elapsed:?}: the client must abandon a 1200ms-slow backend inside the plugin budget"
+        "submit took {elapsed:?}: the client must abandon a silent daemon inside the plugin budget"
     );
     assert_eq!(w.cluster.job(job).unwrap().descriptor.max_frequency_khz, None, "timed out, so no rewrite");
 }

@@ -126,9 +126,9 @@ fn restarted_replica_rejoins_and_answers_from_its_backend() {
     }
     assert_eq!(client.replicas_in_ring(), 1);
 
-    // r1 restarts as a fresh process on a new port: no cached state, no
-    // committed model. The client probes it back onto the ring and
-    // replays nothing into it.
+    // r1 restarts as a fresh process on a new port, warm from its store.
+    // The client probes it back onto the ring and replays nothing into
+    // it.
     let reborn = replica("r1");
     *target.lock().unwrap() = reborn.addr().to_string();
 
@@ -142,8 +142,8 @@ fn restarted_replica_rejoins_and_answers_from_its_backend() {
     }
     assert!(rejoined, "restarted replica never rejoined the ring");
 
-    // The fresh process answers both keys from its backend, and through
-    // the fleet client as well.
+    // The fresh process answers both keys from what its boot caught up,
+    // and through the fleet client as well.
     let mut direct = PredictClient::builder().endpoint(reborn.addr().to_string()).build().unwrap();
     for _ in 0..20 {
         for c in [&mut direct, &mut client] {
@@ -153,7 +153,7 @@ fn restarted_replica_rejoins_and_answers_from_its_backend() {
     }
     let snap = reborn.snapshot();
     assert_eq!(snap.preloads, 0, "the client replayed a rollout into the rejoined replica");
-    assert!(snap.cache_misses >= 2, "both keys came from the backend: {snap:?}");
+    assert_eq!((snap.store_catchups, snap.cache_misses), (2, 0), "both keys were held from boot: {snap:?}");
     stable.shutdown();
     reborn.shutdown();
 }

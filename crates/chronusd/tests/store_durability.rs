@@ -1,17 +1,16 @@
 //! Durable-model E2E over real TCP: replicas booted with `--store`
-//! self-serve catch-up from the shared ledger (zero Preload RPCs), keep
-//! resolving `Preload`s and registry misses from it — hash-verified —
-//! whatever `cache_cap` is, and a ledger rollback restores the prior
+//! self-serve catch-up from the shared ledger (zero Preload RPCs), hold
+//! every key it serves, keep refreshing from it — hash-verified — on
+//! `Preload`s and misses, and a ledger rollback restores the prior
 //! generation fleet-wide under quorum.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use chronus::remote::{CallOptions, PredictClient, RemoteError};
-use chronusd::backend::verified;
-use chronusd::store::{ModelBlob, ModelRecord, ModelStore, Provenance, BLOB_DIR};
-use chronusd::{ModelBackend, PredictServer, PreparedModel, ServerConfig};
+use chronus::remote::{CallOptions, PredictClient, RemoteError, Request, RequestFrame, Response};
+use chronusd::store::{ModelBlob, ModelRecord, ModelStore, Provenance};
+use chronusd::{ModelBackend, PredictServer, PredictService, QueueGauges, ServerConfig, WallClock};
 use eco_campaign::roll_into_fleet;
 use eco_sim_node::cpu::CpuConfig;
 
@@ -28,32 +27,24 @@ fn blob(config: CpuConfig) -> ModelBlob {
 }
 
 /// The backend every store-backed replica here is handed: with
-/// `store_dir` set the store is the model source, so consulting this
-/// one fails the test.
+/// `store_dir` set that store is the model source, so asking this one
+/// for its store fails the test.
 struct Unconsulted;
 
 impl ModelBackend for Unconsulted {
-    fn load(&self, model_id: i64) -> chronus::Result<PreparedModel> {
-        panic!("a store-backed daemon resolved Preload {{ {model_id} }} from the backend it was passed")
-    }
-
-    fn lookup(&self, system_hash: u64, binary_hash: u64) -> chronus::Result<PreparedModel> {
-        panic!("a store-backed daemon resolved ({system_hash:#x}, {binary_hash:#x}) from the backend it was passed")
+    fn store(&self) -> (Arc<parking_lot::Mutex<ModelStore>>, String) {
+        panic!("a store-backed daemon served the store of the backend it was passed")
     }
 }
 
-fn store_replica_with(id: &str, dir: &Path, cfg: ServerConfig) -> PredictServer {
+fn store_replica(id: &str, dir: &Path) -> PredictServer {
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
         replica_id: id.into(),
         store_dir: Some(dir.to_str().unwrap().to_string()),
-        ..cfg
+        ..ServerConfig::default()
     };
     PredictServer::start(cfg, Arc::new(Unconsulted)).expect("bind ephemeral port")
-}
-
-fn store_replica(id: &str, dir: &Path) -> PredictServer {
-    store_replica_with(id, dir, ServerConfig::default())
 }
 
 /// A fleet-sized store: 64 models under well-mixed keys (a splitmix64
@@ -152,11 +143,10 @@ fn restarted_replica_self_serves_current_generation_with_zero_preloads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A fleet-sized store under the default configuration: the ledger's 64
-/// models fit `cache_cap`'s 64, so every key is a registry hit from the
-/// first request on.
+/// A fleet-sized store: the daemon holds every key the ledger serves,
+/// so every key is a hit from the first request on.
 #[test]
-fn a_fleet_sized_store_is_fully_resident_at_the_default_cache_cap() {
+fn every_key_of_a_fleet_sized_store_is_held_from_boot() {
     let dir = temp_store("fleet64");
     let fleet = commit_fleet(&dir);
     let server = store_replica("r0", &dir);
@@ -166,70 +156,44 @@ fn a_fleet_sized_store_is_fully_resident_at_the_default_cache_cap() {
     let mut client = PredictClient::builder().endpoint(server.addr().to_string()).build().unwrap();
     every_key_answers_its_ledger_config(&mut client, &fleet);
     let snap = server.snapshot();
-    assert_eq!(snap.models_resident, 64, "the registry holds all 64");
-    assert_eq!(snap.evictions, 0);
+    assert_eq!(snap.models_resident, 64, "the table holds all 64");
     assert_eq!((snap.cache_hits, snap.cache_misses), (3 * 64, 0));
+    assert_eq!((snap.model_generation, snap.store_generation), (64, 64));
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The same store behind a registry a quarter its size: what is not
-/// resident resolves from the store on demand, so every key is still
-/// answered, with the ledger's configuration, and no Preload is needed.
+/// A key the ledger rolled back past stops answering: the rollout that
+/// follows the rollback refreshes each replica's table to the fold, and
+/// the fold no longer serves the key.
 #[test]
-fn a_store_larger_than_the_cache_still_answers_every_key() {
-    let dir = temp_store("fleet16");
-    let fleet = commit_fleet(&dir);
-    let server = store_replica_with("r0", &dir, ServerConfig { cache_cap: 16, ..ServerConfig::default() });
-    assert_eq!(server.boot_recovery().store.installed, 64, "every serving record is verified at boot");
-    assert_eq!(server.registry().len(), 16, "and the newest sixteen stay resident");
-
+fn a_key_the_ledger_rolled_back_past_stops_answering() {
+    let dir = temp_store("rolledpast");
+    let (a, b) = (
+        blob(CpuConfig::new(32, 2_200_000, 1)),
+        ModelBlob { binary_hash: 21, ..blob(CpuConfig::new(16, 1_500_000, 2)) },
+    );
+    {
+        let mut store = ModelStore::open_dir(dir.to_str().unwrap()).unwrap();
+        store.commit(&a, 1, Provenance::default()).unwrap();
+        store.commit(&b, 2, Provenance::default()).unwrap();
+    }
+    let server = store_replica("r0", &dir);
     let mut client = PredictClient::builder().endpoint(server.addr().to_string()).build().unwrap();
-    every_key_answers_its_ledger_config(&mut client, &fleet);
+    assert_eq!(client.predict(10, 21, OPTS).unwrap(), b.config, "the replica boots serving B");
+
+    ModelStore::open_dir(dir.to_str().unwrap()).unwrap().rollback_to(1, "B regressed").unwrap();
+    let report = roll_into_fleet(&mut client, 1, None, 1).expect("the rollout of model 1 commits");
+    assert_eq!(report.acks.len(), 1);
+
+    match client.predict(10, 21, OPTS) {
+        Err(RemoteError::Miss { .. }) => {}
+        other => panic!("a key rolled back past answered {other:?}"),
+    }
+    assert_eq!(client.predict(10, 20, OPTS).unwrap(), a.config, "A still serves");
     let snap = server.snapshot();
-    assert_eq!(snap.models_resident, 16);
-    assert!(snap.evictions > 0);
-    assert!(snap.cache_misses > 0, "the non-resident keys went through the store");
-    assert_eq!(snap.preloads, 0);
-    assert_eq!(snap.errors, 0);
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Never serve a bad hash, on the miss path too: a blob corrupted after
-/// boot is refused the next time its key has to come from the store.
-#[test]
-fn a_blob_corrupted_after_boot_is_refused_on_the_miss_path() {
-    let dir = temp_store("corrupt");
-    let fleet = commit_fleet(&dir);
-    let server = store_replica_with("r0", &dir, ServerConfig { cache_cap: 16, ..ServerConfig::default() });
-    let mut client = PredictClient::builder().endpoint(server.addr().to_string()).build().unwrap();
-
-    // resident and verified at boot: served
-    let victim = fleet.last().unwrap();
-    assert_eq!(client.predict(victim.system_hash, victim.binary_hash, OPTS).unwrap(), victim.config);
-
-    let path = dir.join(BLOB_DIR).join(&victim.blob_hash);
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[0] ^= 0x01;
-    std::fs::write(&path, bytes).unwrap();
-
-    // sixteen other keys push it out of the registry …
-    for m in &fleet[..16] {
-        assert_eq!(client.predict(m.system_hash, m.binary_hash, OPTS).unwrap(), m.config);
-    }
-    // … and the store will not hand it back
-    for _ in 0..2 {
-        match client.predict(victim.system_hash, victim.binary_hash, OPTS) {
-            Err(RemoteError::Miss { .. }) | Err(RemoteError::Server(_)) => {}
-            other => panic!("a blob that fails verification answered {other:?}"),
-        }
-    }
-    // nor will a Preload bring it back
-    assert!(client.preload(victim.model_id, OPTS).is_err());
-    assert!(client.predict(victim.system_hash, victim.binary_hash, OPTS).is_err());
+    assert_eq!((snap.models_resident, snap.model_generation), (1, 2));
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -296,10 +260,11 @@ fn ledger_rollback_restores_prior_generation_fleet_wide() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// What a registry miss costs a store-backed daemon once the ledger is
-/// long: a `refresh` with nothing new to decode, the key's serving record
-/// and its hash-verified blob, on a disk store of 1 000 generations over
-/// 64 keys. Timing, so ignored by default:
+/// What a miss costs the daemon once the ledger is long: a service over
+/// a disk store of 1 000 generations over 64 keys, caught up, answering
+/// a key no model serves — one table lookup, one refresh with nothing new
+/// to decode and a walk of the fold, and a second lookup. Timing, so
+/// ignored by default:
 ///   cargo test -q -p chronusd --release --test store_durability a_miss_at -- --ignored --nocapture
 #[test]
 #[ignore]
@@ -311,13 +276,18 @@ fn a_miss_at_1000_generations_costs_at_most_100us() {
         let blob = ModelBlob { binary_hash: key, ..blob(CpuConfig::new(1 + generation % 32, 2_200_000, 1)) };
         store.commit(&blob, i64::from(generation), Provenance::default()).unwrap();
     }
-    let mut samples: Vec<Duration> = (0..50u64)
-        .map(|miss| {
+    let dir_label = dir.to_string_lossy().into_owned();
+    let service =
+        PredictService::with_clock(Arc::new(parking_lot::Mutex::new(store)), dir_label, Arc::new(WallClock::new()));
+    assert_eq!(service.catch_up_from_store().installed, 64);
+    let frame = serde_json::to_vec(&RequestFrame::new(Request::Predict { system_hash: 11, binary_hash: 0 })).unwrap();
+    let mut samples: Vec<Duration> = (0..50)
+        .map(|_| {
             let started = Instant::now();
-            assert_eq!(store.refresh().unwrap(), 0);
-            let record = store.serving_for(10, miss % 64).expect("every key serves");
-            verified(&store, record).unwrap();
-            started.elapsed()
+            let answer = service.handle_frame(&frame, QueueGauges::default());
+            let elapsed = started.elapsed();
+            assert_eq!(answer, Response::Miss { system_hash: 11, binary_hash: 0 });
+            elapsed
         })
         .collect();
     samples.sort();

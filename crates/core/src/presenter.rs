@@ -128,7 +128,7 @@ pub fn stats_table(s: &StatsSnapshot) -> String {
          deadline exceeded   {}\n\
          errors              {}\n\
          connections         {}/{} open\n\
-         models resident     {} ({} evictions)\n\
+         models resident     {}\n\
          model generation    {}\n\
          store               {store}\n\
          {classes}{adapt}service latency     p50 {}us  p99 {}us  max {}us\n",
@@ -144,7 +144,6 @@ pub fn stats_table(s: &StatsSnapshot) -> String {
         s.connections,
         s.max_connections,
         s.models_resident,
-        s.evictions,
         s.model_generation,
         s.latency_p50_us,
         s.latency_p99_us,

@@ -117,7 +117,8 @@ pub enum Request {
     /// per key in request order. Counted as one request but `keys.len()`
     /// predictions in the daemon's stats.
     PredictMany { keys: Vec<(u64, u64)> },
-    /// Stage a model into the daemon's registry ahead of submissions.
+    /// Refresh the daemon's table from its store and confirm that this
+    /// model serves there (the rollout push).
     Preload { model_id: i64 },
     /// Fetch the daemon's operational counters.
     Stats,
@@ -247,7 +248,7 @@ pub enum Response {
     /// The predicted most energy-efficient configuration.
     Config(CpuConfig),
     /// Answer to a successful [`Request::Preload`]. `generation` is the
-    /// registry rollout generation the model was committed under.
+    /// ledger generation of the serving record the daemon answered with.
     Preloaded { model_id: i64, model_type: String, system_hash: u64, binary_hash: u64, generation: u64 },
     /// Answer to [`Request::Stats`]. Boxed: the snapshot is by far the
     /// largest payload, and the box keeps every other `Response` small
@@ -311,7 +312,8 @@ pub struct PreloadAck {
     pub system_hash: u64,
     /// The binary the model answers for.
     pub binary_hash: u64,
-    /// The rollout generation the daemon committed the model under.
+    /// The ledger generation of the serving record the daemon answered
+    /// with.
     pub generation: u64,
 }
 
@@ -324,7 +326,8 @@ pub struct StatsSnapshot {
     pub predictions: u64,
     /// `Predict` answered straight from the registry.
     pub cache_hits: u64,
-    /// `Predict` that had to consult the backend (or answered `Miss`).
+    /// `Predict` keys the table did not hold: each refreshed from the
+    /// store, then answered or `Miss`.
     pub cache_misses: u64,
     /// Connections bounced with `Busy` because the daemon was at its
     /// connection cap.
@@ -337,18 +340,20 @@ pub struct StatsSnapshot {
     pub connections: u64,
     /// Open connections past which a new one is bounced with `Busy`.
     pub max_connections: u64,
-    /// Models resident in the registry.
+    /// Models in the daemon's answer table: every key its store serves.
     pub models_resident: u64,
-    /// Models evicted by the registry's LRU policy.
+    /// Always 0: the daemon evicts nothing. Kept because
+    /// `benchmark/src/main.rs` reads it.
     pub evictions: u64,
-    /// Latest committed model-rollout generation (0 before any rollout).
+    /// The ledger generation the daemon's table has reached: the store's
+    /// high-water mark as of its last refresh (0 before the first).
     pub model_generation: u64,
     /// `Preload` requests handled (installed or refused).
     pub preloads: u64,
-    /// Models installed outside any `Preload` RPC: boot catch-up from
-    /// the configured store.
+    /// Models installed by boot catch-up from the daemon's store.
     pub store_catchups: u64,
-    /// The daemon's configured store directory (empty = memory-only).
+    /// The daemon's store directory (`memory` for an in-memory store;
+    /// empty from a daemon that predates stores).
     pub store_dir: String,
     /// The store's committed-generation high-water mark as of this
     /// snapshot (0 = no store configured, or an empty store).

@@ -13,7 +13,7 @@
 //! * **exactly-once per key** — `predict_many` returns precisely one
 //!   outcome per asked key, every time, on every plan: a key is either
 //!   answered with a config or a typed error, never silently dropped
-//!   and never answered twice;
+//!   and never answered twice (the one key no model serves: `Miss`);
 //! * **no cross-wiring** — on strict plans every answered key carries
 //!   *its own* config (the tag check must never let reply N land on
 //!   key M);
@@ -28,7 +28,7 @@
 //! ([`crate::sweep::fail`]).
 
 use chronus::hash::{binary_hash, system_hash};
-use chronus::remote::{CallOptions, PredictClient, Transport};
+use chronus::remote::{CallOptions, PredictClient, RemoteError, Transport};
 use chronusd::backend::PreparedModel;
 use eco_sim_node::cpu::{CpuConfig, CpuSpec};
 use rand::{Rng, SeedableRng, StdRng};
@@ -41,7 +41,7 @@ use crate::world::failover_client;
 /// ring-aware splitter has something to split over).
 pub const BATCH_REPLICAS: usize = 3;
 
-/// Distinct prediction keys in play (and models, one per key).
+/// Modelled prediction keys in play, one model each (one more has none).
 const KEYS: usize = 8;
 
 /// Ceiling on the virtual time one `predict_many` call may consume.
@@ -68,7 +68,7 @@ pub struct BatchReport {
     pub batch_calls: usize,
     /// Keys asked across all batched calls.
     pub keys_asked: usize,
-    /// Keys answered with a config.
+    /// Keys answered as owed: a config, or `Miss` for the unmodelled key.
     pub keys_ok: usize,
     /// Keys answered with a typed error (must be 0 on strict plans).
     pub keys_failed: usize,
@@ -117,8 +117,8 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
         driver.batch_once(&mut client, &mut rng, &net, "partition");
     }
 
-    // Phase 4 — heal, then interleave hot rollouts with batches: the
-    // registry republishes snapshots while batched readers stream
+    // Phase 4 — heal, then interleave hot rollouts with batches: each
+    // rollout refreshes a daemon's table while batched readers stream
     // through it, and every answer must still be a committed config.
     net.note("phase: heal + rollout churn".to_string());
     net.heal_all();
@@ -166,10 +166,10 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
     }
 }
 
-/// The batched traffic the batch and shm worlds share: the 8-key fixture
-/// (binaries `{prefix}0` …, one model each), the initial rollout, one
-/// batched call at a time, and the counters and violations a report
-/// carries.
+/// The batched traffic the batch and shm worlds share: the 9-key fixture
+/// (binaries `{prefix}0` …, one model each for the first 8), the initial
+/// rollout, one batched call at a time, and the counters and violations
+/// a report carries.
 pub(crate) struct BatchDriver {
     keys: Vec<(u64, u64)>,
     answers: Vec<CpuConfig>,
@@ -189,7 +189,7 @@ impl BatchDriver {
     /// The fixture for `plan`, and the models the daemons serve for it.
     pub(crate) fn new(prefix: &str, plan: &FaultPlan) -> (BatchDriver, Vec<PreparedModel>) {
         let sys = system_hash(&CpuSpec::epyc_7502p(), 256);
-        let keys: Vec<(u64, u64)> = (0..KEYS).map(|i| (sys, binary_hash(&format!("{prefix}{i}")))).collect();
+        let keys: Vec<(u64, u64)> = (0..=KEYS).map(|i| (sys, binary_hash(&format!("{prefix}{i}")))).collect();
         let answers: Vec<CpuConfig> =
             (0..KEYS).map(|i| CpuConfig::new(4 + i as u32 * 4, 1_500_000 + i as u64 * 100_000, 1)).collect();
         let models = (0..KEYS)
@@ -227,15 +227,15 @@ impl BatchDriver {
 
     /// One `predict_many` of a random shape — empty (a no-op by
     /// contract), single (delegates to the unbatched path) or multi-key
-    /// with repeats — checked for exactly-once, no cross-wiring, no loss
-    /// on strict plans and bounded virtual time.
+    /// with repeats, the unmodelled key too — checked for exactly-once, no
+    /// cross-wiring, no loss on strict plans and bounded virtual time.
     pub(crate) fn batch_once(&mut self, client: &mut PredictClient, rng: &mut StdRng, net: &SimNet, phase: &str) {
         let n = match rng.gen_range(0..8) {
             0 => 0,
             1 => 1,
             r => 2 + (r * MAX_ROUND_BATCH / 8).min(MAX_ROUND_BATCH - 2),
         };
-        let asked: Vec<usize> = (0..n).map(|_| rng.gen_range(0..KEYS)).collect();
+        let asked: Vec<usize> = (0..n).map(|_| rng.gen_range(0..=KEYS)).collect();
         let batch: Vec<(u64, u64)> = asked.iter().map(|&i| self.keys[i]).collect();
         let call = self.batch_calls;
         self.batch_calls += 1;
@@ -251,17 +251,19 @@ impl BatchDriver {
             return;
         }
         for (slot, (&key_idx, outcome)) in asked.iter().zip(&results).enumerate() {
+            let owed = self.answers.get(key_idx);
             match outcome {
+                Err(RemoteError::Miss { .. }) if owed.is_none() => self.keys_ok += 1,
                 Ok(cfg) => {
                     self.keys_ok += 1;
                     // Batches and their single-key fallback are both
                     // tagged, so a stale or duplicated reply is refused,
                     // never taken; checked on every strict plan, and by
                     // the codec proptests.
-                    if self.strict && *cfg != self.answers[key_idx] {
+                    if self.strict && Some(cfg) != owed {
                         self.violations.push(format!(
                             "batch #{call} ({phase}) slot {slot}: key {key_idx} answered with the wrong config \
-                             {cfg:?} (cross-wired reply)"
+                             {cfg:?}, owed {owed:?} (cross-wired reply)"
                         ));
                     }
                 }

@@ -48,11 +48,11 @@ pub struct FaultPlan {
     pub crash: f64,
     /// How long a crashed daemon stays down before restarting.
     pub crash_down_ms: u64,
-    /// The model backend stalls for `backend_latency_ms` on this lookup.
+    /// Every model-store read stalls for `backend_latency_ms`.
     pub backend_slow: f64,
-    /// Virtual stall of a slow backend consult.
+    /// Virtual stall of one slow store read.
     pub backend_latency_ms: u64,
-    /// The model backend fails internally (I/O error, not a miss).
+    /// Every model-store read fails (I/O error, not a miss).
     pub backend_poison: f64,
 }
 

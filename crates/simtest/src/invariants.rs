@@ -78,8 +78,7 @@ pub struct Ledger {
     /// Upper bound on deadline-masked errors: 1 per single-frame
     /// `DeadlineExceeded` verdict, the key count for a batched one.
     pub error_slack: u64,
-    /// How many deliveries were `Preload` (each allocates at most one
-    /// rollout generation, committed or rolled back).
+    /// How many deliveries were `Preload`.
     pub preloads: u64,
     /// `OutcomeAck` answers observed (each moves exactly one of the
     /// daemon's ingested/rejected outcome counters).
@@ -226,18 +225,20 @@ impl Ledger {
             return fail("store_catchups moved during frame handling (catch-up happens at boot, never mid-frame)");
         }
 
-        // Rollout generations: the committed generation only ever moves
-        // forward, and only a Preload may move it. A Preload answered
-        // `Error` installed nothing, so it moves no generation (its one
-        // error is counted by the rule above).
+        // Generations are the ledger's: the daemon's never goes back,
+        // never passes the store's high-water mark, and moves only on a
+        // frame that refreshes its table — a Preload, a Stats, or a
+        // prediction that missed the table.
         if after.model_generation < before.model_generation {
             return fail("model_generation went backwards");
         }
-        if after.model_generation > before.model_generation && !is_preload {
-            return fail("model_generation advanced on a non-Preload frame");
+        if after.model_generation > after.store_generation {
+            return fail("model_generation passed the store's high-water mark");
         }
-        if is_preload && is_error && after.model_generation != before.model_generation {
-            return fail("a Preload answered Error must not move the committed generation");
+        let refreshes =
+            is_preload || matches!(frame.body, Request::Stats) || after.cache_misses > before.cache_misses;
+        if after.model_generation > before.model_generation && !refreshes {
+            return fail("model_generation advanced on a frame that refreshes nothing");
         }
 
         // Outcome reports: a ReportOutcome may only be answered
@@ -339,14 +340,12 @@ impl Ledger {
         if snapshot.preloads != self.preloads {
             return Err(format!("preloads {} != Preload frames {}", snapshot.preloads, self.preloads));
         }
-        // Generation conservation: each Preload delivery allocates at
-        // most one rollout generation, and each store catch-up (boot
-        // self-serve) commits exactly one — so the committed generation
-        // can never exceed their sum.
-        if snapshot.model_generation > self.preloads + snapshot.store_catchups {
+        // Generation conservation: the daemon's generation is one the
+        // ledger reached.
+        if snapshot.model_generation > snapshot.store_generation {
             return Err(format!(
-                "model_generation {} > Preload frames {} + store catch-ups {} (phantom rollout commit)",
-                snapshot.model_generation, self.preloads, snapshot.store_catchups
+                "model_generation {} > store_generation {} (a generation the ledger never reached)",
+                snapshot.model_generation, snapshot.store_generation
             ));
         }
         // Outcome conservation: every counted outcome was either acked
@@ -441,55 +440,49 @@ mod tests {
     }
 
     #[test]
-    fn generation_may_only_advance_on_a_preload() {
-        let mut ledger = Ledger::default();
-        let frame = RequestFrame::new(Request::Ping);
-        let mut after = snap(1, 0, 0, 0);
-        after.model_generation = 1; // generation moved while we pinged
-        let err = ledger.record_exchange(&frame, &Response::Pong, &snap(0, 0, 0, 0), &after, 0).unwrap_err();
-        assert!(err.contains("non-Preload"), "{err}");
+    fn generation_moves_only_on_a_frame_that_refreshes_and_never_past_the_store() {
+        let moved = |store_generation| {
+            let mut after = snap(1, 0, 0, 0);
+            (after.model_generation, after.store_generation) = (1, store_generation);
+            after
+        };
+        // a Ping refreshes nothing
+        let ping = RequestFrame::new(Request::Ping);
+        let err =
+            Ledger::default().record_exchange(&ping, &Response::Pong, &snap(0, 0, 0, 0), &moved(1), 0).unwrap_err();
+        assert!(err.contains("refreshes nothing"), "{err}");
+        // a Stats does, up to the store's high-water mark and no further
+        let stats = RequestFrame::new(Request::Stats);
+        let answer = Response::Stats(Box::default());
+        Ledger::default().record_exchange(&stats, &answer, &snap(0, 0, 0, 0), &moved(1), 0).unwrap();
+        let err = Ledger::default().record_exchange(&stats, &answer, &snap(0, 0, 0, 0), &moved(0), 0).unwrap_err();
+        assert!(err.contains("high-water mark"), "{err}");
     }
 
     #[test]
-    fn a_failed_preload_moves_no_generation_and_counts_one_error() {
+    fn a_failed_preload_counts_one_error_and_may_still_refresh() {
         let frame = RequestFrame::new(Request::Preload { model_id: 7 });
-        let failed = Response::Error { message: "load failed".into() };
+        let failed = Response::Error { message: "model 7 is not serving".into() };
         let mut after = snap(1, 0, 0, 0);
         after.preloads = 1;
-        after.errors = 1;
-        after.model_generation = 1; // installed although it answered Error
+        (after.model_generation, after.store_generation) = (1, 1); // its refresh ran
         let err = Ledger::default().record_exchange(&frame, &failed, &snap(0, 0, 0, 0), &after, 0).unwrap_err();
-        assert!(err.contains("must not move the committed generation"), "{err}");
-        after.model_generation = 0;
-        after.errors = 0; // answered Error without counting it
-        let err = Ledger::default().record_exchange(&frame, &failed, &snap(0, 0, 0, 0), &after, 0).unwrap_err();
-        assert!(err.contains("exactly one error"), "{err}");
+        assert!(err.contains("exactly one error"), "answered Error without counting it: {err}");
         after.errors = 1;
         Ledger::default().record_exchange(&frame, &failed, &snap(0, 0, 0, 0), &after, 0).unwrap();
     }
 
     #[test]
-    fn conservation_catches_phantom_rollout_commit() {
-        let ledger = Ledger::default(); // zero Preloads delivered
-        let mut snapshot = snap(0, 0, 0, 0);
-        snapshot.model_generation = 3;
-        let err = ledger.check(&snapshot).unwrap_err();
-        assert!(err.contains("phantom rollout commit"), "{err}");
-    }
-
-    #[test]
-    fn store_catchups_explain_generations_no_preload_delivered() {
-        // A store-backed replica boots at generation 2 with zero
-        // Preload frames ever delivered: conservation must accept it…
+    fn conservation_holds_the_generation_to_the_ledgers() {
+        // a replica booted at generation 2 with zero Preload frames ever
+        // delivered: its generation is the store's
         let ledger = Ledger::default();
         let mut snapshot = snap(0, 0, 0, 0);
-        snapshot.model_generation = 2;
-        snapshot.store_catchups = 2;
+        (snapshot.model_generation, snapshot.store_generation) = (2, 2);
         ledger.check(&snapshot).unwrap();
-        // …but a generation beyond Preloads + catch-ups is phantom.
         snapshot.model_generation = 3;
         let err = ledger.check(&snapshot).unwrap_err();
-        assert!(err.contains("phantom rollout commit"), "{err}");
+        assert!(err.contains("never reached"), "{err}");
     }
 
     #[test]

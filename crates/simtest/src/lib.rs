@@ -33,8 +33,8 @@
 //! * [`batch`] — [`run_batch_seed`] drives mixed-size `PredictMany`
 //!   batches through the ring-aware splitter of a three-replica fleet,
 //!   auditing that every key in every batch is answered exactly once
-//!   (config or typed error) and never cross-wired, with rollout churn
-//!   republishing registry snapshots under the batched readers;
+//!   (config, `Miss` or typed error) and never cross-wired, with rollout
+//!   churn refreshing the daemons' tables under the batched readers;
 //! * [`shm`] — [`run_shm_seed`] gives one client both the simulated
 //!   shared-memory ring (local) and a TCP endpoint to the
 //!   same daemon, then attacks the fallback

@@ -10,14 +10,15 @@
 //! log, byte for byte.
 //!
 //! A daemon here is a [`PredictService`] (the transport-free engine the
-//! real TCP server uses) over one model source: a [`SimBackend`], or in
-//! a store-backed fleet the store itself, as in production
-//! ([`StoreModelBackend`]). "Crashing" it swaps in a fresh service,
-//! which loses the model registry exactly like a real process restart —
-//! but not before the [`Ledger`] audits the dying incarnation's
-//! counters. [`SimNet::new`] builds the classic single daemon;
-//! [`SimNet::fleet`] builds N replicas sharing the clock, RNG and
-//! backend but each with its own service, ledger, partition state and
+//! real TCP server uses) over a model store, as in production: the
+//! world's models committed to an in-memory store whose reads the fault
+//! plan can stall or fail (`SimBackend`), or the store an adaptation
+//! world hands in. "Crashing" it swaps in a fresh service, which loses
+//! its counters and comes back warm from the store exactly like a real
+//! process restart — but not before the [`Ledger`] audits the dying
+//! incarnation's counters. [`SimNet::new`] builds the classic single
+//! daemon; [`SimNet::fleet`] builds N replicas sharing the clock, RNG
+//! and store but each with its own service, ledger, partition state and
 //! crash schedule — the substrate the failover-aware
 //! [`chronus::remote::PredictClient`] is simulated against.
 
@@ -27,22 +28,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use chronus::error::ChronusError;
 use chronus::remote::{ceil_ms, wire, Connection, Request, RequestFrame, Response, Transport};
 use chronus::telemetry::{Recorder, Telemetry};
-use chronusd::backend::{ModelBackend, PreparedModel, StoreModelBackend};
+use chronusd::backend::{memory_store, PreparedModel};
 use chronusd::service::{PredictService, QueueGauges, ServiceClock};
-use chronusd::store::ModelStore;
+use chronusd::store::{MemBackend, ModelStore, StoreBackend};
 use eco_sim_node::clock::{SharedSimClock, SimDuration, SimTime};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng, StdRng};
 
 use crate::faults::FaultPlan;
 use crate::invariants::{kind_of, verb_of, Ledger};
-
-/// A deliberately tiny registry (one slot) so LRU churn, backend
-/// consults and their fault opportunities happen constantly.
-const CACHE_CAP: usize = 1;
 
 /// Virtual cost of a successful dial.
 const DIAL_MS: u64 = 1;
@@ -136,52 +132,52 @@ impl ServiceClock for SimServiceClock {
     }
 }
 
-/// The simulated model source: lookups advance virtual time when the
-/// plan says the backend is slow, and fail internally when poisoned.
-pub struct SimBackend {
+/// The files of the simulated store: reads stall, advancing virtual
+/// time, while the plan says the backend is slow, and fail while it is
+/// poisoned. Writes pass through: the world commits its models before
+/// any fault is armed.
+#[derive(Clone)]
+struct SimBackend {
+    files: MemBackend,
     clock: Arc<SharedSimClock>,
+    armed: Arc<Armed>,
+}
+
+#[derive(Default)]
+struct Armed {
     latency_ms: AtomicU64,
     poisoned: AtomicBool,
-    /// Consults that really stalled / failed since [`NetCore::served`]
-    /// last looked: arming the backend does nothing to a request the
-    /// registry answers.
+    /// Reads that really stalled / failed since [`NetCore::served`] last
+    /// looked: arming the backend does nothing to a request the daemon's
+    /// table answers without reading the store.
     stalled: AtomicU64,
     failed: AtomicU64,
-    models: Vec<PreparedModel>,
 }
 
-impl SimBackend {
-    fn consult(&self) -> chronus::error::Result<()> {
-        let latency = self.latency_ms.load(Ordering::SeqCst);
+impl StoreBackend for SimBackend {
+    fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+        let latency = self.armed.latency_ms.load(Ordering::SeqCst);
         if latency > 0 {
             self.clock.advance(SimDuration::from_millis(latency));
-            self.stalled.fetch_add(1, Ordering::SeqCst);
+            self.armed.stalled.fetch_add(1, Ordering::SeqCst);
         }
-        if self.poisoned.load(Ordering::SeqCst) {
-            self.failed.fetch_add(1, Ordering::SeqCst);
-            return Err(ChronusError::Io(io::Error::other("injected backend fault")));
+        if self.armed.poisoned.load(Ordering::SeqCst) {
+            self.armed.failed.fetch_add(1, Ordering::SeqCst);
+            return Err(io::Error::other("injected backend fault"));
         }
-        Ok(())
-    }
-}
-
-impl ModelBackend for SimBackend {
-    fn load(&self, model_id: i64) -> chronus::error::Result<PreparedModel> {
-        self.consult()?;
-        self.models
-            .iter()
-            .find(|m| m.model_id == model_id)
-            .cloned()
-            .ok_or_else(|| ChronusError::NotFound(format!("model {model_id}")))
+        self.files.read(name)
     }
 
-    fn lookup(&self, system_hash: u64, binary_hash: u64) -> chronus::error::Result<PreparedModel> {
-        self.consult()?;
-        self.models
-            .iter()
-            .find(|m| m.system_hash == system_hash && m.binary_hash == binary_hash)
-            .cloned()
-            .ok_or_else(|| ChronusError::NotFound(format!("no model for ({system_hash:#x}, {binary_hash:#x})")))
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.files.append(name, bytes)
+    }
+
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.files.write_atomic(name, bytes)
+    }
+
+    fn list(&self, prefix: &str) -> io::Result<Vec<String>> {
+        self.files.list(prefix)
     }
 }
 
@@ -208,14 +204,14 @@ struct NetCore {
     plan: FaultPlan,
     clock: Arc<SharedSimClock>,
     replicas: Vec<ReplicaCore>,
-    /// The store-less replicas' model source (a store fleet never reads it).
-    backend: Arc<SimBackend>,
-    /// The durable model store every replica reads (None = the classic
-    /// store-less fleet). A replica attaches it at (re)start and
-    /// catches up to the serving generation — which is exactly how an
-    /// adaptation rollout or rollback reaches a daemon that died and
-    /// came back mid-canary.
-    store: Option<Arc<Mutex<ModelStore>>>,
+    /// The fault arming of the world's own store (a store handed in by
+    /// [`SimNet::fleet_with_store`] is never armed).
+    armed: Arc<Armed>,
+    /// The durable model store every replica reads. A replica catches
+    /// up from it at (re)start — which is exactly how an adaptation
+    /// rollout or rollback reaches a daemon that died and came back
+    /// mid-canary.
+    store: Arc<Mutex<ModelStore>>,
     /// The run-wide trace recorder. Daemon incarnations get fresh
     /// counter namespaces but share this ring, so the trace timeline
     /// survives crashes exactly like an external collector would.
@@ -274,18 +270,21 @@ impl NetCore {
         if matches!(request, Request::Predict { .. } | Request::PredictMany { .. }) {
             self.injected.add(Injected::PREDICTS, kind, 1);
         }
-        self.injected.add("backend_slow", kind, self.backend.stalled.swap(0, Ordering::SeqCst));
-        self.injected.add("backend_poison", kind, self.backend.failed.swap(0, Ordering::SeqCst));
+        self.injected.add("backend_slow", kind, self.armed.stalled.swap(0, Ordering::SeqCst));
+        self.injected.add("backend_poison", kind, self.armed.failed.swap(0, Ordering::SeqCst));
     }
 
-    /// What every delivery that survives its gauntlet does: rolls the
+    /// What every delivery that survives its gauntlet does: arms the
     /// backend faults for this exchange, puts the request payload through
     /// replica `r`'s one door and audits what came out *of the wire* —
     /// the reply payload decoded the way the client will decode it, not a
     /// value handed over beside it. `(binary, frame)` is `payload` as
     /// [`decoded`], `who` names the connection in the log. A slow backend
-    /// stalls no further than `until`, when the client stops waiting.
-    /// Returns the reply payload.
+    /// stalls each read no further than `until`, when the client stops
+    /// waiting. The arming holds until the next exchange rolls again, so
+    /// a replica that restarts in between boots through the same faults:
+    /// a poisoned store leaves it empty until a refresh reads the store
+    /// again. Returns the reply payload.
     #[allow(clippy::too_many_arguments)]
     fn serve_and_audit(
         &mut self,
@@ -300,8 +299,8 @@ impl NetCore {
         let backend_slow = self.roll(kind, "backend_slow");
         let backend_poisoned = self.roll(kind, "backend_poison");
         let latency_ms = if backend_slow { self.plan.backend_latency_ms.min(left(&self.clock, until)) } else { 0 };
-        self.backend.latency_ms.store(latency_ms, Ordering::SeqCst);
-        self.backend.poisoned.store(backend_poisoned, Ordering::SeqCst);
+        self.armed.latency_ms.store(latency_ms, Ordering::SeqCst);
+        self.armed.poisoned.store(backend_poisoned, Ordering::SeqCst);
 
         let before = self.replicas[r].service.snapshot(sim_gauges());
         let t0 = self.clock.now();
@@ -328,7 +327,7 @@ impl NetCore {
         let now = self.clock.now();
         if self.replicas[replica].crashed_until.is_some_and(|until| now >= until) {
             self.replicas[replica].crashed_until = None;
-            self.rnote(replica, "daemon restarted (cache cold)".to_string());
+            self.rnote(replica, "daemon restarted (warm from the store)".to_string());
         }
         if self.replicas[replica].partitioned_until.is_some_and(|until| now >= until) {
             self.replicas[replica].partitioned_until = None;
@@ -341,7 +340,7 @@ impl NetCore {
     }
 
     /// Audit the dying incarnation of `replica`, then replace it with a
-    /// cold one.
+    /// fresh one, caught up from the store.
     fn end_incarnation(&mut self, replica: usize, why: &str) {
         let snapshot = self.replicas[replica].service.snapshot(sim_gauges());
         let label = self.replicas[replica].label.clone();
@@ -349,14 +348,7 @@ impl NetCore {
         if let Err(e) = self.replicas[replica].ledger.check(&snapshot) {
             self.violations.push(format!("{label} incarnation {incarnation} ({why}): {e}"));
         }
-        if self.replicas[replica].service.registry().len() > CACHE_CAP {
-            self.violations.push(format!(
-                "{label} incarnation {incarnation} ({why}): registry holds {} models over its capacity {CACHE_CAP}",
-                self.replicas[replica].service.registry().len()
-            ));
-        }
-        self.replicas[replica].service =
-            fresh_service(&self.clock, &self.backend, &self.recorder, &label, self.store.as_ref());
+        self.replicas[replica].service = fresh_service(&self.clock, &self.recorder, &label, &self.store);
         self.replicas[replica].ledger.reset();
         self.replicas[replica].incarnation += 1;
     }
@@ -365,29 +357,24 @@ impl NetCore {
         let down = self.plan.crash_down_ms.max(1);
         self.end_incarnation(replica, "crash");
         self.replicas[replica].crashed_until = Some(self.clock.now() + SimDuration::from_millis(down));
-        self.inject(replica, "crash", kind, format!("daemon crashed (down {down}ms, cache lost)"));
+        self.inject(replica, "crash", kind, format!("daemon crashed (down {down}ms)"));
     }
 }
 
 fn fresh_service(
     clock: &Arc<SharedSimClock>,
-    backend: &Arc<SimBackend>,
     recorder: &Arc<Recorder>,
     label: &str,
-    store: Option<&Arc<Mutex<ModelStore>>>,
+    store: &Arc<Mutex<ModelStore>>,
 ) -> Arc<PredictService> {
     // A fresh telemetry per incarnation resets the counters (a real
     // restart loses them too) but shares the run-wide recorder, so span
     // ids stay unique and traces span crash boundaries.
     let telemetry = Telemetry::with_parts(Arc::new(SimServiceClock(Arc::clone(clock))), Arc::clone(recorder));
-    let source: Arc<dyn ModelBackend> = match store {
-        Some(store) => Arc::new(StoreModelBackend::new(Arc::clone(store), "/sim/store")),
-        None => Arc::clone(backend) as Arc<dyn ModelBackend>,
-    };
-    let service = PredictService::with_telemetry(CACHE_CAP, source, Arc::new(telemetry));
+    let service = PredictService::with_telemetry(Arc::clone(store), "/sim/store", Arc::new(telemetry));
     let service = Arc::new(service.with_replica(label));
-    // a store-backed daemon self-serves its models at boot, exactly like
-    // the real process does before accepting traffic (a no-op without)
+    // the daemon self-serves its models at boot, exactly like the real
+    // process does before accepting traffic
     let _ = service.catch_up_from_store();
     service
 }
@@ -414,45 +401,42 @@ impl SimNet {
 
     /// A replicated daemon fleet: every replica runs its own
     /// [`PredictService`] and audit ledger under its own crash/partition
-    /// schedule, while the clock, RNG, recorder and model backend are
+    /// schedule, while the clock, RNG, recorder and model store are
     /// shared — so a multi-replica run replays from its seed exactly
-    /// like a single-daemon one.
+    /// like a single-daemon one. `models` are committed to the store in
+    /// order, model `i` (from 0) at generation `i + 1`.
     pub fn fleet(seed: u64, plan: FaultPlan, labels: &[&str], models: Vec<PreparedModel>) -> SimNet {
-        SimNet::build(seed, plan, labels, models, None)
+        let clock = Arc::new(SharedSimClock::new());
+        let files = SimBackend { files: MemBackend::new(), clock: Arc::clone(&clock), armed: Arc::default() };
+        let armed = Arc::clone(&files.armed);
+        let store = Arc::new(Mutex::new(memory_store(files, &models)));
+        SimNet::build(seed, plan, labels, clock, armed, store)
     }
 
-    /// A fleet whose replicas all read one durable model store, their
-    /// one model source ([`StoreModelBackend`], as in `chronus serve`):
-    /// each catches up to the serving generation at (re)start, so store
+    /// A fleet over a store the world keeps writing: each replica
+    /// catches up to the serving generation at (re)start, so store
     /// commits, rollouts and rollbacks reach the fleet through
-    /// [`SimNet::catch_up`] — the adaptation worlds' substrate.
+    /// [`SimNet::catch_up`] — the adaptation worlds' substrate. The
+    /// plan's backend faults never reach this store.
     pub fn fleet_with_store(seed: u64, plan: FaultPlan, labels: &[&str], store: Arc<Mutex<ModelStore>>) -> SimNet {
-        SimNet::build(seed, plan, labels, Vec::new(), Some(store))
+        SimNet::build(seed, plan, labels, Arc::new(SharedSimClock::new()), Arc::default(), store)
     }
 
     fn build(
         seed: u64,
         plan: FaultPlan,
         labels: &[&str],
-        models: Vec<PreparedModel>,
-        store: Option<Arc<Mutex<ModelStore>>>,
+        clock: Arc<SharedSimClock>,
+        armed: Arc<Armed>,
+        store: Arc<Mutex<ModelStore>>,
     ) -> SimNet {
         assert!(!labels.is_empty(), "a fleet needs at least one replica");
-        let clock = Arc::new(SharedSimClock::new());
-        let backend = Arc::new(SimBackend {
-            clock: Arc::clone(&clock),
-            latency_ms: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-            stalled: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            models,
-        });
         let recorder = Arc::new(Recorder::new(RECORDER_CAP));
         let replicas = labels
             .iter()
             .map(|label| ReplicaCore {
                 label: (*label).to_string(),
-                service: fresh_service(&clock, &backend, &recorder, label, store.as_ref()),
+                service: fresh_service(&clock, &recorder, label, &store),
                 ledger: Ledger::default(),
                 partitioned_until: None,
                 crashed_until: None,
@@ -469,7 +453,7 @@ impl SimNet {
             plan,
             clock: Arc::clone(&clock),
             replicas,
-            backend,
+            armed,
             store,
             recorder,
             log: Vec::new(),
@@ -548,8 +532,8 @@ impl SimNet {
 
     /// Kills replica `i` for `down_ms` of virtual time: its incarnation
     /// is audited and discarded, and dials are refused until the clock
-    /// passes the restart mark (the restart comes back cold, exactly
-    /// like a real process replacement).
+    /// passes the restart mark (the restart comes back warm from the
+    /// store, exactly like a real process replacement).
     pub fn kill_replica(&self, i: usize, down_ms: u64) {
         let mut core = self.state.mu.lock();
         core.end_incarnation(i, "killed by the world");
@@ -572,7 +556,7 @@ impl SimNet {
         let mut core = self.state.mu.lock();
         for i in 0..core.replicas.len() {
             if core.replicas[i].crashed_until.take().is_some() {
-                core.rnote(i, "daemon restarted early (healed, cache cold)".to_string());
+                core.rnote(i, "daemon restarted early (healed)".to_string());
             }
             if core.replicas[i].partitioned_until.take().is_some() {
                 core.rnote(i, "partition healed early".to_string());
@@ -583,8 +567,7 @@ impl SimNet {
         }
     }
 
-    /// The current committed model generation of each replica's live
-    /// service (restarted incarnations start over at 0).
+    /// The ledger generation each replica's live service has reached.
     pub fn generations(&self) -> Vec<u64> {
         let core = self.state.mu.lock();
         core.replicas.iter().map(|r| r.service.snapshot(sim_gauges()).model_generation).collect()

@@ -64,7 +64,7 @@ pub struct ShmReport {
     pub batch_calls: usize,
     /// Keys asked across all batched calls.
     pub keys_asked: usize,
-    /// Keys answered with a config.
+    /// Keys answered as owed: a config, or `Miss` for the unmodelled key.
     pub keys_ok: usize,
     /// Keys answered with a typed error.
     pub keys_failed: usize,

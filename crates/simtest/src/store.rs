@@ -9,14 +9,9 @@
 //! (the writer "crashes" after any prefix of the frame — including zero
 //! bytes, which models a crash between the blob write and the metadata
 //! append). After every writer action the daemon side is restarted: a
-//! fresh [`chronusd::PredictService`] opens the same backend — its model
-//! source is that store ([`chronusd::StoreModelBackend`]), as in every
-//! daemon `chronus serve` starts — runs
-//! [`chronusd::PredictService::catch_up_from_store`] and answers real
-//! Predict frames. Its registry holds [`REGISTRY_CAP`] models, fewer than
-//! there are keys, so whenever every key serves a verifiable model the
-//! replica evicts while it serves and the same audits run over answers
-//! that came through the miss path.
+//! fresh [`chronusd::PredictService`] over a copy of the recovered files
+//! runs [`chronusd::PredictService::catch_up_from_store`] and answers
+//! real Predict frames, then a writer commits to that copy under it.
 //!
 //! Checked invariants, per seeded run:
 //!
@@ -27,16 +22,18 @@
 //! * **never serve a bad blob** — a restarted replica answers `Config`
 //!   only for serving records whose blob still hash-verifies; a
 //!   corrupted blob's key answers `Miss`, and the catch-up report names
-//!   the rejected generation; a blob corrupted *after* boot verified it
-//!   is refused the next time its key has to come from the store, and
-//!   served again once its bytes are back;
+//!   the rejected generation;
+//! * **a commit is served after one refresh, and only a verified one** —
+//!   a served key answers its old configuration until a `Stats`
+//!   refreshes the fold, then the new one, or the old one while the
+//!   refresh reports a corrupt new blob's generation rejected;
 //! * **rollback is generation-monotonic in the ledger sense** — the
 //!   ledger only grows, `high_water` never decreases, and after a
 //!   rollback the serving generation is exactly the rollback target;
-//! * **zero Preload traffic** — catch-up is self-served: the restarted
-//!   replica's `preloads` counter stays 0 while `store_catchups` and
-//!   `model_generation` account for every installed model — a miss
-//!   resolved from the store moves neither;
+//! * **zero Preload traffic, one generation** — catch-up is self-served:
+//!   the restarted replica's `preloads` counter stays 0 while
+//!   `store_catchups` counts every installed model, and its
+//!   `model_generation` is the ledger's high-water mark;
 //! * **live-reader safety** — a long-lived reader handle that only ever
 //!   calls `refresh()` converges to the writer's acked state each round
 //!   and never observes a torn record.
@@ -48,18 +45,16 @@ use std::io;
 use std::sync::Arc;
 
 use chronus::remote::{Request, RequestFrame, Response};
-use chronusd::store::{MemBackend, ModelBlob, ModelStore, Provenance, StoreBackend, BLOB_DIR};
-use chronusd::{PredictService, QueueGauges, StoreModelBackend};
+use chronusd::store::{
+    blob_hash, MemBackend, ModelBlob, ModelStore, Provenance, StoreBackend, BLOB_DIR, JOURNAL_FILE,
+};
+use chronusd::{PredictService, QueueGauges, WallClock};
 use eco_sim_node::cpu::CpuConfig;
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng, StdRng};
 
 /// Writer actions per seeded run.
 pub const STORE_ROUNDS: usize = 40;
-
-/// Models the restarted replica's registry holds: one fewer than there
-/// are keys, so a fully verifiable serving set does not fit.
-pub const REGISTRY_CAP: usize = 2;
 
 /// A [`StoreBackend`] that can be armed to crash the writer on its next
 /// journal append: the append persists only a prefix of the frame and
@@ -135,10 +130,12 @@ pub struct StoreReport {
     pub catchup_installs: usize,
     /// Serving records rejected (bad blob) across all catch-ups.
     pub catchup_rejections: usize,
-    /// Answers refused on the miss path, two per restart that evicted
-    /// while it served: a blob corrupted after boot verified it, its key
-    /// asked for once it was no longer resident.
-    pub miss_path_refusals: usize,
+    /// Live commits a refresh installed: the key answered the new
+    /// configuration after one `Stats`.
+    pub refresh_installs: usize,
+    /// Live commits whose blob was corrupted before the refresh, which
+    /// reported the generation rejected while the key kept its answer.
+    pub refresh_rejections: usize,
 }
 
 const KEYS: [(u64, u64); 3] = [(0xa1, 0x51), (0xa1, 0x52), (0xb2, 0x51)];
@@ -155,10 +152,23 @@ fn arb_blob(rng: &mut StdRng, key: (u64, u64)) -> ModelBlob {
     }
 }
 
-fn predict(service: &PredictService, system_hash: u64, binary_hash: u64) -> Response {
-    let frame = RequestFrame::new(Request::Predict { system_hash, binary_hash });
-    let payload = serde_json::to_vec(&frame).expect("request frames always serialize");
+fn send(service: &PredictService, request: Request) -> Response {
+    let payload = serde_json::to_vec(&RequestFrame::new(request)).expect("request frames always serialize");
     service.handle_frame(&payload, QueueGauges { connections: 0, max_connections: 1 })
+}
+
+fn predict(service: &PredictService, system_hash: u64, binary_hash: u64) -> Response {
+    send(service, Request::Predict { system_hash, binary_hash })
+}
+
+/// A copy of `mem`'s files, the journal and every blob.
+fn fork(mem: &MemBackend) -> MemBackend {
+    let copy = MemBackend::new();
+    let blobs = mem.list(BLOB_DIR).expect("an in-memory listing never fails");
+    for name in blobs.iter().map(|hash| format!("{BLOB_DIR}/{hash}")).chain([JOURNAL_FILE.to_string()]) {
+        copy.put_raw(&name, mem.get_raw(&name).unwrap_or_default());
+    }
+    copy
 }
 
 /// One serving record as the harness resolved it from the ledger, and
@@ -167,29 +177,25 @@ struct Serving {
     generation: u64,
     key: (u64, u64),
     config: CpuConfig,
-    blob: String,
     blob_ok: bool,
 }
 
 /// One lap over the serving keys: `Config` — the ledger's — exactly for
-/// the records whose blob verifies, `Miss` for the others. Returns how
-/// many were refused.
-fn audit_answers(service: &PredictService, serving: &[Serving], at: &str, violations: &mut Vec<String>) -> usize {
-    let mut refused = 0;
-    for Serving { generation, key, config, blob_ok, .. } in serving {
+/// the records whose blob verifies, `Miss` for the others.
+fn audit_answers(service: &PredictService, serving: &[Serving], at: &str, violations: &mut Vec<String>) {
+    for Serving { generation, key, config, blob_ok } in serving {
         match predict(service, key.0, key.1) {
             Response::Config(answer) if *blob_ok => {
                 if answer != *config {
                     violations.push(format!("{at}: gen {generation} serves {answer:?}, ledger says {config:?}"));
                 }
             }
-            Response::Miss { .. } if !*blob_ok => refused += 1, // corrupt blob: correctly refused
+            Response::Miss { .. } if !*blob_ok => {} // corrupt blob: correctly refused
             Response::Config(answer) => violations
                 .push(format!("{at}: gen {generation} served {answer:?} from a blob that fails hash verification")),
             other => violations.push(format!("{at}: gen {generation} (blob_ok={blob_ok}) answered {other:?}")),
         }
     }
-    refused
 }
 
 /// Runs the store choreography once with every random choice derived
@@ -219,7 +225,8 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
         rollbacks: 0,
         catchup_installs: 0,
         catchup_rejections: 0,
-        miss_path_refusals: 0,
+        refresh_installs: 0,
+        refresh_rejections: 0,
     };
 
     // The long-lived reader: a daemon's store handle across the whole
@@ -337,21 +344,23 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
 
         // What should the restarted replica serve? Resolve before the
         // store moves into the service.
-        let mut serving: Vec<Serving> = store
+        let serving: Vec<Serving> = store
             .serving()
             .iter()
             .map(|m| Serving {
                 generation: m.generation,
                 key: (m.system_hash, m.binary_hash),
                 config: m.config,
-                blob: format!("{BLOB_DIR}/{}", m.blob_hash),
                 blob_ok: store.load_blob(m).is_ok(),
             })
             .collect();
 
-        let store = Arc::new(Mutex::new(store));
-        let source = Arc::new(StoreModelBackend::new(store, "/sim/store"));
-        let service = PredictService::new(2, REGISTRY_CAP, source);
+        // The replica serves a copy of the recovered files, so the live
+        // refresh below commits without touching the run's ledger.
+        let files = fork(&mem);
+        let copy = ModelStore::open(Box::new(files.clone())).expect("a recovered store's copy opens");
+        let service =
+            PredictService::with_clock(Arc::new(Mutex::new(copy)), "/sim/store", Arc::new(WallClock::new()));
         let outcome = service.catch_up_from_store();
         let good = serving.iter().filter(|m| m.blob_ok).count();
         let bad = serving.len() - good;
@@ -367,32 +376,6 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
         }
         audit_answers(&service, &serving, &format!("round {round}"), &mut violations);
 
-        // --- evict-while-serving: the same audits over the miss path ---
-        // More verifiable records than the registry holds, asked for in
-        // laps: every answer evicts and is resolved from the store again.
-        // Corrupt one blob boot has verified: its key must be refused
-        // from now on (twice over — a refusal is never cached either),
-        // and served again once the bytes are back.
-        if good > REGISTRY_CAP {
-            let victim = serving.iter().position(|m| m.blob_ok).expect("good > 0");
-            let pristine = mem.get_raw(&serving[victim].blob).expect("a verified blob exists");
-            let mut bytes = pristine.clone();
-            bytes[0] ^= 0x40;
-            mem.put_raw(&serving[victim].blob, bytes);
-            serving[victim].blob_ok = false;
-            for lap in 0..2 {
-                let at = format!("round {round}, corrupted after boot, lap {lap}");
-                report.miss_path_refusals += audit_answers(&service, &serving, &at, &mut violations);
-            }
-            mem.put_raw(&serving[victim].blob, pristine);
-            serving[victim].blob_ok = true;
-            audit_answers(&service, &serving, &format!("round {round}, blob restored"), &mut violations);
-            if service.registry().evictions() == 0 {
-                violations
-                    .push(format!("round {round}: {good} models through {REGISTRY_CAP} slots without an eviction"));
-            }
-        }
-
         let snap = service.snapshot(QueueGauges { connections: 0, max_connections: 1 });
         if snap.preloads != 0 {
             violations.push(format!(
@@ -400,10 +383,11 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
                 snap.preloads
             ));
         }
-        if snap.store_catchups != outcome.installed as u64 || snap.model_generation != outcome.installed as u64 {
+        if snap.store_catchups != outcome.installed as u64 || snap.model_generation != high_water {
             violations.push(format!(
-                "round {round}: counters disagree with catch-up (catchups {}, generation {}, installed {})",
-                snap.store_catchups, snap.model_generation, outcome.installed
+                "round {round}: counters disagree with catch-up (catchups {}, installed {}; generation {}, \
+                 ledger high-water {high_water})",
+                snap.store_catchups, outcome.installed, snap.model_generation
             ));
         }
         if snap.store_generation != high_water {
@@ -411,6 +395,44 @@ pub fn run_store_seed(seed: u64) -> StoreReport {
                 "round {round}: stats gauge reports store generation {}, ledger high-water is {high_water}",
                 snap.store_generation
             ));
+        }
+
+        // --- live refresh: a commit under the serving daemon ---
+        // Its own RNG stream, so the writer actions above stay the seed's.
+        let mut live = StdRng::seed_from_u64(seed ^ 0x11FE_5EED ^ (round as u64) << 32);
+        let verified: Vec<&Serving> = serving.iter().filter(|m| m.blob_ok).collect();
+        if !verified.is_empty() {
+            let old = verified[live.gen_range(0..verified.len())];
+            let config = CpuConfig { cores: if old.config.cores == 8 { 16 } else { 8 }, ..old.config };
+            let blob = ModelBlob { config, ..arb_blob(&mut live, old.key) };
+            let mut writer = ModelStore::open(Box::new(files.clone())).expect("a recovered store's copy opens");
+            let record = writer.commit(&blob, next_model_id, Provenance::default()).expect("a live commit");
+            let corrupt = live.gen_bool(0.5);
+            if corrupt {
+                let name = format!("{BLOB_DIR}/{}", blob_hash(&blob));
+                let mut bytes = files.get_raw(&name).expect("the commit wrote its blob");
+                bytes[0] ^= 0x40;
+                files.put_raw(&name, bytes);
+            }
+            // a hit reads nothing; a Stats refreshes the fold
+            let before = predict(&service, old.key.0, old.key.1);
+            let stats = send(&service, Request::Stats);
+            let after = predict(&service, old.key.0, old.key.1);
+            let rejected = service.catch_up_from_store().rejected;
+            let named = rejected.iter().any(|e| e.starts_with(&format!("generation {}:", record.generation)));
+            let reached = matches!(&stats, Response::Stats(s) if s.model_generation == record.generation);
+            let want = Response::Config(if corrupt { old.config } else { config });
+            if before != Response::Config(old.config) || !reached || after != want || named != corrupt {
+                violations.push(format!(
+                    "round {round}, live commit of gen {} over gen {} (corrupt={corrupt}): before the refresh \
+                     {before:?}, {stats:?}, after it {after:?}, rejected {rejected:?}",
+                    record.generation, old.generation
+                ));
+            } else if corrupt {
+                report.refresh_rejections += 1;
+            } else {
+                report.refresh_installs += 1;
+            }
         }
     }
 

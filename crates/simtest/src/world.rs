@@ -512,9 +512,7 @@ fn check_trace(
             violations.push(format!("submission #{i}: daemon handle span not parented under a client attempt"));
         }
     }
-    for e in
-        trace.iter().filter(|e| e.layer == "daemon" && (e.name == "registry_lookup" || e.name == "backend_lookup"))
-    {
+    for e in trace.iter().filter(|e| e.layer == "daemon" && (e.name == "registry_lookup" || e.name == "refresh")) {
         if !parent_of(e).is_some_and(|p| p.layer == "daemon" && p.name == "handle") {
             violations.push(format!("submission #{i}: daemon {} span not parented under daemon/handle", e.name));
         }

@@ -96,7 +96,7 @@ fn store_runs_cover_the_fault_menu() {
     let mut corruptions = 0;
     let mut rollbacks = 0;
     let mut rejections = 0;
-    let mut miss_path_refusals = 0;
+    let (mut refresh_installs, mut refresh_rejections) = (0, 0);
     for seed in 0..8 {
         let report = run_store_seed(seed);
         assert_eq!(report.log.len(), STORE_ROUNDS, "seed {seed} skipped rounds");
@@ -105,13 +105,15 @@ fn store_runs_cover_the_fault_menu() {
         corruptions += report.corruptions;
         rollbacks += report.rollbacks;
         rejections += report.catchup_rejections;
-        miss_path_refusals += report.miss_path_refusals;
+        refresh_installs += report.refresh_installs;
+        refresh_rejections += report.refresh_rejections;
     }
     assert!(crashes > 0, "no seed tore a journal append");
     assert!(corruptions > 0, "no seed corrupted a blob");
     assert!(rollbacks > 0, "no seed exercised rollback");
     assert!(rejections > 0, "no catch-up ever rejected a corrupt blob — the never-serve-bad-hash path went untested");
-    assert!(miss_path_refusals > 0, "no replica ever evicted while serving — the miss path went unaudited");
+    assert!(refresh_installs > 0, "no live commit was ever served after a refresh");
+    assert!(refresh_rejections > 0, "no refresh ever rejected a live commit's corrupt blob");
 }
 
 /// The headline demo the extension promises: a two-class cluster under a

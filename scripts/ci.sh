@@ -58,15 +58,16 @@ stage_docs() { RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps; }
 simtest_world() {
     run cargo test -q -p simtest --release --test sweep "$1"
     case $1 in
-    pipeline) # the daemon's counter table, which every world's ledger audit reads, optimised; the submit-budget audit's real-socket side: the plugin's production source against a warm daemon serving the model store the staged model was committed to, a dead and a slow daemon; the accept loop, the Busy bounce and the connection threads over real sockets, optimised
+    pipeline) # the daemon's counter table, which every world's ledger audit reads, optimised; the submit-budget audit's real-socket side: the plugin's production source against a warm daemon serving the model store the staged model was committed to, a dead and a silent daemon; the accept loop, the Busy bounce, a slow store refresh and the connection threads over real sockets, optimised
         run cargo test -q -p chronusd --release --lib service
         run cargo test -q -p chronusd --release --test e2e_remote --test daemon ;;
-    fleet) # kill mid-load with zero lost predictions; a restarted replica rejoins and answers from its backend
+    fleet) # kill mid-load with zero lost predictions; a restarted replica comes back warm from its store, rejoins and answers
         run cargo test -q -p chronusd --release --test fleet_failover ;;
-    store) # the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, misses resolved from the store, fleet-wide rollback; the CLI as separate processes: load-model commits to the home store, and a daemon over it answers what the local slurm-config does
+    store) # the store world's coverage pins, optimised; the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, every serving key held from boot, a key rolled back past answering Miss, fleet-wide rollback; the CLI as separate processes: load-model commits to the home store, and a daemon over it answers what the local slurm-config does
+        run cargo test -q -p simtest --release --test scenarios store
         run cargo test -q -p eco-store --release
         run cargo test -q -p chronusd --release --test store_durability --test cli_binary --test cli_table ;;
-    batch) # concurrent callers of one RemotePrediction over real TCP; the registry's one map under one lock: readers racing one-step installs and evictions, and writers racing its capacity, optimised
+    batch) # concurrent callers of one RemotePrediction over real TCP; the answer table's one map under one lock: readers racing a stream of refreshes, and concurrent writers, optimised
         run cargo test -q -p chronusd --release --test e2e_remote concurrent_callers_are_serialised
         run cargo test -q -p chronusd --release --lib registry ;;
     cluster) # cap conservation, partition isolation and drain as properties
