@@ -226,8 +226,8 @@ impl Optimizer for RandomTreeOptimizer {
 
     fn fit(&mut self, benchmarks: &[Benchmark]) -> Result<FitReport> {
         let data = dataset(benchmarks)?;
-        let model = RandomForest::fit(&data, &self.params);
-        let r2 = eco_ml::r2(&model.predict_batch(data.features()), data.targets());
+        let (model, predictions) = RandomForest::fit_predict(&data, &self.params);
+        let r2 = eco_ml::r2(&predictions, data.targets());
         self.model = Some(model);
         Ok(FitReport { train_rows: data.len(), r2 })
     }

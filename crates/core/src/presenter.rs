@@ -87,8 +87,10 @@ pub fn stats_table(s: &StatsSnapshot) -> String {
     } else {
         format!("chronusd statistics (replica {})", s.replica)
     };
+    // every daemon serves a store and names it; a snapshot without one
+    // came from a daemon that predates stores
     let store = if s.store_dir.is_empty() {
-        "none (a fixed in-memory backend)".to_string()
+        "not reported (a daemon that predates stores)".to_string()
     } else {
         format!("{} (generation {}, {} catch-ups)", s.store_dir, s.store_generation, s.store_catchups)
     };
@@ -241,8 +243,8 @@ mod tests {
         assert!(t.contains("model generation    3\n"), "{t}");
         assert!(t.contains("connections         2/64 open\n"), "{t}");
         assert!(t.contains("p50 4us  p99 128us  max 250us"), "{t}");
-        // a replica without a store says so explicitly
-        assert!(t.contains("store               none (a fixed in-memory backend)"), "{t}");
+        // a snapshot that names no store renders as one from a daemon that predates stores
+        assert!(t.contains("store               not reported (a daemon that predates stores)\n"), "{t}");
         // empty snapshot must not divide by zero
         assert!(stats_table(&StatsSnapshot::default()).contains("0.0% hit rate"));
     }

@@ -47,6 +47,17 @@ impl RandomForest {
     /// # Panics
     /// Panics if `params.n_trees == 0`, or as [`RegressionTree::fit`] does.
     pub fn fit(data: &Dataset, params: &ForestParams) -> Self {
+        Self::fit_predict(data, params).0
+    }
+
+    /// [`Self::fit`], plus the fitted forest's predictions for the
+    /// training rows, `predict_batch(data.features())` bit for bit. They
+    /// are summed in the one pass per tree that also scores the
+    /// out-of-bag rows, so no row is walked twice.
+    ///
+    /// # Panics
+    /// As [`Self::fit`].
+    pub fn fit_predict(data: &Dataset, params: &ForestParams) -> (Self, Vec<f64>) {
         assert!(params.n_trees > 0, "forest needs at least one tree");
         let mut params = *params;
         if params.tree.max_features.is_none() {
@@ -58,9 +69,11 @@ impl RandomForest {
 
         let n = data.len();
         let mut trees = Vec::with_capacity(params.n_trees);
-        // oob_pred[i] accumulates predictions from trees that did not see row i
+        // oob_sum[i] accumulates predictions from trees that did not see
+        // row i; in_sample[i] from every tree, from -0.0 as predict_batch
         let mut oob_sum = vec![0.0f64; n];
         let mut oob_cnt = vec![0usize; n];
+        let mut in_sample = vec![-0.0f64; n];
 
         for _ in 0..params.n_trees {
             let mut in_bag = vec![false; n];
@@ -72,12 +85,13 @@ impl RandomForest {
                 })
                 .collect();
             let tree = tree::grow(data, &ranks, &idx, &params.tree, &mut rng);
-            for i in 0..n {
+            tree.score(data.features(), |i, p| {
+                in_sample[i] += p;
                 if !in_bag[i] {
-                    oob_sum[i] += tree.predict(data.row(i));
+                    oob_sum[i] += p;
                     oob_cnt[i] += 1;
                 }
-            }
+            });
             trees.push(tree);
         }
 
@@ -92,7 +106,8 @@ impl RandomForest {
         }
         let oob_rmse = if covered > 0 { Some((se / covered as f64).sqrt()) } else { None };
 
-        RandomForest { trees, params, oob_rmse }
+        let predictions = in_sample.into_iter().map(|sum| sum / params.n_trees as f64).collect();
+        (RandomForest { trees, params, oob_rmse }, predictions)
     }
 
     /// Predicts the mean of all tree predictions.
@@ -107,7 +122,7 @@ impl RandomForest {
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         let mut sums = vec![-0.0; rows.len()];
         for tree in &self.trees {
-            sums.iter_mut().zip(rows).for_each(|(sum, row)| *sum += tree.predict(row));
+            tree.score(rows, |r, p| sums[r] += p);
         }
         sums.into_iter().map(|sum| sum / self.trees.len() as f64).collect()
     }

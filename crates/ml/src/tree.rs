@@ -12,10 +12,21 @@
 //! segment stably in place. Sums, ties, thresholds and RNG draws are the
 //! per-node-sort CART's in the same order, so the nodes are bit for bit its
 //! own; `tests/properties.rs` keeps that algorithm as the oracle.
+//!
+//! # How a tree scores
+//!
+//! Once grown (or deserialized) a tree packs its arena into a flat table
+//! of `{threshold, [right, left], feature}` in which a leaf's children are
+//! the leaf itself and its threshold its value. A row walks the table for
+//! exactly the tree's depth in steps, stepping to `children[(x <=
+//! threshold) as usize]`: left when `x <= threshold`, right otherwise (so
+//! a NaN goes right, as in the arena). It ends on its leaf wherever the
+//! leaf sits. Rows walk in lockstep blocks of eight, whose independent
+//! loads overlap. The table is never serialized.
 
 use crate::dataset::Dataset;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Hyperparameters controlling tree growth.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -44,11 +55,47 @@ pub enum Node {
     Leaf { value: f64, n_samples: usize },
 }
 
-/// A fitted CART regression tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A fitted CART regression tree. It serializes as its arena
+/// (`{"nodes":[…],"input_width":N}`); the scoring table is rebuilt from
+/// the arena on deserialization.
+#[derive(Debug, Clone)]
 pub struct RegressionTree {
+    arena: Arena,
+    /// The arena packed for scoring (see the module docs).
+    table: Vec<Packed>,
+    /// The longest root-to-leaf path: the steps every row walks.
+    depth: usize,
+}
+
+/// What a tree serializes as.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Arena {
     nodes: Vec<Node>,
     input_width: usize,
+}
+
+/// One node of the scoring table.
+#[derive(Debug, Clone, Copy)]
+struct Packed {
+    threshold: f64,
+    /// `[right, left]`, indexed by `x <= threshold`.
+    children: [u32; 2],
+    feature: u32,
+}
+
+/// Rows per lockstep block.
+const LANES: usize = 8;
+
+impl Serialize for RegressionTree {
+    fn write_json(&self, out: &mut String) {
+        self.arena.write_json(out)
+    }
+}
+
+impl<'de> Deserialize<'de> for RegressionTree {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        RegressionTree::pack(Arena::deserialize_value(v)?).map_err(DeError::custom)
+    }
 }
 
 impl RegressionTree {
@@ -63,42 +110,86 @@ impl RegressionTree {
         grow(data, &ranks(data), &sample, params, rng)
     }
 
+    /// Builds the scoring table of an arena whose every split names a
+    /// feature below `input_width` and two children past itself (as
+    /// growth lays nodes out), so every walk ends on a leaf.
+    fn pack(arena: Arena) -> Result<Self, String> {
+        let n = arena.nodes.len();
+        if n == 0 || n > u32::MAX as usize {
+            return Err(format!("a tree of {n} nodes"));
+        }
+        // a node's depth is settled before it is reached: its parents
+        // all sit before it
+        let mut depths = vec![0; n];
+        let mut table = Vec::with_capacity(n);
+        for (i, node) in arena.nodes.iter().enumerate() {
+            table.push(match *node {
+                Node::Leaf { value, .. } => Packed { threshold: value, children: [i as u32; 2], feature: 0 },
+                Node::Split { feature, threshold, left, right } => {
+                    if feature >= arena.input_width || !(i < left && left < n && i < right && right < n) {
+                        return Err(format!("node {i} splits on feature {feature} into nodes {left} and {right}"));
+                    }
+                    for child in [left, right] {
+                        depths[child] = depths[child].max(depths[i] + 1);
+                    }
+                    Packed { threshold, children: [right as u32, left as u32], feature: feature as u32 }
+                }
+            });
+        }
+        let depth = depths.into_iter().max().unwrap_or(0);
+        Ok(RegressionTree { arena, table, depth })
+    }
+
     /// Predicts the target for one feature row.
     ///
     /// # Panics
     /// Panics if the row width differs from the training width.
     pub fn predict(&self, features: &[f64]) -> f64 {
-        assert_eq!(features.len(), self.input_width, "feature width mismatch");
-        let mut i = 0;
-        loop {
-            match &self.nodes[i] {
-                Node::Leaf { value, .. } => return *value,
-                Node::Split { feature, threshold, left, right } => {
-                    i = if features[*feature] <= *threshold { *left } else { *right };
+        let mut value = 0.0;
+        self.score(&[features], |_, v| value = v);
+        value
+    }
+
+    /// Scores every row, handing `emit(r, prediction)` each row's value
+    /// in row order. Each value is [`Self::predict`]'s for that row.
+    ///
+    /// # Panics
+    /// Panics if a row's width differs from the training width.
+    pub fn score<R: AsRef<[f64]>>(&self, rows: &[R], mut emit: impl FnMut(usize, f64)) {
+        for (b, block) in rows.chunks(LANES).enumerate() {
+            // a short last block walks its first row in the spare lanes,
+            // so every walk is a full block
+            let mut lanes: [&[f64]; LANES] = [block[0].as_ref(); LANES];
+            for (lane, row) in lanes.iter_mut().zip(block) {
+                *lane = row.as_ref();
+                assert_eq!(lane.len(), self.arena.input_width, "feature width mismatch");
+            }
+            let mut at = [0u32; LANES];
+            for _ in 0..self.depth {
+                for (at, row) in at.iter_mut().zip(&lanes) {
+                    let node = &self.table[*at as usize];
+                    *at = node.children[(row[node.feature as usize] <= node.threshold) as usize];
                 }
+            }
+            for (lane, &at) in at[..block.len()].iter().enumerate() {
+                emit(b * LANES + lane, self.table[at as usize].threshold);
             }
         }
     }
 
     /// Number of nodes in the tree.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.arena.nodes.len()
     }
 
     /// Depth of the tree (0 for a single leaf).
     pub fn depth(&self) -> usize {
-        fn d(nodes: &[Node], i: usize) -> usize {
-            match &nodes[i] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + d(nodes, *left).max(d(nodes, *right)),
-            }
-        }
-        d(&self.nodes, 0)
+        self.depth
     }
 
     /// Borrow the node arena (root at index 0).
     pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+        &self.arena.nodes
     }
 }
 
@@ -151,7 +242,7 @@ pub(crate) fn grow<R: Rng>(
     let (goes_left, scratch, pool, nodes) = (vec![false; n], vec![0; n], Vec::with_capacity(width), Vec::new());
     let mut grower = Grower { params, rng, n, width, x, y, lists, goes_left, scratch, pool, nodes };
     grower.build(0, n, 0);
-    RegressionTree { nodes: grower.nodes, input_width: width }
+    RegressionTree::pack(Arena { nodes: grower.nodes, input_width: width }).expect("a grown tree packs")
 }
 
 /// One tree's working set over its `n` sample positions.

@@ -392,3 +392,96 @@ proptest! {
         }
     }
 }
+
+/// A random arena laid out as growth lays it out (a split before its
+/// children), over `width` features, at most `max_depth` deep: leaves
+/// and thresholds drawn from signed zeros, subnormals, infinities'
+/// neighbours and plain values.
+fn random_arena(rng: &mut StdRng, width: usize, max_depth: usize, nodes: &mut Vec<Node>) -> usize {
+    const THRESHOLDS: [f64; 8] = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, f64::MAX];
+    let me = nodes.len();
+    let value = THRESHOLDS[rng.gen_range(0..THRESHOLDS.len())] * rng.gen_range(-1.0..1.0);
+    nodes.push(Node::Leaf { value, n_samples: 1 });
+    if max_depth > 0 && rng.gen_bool(0.7) {
+        let feature = rng.gen_range(0..width);
+        let threshold = THRESHOLDS[rng.gen_range(0..THRESHOLDS.len())];
+        let left = random_arena(rng, width, max_depth - 1, nodes);
+        let right = random_arena(rng, width, max_depth - 1, nodes);
+        nodes[me] = Node::Split { feature, threshold, left, right };
+    }
+    me
+}
+
+fn tree_from(nodes: &[Node], width: usize) -> Result<RegressionTree, serde_json::Error> {
+    let text = format!(r#"{{"nodes":{},"input_width":{width}}}"#, serde_json::to_string(nodes)?);
+    serde_json::from_str(&text)
+}
+
+proptest! {
+    /// The packed table, walked a fixed depth in lockstep blocks, lands
+    /// every row on the leaf the arena's per-row walk lands on: NaN
+    /// features, signed-zero thresholds and features, single-leaf and
+    /// depth-0 trees, and batches that end mid-block included.
+    #[test]
+    fn lockstep_scoring_is_the_per_row_walk_bit_for_bit(
+        seed in 0u64..1_000_000,
+        width in 1usize..4,
+        max_depth in 0usize..7,
+        rows in 0usize..27,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut nodes = Vec::new();
+        random_arena(&mut rng, width, max_depth, &mut nodes);
+        let tree = tree_from(&nodes, width).unwrap();
+        prop_assert_eq!(node_bits(tree.nodes()), node_bits(&nodes));
+        const FEATURES: [f64; 10] = [f64::NAN, 0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, f64::INFINITY, -0.25];
+        let rows: Vec<Vec<f64>> = (0..rows)
+            .map(|_| (0..width).map(|_| FEATURES[rng.gen_range(0..FEATURES.len())]).collect())
+            .collect();
+        let mut scored = vec![None; rows.len()];
+        tree.score(&rows, |r, v| {
+            assert!(scored[r].replace(v).is_none(), "row {r} scored twice");
+        });
+        for (row, v) in rows.iter().zip(scored) {
+            let reference = oracle::predict(&nodes, row).to_bits();
+            prop_assert_eq!(v.map(f64::to_bits), Some(reference));
+            prop_assert_eq!(tree.predict(row).to_bits(), reference);
+        }
+    }
+
+    /// The fit's one pass per tree also yields the training rows'
+    /// predictions, `predict_batch`'s bit for bit, and the forest it
+    /// returns is `fit`'s.
+    #[test]
+    fn the_fit_pass_predicts_the_training_rows_as_predict_batch_does(
+        seed in 0u64..1_000_000,
+        rows in 2usize..30,
+        width in 1usize..4,
+        min_leaf in 1usize..4,
+    ) {
+        let data = tie_heavy(seed, rows, width);
+        let params = ForestParams { n_trees: 6, tree: TreeParams { max_depth: 6, min_leaf, max_features: None }, seed };
+        let (forest, predictions) = RandomForest::fit_predict(&data, &params);
+        let batch = forest.predict_batch(data.features());
+        prop_assert_eq!(predictions.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), batch.iter().map(|p| p.to_bits()).collect::<Vec<_>>());
+        let fitted = RandomForest::fit(&data, &params);
+        prop_assert_eq!(serde_json::to_string(&forest).unwrap(), serde_json::to_string(&fitted).unwrap());
+    }
+}
+
+#[test]
+fn an_arena_that_could_not_have_grown_is_refused() {
+    let leaf = |value| Node::Leaf { value, n_samples: 1 };
+    let split = |feature, left, right| Node::Split { feature, threshold: 0.5, left, right };
+    assert!(tree_from(&[leaf(1.0)], 1).is_ok());
+    assert!(tree_from(&[split(0, 1, 2), leaf(1.0), leaf(2.0)], 1).is_ok());
+    for (nodes, width) in [
+        (vec![], 1),
+        (vec![split(0, 0, 1), leaf(1.0)], 1), // a child that is its parent
+        (vec![split(0, 1, 2), leaf(1.0), split(0, 1, 1)], 1), // a child before its parent
+        (vec![split(0, 1, 3), leaf(1.0), leaf(2.0)], 1), // a child past the arena
+        (vec![split(1, 1, 2), leaf(1.0), leaf(2.0)], 1), // a feature past the width
+    ] {
+        assert!(tree_from(&nodes, width).is_err(), "{nodes:?} over width {width}");
+    }
+}

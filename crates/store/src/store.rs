@@ -32,8 +32,15 @@ pub const BLOB_DIR: &str = "blobs";
 /// seed 53871) over the blob's canonical JSON encoding, rendered as 16
 /// hex digits.
 pub fn blob_hash(blob: &ModelBlob) -> String {
+    encode_blob(blob).1
+}
+
+/// A blob's canonical JSON encoding and the content address of exactly
+/// those bytes: one serialization, for the address and for the write.
+fn encode_blob(blob: &ModelBlob) -> (Vec<u8>, String) {
     let json = serde_json::to_string(blob).expect("a model blob always serializes");
-    format!("{:016x}", chronus::hash::simple_hash(&json))
+    let address = format!("{:016x}", chronus::hash::simple_hash(&json));
+    (json.into_bytes(), address)
 }
 
 /// Anything that can go wrong opening or mutating a store.
@@ -246,8 +253,7 @@ impl ModelStore {
         if provenance.refit_of >= generation {
             return Err(StoreError::UnknownGeneration(provenance.refit_of));
         }
-        let hash = blob_hash(blob);
-        let bytes = serde_json::to_vec(blob).expect("a model blob always serializes");
+        let (bytes, hash) = encode_blob(blob);
         self.backend.write_atomic(&format!("{BLOB_DIR}/{hash}"), &bytes)?;
         let record = ModelRecord {
             generation,

@@ -109,7 +109,9 @@ stage_benchmark-builds() {
 # journal's last append before resuming, then the record store's own
 # torn-append tests (the journal's file format), then campaign → model →
 # store commit → live-daemon rollout over real TCP, the daemon serving
-# that store. A failing sweep seed dumps its trial
+# that store, then the model path's own suites optimised (eco-ml, serde,
+# serde_json; the workspace stage runs them unoptimised). A failing sweep
+# seed dumps its trial
 # journal into $CAMPAIGN_JOURNAL_DIR and is reproducible with
 #   CAMPAIGN_SEED=<seed> cargo test -p eco-campaign --test fault_sweep -- --nocapture
 stage_campaign() {
@@ -118,6 +120,11 @@ stage_campaign() {
     run cargo test -q -p chronusd --release --test campaign_rollout
     # the `chronus campaign` CLI: run interrupted, status, resume + commit to the home store + rollout
     run cargo test -q -p chronusd --release --test cli_binary campaign
+    # the model path optimised: the forest against its bit-for-bit oracle
+    # (growth, lockstep scoring, the fit's one scoring pass), and the JSON
+    # codec every blob and journal frame is written and read with
+    run cargo test -q -p eco-ml --release
+    run cargo test -q -p serde -p serde_json --release
 }
 
 [[ $# -gt 0 ]] || set -- "${stages[@]}"
