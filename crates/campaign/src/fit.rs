@@ -25,19 +25,17 @@ pub struct FittedModel {
     pub best_gflops_per_watt: f64,
 }
 
-/// Validates `benchmarks`, fits a fresh optimizer of `model_type`, and
-/// answers the best configuration among `candidates`. Errors exactly
-/// where the offline pipeline errors: empty/degenerate training sets,
-/// unknown model types, or an empty candidate list.
+/// Fits a fresh optimizer of `model_type` on `benchmarks` (its fit
+/// validates them) and answers the best configuration among
+/// `candidates`. Errors exactly where the offline pipeline errors:
+/// unknown model types, empty/degenerate training sets, or an empty
+/// candidate list.
 pub fn fit_best_config(
     model_type: &str,
     benchmarks: &[Benchmark],
     candidates: &[CpuConfig],
 ) -> chronus::Result<FittedModel> {
-    chronus::optimizers::validate_training_set(benchmarks)?;
-    let mut optimizer = ModelFactory::create(model_type)?;
-    let report = optimizer.fit(benchmarks)?;
-    let best = optimizer.best_config(candidates)?;
+    let (report, best) = ModelFactory::create(model_type)?.fit_best(benchmarks, candidates)?;
     Ok(FittedModel { best, report, best_gflops_per_watt: chronus::domain::best_gflops_per_watt(benchmarks) })
 }
 

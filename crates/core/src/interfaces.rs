@@ -80,6 +80,13 @@ pub trait Optimizer {
         best.map(|(c, _)| c).ok_or_else(|| crate::error::ChronusError::Model("no candidates".into()))
     }
 
+    /// [`Self::fit`], then [`Self::best_config`] over `candidates`: the
+    /// fit's report and the winner, or the first error of the two.
+    fn fit_best(&mut self, benchmarks: &[Benchmark], candidates: &[CpuConfig]) -> Result<(FitReport, CpuConfig)> {
+        let report = self.fit(benchmarks)?;
+        Ok((report, self.best_config(candidates)?))
+    }
+
     /// Serializes the fitted state for blob storage.
     fn to_bytes(&self) -> Result<Vec<u8>>;
 }

@@ -12,6 +12,7 @@ use crate::interfaces::{FitReport, Optimizer};
 use eco_ml::{Dataset, Degree, ForestParams, LinearRegression, RandomForest, TreeParams};
 use eco_sim_node::cpu::CpuConfig;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Model-type string for brute force.
 pub const BRUTE_FORCE: &str = "brute-force";
@@ -217,6 +218,24 @@ impl RandomTreeOptimizer {
     fn forest(&self) -> Result<&RandomForest> {
         self.model.as_ref().ok_or_else(|| ChronusError::Model("random forest is not fitted".into()))
     }
+
+    /// Fits the forest; returns the report and the training rows'
+    /// predictions (`predict_batch`'s, bit for bit).
+    fn fit_rows(&mut self, benchmarks: &[Benchmark]) -> Result<(FitReport, Vec<f64>)> {
+        let data = dataset(benchmarks)?;
+        let (model, predictions) = RandomForest::fit_predict(&data, &self.params);
+        let r2 = eco_ml::r2(&predictions, data.targets());
+        self.model = Some(model);
+        Ok((FitReport { train_rows: data.len(), r2 }, predictions))
+    }
+}
+
+/// The trait's argmax over scored candidates: the first strict maximum.
+fn argmax(candidates: &[CpuConfig], gpw: &[f64]) -> Result<CpuConfig> {
+    if candidates.is_empty() {
+        return Err(ChronusError::Model("no candidates".into()));
+    }
+    Ok(candidates[(1..gpw.len()).fold(0, |best, i| if gpw[i] > gpw[best] { i } else { best })])
 }
 
 impl Optimizer for RandomTreeOptimizer {
@@ -225,11 +244,7 @@ impl Optimizer for RandomTreeOptimizer {
     }
 
     fn fit(&mut self, benchmarks: &[Benchmark]) -> Result<FitReport> {
-        let data = dataset(benchmarks)?;
-        let (model, predictions) = RandomForest::fit_predict(&data, &self.params);
-        let r2 = eco_ml::r2(&predictions, data.targets());
-        self.model = Some(model);
-        Ok(FitReport { train_rows: data.len(), r2 })
+        Ok(self.fit_rows(benchmarks)?.0)
     }
 
     fn predict_gpw(&self, config: &CpuConfig) -> Result<f64> {
@@ -243,8 +258,23 @@ impl Optimizer for RandomTreeOptimizer {
             return Err(ChronusError::Model("no candidates".into()));
         }
         let rows: Vec<Vec<f64>> = candidates.iter().map(features).collect();
-        let gpw = self.forest()?.predict_batch(&rows);
-        Ok(candidates[(1..gpw.len()).fold(0, |best, i| if gpw[i] > gpw[best] { i } else { best })])
+        argmax(candidates, &self.forest()?.predict_batch(&rows))
+    }
+
+    /// `fit` then `best_config`, bit for bit: a candidate that is a
+    /// training row's configuration takes that row's prediction from the
+    /// fit's own scoring pass, and only the others are walked.
+    fn fit_best(&mut self, benchmarks: &[Benchmark], candidates: &[CpuConfig]) -> Result<(FitReport, CpuConfig)> {
+        let (report, predictions) = self.fit_rows(benchmarks)?;
+        let trained: HashMap<CpuConfig, f64> = benchmarks.iter().map(|b| b.config).zip(predictions).collect();
+        let off_grid: Vec<Vec<f64>> = candidates.iter().filter(|c| !trained.contains_key(c)).map(features).collect();
+        let mut walked = self.forest()?.predict_batch(&off_grid).into_iter();
+        let gpw: Vec<f64> = (candidates.iter())
+            .map(|c| {
+                trained.get(c).copied().unwrap_or_else(|| walked.next().expect("one walk per off-grid candidate"))
+            })
+            .collect();
+        Ok((report, argmax(candidates, &gpw)?))
     }
 
     fn to_bytes(&self) -> Result<Vec<u8>> {

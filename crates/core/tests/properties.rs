@@ -10,6 +10,8 @@ use chronus::optimizers::ModelFactory;
 use eco_sim_node::cpu::CpuConfig;
 use eco_sim_node::sysinfo::SystemFacts;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -175,6 +177,53 @@ proptest! {
                     loaded.predict_gpw(&b.config).unwrap(),
                     "{} diverged after roundtrip", model_type
                 );
+            }
+        }
+    }
+
+    /// `fit_best` is `fit` followed by `best_config` for every family: the
+    /// same configuration, R² bits and fitted bytes, or the same error.
+    /// Candidates are exactly the training configurations, a shuffled
+    /// subset of them, off-grid ones alone, both with each one twice, or
+    /// none; the training set repeats configurations with other targets.
+    #[test]
+    fn fit_best_is_fit_then_best_config(
+        benches in prop::collection::vec(arb_benchmark(), 1..24),
+        repeats in 0usize..8,
+        off_grid in prop::collection::vec(arb_config(), 2..8),
+        shape in 0usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let again = benches.iter().take(repeats).map(|b| Benchmark { gflops: b.gflops * 1.1, ..b.clone() });
+        let benches: Vec<Benchmark> = benches.iter().cloned().chain(again).collect();
+        let trained: Vec<CpuConfig> = benches.iter().map(|b| b.config).collect();
+        let candidates: Vec<CpuConfig> = match shape {
+            0 => trained,
+            1 => {
+                // a Fisher-Yates shuffle of every first, second or third row
+                let mut subset: Vec<CpuConfig> = trained.into_iter().step_by(1 + seed as usize % 3).collect();
+                let mut rng = StdRng::seed_from_u64(seed);
+                (1..subset.len()).rev().for_each(|i| subset.swap(i, rng.gen_range(0..=i)));
+                subset
+            }
+            2 => off_grid,
+            3 => [trained.clone(), off_grid.clone(), off_grid, trained].concat(),
+            _ => Vec::new(),
+        };
+        for model_type in ModelFactory::model_types() {
+            let mut separate = ModelFactory::create(model_type).unwrap();
+            let expected = separate.fit(&benches).and_then(|report| Ok((report, separate.best_config(&candidates)?)));
+            let mut together = ModelFactory::create(model_type).unwrap();
+            let got = together.fit_best(&benches, &candidates);
+            match (expected, got) {
+                (Ok((report, best)), Ok((got_report, got_best))) => {
+                    prop_assert_eq!(got_best, best, "{}", model_type);
+                    prop_assert_eq!(got_report.train_rows, report.train_rows);
+                    prop_assert_eq!(got_report.r2.to_bits(), report.r2.to_bits(), "{}", model_type);
+                    prop_assert_eq!(together.to_bytes().unwrap(), separate.to_bytes().unwrap());
+                }
+                (Err(e), Err(got)) => prop_assert_eq!(format!("{got:?}"), format!("{e:?}")),
+                (expected, got) => prop_assert!(false, "{model_type}: expected {expected:?}, got {got:?}"),
             }
         }
     }

@@ -51,9 +51,10 @@ impl RandomForest {
     }
 
     /// [`Self::fit`], plus the fitted forest's predictions for the
-    /// training rows, `predict_batch(data.features())` bit for bit. They
-    /// are summed in the one pass per tree that also scores the
-    /// out-of-bag rows, so no row is walked twice.
+    /// training rows, `predict_batch(data.features())` bit for bit. An
+    /// in-bag row takes the leaf its tree's growth put it in; only the
+    /// out-of-bag rows are walked, once per tree, and every row's sum runs
+    /// in tree order.
     ///
     /// # Panics
     /// As [`Self::fit`].
@@ -75,23 +76,32 @@ impl RandomForest {
         let mut oob_cnt = vec![0usize; n];
         let mut in_sample = vec![-0.0f64; n];
 
+        // one working set for every tree
+        let (mut workspace, mut in_bag, mut idx) =
+            (tree::Workspace::default(), vec![false; n], Vec::with_capacity(n));
+        let (mut landed, mut oob, mut oob_rows) = (vec![0.0; n], Vec::with_capacity(n), Vec::with_capacity(n));
         for _ in 0..params.n_trees {
-            let mut in_bag = vec![false; n];
-            let idx: Vec<usize> = (0..n)
-                .map(|_| {
-                    let i = rng.gen_range(0..n);
-                    in_bag[i] = true;
-                    i
-                })
-                .collect();
-            let tree = tree::grow(data, &ranks, &idx, &params.tree, &mut rng);
-            tree.score(data.features(), |i, p| {
-                in_sample[i] += p;
-                if !in_bag[i] {
-                    oob_sum[i] += p;
-                    oob_cnt[i] += 1;
-                }
+            in_bag.fill(false);
+            idx.clear();
+            idx.extend((0..n).map(|_| {
+                let i = rng.gen_range(0..n);
+                in_bag[i] = true;
+                i
+            }));
+            let tree = workspace.grow(data, &ranks, &idx, &params.tree, &mut rng);
+            // an in-bag row's leaf is where growth put it; the others walk
+            idx.iter().zip(&workspace.leaf).for_each(|(&i, &value)| landed[i] = value);
+            oob.clear();
+            oob.extend((0..n).filter(|&i| !in_bag[i]));
+            oob_rows.clear();
+            oob_rows.extend(oob.iter().map(|&i| data.row(i)));
+            tree.score(&oob_rows, |j, p| {
+                let i = oob[j];
+                landed[i] = p;
+                oob_sum[i] += p;
+                oob_cnt[i] += 1;
             });
+            in_sample.iter_mut().zip(&landed).for_each(|(sum, p)| *sum += p);
             trees.push(tree);
         }
 

@@ -4,14 +4,19 @@
 //!
 //! # How a tree grows
 //!
-//! Nothing is sorted, copied or allocated per node. `ranks` ranks each
-//! feature column once per dataset (a forest ranks once for all its trees).
-//! A tree counting-sorts its sample positions by rank once per feature, into
-//! (value, position) order; a node is the same `[lo, hi)` segment of each of
-//! those lists and of the ascending one, and a split partitions every
-//! segment stably in place. Sums, ties, thresholds and RNG draws are the
-//! per-node-sort CART's in the same order, so the nodes are bit for bit its
-//! own; `tests/properties.rs` keeps that algorithm as the oracle.
+//! Nothing is sorted or allocated per node. `ranks` ranks each feature
+//! column once per dataset; a forest ranks once and grows every tree in
+//! one working set. A tree counting-sorts its sample positions by rank
+//! once per feature, into (value, position) order; a node is the same
+//! `[lo, hi)` segment of each of those lists and of the ascending one. A
+//! node at depth `d` reads copy `d & 1` of the lists and partitions each
+//! segment stably into the same `[lo, hi)` of the other copy, a select
+//! picking each position's side (segments nest, so it overwrites only
+//! dead entries). A split search scans a feature twice: a branch-free pass
+//! keeps the prefix sums where the value changes, a second evaluates only
+//! those boundaries. Sums, ties, thresholds and RNG draws are the
+//! per-node-sort CART's in the same order, so the nodes are bit for bit
+//! its own; `tests/properties.rs` keeps that algorithm as the oracle.
 //!
 //! # How a tree scores
 //!
@@ -107,12 +112,12 @@ impl RegressionTree {
     /// of two or more rows holds a NaN.
     pub fn fit<R: Rng>(data: &Dataset, params: &TreeParams, rng: &mut R) -> Self {
         let sample: Vec<usize> = (0..data.len()).collect();
-        grow(data, &ranks(data), &sample, params, rng)
+        Workspace::default().grow(data, &ranks(data), &sample, params, rng)
     }
 
-    /// Builds the scoring table of an arena whose every split names a
-    /// feature below `input_width` and two children past itself (as
-    /// growth lays nodes out), so every walk ends on a leaf.
+    /// Checks that every split of `arena` names a feature below
+    /// `input_width` and two children past itself (as growth lays nodes
+    /// out), so every walk ends on a leaf, and packs it.
     fn pack(arena: Arena) -> Result<Self, String> {
         let n = arena.nodes.len();
         if n == 0 || n > u32::MAX as usize {
@@ -121,23 +126,30 @@ impl RegressionTree {
         // a node's depth is settled before it is reached: its parents
         // all sit before it
         let mut depths = vec![0; n];
-        let mut table = Vec::with_capacity(n);
         for (i, node) in arena.nodes.iter().enumerate() {
-            table.push(match *node {
+            if let Node::Split { feature, left, right, .. } = *node {
+                if feature >= arena.input_width || !(i < left && left < n && i < right && right < n) {
+                    return Err(format!("node {i} splits on feature {feature} into nodes {left} and {right}"));
+                }
+                for child in [left, right] {
+                    depths[child] = depths[child].max(depths[i] + 1);
+                }
+            }
+        }
+        Ok(Self::packed(arena, depths.into_iter().max().unwrap_or(0)))
+    }
+
+    /// Builds the scoring table of a checked arena `depth` deep.
+    fn packed(arena: Arena, depth: usize) -> Self {
+        let table = (arena.nodes.iter().enumerate())
+            .map(|(i, node)| match *node {
                 Node::Leaf { value, .. } => Packed { threshold: value, children: [i as u32; 2], feature: 0 },
                 Node::Split { feature, threshold, left, right } => {
-                    if feature >= arena.input_width || !(i < left && left < n && i < right && right < n) {
-                        return Err(format!("node {i} splits on feature {feature} into nodes {left} and {right}"));
-                    }
-                    for child in [left, right] {
-                        depths[child] = depths[child].max(depths[i] + 1);
-                    }
                     Packed { threshold, children: [right as u32, left as u32], feature: feature as u32 }
                 }
-            });
-        }
-        let depth = depths.into_iter().max().unwrap_or(0);
-        Ok(RegressionTree { arena, table, depth })
+            })
+            .collect();
+        RegressionTree { arena, table, depth }
     }
 
     /// Predicts the target for one feature row.
@@ -210,91 +222,120 @@ pub(crate) fn ranks(data: &Dataset) -> Vec<u32> {
     rank
 }
 
-/// Grows a tree on the rows of `data` that `sample` names (repeats
-/// allowed); `rank` is `ranks(data)`.
-pub(crate) fn grow<R: Rng>(
-    data: &Dataset,
-    rank: &[u32],
-    sample: &[usize],
-    params: &TreeParams,
-    rng: &mut R,
-) -> RegressionTree {
-    assert!(params.min_leaf >= 1, "min_leaf must be at least 1");
-    let (rows, n, width) = (data.len(), sample.len(), data.width());
-    let mut x = Vec::with_capacity(width * n);
-    let mut lists = Vec::with_capacity((width + 1) * n);
-    let mut start = vec![0; rows + 1];
-    for f in 0..width {
-        x.extend(sample.iter().map(|&i| data.row(i)[f]));
-        // counting sort: positions enter in ascending order, so ties keep it
-        let rank_of = |p: usize| rank[f * rows + sample[p]] as usize;
-        start.fill(0);
-        (0..n).for_each(|p| start[rank_of(p) + 1] += 1);
-        (1..=rows).for_each(|r| start[r] += start[r - 1]);
-        lists.resize((f + 1) * n, 0);
-        for p in 0..n {
-            lists[f * n + start[rank_of(p)]] = p;
-            start[rank_of(p)] += 1;
-        }
-    }
-    lists.extend(0..n);
-    let y = sample.iter().map(|&i| data.target(i)).collect();
-    let (goes_left, scratch, pool, nodes) = (vec![false; n], vec![0; n], Vec::with_capacity(width), Vec::new());
-    let mut grower = Grower { params, rng, n, width, x, y, lists, goes_left, scratch, pool, nodes };
-    grower.build(0, n, 0);
-    RegressionTree::pack(Arena { nodes: grower.nodes, input_width: width }).expect("a grown tree packs")
+/// The working set trees grow in. A forest keeps one for all its trees:
+/// every buffer is sized by the first tree and reused by the rest.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    /// `x[f * n + p]` is feature `f` of position `p`; `y[p]` its target.
+    x: Vec<f64>,
+    y: Vec<f64>,
+    /// Two copies of `width + 1` lists of the positions: list `f < width`
+    /// in (value, position) order of feature `f`, list `width` ascending.
+    /// A node at depth `d` reads copy `d & 1` and partitions into the other.
+    lists: [Vec<u32>; 2],
+    start: Vec<u32>,
+    goes_left: Vec<u8>,
+    /// A split scan's boundaries: `(left_sum, left_sq, k)` when the value
+    /// after sorted position `k` differs from the one at it.
+    cuts: Vec<(f64, f64, u32)>,
+    /// Feature indices, shuffled per split.
+    pool: Vec<usize>,
+    /// `leaf[p]`: the value of the leaf position `p` ended in.
+    pub(crate) leaf: Vec<f64>,
 }
 
-/// One tree's working set over its `n` sample positions.
+impl Workspace {
+    /// Grows a tree on the rows of `data` that `sample` names (repeats
+    /// allowed); `rank` is `ranks(data)`.
+    pub(crate) fn grow<R: Rng>(
+        &mut self,
+        data: &Dataset,
+        rank: &[u32],
+        sample: &[usize],
+        params: &TreeParams,
+        rng: &mut R,
+    ) -> RegressionTree {
+        assert!(params.min_leaf >= 1, "min_leaf must be at least 1");
+        let (rows, n, width) = (data.len(), sample.len(), data.width());
+        assert!(u32::try_from(n).is_ok(), "a sample of {n} rows");
+        self.x.clear();
+        self.y.clear();
+        self.y.extend(sample.iter().map(|&i| data.target(i)));
+        self.lists.iter_mut().for_each(|lists| lists.resize((width + 1) * n, 0));
+        self.goes_left.resize(n, 0);
+        self.leaf.resize(n, 0.0);
+        self.cuts.resize(n, (0.0, 0.0, 0));
+        for (f, rank) in rank.chunks_exact(rows).enumerate() {
+            self.x.extend(sample.iter().map(|&i| data.row(i)[f]));
+            // counting sort: positions enter in ascending order, so ties keep it
+            self.start.clear();
+            self.start.resize(rows + 1, 0);
+            sample.iter().for_each(|&i| self.start[rank[i] as usize + 1] += 1);
+            (1..=rows).for_each(|r| self.start[r] += self.start[r - 1]);
+            for (&i, p) in sample.iter().zip(0..) {
+                let slot = &mut self.start[rank[i] as usize];
+                self.lists[0][f * n + *slot as usize] = p;
+                *slot += 1;
+            }
+        }
+        self.lists[0][width * n..].iter_mut().zip(0..).for_each(|(slot, p)| *slot = p);
+        let mut grower = Grower { ws: self, params, rng, n, width, nodes: Vec::with_capacity(2 * n), deepest: 0 };
+        grower.build(0, n, 0);
+        RegressionTree::packed(Arena { nodes: grower.nodes, input_width: width }, grower.deepest)
+    }
+}
+
+/// One tree's growth over its `n` sample positions.
 struct Grower<'a, R> {
+    ws: &'a mut Workspace,
     params: &'a TreeParams,
     rng: &'a mut R,
     n: usize,
     width: usize,
-    /// `x[f * n + p]` is feature `f` of position `p`; `y[p]` its target.
-    x: Vec<f64>,
-    y: Vec<f64>,
-    /// `width + 1` lists of the positions: list `f < width` in (value,
-    /// position) order of feature `f`, list `width` ascending.
-    lists: Vec<usize>,
-    goes_left: Vec<bool>,
-    scratch: Vec<usize>,
-    /// Feature indices, shuffled per split.
-    pool: Vec<usize>,
     nodes: Vec<Node>,
+    deepest: usize,
 }
 
 impl<R: Rng> Grower<'_, R> {
-    fn segment(&self, list: usize, lo: usize, hi: usize) -> &[usize] {
-        &self.lists[list * self.n + lo..list * self.n + hi]
-    }
-
     /// Builds the subtree over the segment `[lo, hi)`, returning its arena index.
     fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
-        let len = hi - lo;
-        let sum: f64 = self.segment(self.width, lo, hi).iter().map(|&p| self.y[p]).sum();
+        let (len, n) = (hi - lo, self.n);
+        self.deepest = self.deepest.max(depth);
+        let ascending = self.width * n + lo..self.width * n + hi;
+        let (mut sum, mut sum_sq) = (-0.0, -0.0);
+        for &p in &self.ws.lists[depth & 1][ascending.clone()] {
+            let y = self.ws.y[p as usize];
+            sum += y;
+            sum_sq += y * y;
+        }
         let leaf = Node::Leaf { value: sum / len as f64, n_samples: len };
         let split = if depth >= self.params.max_depth || len < 2 * self.params.min_leaf {
             None
         } else {
-            self.best_split(lo, hi, sum)
+            self.best_split(lo, hi, depth, [sum, sum_sq])
         };
         let Some((feature, threshold, n_left)) = split else {
+            self.ws.lists[depth & 1][ascending].iter().for_each(|&p| self.ws.leaf[p as usize] = sum / len as f64);
             self.nodes.push(leaf);
             return self.nodes.len() - 1;
         };
-        for list in 0..=self.width {
-            // branch-free stable partition: each position is written to both
-            // sides' next slot and only its own side's cursor advances
-            let segment = &mut self.lists[list * self.n + lo..list * self.n + hi];
-            let mut w = 0;
-            for r in 0..len {
-                let p = segment[r];
-                segment[w] = p;
-                self.scratch[r - w] = p;
-                w += self.goes_left[p] as usize;
+        // stable partition into the other copy: each position is stored
+        // at its own side's cursor, picked by a select. The split
+        // feature's own list is already left side first.
+        let [even, odd] = &mut self.ws.lists;
+        let (from, to) = if depth & 1 == 0 { (&*even, odd) } else { (&*odd, even) };
+        for at in (0..=self.width).map(|list| list * n) {
+            if at == feature * n {
+                to[at + lo..at + hi].copy_from_slice(&from[at + lo..at + hi]);
+                continue;
             }
-            segment[w..].copy_from_slice(&self.scratch[..len - w]);
+            let (mut l, mut r) = (at + lo, at + lo + n_left);
+            for &p in &from[at + lo..at + hi] {
+                let left = self.ws.goes_left[p as usize] != 0;
+                to[if left { l } else { r }] = p;
+                l += left as usize;
+                r += !left as usize;
+            }
         }
 
         // reserve our slot before children so the root stays at index 0
@@ -307,40 +348,45 @@ impl<R: Rng> Grower<'_, R> {
     }
 
     /// Finds the (feature, threshold) minimising the weighted child variance
-    /// of the segment `[lo, hi)`, whose targets sum to `sum`, marks the rows
-    /// going left and counts them. Returns `None` when no split reduces
-    /// impurity (e.g. constant targets) or a child would be under `min_leaf`.
-    fn best_split(&mut self, lo: usize, hi: usize, sum: f64) -> Option<(usize, f64, usize)> {
+    /// of the segment `[lo, hi)` at `depth`, whose targets and their squares
+    /// sum to `sums`, marks the rows going left and counts them.
+    /// Returns `None` when no split reduces impurity (e.g. constant targets)
+    /// or a child would be under `min_leaf`.
+    fn best_split(&mut self, lo: usize, hi: usize, depth: usize, sums: [f64; 2]) -> Option<(usize, f64, usize)> {
         // partial Fisher-Yates over all feature indices
-        let (width, min_leaf) = (self.width, self.params.min_leaf);
-        self.pool.clear();
-        self.pool.extend(0..width);
+        let ([sum, sum_sq], width, min_leaf, stride) = (sums, self.width, self.params.min_leaf, self.n);
+        let Workspace { x, y, lists, goes_left, cuts, pool, .. } = &mut *self.ws;
+        pool.clear();
+        pool.extend(0..width);
         let candidates = self.params.max_features.map_or(width, |k| k.min(width).max(1));
         if self.params.max_features.is_some() {
             for i in 0..candidates {
-                self.pool.swap(i, self.rng.gen_range(i..width));
+                pool.swap(i, self.rng.gen_range(i..width));
             }
         }
 
-        let y = &self.y;
+        let lists = &lists[depth & 1];
         let n = (hi - lo) as f64;
-        let sum_sq: f64 = self.segment(width, lo, hi).iter().map(|&p| y[p] * y[p]).sum();
         let parent_sse = sum_sq - sum * sum / n;
-
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-        for &f in &self.pool[..candidates] {
-            let sorted = self.segment(f, lo, hi);
-            let column = &self.x[f * self.n..(f + 1) * self.n];
-            // prefix scan: evaluate split after each distinct feature value
-            let mut left_sum = 0.0;
-            let mut left_sq = 0.0;
-            for k in 0..sorted.len() - 1 {
-                let (p, q) = (sorted[k], sorted[k + 1]);
-                left_sum += y[p];
-                left_sq += y[p] * y[p];
-                if column[p] == column[q] {
-                    continue; // can't split between equal values
-                }
+        for &f in &pool[..candidates] {
+            let sorted = &lists[f * stride + lo..f * stride + hi];
+            let column = &x[f * stride..(f + 1) * stride];
+            // pass 1, branch-free: prefix sums in (value, position) order,
+            // kept where the value changes (no split between equal values)
+            let (mut left_sum, mut left_sq, mut m) = (0.0, 0.0, 0);
+            let mut value = column[sorted[0] as usize];
+            for (k, pair) in sorted.windows(2).enumerate() {
+                let y = y[pair[0] as usize];
+                left_sum += y;
+                left_sq += y * y;
+                let next = column[pair[1] as usize];
+                cuts[m] = (left_sum, left_sq, k as u32);
+                m += (next != value) as usize;
+                value = next;
+            }
+            // pass 2: the split after each boundary
+            for &(left_sum, left_sq, k) in &cuts[..m] {
                 let nl = (k + 1) as f64;
                 let nr = n - nl;
                 if (nl as usize) < min_leaf || (nr as usize) < min_leaf {
@@ -350,17 +396,19 @@ impl<R: Rng> Grower<'_, R> {
                 let right_sq = sum_sq - left_sq;
                 let sse = (left_sq - left_sum * left_sum / nl) + (right_sq - right_sum * right_sum / nr);
                 if best.as_ref().is_none_or(|&(_, _, b)| sse < b) {
+                    let (p, q) = (sorted[k as usize] as usize, sorted[k as usize + 1] as usize);
                     best = Some((f, (column[p] + column[q]) / 2.0, sse));
                 }
             }
         }
 
         let (feature, threshold, _) = best.filter(|&(_, _, sse)| sse < parent_sse - 1e-12)?;
+        let column = &x[feature * stride..(feature + 1) * stride];
         let mut n_left = 0;
-        for k in lo..hi {
-            let p = self.lists[width * self.n + k];
-            self.goes_left[p] = self.x[feature * self.n + p] <= threshold;
-            n_left += self.goes_left[p] as usize;
+        for &p in &lists[width * stride + lo..width * stride + hi] {
+            let left = column[p as usize] <= threshold;
+            goes_left[p as usize] = left as u8;
+            n_left += left as usize;
         }
         (n_left >= min_leaf && hi - lo - n_left >= min_leaf).then_some((feature, threshold, n_left))
     }

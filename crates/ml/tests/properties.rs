@@ -309,13 +309,27 @@ fn node_bits(nodes: &[Node]) -> Vec<(usize, u64, usize, usize)> {
 }
 
 /// A tie-heavy dataset: each feature takes at most 4 levels (drawn from a
-/// pool holding `-0.0`, `0.0` and two adjacent floats, whose midpoint
-/// rounds onto one of them), some features follow feature 0's level (so
-/// different features offer the same split and only summation order
-/// separates their SSEs), targets repeat and do not add exactly, and rows
-/// are duplicated.
+/// pool holding `-0.0`, `0.0`, two adjacent floats, whose midpoint
+/// rounds onto one of them, both infinities, whose midpoint is NaN, and
+/// two values whose sum overflows to `-inf`), some features follow
+/// feature 0's level (so different features offer the same split and
+/// only summation order separates their SSEs), targets repeat and do not
+/// add exactly, and rows are duplicated.
 fn tie_heavy(seed: u64, rows: usize, width: usize) -> Dataset {
-    const POOL: [f64; 8] = [-0.0, 0.0, 1.0, 1.0 + f64::EPSILON, -2.5, 3.0, 1e300, -7.25];
+    const POOL: [f64; 12] = [
+        -0.0,
+        0.0,
+        1.0,
+        1.0 + f64::EPSILON,
+        -2.5,
+        3.0,
+        1e300,
+        -7.25,
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+        f64::MIN,
+        -1e308,
+    ];
     const TARGETS: [f64; 7] = [-0.0, 0.0, 0.1, 0.7, 1.0 / 3.0, -2.9, 12_345.678];
     let mut rng = StdRng::seed_from_u64(seed);
     let levels: Vec<Vec<f64>> =
@@ -341,21 +355,32 @@ fn tie_heavy(seed: u64, rows: usize, width: usize) -> Dataset {
     Dataset::new(features, targets).unwrap()
 }
 
+/// `tie_heavy`, resampled with replacement as a forest's bootstrap is:
+/// about a third of the rows drop out and the rest repeat.
+fn bootstrapped(seed: u64, rows: usize, width: usize) -> Dataset {
+    let data = tie_heavy(seed, rows, width);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xb007);
+    data.subset(&(0..rows).map(|_| rng.gen_range(0..rows)).collect::<Vec<_>>())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// A tree grown over rank lists is the reference CART's, node for node
-    /// and bit for bit, and leaves the RNG where the reference does.
+    /// and bit for bit, and leaves the RNG where the reference does: up to
+    /// 160 rows (bootstrap-duplicated or not), 6 features, depth 12, and
+    /// every `max_features` from all (0 = `None`) to past the width.
     #[test]
     fn tree_fit_matches_the_per_node_sort_oracle(
         seed in 0u64..1_000_000,
-        rows in 2usize..40,
-        width in 1usize..4,
-        max_features in 0usize..3,
+        rows in 2usize..=160,
+        width in 1usize..=6,
+        max_features in 0usize..=7,
         min_leaf in 1usize..6,
-        max_depth in 0usize..12,
+        max_depth in 0usize..=12,
+        bootstrap in any::<bool>(),
     ) {
-        let data = tie_heavy(seed, rows, width);
+        let data = if bootstrap { bootstrapped(seed, rows, width) } else { tie_heavy(seed, rows, width) };
         let params = TreeParams { max_depth, min_leaf, max_features: (max_features > 0).then_some(max_features) };
         let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
         let tree = RegressionTree::fit(&data, &params, &mut rng);
@@ -364,21 +389,24 @@ proptest! {
         prop_assert_eq!(rng.next_u64(), reference_rng.next_u64(), "RNG out of step");
     }
 
-    /// A forest ranks once and grows over bootstrap positions: each row's
-    /// prediction and the out-of-bag RMSE are the reference forest's bit
-    /// for bit, and `predict_batch` is `predict` row by row.
+    /// A forest ranks once and grows every tree in one working set over
+    /// bootstrap positions: each row's prediction and the out-of-bag RMSE
+    /// are the reference forest's bit for bit, and `predict_batch` is
+    /// `predict` row by row. Trees of different sizes and depths follow
+    /// each other, so a buffer a tree leaves behind is reused by the next.
     #[test]
     fn forest_fit_matches_the_oracle_and_batches_bit_for_bit(
         seed in 0u64..1_000_000,
-        rows in 2usize..30,
-        width in 1usize..4,
-        max_features in 0usize..3,
+        rows in 2usize..=160,
+        width in 1usize..=6,
+        max_features in 0usize..=7,
         min_leaf in 1usize..6,
+        max_depth in 0usize..=12,
     ) {
         let data = tie_heavy(seed, rows, width);
         let params = ForestParams {
             n_trees: 4,
-            tree: TreeParams { max_depth: 8, min_leaf, max_features: (max_features > 0).then_some(max_features) },
+            tree: TreeParams { max_depth, min_leaf, max_features: (max_features > 0).then_some(max_features) },
             seed,
         };
         let forest = RandomForest::fit(&data, &params);

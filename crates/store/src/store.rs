@@ -14,6 +14,7 @@
 //! not durably written first, and reopening after any crash yields a
 //! consistent prefix of history.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::Path;
@@ -365,6 +366,8 @@ impl ModelStore {
             generation: record.generation,
             blob_hash: record.blob_hash.clone(),
         })?;
+        // one UTF-8 check: valid bytes are hashed and parsed as the same
+        // `&str`; invalid ones hash lossily and fail `from_slice`'s check
         let text = String::from_utf8_lossy(&bytes);
         let actual = format!("{:016x}", chronus::hash::simple_hash(&text));
         if actual != record.blob_hash {
@@ -374,8 +377,11 @@ impl ModelStore {
                 actual,
             });
         }
-        serde_json::from_slice(&bytes)
-            .map_err(|e| StoreError::CorruptBlob { generation: record.generation, detail: e.to_string() })
+        let parsed = match text {
+            Cow::Borrowed(text) => serde_json::from_str(text),
+            Cow::Owned(_) => serde_json::from_slice(&bytes),
+        };
+        parsed.map_err(|e| StoreError::CorruptBlob { generation: record.generation, detail: e.to_string() })
     }
 
     /// Audits every committed generation: blob present, bytes hash to
@@ -541,6 +547,28 @@ mod tests {
         assert!(issues.iter().any(|i| i.generation == 1 && i.detail.contains("hashes to")));
         assert!(issues.iter().any(|i| i.generation == 2));
         assert!(matches!(store.load_blob(&first), Err(StoreError::HashMismatch { .. })));
+    }
+
+    #[test]
+    fn a_blob_of_invalid_utf8_is_refused_as_before() {
+        let mem = MemBackend::new();
+        let mut store = open_mem(&mem);
+        let record = store.commit(&blob(1, 32), 10, Provenance::default()).unwrap();
+        let mut bytes = serde_json::to_vec(&blob(1, 32)).unwrap();
+        bytes[2] = 0xff;
+        // at the committed address, the bytes hash (lossily) elsewhere
+        mem.put_raw(&format!("{BLOB_DIR}/{}", record.blob_hash), bytes.clone());
+        assert!(matches!(store.load_blob(&record), Err(StoreError::HashMismatch { .. })));
+        // at the address their lossy text hashes to, they do not parse
+        let lossy = format!("{:016x}", chronus::hash::simple_hash(&String::from_utf8_lossy(&bytes)));
+        mem.put_raw(&format!("{BLOB_DIR}/{lossy}"), bytes);
+        let record = ModelRecord { blob_hash: lossy, ..record };
+        match store.load_blob(&record) {
+            Err(StoreError::CorruptBlob { generation: 1, detail }) => {
+                assert!(detail.contains("invalid UTF-8"), "{detail}")
+            }
+            other => panic!("expected CorruptBlob, got {other:?}"),
+        }
     }
 
     #[test]

@@ -110,9 +110,11 @@ stage_benchmark-builds() {
 # torn-append tests (the journal's file format), then campaign → model →
 # store commit → live-daemon rollout over real TCP, the daemon serving
 # that store, then the model path's own suites optimised (eco-ml, serde,
-# serde_json; the workspace stage runs them unoptimised). A failing sweep
-# seed dumps its trial
-# journal into $CAMPAIGN_JOURNAL_DIR and is reproducible with
+# serde_json; the workspace stage runs them unoptimised), then the fit
+# pins (each fit's bytes, R² and choice; the golden blobs) in the release
+# build the benchmark ships, which Tier-1 checks only in debug. A failing
+# sweep seed dumps its trial journal into $CAMPAIGN_JOURNAL_DIR and is
+# reproducible with
 #   CAMPAIGN_SEED=<seed> cargo test -p eco-campaign --test fault_sweep -- --nocapture
 stage_campaign() {
     run cargo test -q -p eco-campaign --release
@@ -125,6 +127,9 @@ stage_campaign() {
     # codec every blob and journal frame is written and read with
     run cargo test -q -p eco-ml --release
     run cargo test -q -p serde -p serde_json --release
+    # the fit pins optimised: forest bytes, R² bits and argmax per fit
+    run cargo test -q --release --test forest_fit_pinned
+    run cargo test -q -p chronus --release --test golden
 }
 
 [[ $# -gt 0 ]] || set -- "${stages[@]}"

@@ -2,7 +2,8 @@
 //! best configuration over the EPYC 7502P's 192 candidates and the
 //! training R² of `RandomTreeOptimizer` on the paper's sweep and 15
 //! seeded ±15 % perturbations of it, plus `select_model_type`'s choice on
-//! two of them. A fit's bytes are a function of its rows and its seed
+//! two of them; `fit_best` (fit and argmax in one) must agree with the
+//! same pins. A fit's bytes are a function of its rows and its seed
 //! only: a change to how trees grow or score that moves one float
 //! operation turns this red.
 
@@ -81,6 +82,11 @@ fn every_fit_serializes_scores_and_chooses_as_pinned() {
         assert_eq!(fnv1a(&opt.to_bytes().unwrap()), digest, "set {set}: model bytes");
         assert_eq!(opt.best_config(&candidates).unwrap(), CpuConfig::new(cores, khz, tpc), "set {set}: best");
         assert_eq!(report.r2.to_bits(), r2_bits, "set {set}: r2 {}", report.r2);
+        // fit and argmax in one, the training configurations scored by the fit
+        let mut together = RandomTreeOptimizer::new();
+        let (report, best) = together.fit_best(&sweep(set as u64), &candidates).unwrap();
+        assert_eq!(fnv1a(&together.to_bytes().unwrap()), digest, "set {set}: fit_best bytes");
+        assert_eq!((best, report.r2.to_bits()), (CpuConfig::new(cores, khz, tpc), r2_bits), "set {set}: fit_best");
     }
 }
 
