@@ -22,8 +22,8 @@
 //! unless `--store` names another; `--remote` answers the prediction from
 //! a running daemon instead of the staged model. Everywhere an address is
 //! accepted, a comma-separated list names a replicated fleet: the client
-//! routes each prediction key over a consistent-hash ring and fails over
-//! when a replica goes dark. Endpoints take URI schemes — `tcp://host:port` (also
+//! tries the healthy replicas in the order listed and fails over when a
+//! replica goes dark. Endpoints take URI schemes — `tcp://host:port` (also
 //! bare `host:port`) and `shm://path` for a same-host daemon's
 //! shared-memory ring, which the client prefers when one is healthy:
 //!

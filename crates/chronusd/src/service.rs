@@ -14,6 +14,7 @@
 //! is what makes the daemon's semantics (deadline accounting, miss/error
 //! classification, counter conservation) testable deterministically.
 
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -64,9 +65,9 @@ pub struct StoreCatchUp {
     pub rejected: Vec<String>,
 }
 
-/// What one refresh installed, and the serving records it refused with
-/// why.
-type Refreshed = (usize, Vec<(u64, StoreError)>);
+/// What one refresh installed, and the serving records it refused (by
+/// generation) with why.
+type Refreshed = (usize, Vec<(u64, String)>);
 
 /// The transport-independent daemon core: one instance per daemon,
 /// shared by every connection (all methods take `&self`).
@@ -80,6 +81,12 @@ pub struct PredictService {
     shutdown: AtomicBool,
     replica: String,
     adapt: Monitor,
+    /// Serving records whose blob failed verification (not a failed
+    /// read), by key: the generation refused and why. A refresh reports the held error
+    /// instead of reading the blob again, until the fold moves the key;
+    /// a `Preload` forgets them all and verifies afresh. Locked only
+    /// under the store's lock.
+    refused: Mutex<HashMap<(u64, u64), (u64, String)>>,
 }
 
 impl PredictService {
@@ -122,6 +129,7 @@ impl PredictService {
             shutdown: AtomicBool::new(false),
             replica: String::new(),
             adapt: Monitor::default(),
+            refused: Mutex::default(),
         }
     }
 
@@ -156,7 +164,7 @@ impl PredictService {
         match self.refresh(&mut self.store.lock()) {
             Ok((installed, rejected)) => {
                 self.stats.store_catchups.add(installed as u64);
-                StoreCatchUp { installed, rejected: rejected.iter().map(|(_, e)| e.to_string()).collect() }
+                StoreCatchUp { installed, rejected: rejected.into_iter().map(|(_, why)| why).collect() }
             }
             Err(e) => StoreCatchUp { installed: 0, rejected: vec![e.to_string()] },
         }
@@ -168,7 +176,8 @@ impl PredictService {
     /// the fold no longer serves, and moves the table's generation to
     /// the ledger's high-water mark. A record whose blob fails
     /// verification is returned and never served; its key keeps the
-    /// answer it had. A store that cannot be read, or whose journal was
+    /// answer it had, and the record is not read again until the fold
+    /// moves its key or a `Preload` asks. A store that cannot be read, or whose journal was
     /// cut below what this handle validated, is the daemon's own
     /// problem: an error naming the store, and the table stays as it
     /// was.
@@ -178,16 +187,31 @@ impl PredictService {
             .map_err(|e| ChronusError::Io(io::Error::other(format!("model store at {}: {e}", self.dir))))?;
         let store = &*store;
         let (mut fresh, mut rejected) = (Vec::new(), Vec::new());
+        let mut refused = self.refused.lock();
         for record in store.serving() {
             let key = (record.system_hash, record.binary_hash);
             if self.registry.lookup(&key).is_some_and(|held| held.generation == record.generation) {
                 continue;
             }
+            if let Some((generation, why)) = refused.get(&key).filter(|(g, _)| *g == record.generation) {
+                rejected.push((*generation, why.clone()));
+                continue;
+            }
             match verified(store, record) {
                 Ok(answer) => fresh.push((key, answer)),
-                Err(e) => rejected.push((record.generation, e)),
+                Err(e) => {
+                    // a read that failed says nothing of the blob: the next refresh reads it again
+                    if !matches!(e, StoreError::Io(_)) {
+                        refused.insert(key, (record.generation, e.to_string()));
+                    }
+                    rejected.push((record.generation, e.to_string()));
+                }
             }
         }
+        // a key the fold moved or dropped is verified afresh when it serves again
+        refused
+            .retain(|&(s, b), (generation, _)| store.serving_for(s, b).is_some_and(|r| r.generation == *generation));
+        drop(refused);
         let installed = fresh.len();
         self.registry.sync(|&(s, b)| store.serving_for(s, b).is_some(), fresh, store.high_water());
         Ok((installed, rejected))
@@ -199,13 +223,15 @@ impl PredictService {
     /// is an error naming the store.
     fn preload(&self, model_id: i64) -> Result<Response, ChronusError> {
         let mut store = self.store.lock();
+        // an operator asking: every refused record is read again
+        self.refused.lock().clear();
         let (_, rejected) = self.refresh(&mut store)?;
         let dir = &self.dir;
         let record = store.serving().into_iter().rfind(|r| r.model_id == model_id).ok_or_else(|| {
             ChronusError::NotFound(format!("model {model_id} is not serving in the model store at {dir}"))
         })?;
-        if let Some((_, e)) = rejected.iter().find(|(generation, _)| *generation == record.generation) {
-            return Err(ChronusError::Model(format!("model store at {dir}: {e}")));
+        if let Some((_, why)) = rejected.iter().find(|(generation, _)| *generation == record.generation) {
+            return Err(ChronusError::Model(format!("model store at {dir}: {why}")));
         }
         Ok(Response::Preloaded {
             model_id,
@@ -384,7 +410,7 @@ impl PredictService {
     fn handle_request(&self, request: Request, gauges: QueueGauges, ctx: Option<TraceContext>) -> Response {
         match request {
             Request::Ping => Response::Pong,
-            Request::Predict { system_hash, binary_hash } => match self.predict_key(system_hash, binary_hash, ctx) {
+            Request::Predict { system_hash, binary_hash } => match self.answer_key(system_hash, binary_hash, ctx) {
                 KeyOutcome::Config(config) => Response::Config(config),
                 KeyOutcome::Miss => Response::Miss { system_hash, binary_hash },
                 KeyOutcome::Error { message } => Response::Error { message },
@@ -403,7 +429,7 @@ impl PredictService {
                 self.stats.batched_keys.add(keys.len() as u64);
                 self.stats.batch_keys.record_us(keys.len() as u64);
                 let results =
-                    keys.iter().map(|&(system_hash, binary_hash)| self.predict_key(system_hash, binary_hash, ctx));
+                    keys.iter().map(|&(system_hash, binary_hash)| self.answer_key(system_hash, binary_hash, ctx));
                 Response::ManyConfigs { results: results.collect() }
             }
             Request::Preload { model_id } => {
@@ -459,7 +485,7 @@ impl PredictService {
     /// table lookup (hit / miss), one refresh and a second lookup on a
     /// miss, and exactly one `prediction` + one `hit`-or-`miss` counter
     /// bump per key regardless of framing.
-    fn predict_key(&self, system_hash: u64, binary_hash: u64, ctx: Option<TraceContext>) -> KeyOutcome {
+    fn answer_key(&self, system_hash: u64, binary_hash: u64, ctx: Option<TraceContext>) -> KeyOutcome {
         self.stats.predictions.bump();
         let key = (system_hash, binary_hash);
         {
@@ -919,6 +945,95 @@ mod tests {
         assert!(matches!(predict(&svc, 10, 20), Response::Miss { .. }), "a refused record is never served");
         let snap = svc.snapshot(QueueGauges::default());
         assert_eq!((snap.preloads, snap.errors, snap.model_generation), (2, 2, 1));
+    }
+
+    /// A [`MemBackend`](eco_store::MemBackend) that counts the reads of
+    /// one file, and fails them while `failing` is set.
+    struct CountingReads {
+        files: eco_store::MemBackend,
+        name: String,
+        reads: Arc<std::sync::atomic::AtomicUsize>,
+        failing: Arc<AtomicBool>,
+    }
+
+    impl eco_store::StoreBackend for CountingReads {
+        fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+            if name == self.name {
+                self.reads.fetch_add(1, Ordering::SeqCst);
+                if self.failing.load(Ordering::SeqCst) {
+                    return Err(io::Error::other("the disk is unwell"));
+                }
+            }
+            self.files.read(name)
+        }
+
+        fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.files.append(name, bytes)
+        }
+
+        fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.files.write_atomic(name, bytes)
+        }
+
+        fn list(&self, prefix: &str) -> io::Result<Vec<String>> {
+            self.files.list(prefix)
+        }
+    }
+
+    #[test]
+    fn a_refused_blob_is_read_once_until_its_key_moves_or_a_preload_asks() {
+        use eco_store::{blob_hash, MemBackend, Provenance, StoreBackend, BLOB_DIR};
+
+        let mem = MemBackend::new();
+        let mut writer = ModelStore::open(Box::new(mem.clone())).unwrap();
+        writer.commit(&blob(10, 20, 8), 1, Provenance::default()).unwrap();
+        writer.commit(&blob(10, 21, 8), 2, Provenance::default()).unwrap();
+        let name = format!("{BLOB_DIR}/{}", blob_hash(&blob(10, 21, 8)));
+        let mut bytes = mem.read(&name).unwrap().unwrap();
+        bytes[0] ^= 0x01;
+        mem.put_raw(&name, bytes);
+        let reads = Arc::default();
+        let counted = CountingReads { files: mem, name, reads: Arc::clone(&reads), failing: Arc::default() };
+        let svc = over_store(ModelStore::open(Box::new(counted)).unwrap());
+        let read_count = || reads.load(Ordering::SeqCst);
+
+        assert_eq!(svc.catch_up_from_store().rejected.len(), 1);
+        assert_eq!(read_count(), 1, "boot verifies the corrupt blob once");
+        for _ in 0..5 {
+            assert!(matches!(predict(&svc, 10, 21), Response::Miss { .. }), "a refused record is never served");
+        }
+        assert!(matches!(send(&svc, Request::Stats), Response::Stats(_)));
+        assert_eq!(read_count(), 1, "five misses and a Stats read the refused blob again");
+        assert_eq!(svc.catch_up_from_store().rejected.len(), 1, "the held error is still reported");
+
+        // an operator's Preload verifies afresh, and is refused with the reason
+        let refused = send(&svc, Request::Preload { model_id: 2 });
+        assert!(matches!(&refused, Response::Error { message } if message.contains("generation 2")), "{refused:?}");
+        assert_eq!(read_count(), 2);
+
+        // a new commit moves the key: it serves, and the old blob is not read again
+        writer.commit(&blob(10, 21, 16), 3, Provenance::default()).unwrap();
+        assert_eq!(predict(&svc, 10, 21), Response::Config(CpuConfig::new(16, 2_200_000, 1)));
+        assert_eq!(read_count(), 2);
+    }
+
+    #[test]
+    fn a_blob_whose_read_failed_is_read_again_on_the_next_miss() {
+        use eco_store::{blob_hash, MemBackend, Provenance, BLOB_DIR};
+
+        let mem = MemBackend::new();
+        let mut writer = ModelStore::open(Box::new(mem.clone())).unwrap();
+        writer.commit(&blob(10, 20, 8), 1, Provenance::default()).unwrap();
+        let name = format!("{BLOB_DIR}/{}", blob_hash(&blob(10, 20, 8)));
+        let (reads, failing) = (Arc::default(), Arc::new(AtomicBool::new(true)));
+        let counted = CountingReads { files: mem, name, reads: Arc::clone(&reads), failing: Arc::clone(&failing) };
+        let svc = over_store(ModelStore::open(Box::new(counted)).unwrap());
+
+        assert_eq!(svc.catch_up_from_store().rejected.len(), 1, "the failed read refuses the record");
+        assert!(matches!(predict(&svc, 10, 20), Response::Miss { .. }), "still failing: no answer");
+        failing.store(false, Ordering::SeqCst);
+        assert_eq!(predict(&svc, 10, 20), Response::Config(CpuConfig::new(8, 2_200_000, 1)));
+        assert_eq!(reads.load(Ordering::SeqCst), 3, "each refresh read the blob until it verified");
     }
 
     /// A daemon's service over `store`, as `chronus serve` builds one.

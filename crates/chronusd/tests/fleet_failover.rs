@@ -1,7 +1,7 @@
 //! Fleet failover over real TCP: a client spanning several live
-//! daemons keeps answering through the loss of one replica, and a
-//! restarted replica is probed back onto the ring and answers from its
-//! own backend.
+//! daemons keeps answering through the loss of its first replica, the
+//! one every request tries first, and a restarted replica is probed
+//! back to health and answers from its own backend.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -71,16 +71,16 @@ fn killing_a_replica_mid_load_loses_no_predictions() {
         assert_eq!(client.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
         assert_eq!(client.predict(30, 40, OPTS).unwrap(), CpuConfig::new(16, 1_500_000, 2));
     }
-    assert_eq!(client.replicas_in_ring(), 3);
+    assert_eq!(client.replicas_healthy(), 3);
 
-    // Kill one replica in place; every in-flight key it owned must fail
-    // over without a single lost prediction.
-    servers.remove(1).shutdown();
+    // Kill the first replica in place, the one every request tries
+    // first: each must fail over without a single lost prediction.
+    servers.remove(0).shutdown();
     for _ in 0..40 {
         assert_eq!(client.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
         assert_eq!(client.predict(30, 40, OPTS).unwrap(), CpuConfig::new(16, 1_500_000, 2));
     }
-    assert_eq!(client.replicas_in_ring(), 2, "the dead replica must leave the ring");
+    assert_eq!(client.replicas_healthy(), 2, "the dead replica must be voted off");
 
     // The survivors answer stats under their own identities; the dead
     // one reports an error instead of hanging the sweep.
@@ -96,7 +96,7 @@ fn killing_a_replica_mid_load_loses_no_predictions() {
     }
     assert_eq!(dead, 1, "exactly the killed replica is unreachable: {alive:?}");
     assert_eq!(alive.len(), 2);
-    assert!(alive.iter().any(|s| s.ends_with("=r0")) && alive.iter().any(|s| s.ends_with("=r2")), "{alive:?}");
+    assert!(alive.iter().any(|s| s.ends_with("=r1")) && alive.iter().any(|s| s.ends_with("=r2")), "{alive:?}");
 }
 
 #[test]
@@ -105,9 +105,10 @@ fn restarted_replica_rejoins_and_answers_from_its_backend() {
     let flappy = replica("r1");
     let target = Arc::new(Mutex::new(flappy.addr().to_string()));
 
+    // the flappy replica is the first endpoint, the one traffic reaches
     let mut client = PredictClient::builder()
-        .endpoint(stable.addr().to_string())
         .transport(Box::new(RedirectTransport { label: "fleet://r1".into(), target: Arc::clone(&target) }))
+        .endpoint(stable.addr().to_string())
         .max_retries(4)
         .build()
         .unwrap();
@@ -116,31 +117,30 @@ fn restarted_replica_rejoins_and_answers_from_its_backend() {
     assert_eq!((fleet.acks.len(), fleet.failures.len()), (2, 0), "rollout to both replicas");
     assert!(fleet.acks.iter().all(|(_, ack)| ack.generation == 1), "{:?}", fleet.acks);
 
-    // Take r1 down; traffic continues and the ring shrinks to r0.
+    // Take r1 down; traffic continues on r0 and r1 is voted off.
     flappy.shutdown();
     for _ in 0..40 {
         assert_eq!(client.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
-        if client.replicas_in_ring() == 1 {
+        if client.replicas_healthy() == 1 {
             break;
         }
     }
-    assert_eq!(client.replicas_in_ring(), 1);
+    assert_eq!(client.replicas_healthy(), 1);
 
     // r1 restarts as a fresh process on a new port, warm from its store.
-    // The client probes it back onto the ring and replays nothing into
-    // it.
+    // The client probes it back to health and replays nothing into it.
     let reborn = replica("r1");
     *target.lock().unwrap() = reborn.addr().to_string();
 
     let mut rejoined = false;
     for _ in 0..200 {
         assert_eq!(client.predict(10, 20, OPTS).unwrap(), CpuConfig::new(32, 2_200_000, 1));
-        if client.replicas_in_ring() == 2 {
+        if client.replicas_healthy() == 2 {
             rejoined = true;
             break;
         }
     }
-    assert!(rejoined, "restarted replica never rejoined the ring");
+    assert!(rejoined, "restarted replica never rejoined");
 
     // The fresh process answers both keys from what its boot caught up,
     // and through the fleet client as well.
@@ -152,6 +152,8 @@ fn restarted_replica_rejoins_and_answers_from_its_backend() {
         }
     }
     let snap = reborn.snapshot();
+    // first again: the predict whose probe rejoined it, then 40 direct and 40 through the fleet
+    assert_eq!(snap.predictions, 81, "the rejoined first replica does not lead the fleet client's try-order");
     assert_eq!(snap.preloads, 0, "the client replayed a rollout into the rejoined replica");
     assert_eq!((snap.store_catchups, snap.cache_misses), (2, 0), "both keys were held from boot: {snap:?}");
     stable.shutdown();

@@ -1,22 +1,21 @@
-//! The blocking chronusd client: one or many replicas behind a
-//! consistent-hash ring with health-checked failover.
+//! The blocking chronusd client: one or many replicas with
+//! health-checked failover.
 //!
 //! ## Fleet mode
 //!
-//! A client built with several endpoints routes each `Predict` by
-//! [`predict_key`]`(system_hash, binary_hash)` on a [`HashRing`], so
-//! every client in the cluster sends the same key to the same replica
-//! and each daemon's registry stays hot for its share of the keyspace.
-//! Transport failures fail over to the next replica in ring order
-//! without sleeping; a replica that fails `DOWN_AFTER` consecutive
-//! exchanges leaves the ring (negative-result caching: a dead replica
-//! then costs one probe per cooldown window, not one timeout per
-//! submission). Probes are plain `Ping`s; a probe that answers `Pong`
-//! puts the replica back on the ring. Within one request, a replica
-//! whose dial failed is not dialled again while another can be.
+//! Every daemon serves the store's whole serving fold, so any replica
+//! can answer any key. A client built with several endpoints tries the
+//! healthy replicas in endpoint order (healthy local ones first), then
+//! the voted-off ones as a last resort. Transport failures fail over to
+//! the next candidate without sleeping; a replica that fails
+//! `DOWN_AFTER` consecutive exchanges is voted off (negative-result
+//! caching: a dead replica then costs one probe per cooldown window, not
+//! one timeout per submission). Probes are plain `Ping`s; a probe that
+//! answers `Pong` makes the replica healthy again. Within one request, a
+//! replica whose dial failed is not dialled again while another can be.
 //!
-//! With a single endpoint there is no ring lookup, no probe and no
-//! failover: the retry loop runs over the one candidate. Everything
+//! With a single endpoint there is no probe and no failover: the retry
+//! loop runs over the one candidate. Everything
 //! that touches a connection is [`Link`]'s; this module is the fleet
 //! layer over it.
 //!
@@ -33,7 +32,6 @@ use eco_sim_node::cpu::CpuConfig;
 
 use super::endpoint::{Endpoint, EndpointParseError};
 use super::link::Link;
-use super::ring::{predict_key, HashRing};
 use super::{
     KeyOutcome, ObservedOutcome, PreloadAck, RemoteError, Request, RequestFrame, Response, StatsSnapshot, Transport,
     MAX_BATCH_KEYS,
@@ -107,10 +105,8 @@ pub struct ClientBuilder {
     knobs: Knobs,
 }
 
-/// Ring points per replica.
-const VNODES: u32 = 64;
-/// Consecutive transport failures before a replica leaves the ring. The
-/// last in-ring replica never leaves.
+/// Consecutive transport failures before a replica is voted off. The
+/// last healthy replica never is.
 const DOWN_AFTER: u32 = 2;
 /// Backoff before the `n`th retry of a candidate list: `n × BACKOFF`.
 const BACKOFF: Duration = Duration::from_millis(10);
@@ -168,7 +164,7 @@ impl ClientBuilder {
         self
     }
 
-    /// Requests to wait between probes of an out-of-ring replica
+    /// Requests to wait between probes of a voted-off replica
     /// (default 16). Each probe is one `Ping`, so a dead replica costs
     /// one timeout per window instead of one per submission.
     pub fn probe_cooldown(mut self, n: u32) -> Self {
@@ -198,14 +194,12 @@ impl ClientBuilder {
             };
             replicas.push(Replica {
                 link: Link::new(transport),
-                in_ring: true,
+                healthy: true,
                 consecutive_failures: 0,
                 probe_in: 0,
             });
         }
-        let mut ring = HashRing::new(VNODES);
-        ring.rebuild(0..replicas.len() as u32);
-        Ok(PredictClient { replicas, ring, order: Vec::new(), knobs: self.knobs, deadline: None, tel: None })
+        Ok(PredictClient { replicas, order: Vec::new(), knobs: self.knobs, deadline: None, tel: None })
     }
 }
 
@@ -217,13 +211,12 @@ struct Knobs {
 }
 
 /// A [`Link`] plus what the fleet layer knows about its health. Local
-/// links ([`Link::local`]) are preferred over ring routing while they
-/// are on the ring.
+/// links ([`Link::local`]) lead the try-order while they are healthy.
 struct Replica {
     link: Link,
-    in_ring: bool,
+    healthy: bool,
     consecutive_failures: u32,
-    /// Requests until the next probe while out of the ring.
+    /// Requests until the next probe while voted off.
     probe_in: u32,
 }
 
@@ -241,12 +234,11 @@ pub struct FleetPreload {
 /// Holds one persistent connection per replica, reconnecting lazily
 /// after any failure; every RPC retries a bounded number of times with
 /// linear backoff, honouring the daemon's `Busy { retry_after_ms }`
-/// hint and failing over between replicas in ring order, all inside
+/// hint and failing over between replicas in try-order, all inside
 /// the request's budget. All waiting and timekeeping go through the
 /// replicas' [`Transport`], so a simulated transport sees every wait.
 pub struct PredictClient {
     replicas: Vec<Replica>,
-    ring: HashRing,
     /// The try-order `drive` walks, held so that routing allocates nothing.
     order: Vec<u32>,
     knobs: Knobs,
@@ -267,10 +259,9 @@ struct ClientTelemetry {
     busy: Counter,
     errors: Counter,
     batch_keys: Histogram,
-    ring_lookups: Counter,
-    ring_failovers: Counter,
-    ring_rebuilds: Counter,
-    ring_probes: Counter,
+    /// `ring.failovers` and `ring.probes` (`benchmark/` reads the first).
+    failovers: Counter,
+    probes: Counter,
 }
 
 /// The candidate position `drive` tries after `pos` of `n`: the next one
@@ -284,23 +275,11 @@ fn next_candidate(pos: usize, n: usize, dial_failed: &mut u64) -> usize {
     (pos + 1..n).chain(0..=pos).find(|&p| p >= 64 || *dial_failed & (1 << p) == 0).unwrap_or(pos)
 }
 
-/// The routing key for a request body: predictions hash their
-/// `(system, binary)` pair; every other verb shares one fixed position.
-fn routing_key(body: &Request) -> u64 {
-    match body {
-        Request::Predict { system_hash, binary_hash } => predict_key(*system_hash, *binary_hash),
-        // outcomes follow their prediction key so each replica's drift
-        // detector sees the traffic it actually served
-        Request::ReportOutcome { system_hash, binary_hash, .. } => predict_key(*system_hash, *binary_hash),
-        _ => 0,
-    }
-}
-
 impl std::fmt::Debug for PredictClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PredictClient")
             .field("endpoints", &self.endpoints())
-            .field("in_ring", &self.replicas_in_ring())
+            .field("healthy", &self.replicas_healthy())
             .field("knobs", &self.knobs)
             .finish()
     }
@@ -318,7 +297,7 @@ impl PredictClient {
         &self.replicas[0].link.desc
     }
 
-    /// Every replica endpoint this client balances over.
+    /// Every replica endpoint this client fails over between.
     pub fn endpoints(&self) -> Vec<&str> {
         self.replicas.iter().map(|r| &*r.link.desc).collect()
     }
@@ -328,9 +307,9 @@ impl PredictClient {
         self.replicas.len()
     }
 
-    /// Replicas currently on the routing ring.
-    pub fn replicas_in_ring(&self) -> usize {
-        self.replicas.iter().filter(|r| r.in_ring).count()
+    /// Replicas currently healthy (not voted off).
+    pub fn replicas_healthy(&self) -> usize {
+        self.replicas.iter().filter(|r| r.healthy).count()
     }
 
     /// Attaches telemetry: every RPC from here on bumps `client.*` and
@@ -346,16 +325,14 @@ impl PredictClient {
             busy: telemetry.counter("client.busy"),
             errors: telemetry.counter("client.errors"),
             batch_keys: telemetry.histogram("client.batch_keys"),
-            ring_lookups: telemetry.counter("ring.lookups"),
-            ring_failovers: telemetry.counter("ring.failovers"),
-            ring_rebuilds: telemetry.counter("ring.rebuilds"),
-            ring_probes: telemetry.counter("ring.probes"),
+            failovers: telemetry.counter("ring.failovers"),
+            probes: telemetry.counter("ring.probes"),
             telemetry,
         });
     }
 
     /// Sends one request, retrying on connection errors and on `Busy`
-    /// back-pressure and failing over between replicas in ring order.
+    /// back-pressure and failing over between replicas in try-order.
     /// Any protocol-level answer other than `Busy` (including `Miss`
     /// and `DeadlineExceeded`) is returned as-is.
     pub fn request(&mut self, body: Request, opts: &CallOptions) -> Result<Response, RemoteError> {
@@ -371,7 +348,7 @@ impl PredictClient {
     fn route(&mut self, body: Request, opts: &CallOptions) -> Result<Response, RemoteError> {
         self.deadline = None;
         self.probe_if_due(opts.trace);
-        self.order_for(routing_key(&body));
+        self.order_candidates();
         self.drive(&mut RequestFrame::new(body).traced(opts.trace))
     }
 
@@ -387,7 +364,7 @@ impl PredictClient {
     }
 
     /// The plugin's query: the best configuration for a (system,
-    /// binary). Routed by consistent hash of the pair in fleet mode.
+    /// binary).
     pub fn predict(
         &mut self,
         system_hash: u64,
@@ -412,14 +389,12 @@ impl PredictClient {
     }
 
     /// The batched query: one result per key, in key order, always
-    /// `keys.len()` of them. Keys are grouped by their ring owner
-    /// (fleet mode fans one batch out across replicas and re-merges),
-    /// and each group goes out as frames of at most [`MAX_BATCH_KEYS`]
-    /// keys, one request/response exchange after another on the
-    /// owner's connection. Any key a batched exchange fails to answer
-    /// falls back to the single-key path with its full retry/failover
-    /// machinery — a key is never silently dropped, only answered or
-    /// given a typed error.
+    /// `keys.len()` of them. The whole batch goes to the first candidate
+    /// as frames of at most [`MAX_BATCH_KEYS`] keys, one
+    /// request/response exchange after another on its connection. Any
+    /// key a batched exchange fails to answer falls back to the
+    /// single-key path with its full retry/failover machinery — a key is
+    /// never silently dropped, only answered or given a typed error.
     pub fn predict_many(&mut self, keys: &[(u64, u64)], opts: &CallOptions) -> Vec<Result<CpuConfig, RemoteError>> {
         if let Some(t) = &self.tel {
             t.requests.bump();
@@ -434,57 +409,31 @@ impl PredictClient {
         }
         self.deadline = None;
         self.probe_if_due(opts.trace);
-        // ring-aware splitter: each key goes to its first-choice
-        // replica — except that a healthy local (shm) replica owns the
-        // whole batch: every key is cheapest there, and splitting a
-        // batch between a daemon's shm and tcp endpoints would route
-        // half the keys the slow way to the same process
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.replicas.len()];
-        let local = self.replicas.iter().position(|r| r.link.local && r.in_ring);
-        if let Some(owner) = local.or((self.replicas.len() == 1).then_some(0)) {
-            groups[owner] = (0..keys.len()).collect();
-        } else {
-            if let Some(t) = &self.tel {
-                t.ring_lookups.bump();
-            }
-            for (i, &(s, b)) in keys.iter().enumerate() {
-                let owner = self.ring.primary(predict_key(s, b)).unwrap_or_default() as usize;
-                groups[owner.min(self.replicas.len() - 1)].push(i);
-            }
-        }
+        self.order_candidates();
         let mut results: Vec<Option<Result<CpuConfig, RemoteError>>> = (0..keys.len()).map(|_| None).collect();
-        for (idx, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            self.batch_on(idx, keys, &group, opts, &mut results);
-        }
-        // per-key fallback for anything a batch left unanswered
-        for i in 0..keys.len() {
-            if results[i].is_none() {
-                let (s, b) = keys[i];
-                results[i] = Some(self.predict_one(s, b, opts));
-            }
-        }
-        results.into_iter().map(|r| r.expect("every key answered or fallen back")).collect()
+        self.batch_on(self.order[0] as usize, keys, opts, &mut results);
+        // per-key fallback for anything the batch left unanswered
+        keys.iter()
+            .zip(results)
+            .map(|(&(s, b), result)| result.unwrap_or_else(|| self.predict_one(s, b, opts)))
+            .collect()
     }
 
-    /// Sends one group of key indices to one replica as `PredictMany`
-    /// frames, each answered before the next is sent and each one
-    /// request with its own budget, and fills their result slots. Every
-    /// frame carries a fresh tag ([`Link::exchange`]), so a reply left
-    /// over from an earlier exchange can never fill this one's slots.
-    /// Slots left `None` (connection died mid-batch, `Busy` bounce) are
-    /// picked up by the caller's per-key fallback.
+    /// Sends `keys` to one replica as `PredictMany` frames, each answered
+    /// before the next is sent and each one request with its own budget,
+    /// and fills their result slots. Every frame carries a fresh tag
+    /// ([`Link::exchange`]), so a reply left over from an earlier
+    /// exchange can never fill this one's slots. Slots left `None`
+    /// (connection died mid-batch, `Busy` bounce) are picked up by the
+    /// caller's per-key fallback.
     fn batch_on(
         &mut self,
         idx: usize,
         keys: &[(u64, u64)],
-        group: &[usize],
         opts: &CallOptions,
         results: &mut [Option<Result<CpuConfig, RemoteError>>],
     ) {
-        for chunk in group.chunks(MAX_BATCH_KEYS) {
+        for (chunk, slots) in keys.chunks(MAX_BATCH_KEYS).zip(results.chunks_mut(MAX_BATCH_KEYS)) {
             self.deadline = None;
             let budget = self.left();
             // the frame waits one attempt's share, as `drive`'s first: a
@@ -494,32 +443,25 @@ impl PredictClient {
                 deadline_ms: Some(super::ceil_ms(budget)),
                 trace: opts.trace,
                 corr: None,
-                body: Request::PredictMany { keys: chunk.iter().map(|&i| keys[i]).collect() },
+                body: Request::PredictMany { keys: chunk.to_vec() },
             };
             if let Some(t) = &self.tel {
                 t.attempts.bump();
             }
             match self.replicas[idx].link.exchange(&mut frame, share) {
                 Ok(Response::ManyConfigs { results: outcomes }) => {
-                    for (&key_index, outcome) in chunk.iter().zip(outcomes) {
-                        let (system_hash, binary_hash) = keys[key_index];
-                        results[key_index] = Some(match outcome {
+                    for ((slot, &(system_hash, binary_hash)), outcome) in slots.iter_mut().zip(chunk).zip(outcomes) {
+                        *slot = Some(match outcome {
                             KeyOutcome::Config(c) => Ok(c),
                             KeyOutcome::Miss => Err(RemoteError::Miss { system_hash, binary_hash }),
                             KeyOutcome::Error { message } => Err(RemoteError::Server(message)),
                         });
                     }
                 }
-                Ok(Response::DeadlineExceeded) => {
-                    for &key_index in chunk {
-                        results[key_index] = Some(Err(RemoteError::DeadlineExceeded));
-                    }
-                }
+                Ok(Response::DeadlineExceeded) => slots.fill_with(|| Some(Err(RemoteError::DeadlineExceeded))),
                 // a whole-batch error is that error for each of its keys
                 Ok(Response::Error { message }) => {
-                    for &key_index in chunk {
-                        results[key_index] = Some(Err(RemoteError::Server(message.clone())));
-                    }
+                    slots.fill_with(|| Some(Err(RemoteError::Server(message.clone()))))
                 }
                 // the accept loop's bounce or the service's: the keys fall back
                 Ok(Response::Busy { .. }) => {
@@ -579,7 +521,8 @@ impl PredictClient {
     }
 
     /// Reports one production observation for a served prediction
-    /// (routed to the replica that owns the key, like `Predict`).
+    /// (in the same try-order as `Predict`, so a healthy fleet pools a
+    /// key's outcomes on the replica that served it).
     /// Returns whether the daemon accepted the outcome.
     pub fn report_outcome(
         &mut self,
@@ -596,7 +539,7 @@ impl PredictClient {
         }
     }
 
-    /// Fetches one replica's counters (the ring's choice in fleet
+    /// Fetches one replica's counters (the first candidate in fleet
     /// mode); see [`PredictClient::stats_all`] for the whole fleet.
     pub fn stats(&mut self) -> Result<StatsSnapshot, RemoteError> {
         match self.request(Request::Stats, &CallOptions::default())? {
@@ -628,22 +571,18 @@ impl PredictClient {
 
     // -- fleet internals ---------------------------------------------------
 
-    /// The replica try-order for a key, into `self.order`: healthy local (shm)
+    /// The replica try-order, into `self.order`: healthy local (shm)
     /// replicas first — the fallback ladder shm → tcp → caller's local
-    /// model — then ring members clockwise from the key, then
-    /// out-of-ring replicas as a last resort. A single replica is its
-    /// own ring (the last in-ring replica never leaves), so its order is
-    /// `[0]`.
-    fn order_for(&mut self, key: u64) {
-        if let Some(t) = self.tel.as_ref().filter(|_| self.replicas.len() > 1) {
-            t.ring_lookups.bump();
-        }
+    /// model — then the other healthy ones, then the voted-off ones as a
+    /// last resort, each group in endpoint order. A single replica is
+    /// always healthy (the last healthy replica is never voted off), so
+    /// its order is `[0]`.
+    fn order_candidates(&mut self) {
+        let rank = |r: &Replica| if r.healthy { u8::from(!r.link.local) } else { 2 };
         self.order.clear();
-        self.ring.extend_ordered(key, &mut self.order);
-        // stable: local in-ring members jump the queue, everyone else
-        // keeps ring order
-        self.order.sort_by_key(|&i| !self.replicas[i as usize].link.local);
-        self.order.extend((0..self.replicas.len() as u32).filter(|&i| !self.replicas[i as usize].in_ring));
+        for want in 0..3 {
+            self.order.extend((0..self.replicas.len() as u32).filter(|&i| rank(&self.replicas[i as usize]) == want));
+        }
     }
 
     /// What remains of the request's budget, on the transport clock
@@ -761,51 +700,34 @@ impl PredictClient {
         }
     }
 
-    fn in_ring_count(&self) -> usize {
-        self.replicas.iter().filter(|r| r.in_ring).count()
-    }
-
-    fn rebuild_ring(&mut self) {
-        let members =
-            self.replicas.iter().enumerate().filter(|(_, r)| r.in_ring).map(|(i, _)| i as u32).collect::<Vec<_>>();
-        self.ring.rebuild(members);
-        if let Some(t) = &self.tel {
-            t.ring_rebuilds.bump();
-        }
-    }
-
     /// A transport-level failure: after `DOWN_AFTER` in a row the
-    /// replica leaves the ring — unless it is the last one standing.
+    /// replica is voted off — unless it is the last healthy one.
     fn note_failure(&mut self, idx: usize) {
         self.replicas[idx].consecutive_failures += 1;
-        if self.replicas[idx].in_ring
+        if self.replicas[idx].healthy
             && self.replicas[idx].consecutive_failures >= DOWN_AFTER
-            && self.in_ring_count() > 1
+            && self.replicas_healthy() > 1
         {
-            self.replicas[idx].in_ring = false;
+            self.replicas[idx].healthy = false;
             self.replicas[idx].probe_in = self.knobs.probe_cooldown;
-            self.rebuild_ring();
         }
     }
 
-    /// A successful exchange: reset health, and put the replica back on
-    /// the ring if it had been voted out.
+    /// A successful exchange: reset health, and make the replica healthy
+    /// again if it had been voted off.
     fn note_success(&mut self, idx: usize) {
         self.replicas[idx].consecutive_failures = 0;
-        if !self.replicas[idx].in_ring {
-            self.replicas[idx].in_ring = true;
-            self.rebuild_ring();
-        }
+        self.replicas[idx].healthy = true;
     }
 
-    /// Counts down out-of-ring cooldowns and pings at most one replica
-    /// whose window expired, as one more attempt of the request in
-    /// flight, inside its share of the budget. A `Pong` puts the replica
-    /// back on the ring; anything else re-arms the cooldown.
+    /// Counts down the voted-off replicas' cooldowns and pings at most
+    /// one whose window expired, as one more attempt of the request in
+    /// flight, inside its share of the budget. A `Pong` makes the
+    /// replica healthy again; anything else re-arms the cooldown.
     fn probe_if_due(&mut self, parent: Option<TraceContext>) {
         let mut due: Option<usize> = None;
         for (i, r) in self.replicas.iter_mut().enumerate() {
-            if !r.in_ring {
+            if !r.healthy {
                 if r.probe_in == 0 {
                     due.get_or_insert(i);
                 } else {
@@ -815,7 +737,7 @@ impl PredictClient {
         }
         let Some(idx) = due else { return };
         if let Some(t) = &self.tel {
-            t.ring_probes.bump();
+            t.probes.bump();
         }
         let share = self.left() / (self.knobs.max_retries + self.replicas.len() as u32 + 1);
         if !share.is_zero() && self.replicas[idx].link.probe(parent, share) {
@@ -827,7 +749,7 @@ impl PredictClient {
 
     fn note_failover(&mut self, from: usize, to: usize, why: &'static str, parent: Option<TraceContext>) {
         if let Some(t) = &self.tel {
-            t.ring_failovers.bump();
+            t.failovers.bump();
             if let Some(ctx) = parent {
                 let mut s = t.telemetry.span_under(ctx, "client", "failover");
                 s.attr("from", Arc::clone(&self.replicas[from].link.desc));
@@ -852,10 +774,10 @@ mod tests {
         CpuConfig::new(1 + binary_hash as u32, 1_000_000 + system_hash, 1)
     }
 
-    /// What a current daemon writes back for a hot-verb frame: binary,
-    /// echoing its tag.
+    /// What a current daemon writes back, echoing the frame's tag: binary
+    /// for a hot verb, JSON for a `Ping`.
     fn honest(frame: &RequestFrame) -> Vec<u8> {
-        wire::encode_reply(true, frame.corr, served(&frame.body))
+        wire::encode_reply(frame.body != Request::Ping, frame.corr, served(&frame.body))
     }
 
     /// The same answer as a bare JSON reply, one that echoes no tag.
@@ -920,11 +842,14 @@ mod tests {
     const KEYS: [(u64, u64); 3] = [(7, 1), (7, 2), (9, 3)];
     const OPTS: &CallOptions = &CallOptions { trace: None };
 
+    fn daemon(on_single: Script, on_batch: Script) -> Scripted {
+        Scripted { on_single, on_batch, frames: Arc::default(), dials: Arc::default(), inbox: VecDeque::new() }
+    }
+
     /// A single-replica client of a [`Scripted`] daemon; returns its
     /// dial count and its `client.requests` / `client.attempts` too.
     fn scripted_with(on_single: Script, on_batch: Script) -> (PredictClient, Arc<AtomicUsize>, Counter, Counter) {
-        let daemon =
-            Scripted { on_single, on_batch, frames: Arc::default(), dials: Arc::default(), inbox: VecDeque::new() };
+        let daemon = daemon(on_single, on_batch);
         let dials = Arc::clone(&daemon.dials);
         let mut client = PredictClient::builder().transport(Box::new(daemon)).build().unwrap();
         let tel = Arc::new(Telemetry::wall());
@@ -941,6 +866,66 @@ mod tests {
     fn assert_all_answered(client: &mut PredictClient) {
         let got: Vec<CpuConfig> = client.predict_many(&KEYS, OPTS).into_iter().map(Result::unwrap).collect();
         assert_eq!(got, KEYS.map(answer), "a key was dropped or cross-wired");
+    }
+
+    /// A client of three [`Scripted`] daemons, in this endpoint order,
+    /// whose voted-off replicas are probed every fourth request; returns
+    /// the frames each daemon was sent.
+    fn scripted_fleet(daemons: [Scripted; 3]) -> (PredictClient, [Arc<AtomicUsize>; 3]) {
+        let frames = daemons.each_ref().map(|d| Arc::clone(&d.frames));
+        let builder = PredictClient::builder().probe_cooldown(3);
+        let client = daemons.into_iter().fold(builder, |b, d| b.transport(Box::new(d))).build().unwrap();
+        (client, frames)
+    }
+
+    fn sent(frames: &[Arc<AtomicUsize>; 3]) -> [usize; 3] {
+        frames.each_ref().map(|f| f.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn a_healthy_fleet_sends_a_whole_batch_to_its_first_endpoint() {
+        let honest_daemon = || daemon(|f, _| vec![honest(f)], |f, _| vec![honest(f)]);
+        let (mut client, frames) = scripted_fleet([honest_daemon(), honest_daemon(), honest_daemon()]);
+        let keys: Vec<(u64, u64)> = (0..2 * MAX_BATCH_KEYS as u64 + 1).map(|i| (i, i % 5)).collect();
+        for (result, &key) in client.predict_many(&keys, OPTS).into_iter().zip(&keys) {
+            assert_eq!(result.unwrap(), answer(key), "a key was dropped or cross-wired");
+        }
+        assert_eq!(sent(&frames), [3, 0, 0], "three frames, every one to the first endpoint");
+    }
+
+    #[test]
+    fn a_batch_the_first_replica_bounces_falls_back_per_key_on_the_next() {
+        let busy = |_: &RequestFrame, _| vec![serde_json::to_vec(&Response::Busy { retry_after_ms: 1 }).unwrap()];
+        let honest_daemon = || daemon(|f, _| vec![honest(f)], |f, _| vec![honest(f)]);
+        let (mut client, frames) = scripted_fleet([daemon(busy, busy), honest_daemon(), honest_daemon()]);
+        assert_all_answered(&mut client);
+        assert_eq!(
+            sent(&frames),
+            [1 + KEYS.len(), KEYS.len(), 0],
+            "the batch and each single bounced, then answered"
+        );
+        assert_eq!(client.replicas_healthy(), 3, "a bounce is no failure");
+    }
+
+    #[test]
+    fn a_voted_off_first_replica_is_skipped_until_a_probe_answers_pong() {
+        // the first two frames are lost, then it answers
+        let flaky = daemon(|f, n| if n < 2 { Vec::new() } else { vec![honest(f)] }, |_, _| unreachable!());
+        let honest_daemon = || daemon(|f, _| vec![honest(f)], |_, _| unreachable!());
+        let (mut client, frames) = scripted_fleet([flaky, honest_daemon(), honest_daemon()]);
+        for _ in 0..2 {
+            assert_eq!(client.predict(7, 1, OPTS).unwrap(), answer((7, 1)));
+        }
+        assert_eq!((client.replicas_healthy(), sent(&frames)), (2, [2, 2, 0]), "voted off after two losses");
+        for _ in 0..3 {
+            assert_eq!(client.predict(7, 1, OPTS).unwrap(), answer((7, 1)));
+        }
+        assert_eq!(sent(&frames), [2, 5, 0], "skipped while its cooldown runs");
+        // the fourth request probes it first: a Pong, and it answers again
+        assert_eq!(client.predict(7, 1, OPTS).unwrap(), answer((7, 1)));
+        assert_eq!((client.replicas_healthy(), sent(&frames)), (3, [4, 5, 0]), "a Ping, then the predict");
+        assert_eq!(client.predict(7, 1, OPTS).unwrap(), answer((7, 1)));
+        assert_eq!(sent(&frames), [5, 5, 0], "first again");
     }
 
     #[test]
@@ -1072,14 +1057,15 @@ mod tests {
             .endpoint("h2:4117")
             .build()
             .unwrap();
-        for key in [0u64, 1, 99, u64::MAX] {
-            client.order_for(key);
-            assert_eq!(client.order[0], 1, "shm replica must lead for key {key}");
-            assert_eq!(client.order.len(), 3);
-        }
-        // one endpoint is its own ring: the same code orders it first and only
+        client.order_candidates();
+        assert_eq!(client.order, [1, 0, 2], "the shm replica leads, the rest keep endpoint order");
+        // voted off, it goes last, behind the healthy ones in endpoint order
+        client.replicas[1].healthy = false;
+        client.order_candidates();
+        assert_eq!(client.order, [0, 2, 1]);
+        // one endpoint: the same code orders it first and only
         let mut single = PredictClient::builder().endpoint("h1:4117").build().unwrap();
-        single.order_for(7);
+        single.order_candidates();
         assert_eq!(single.order, [0]);
     }
 
@@ -1089,7 +1075,7 @@ mod tests {
         assert_eq!(client.endpoints(), vec!["h1:4117", "h2:4117", "h3:4117"]);
         assert_eq!(client.addr(), "h1:4117");
         assert_eq!(client.replicas_total(), 3);
-        assert_eq!(client.replicas_in_ring(), 3, "everyone starts on the ring");
+        assert_eq!(client.replicas_healthy(), 3, "everyone starts healthy");
     }
 
     #[test]
@@ -1127,8 +1113,8 @@ mod tests {
         let err = client.predict(7, 9, &CallOptions::default()).unwrap_err();
         assert!(matches!(err, RemoteError::Connect(_) | RemoteError::Io(_)), "{err}");
         assert!(start.elapsed() < Duration::from_secs(2), "failover must stay bounded");
-        // repeated failures voted replicas off the ring, but never the last one
-        assert!(client.replicas_in_ring() >= 1);
+        // repeated failures voted replicas off, but never the last healthy one
+        assert!(client.replicas_healthy() >= 1);
     }
     /// A daemon on a fake clock that every transport cloned from it
     /// shares: it answers honestly, or — while `stalled`, and for its
@@ -1241,20 +1227,20 @@ mod tests {
         let mut client = PredictClient::builder()
             .budget(BUDGET)
             .probe_cooldown(0)
-            .transport(Box::new(healthy))
             .transport(Box::new(stalled))
+            .transport(Box::new(healthy))
             .build()
             .unwrap();
-        // the keys the stalled replica owns fail over, until it leaves the ring
+        // the stalled first replica fails over to the second, until it is voted off
         for b in 0..64 {
             assert_eq!(client.predict(7, b, OPTS).unwrap(), answer((7, b)));
-            if client.replicas_in_ring() == 1 {
+            if client.replicas_healthy() == 1 {
                 break;
             }
         }
-        assert_eq!(client.replicas_in_ring(), 1, "the stalled replica never left the ring");
+        assert_eq!(client.replicas_healthy(), 1, "the stalled replica was never voted off");
 
-        // out of the ring with no cooldown: the next request probes it first
+        // voted off with no cooldown: the next request probes it first
         let (start, probes) = (*clock.lock(), waits.lock().len());
         let config = client.predict(7, 1, OPTS).expect("the probe left the request no time");
         assert_eq!(config, answer((7, 1)));
@@ -1269,8 +1255,8 @@ mod tests {
     }
 
     /// The `shm://…,tcp://…` ladder after its ring died: whether the
-    /// ring was voted off before it (`off` 0) or is the last ring member
-    /// with TCP voted off (`off` 1), a request whose TCP exchange is lost
+    /// ring was voted off before it (`off` 0) or is the last healthy
+    /// replica with TCP voted off (`off` 1), a request whose TCP exchange is lost
     /// `k` times dials the missing ring once and spends every retry on
     /// TCP.
     #[test]
@@ -1288,9 +1274,8 @@ mod tests {
                     .build()
                     .unwrap();
                 // voted off with no probe due in this test
-                client.replicas[off].in_ring = false;
+                client.replicas[off].healthy = false;
                 client.replicas[off].probe_in = u32::MAX;
-                client.rebuild_ring();
                 drops.store(k as usize, Ordering::SeqCst);
                 let got = client.predict(7, 1, OPTS);
                 assert_eq!(got.unwrap(), answer((7, 1)), "off {off}, k {k}");

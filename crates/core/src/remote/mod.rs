@@ -45,16 +45,15 @@
 //!
 //! ## Fleet mode
 //!
-//! A [`PredictClient`] built with several endpoints routes predictions
-//! over a consistent-hash [`ring::HashRing`] keyed by `(system_hash,
-//! binary_hash)`, with health-checked failover between replicas; see the
-//! [`client`](self::PredictClient) docs for the full protocol.
+//! A [`PredictClient`] built with several endpoints tries the healthy
+//! replicas in endpoint order, with health-checked failover between
+//! them; see the [`client`](self::PredictClient) docs for the full
+//! protocol.
 
 mod client;
 mod endpoint;
 pub mod fastpath;
 mod link;
-pub mod ring;
 pub mod shm;
 pub mod wire;
 
@@ -78,7 +77,6 @@ use crate::telemetry::{Telemetry, TraceContext};
 
 pub use client::{CallOptions, ClientBuildError, ClientBuilder, FleetPreload, PredictClient};
 pub use endpoint::{Endpoint, EndpointParseError};
-pub use ring::{predict_key, HashRing};
 pub use shm::{SessionEnd, ShmListener, ShmTransport};
 
 /// Upper bound on a single frame's JSON payload (1 MiB).
@@ -608,10 +606,10 @@ pub trait Transport: Send {
     }
 
     /// Whether this transport reaches a co-located daemon over a local
-    /// fast path (shared memory). The client prefers local replicas
-    /// over ring routing while they are healthy — the whole point of a
-    /// local transport is that *every* key is cheapest there — and
-    /// falls back to the ring (TCP) when the local peer dies.
+    /// fast path (shared memory). The client tries healthy local
+    /// replicas before the others — the whole point of a local transport
+    /// is that *every* key is cheapest there — and falls back to the
+    /// next replica (TCP) when the local peer dies.
     fn is_local(&self) -> bool {
         false
     }

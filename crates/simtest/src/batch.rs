@@ -2,7 +2,7 @@
 //!
 //! Where [`crate::fleet::run_fleet_seed`] exercises single-key failover
 //! routing, [`run_batch_seed`] concentrates on what `PredictMany` adds:
-//! mixed-size batches through the ring-aware splitter of a
+//! mixed-size batches sent whole to the first healthy replica of a
 //! three-replica fleet, mid-batch connection cuts, stale frames ahead
 //! of and duplicates behind a tagged reply, partial-batch `Busy`
 //! bounces and crashes between frames — every one of the thirteen
@@ -37,8 +37,8 @@ use crate::faults::FaultPlan;
 use crate::net::{Injected, SimNet};
 use crate::world::failover_client;
 
-/// Replicas in the batch world (same shape as the fleet world, so the
-/// ring-aware splitter has something to split over).
+/// Replicas in the batch world (same shape as the fleet world, so a
+/// batch has replicas to fail over to).
 pub const BATCH_REPLICAS: usize = 3;
 
 /// Modelled prediction keys in play, one model each (one more has none).
@@ -100,17 +100,18 @@ pub fn run_batch_seed(seed: u64, plan: &FaultPlan) -> BatchReport {
         driver.batch_once(&mut client, &mut rng, &net, "steady");
     }
 
-    // Phase 2 — kill one replica: mid-run batches must fan out around
-    // it (splitter groups re-route, unanswered slots fall back).
-    let victim = (seed as usize) % BATCH_REPLICAS;
+    // Phase 2 — kill the first endpoint, where every batch goes while it
+    // is healthy: its unanswered slots fall back per key until it is
+    // voted off, and later batches go to the next replica.
+    let victim = 0;
     net.note(format!("phase: kill b{victim}"));
     net.kill_replica(victim, 100_000);
     for _ in 0..ROUNDS_PER_PHASE {
         driver.batch_once(&mut client, &mut rng, &net, "kill");
     }
 
-    // Phase 3 — partition a second replica: one healthy member left.
-    let split = (victim + 1) % BATCH_REPLICAS;
+    // Phase 3 — partition the second endpoint: one healthy member left.
+    let split = 1;
     net.note(format!("phase: partition b{split}"));
     net.partition_replica(split, 40);
     for _ in 0..ROUNDS_PER_PHASE {

@@ -5,8 +5,10 @@
 //! plugin → client → daemon pipeline against a single daemon,
 //! [`run_fleet_seed`] concentrates on what replication adds: a
 //! three-replica [`SimNet::fleet`] with per-replica crash and partition
-//! schedules, the client's consistent-hash routing, health-driven ring
-//! membership, probing, and rejoin.
+//! schedules, the client's endpoint-order failover, health votes,
+//! probing, and rejoin. The choreography kills the first endpoint and
+//! partitions the second, the replicas traffic reaches first, so every
+//! seed walks a dead replica and probes it back.
 //!
 //! Checked invariants, per seeded run:
 //!
@@ -18,7 +20,7 @@
 //! * **bounded failover cost** — a predict consumes a bounded amount of
 //!   virtual time even when it has to walk dead replicas;
 //! * **rejoin convergence** — after all injected faults heal, the
-//!   killed replica is probed back onto the ring, and one more rollout
+//!   killed replica is probed back to health, and one more rollout
 //!   leaves every replica's live incarnation at a committed generation
 //!   ≥ 1 (monotonic per incarnation: the restarted one starts over, it
 //!   never serves a stale committed entry);
@@ -53,7 +55,7 @@ pub const MAX_FLEET_PREDICT_VIRTUAL_MS: u64 = 2_000;
 const PREDICTS_PER_PHASE: usize = 12;
 
 /// Cap on the post-heal requests spent waiting for the killed replica
-/// to be probed back onto the ring.
+/// to be probed back to health.
 const REJOIN_REQUEST_CAP: usize = 400;
 
 /// What one seeded fleet run produced (for assertions in tests).
@@ -67,7 +69,7 @@ pub struct FleetReport {
     pub predictions: usize,
     /// Predict calls that failed (must be 0 on strict plans).
     pub failed_predictions: usize,
-    /// Whether the full ring was observed healthy after healing.
+    /// Whether every replica was observed healthy after healing.
     pub converged: bool,
     /// What the simulated network delivered and injected.
     pub injected: Injected,
@@ -161,17 +163,17 @@ pub fn run_fleet_seed(seed: u64, plan: &FaultPlan) -> FleetReport {
         predict_once(&mut client, &net, &mut rng, &mut predictions, &mut failed, &mut violations, "steady");
     }
 
-    // Phase 2 — kill one replica outright; routing must fail over.
-    let victim = (seed as usize) % FLEET_REPLICAS;
+    // Phase 2 — kill the first endpoint outright; routing must fail over.
+    let victim = 0;
     net.note(format!("phase: kill r{victim}"));
     net.kill_replica(victim, 100_000);
     for _ in 0..PREDICTS_PER_PHASE {
         predict_once(&mut client, &net, &mut rng, &mut predictions, &mut failed, &mut violations, "kill");
     }
 
-    // Phase 3 — partition a second replica while the first is down:
+    // Phase 3 — partition the second endpoint while the first is down:
     // the fleet is down to one healthy member and must still answer.
-    let split = (victim + 1) % FLEET_REPLICAS;
+    let split = 1;
     net.note(format!("phase: partition r{split}"));
     net.partition_replica(split, 40);
     for _ in 0..PREDICTS_PER_PHASE {
@@ -179,23 +181,23 @@ pub fn run_fleet_seed(seed: u64, plan: &FaultPlan) -> FleetReport {
     }
 
     // Phase 4 — heal everything and drive traffic until the client
-    // probes the dead replica back onto the ring (count-based probe
+    // probes the dead replica back to health (count-based probe
     // cooldowns make this deterministic in requests, not wall time).
     net.note("phase: heal".to_string());
     net.heal_all();
     let mut converged = false;
     for _ in 0..REJOIN_REQUEST_CAP {
         predict_once(&mut client, &net, &mut rng, &mut predictions, &mut failed, &mut violations, "heal");
-        if client.replicas_in_ring() == FLEET_REPLICAS {
+        if client.replicas_healthy() == FLEET_REPLICAS {
             converged = true;
             break;
         }
     }
     if strict && !converged {
         violations.push(format!(
-            "killed replica r{victim} never rejoined the ring within {REJOIN_REQUEST_CAP} post-heal requests \
-             ({}/{FLEET_REPLICAS} in ring)",
-            client.replicas_in_ring()
+            "killed replica r{victim} never rejoined within {REJOIN_REQUEST_CAP} post-heal requests \
+             ({}/{FLEET_REPLICAS} healthy)",
+            client.replicas_healthy()
         ));
     }
 

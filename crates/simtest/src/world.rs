@@ -196,8 +196,8 @@ pub(crate) fn sim_client(transport: crate::net::SimTransport) -> PredictClient {
         .expect("sim client config is valid")
 }
 
-/// The failover client the fleet, batch and shm worlds drive, one ring
-/// entry per transport. Retries are deliberately generous: those worlds'
+/// The failover client the fleet, batch and shm worlds drive, one
+/// replica per transport, tried in that order. Retries are deliberately generous: those worlds'
 /// liveness invariant is "an answer exists while one replica lives", so
 /// the client gets enough attempts to walk the whole fleet through
 /// injected faults — and a budget that gives each of a three-replica

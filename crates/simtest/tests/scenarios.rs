@@ -47,7 +47,7 @@ fn blackout_degrades_to_vanilla_slurm_but_keeps_the_local_path() {
 }
 
 /// Outside `blackout`, a fleet run must lose zero predictions and end
-/// with the killed replica back on the ring.
+/// with the killed replica healthy again.
 #[test]
 fn fleet_runs_converge_and_lose_nothing() {
     for (seed, plan) in [(1, FaultPlan::none()), (7, FaultPlan::crashes()), (11, FaultPlan::partitions())] {

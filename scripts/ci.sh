@@ -61,7 +61,8 @@ simtest_world() {
     pipeline) # the daemon's counter table, which every world's ledger audit reads, optimised; the submit-budget audit's real-socket side: the plugin's production source against a warm daemon serving the model store the staged model was committed to, a dead and a silent daemon; the accept loop, the Busy bounce, a slow store refresh and the connection threads over real sockets, optimised
         run cargo test -q -p chronusd --release --lib service
         run cargo test -q -p chronusd --release --test e2e_remote --test daemon ;;
-    fleet) # kill mid-load with zero lost predictions; a restarted replica comes back warm from its store, rejoins and answers
+    fleet) # the client's routing and failover over Scripted transports (endpoint order, a whole batch to the first replica, probes), optimised; kill the first replica mid-load with zero lost predictions; a restarted replica comes back warm from its store, rejoins and answers
+        run cargo test -q -p chronus --release --lib remote::client
         run cargo test -q -p chronusd --release --test fleet_failover ;;
     store) # the store world's coverage pins, optimised; the journal codec (chronus::integrations::codec) and fold proptests; catch-up with zero Preload RPCs, every serving key held from boot, a key rolled back past answering Miss, fleet-wide rollback; the CLI as separate processes: load-model commits to the home store, and a daemon over it answers what the local slurm-config does
         run cargo test -q -p simtest --release --test scenarios store

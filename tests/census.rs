@@ -1,6 +1,6 @@
 //! Allocation census of the submit path: how many heap allocations one
-//! `sbatch` parse, one remote TCP prediction and one opted-in `sbatch`
-//! end to end make — over a staged model and over the daemon — pinned
+//! `sbatch` parse, one remote TCP prediction (through a one- and a
+//! three-endpoint client) and one opted-in `sbatch` end to end make — over a staged model and over the daemon — pinned
 //! exactly.
 //! Timing on a shared two-vCPU host moves by 10–20 % between runs;
 //! these counts do not move at all, so a change that adds a copy to the
@@ -224,8 +224,16 @@ fn allocations_per_parse_and_per_remote_predict_are_pinned() {
     let predict = per_call(2_000, || {
         assert_eq!(client.predict(10, 20, &opts).unwrap().cores, 32);
     });
+    // the same through a three-endpoint client: routing a warm fleet
+    // request allocates nothing, so the count is the single endpoint's
+    let endpoint = format!("tcp://{}", server.addr());
+    let mut fleet = PredictClient::builder().endpoints([&endpoint, &endpoint, &endpoint]).build().unwrap();
+    let fleet_predict = per_call(2_000, || {
+        assert_eq!(fleet.predict(10, 20, &opts).unwrap().cores, 32);
+    });
     server.shutdown();
     assert_eq!(predict, 3.0, "allocations per remote TCP predict, client and daemon");
+    assert_eq!(fleet_predict, 3.0, "allocations per remote TCP predict through a three-endpoint client");
 
     let workload = Arc::new(HpcgWorkload::paper_default(Arc::new(PerfModel::sr650())));
     assert_eq!(
